@@ -178,8 +178,8 @@ class ChiResult:
     total   : classic + quant, exactly, by construction
     method  : numerical strategy actually used
     err_est : strategy error bound; 0 for exact closed forms, a truncation
-              bound for series, the quadrature estimate for oracles. Never a
-              model of floating-point rounding.
+              bound for series, the quadrature estimate for oracles. Only
+              the mpmath quadrature oracle adds a rounding bound to it.
     """
 
     classic: complex

@@ -1,4 +1,4 @@
-"""Closed-form susceptibility kernel and its numerically safe regimes.
+r"""Closed-form susceptibility kernel and its numerically safe regimes.
 
 The susceptibility ratio chi/chi_L of a degenerate collisional electron gas
 reduces to three one-dimensional integrals over the angular variable

@@ -50,6 +50,27 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _splits_around(centers, spread: float, graded: bool = False) -> list:
+    """Split points at each center and center +- spread inside (-1, 1).
+
+    graded adds center +- spread * 100^k, k = 1, 2, ..., out to the far end
+    of [-1, 1]: subintervals then grow geometrically away from the pole and
+    none spans more than ~100 times its distance to it, which keeps the
+    tanh-sinh level differences behind mp.quad's error estimate honest.
+    """
+    pts = set()
+    for center in centers:
+        offsets = [0.0, spread]
+        if graded:
+            while 0.0 < offsets[-1] < abs(center) + 1.0:
+                offsets.append(100.0 * offsets[-1])
+        for offset in offsets:
+            for p in (center - offset, center + offset):
+                if -1.0 < p < 1.0:
+                    pts.add(p)
+    return sorted(pts)
+
+
 def _interior_breakpoints(x: float, y: float, q: float) -> list:
     """Split points near each resonance's projection onto the t axis.
 
@@ -57,76 +78,152 @@ def _interior_breakpoints(x: float, y: float, q: float) -> list:
     t = x/q -+ q/2 (the shifted pair); seeding splits there keeps the
     adaptive rules from straddling a spike.
     """
-    spread = 5.0 * y / q
-    pts = set()
-    for center in (x / q, x / q - 0.5 * q, x / q + 0.5 * q):
-        for offset in (-spread, 0.0, spread):
-            p = center + offset
-            if -1.0 < p < 1.0:
-                pts.add(p)
-    return sorted(pts)
+    s = x / q
+    return _splits_around((s, s - 0.5 * q, s + 0.5 * q), 5.0 * y / q)
 
 
-def chi_ratio_quadrature(point: DimensionlessPoint, dps: int = 40) -> ChiResult:
+# Working digits of the first quadrature pass, and the most any point gets.
+_FIRST_DPS = 20
+_MAX_DPS = 150
+# Each part and their sum must be known to this relative accuracy.
+_TARGET_REL = 1e-16
+# mp.quad sums at 20 bits above the working precision: about 6 digits.
+_SUM_GUARD_DIGITS = 6
+
+
+def _segment_distance(c: complex, q: float) -> float:
+    """Distance from c to the real segment [-q, q]."""
+    return abs(complex(max(abs(c.real) - q, 0.0), c.imag))
+
+
+def _excess(bound, value):
+    """How many times bound exceeds the target share of |value|."""
+    if bound == 0:
+        return 0
+    if value == 0:
+        return mp.inf
+    return bound / (_TARGET_REL * abs(value))
+
+
+def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio by direct high-precision quadrature.
 
     Integrates
         I1 = Int (1-t^2)/(q t - z) dt
         I2 = Int t (1-t^2)/(q t - z) dt
         I3 = Int (1-t^2)^2 / ((q t - z)^2 - q^4/4) dt
-    over [-1, 1] with mpmath's tanh-sinh rule at dps working digits and
-    assembles -(3x/q^2) I1 + (3/q) I2 + (3/4) I3. Requires y > 0 so all
-    poles stay off the contour. An oracle: slow, independent, trusted.
+    over [-1, 1] with mpmath's tanh-sinh rule and assembles
+    -(3x/q^2) I1 + (3/q) I2 + (3/4) I3. The working precision is chosen
+    per point: a pass at 20 digits measures its own rounding noise and
+    error, and passes at more digits follow until the classical part, the
+    quantum part and their sum are each known to 1e-16 relative (or 150
+    digits are reached). err_est is mpmath's error estimate plus the
+    predicted rounding bound. Requires y > 0 so all poles stay off the
+    contour. An oracle: slow, independent, trusted.
     """
     if point.y <= 0.0:
         raise DomainError("chi_ratio_quadrature requires y > 0")
-    return _quadrature_raw(point.x, point.y, point.q, dps)
+    return _quadrature_raw(point.x, point.y, point.q)
 
 
-def chi_ratio_quadrature_reflected(point: DimensionlessPoint, dps: int = 40) -> ChiResult:
+def chi_ratio_quadrature_reflected(point: DimensionlessPoint) -> ChiResult:
     """Quadrature value at reflected frequency -x (same y, q).
 
     A real-field response must satisfy chi(-x) = conj(chi(x)); this evaluates
     the left side directly (the integrands are perfectly well defined for
     negative frequency, only the public coordinate type restricts to x >= 0)
-    so the symmetry can be tested against the closed form.
+    so the symmetry can be tested against the closed form. Precision is
+    chosen per point as in chi_ratio_quadrature.
     """
     if point.y <= 0.0:
         raise DomainError("chi_ratio_quadrature_reflected requires y > 0")
-    return _quadrature_raw(-point.x, point.y, point.q, dps)
+    return _quadrature_raw(-point.x, point.y, point.q)
 
 
-def _quadrature_raw(x: float, y: float, q: float, dps: int) -> ChiResult:
-    splits = _interior_breakpoints(x, y, q)
-    with mp.workdps(dps):
-        zm = mpc(mpf(x), mpf(y))
-        qm = mpf(q)
-        quartic = qm**4 / 4
-        path = [mpf(-1)] + [mpf(p) for p in splits] + [mpf(1)]
+def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
+    """Quadrature at the fewest working digits the point needs.
 
-        def f1(t):
-            return (1 - t * t) / (qm * t - zm)
+    Each pass bounds its own rounding noise from magnitudes it already has:
+    10^-dps of every assembled term, and 10^-(dps+6) of each integrand's
+    peak times the interval length 2 for the sums inside mp.quad. A peak
+    comes from the distance of the integrand's poles, in g = q t, to the
+    segment [-q, q]. Noise plus mp.quad's error estimate must stay within
+    _TARGET_REL of |classic|, |quant| and |total|; a pass that misses by a
+    factor E is redone at dps + ceil(log10 E) + 2 digits (twice the digits
+    when a part cancelled to exactly 0), up to _MAX_DPS, where the value is
+    returned with the whole bound as err_est.
 
-        def f2(t):
-            return t * (1 - t * t) / (qm * t - zm)
+    I1 and I2 are split only around their pole's projection t = x/q, and
+    I3 only around t = x/q -+ q/2, graded toward each (_splits_around).
+    """
+    z = complex(x, y)
+    shift = 0.5 * q * q
+    # I1 and I2 share the simple pole g = z; I3 has the pair g = z -+ q^2/2,
+    # which lie q^2 apart, so one factor of its denominator is >= q^2/2.
+    d1 = _segment_distance(z, q)
+    d_lo = _segment_distance(z - shift, q)
+    d_hi = _segment_distance(z + shift, q)
+    dps = _FIRST_DPS
+    while True:
+        with mp.workdps(dps):
+            zm = mpc(mpf(x), mpf(y))
+            qm = mpf(q)
+            quartic = qm**4 / 4
+            peak1 = 1 / mpf(d1)
+            peak3 = 1 / max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
+            out_eps = mpf(10) ** -dps
+            sum_eps = 2 * mpf(10) ** -(dps + _SUM_GUARD_DIGITS)
+            # split points in working precision: a float x/q can miss a
+            # pole that sits closer to the axis than one float ulp
+            s = mpf(x) / qm
+            spread = 5 * mpf(y) / qm
+            splits1 = _splits_around((s,), spread, graded=True)
+            splits3 = _splits_around((s - qm / 2, s + qm / 2), spread, graded=True)
+            path1 = [mpf(-1)] + splits1 + [mpf(1)]
+            path3 = [mpf(-1)] + splits3 + [mpf(1)]
 
-        def f3(t):
-            w = qm * t - zm
-            return (1 - t * t) ** 2 / (w * w - quartic)
+            def f1(t):
+                return (1 - t * t) / (qm * t - zm)
 
-        err_est = mpf(0)
-        if x == 0.0:
-            classic = complex(0.0)
-        else:
-            v1, e1 = mp.quad(f1, path, error=True)
-            classic = complex(-3 * mpf(x) / qm**2 * v1)
-            err_est += 3 * abs(mpf(x)) / qm**2 * e1
-        v2, e2 = mp.quad(f2, path, error=True)
-        v3, e3 = mp.quad(f3, path, error=True)
-        quant = complex(3 / qm * v2 + mpf(3) / 4 * v3)
-        err_est += 3 / qm * e2 + mpf(3) / 4 * e3
-        err_out = float(err_est)
-    return ChiResult.from_parts(classic, quant, EvalMethod.QUADRATURE, err_out)
+            def f2(t):
+                return t * (1 - t * t) / (qm * t - zm)
+
+            def f3(t):
+                w = qm * t - zm
+                return (1 - t * t) ** 2 / (w * w - quartic)
+
+            if x == 0.0:
+                classic = mpc(0)
+                bound_c = mpf(0)
+            else:
+                c1 = 3 * mpf(x) / qm**2
+                v1, e1 = mp.quad(f1, path1, error=True)
+                classic = -c1 * v1
+                bound_c = abs(c1) * (e1 + sum_eps * peak1) + out_eps * abs(classic)
+            c2 = 3 / qm
+            c3 = mpf(3) / 4
+            v2, e2 = mp.quad(f2, path1, error=True)
+            v3, e3 = mp.quad(f3, path3, error=True)
+            term2 = c2 * v2
+            term3 = c3 * v3
+            quant = term2 + term3
+            bound_q = (
+                c2 * (e2 + sum_eps * peak1)
+                + c3 * (e3 + sum_eps * peak3)
+                + out_eps * (abs(term2) + abs(term3))
+            )
+            bound = bound_c + bound_q
+            excess = max(
+                _excess(bound_c, classic),
+                _excess(bound_q, quant),
+                _excess(bound, classic + quant),
+            )
+            if excess <= 1 or dps == _MAX_DPS:
+                return ChiResult.from_parts(
+                    complex(classic), complex(quant), EvalMethod.QUADRATURE, float(bound)
+                )
+            step = mp.ceil(mp.log10(excess)) + 2 if mp.isfinite(excess) else dps
+        dps = min(_MAX_DPS, dps + int(step))
 
 
 # ---------------------------------------------------------------------------

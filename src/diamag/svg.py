@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from typing import List, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 __all__ = ["Curve", "render_line_chart", "write_svg"]
 
@@ -24,6 +23,11 @@ MARGIN_BOTTOM = 70
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 Curve = Tuple[str, Sequence[Tuple[float, float]]]
+
+
+def _escape(text: str) -> str:
+    # the XML text escapes, ampersand first
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float) -> float:
@@ -137,7 +141,7 @@ def render_line_chart(
         parts.append(
             '<text x="%.2f" y="%d" font-size="13" text-anchor="middle" '
             'fill="#333333">%s</text>'
-            % (px, MARGIN_TOP + plot_h + 20, escape(_tick_label(tick, x_log)))
+            % (px, MARGIN_TOP + plot_h + 20, _escape(_tick_label(tick, x_log)))
         )
     for tick in _linear_ticks(y_lo, y_hi):
         py = sy(tick)
@@ -149,7 +153,7 @@ def render_line_chart(
         parts.append(
             '<text x="%d" y="%.2f" font-size="13" text-anchor="end" '
             'fill="#333333">%s</text>'
-            % (MARGIN_LEFT - 8, py + 4, escape(_tick_label(tick, False)))
+            % (MARGIN_LEFT - 8, py + 4, _escape(_tick_label(tick, False)))
         )
 
     for index, (label, points) in enumerate(cleaned):
@@ -169,25 +173,25 @@ def render_line_chart(
         )
         parts.append(
             '<text x="%d" y="%d" font-size="13" fill="#333333">%s</text>'
-            % (legend_x + 32, legend_y, escape(label))
+            % (legend_x + 32, legend_y, _escape(label))
         )
 
     if title:
         parts.append(
             '<text x="%d" y="30" font-size="17" text-anchor="middle" '
-            'fill="#111111">%s</text>' % (WIDTH // 2, escape(title))
+            'fill="#111111">%s</text>' % (WIDTH // 2, _escape(title))
         )
     if x_label:
         parts.append(
             '<text x="%d" y="%d" font-size="14" text-anchor="middle" '
             'fill="#111111">%s</text>'
-            % (MARGIN_LEFT + plot_w // 2, HEIGHT - 18, escape(x_label))
+            % (MARGIN_LEFT + plot_w // 2, HEIGHT - 18, _escape(x_label))
         )
     if y_label:
         parts.append(
             '<text x="22" y="%d" font-size="14" text-anchor="middle" '
             'fill="#111111" transform="rotate(-90 22 %d)">%s</text>'
-            % (MARGIN_TOP + plot_h // 2, MARGIN_TOP + plot_h // 2, escape(y_label))
+            % (MARGIN_TOP + plot_h // 2, MARGIN_TOP + plot_h // 2, _escape(y_label))
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

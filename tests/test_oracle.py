@@ -6,8 +6,10 @@ down the oracles' own contracts (domains, error fields, limiting values).
 """
 
 import math
+import random
 
 import pytest
+from mpmath import log, mp, mpc, mpf
 
 from diamag import (
     DEFAULT_SETTINGS,
@@ -25,6 +27,7 @@ from diamag import (
     j_integrals_nascent_delta,
     richardson_extrapolate,
 )
+from diamag import oracle
 
 
 def rel(a: complex, b: complex) -> float:
@@ -51,6 +54,63 @@ def test_quadrature_matches_kernel(x, y, q):
     want = chi_ratio(p)
     assert rel(got.total, want.total) < 1e-10
     assert got.err_est > 0.0
+
+
+# 90-digit values, frozen from mpmath. In this small-q, y >> q corner the
+# assembly (3/q) I2 + (3/4) I3 cancels 25-30 digits.
+DEEP_CANCELLATION = [
+    (0.0, 2700.0, 5.3e-7, 2.969466413016685e-40),
+    (0.0, 6e5, 6.5e-6, 2.754726080246913e-45),
+    (0.0, 0.022, 4.4e-8, 3.1999999999817142e-24),
+]
+
+
+@pytest.mark.parametrize("x, y, q, ref", DEEP_CANCELLATION)
+def test_quadrature_survives_deep_cancellation(x, y, q, ref):
+    got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    assert abs(got.total - ref) <= max(got.err_est, 4e-16 * ref)
+
+
+def test_quadrature_at_precision_cap_reports_its_error(monkeypatch):
+    # stopped after the first pass, the value is poor but err_est says so
+    monkeypatch.setattr(oracle, "_MAX_DPS", oracle._FIRST_DPS)
+    x, y, q, ref = DEEP_CANCELLATION[0]
+    got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    assert abs(got.total - ref) <= got.err_est
+    assert got.err_est > 1e-16 * ref
+
+
+def _closed_form_reference(x: float, y: float, q: float) -> complex:
+    """The three integrals from their exact antiderivatives at 400 digits,
+    enough to absorb every cancellation in the box sampled below."""
+
+    def branch_log(sigma):
+        return log(1 - sigma) - log(-1 - sigma)
+
+    def shifted(sigma):
+        return 2 * sigma**3 - mpf(10) / 3 * sigma + (1 - sigma**2) ** 2 * branch_log(sigma)
+
+    with mp.workdps(400):
+        qm = mpf(q)
+        s = mpc(mpf(x), mpf(y)) / qm
+        i1 = (-2 * s + (1 - s**2) * branch_log(s)) / qm
+        i2 = (mpf(4) / 3 - 2 * s**2 + s * (1 - s**2) * branch_log(s)) / qm
+        i3 = (shifted(s + qm / 2) - shifted(s - qm / 2)) / qm**3
+        return complex(-3 * mpf(x) / qm**2 * i1 + 3 / qm * i2 + mpf(3) / 4 * i3)
+
+
+def test_quadrature_error_estimate_holds_over_whole_domain():
+    for x, y, q, ref in DEEP_CANCELLATION:
+        assert abs(_closed_form_reference(x, y, q) - ref) <= 1e-16 * ref
+    # log-uniform over the accepted domain, y > 0, 30 % on the static line
+    rng = random.Random(7)
+    for _ in range(24):
+        x = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-12.0, 6.0)
+        y = 10.0 ** rng.uniform(-14.0, 6.0)
+        q = 10.0 ** rng.uniform(-9.0, 4.0)
+        got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+        ref = _closed_form_reference(x, y, q)
+        assert abs(got.total - ref) <= max(got.err_est, 4e-16 * abs(ref)), (x, y, q)
 
 
 def test_quadrature_rejects_static_line():
