@@ -25,11 +25,12 @@ class Settings:
     Regime selection
     ----------------
     large_s_threshold : |s| above which the asymptotic series is mandatory
+                        where it converges, |s| >= 2 (1 + q/2)
     cancel_digits     : predicted decimal digits of cancellation that escalate
                         the closed form to a series
     series_s_min      : |s| at and above which the escalation uses the
-                        asymptotic branch (below it, the shifted-difference
-                        Taylor branch)
+                        asymptotic branch where it converges (below it, the
+                        shifted-difference Taylor branch)
     taylor_span_factor: the Taylor branch requires q <= factor * dist(s, +-1)
     smallq_q_max      : static-series window, q strictly below this
     smallq_beta_factor: ... and y strictly below factor * q

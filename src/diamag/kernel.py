@@ -26,14 +26,20 @@ The ratio is then
 The classical term vanishes identically at x = 0. The quantum pair is a
 difference of terms of size 3/q^2 * O(max(1, |s|^2)) that cancel to O(1) or
 far below, so small q or large |s| destroys the closed form in double
-precision. Three safe regimes cover that ground:
+precision. Large q does too: g(s -+ q/2) is then a difference of terms of
+size |s -+ q/2|^3 that cancel to O(1/|s -+ q/2|). Four evaluations cover that
+ground:
 
   * static principal value at x = y = 0 (its own real formula),
   * a shifted-difference Taylor series in q for moderate s (the two shifted
     antiderivative evaluations are expanded about s, and the leading order
     cancels the middle term exactly, term by term),
   * a Laurent series in q/z for large |s|, whose 1/z^2 and q^2/z^4 orders
-    cancel symbolically so only the true residual is summed.
+    cancel symbolically so only the true residual is summed; it converges
+    only for |s| > 1 + q/2 and is used only where |s| >= 2 (1 + q/2),
+  * a far-field form of the closed form for large q, which sums each piece
+    whose argument has modulus >= 3 from its expansion in 1/sigma, where the
+    cancelling orders drop out symbolically.
 
 Regime choice is deterministic in (x, y, q): literal thresholds first, then a
 measured-cancellation escalation (intermediate magnitude over the computed
@@ -63,6 +69,13 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# |sigma| at and above which the far-field series replace the closed-form
+# pieces: their terms then fall by at least 9x per order
+_FAR_MIN = 3.0
+# above this q the far-field form also replaces the plain closed form where
+# the latter passes the cancellation guard: s + q/2 then grows with q, and the
+# log difference inside g cancels further digits that the guard does not see
+_FAR_Q_MIN = 2.0
 
 
 class RegimeTag(enum.Enum):
@@ -131,8 +144,38 @@ def _antiderivative_with_peak(sigma: complex) -> tuple:
     return cubic + linear + logpart, max(abs(cubic), abs(linear), abs(logpart))
 
 
-def _cubic_log_antiderivative(sigma: complex) -> complex:
-    return _antiderivative_with_peak(sigma)[0]
+# 1 / ((2k+1)(2k+3)(2k+5)), k = 0, 1, ...: coefficients of g's far-field series
+_G_FAR_COEFFS = tuple(1.0 / ((2 * k + 1) * (2 * k + 3) * (2 * k + 5)) for k in range(20))
+
+
+def _antiderivative_far(sigma: complex) -> tuple:
+    """g(sigma) for |sigma| >= _FAR_MIN from its exact expansion in 1/sigma.
+
+    The sigma^3 and sigma orders of the three pieces cancel symbolically,
+    leaving
+
+        g(sigma) = -16 sum_{k>=0} sigma^-(2k+1) / ((2k+1)(2k+3)(2k+5)),
+
+    a series without cancellation whose terms fall by at least
+    r = 1/|sigma|^2 <= 1/9. The n terms with r^n <= 1e-17 are summed by
+    Horner's rule in 1/sigma^2. Returns (value, abs truncation bound).
+    """
+    u = 1.0 / sigma
+    u2 = u * u
+    ratio = abs(u2)
+    n = 1 if ratio <= 1e-17 else math.ceil(-17.0 / math.log10(ratio))
+    acc = complex(_G_FAR_COEFFS[n - 1])
+    for k in range(n - 2, -1, -1):
+        acc = acc * u2 + _G_FAR_COEFFS[k]
+    tail = 16.0 * _G_FAR_COEFFS[n] * abs(u) * ratio**n / (1.0 - ratio)
+    return -16.0 * u * acc, tail
+
+
+def _antiderivative_piece(sigma: complex) -> tuple:
+    """g(sigma) and its truncation bound: the series far out, else the closed form."""
+    if abs(sigma) >= _FAR_MIN:
+        return _antiderivative_far(sigma)
+    return _antiderivative_with_peak(sigma)[0], 0.0
 
 
 def _check_poles(z: complex, q: float) -> None:
@@ -173,12 +216,14 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
 
 
 def _direct_pieces(z: complex, q: float) -> tuple:
-    """Shared closed-form evaluation: (TermBreakdown, peak intermediate size).
+    """Shared closed-form evaluation.
 
-    The peak scans every summand that feeds the quantum sum, at all three
-    assembly levels (the middle-integral bracket, the two antiderivative
-    values, and the summands inside each antiderivative), all already scaled
-    by their 1/q weights.
+    Returns (TermBreakdown, peak intermediate size, bracket_log, g_plus),
+    where bracket_log = s (1 - s^2) L(s) and g_plus = g(s + q/2) are kept for
+    the real-valued assembly on the x = 0 line. The peak scans every summand
+    that feeds the quantum sum, at all three assembly levels (the
+    middle-integral bracket, the two antiderivative values, and the summands
+    inside each antiderivative), all already scaled by their 1/q weights.
     """
     x = z.real
     s = z / q
@@ -206,7 +251,7 @@ def _direct_pieces(z: complex, q: float) -> tuple:
         3.0 / (q * q) * max(4.0 / 3.0, 2.0 * abs(s * s), abs(bracket_log)),
         0.75 / q**3 * max(peak_plus, peak_minus, abs(g_plus), abs(g_minus)),
     )
-    return breakdown, peak
+    return breakdown, peak, bracket_log, g_plus
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +400,9 @@ def _quant_laurent(z: complex, q: float, max_outer: int = 200, max_inner: int = 
         t_m0 = (q^4/(4 z^2))^m / 15,
         t_m,j+1 = t_mj (q/z)^2 (2j+2m+3)(2j+2m+2) / ((2j+2)(2j+7)).
 
-    Absolutely convergent for |s| > 1 + q/2 with ample margin at |s| >= 3.
+    Absolutely convergent for |s| > 1 + q/2. Every caller first checks
+    _laurent_converges, |s| >= 2 (1 + q/2), so the outer ratio is at most 1/4;
+    nearer the edge the series needs thousands of terms or overflows.
     Returns (quant, abs truncation bound).
     """
     w = (q / z) ** 2
@@ -393,15 +440,15 @@ def _quant_laurent(z: complex, q: float, max_outer: int = 200, max_inner: int = 
     return prefactor * total, 4.0 * abs(prefactor) * last_inner
 
 
-def _classic_laurent(z: complex, q: float, x: float, max_terms: int = 400) -> tuple:
-    """Classical term via the Laurent series of the first integral.
+def _first_integral_series(w: complex, head: complex, max_terms: int = 400) -> tuple:
+    """head + sum_{j>=1} (4 / ((2j+1)(2j+3))) w^j, with w = (q/z)^2.
 
-    I1 = -(1/z) sum_{j>=0} (4 / ((2j+1)(2j+3))) (q/z)^(2j); the weighted term
-    is -(3x/q^2) I1. Converges for |s| > 1. Returns (value, abs bound).
+    With head = 4/3 this is -z I1; with head = 0 it is minus the middle
+    integral bracket q I2 = 4/3 + z I1, whose 4/3 then cancels symbolically.
+    Converges for |s| > 1. Returns (sum, last term summed).
     """
-    w = (q / z) ** 2
     term = 4.0 / 3.0 + 0j
-    total = term
+    total = complex(head)
     comp = complex(0.0)
     j = 0
     while True:
@@ -411,8 +458,18 @@ def _classic_laurent(z: complex, q: float, x: float, max_terms: int = 400) -> tu
         if abs(term) <= 1e-17 * max(abs(total), _TINY):
             break
         if j >= max_terms:
-            raise ConvergenceError("classical Laurent series stalled", total, abs(term), j)
-    I1 = -(total + comp) / z
+            raise ConvergenceError("first-integral Laurent series stalled", total, abs(term), j)
+    return total + comp, term
+
+
+def _classic_laurent(z: complex, q: float, x: float) -> tuple:
+    """Classical term via the Laurent series of the first integral.
+
+    I1 = -(1/z) sum_{j>=0} (4 / ((2j+1)(2j+3))) (q/z)^(2j); the weighted term
+    is -(3x/q^2) I1. Converges for |s| > 1. Returns (value, abs bound).
+    """
+    total, term = _first_integral_series((q / z) ** 2, 4.0 / 3.0)
+    I1 = -total / z
     weight = -3.0 * x / (q * q)
     return weight * I1, 4.0 * abs(weight * term / z)
 
@@ -429,8 +486,30 @@ def _realify_static(value: complex, x: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _laurent_converges(s_abs: float, q: float) -> bool:
+    """Whether the Laurent branch may serve a point: |s| >= 2 (1 + q/2).
+
+    That is the series' convergence condition |s| > 1 + q/2 with a factor-2
+    margin, which keeps its outer ratio at or below 1/4.
+    """
+    return s_abs >= 2.0 * (1.0 + 0.5 * q)
+
+
+def _taylor_converges(s: complex, q: float, settings: Settings) -> bool:
+    """Whether the Taylor branch may serve a point: q <= factor * dist(s, +-1)."""
+    return q <= settings.taylor_span_factor * min(abs(s - 1.0), abs(s + 1.0))
+
+
 def _classify(point: DimensionlessPoint, settings: Settings):
-    """Deterministic regime choice; returns (tag, strategy, breakdown|None)."""
+    """Deterministic regime choice; returns (tag, strategy, direct pieces|None).
+
+    Both ways into the Laurent branch, the literal large-|s| window and the
+    escalation, require _laurent_converges. A point that fails it, and also
+    fails the Taylor condition, goes to the far-field closed form when it is
+    in the large-|s| window or its closed form cancels. Above q = _FAR_Q_MIN
+    the far-field form also takes the points the plain closed form would
+    serve; both carry the DIRECT_CLOSED_FORM tag.
+    """
     x, y, q = point.x, point.y, point.q
     if y == 0.0 and x == 0.0:
         return RegimeTag.PV_STATIC, "pv", None
@@ -438,18 +517,27 @@ def _classify(point: DimensionlessPoint, settings: Settings):
         return RegimeTag.SMALLQ_STATIC_SERIES, "taylor", None
     s = point.s
     s_abs = abs(s)
-    if s_abs > settings.large_s_threshold:
+    laurent = _laurent_converges(s_abs, q)
+    if s_abs > settings.large_s_threshold and laurent:
         return RegimeTag.LARGE_S_ASYMPTOTIC, "laurent", None
-    breakdown, peak = _direct_pieces(point.z, q)
-    quant = breakdown.term2 + breakdown.term3
-    lost_digits = math.log10(peak / max(abs(quant), _TINY))
-    if lost_digits > settings.cancel_digits:
-        if s_abs >= settings.series_s_min:
-            return RegimeTag.LARGE_S_ASYMPTOTIC, "laurent", breakdown
-        dist = min(abs(s - 1.0), abs(s + 1.0))
-        if q <= settings.taylor_span_factor * dist:
-            return RegimeTag.SMALLQ_STATIC_SERIES, "taylor", breakdown
-    return RegimeTag.DIRECT_CLOSED_FORM, "direct", breakdown
+    taylor = _taylor_converges(s, q, settings)
+    pieces = None
+    if s_abs <= settings.large_s_threshold and (laurent or taylor or q <= _FAR_Q_MIN):
+        # the cancellation guard picks between the closed form and a series;
+        # where neither series may serve above _FAR_Q_MIN, every outcome of
+        # the guard leads to the far-field form, so it is skipped there
+        pieces = _direct_pieces(point.z, q)
+        breakdown, peak = pieces[0], pieces[1]
+        quant = breakdown.term2 + breakdown.term3
+        lost_digits = math.log10(peak / max(abs(quant), _TINY))
+        if not lost_digits > settings.cancel_digits:
+            strategy = "direct" if q <= _FAR_Q_MIN else "far-field"
+            return RegimeTag.DIRECT_CLOSED_FORM, strategy, pieces
+        if s_abs >= settings.series_s_min and laurent:
+            return RegimeTag.LARGE_S_ASYMPTOTIC, "laurent", pieces
+    if taylor:
+        return RegimeTag.SMALLQ_STATIC_SERIES, "taylor", pieces
+    return RegimeTag.DIRECT_CLOSED_FORM, "far-field", pieces
 
 
 def regime_select(point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS) -> RegimeTag:
@@ -461,7 +549,10 @@ def regime_select(point: DimensionlessPoint, settings: Settings = DEFAULT_SETTIN
     large_s_threshold. Otherwise the closed form is evaluated and escalated
     to a series when its measured cancellation exceeds cancel_digits decimal
     digits (boundary values stay with the closed form; all comparisons are
-    strict).
+    strict). The asymptotic branch is taken only where its series converges,
+    |s| >= 2 (1 + q/2); a point outside it that the Taylor branch cannot serve
+    either gets the far-field closed form, tagged DIRECT_CLOSED_FORM, as does
+    every closed-form point with q > 2.
     """
     _validate_y0(point)
     tag, _, _ = _classify(point, settings)
@@ -476,18 +567,64 @@ def _validate_y0(point: DimensionlessPoint) -> None:
         )
 
 
-def _direct_result(point: DimensionlessPoint, breakdown: TermBreakdown) -> ChiResult:
+def _direct_result(point: DimensionlessPoint, pieces: tuple) -> ChiResult:
+    breakdown, _, bracket_log, g_plus = pieces
     x, q = point.x, point.q
     if x == 0.0:
         # assemble from real parts: the quantum part is exactly real here and
         # the shifted-difference bracket reduces to twice a real part
         s = point.s
-        bracket = 4.0 / 3.0 - 2.0 * (s * s).real + (s * (1.0 - s * s) * branch_log_L(s)).real
-        shifted = 2.0 * _cubic_log_antiderivative(s + 0.5 * q).real
+        bracket = 4.0 / 3.0 - 2.0 * (s * s).real + bracket_log.real
+        shifted = 2.0 * g_plus.real
         quant = complex(3.0 / (q * q) * bracket + 0.75 * shifted / q**3, 0.0)
         return ChiResult.from_parts(complex(0.0), quant, EvalMethod.CLOSED_FORM, 0.0)
     quant = _compensated_pair(breakdown.term2, breakdown.term3)
     return ChiResult.from_parts(breakdown.term1, quant, EvalMethod.CLOSED_FORM, 0.0)
+
+
+def _far_field_result(point: DimensionlessPoint) -> ChiResult:
+    """The closed form with its large-argument pieces summed as series.
+
+        chi/chi_L = -(3x/q^2) I1 + (3/q^2) bracket
+                    + (3/(4q^3)) (g(s + q/2) - g(s - q/2)),
+
+    with bracket = q I2 = 4/3 + z I1. A piece whose argument has modulus
+    >= _FAR_MIN comes from its series: g from _antiderivative_far, I1 and the
+    bracket from _first_integral_series (summed from j >= 1 for the bracket,
+    so its 4/3 cancels symbolically). Smaller arguments keep the closed-form
+    piece. This serves the points outside the Laurent branch's reach where the
+    closed form cancels, and every closed-form point above q = _FAR_Q_MIN:
+    there the closed form cancels in g(s -+ q/2) and, at large |s|, in I1 and
+    the bracket. err_est is the weighted sum of the series truncation bounds.
+    """
+    x, q = point.x, point.q
+    z, s = point.z, point.s
+    weight = 3.0 / (q * q)
+    if abs(s) >= _FAR_MIN:
+        w = (q / z) ** 2
+        tail, last = _first_integral_series(w, 0.0)
+        ratio = abs(w)
+        bracket_err = abs(last) * ratio / (1.0 - ratio)
+        bracket = -tail
+        I1 = -(4.0 / 3.0 + tail) / z
+        I1_err = bracket_err / abs(z)
+    else:
+        Ls = branch_log_L(s)
+        one_ms2 = 1.0 - s * s
+        bracket = 4.0 / 3.0 - 2.0 * s * s + s * one_ms2 * Ls
+        I1 = (-2.0 * s + one_ms2 * Ls) / q
+        bracket_err = I1_err = 0.0
+    g_plus, err_plus = _antiderivative_piece(s + 0.5 * q)
+    if x == 0.0:
+        # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
+        quant = weight * bracket.real + 1.5 * g_plus.real / q**3
+        err_est = weight * bracket_err + 1.5 * err_plus / q**3
+        return ChiResult.from_parts(complex(0.0), complex(quant, 0.0), EvalMethod.CLOSED_FORM, err_est)
+    g_minus, err_minus = _antiderivative_piece(s - 0.5 * q)
+    classic = -3.0 * x / (q * q) * I1
+    quant = _compensated_pair(weight * bracket, 0.75 / q**3 * (g_plus - g_minus))
+    err_est = x * weight * I1_err + weight * bracket_err + 0.75 / q**3 * (err_plus + err_minus)
+    return ChiResult.from_parts(classic, quant, EvalMethod.CLOSED_FORM, err_est)
 
 
 def _compensated_pair(a: complex, b: complex) -> complex:
@@ -501,26 +638,27 @@ def _compensated_pair(a: complex, b: complex) -> complex:
 def chi_series_small_q(point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS) -> ChiResult:
     """Series evaluation of chi/chi_L, safe where the closed form cancels.
 
-    Two branches, chosen by |s| = |z|/q:
+    Two branches, chosen by s = z/q:
 
-      * |s| >= series_s_min: Laurent expansion in q/z; the 1/z^2 and q^2/z^4
-        orders of the two quantum terms cancel symbolically, so the returned
-        value is the true leading residual (starting at q^4/z^4). Covers both
-        the collision-dominated window q << |z| and the mandatory large-|s|
-        asymptotic regime.
-      * |s| < series_s_min with q <= taylor_span_factor * dist(s, +-1):
+      * |s| >= series_s_min and |s| >= 2 (1 + q/2): Laurent expansion in q/z;
+        the 1/z^2 and q^2/z^4 orders of the two quantum terms cancel
+        symbolically, so the returned value is the true leading residual
+        (starting at q^4/z^4). Covers both the collision-dominated window
+        q << |z| and the mandatory large-|s| asymptotic regime. The second
+        condition is the series' convergence region with a factor-2 margin.
+      * otherwise, with q <= taylor_span_factor * dist(s, +-1):
         shifted-difference Taylor series about s, exact in beta = y/q; on the
         static line it reduces to 1 - q^2/20 - ... .
 
     err_est carries the analytic truncation bound. Points where neither
-    branch converges raise DomainError.
+    branch converges raise DomainError at once.
     """
     _validate_y0(point)
     x, q = point.x, point.q
     z = point.z
     s = point.s
     s_abs = abs(s)
-    if s_abs >= settings.series_s_min:
+    if s_abs >= settings.series_s_min and _laurent_converges(s_abs, q):
         quant, quant_err = _quant_laurent(z, q)
         quant = _realify_static(quant, x)
         if x == 0.0:
@@ -529,11 +667,10 @@ def chi_series_small_q(point: DimensionlessPoint, settings: Settings = DEFAULT_S
         return ChiResult.from_parts(
             classic, quant, EvalMethod.SERIES_SMALL_Q, quant_err + classic_err
         )
-    dist = min(abs(s - 1.0), abs(s + 1.0))
-    if q > settings.taylor_span_factor * dist:
+    if not _taylor_converges(s, q, settings):
         raise DomainError(
-            "point is outside both series regimes: |s| < series_s_min and "
-            "q exceeds taylor_span_factor * dist(s, +-1)"
+            "point is outside both series regimes: not |s| >= max(series_s_min, "
+            "2 (1 + q/2)), and q exceeds taylor_span_factor * dist(s, +-1)"
         )
     quant, quant_err = _quant_taylor_shift(s, q)
     quant = _realify_static(quant, x)
@@ -549,13 +686,14 @@ def chi_ratio(point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS) 
 
     classic and quant are the two physical contributions; total is their sum
     exactly. method records the strategy actually used and err_est its
-    truncation bound (0 for closed forms and the principal value).
+    truncation bound (0 for the plain closed form and the principal value,
+    the series bounds for the far-field closed form and the series branches).
 
     Raises PoleError for collisionless points with a pole on the contour
     (y = 0 with 0 < x unless every pole is outside the interval).
     """
     _validate_y0(point)
-    tag, strategy, breakdown = _classify(point, settings)
+    _, strategy, pieces = _classify(point, settings)
     if strategy == "pv":
         q = point.q
         if q <= 2.0:
@@ -565,5 +703,7 @@ def chi_ratio(point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS) 
             quant = complex((bd.term2 + bd.term3).real, 0.0)
         return ChiResult.from_parts(complex(0.0), quant, EvalMethod.PV_STATIC, 0.0)
     if strategy == "direct":
-        return _direct_result(point, breakdown)
+        return _direct_result(point, pieces)
+    if strategy == "far-field":
+        return _far_field_result(point)
     return chi_series_small_q(point, settings)

@@ -1,0 +1,94 @@
+"""The kernel over the whole accepted domain, large q included.
+
+Every point that DimensionlessPoint accepts, off the rejected collisionless
+line y = 0 < x, must come back from chi_ratio as a finite ChiResult. Points
+are drawn log-uniform from the box x in {0} or [1e-12, 1e6], y in
+[1e-14, 1e6], q in [1e-9, 1e4], with a share at the static point x = y = 0.
+For q >= 2, where the Laurent branch's convergence region ends and the
+far-field closed form takes over, the kernel is held to the mpmath oracle.
+"""
+
+import cmath
+import math
+import random
+
+import pytest
+
+from diamag import DEFAULT_SETTINGS, DimensionlessPoint, EvalMethod, chi_ratio, chi_ratio_quadrature
+from diamag.kernel import _classify
+
+
+def _loguniform(rng: random.Random, lo: float, hi: float) -> float:
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def _box_point(rng: random.Random, q_min: float = 1e-9, static_share: float = 0.05) -> tuple:
+    q = _loguniform(rng, q_min, 1e4)
+    if rng.random() < static_share:
+        return 0.0, 0.0, q
+    x = 0.0 if rng.random() < 0.3 else _loguniform(rng, 1e-12, 1e6)
+    return x, _loguniform(rng, 1e-14, 1e6), q
+
+
+def _strategy(point: DimensionlessPoint) -> str:
+    return _classify(point, DEFAULT_SETTINGS)[1]
+
+
+# Points the Laurent branch used to take without converging: the first
+# overflowed inside the series, the second stalled at its term limit.
+FORMER_FAILURES = [
+    (872.9454813329785, 2298.72318753822, 242.0917022903525),
+    (2.06e5, 3.84e4, 2445.0),
+]
+
+
+def test_every_point_of_the_box_gives_a_finite_result():
+    rng = random.Random(11)
+    points = FORMER_FAILURES + [_box_point(rng) for _ in range(2500)]
+    for coords in points:
+        result = chi_ratio(DimensionlessPoint(*coords))
+        assert cmath.isfinite(result.total), coords
+        assert cmath.isfinite(result.classic) and cmath.isfinite(result.quant), coords
+        assert math.isfinite(result.err_est), coords
+
+
+def test_large_q_points_match_the_oracle_in_every_regime():
+    # y > 0, q in [2, 1e4]: twelve points each for the two strategies found
+    # there, the Laurent branch and the far-field closed form. The plain
+    # closed form serves only q <= 2, and the Taylor branch would need
+    # q <= taylor_span_factor * dist(s, +-1) with |s| < 2 + q, so q < 3, and a
+    # measured loss above cancel_digits besides; 200k draws met no such point.
+    rng = random.Random(13)
+    wanted = {"laurent": 12, "far-field": 12}
+    points = []
+    for _ in range(2000):
+        x, y, q = _box_point(rng, q_min=2.0, static_share=0.0)
+        point = DimensionlessPoint(x, y, q)
+        strategy = _strategy(point)
+        if wanted.get(strategy, 0):
+            wanted[strategy] -= 1
+            points.append(point)
+    assert not any(wanted.values()), wanted
+    for point in points:
+        got = chi_ratio(point).total
+        want = chi_ratio_quadrature(point).total
+        assert abs(got - want) <= 1e-12 * abs(want), (point, _strategy(point))
+
+
+# Frozen from the closed forms at 400 digits (mpmath); chi_ratio_quadrature
+# agrees with them to 1.5e-16. The plain closed form was off by 1.8e-5 and
+# 4.6e-6 here and reported err_est = 0.
+LARGE_Q_REFERENCES = [
+    ((524.5, 6.04e-3, 9470.0), complex(4.460251816836222e-08, -4.721921389335948e-15)),
+    ((1.63e-10, 952.0, 8130.0), complex(4.609207987884742e-08, -3.5364858124271303e-22)),
+]
+
+
+@pytest.mark.parametrize("coords, ref", LARGE_Q_REFERENCES)
+def test_far_field_closed_form_at_frozen_large_q_points(coords, ref):
+    point = DimensionlessPoint(*coords)
+    assert _strategy(point) == "far-field"
+    result = chi_ratio(point)
+    assert result.method == EvalMethod.CLOSED_FORM
+    assert abs(result.total - ref) <= 1e-12 * abs(ref)
+    assert result.err_est > 0.0

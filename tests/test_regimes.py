@@ -2,9 +2,12 @@
 
 from dataclasses import replace
 
+import pytest
+
 from diamag.config import DEFAULT_SETTINGS
 from diamag.core import DimensionlessPoint, EvalMethod
-from diamag.kernel import RegimeTag, chi_ratio, regime_select
+from diamag.errors import ConvergenceError, DomainError
+from diamag.kernel import RegimeTag, chi_ratio, chi_series_small_q, regime_select
 
 
 def test_static_pv_window():
@@ -92,3 +95,47 @@ def test_method_matches_regime_for_literal_windows():
     ]
     for point, method in cases:
         assert chi_ratio(point).method == method
+
+
+# |s| < 2 (1 + q/2): the Laurent series in q/z does not converge here
+# (|s|/(1 + q/2) = 0.0135 and 0.962), so neither way into it may be taken
+OUTSIDE_LAURENT = [(0.0, 55276.0, 2857.0), (0.0, 754.0, 38.6)]
+
+
+@pytest.mark.parametrize("x, y, q", OUTSIDE_LAURENT)
+def test_points_outside_laurent_convergence_get_the_closed_form(x, y, q):
+    point = DimensionlessPoint(x, y, q)
+    assert regime_select(point) is RegimeTag.DIRECT_CLOSED_FORM
+    result = chi_ratio(point)
+    assert result.method == EvalMethod.CLOSED_FORM
+    assert result.err_est > 0.0
+
+
+@pytest.mark.parametrize("x, y, q", OUTSIDE_LAURENT)
+def test_series_entry_point_rejects_points_outside_both_branches(x, y, q):
+    with pytest.raises(DomainError) as info:
+        chi_series_small_q(DimensionlessPoint(x, y, q))
+    assert not isinstance(info.value, ConvergenceError)
+
+
+# |s| just above 2 (1 + q/2) and above large_s_threshold: the Laurent branch
+# keeps these points, with the exact bits it gave before the convergence
+# predicate existed
+LAURENT_EDGE = [
+    (
+        (1000.0, 2450.0, 50.0),
+        complex(0.00022845020606040574, -0.0005597829302617832),
+        complex(3.3590755098349324e-09, 2.1522371584446594e-08),
+        2.943432444537212e-22,
+    ),
+    ((0.0, 2700.0, 50.0), 0j, complex(1.9361654298327936e-08, 0.0), 7.498798021140891e-26),
+]
+
+
+@pytest.mark.parametrize("coords, classic, quant, err_est", LAURENT_EDGE)
+def test_laurent_edge_points_keep_their_branch_and_bits(coords, classic, quant, err_est):
+    point = DimensionlessPoint(*coords)
+    assert regime_select(point) is RegimeTag.LARGE_S_ASYMPTOTIC
+    result = chi_ratio(point)
+    assert result.method == EvalMethod.SERIES_SMALL_Q
+    assert (result.classic, result.quant, result.err_est) == (classic, quant, err_est)
