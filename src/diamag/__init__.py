@@ -7,7 +7,6 @@ closed-form kernel is cross-validated by independent quadrature oracles and
 exposed through a CLI (eval / sweep / figure1 / verify).
 """
 
-from .config import DEFAULT_SETTINGS, Settings, apply_overrides, parse_config
 from .constants import (
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
@@ -28,7 +27,6 @@ from .core import (
     to_dimensionless,
 )
 from .errors import (
-    ConfigError,
     ConvergenceError,
     DiamagError,
     DomainError,
@@ -80,10 +78,8 @@ __all__ = [
     "CSV_HEADER",
     "CheckResult",
     "ChiResult",
-    "ConfigError",
     "ConvergenceError",
     "Curve",
-    "DEFAULT_SETTINGS",
     "DiamagError",
     "DimensionlessPoint",
     "DomainError",
@@ -104,11 +100,9 @@ __all__ = [
     "PoleError",
     "RegimeTag",
     "SPEED_OF_LIGHT",
-    "Settings",
     "SweepSpec",
     "TermBreakdown",
     "ValidationError",
-    "apply_overrides",
     "branch_log_L",
     "chi_from_kinetic",
     "chi_quant_smallk",
@@ -127,7 +121,6 @@ __all__ = [
     "j_integrals_nascent_delta",
     "landau_chi_magneton_form",
     "landau_chi_physical",
-    "parse_config",
     "regime_select",
     "render_line_chart",
     "render_report",

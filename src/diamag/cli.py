@@ -17,14 +17,13 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from .config import DEFAULT_SETTINGS, Settings, apply_overrides, parse_config
 from .core import (
     ChiResult,
     DimensionlessPoint,
     landau_chi_physical,
 )
 from .errors import DiamagError
-from .kernel import eval_integrals, chi_ratio, regime_select
+from .kernel import TermBreakdown, chi_ratio, eval_integrals, regime_select
 from .sweep import (
     FIGURE1_Y_VALUES,
     OutputRow,
@@ -72,7 +71,6 @@ def _build_parser() -> _Parser:
         "--vf", type=float, default=None, metavar="CM_PER_S",
         help="Fermi velocity; adds absolute CGS susceptibility output",
     )
-    p_eval.add_argument("--config", default=None, help="key=value settings override file")
 
     p_sweep = sub.add_parser("sweep", help="sweep one coordinate to CSV")
     p_sweep.add_argument("--axis", choices=("q", "x", "y"), required=True)
@@ -85,27 +83,18 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--q", type=float, default=None, help="fixed q (non-swept)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.add_argument("--svg", default=None, help="optional SVG plot path")
-    p_sweep.add_argument("--config", default=None)
 
     p_fig = sub.add_parser("figure1", help="static suppression curve family")
     p_fig.add_argument("--out", required=True, help="CSV output path")
     p_fig.add_argument("--svg", default=None, help="optional SVG plot path")
-    p_fig.add_argument("--config", default=None)
 
     p_verify = sub.add_parser("verify", help="run the oracle cross-validation suite")
     p_verify.add_argument(
         "--tol", type=float, default=None,
         help="override every discrepancy bound (default: per-check bounds)",
     )
-    p_verify.add_argument("--config", default=None)
 
     return parser
-
-
-def _load_settings(config_path: Optional[str]) -> Settings:
-    if config_path is None:
-        return DEFAULT_SETTINGS
-    return apply_overrides(DEFAULT_SETTINGS, parse_config(config_path))
 
 
 def _fmt_complex(value: complex) -> str:
@@ -113,10 +102,21 @@ def _fmt_complex(value: complex) -> str:
     return f"{format_float(value.real)} {sign} {format_float(abs(value.imag))}j"
 
 
+def _term_breakdown(point: DimensionlessPoint) -> Optional[TermBreakdown]:
+    """The raw closed-form integrals and terms at a y > 0 point, else None."""
+    if point.y == 0.0:
+        return None
+    try:
+        return eval_integrals(point.z, point.q)
+    except DiamagError:
+        return None
+
+
 def _eval_payload(
     point: DimensionlessPoint,
     result: ChiResult,
     regime: str,
+    breakdown: Optional[TermBreakdown],
     vf: Optional[float],
 ) -> dict:
     payload = {
@@ -134,20 +134,10 @@ def _eval_payload(
         "regime": regime,
         "terms": None,
     }
-    if point.y > 0.0:
-        try:
-            breakdown = eval_integrals(point.z, point.q)
-        except DiamagError:
-            breakdown = None
-        if breakdown is not None:
-            payload["terms"] = {
-                "I1": [breakdown.I1.real, breakdown.I1.imag],
-                "I2": [breakdown.I2.real, breakdown.I2.imag],
-                "I3": [breakdown.I3.real, breakdown.I3.imag],
-                "term1": [breakdown.term1.real, breakdown.term1.imag],
-                "term2": [breakdown.term2.real, breakdown.term2.imag],
-                "term3": [breakdown.term3.real, breakdown.term3.imag],
-            }
+    if breakdown is not None:
+        payload["terms"] = {
+            name: [value.real, value.imag] for name, value in vars(breakdown).items()
+        }
     if vf is not None:
         chi_l = landau_chi_physical(vf)
         payload["absolute"] = {
@@ -160,12 +150,12 @@ def _eval_payload(
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    settings = _load_settings(args.config)
     point = DimensionlessPoint(x=args.x, y=args.y, q=args.q)
-    result = chi_ratio(point, settings)
-    regime = regime_select(point, settings).value
+    result = chi_ratio(point)
+    regime = regime_select(point).value
+    breakdown = _term_breakdown(point)
     if args.fmt == "json":
-        payload = _eval_payload(point, result, regime, args.vf)
+        payload = _eval_payload(point, result, regime, breakdown, args.vf)
         print(json.dumps(payload, indent=2))
         return 0
     print(f"point        x = {format_float(point.x)}  y = {format_float(point.y)}"
@@ -176,18 +166,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"chi_quant    {_fmt_complex(result.quant)}")
     print(f"chi_total    {_fmt_complex(result.total)}")
     print(f"err_est      {format_float(result.err_est)}")
-    if point.y > 0.0:
-        try:
-            breakdown = eval_integrals(point.z, point.q)
-        except DiamagError:
-            breakdown = None
-        if breakdown is not None:
-            print(f"I1           {_fmt_complex(breakdown.I1)}")
-            print(f"I2           {_fmt_complex(breakdown.I2)}")
-            print(f"I3           {_fmt_complex(breakdown.I3)}")
-            print(f"term1        {_fmt_complex(breakdown.term1)}")
-            print(f"term2        {_fmt_complex(breakdown.term2)}")
-            print(f"term3        {_fmt_complex(breakdown.term3)}")
+    if breakdown is not None:
+        for name, value in vars(breakdown).items():
+            print(f"{name:<13}{_fmt_complex(value)}")
     if args.vf is not None:
         chi_l = landau_chi_physical(args.vf)
         absolute = complex(result.total.real * chi_l, result.total.imag * chi_l)
@@ -205,7 +186,6 @@ def _sweep_curves(rows: Sequence[OutputRow], axis: str) -> List:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    settings = _load_settings(args.config)
     fixed = {"x": args.x, "y": args.y, "q": args.q}
     if fixed[args.axis] is not None:
         print(
@@ -227,7 +207,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fixed_y=fixed["y"],
         fixed_q=fixed["q"],
     )
-    rows, had_error = run_sweep(spec, settings)
+    rows, had_error = run_sweep(spec)
     write_csv(rows, args.out)
     if args.svg is not None:
         svg = render_line_chart(
@@ -245,8 +225,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
-    settings = _load_settings(args.config)
-    rows, had_error = figure1_rows(settings)
+    rows, had_error = figure1_rows()
     write_csv(rows, args.out)
     if args.svg is not None:
         curves = []
@@ -272,8 +251,7 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    settings = _load_settings(args.config)
-    results = run_verification(settings, tol=args.tol)
+    results = run_verification(tol=args.tol)
     print(render_report(results))
     return 0 if all(result.passed for result in results) else 2
 

@@ -110,14 +110,15 @@ class DimensionlessPoint:
 
         Only meaningful on the collisionless line y = 0, where the poles are
         real: t = s for the plain denominators and t = s -+ q/2 for the
-        shifted one. x = 0 is the static principal-value case and is handled
+        shifted one. This is the package's one test for a pole on the
+        contour. x = 0 is the static principal-value case and is handled
         separately.
         """
         if self.y != 0.0:
             return True
         a = 0.5 * self.q
         s = self.x / self.q
-        return s > 1.0 and abs(s - a) > 1.0 and s + a > 1.0
+        return abs(s) > 1.0 and abs(s - a) > 1.0 and abs(s + a) > 1.0
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,3 @@ class ConvergenceError(DiamagError, RuntimeError):
 
 class ExtrapolationError(DiamagError, RuntimeError):
     """Richardson extrapolation saw non-monotone convergence across widths."""
-
-
-class ConfigError(DiamagError, ValueError):
-    """A configuration file line is malformed or names an unknown key."""

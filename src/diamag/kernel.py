@@ -43,7 +43,8 @@ ground:
 
 Regime choice is deterministic in (x, y, q): literal thresholds first, then a
 measured-cancellation escalation (intermediate magnitude over the computed
-quantum part) at the configured digit threshold.
+quantum part) at a fixed digit threshold. The thresholds are module
+constants; every accuracy result of the package is measured at their values.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_SETTINGS, Settings
 from .core import ChiResult, DimensionlessPoint, EvalMethod, require_finite_complex
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -76,6 +76,22 @@ _FAR_MIN = 3.0
 # the latter passes the cancellation guard: s + q/2 then grows with q, and the
 # log difference inside g cancels further digits that the guard does not see
 _FAR_Q_MIN = 2.0
+# |s| above which the Laurent branch is taken at once where it converges,
+# without measuring the closed form's cancellation first
+_LARGE_S = 50.0
+# predicted decimal digits of cancellation in the closed form's quantum part
+# above which a point is escalated to a series
+_CANCEL_DIGITS = 6.0
+# |s| at and above which the escalation uses the Laurent branch where it
+# converges; below it the shifted-difference Taylor branch
+_SERIES_S_MIN = 3.0
+# the Taylor branch requires q <= _TAYLOR_SPAN * dist(s, +-1): its ratio
+# (q / (2 dist))^2 is then at most 1/16
+_TAYLOR_SPAN = 0.5
+# static-series window on x = 0: q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q,
+# where the closed form loses about 3 log10(1/q) > 9 digits
+_SMALLQ_Q_MAX = 1e-3
+_SMALLQ_BETA = 1e-3
 
 
 class RegimeTag(enum.Enum):
@@ -178,20 +194,6 @@ def _antiderivative_piece(sigma: complex) -> tuple:
     return _antiderivative_with_peak(sigma)[0], 0.0
 
 
-def _check_poles(z: complex, q: float) -> None:
-    s = z / q
-    a = 0.5 * q
-    if z.imag == 0.0:
-        for pole in (s, s - a, s + a):
-            if -1.0 <= pole.real <= 1.0:
-                raise PoleError(
-                    "integrand pole on the contour: y = 0 with a real pole "
-                    f"at t = {pole.real:.6g} inside [-1, 1]"
-                )
-    elif s == 1.0 or s == -1.0 or s - a == 1.0 or s - a == -1.0 or s + a == 1.0 or s + a == -1.0:
-        raise PoleError("integrand pole at s or s -+ q/2 equal to +-1")
-
-
 def eval_integrals(z: complex, q: float) -> TermBreakdown:
     """Closed forms of the three angular integrals at z = x + iy, wave number q.
 
@@ -205,13 +207,13 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
     z = require_finite_complex("z", complex(z))
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
-    if z.imag == 0.0 and z.real == 0.0:
-        # static boundary value: poles at t = -+ q/2 sit on the contour for
-        # q < 2, but the upper-side closed forms remain finite and their
-        # imaginary parts cancel in the quantum sum (verified against PV)
-        pass
-    elif z.imag == 0.0:
-        _check_poles(z, q)
+    # At x = y = 0 the poles t = -+ q/2 sit on the contour for q < 2, but the
+    # upper-side closed forms remain finite and their imaginary parts cancel
+    # in the quantum sum (verified against PV). Elsewhere on y = 0 a real
+    # pole inside [-1, 1] is rejected; the poles at -x mirror those at x.
+    if z.imag == 0.0 and z.real != 0.0:
+        if not DimensionlessPoint(abs(z.real), 0.0, q).poles_outside_unit_interval():
+            raise PoleError("integrand pole on the contour: y = 0 with a real pole inside [-1, 1]")
     return _direct_pieces(z, q)[0]
 
 
@@ -495,34 +497,37 @@ def _laurent_converges(s_abs: float, q: float) -> bool:
     return s_abs >= 2.0 * (1.0 + 0.5 * q)
 
 
-def _taylor_converges(s: complex, q: float, settings: Settings) -> bool:
-    """Whether the Taylor branch may serve a point: q <= factor * dist(s, +-1)."""
-    return q <= settings.taylor_span_factor * min(abs(s - 1.0), abs(s + 1.0))
+def _taylor_converges(s: complex, q: float) -> bool:
+    """Whether the Taylor branch may serve a point: q <= _TAYLOR_SPAN * dist(s, +-1)."""
+    return q <= _TAYLOR_SPAN * min(abs(s - 1.0), abs(s + 1.0))
 
 
-def _classify(point: DimensionlessPoint, settings: Settings):
+def _classify(point: DimensionlessPoint):
     """Deterministic regime choice; returns (tag, strategy, direct pieces|None).
 
-    Both ways into the Laurent branch, the literal large-|s| window and the
-    escalation, require _laurent_converges. A point that fails it, and also
-    fails the Taylor condition, goes to the far-field closed form when it is
-    in the large-|s| window or its closed form cancels. Above q = _FAR_Q_MIN
-    the far-field form also takes the points the plain closed form would
-    serve; both carry the DIRECT_CLOSED_FORM tag.
+    The x = y = 0 point gets the "pv" strategy at every q, and the static
+    series window is x = 0, q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q. Both
+    ways into the Laurent branch, the literal window |s| > _LARGE_S and the
+    escalation of a closed form that loses more than _CANCEL_DIGITS digits
+    at |s| >= _SERIES_S_MIN, require _laurent_converges. A point that fails
+    it, and also fails the Taylor condition, goes to the far-field closed
+    form when it is in the large-|s| window or its closed form cancels.
+    Above q = _FAR_Q_MIN the far-field form also takes the points the plain
+    closed form would serve; both carry the DIRECT_CLOSED_FORM tag.
     """
     x, y, q = point.x, point.y, point.q
     if y == 0.0 and x == 0.0:
         return RegimeTag.PV_STATIC, "pv", None
-    if x == 0.0 and q < settings.smallq_q_max and y < settings.smallq_beta_factor * q:
+    if x == 0.0 and q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
         return RegimeTag.SMALLQ_STATIC_SERIES, "taylor", None
     s = point.s
     s_abs = abs(s)
     laurent = _laurent_converges(s_abs, q)
-    if s_abs > settings.large_s_threshold and laurent:
+    if s_abs > _LARGE_S and laurent:
         return RegimeTag.LARGE_S_ASYMPTOTIC, "laurent", None
-    taylor = _taylor_converges(s, q, settings)
+    taylor = _taylor_converges(s, q)
     pieces = None
-    if s_abs <= settings.large_s_threshold and (laurent or taylor or q <= _FAR_Q_MIN):
+    if s_abs <= _LARGE_S and (laurent or taylor or q <= _FAR_Q_MIN):
         # the cancellation guard picks between the closed form and a series;
         # where neither series may serve above _FAR_Q_MIN, every outcome of
         # the guard leads to the far-field form, so it is skipped there
@@ -530,32 +535,32 @@ def _classify(point: DimensionlessPoint, settings: Settings):
         breakdown, peak = pieces[0], pieces[1]
         quant = breakdown.term2 + breakdown.term3
         lost_digits = math.log10(peak / max(abs(quant), _TINY))
-        if not lost_digits > settings.cancel_digits:
+        if not lost_digits > _CANCEL_DIGITS:
             strategy = "direct" if q <= _FAR_Q_MIN else "far-field"
             return RegimeTag.DIRECT_CLOSED_FORM, strategy, pieces
-        if s_abs >= settings.series_s_min and laurent:
+        if s_abs >= _SERIES_S_MIN and laurent:
             return RegimeTag.LARGE_S_ASYMPTOTIC, "laurent", pieces
     if taylor:
         return RegimeTag.SMALLQ_STATIC_SERIES, "taylor", pieces
     return RegimeTag.DIRECT_CLOSED_FORM, "far-field", pieces
 
 
-def regime_select(point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS) -> RegimeTag:
+def regime_select(point: DimensionlessPoint) -> RegimeTag:
     """Pick the evaluation regime for a point. Deterministic in (x, y, q).
 
     Literal windows come first: the static principal value at x = y = 0, the
-    static series for x = 0 with q below smallq_q_max and y below
-    smallq_beta_factor * q, and the asymptotic branch for |s| above
-    large_s_threshold. Otherwise the closed form is evaluated and escalated
-    to a series when its measured cancellation exceeds cancel_digits decimal
-    digits (boundary values stay with the closed form; all comparisons are
-    strict). The asymptotic branch is taken only where its series converges,
-    |s| >= 2 (1 + q/2); a point outside it that the Taylor branch cannot serve
-    either gets the far-field closed form, tagged DIRECT_CLOSED_FORM, as does
-    every closed-form point with q > 2.
+    static series for x = 0 with q below _SMALLQ_Q_MAX and y below
+    _SMALLQ_BETA * q, and the asymptotic branch for |s| above _LARGE_S.
+    Otherwise the closed form is evaluated and escalated to a series when its
+    measured cancellation exceeds _CANCEL_DIGITS decimal digits (boundary
+    values stay with the closed form; all comparisons are strict). The
+    asymptotic branch is taken only where its series converges,
+    |s| >= 2 (1 + q/2); a point outside it that the Taylor branch cannot
+    serve either gets the far-field closed form, tagged DIRECT_CLOSED_FORM,
+    as does every closed-form point with q > 2.
     """
     _validate_y0(point)
-    tag, _, _ = _classify(point, settings)
+    tag, _, _ = _classify(point)
     return tag
 
 
@@ -582,7 +587,9 @@ def _direct_result(point: DimensionlessPoint, pieces: tuple) -> ChiResult:
     return ChiResult.from_parts(breakdown.term1, quant, EvalMethod.CLOSED_FORM, 0.0)
 
 
-def _far_field_result(point: DimensionlessPoint) -> ChiResult:
+def _far_field_result(
+    point: DimensionlessPoint, method: EvalMethod = EvalMethod.CLOSED_FORM
+) -> ChiResult:
     """The closed form with its large-argument pieces summed as series.
 
         chi/chi_L = -(3x/q^2) I1 + (3/q^2) bracket
@@ -595,7 +602,9 @@ def _far_field_result(point: DimensionlessPoint) -> ChiResult:
     piece. This serves the points outside the Laurent branch's reach where the
     closed form cancels, and every closed-form point above q = _FAR_Q_MIN:
     there the closed form cancels in g(s -+ q/2) and, at large |s|, in I1 and
-    the bracket. err_est is the weighted sum of the series truncation bounds.
+    the bracket. It also serves the static point x = y = 0 above q = 2,
+    where the caller passes method PV_STATIC. err_est is the weighted sum of
+    the series truncation bounds.
     """
     x, q = point.x, point.q
     z, s = point.z, point.s
@@ -619,12 +628,12 @@ def _far_field_result(point: DimensionlessPoint) -> ChiResult:
         # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
         quant = weight * bracket.real + 1.5 * g_plus.real / q**3
         err_est = weight * bracket_err + 1.5 * err_plus / q**3
-        return ChiResult.from_parts(complex(0.0), complex(quant, 0.0), EvalMethod.CLOSED_FORM, err_est)
+        return ChiResult.from_parts(complex(0.0), complex(quant, 0.0), method, err_est)
     g_minus, err_minus = _antiderivative_piece(s - 0.5 * q)
     classic = -3.0 * x / (q * q) * I1
     quant = _compensated_pair(weight * bracket, 0.75 / q**3 * (g_plus - g_minus))
     err_est = x * weight * I1_err + weight * bracket_err + 0.75 / q**3 * (err_plus + err_minus)
-    return ChiResult.from_parts(classic, quant, EvalMethod.CLOSED_FORM, err_est)
+    return ChiResult.from_parts(classic, quant, method, err_est)
 
 
 def _compensated_pair(a: complex, b: complex) -> complex:
@@ -635,18 +644,18 @@ def _compensated_pair(a: complex, b: complex) -> complex:
     return s + err
 
 
-def chi_series_small_q(point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS) -> ChiResult:
+def chi_series_small_q(point: DimensionlessPoint) -> ChiResult:
     """Series evaluation of chi/chi_L, safe where the closed form cancels.
 
     Two branches, chosen by s = z/q:
 
-      * |s| >= series_s_min and |s| >= 2 (1 + q/2): Laurent expansion in q/z;
+      * |s| >= _SERIES_S_MIN and |s| >= 2 (1 + q/2): Laurent expansion in q/z;
         the 1/z^2 and q^2/z^4 orders of the two quantum terms cancel
         symbolically, so the returned value is the true leading residual
         (starting at q^4/z^4). Covers both the collision-dominated window
         q << |z| and the mandatory large-|s| asymptotic regime. The second
         condition is the series' convergence region with a factor-2 margin.
-      * otherwise, with q <= taylor_span_factor * dist(s, +-1):
+      * otherwise, with q <= _TAYLOR_SPAN * dist(s, +-1):
         shifted-difference Taylor series about s, exact in beta = y/q; on the
         static line it reduces to 1 - q^2/20 - ... .
 
@@ -658,7 +667,7 @@ def chi_series_small_q(point: DimensionlessPoint, settings: Settings = DEFAULT_S
     z = point.z
     s = point.s
     s_abs = abs(s)
-    if s_abs >= settings.series_s_min and _laurent_converges(s_abs, q):
+    if s_abs >= _SERIES_S_MIN and _laurent_converges(s_abs, q):
         quant, quant_err = _quant_laurent(z, q)
         quant = _realify_static(quant, x)
         if x == 0.0:
@@ -667,10 +676,10 @@ def chi_series_small_q(point: DimensionlessPoint, settings: Settings = DEFAULT_S
         return ChiResult.from_parts(
             classic, quant, EvalMethod.SERIES_SMALL_Q, quant_err + classic_err
         )
-    if not _taylor_converges(s, q, settings):
+    if not _taylor_converges(s, q):
         raise DomainError(
-            "point is outside both series regimes: not |s| >= max(series_s_min, "
-            "2 (1 + q/2)), and q exceeds taylor_span_factor * dist(s, +-1)"
+            f"point is outside both series regimes: not |s| >= max({_SERIES_S_MIN:g}, "
+            f"2 (1 + q/2)), and q exceeds {_TAYLOR_SPAN:g} * dist(s, +-1)"
         )
     quant, quant_err = _quant_taylor_shift(s, q)
     quant = _realify_static(quant, x)
@@ -681,29 +690,28 @@ def chi_series_small_q(point: DimensionlessPoint, settings: Settings = DEFAULT_S
     return ChiResult.from_parts(classic, quant, EvalMethod.SERIES_SMALL_Q, quant_err)
 
 
-def chi_ratio(point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS) -> ChiResult:
+def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio chi/chi_L with automatic regime handling.
 
     classic and quant are the two physical contributions; total is their sum
     exactly. method records the strategy actually used and err_est its
     truncation bound (0 for the plain closed form and the principal value,
-    the series bounds for the far-field closed form and the series branches).
+    the series bounds for the far-field closed form, which also serves the
+    static point above q = 2, and for the series branches).
 
     Raises PoleError for collisionless points with a pole on the contour
     (y = 0 with 0 < x unless every pole is outside the interval).
     """
     _validate_y0(point)
-    _, strategy, pieces = _classify(point, settings)
+    _, strategy, pieces = _classify(point)
     if strategy == "pv":
-        q = point.q
-        if q <= 2.0:
-            quant = complex(chi_static_pv(q), 0.0)
-        else:
-            bd = eval_integrals(complex(0.0, 0.0), q)
-            quant = complex((bd.term2 + bd.term3).real, 0.0)
+        if point.q > 2.0:
+            # no principal value is involved once the poles leave [-1, 1]
+            return _far_field_result(point, EvalMethod.PV_STATIC)
+        quant = complex(chi_static_pv(point.q), 0.0)
         return ChiResult.from_parts(complex(0.0), quant, EvalMethod.PV_STATIC, 0.0)
     if strategy == "direct":
         return _direct_result(point, pieces)
     if strategy == "far-field":
         return _far_field_result(point)
-    return chi_series_small_q(point, settings)
+    return chi_series_small_q(point)

@@ -23,11 +23,10 @@ the CLI verify command) asserts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .config import DEFAULT_SETTINGS, Settings
 from .core import ChiResult, DimensionlessPoint, EvalMethod
 from .errors import DomainError, ExtrapolationError, ValidationError
 from .quadrature import integrate_complex_adaptive
@@ -267,9 +266,7 @@ class KineticIntegrand:
         return complex(self.y, self.q * u - self.x)
 
 
-def chi_from_kinetic(
-    point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS
-) -> ChiResult:
+def chi_from_kinetic(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio rebuilt from the kinetic-equation formulation.
 
     classic = -(3x/q^2) Int (1-t^2)/(q t - z) dt over [-1, 1]
@@ -298,14 +295,14 @@ def chi_from_kinetic(
         return ig.shell_weight(t) * 1j / ig.denominator(t)
 
     w_breaks = [-1.0 + a, 1.0 - a] + splits
-    v_w, e_w = integrate_complex_adaptive(f_w, -1.0 - a, 1.0 + a, settings, w_breaks)
-    v_s, e_s = integrate_complex_adaptive(f_shell, -1.0, 1.0, settings, splits)
+    v_w, e_w = integrate_complex_adaptive(f_w, -1.0 - a, 1.0 + a, w_breaks)
+    v_s, e_s = integrate_complex_adaptive(f_shell, -1.0, 1.0, splits)
     quant = -3.0 / (4.0 * q * q) * v_w + 3.0 / q * v_s
     err = 3.0 / (4.0 * q * q) * e_w + 3.0 / q * e_s
     if x == 0.0:
         classic = complex(0.0)
     else:
-        v_c, e_c = integrate_complex_adaptive(f_classic, -1.0, 1.0, settings, splits)
+        v_c, e_c = integrate_complex_adaptive(f_classic, -1.0, 1.0, splits)
         classic = -3.0 * x / (q * q) * v_c
         err += 3.0 * x / (q * q) * e_c
     return ChiResult.from_parts(classic, quant, EvalMethod.QUADRATURE, err)
@@ -316,9 +313,7 @@ def chi_from_kinetic(
 # ---------------------------------------------------------------------------
 
 
-def chi_quant_smallk(
-    point: DimensionlessPoint, settings: Settings = DEFAULT_SETTINGS
-) -> ChiResult:
+def chi_quant_smallk(point: DimensionlessPoint) -> ChiResult:
     """Quantum part of the ratio in the long-wavelength (small q) limit.
 
     Built from first and second moments of the shifted resonance denominator
@@ -343,7 +338,7 @@ def chi_quant_smallk(
         def f_static(t: float) -> complex:
             return complex(-(1.0 - t * t) * (15.0 * t * t - 9.0) / 8.0)
 
-        value, err = integrate_complex_adaptive(f_static, -1.0, 1.0, settings)
+        value, err = integrate_complex_adaptive(f_static, -1.0, 1.0)
         return ChiResult.from_parts(complex(0.0), value, EvalMethod.QUADRATURE, err)
     if y <= 0.0:
         raise DomainError("chi_quant_smallk requires y > 0 (or the static point)")
@@ -357,7 +352,7 @@ def chi_quant_smallk(
         d2 = 6.0 / d - (2.75 * g) / (d * d) + (0.5 * g * g) / (d * d * d)
         return t * (1.0 - t * t) * (2.0 * t * t * d2 - 3.0 * d1)
 
-    value, err = integrate_complex_adaptive(f, -1.0, 1.0, settings, splits)
+    value, err = integrate_complex_adaptive(f, -1.0, 1.0, splits)
     scale = -0.25 * q
     return ChiResult.from_parts(
         complex(0.0), scale * value, EvalMethod.QUADRATURE, abs(scale) * err
@@ -448,30 +443,34 @@ class JIntegrals:
         return self.j1 - 3.0 * self.j2
 
 
-def j_integrals_nascent_delta(settings: Settings = DEFAULT_SETTINGS) -> JIntegrals:
+# Nascent-delta widths in units of E_F, descending, and the polynomial order
+# of the Richardson extrapolation in width^2 across them.
+_DELTA_WIDTHS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+_EXTRAPOLATION_ORDER = 5
+# Quadrature tolerances of the moment integrals: the rounding floor of their
+# cancelling delta-derivative lobes at the narrowest width.
+_MOMENT_TOL = 1e-8
+
+
+def j_integrals_nascent_delta() -> JIntegrals:
     """Velocity moments of the Fermi-surface delta derivatives.
 
         j1 = (4 pi / 15) Int v^6 delta''(E_F - E(v)) dv
         j2 = (4 pi / 3)  Int v^4 delta'(E_F - E(v)) dv,   E(v) = v^2/2, E_F = 1/2
 
     Each moment is evaluated with Gaussian nascent deltas at every width in
-    settings.delta_widths (in units of E_F) and Richardson-extrapolated in
-    width^2 to the sharp-surface limit. delta' is odd and delta'' is even,
+    _DELTA_WIDTHS (in units of E_F) and Richardson-extrapolated in width^2
+    to the sharp-surface limit. delta' is odd and delta'' is even,
     so the argument swap E_F - E only flips the sign of the first derivative.
 
     The delta-derivative integrands carry ~1/width^2 total variation whose
     lobes cancel, so quadrature tolerances below ~1e-8 sit under the double
-    precision rounding floor at the narrowest default width; tolerances are
-    floored there. The extrapolated limits land near 1e-7 of the exact
+    precision rounding floor at the narrowest width; the integrals run at
+    _MOMENT_TOL. The extrapolated limits land near 1e-7 of the exact
     values, far inside the 1e-4 verification bar.
     """
     e_f = 0.5
-    widths = [w * e_f for w in settings.delta_widths]
-    quad_settings = replace(
-        settings,
-        abs_tol=max(settings.abs_tol, 1e-8),
-        rel_tol=max(settings.rel_tol, 1e-8),
-    )
+    widths = [w * e_f for w in _DELTA_WIDTHS]
 
     def moments_at(width: float) -> tuple:
         delta = NascentDelta(width=width)
@@ -485,8 +484,12 @@ def j_integrals_nascent_delta(settings: Settings = DEFAULT_SETTINGS) -> JIntegra
             return complex(-(v**4) * delta.first_derivative(0.5 * v * v - e_f))
 
         breaks = [1.0]
-        v1, _ = integrate_complex_adaptive(f1, v_lo, v_hi, quad_settings, breaks)
-        v2, _ = integrate_complex_adaptive(f2, v_lo, v_hi, quad_settings, breaks)
+        v1, _ = integrate_complex_adaptive(
+            f1, v_lo, v_hi, breaks, abs_tol=_MOMENT_TOL, rel_tol=_MOMENT_TOL
+        )
+        v2, _ = integrate_complex_adaptive(
+            f2, v_lo, v_hi, breaks, abs_tol=_MOMENT_TOL, rel_tol=_MOMENT_TOL
+        )
         return (
             4.0 * math.pi / 15.0 * v1.real,
             4.0 * math.pi / 3.0 * v2.real,
@@ -494,7 +497,6 @@ def j_integrals_nascent_delta(settings: Settings = DEFAULT_SETTINGS) -> JIntegra
 
     samples = [moments_at(w) for w in widths]
     h = [w * w for w in widths]
-    order = settings.extrapolation_order
-    j1, j1_err = richardson_extrapolate(h, [s[0] for s in samples], order)
-    j2, j2_err = richardson_extrapolate(h, [s[1] for s in samples], order)
+    j1, j1_err = richardson_extrapolate(h, [s[0] for s in samples], _EXTRAPOLATION_ORDER)
+    j2, j2_err = richardson_extrapolate(h, [s[1] for s in samples], _EXTRAPOLATION_ORDER)
     return JIntegrals(j1=j1, j2=j2, j1_err_est=j1_err, j2_err_est=j2_err)

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .config import DEFAULT_SETTINGS, Settings
 from .errors import ConvergenceError, ValidationError
 
 __all__ = ["integrate_complex_adaptive"]
+
+# hard budget of panel bisections per integral
+_MAX_SUBDIVISIONS = 2000
 
 # 15-point Kronrod nodes on [-1, 1] (nonnegative half; symmetric) and
 # weights; rows marked gauss also belong to the embedded 7-point rule.
@@ -64,8 +66,10 @@ def integrate_complex_adaptive(
     f: Callable[[float], complex],
     a: float,
     b: float,
-    settings: Settings = DEFAULT_SETTINGS,
     breakpoints: Iterable[float] = (),
+    *,
+    abs_tol: float = 1e-13,
+    rel_tol: float = 1e-11,
 ) -> tuple:
     """Integrate a complex-valued f over [a, b]; returns (value, err).
 
@@ -75,7 +79,7 @@ def integrate_complex_adaptive(
     initial panel boundary so no rule straddles them.
 
     Subdivision stops when err <= max(abs_tol, rel_tol * |value|). Exceeding
-    max_subdivisions raises ConvergenceError carrying the best estimate.
+    _MAX_SUBDIVISIONS raises ConvergenceError carrying the best estimate.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValidationError("integration bounds must be finite with a < b")
@@ -101,8 +105,8 @@ def integrate_complex_adaptive(
         total_err += err
 
     subdivisions = 0
-    while total_err > max(settings.abs_tol, settings.rel_tol * abs(total)):
-        if subdivisions >= settings.max_subdivisions:
+    while total_err > max(abs_tol, rel_tol * abs(total)):
+        if subdivisions >= _MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 "quadrature failed to reach tolerance",
                 value=total,

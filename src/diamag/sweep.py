@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .config import DEFAULT_SETTINGS, Settings
 from .core import ChiResult, DimensionlessPoint
 from .errors import DiamagError, ValidationError
 from .kernel import chi_ratio
@@ -150,11 +149,11 @@ class OutputRow:
         )
 
     @classmethod
-    def error_row(cls, x: float, y: float, q: float) -> "OutputRow":
+    def error_row(cls, point: DimensionlessPoint) -> "OutputRow":
         return cls(
-            q=q,
-            x=x,
-            y=y,
+            q=point.q,
+            x=point.x,
+            y=point.y,
             chi_total_re=0.0,
             chi_total_im=0.0,
             chi_classic_re=0.0,
@@ -188,9 +187,7 @@ def format_float(value: float) -> str:
     return "%.17g" % value
 
 
-def run_sweep(
-    spec: SweepSpec, settings: Settings = DEFAULT_SETTINGS
-) -> Tuple[List[OutputRow], bool]:
+def run_sweep(spec: SweepSpec) -> Tuple[List[OutputRow], bool]:
     """Evaluate the sweep grid in ascending order.
 
     Returns (rows, had_error). A point whose evaluation raises any package
@@ -200,22 +197,19 @@ def run_sweep(
     rows: List[OutputRow] = []
     had_error = False
     for value in spec.grid():
-        coords = {"x": spec.fixed_x, "y": spec.fixed_y, "q": spec.fixed_q}
-        coords[spec.axis] = value
+        # SweepSpec's checks make every grid value a valid coordinate
+        point = spec.point_at(value)
         try:
-            point = spec.point_at(value)
-            result = chi_ratio(point, settings)
+            result = chi_ratio(point)
         except DiamagError:
-            rows.append(OutputRow.error_row(coords["x"], coords["y"], coords["q"]))
+            rows.append(OutputRow.error_row(point))
             had_error = True
             continue
         rows.append(OutputRow.from_result(point, result))
     return rows, had_error
 
 
-def figure1_rows(
-    settings: Settings = DEFAULT_SETTINGS,
-) -> Tuple[List[OutputRow], bool]:
+def figure1_rows() -> Tuple[List[OutputRow], bool]:
     """Static collisional-suppression curve family.
 
     Four q-sweeps at x = 0, one per collision rate in FIGURE1_Y_VALUES,
@@ -236,7 +230,7 @@ def figure1_rows(
             fixed_x=0.0,
             fixed_y=y,
         )
-        curve, curve_error = run_sweep(spec, settings)
+        curve, curve_error = run_sweep(spec)
         rows.extend(curve)
         had_error = had_error or curve_error
     return rows, had_error

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .config import DEFAULT_SETTINGS, Settings
 from .core import DimensionlessPoint, landau_chi_magneton_form, landau_chi_physical
 from .kernel import chi_ratio, chi_static_pv
 from .oracle import chi_from_kinetic, chi_ratio_quadrature, j_integrals_nascent_delta
@@ -56,10 +55,10 @@ def _grid_points() -> List[DimensionlessPoint]:
     ]
 
 
-def _check_quadrature_grid(settings: Settings, bound: float) -> CheckResult:
+def _check_quadrature_grid(bound: float) -> CheckResult:
     worst = 0.0
     for point in _grid_points():
-        fast = chi_ratio(point, settings)
+        fast = chi_ratio(point)
         slow = chi_ratio_quadrature(point)
         scale = max(abs(slow.total), 1e-30)
         worst = max(worst, abs(fast.total - slow.total) / scale)
@@ -72,11 +71,11 @@ def _check_quadrature_grid(settings: Settings, bound: float) -> CheckResult:
     )
 
 
-def _check_kinetic_grid(settings: Settings, bound: float) -> CheckResult:
+def _check_kinetic_grid(bound: float) -> CheckResult:
     worst = 0.0
     for point in _grid_points():
-        fast = chi_ratio(point, settings)
-        slow = chi_from_kinetic(point, settings)
+        fast = chi_ratio(point)
+        slow = chi_from_kinetic(point)
         scale = max(abs(fast.total), 1e-30)
         worst = max(worst, abs(fast.total - slow.total) / scale)
     return CheckResult(
@@ -88,8 +87,8 @@ def _check_kinetic_grid(settings: Settings, bound: float) -> CheckResult:
     )
 
 
-def _check_j_integrals(settings: Settings, bound: float) -> CheckResult:
-    j = j_integrals_nascent_delta(settings)
+def _check_j_integrals(bound: float) -> CheckResult:
+    j = j_integrals_nascent_delta()
     dev = max(
         abs(j.j1 - _FOUR_PI),
         abs(j.j2 - _FOUR_PI),
@@ -126,12 +125,12 @@ def _check_landau_limit(bound: float) -> CheckResult:
     )
 
 
-def _suppression_ratio(q: float, y: float, settings: Settings) -> float:
-    return abs(chi_ratio(DimensionlessPoint(x=0.0, y=y, q=q), settings).total)
+def _suppression_ratio(q: float, y: float) -> float:
+    return abs(chi_ratio(DimensionlessPoint(x=0.0, y=y, q=q)).total)
 
 
-def _check_suppression_smallq(settings: Settings, bound: float) -> CheckResult:
-    value = _suppression_ratio(1e-6, 1e-3, settings)
+def _check_suppression_smallq(bound: float) -> CheckResult:
+    value = _suppression_ratio(1e-6, 1e-3)
     return CheckResult(
         name="suppression-small-q",
         passed=value < bound,
@@ -141,8 +140,8 @@ def _check_suppression_smallq(settings: Settings, bound: float) -> CheckResult:
     )
 
 
-def _check_suppression_plateau(settings: Settings) -> CheckResult:
-    value = _suppression_ratio(0.5, 1e-3, settings)
+def _check_suppression_plateau() -> CheckResult:
+    value = _suppression_ratio(0.5, 1e-3)
     passed = 0.90 <= value <= 0.99
     return CheckResult(
         name="suppression-plateau",
@@ -153,21 +152,21 @@ def _check_suppression_plateau(settings: Settings) -> CheckResult:
     )
 
 
-def _half_crossing(y: float, settings: Settings) -> float:
+def _half_crossing(y: float) -> float:
     """Smallest q in [1e-7, 0.1] where the static ratio reaches 1/2."""
     lo, hi = 1e-7, 0.1
     for _ in range(80):
         mid = math.sqrt(lo * hi)
-        if _suppression_ratio(mid, y, settings) < 0.5:
+        if _suppression_ratio(mid, y) < 0.5:
             lo = mid
         else:
             hi = mid
     return math.sqrt(lo * hi)
 
 
-def _check_suppression_halfcross(settings: Settings) -> CheckResult:
+def _check_suppression_halfcross() -> CheckResult:
     ys = (1e-6, 1e-5, 1e-4, 1e-3)
-    crossings = [_half_crossing(y, settings) for y in ys]
+    crossings = [_half_crossing(y) for y in ys]
     ordered = all(a < b for a, b in zip(crossings, crossings[1:]))
     spread = min(b / a for a, b in zip(crossings, crossings[1:]))
     return CheckResult(
@@ -182,9 +181,7 @@ def _check_suppression_halfcross(settings: Settings) -> CheckResult:
     )
 
 
-def run_verification(
-    settings: Settings = DEFAULT_SETTINGS, tol: Optional[float] = None
-) -> List[CheckResult]:
+def run_verification(tol: Optional[float] = None) -> List[CheckResult]:
     """Run every check. tol, when given, replaces all discrepancy bounds."""
     grid_bound = tol if tol is not None else 1e-8
     kinetic_bound = tol if tol is not None else 1e-6
@@ -192,13 +189,13 @@ def run_verification(
     landau_bound = tol if tol is not None else 1e-6
     smallq_bound = tol if tol is not None else 1e-6
     return [
-        _check_quadrature_grid(settings, grid_bound),
-        _check_kinetic_grid(settings, kinetic_bound),
-        _check_j_integrals(settings, j_bound),
+        _check_quadrature_grid(grid_bound),
+        _check_kinetic_grid(kinetic_bound),
+        _check_j_integrals(j_bound),
         _check_landau_limit(landau_bound),
-        _check_suppression_smallq(settings, smallq_bound),
-        _check_suppression_plateau(settings),
-        _check_suppression_halfcross(settings),
+        _check_suppression_smallq(smallq_bound),
+        _check_suppression_plateau(),
+        _check_suppression_halfcross(),
     ]
 
 

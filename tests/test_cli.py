@@ -155,25 +155,6 @@ def test_verify_fails_with_impossible_tolerance(capsys):
     assert "FAIL" in out
 
 
-def test_config_file_overrides(tmp_path, capsys):
-    cfg = tmp_path / "settings.cfg"
-    cfg.write_text("rel_tol = 1e-9\n# comment\nabs_tol = 1e-12\n", encoding="utf-8")
-    code = main(["eval", "--x", "0", "--y", "0.1", "--q", "1",
-                 "--config", str(cfg)])
-    assert code == 0
-
-
-def test_config_unknown_key_exits_one(tmp_path, capsys):
-    cfg = tmp_path / "settings.cfg"
-    cfg.write_text("no_such_knob = 3\n", encoding="utf-8")
-    code = main(["eval", "--x", "0", "--y", "0.1", "--q", "1",
-                 "--config", str(cfg)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "no_such_knob" in err
-    assert ":1:" in err
-
-
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "diamag.cli",

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from diamag import DEFAULT_SETTINGS, DimensionlessPoint, EvalMethod, chi_ratio, chi_ratio_quadrature
+from diamag import DimensionlessPoint, EvalMethod, chi_ratio, chi_ratio_quadrature
 from diamag.kernel import _classify
 
 
@@ -31,7 +31,7 @@ def _box_point(rng: random.Random, q_min: float = 1e-9, static_share: float = 0.
 
 
 def _strategy(point: DimensionlessPoint) -> str:
-    return _classify(point, DEFAULT_SETTINGS)[1]
+    return _classify(point)[1]
 
 
 # Points the Laurent branch used to take without converging: the first
@@ -56,8 +56,8 @@ def test_large_q_points_match_the_oracle_in_every_regime():
     # y > 0, q in [2, 1e4]: twelve points each for the two strategies found
     # there, the Laurent branch and the far-field closed form. The plain
     # closed form serves only q <= 2, and the Taylor branch would need
-    # q <= taylor_span_factor * dist(s, +-1) with |s| < 2 + q, so q < 3, and a
-    # measured loss above cancel_digits besides; 200k draws met no such point.
+    # q <= _TAYLOR_SPAN * dist(s, +-1) with |s| < 2 + q, so q < 3, and a
+    # measured loss above _CANCEL_DIGITS besides; 200k draws met no such point.
     rng = random.Random(13)
     wanted = {"laurent": 12, "far-field": 12}
     points = []

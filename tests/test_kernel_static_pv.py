@@ -74,3 +74,23 @@ def test_static_ratio_via_chi_ratio_dispatch():
     assert result.classic == 0j
     assert result.err_est == 0.0
     assert math.isclose(result.total.real, 0.948045881436282447885, rel_tol=1e-14)
+
+
+# x = y = 0 beyond q = 2, frozen from 4/q^2 + (3/(2 q^3)) g(q/2) at 60 digits
+# (mpmath). Assembled from eval_integrals(0, q), where g(+-q/2) cancels about
+# 4 log10(q/2) digits, the value was 2.3e-12, 8.6e-9 and 3.1e-6 relative off
+# here with err_est = 0.
+STATIC_LARGE_Q_REFERENCES = [
+    (1e2, 0.0003999679981711847175662),
+    (1e3, 0.000003999996799998171426133),
+    (1e4, 3.999999967999999817143e-8),
+]
+
+
+@pytest.mark.parametrize("q, ref", STATIC_LARGE_Q_REFERENCES)
+def test_static_point_at_large_q_matches_frozen_reference(q, ref):
+    result = chi_ratio(DimensionlessPoint(x=0.0, y=0.0, q=q))
+    assert result.method == EvalMethod.PV_STATIC
+    assert result.classic == 0j
+    assert result.total.imag == 0.0
+    assert abs(result.total.real - ref) <= 1e-14 * ref

@@ -12,7 +12,6 @@ import pytest
 from mpmath import log, mp, mpc, mpf
 
 from diamag import (
-    DEFAULT_SETTINGS,
     DimensionlessPoint,
     DomainError,
     ExtrapolationError,
@@ -277,7 +276,7 @@ def test_richardson_order_cap():
 
 
 def test_velocity_moments_reach_their_limits():
-    out = j_integrals_nascent_delta(DEFAULT_SETTINGS)
+    out = j_integrals_nascent_delta()
     four_pi = 4.0 * math.pi
     assert abs(out.j1 - four_pi) / four_pi < 5e-6
     assert abs(out.j2 - four_pi) / four_pi < 5e-6

@@ -5,10 +5,9 @@ import math
 
 import pytest
 
-from diamag.config import DEFAULT_SETTINGS
+from diamag import quadrature
 from diamag.errors import ConvergenceError, ValidationError
 from diamag.quadrature import integrate_complex_adaptive
-from dataclasses import replace
 
 
 def test_polynomial_exact():
@@ -70,13 +69,11 @@ def test_rejects_reversed_bounds():
         integrate_complex_adaptive(lambda t: t, 1.0, 0.0)
 
 
-def test_subdivision_budget_raises_with_partial_value():
-    settings = replace(
-        DEFAULT_SETTINGS, abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=64
-    )
+def test_subdivision_budget_raises_with_partial_value(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 64)
     with pytest.raises(ConvergenceError) as excinfo:
         integrate_complex_adaptive(
-            lambda t: 1.0 / (t * t + 1e-6), -1.0, 1.0, settings=settings
+            lambda t: 1.0 / (t * t + 1e-6), -1.0, 1.0, abs_tol=1e-300, rel_tol=1e-300
         )
     partial = excinfo.value.value
     exact = 2.0 / 1e-3 * math.atan(1.0 / 1e-3)

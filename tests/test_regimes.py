@@ -1,10 +1,8 @@
 """Regime selection: deterministic windows and cancellation escalation."""
 
-from dataclasses import replace
-
 import pytest
 
-from diamag.config import DEFAULT_SETTINGS
+from diamag import kernel
 from diamag.core import DimensionlessPoint, EvalMethod
 from diamag.errors import ConvergenceError, DomainError
 from diamag.kernel import RegimeTag, chi_ratio, chi_series_small_q, regime_select
@@ -44,8 +42,8 @@ def test_pv_window_boundary_is_strict():
 
 
 def test_value_continuous_across_smallq_seam():
-    # crossing q = smallq_q_max swaps the strategy, not the value
-    q_edge = DEFAULT_SETTINGS.smallq_q_max
+    # crossing q = _SMALLQ_Q_MAX swaps the strategy, not the value
+    q_edge = kernel._SMALLQ_Q_MAX
     below = chi_ratio(DimensionlessPoint(0.0, 1e-8, q_edge * (1.0 - 1e-12)))
     above = chi_ratio(DimensionlessPoint(0.0, 1e-8, q_edge * (1.0 + 1e-12)))
     assert abs(below.total - above.total) < 1e-12 * abs(above.total)
@@ -63,18 +61,9 @@ def test_selection_is_deterministic():
     assert first == second
 
 
-def test_threshold_overrides_move_the_windows():
-    # a huge cancel_digits disables escalation so the literal window is visible
-    p = DimensionlessPoint(0.0, 8.0, 1.0)
-    loose = replace(DEFAULT_SETTINGS, cancel_digits=1e6)
-    tight = replace(loose, large_s_threshold=5.0)
-    assert regime_select(p, loose) is RegimeTag.DIRECT_CLOSED_FORM
-    assert regime_select(p, tight) is RegimeTag.LARGE_S_ASYMPTOTIC
-
-
 def test_quant_suppression_forces_escalation_at_moderate_s():
     # at |s| = 8 the two quantum terms cancel to ~q^4/(5 y^4) of their size,
-    # so the measured-loss guard reroutes the point even under defaults
+    # so the measured-loss guard reroutes the point
     p = DimensionlessPoint(0.0, 8.0, 1.0)
     assert regime_select(p) is RegimeTag.LARGE_S_ASYMPTOTIC
 
@@ -118,7 +107,7 @@ def test_series_entry_point_rejects_points_outside_both_branches(x, y, q):
     assert not isinstance(info.value, ConvergenceError)
 
 
-# |s| just above 2 (1 + q/2) and above large_s_threshold: the Laurent branch
+# |s| just above 2 (1 + q/2) and above _LARGE_S: the Laurent branch
 # keeps these points, with the exact bits it gave before the convergence
 # predicate existed
 LAURENT_EDGE = [
