@@ -44,17 +44,6 @@ from .kernel import (
     eval_integrals,
     regime_select,
 )
-from .oracle import (
-    JIntegrals,
-    KineticIntegrand,
-    NascentDelta,
-    chi_from_kinetic,
-    chi_quant_smallk,
-    chi_ratio_quadrature,
-    chi_ratio_quadrature_reflected,
-    j_integrals_nascent_delta,
-    richardson_extrapolate,
-)
 from .quadrature import integrate_complex_adaptive
 from .svg import Curve, render_line_chart, write_svg
 from .sweep import (
@@ -132,3 +121,25 @@ __all__ = [
     "write_csv",
     "write_svg",
 ]
+
+# The oracles need mpmath, which costs about as much start-up time as the
+# rest of the package; they load on first access to one of these names.
+_ORACLE_NAMES = frozenset({
+    "JIntegrals",
+    "KineticIntegrand",
+    "NascentDelta",
+    "chi_from_kinetic",
+    "chi_quant_smallk",
+    "chi_ratio_quadrature",
+    "chi_ratio_quadrature_reflected",
+    "j_integrals_nascent_delta",
+    "richardson_extrapolate",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,6 +9,9 @@ quantitative, not binary surprises.
 The default bounds are the component acceptance thresholds. A caller-supplied
 tolerance replaces the bound of every discrepancy-type check; ordering and
 interval checks keep their structural pass conditions.
+
+The three oracle checks import ``diamag.oracle`` (and with it mpmath) when
+they run, so importing this module, and the CLI that imports it, does not.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import List, Optional
 
 from .core import DimensionlessPoint, landau_chi_magneton_form, landau_chi_physical
 from .kernel import chi_ratio, chi_static_pv
-from .oracle import chi_from_kinetic, chi_ratio_quadrature, j_integrals_nascent_delta
 
 __all__ = ["CheckResult", "GRID_X", "GRID_Y", "GRID_Q", "run_verification", "render_report"]
 
@@ -56,6 +58,8 @@ def _grid_points() -> List[DimensionlessPoint]:
 
 
 def _check_quadrature_grid(bound: float) -> CheckResult:
+    from .oracle import chi_ratio_quadrature
+
     worst = 0.0
     for point in _grid_points():
         fast = chi_ratio(point)
@@ -72,6 +76,8 @@ def _check_quadrature_grid(bound: float) -> CheckResult:
 
 
 def _check_kinetic_grid(bound: float) -> CheckResult:
+    from .oracle import chi_from_kinetic
+
     worst = 0.0
     for point in _grid_points():
         fast = chi_ratio(point)
@@ -88,6 +94,8 @@ def _check_kinetic_grid(bound: float) -> CheckResult:
 
 
 def _check_j_integrals(bound: float) -> CheckResult:
+    from .oracle import j_integrals_nascent_delta
+
     j = j_integrals_nascent_delta()
     dev = max(
         abs(j.j1 - _FOUR_PI),

@@ -1,5 +1,6 @@
 """Sweep grids, CSV serialization, and the SVG renderer."""
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -161,6 +162,16 @@ def test_figure1_shape_and_determinism():
     boundaries = [row.y for row in rows[:: FIGURE1_POINTS_PER_CURVE]]
     assert boundaries == sorted(FIGURE1_Y_VALUES)
     assert rows_to_csv(rows) == rows_to_csv(figure1_rows()[0])
+
+
+# sha256 of the figure1 CSV bytes; a change that moves any digit of any row
+# must say so and update this value.
+FIGURE1_CSV_SHA256 = "decacb8699987acdb9f14311a8fd70c88a43b1f032b69cff0b5e53a7d88a7af0"
+
+
+def test_figure1_csv_bytes_are_frozen():
+    csv_bytes = rows_to_csv(figure1_rows()[0]).encode()
+    assert hashlib.sha256(csv_bytes).hexdigest() == FIGURE1_CSV_SHA256
 
 
 # ---------------------------------------------------------------------------
