@@ -5,7 +5,9 @@ the kernel module uses, on purpose:
 
   * chi_ratio_quadrature integrates the three angular integrals directly
     with high-precision arithmetic (mpmath), never touching the kernel's
-    branch-logarithm algebra;
+    branch-logarithm algebra: one tanh-sinh pass over shared nodes along
+    the polyline -1 -> -i -> 1, which passes below every pole, so the
+    integrands stay bounded and no split points are needed;
   * chi_from_kinetic rebuilds the ratio from the kinetic-equation form, a
     velocity-shell occupation difference against a shifted resonance
     denominator, using the package's own adaptive Gauss-Kronrod engine;
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.calculus.quadrature import TanhSinh
 
 from .core import ChiResult, DimensionlessPoint, EvalMethod
 from .errors import DomainError, ExtrapolationError, ValidationError
@@ -49,50 +52,98 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _splits_around(centers, spread: float, graded: bool = False) -> list:
-    """Split points at each center and center +- spread inside (-1, 1).
-
-    graded adds center +- spread * 100^k, k = 1, 2, ..., out to the far end
-    of [-1, 1]: subintervals then grow geometrically away from the pole and
-    none spans more than ~100 times its distance to it, which keeps the
-    tanh-sinh level differences behind mp.quad's error estimate honest.
-    """
-    pts = set()
-    for center in centers:
-        offsets = [0.0, spread]
-        if graded:
-            while 0.0 < offsets[-1] < abs(center) + 1.0:
-                offsets.append(100.0 * offsets[-1])
-        for offset in offsets:
-            for p in (center - offset, center + offset):
-                if -1.0 < p < 1.0:
-                    pts.add(p)
-    return sorted(pts)
-
-
 def _interior_breakpoints(x: float, y: float, q: float) -> list:
     """Split points near each resonance's projection onto the t axis.
 
     The integrands peak within ~y/q of t = x/q (simple pole projection) and
-    t = x/q -+ q/2 (the shifted pair); seeding splits there keeps the
-    adaptive rules from straddling a spike.
+    t = x/q -+ q/2 (the shifted pair); seeding splits at each center and
+    center +- 5y/q inside (-1, 1) keeps the adaptive rules from straddling a
+    spike.
     """
     s = x / q
-    return _splits_around((s, s - 0.5 * q, s + 0.5 * q), 5.0 * y / q)
+    spread = 5.0 * y / q
+    pts = set()
+    for center in (s, s - 0.5 * q, s + 0.5 * q):
+        for p in (center - spread, center, center + spread):
+            if -1.0 < p < 1.0:
+                pts.add(p)
+    return sorted(pts)
 
+
+# The contour in t: every pole has Im t = y/q > 0, so the polyline through
+# the lower half plane gives the integrals over [-1, 1] (Cauchy's theorem).
+_PATH = (-1, -1j, 1)
+_PATH_LENGTH = 2.0 * math.sqrt(2.0)
+_TANH_SINH = TanhSinh(mp)
+# mp.quad may stop at degree 2. At degree 3 its estimate still leans on the
+# coarse degree-1 sum and can be far too small: at (0, 4.9e-3, 156) it read
+# 1e-23 against a true error of 5e-16 of |I2|. From degree 4 on it held.
+_FIRST_STOP_DEGREE = 4
 
 # Working digits of the first quadrature pass, and the most any point gets.
 _FIRST_DPS = 20
 _MAX_DPS = 150
 # Each part and their sum must be known to this relative accuracy.
 _TARGET_REL = 1e-16
-# mp.quad sums at 20 bits above the working precision: about 6 digits.
-_SUM_GUARD_DIGITS = 6
+# TanhSinh drops the nodes within 2^-(prec+10) of a segment end. The
+# integrands vanish at t = +-1 but not at the corner t = -i, where each
+# segment leaves out up to about twice |f| |C| 2^-(prec+10), |C| = sqrt(2)/2
+# its half-length; the path length times that bounds both corner ends, and
+# the rounding of the sums, 20 bits above the working precision, is a
+# thousand times smaller.
+_NODE_TAIL_BITS = 10
 
 
-def _segment_distance(c: complex, q: float) -> float:
-    """Distance from c to the real segment [-q, q]."""
-    return abs(complex(max(abs(c.real) - q, 0.0), c.imag))
+def _path_distance(c: complex, q: float) -> float:
+    """Distance from c to the contour in g = q t, the polyline -q -> -iq -> q."""
+    corners = [q * complex(t) for t in _PATH]
+    best = math.inf
+    for a, b in zip(corners, corners[1:]):
+        ab = b - a
+        u = ((c - a) * ab.conjugate()).real / abs(ab) ** 2
+        best = min(best, abs(c - (a + min(max(u, 0.0), 1.0) * ab)))
+    return best
+
+
+def _path_quad(f) -> list:
+    """Integrals of every component of f along _PATH, in one tanh-sinh pass.
+
+    This is mp.quad's loop (QuadratureRule.summation with TanhSinh.sum_next)
+    for a vector integrand: f(t) returns a tuple, evaluated once per node,
+    and every component keeps its own sequence of level sums and error
+    estimate. A segment stops at the first degree from _FIRST_STOP_DEGREE on
+    where every component's estimate meets mp.quad's epsilon, eps/8 at the
+    working precision; the sums run 20 bits above it. With a one-component
+    f and _FIRST_STOP_DEGREE = 2 it returns exactly what
+    mp.quad(f, _PATH, error=True) does. Returns [(value, error), ...].
+    """
+    prec = mp.prec
+    epsilon = mp.eps / 8
+    max_degree = _TANH_SINH.guess_degree(prec)
+    segments = []
+    with mp.extraprec(20):
+        for a, b in zip(_PATH, _PATH[1:]):
+            levels = []  # per degree, the level sum of every component
+            for degree in range(1, max_degree + 1):
+                nodes = _TANH_SINH.get_nodes(a, b, degree, prec)
+                values = [f(t) for t, _ in nodes]
+                h = mpf(2) ** (-degree)
+                previous = levels[-1] if levels else [mp.zero] * len(values[0])
+                weights = [w for _, w in nodes]
+                levels.append([
+                    h * (prev / (h * 2) + mp.fdot(zip(weights, [v[i] for v in values])))
+                    for i, prev in enumerate(previous)
+                ])
+                if degree == 1:
+                    continue
+                errs = [_TANH_SINH.estimate_error(r, prec, epsilon) for r in zip(*levels)]
+                if degree >= _FIRST_STOP_DEGREE and max(errs) <= epsilon:
+                    break
+            segments.append((levels[-1], errs))
+        (v_a, e_a), (v_b, e_b) = segments
+        totals = [u + v for u, v in zip(v_a, v_b)]
+        errors = [d + e for d, e in zip(e_a, e_b)]
+    return [(+v, e) for v, e in zip(totals, errors)]
 
 
 def _excess(bound, value):
@@ -111,14 +162,17 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
         I1 = Int (1-t^2)/(q t - z) dt
         I2 = Int t (1-t^2)/(q t - z) dt
         I3 = Int (1-t^2)^2 / ((q t - z)^2 - q^4/4) dt
-    over [-1, 1] with mpmath's tanh-sinh rule and assembles
-    -(3x/q^2) I1 + (3/q) I2 + (3/4) I3. The working precision is chosen
-    per point: a pass at 20 digits measures its own rounding noise and
-    error, and passes at more digits follow until the classical part, the
-    quantum part and their sum are each known to 1e-16 relative (or 150
-    digits are reached). err_est is mpmath's error estimate plus the
-    predicted rounding bound. Requires y > 0 so all poles stay off the
-    contour. An oracle: slow, independent, trusted.
+    from -1 to 1 with mpmath's tanh-sinh rule and assembles
+    -(3x/q^2) I1 + (3/q) I2 + (3/4) I3. Every pole lies above the real
+    axis, so the integrals run along the polyline -1 -> -i -> 1 through the
+    lower half plane, where the integrands stay bounded, with no split
+    points; all three come from one pass over shared nodes. The working
+    precision is chosen per point: a pass at 20 digits measures its own
+    rounding noise and error, and passes at more digits follow until the
+    classical part, the quantum part and their sum are each known to 1e-16
+    relative (or 150 digits are reached). err_est is the quadrature's error
+    estimate plus the predicted rounding bound. Requires y > 0. An oracle:
+    slow, independent, trusted.
     """
     if point.y <= 0.0:
         raise DomainError("chi_ratio_quadrature requires y > 0")
@@ -140,75 +194,65 @@ def chi_ratio_quadrature_reflected(point: DimensionlessPoint) -> ChiResult:
 
 
 def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
-    """Quadrature at the fewest working digits the point needs.
+    """Quadrature along _PATH at the fewest working digits the point needs.
 
-    Each pass bounds its own rounding noise from magnitudes it already has:
-    10^-dps of every assembled term, and 10^-(dps+6) of each integrand's
-    peak times the interval length 2 for the sums inside mp.quad. A peak
-    comes from the distance of the integrand's poles, in g = q t, to the
-    segment [-q, q]. Noise plus mp.quad's error estimate must stay within
-    _TARGET_REL of |classic|, |quant| and |total|; a pass that misses by a
-    factor E is redone at dps + ceil(log10 E) + 2 digits (twice the digits
-    when a part cancelled to exactly 0), up to _MAX_DPS, where the value is
-    returned with the whole bound as err_est.
-
-    I1 and I2 are split only around their pole's projection t = x/q, and
-    I3 only around t = x/q -+ q/2, graded toward each (_splits_around).
+    One _path_quad pass per working precision yields I2, I3 and, for x != 0,
+    I1; each node computes 1 - t^2, q t - z and their ratio once for all of
+    them. Each pass bounds its own rounding noise from magnitudes it already
+    has: 10^-dps of every assembled term, and 2^-(prec+10) (about
+    10^-(dps+4), the node tails left out at the corner, _NODE_TAIL_BITS) of
+    each integrand's peak times the path length 2 sqrt(2) for the sums
+    inside the pass. A peak is the most |numerator| reaches on the path (2
+    for I1 and I2, 4 for I3) over the distance of the integrand's poles, in
+    g = q t, to the path. Noise plus the quadrature's error estimate must
+    stay within _TARGET_REL of |classic|, |quant| and |total|; a pass that
+    misses by a factor E is redone at dps + ceil(log10 E) + 2 digits (twice
+    the digits when a part cancelled to exactly 0), up to _MAX_DPS, where
+    the value is returned with the whole bound as err_est.
     """
     z = complex(x, y)
     shift = 0.5 * q * q
     # I1 and I2 share the simple pole g = z; I3 has the pair g = z -+ q^2/2,
     # which lie q^2 apart, so one factor of its denominator is >= q^2/2.
-    d1 = _segment_distance(z, q)
-    d_lo = _segment_distance(z - shift, q)
-    d_hi = _segment_distance(z + shift, q)
+    d1 = _path_distance(z, q)
+    d_lo = _path_distance(z - shift, q)
+    d_hi = _path_distance(z + shift, q)
     dps = _FIRST_DPS
     while True:
         with mp.workdps(dps):
             zm = mpc(mpf(x), mpf(y))
             qm = mpf(q)
             quartic = qm**4 / 4
-            peak1 = 1 / mpf(d1)
-            peak3 = 1 / max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
+            peak1 = 2 / mpf(d1)
+            peak3 = 4 / max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
             out_eps = mpf(10) ** -dps
-            sum_eps = 2 * mpf(10) ** -(dps + _SUM_GUARD_DIGITS)
-            # split points in working precision: a float x/q can miss a
-            # pole that sits closer to the axis than one float ulp
-            s = mpf(x) / qm
-            spread = 5 * mpf(y) / qm
-            splits1 = _splits_around((s,), spread, graded=True)
-            splits3 = _splits_around((s - qm / 2, s + qm / 2), spread, graded=True)
-            path1 = [mpf(-1)] + splits1 + [mpf(1)]
-            path3 = [mpf(-1)] + splits3 + [mpf(1)]
+            tail_eps = _PATH_LENGTH * mpf(2) ** -(mp.prec + _NODE_TAIL_BITS)
 
-            def f1(t):
-                return (1 - t * t) / (qm * t - zm)
-
-            def f2(t):
-                return t * (1 - t * t) / (qm * t - zm)
-
-            def f3(t):
+            def integrands(t):
+                u = 1 - t * t
                 w = qm * t - zm
-                return (1 - t * t) ** 2 / (w * w - quartic)
+                r = u / w
+                parts = (t * r, u * u / (w * w - quartic))
+                return parts + (r,) if x else parts
 
+            results = _path_quad(integrands)
+            (v2, e2), (v3, e3) = results[:2]
             if x == 0.0:
                 classic = mpc(0)
                 bound_c = mpf(0)
             else:
+                v1, e1 = results[2]
                 c1 = 3 * mpf(x) / qm**2
-                v1, e1 = mp.quad(f1, path1, error=True)
                 classic = -c1 * v1
-                bound_c = abs(c1) * (e1 + sum_eps * peak1) + out_eps * abs(classic)
+                bound_c = abs(c1) * (e1 + tail_eps * peak1) + out_eps * abs(classic)
             c2 = 3 / qm
             c3 = mpf(3) / 4
-            v2, e2 = mp.quad(f2, path1, error=True)
-            v3, e3 = mp.quad(f3, path3, error=True)
             term2 = c2 * v2
             term3 = c3 * v3
             quant = term2 + term3
             bound_q = (
-                c2 * (e2 + sum_eps * peak1)
-                + c3 * (e3 + sum_eps * peak3)
+                c2 * (e2 + tail_eps * peak1)
+                + c3 * (e3 + tail_eps * peak3)
                 + out_eps * (abs(term2) + abs(term3))
             )
             bound = bound_c + bound_q

@@ -7,6 +7,7 @@ down the oracles' own contracts (domains, error fields, limiting values).
 
 import math
 import random
+import time
 
 import pytest
 from mpmath import log, mp, mpc, mpf
@@ -110,6 +111,75 @@ def test_quadrature_error_estimate_holds_over_whole_domain():
         got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
         ref = _closed_form_reference(x, y, q)
         assert abs(got.total - ref) <= max(got.err_est, 4e-16 * abs(ref)), (x, y, q)
+
+
+# Far below the benchmark box in y the poles hug the real axis. The contour
+# passes far below them, so neither point needs many digits beyond the
+# first pass.
+@pytest.mark.parametrize("x, y, q", [(0.0, 1e-300, 1.0), (0.3, 1e-60, 0.5)])
+def test_quadrature_fast_and_tight_at_vanishing_collision_rate(x, y, q):
+    p = DimensionlessPoint(x, y, q)
+    start = time.perf_counter()
+    got = chi_ratio_quadrature(p)
+    elapsed = time.perf_counter() - start
+    assert rel(got.total, chi_ratio(p).total) < 1e-14
+    assert got.err_est <= 1e-15 * abs(got.total)
+    assert elapsed < 5.0
+
+
+# The contour's hard cases. Poles within 1e-10 of the endpoints t = +-1,
+# where the path leaves the real axis: x/q = +-1, or x/q -+ q/2 = +-1, each
+# missed by 1e-10. And a point where mp.quad's degree-3 error estimate read
+# 1e-23 against a true error of 5e-16 of |I2|.
+HARD_POINTS = [
+    (0.7 * (1.0 + 1e-10), 1e-30, 0.7),
+    (0.7 * (1.0 - 1e-10), 1e-8, 0.7),
+    (0.5 * (0.75 + 1e-10), 1e-30, 0.5),
+    (0.5 * (0.75 - 1e-10), 1e-8, 0.5),
+    (3.0 * (0.5 + 1e-10), 1e-30, 3.0),
+    (3.0 * (0.5 - 1e-10), 1e-8, 3.0),
+    (1.0 * (1.5 - 1e-10), 1e-30, 1.0),
+    (0.0, 0.00488897048678087, 155.9966209175565),
+]
+
+
+@pytest.mark.parametrize("x, y, q", HARD_POINTS)
+def test_quadrature_error_estimate_holds_at_hard_points(x, y, q):
+    got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    ref = _closed_form_reference(x, y, q)
+    assert abs(got.total - ref) <= max(got.err_est, 4e-16 * abs(ref))
+
+
+@pytest.mark.parametrize("dps", [20, 40])
+def test_path_quad_is_mp_quad_for_one_integrand(dps, monkeypatch):
+    # mp.quad's own stopping rule: its estimate is trusted from degree 2
+    monkeypatch.setattr(oracle, "_FIRST_STOP_DEGREE", 2)
+    with mp.workdps(dps):
+        qm, zm = mpf(0.7), mpc(0.3, 1e-3)
+
+        def f(t):
+            return (1 - t * t) / (qm * t - zm)
+
+        assert oracle._path_quad(lambda t: (f(t),)) == [
+            mp.quad(f, list(oracle._PATH), error=True)
+        ]
+
+
+@pytest.mark.parametrize("x, y, q", [(0.3, 1e-3, 0.7), (0.0, 1e-8, 1.5), (2.0, 1e-30, 3.0)])
+def test_path_quad_shares_nodes_without_losing_accuracy(x, y, q):
+    with mp.workdps(20):
+        qm, zm = mpf(q), mpc(x, y)
+        quartic = qm**4 / 4
+
+        def f(t):
+            u = 1 - t * t
+            w = qm * t - zm
+            return (u / w, t * u / w, u * u / (w * w - quartic))
+
+        shared = oracle._path_quad(f)
+        for i, (value, err) in enumerate(shared):
+            alone, _ = mp.quad(lambda t: f(t)[i], list(oracle._PATH), error=True)
+            assert abs(value - alone) <= err
 
 
 def test_quadrature_rejects_static_line():
