@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -47,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -90,7 +102,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the oracle cross-validation suite")
     p_verify.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=_positive_float, default=None,
         help="override every discrepancy bound (default: per-check bounds)",
     )
 
@@ -118,6 +130,7 @@ def _eval_payload(
     regime: str,
     breakdown: Optional[TermBreakdown],
     vf: Optional[float],
+    chi_l: Optional[float],
 ) -> dict:
     payload = {
         "q": point.q,
@@ -139,7 +152,6 @@ def _eval_payload(
             name: [value.real, value.imag] for name, value in vars(breakdown).items()
         }
     if vf is not None:
-        chi_l = landau_chi_physical(vf)
         payload["absolute"] = {
             "v_fermi_cm_s": vf,
             "chi_landau_cgs": chi_l,
@@ -151,11 +163,13 @@ def _eval_payload(
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     point = DimensionlessPoint(x=args.x, y=args.y, q=args.q)
+    # validates v_F before anything is printed
+    chi_l = None if args.vf is None else landau_chi_physical(args.vf)
     result = chi_ratio(point)
     regime = regime_select(point).value
     breakdown = _term_breakdown(point)
     if args.fmt == "json":
-        payload = _eval_payload(point, result, regime, breakdown, args.vf)
+        payload = _eval_payload(point, result, regime, breakdown, args.vf, chi_l)
         print(json.dumps(payload, indent=2))
         return 0
     print(f"point        x = {format_float(point.x)}  y = {format_float(point.y)}"
@@ -170,7 +184,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for name, value in vars(breakdown).items():
             print(f"{name:<13}{_fmt_complex(value)}")
     if args.vf is not None:
-        chi_l = landau_chi_physical(args.vf)
         absolute = complex(result.total.real * chi_l, result.total.imag * chi_l)
         print(f"chi_L        {format_float(chi_l)}  (v_F = {format_float(args.vf)} cm/s)")
         print(f"chi_cgs      {_fmt_complex(absolute)}")

@@ -4,10 +4,12 @@ Everything here recomputes physics from a more primitive formulation than
 the kernel module uses, on purpose:
 
   * chi_ratio_quadrature integrates the three angular integrals directly
-    with high-precision arithmetic (mpmath), never touching the kernel's
-    branch-logarithm algebra: one tanh-sinh pass over shared nodes along
-    the polyline -1 -> -i -> 1, which passes below every pole, so the
-    integrands stay bounded and no split points are needed;
+    with high-precision arithmetic, never touching the kernel's
+    branch-logarithm algebra: one tanh-sinh pass (mpmath's nodes and error
+    estimate) over shared nodes along the polyline -1 -> -i -> 1, which
+    passes below every pole, so the integrands stay bounded and no split
+    points are needed; the integrands are evaluated in fixed-width complex
+    arithmetic on Python ints at the pass's precision;
   * chi_from_kinetic rebuilds the ratio from the kinetic-equation form, a
     velocity-shell occupation difference against a shifted resonance
     denominator, using the package's own adaptive Gauss-Kronrod engine;
@@ -88,10 +90,12 @@ _TARGET_REL = 1e-16
 # TanhSinh drops the nodes within 2^-(prec+10) of a segment end. The
 # integrands vanish at t = +-1 but not at the corner t = -i, where each
 # segment leaves out up to about twice |f| |C| 2^-(prec+10), |C| = sqrt(2)/2
-# its half-length; the path length times that bounds both corner ends, and
-# the rounding of the sums, 20 bits above the working precision, is a
-# thousand times smaller.
+# its half-length; the path length times that bounds both corner ends. The
+# integrand arithmetic and the sums run _GUARD_BITS above the working
+# precision, so their rounding is about a thousand times smaller (see
+# _contour_sums).
 _NODE_TAIL_BITS = 10
+_GUARD_BITS = 20
 
 
 def _path_distance(c: complex, q: float) -> float:
@@ -105,35 +109,33 @@ def _path_distance(c: complex, q: float) -> float:
     return best
 
 
-def _path_quad(f) -> list:
-    """Integrals of every component of f along _PATH, in one tanh-sinh pass.
+def _path_quad(level_sums) -> list:
+    """Integrals of every component of an integrand along _PATH, in one pass.
 
     This is mp.quad's loop (QuadratureRule.summation with TanhSinh.sum_next)
-    for a vector integrand: f(t) returns a tuple, evaluated once per node,
-    and every component keeps its own sequence of level sums and error
-    estimate. A segment stops at the first degree from _FIRST_STOP_DEGREE on
-    where every component's estimate meets mp.quad's epsilon, eps/8 at the
-    working precision; the sums run 20 bits above it. With a one-component
-    f and _FIRST_STOP_DEGREE = 2 it returns exactly what
+    for a vector integrand. level_sums(a, b, degree, prec) returns, per
+    component, the sum of weight * f(t) over the nodes that
+    _TANH_SINH.get_nodes(a, b, degree, prec) gives, as an mpc at the pass's
+    precision; every component keeps its own sequence of level sums and
+    error estimate. A segment stops at the first degree from
+    _FIRST_STOP_DEGREE on where every component's estimate meets mp.quad's
+    epsilon, eps/8 at the working precision; the sums run _GUARD_BITS above
+    it. With mp.fdot level sums of a one-component integrand f and
+    _FIRST_STOP_DEGREE = 2 it returns exactly what
     mp.quad(f, _PATH, error=True) does. Returns [(value, error), ...].
     """
     prec = mp.prec
     epsilon = mp.eps / 8
     max_degree = _TANH_SINH.guess_degree(prec)
     segments = []
-    with mp.extraprec(20):
+    with mp.extraprec(_GUARD_BITS):
         for a, b in zip(_PATH, _PATH[1:]):
             levels = []  # per degree, the level sum of every component
             for degree in range(1, max_degree + 1):
-                nodes = _TANH_SINH.get_nodes(a, b, degree, prec)
-                values = [f(t) for t, _ in nodes]
+                sums = level_sums(a, b, degree, prec)
                 h = mpf(2) ** (-degree)
-                previous = levels[-1] if levels else [mp.zero] * len(values[0])
-                weights = [w for _, w in nodes]
-                levels.append([
-                    h * (prev / (h * 2) + mp.fdot(zip(weights, [v[i] for v in values])))
-                    for i, prev in enumerate(previous)
-                ])
+                previous = levels[-1] if levels else [mp.zero] * len(sums)
+                levels.append([h * (prev / (h * 2) + s) for prev, s in zip(previous, sums)])
                 if degree == 1:
                     continue
                 errs = [_TANH_SINH.estimate_error(r, prec, epsilon) for r in zip(*levels)]
@@ -144,6 +146,181 @@ def _path_quad(f) -> list:
         totals = [u + v for u, v in zip(v_a, v_b)]
         errors = [d + e for d, e in zip(e_a, e_b)]
     return [(+v, e) for v, e in zip(totals, errors)]
+
+
+# ---------------------------------------------------------------------------
+# Fixed-width complex arithmetic for the contour integrands
+# ---------------------------------------------------------------------------
+# A value is (re, im, exp), Python ints meaning (re + i im) 2^exp: both parts
+# share the exponent. An operation computes its result exactly on the
+# integers and rounds it once, to nearest, so that the larger part keeps at
+# most `width` bits (a carry may add one). The error is at most half a unit
+# in the last place of each part: sqrt(2) 2^-width of the result's modulus.
+
+
+def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
+    """(re + i im) 2^exp rounded to nearest at width bits."""
+    excess = max(re.bit_length(), im.bit_length()) - width
+    if excess <= 0:
+        return re, im, exp
+    half = 1 << (excess - 1)
+    return (re + half) >> excess, (im + half) >> excess, exp + excess
+
+
+def _quotient(ar: int, ai: int, ae: int, br: int, bi: int, be: int, width: int) -> tuple:
+    """The quotient of two values, rounded to nearest at width bits."""
+    den = br * br + bi * bi
+    nr = ar * br + ai * bi
+    ni = ai * br - ar * bi
+    # scaled so that the larger part of the quotient gets width or width + 1 bits
+    shift = width + den.bit_length() - max(nr.bit_length(), ni.bit_length())
+    if shift >= 0:
+        nr <<= shift
+        ni <<= shift
+    else:
+        den <<= -shift
+    twice = den << 1
+    return (2 * nr + den) // twice, (2 * ni + den) // twice, ae - be - shift
+
+
+def _difference(ar: int, ai: int, ae: int, br: int, bi: int, be: int, width: int) -> tuple:
+    """a - b, exact at the smaller exponent, then rounded to nearest at width bits."""
+    if ae >= be:
+        return _rounded((ar << (ae - be)) - br, (ai << (ae - be)) - bi, be, width)
+    return _rounded(ar - (br << (be - ae)), ai - (bi << (be - ae)), ae, width)
+
+
+def _exact_sum(values) -> tuple:
+    """The exact sum of values, at the smallest exponent among them."""
+    exp = min(e for _, _, e in values)
+    return (
+        sum(re << (e - exp) for re, _, e in values),
+        sum(im << (e - exp) for _, im, e in values),
+        exp,
+    )
+
+
+def _parts(value) -> tuple:
+    """A float or an mpf as an exact (mantissa, exponent) pair of ints."""
+    if isinstance(value, float):
+        m, e = math.frexp(value)
+        return int(m * 2.0**53), e - 53
+    m, e = value.man_exp  # the modulus's mantissa
+    return -int(m) if value < 0 else int(m), int(e)
+
+
+def _fixed(re, im) -> tuple:
+    """re + i im, each a float or an mpf, as an exact value."""
+    (mr, er), (mi, ei) = _parts(re), _parts(im)
+    # a zero part takes the other's exponent, so that it cannot set the shared one
+    er, ei = (er if mr else ei), (ei if mi else er)
+    exp = min(er, ei)
+    return mr << (er - exp), mi << (ei - exp), exp
+
+
+# The point-independent pieces of the pass's nodes, per (a, b, degree, prec).
+_FIXED_NODES: dict = {}
+
+
+def _fixed_nodes(a, b, degree: int, prec: int) -> list:
+    """t, 1 - t^2, (1 - t^2)^2 and the weight of each node, at width prec + 20.
+
+    The nodes are those of _TANH_SINH.get_nodes(a, b, degree, prec), each
+    flattened into one tuple of four values. 1 - t^2 and its square are
+    exact from the rounded t before they are rounded. Converted once and
+    kept, like TanhSinh's own node cache; nothing about a point is stored.
+    """
+    key = (a, b, degree, prec)
+    nodes = _FIXED_NODES.get(key)
+    if nodes is None:
+        width = prec + _GUARD_BITS
+        nodes = []
+        for t, weight in _TANH_SINH.get_nodes(a, b, degree, prec):
+            tr, ti, te = _rounded(*_fixed(t.real, t.imag), width)
+            # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
+            ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
+            nodes.append(
+                (tr, ti, te)
+                + _rounded(ur, ui, ue, width)
+                + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
+                + _rounded(*_fixed(weight.real, weight.imag), width)
+            )
+        _FIXED_NODES[key] = nodes
+    return nodes
+
+
+def _contour_sums(x: float, y: float, q: float):
+    """Level sums of the integrands of I2, I3 and, for x != 0, I1, for _path_quad.
+
+    Per node, with t, u = 1 - t^2, u^2 and the weight from _fixed_nodes, a
+    point computes w = q t - z, u/w, t u/w and u^2/(w^2 - q^4/4) in the
+    fixed-width arithmetic above, at the width prec + 20 that mp.quad's sums
+    use; each level sum is the exact sum of the weight products, rounded
+    once when it becomes an mpc.
+
+    Why the rounding allowance of _quadrature_raw (_rounding_noise) still
+    covers this arithmetic: every result is rounded once, to nearest, so it
+    errs by at most sqrt(2) 2^-(prec+20) of its modulus. mpmath's mpc
+    arithmetic at the same width, the reference the tests compare against,
+    rounds each part and rounds more often: q t and then q t - z, w^2 and
+    q^4/4 and then their difference, t^2 and then 1 - t^2. The errors that
+    grow near a pole, where w is small beside q t or w^2 - q^4/4 beside w^2,
+    come from those subtractions, which here are exact (q, z and q^4/4 are
+    held exactly) with only their result rounded. So a node's value is as
+    accurate as there, up to sqrt(2) on a last rounding, and a level sum,
+    exact up to its one rounding, at least as accurate as mp.fdot's. All of
+    it sits at the 2^-(prec+20) scale of the peak times the path length,
+    which the weights' moduli total, and the allowance, 2^-(prec+10) of the
+    peak times 2 sqrt(2), is 2^10 times that scale. The pass with this
+    arithmetic and the same pass with mpmath numbers therefore agree within
+    each integral's allowance plus 10^-dps of its value.
+    """
+    qm, qe = _parts(q)
+    zr, zi, ze = _fixed(x, y)
+    km, ke = qm**4, 4 * qe - 2  # q^4/4
+
+    def level_sums(start, end, degree: int, prec: int) -> list:
+        width = prec + _GUARD_BITS
+        i2, i3, i1 = [], [], []
+        # per node: c the weight, w = q t - z, a = u/w, b = t a, d = w^2 - q^4/4, f = u^2/d
+        for tr, ti, te, ur, ui, ue, vr, vi, ve, cr, ci, ce in _fixed_nodes(
+            start, end, degree, prec
+        ):
+            wr, wi, we = _difference(qm * tr, qm * ti, qe + te, zr, zi, ze, width)
+            ar, ai, ae = _quotient(ur, ui, ue, wr, wi, we, width)
+            br, bi, be = _rounded(tr * ar - ti * ai, tr * ai + ti * ar, te + ae, width)
+            dr, di, de = _difference(wr * wr - wi * wi, 2 * wr * wi, 2 * we, km, 0, ke, width)
+            fr, fi, fe = _quotient(vr, vi, ve, dr, di, de, width)
+            i2.append((cr * br - ci * bi, cr * bi + ci * br, ce + be))
+            i3.append((cr * fr - ci * fi, cr * fi + ci * fr, ce + fe))
+            if x:
+                i1.append((cr * ar - ci * ai, cr * ai + ci * ar, ce + ae))
+        return [
+            mpc(mp.ldexp(re, exp), mp.ldexp(im, exp))
+            for re, im, exp in map(_exact_sum, (i2, i3, i1) if x else (i2, i3))
+        ]
+
+    return level_sums
+
+
+def _rounding_noise(x: float, y: float, q: float) -> tuple:
+    """The rounding allowance of I2, I3 and I1 at (x, y, q) and the working precision.
+
+    Each is 2^-(prec+10) (_NODE_TAIL_BITS) of the integrand's peak times the
+    path length 2 sqrt(2). A peak is the most |numerator| reaches on the
+    path (2 for I1 and I2, 4 for I3) over the distance of the integrand's
+    poles, in g = q t, to the path.
+    """
+    z = complex(x, y)
+    shift = 0.5 * q * q
+    # I1 and I2 share the simple pole g = z; I3 has the pair g = z -+ q^2/2,
+    # which lie q^2 apart, so one factor of its denominator is >= q^2/2.
+    d_lo = _path_distance(z - shift, q)
+    d_hi = _path_distance(z + shift, q)
+    peak1 = 2 / mpf(_path_distance(z, q))
+    peak3 = 4 / max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
+    tail_eps = _PATH_LENGTH * mpf(2) ** -(mp.prec + _NODE_TAIL_BITS)
+    return tail_eps * peak1, tail_eps * peak3, tail_eps * peak1
 
 
 def _excess(bound, value):
@@ -197,45 +374,30 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     """Quadrature along _PATH at the fewest working digits the point needs.
 
     One _path_quad pass per working precision yields I2, I3 and, for x != 0,
-    I1; each node computes 1 - t^2, q t - z and their ratio once for all of
-    them. Each pass bounds its own rounding noise from magnitudes it already
-    has: 10^-dps of every assembled term, and 2^-(prec+10) (about
+    I1. Its integrands come from _contour_sums: each node computes q t - z
+    and u/w once for all of them, in fixed-width integer complex arithmetic
+    20 bits above the working precision that rounds every result once, to
+    nearest. Each pass bounds its own rounding noise from magnitudes it
+    already has: 10^-dps of every assembled term, and 2^-(prec+10) (about
     10^-(dps+4), the node tails left out at the corner, _NODE_TAIL_BITS) of
     each integrand's peak times the path length 2 sqrt(2) for the sums
-    inside the pass. A peak is the most |numerator| reaches on the path (2
-    for I1 and I2, 4 for I3) over the distance of the integrand's poles, in
-    g = q t, to the path. Noise plus the quadrature's error estimate must
-    stay within _TARGET_REL of |classic|, |quant| and |total|; a pass that
-    misses by a factor E is redone at dps + ceil(log10 E) + 2 digits (twice
-    the digits when a part cancelled to exactly 0), up to _MAX_DPS, where
-    the value is returned with the whole bound as err_est.
+    inside the pass (_rounding_noise). That term is 2^10 times the scale of
+    the integer arithmetic's rounding, which _contour_sums shows to be no
+    worse than that of mpmath's mpc arithmetic at the same width. Noise plus
+    the quadrature's error estimate must stay within _TARGET_REL of
+    |classic|, |quant| and |total|; a pass that misses by a factor E is
+    redone at dps + ceil(log10 E) + 2 digits (twice the digits when a part
+    cancelled to exactly 0), up to _MAX_DPS, where the value is returned
+    with the whole bound as err_est.
     """
-    z = complex(x, y)
-    shift = 0.5 * q * q
-    # I1 and I2 share the simple pole g = z; I3 has the pair g = z -+ q^2/2,
-    # which lie q^2 apart, so one factor of its denominator is >= q^2/2.
-    d1 = _path_distance(z, q)
-    d_lo = _path_distance(z - shift, q)
-    d_hi = _path_distance(z + shift, q)
+    level_sums = _contour_sums(x, y, q)
     dps = _FIRST_DPS
     while True:
         with mp.workdps(dps):
-            zm = mpc(mpf(x), mpf(y))
             qm = mpf(q)
-            quartic = qm**4 / 4
-            peak1 = 2 / mpf(d1)
-            peak3 = 4 / max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
             out_eps = mpf(10) ** -dps
-            tail_eps = _PATH_LENGTH * mpf(2) ** -(mp.prec + _NODE_TAIL_BITS)
-
-            def integrands(t):
-                u = 1 - t * t
-                w = qm * t - zm
-                r = u / w
-                parts = (t * r, u * u / (w * w - quartic))
-                return parts + (r,) if x else parts
-
-            results = _path_quad(integrands)
+            results = _path_quad(level_sums)
+            noise2, noise3, noise1 = _rounding_noise(x, y, q)
             (v2, e2), (v3, e3) = results[:2]
             if x == 0.0:
                 classic = mpc(0)
@@ -244,15 +406,15 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
                 v1, e1 = results[2]
                 c1 = 3 * mpf(x) / qm**2
                 classic = -c1 * v1
-                bound_c = abs(c1) * (e1 + tail_eps * peak1) + out_eps * abs(classic)
+                bound_c = abs(c1) * (e1 + noise1) + out_eps * abs(classic)
             c2 = 3 / qm
             c3 = mpf(3) / 4
             term2 = c2 * v2
             term3 = c3 * v3
             quant = term2 + term3
             bound_q = (
-                c2 * (e2 + tail_eps * peak1)
-                + c3 * (e3 + tail_eps * peak3)
+                c2 * (e2 + noise2)
+                + c3 * (e3 + noise3)
                 + out_eps * (abs(term2) + abs(term3))
             )
             bound = bound_c + bound_q

@@ -155,6 +155,25 @@ def test_verify_fails_with_impossible_tolerance(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
+def test_verify_rejects_bad_tolerance_before_any_check(tol, capsys):
+    code = main(["verify", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+@pytest.mark.parametrize("vf", ["-1", "0", "nan"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_rejects_bad_fermi_velocity_before_printing(vf, fmt, capsys):
+    code = main(["eval", "--x", "0.1", "--y", "0.1", "--q", "0.5", "--format", fmt, "--vf", vf])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "v_F" in captured.err
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "diamag.cli",

@@ -8,6 +8,7 @@ down the oracles' own contracts (domains, error fields, limiting values).
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from mpmath import log, mp, mpc, mpf
@@ -150,6 +151,105 @@ def test_quadrature_error_estimate_holds_at_hard_points(x, y, q):
     assert abs(got.total - ref) <= max(got.err_est, 4e-16 * abs(ref))
 
 
+def object_sums(f):
+    """Level sums for oracle._path_quad of f, whose value at a node is a tuple
+    of mpmath numbers: mp.quad's own (TanhSinh.sum_next, one mp.fdot)."""
+
+    def level_sums(start, end, degree, prec):
+        nodes = oracle._TANH_SINH.get_nodes(start, end, degree, prec)
+        weights = [w for _, w in nodes]
+        return [mp.fdot(weights, column) for column in zip(*(f(t) for t, _ in nodes))]
+
+    return level_sums
+
+
+def object_integrands(x, y, q):
+    """The integrands of I2, I3 and, for x != 0, I1 in mpmath number
+    arithmetic: the reference for the oracle's fixed-width integer kernel."""
+    qm, zm = mpf(q), mpc(x, y)
+    quartic = qm**4 / 4
+
+    def f(t):
+        u = 1 - t * t
+        w = qm * t - zm
+        r = u / w
+        parts = (t * r, u * u / (w * w - quartic))
+        return parts + (r,) if x else parts
+
+    return f
+
+
+def _whole_domain_points(seed, count):
+    """Log-uniform over the accepted box with 30 % on x = 0, and a third of
+    the points reflected to -x."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        x = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-12.0, 6.0)
+        if rng.random() < 1.0 / 3.0:
+            x = -x
+        points.append((x, 10.0 ** rng.uniform(-14.0, 6.0), 10.0 ** rng.uniform(-9.0, 4.0)))
+    return points
+
+
+def test_fixed_width_operations_round_to_nearest():
+    # each result is within half a unit in its last place, per part, of the
+    # exact one, and its larger part has at most width + 1 bits
+    rng = random.Random(3)
+
+    def part():
+        return rng.randrange(-(2**300), 2**300) >> rng.randrange(300)
+
+    def value():
+        return part(), part() or 1, rng.randrange(-400, 400)
+
+    def assert_nearest(got, want_re, want_im, width):
+        re, im, exp = got
+        ulp = Fraction(2) ** exp
+        assert abs(re * ulp - want_re) <= ulp / 2
+        assert abs(im * ulp - want_im) <= ulp / 2
+        assert max(re.bit_length(), im.bit_length()) <= width + 1
+
+    for _ in range(300):
+        width = rng.randrange(8, 200)
+        (ar, ai, ae), (br, bi, be) = value(), value()
+        a, b = Fraction(2) ** ae, Fraction(2) ** be
+        assert_nearest(oracle._rounded(ar, ai, ae, width), ar * a, ai * a, width)
+        difference = oracle._difference(ar, ai, ae, br, bi, be, width)
+        assert_nearest(difference, ar * a - br * b, ai * a - bi * b, width)
+        den = (br * br + bi * bi) * b
+        assert_nearest(
+            oracle._quotient(ar, ai, ae, br, bi, be, width),
+            (ar * br + ai * bi) * a / den,
+            (ai * br - ar * bi) * a / den,
+            width,
+        )
+
+
+# The deep-cancellation points escalate to 40 digits and then to 48-59.
+KERNEL_CASES = (
+    [(x, y, q, 20) for x, y, q in _whole_domain_points(11, 30)]
+    + [(x, y, q, dps) for x, y, q, _ in DEEP_CANCELLATION for dps in (40, 58)]
+    + [(0.0, 1e-300, 1.0, 20), (0.3, 1e-60, 0.5, 20)]
+    + [(x, y, q, 20) for x, y, q in HARD_POINTS]
+)
+
+
+@pytest.mark.parametrize("x, y, q, dps", KERNEL_CASES)
+def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
+    # the same pass, once in the kernel's integer arithmetic and once in
+    # mpmath numbers, differs only by rounding: within each integral's
+    # rounding noise plus 10^-dps of its value, what _quadrature_raw allows
+    with mp.workdps(dps):
+        kernel = oracle._path_quad(oracle._contour_sums(x, y, q))
+        reference = oracle._path_quad(object_sums(object_integrands(x, y, q)))
+        noise = oracle._rounding_noise(x, y, q)
+        out_eps = mpf(10) ** -dps
+    assert len(kernel) == len(reference) == (3 if x else 2)
+    for (value, _), (want, _), allowance in zip(kernel, reference, noise):
+        assert abs(value - want) <= allowance + out_eps * abs(want), (x, y, q, dps)
+
+
 @pytest.mark.parametrize("dps", [20, 40])
 def test_path_quad_is_mp_quad_for_one_integrand(dps, monkeypatch):
     # mp.quad's own stopping rule: its estimate is trusted from degree 2
@@ -160,7 +260,7 @@ def test_path_quad_is_mp_quad_for_one_integrand(dps, monkeypatch):
         def f(t):
             return (1 - t * t) / (qm * t - zm)
 
-        assert oracle._path_quad(lambda t: (f(t),)) == [
+        assert oracle._path_quad(object_sums(lambda t: (f(t),))) == [
             mp.quad(f, list(oracle._PATH), error=True)
         ]
 
@@ -176,7 +276,7 @@ def test_path_quad_shares_nodes_without_losing_accuracy(x, y, q):
             w = qm * t - zm
             return (u / w, t * u / w, u * u / (w * w - quartic))
 
-        shared = oracle._path_quad(f)
+        shared = oracle._path_quad(object_sums(f))
         for i, (value, err) in enumerate(shared):
             alone, _ = mp.quad(lambda t: f(t)[i], list(oracle._PATH), error=True)
             assert abs(value - alone) <= err

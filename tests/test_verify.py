@@ -41,6 +41,23 @@ def test_report_format(results):
     assert "measured" in lines[0] and "bound" in lines[0]
 
 
+# What `diamag verify` prints, byte for byte. The oracle's arithmetic may
+# change how fast these numbers come, never the numbers.
+DEFAULT_REPORT = """\
+PASS closed-form-vs-quadrature: measured 5.091e-12 (bound 1.000e-08) max rel deviation over 60 grid points
+PASS kinetic-integral-consistency: measured 6.079e-10 (bound 1.000e-06) max rel deviation, velocity-moment form vs closed form
+PASS velocity-moment-integrals: measured 2.412e-07 (bound 1.000e-04) J1, J2 target 4*pi = 12.566370614359172, combination target -8*pi
+PASS landau-limit: measured 5.000e-08 (bound 1.000e-06) static ratio at q = 1e-3 vs 1; both chi_L closed forms agree (reference chi_L = -3.226735e-07)
+PASS suppression-small-q: measured 2.000e-13 (bound 1.000e-06) |chi/chi_L| at x = 0, y = 1e-3, q = 1e-6
+PASS suppression-plateau: measured 9.827e-01 (bound 9.900e-01) |chi/chi_L| at x = 0, y = 1e-3, q = 0.5 must sit in [0.90, 0.99]
+PASS suppression-half-crossing: measured 1.000e+01 (bound 1.000e+00) half-height q must grow with collision rate; crossings 3.657e-06, 3.657e-05, 3.657e-04, 3.657e-03
+all 7 checks passed"""
+
+
+def test_default_report_is_frozen(results):
+    assert render_report(results) == DEFAULT_REPORT
+
+
 def test_impossible_tolerance_fails_and_reports_counts():
     results = run_verification(tol=1e-30)
     failed = [r for r in results if not r.passed]
