@@ -36,16 +36,14 @@ from .errors import (
 )
 from .kernel import (
     RegimeTag,
-    TermBreakdown,
     branch_log_L,
     chi_ratio,
-    chi_series_small_q,
     chi_static_pv,
     eval_integrals,
     regime_select,
 )
 from .quadrature import integrate_complex_adaptive
-from .svg import Curve, render_line_chart, write_svg
+from .svg import render_line_chart, write_svg
 from .sweep import (
     CSV_HEADER,
     FIGURE1_POINTS_PER_CURVE,
@@ -68,7 +66,6 @@ __all__ = [
     "CheckResult",
     "ChiResult",
     "ConvergenceError",
-    "Curve",
     "DiamagError",
     "DimensionlessPoint",
     "DomainError",
@@ -81,16 +78,12 @@ __all__ = [
     "FIGURE1_Y_VALUES",
     "FermiParameters",
     "HBAR",
-    "JIntegrals",
-    "KineticIntegrand",
-    "NascentDelta",
     "OutputRow",
     "PhysicalState",
     "PoleError",
     "RegimeTag",
     "SPEED_OF_LIGHT",
     "SweepSpec",
-    "TermBreakdown",
     "ValidationError",
     "branch_log_L",
     "chi_from_kinetic",
@@ -99,7 +92,6 @@ __all__ = [
     "chi_ratio_quadrature",
     "chi_ratio_quadrature_reflected",
     "chi_ratio_to_absolute",
-    "chi_series_small_q",
     "chi_static_pv",
     "eval_integrals",
     "fermi_parameters_from_density",
@@ -113,7 +105,6 @@ __all__ = [
     "regime_select",
     "render_line_chart",
     "render_report",
-    "richardson_extrapolate",
     "rows_to_csv",
     "run_sweep",
     "run_verification",
@@ -125,15 +116,11 @@ __all__ = [
 # The oracles need mpmath, which costs about as much start-up time as the
 # rest of the package; they load on first access to one of these names.
 _ORACLE_NAMES = frozenset({
-    "JIntegrals",
-    "KineticIntegrand",
-    "NascentDelta",
     "chi_from_kinetic",
     "chi_quant_smallk",
     "chi_ratio_quadrature",
     "chi_ratio_quadrature_reflected",
     "j_integrals_nascent_delta",
-    "richardson_extrapolate",
 })
 
 

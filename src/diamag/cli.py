@@ -13,6 +13,7 @@ failure (a failed verify check, or any error rows inside a sweep).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -132,25 +133,11 @@ def _eval_payload(
     vf: Optional[float],
     chi_l: Optional[float],
 ) -> dict:
-    payload = {
-        "q": point.q,
-        "x": point.x,
-        "y": point.y,
-        "chi_total_re": result.total.real,
-        "chi_total_im": result.total.imag,
-        "chi_classic_re": result.classic.real,
-        "chi_classic_im": result.classic.imag,
-        "chi_quant_re": result.quant.real,
-        "chi_quant_im": result.quant.imag,
-        "method": result.method.value,
-        "err_est": result.err_est,
-        "regime": regime,
-        "terms": None,
+    payload = dataclasses.asdict(OutputRow.from_result(point, result))
+    payload["regime"] = regime
+    payload["terms"] = None if breakdown is None else {
+        name: [value.real, value.imag] for name, value in vars(breakdown).items()
     }
-    if breakdown is not None:
-        payload["terms"] = {
-            name: [value.real, value.imag] for name, value in vars(breakdown).items()
-        }
     if vf is not None:
         payload["absolute"] = {
             "v_fermi_cm_s": vf,
@@ -199,26 +186,25 @@ def _sweep_curves(rows: Sequence[OutputRow], axis: str) -> List:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    fixed = {"x": args.x, "y": args.y, "q": args.q}
-    if fixed[args.axis] is not None:
+    if getattr(args, args.axis) is not None:
         print(
             f"diamag sweep: error: --{args.axis} conflicts with --axis {args.axis}",
             file=sys.stderr,
         )
         return 1
-    defaults = {"x": 0.0, "y": 0.0, "q": 1.0}
-    for name in fixed:
-        if fixed[name] is None:
-            fixed[name] = defaults[name]
+    # coordinates left unset keep SweepSpec's defaults
+    fixed = {
+        f"fixed_{name}": getattr(args, name)
+        for name in ("x", "y", "q")
+        if getattr(args, name) is not None
+    }
     spec = SweepSpec(
         axis=args.axis,
         lo=args.lo,
         hi=args.hi,
         points=args.points,
         spacing=args.spacing,
-        fixed_x=fixed["x"],
-        fixed_y=fixed["y"],
-        fixed_q=fixed["q"],
+        **fixed,
     )
     rows, had_error = run_sweep(spec)
     write_csv(rows, args.out)

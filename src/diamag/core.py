@@ -71,7 +71,7 @@ class DimensionlessPoint:
     symmetry chi(-x) = conj(chi(x)) instead of direct evaluation. y = 0 is
     accepted at construction but only evaluable on the static line (x = 0) or
     when all integrand poles lie strictly outside the integration interval;
-    the kernel enforces that at call time.
+    the kernel enforces that at call time (PoleError).
     """
 
     x: float
@@ -104,21 +104,6 @@ class DimensionlessPoint:
     def s(self) -> complex:
         """Pole location s = z/q of the angular integrands."""
         return complex(self.x, self.y) / self.q
-
-    def poles_outside_unit_interval(self) -> bool:
-        """True when every integrand pole lies strictly outside [-1, 1].
-
-        Only meaningful on the collisionless line y = 0, where the poles are
-        real: t = s for the plain denominators and t = s -+ q/2 for the
-        shifted one. This is the package's one test for a pole on the
-        contour. x = 0 is the static principal-value case and is handled
-        separately.
-        """
-        if self.y != 0.0:
-            return True
-        a = 0.5 * self.q
-        s = self.x / self.q
-        return abs(s) > 1.0 and abs(s - a) > 1.0 and abs(s + a) > 1.0
 
 
 @dataclass(frozen=True)

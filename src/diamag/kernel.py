@@ -28,7 +28,8 @@ difference of terms of size 3/q^2 * O(max(1, |s|^2)) that cancel to O(1) or
 far below, so small q or large |s| destroys the closed form in double
 precision. Large q does too: g(s -+ q/2) is then a difference of terms of
 size |s -+ q/2|^3 that cancel to O(1/|s -+ q/2|). Four evaluations cover that
-ground:
+ground, and with the plain closed form they make the five strategies that
+RegimeTag names:
 
   * static principal value at x = y = 0 (its own real formula),
   * a shifted-difference Taylor series in q for moderate s (the two shifted
@@ -64,7 +65,6 @@ __all__ = [
     "eval_integrals",
     "chi_ratio",
     "chi_static_pv",
-    "chi_series_small_q",
     "regime_select",
 ]
 
@@ -95,12 +95,13 @@ _SMALLQ_BETA = 1e-3
 
 
 class RegimeTag(enum.Enum):
-    """Which evaluation regime a point falls into. One tag per point."""
+    """The evaluation strategy that serves a point. One tag per point."""
 
-    DIRECT_CLOSED_FORM = "direct-closed-form"
-    SMALLQ_STATIC_SERIES = "smallq-static-series"
     PV_STATIC = "pv-static"
-    LARGE_S_ASYMPTOTIC = "largeS-asymptotic"
+    DIRECT_CLOSED_FORM = "direct-closed-form"
+    FAR_FIELD_CLOSED_FORM = "far-field-closed-form"
+    TAYLOR_SERIES = "taylor-series"
+    LAURENT_SERIES = "laurent-series"
 
 
 @dataclass(frozen=True)
@@ -207,14 +208,30 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
     z = require_finite_complex("z", complex(z))
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
-    # At x = y = 0 the poles t = -+ q/2 sit on the contour for q < 2, but the
-    # upper-side closed forms remain finite and their imaginary parts cancel
-    # in the quantum sum (verified against PV). Elsewhere on y = 0 a real
-    # pole inside [-1, 1] is rejected; the poles at -x mirror those at x.
-    if z.imag == 0.0 and z.real != 0.0:
-        if not DimensionlessPoint(abs(z.real), 0.0, q).poles_outside_unit_interval():
-            raise PoleError("integrand pole on the contour: y = 0 with a real pole inside [-1, 1]")
+    _reject_pole_on_contour(z.real, z.imag, q)
     return _direct_pieces(z, q)[0]
+
+
+def _reject_pole_on_contour(x: float, y: float, q: float) -> None:
+    """Raise PoleError when an integrand pole lies on the contour [-1, 1].
+
+    This is the package's one test for a pole on the contour. Only the
+    collisionless line y = 0 can put one there: the poles are then real, at
+    t = s = x/q for the plain denominators and t = s -+ q/2 for the shifted
+    one, and the poles at -x mirror those at x. At x = y = 0 the poles
+    t = -+ q/2 sit on the contour for q < 2, but the upper-side closed forms
+    remain finite and their imaginary parts cancel in the quantum sum
+    (verified against the principal value), so the static point passes.
+    """
+    if y != 0.0 or x == 0.0:
+        return
+    s = abs(x) / q
+    # s > 1 already puts the pole at s + q/2 beyond t = 1
+    if not (s > 1.0 and abs(s - 0.5 * q) > 1.0):
+        raise PoleError(
+            "y = 0 with x != 0 puts a pole inside the integration interval "
+            "(collisionless Landau-damping line); evaluation is rejected"
+        )
 
 
 def _direct_pieces(z: complex, q: float) -> tuple:
@@ -230,8 +247,6 @@ def _direct_pieces(z: complex, q: float) -> tuple:
     x = z.real
     s = z / q
     a = 0.5 * q
-    if s == 1.0 or s == -1.0:
-        raise PoleError("pole at s = +-1")
     Ls = branch_log_L(s)
     one_ms2 = 1.0 - s * s
     bracket_log = s * one_ms2 * Ls
@@ -476,13 +491,6 @@ def _classic_laurent(z: complex, q: float, x: float) -> tuple:
     return weight * I1, 4.0 * abs(weight * term / z)
 
 
-def _realify_static(value: complex, x: float) -> complex:
-    """Exact reality at x = 0: drop the identically-zero imaginary part."""
-    if x == 0.0:
-        return complex(value.real, 0.0)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Regime selection and dispatch
 # ---------------------------------------------------------------------------
@@ -502,29 +510,32 @@ def _taylor_converges(s: complex, q: float) -> bool:
     return q <= _TAYLOR_SPAN * min(abs(s - 1.0), abs(s + 1.0))
 
 
-def _classify(point: DimensionlessPoint):
-    """Deterministic regime choice; returns (tag, strategy, direct pieces|None).
+def _classify(point: DimensionlessPoint) -> tuple:
+    """Deterministic regime choice; returns (RegimeTag, direct pieces|None).
 
-    The x = y = 0 point gets the "pv" strategy at every q, and the static
-    series window is x = 0, q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q. Both
-    ways into the Laurent branch, the literal window |s| > _LARGE_S and the
-    escalation of a closed form that loses more than _CANCEL_DIGITS digits
-    at |s| >= _SERIES_S_MIN, require _laurent_converges. A point that fails
-    it, and also fails the Taylor condition, goes to the far-field closed
-    form when it is in the large-|s| window or its closed form cancels.
-    Above q = _FAR_Q_MIN the far-field form also takes the points the plain
-    closed form would serve; both carry the DIRECT_CLOSED_FORM tag.
+    Raises PoleError first for a pole on the contour. The x = y = 0 point is
+    PV_STATIC at every q, and the static series window x = 0,
+    q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways into
+    LAURENT_SERIES, the literal window |s| > _LARGE_S and the escalation of a
+    closed form that loses more than _CANCEL_DIGITS digits at
+    |s| >= _SERIES_S_MIN, require _laurent_converges. A point that fails it,
+    and also fails the Taylor condition, gets FAR_FIELD_CLOSED_FORM when it
+    is in the large-|s| window or its closed form cancels. Above
+    q = _FAR_Q_MIN the far-field form also takes the points the plain closed
+    form (DIRECT_CLOSED_FORM) would serve. The pieces are the closed form's
+    evaluation where the guard measured it, reused by DIRECT_CLOSED_FORM.
     """
     x, y, q = point.x, point.y, point.q
+    _reject_pole_on_contour(x, y, q)
     if y == 0.0 and x == 0.0:
-        return RegimeTag.PV_STATIC, "pv", None
+        return RegimeTag.PV_STATIC, None
     if x == 0.0 and q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
-        return RegimeTag.SMALLQ_STATIC_SERIES, "taylor", None
+        return RegimeTag.TAYLOR_SERIES, None
     s = point.s
     s_abs = abs(s)
     laurent = _laurent_converges(s_abs, q)
     if s_abs > _LARGE_S and laurent:
-        return RegimeTag.LARGE_S_ASYMPTOTIC, "laurent", None
+        return RegimeTag.LAURENT_SERIES, None
     taylor = _taylor_converges(s, q)
     pieces = None
     if s_abs <= _LARGE_S and (laurent or taylor or q <= _FAR_Q_MIN):
@@ -536,40 +547,32 @@ def _classify(point: DimensionlessPoint):
         quant = breakdown.term2 + breakdown.term3
         lost_digits = math.log10(peak / max(abs(quant), _TINY))
         if not lost_digits > _CANCEL_DIGITS:
-            strategy = "direct" if q <= _FAR_Q_MIN else "far-field"
-            return RegimeTag.DIRECT_CLOSED_FORM, strategy, pieces
+            if q <= _FAR_Q_MIN:
+                return RegimeTag.DIRECT_CLOSED_FORM, pieces
+            return RegimeTag.FAR_FIELD_CLOSED_FORM, pieces
         if s_abs >= _SERIES_S_MIN and laurent:
-            return RegimeTag.LARGE_S_ASYMPTOTIC, "laurent", pieces
+            return RegimeTag.LAURENT_SERIES, pieces
     if taylor:
-        return RegimeTag.SMALLQ_STATIC_SERIES, "taylor", pieces
-    return RegimeTag.DIRECT_CLOSED_FORM, "far-field", pieces
+        return RegimeTag.TAYLOR_SERIES, pieces
+    return RegimeTag.FAR_FIELD_CLOSED_FORM, pieces
 
 
 def regime_select(point: DimensionlessPoint) -> RegimeTag:
-    """Pick the evaluation regime for a point. Deterministic in (x, y, q).
+    """Pick the evaluation strategy for a point. Deterministic in (x, y, q).
 
     Literal windows come first: the static principal value at x = y = 0, the
-    static series for x = 0 with q below _SMALLQ_Q_MAX and y below
-    _SMALLQ_BETA * q, and the asymptotic branch for |s| above _LARGE_S.
+    static Taylor series for x = 0 with q below _SMALLQ_Q_MAX and y below
+    _SMALLQ_BETA * q, and the Laurent series for |s| above _LARGE_S.
     Otherwise the closed form is evaluated and escalated to a series when its
     measured cancellation exceeds _CANCEL_DIGITS decimal digits (boundary
     values stay with the closed form; all comparisons are strict). The
-    asymptotic branch is taken only where its series converges,
-    |s| >= 2 (1 + q/2); a point outside it that the Taylor branch cannot
-    serve either gets the far-field closed form, tagged DIRECT_CLOSED_FORM,
-    as does every closed-form point with q > 2.
+    Laurent series is taken only where it converges, |s| >= 2 (1 + q/2); a
+    point outside it that the Taylor series cannot serve either gets the
+    far-field closed form, as does every closed-form point with q > 2.
+
+    Raises PoleError for a collisionless point with a pole on the contour.
     """
-    _validate_y0(point)
-    tag, _, _ = _classify(point)
-    return tag
-
-
-def _validate_y0(point: DimensionlessPoint) -> None:
-    if point.y == 0.0 and point.x > 0.0 and not point.poles_outside_unit_interval():
-        raise PoleError(
-            "y = 0 with x > 0 puts a pole inside the integration interval "
-            "(collisionless Landau-damping line); evaluation is rejected"
-        )
+    return _classify(point)[0]
 
 
 def _direct_result(point: DimensionlessPoint, pieces: tuple) -> ChiResult:
@@ -644,50 +647,38 @@ def _compensated_pair(a: complex, b: complex) -> complex:
     return s + err
 
 
-def chi_series_small_q(point: DimensionlessPoint) -> ChiResult:
-    """Series evaluation of chi/chi_L, safe where the closed form cancels.
+def _taylor_result(point: DimensionlessPoint) -> ChiResult:
+    """The shifted-difference Taylor series about s for the quantum part.
 
-    Two branches, chosen by s = z/q:
-
-      * |s| >= _SERIES_S_MIN and |s| >= 2 (1 + q/2): Laurent expansion in q/z;
-        the 1/z^2 and q^2/z^4 orders of the two quantum terms cancel
-        symbolically, so the returned value is the true leading residual
-        (starting at q^4/z^4). Covers both the collision-dominated window
-        q << |z| and the mandatory large-|s| asymptotic regime. The second
-        condition is the series' convergence region with a factor-2 margin.
-      * otherwise, with q <= _TAYLOR_SPAN * dist(s, +-1):
-        shifted-difference Taylor series about s, exact in beta = y/q; on the
-        static line it reduces to 1 - q^2/20 - ... .
-
-    err_est carries the analytic truncation bound. Points where neither
-    branch converges raise DomainError at once.
+    Exact in beta = y/q; on the static line it reduces to 1 - q^2/20 - ... .
+    The classical part keeps its closed form, which does not cancel here.
+    err_est carries the series' truncation bound.
     """
-    _validate_y0(point)
-    x, q = point.x, point.q
-    z = point.z
-    s = point.s
-    s_abs = abs(s)
-    if s_abs >= _SERIES_S_MIN and _laurent_converges(s_abs, q):
-        quant, quant_err = _quant_laurent(z, q)
-        quant = _realify_static(quant, x)
-        if x == 0.0:
-            return ChiResult.from_parts(complex(0.0), quant, EvalMethod.SERIES_SMALL_Q, quant_err)
-        classic, classic_err = _classic_laurent(z, q, x)
-        return ChiResult.from_parts(
-            classic, quant, EvalMethod.SERIES_SMALL_Q, quant_err + classic_err
-        )
-    if not _taylor_converges(s, q):
-        raise DomainError(
-            f"point is outside both series regimes: not |s| >= max({_SERIES_S_MIN:g}, "
-            f"2 (1 + q/2)), and q exceeds {_TAYLOR_SPAN:g} * dist(s, +-1)"
-        )
-    quant, quant_err = _quant_taylor_shift(s, q)
-    quant = _realify_static(quant, x)
+    x, q, s = point.x, point.q, point.s
+    quant, err_est = _quant_taylor_shift(s, q)
     if x == 0.0:
-        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.SERIES_SMALL_Q, quant_err)
+        quant = complex(quant.real, 0.0)
+        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.SERIES_SMALL_Q, err_est)
     I1 = (-2.0 * s + (1.0 - s * s) * branch_log_L(s)) / q
     classic = -3.0 * x / (q * q) * I1
-    return ChiResult.from_parts(classic, quant, EvalMethod.SERIES_SMALL_Q, quant_err)
+    return ChiResult.from_parts(classic, quant, EvalMethod.SERIES_SMALL_Q, err_est)
+
+
+def _laurent_result(point: DimensionlessPoint) -> ChiResult:
+    """The Laurent expansion in q/z for both parts.
+
+    The 1/z^2 and q^2/z^4 orders of the two quantum terms cancel
+    symbolically, so the quantum value is the true leading residual
+    (starting at q^4/z^4). This covers both the collision-dominated window
+    q << |z| and the large-|s| window. err_est carries the truncation bounds.
+    """
+    x, q, z = point.x, point.q, point.z
+    quant, quant_err = _quant_laurent(z, q)
+    if x == 0.0:
+        quant = complex(quant.real, 0.0)
+        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.SERIES_SMALL_Q, quant_err)
+    classic, classic_err = _classic_laurent(z, q, x)
+    return ChiResult.from_parts(classic, quant, EvalMethod.SERIES_SMALL_Q, quant_err + classic_err)
 
 
 def chi_ratio(point: DimensionlessPoint) -> ChiResult:
@@ -702,16 +693,17 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     Raises PoleError for collisionless points with a pole on the contour
     (y = 0 with 0 < x unless every pole is outside the interval).
     """
-    _validate_y0(point)
-    _, strategy, pieces = _classify(point)
-    if strategy == "pv":
+    tag, pieces = _classify(point)
+    if tag is RegimeTag.PV_STATIC:
         if point.q > 2.0:
             # no principal value is involved once the poles leave [-1, 1]
             return _far_field_result(point, EvalMethod.PV_STATIC)
         quant = complex(chi_static_pv(point.q), 0.0)
         return ChiResult.from_parts(complex(0.0), quant, EvalMethod.PV_STATIC, 0.0)
-    if strategy == "direct":
+    if tag is RegimeTag.DIRECT_CLOSED_FORM:
         return _direct_result(point, pieces)
-    if strategy == "far-field":
+    if tag is RegimeTag.FAR_FIELD_CLOSED_FORM:
         return _far_field_result(point)
-    return chi_series_small_q(point)
+    if tag is RegimeTag.TAYLOR_SERIES:
+        return _taylor_result(point)
+    return _laurent_result(point)

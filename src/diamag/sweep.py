@@ -76,8 +76,10 @@ class SweepSpec:
             raise ValidationError(
                 f"spacing must be one of {_SPACINGS}, got {self.spacing!r}"
             )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValidationError("sweep bounds must be finite")
+        # every grid value lies in [lo, hi], so valid bounds make every grid
+        # point a valid coordinate; DimensionlessPoint is the one judge
+        self.point_at(self.lo)
+        self.point_at(self.hi)
         if not self.lo < self.hi:
             raise ValidationError(
                 f"sweep requires lo < hi, got [{self.lo}, {self.hi}]"
@@ -86,17 +88,6 @@ class SweepSpec:
             raise ValidationError(f"sweep needs at least 2 points, got {self.points}")
         if self.spacing == "log" and self.lo <= 0.0:
             raise ValidationError("log spacing requires lo > 0")
-        # Bounds must be admissible coordinates themselves so every grid
-        # point yields a valid DimensionlessPoint.
-        if self.axis == "q" and self.lo <= 0.0:
-            raise ValidationError("q sweep requires lo > 0")
-        if self.axis in ("x", "y") and self.lo < 0.0:
-            raise ValidationError(f"{self.axis} sweep requires lo >= 0")
-        for name, value in (("x", self.fixed_x), ("y", self.fixed_y)):
-            if name != self.axis and (not math.isfinite(value) or value < 0.0):
-                raise ValidationError(f"fixed {name} must be finite and >= 0")
-        if self.axis != "q" and (not math.isfinite(self.fixed_q) or self.fixed_q <= 0.0):
-            raise ValidationError("fixed q must be finite and > 0")
 
     def grid(self) -> List[float]:
         """Ascending grid with exact endpoints."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .core import DimensionlessPoint, landau_chi_magneton_form, landau_chi_physical
+from .errors import ValidationError
 from .kernel import chi_ratio, chi_static_pv
 
 __all__ = ["CheckResult", "GRID_X", "GRID_Y", "GRID_Q", "run_verification", "render_report"]
@@ -190,7 +191,13 @@ def _check_suppression_halfcross() -> CheckResult:
 
 
 def run_verification(tol: Optional[float] = None) -> List[CheckResult]:
-    """Run every check. tol, when given, replaces all discrepancy bounds."""
+    """Run every check. tol, when given, replaces all discrepancy bounds.
+
+    Raises ValidationError, before any check runs, unless tol is None or a
+    finite number > 0.
+    """
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be a finite number > 0, got {tol!r}")
     grid_bound = tol if tol is not None else 1e-8
     kinetic_bound = tol if tol is not None else 1e-6
     j_bound = tol if tol is not None else 1e-4

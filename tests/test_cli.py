@@ -37,6 +37,23 @@ def test_eval_json_payload(capsys):
     assert abs(total_from_terms - want.total) < 1e-12 * abs(want.total)
 
 
+def test_eval_json_row_equals_the_csv_row(tmp_path, capsys):
+    # the same fields in the same order, the same values: one row model
+    csv_path = tmp_path / "row.csv"
+    assert main([
+        "sweep", "--axis", "q", "--min", "0.5", "--max", "1", "--points", "2",
+        "--x", "0.1", "--y", "0.1", "--out", str(csv_path),
+    ]) == 0
+    header, first = csv_path.read_text(encoding="utf-8").splitlines()[:2]
+    csv_row = dict(zip(header.split(","), first.split(",")))
+    capsys.readouterr()
+    assert main(["eval", "--x", "0.1", "--y", "0.1", "--q", "0.5", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload)[: len(csv_row)] == list(csv_row)
+    for name, text in csv_row.items():
+        assert payload[name] == (text if name == "method" else float(text)), name
+
+
 def test_eval_json_absolute_block(capsys):
     vf = 1.57e8
     code = main(["eval", "--x", "0", "--y", "1e-3", "--q", "0.5",

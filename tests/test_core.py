@@ -45,14 +45,6 @@ class TestDimensionlessPoint:
         with pytest.raises(ValidationError, match="q"):
             DimensionlessPoint(x=0.1, y=0.1, q=float("inf"))
 
-    def test_poles_outside_unit_interval(self):
-        # y = 0, x/q = 50 with q = 0.1: all three poles beyond t = 1
-        assert DimensionlessPoint(x=5.0, y=0.0, q=0.1).poles_outside_unit_interval()
-        # pole projection at t = 0.5 sits inside
-        assert not DimensionlessPoint(x=0.25, y=0.0, q=0.5).poles_outside_unit_interval()
-        # any y > 0 lifts the poles off the contour
-        assert DimensionlessPoint(x=0.25, y=1e-9, q=0.5).poles_outside_unit_interval()
-
 
 class TestConversions:
     def test_definition_at_fermi_wavenumber(self):

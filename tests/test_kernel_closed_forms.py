@@ -10,7 +10,7 @@ import math
 import pytest
 
 from diamag.errors import DomainError, PoleError
-from diamag.kernel import branch_log_L, eval_integrals
+from diamag.kernel import _reject_pole_on_contour, branch_log_L, eval_integrals
 
 
 class TestBranchLog:
@@ -95,6 +95,19 @@ class TestIntegralsClosedForm:
         # y = 0 with s = 1: pole on the contour edge
         with pytest.raises(PoleError):
             eval_integrals(complex(0.5, 0.0), 0.5)
+
+    def test_reject_pole_on_contour(self):
+        # y = 0, x/q = 50 with q = 0.1: all three poles beyond t = 1
+        _reject_pole_on_contour(5.0, 0.0, 0.1)
+        # pole projection at t = 0.5 sits inside
+        with pytest.raises(PoleError):
+            _reject_pole_on_contour(0.25, 0.0, 0.5)
+        # any y > 0 lifts the poles off the contour
+        _reject_pole_on_contour(0.25, 1e-9, 0.5)
+        # the poles at -x mirror those at x
+        with pytest.raises(PoleError):
+            eval_integrals(complex(-0.25, 0.0), 0.5)
+        eval_integrals(complex(-5.0, 0.0), 0.1)
 
     def test_collisionless_poles_outside_are_fine(self):
         bd = eval_integrals(complex(5.0, 0.0), 0.1)

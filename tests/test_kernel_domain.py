@@ -15,7 +15,7 @@ import random
 import pytest
 
 from diamag import DimensionlessPoint, EvalMethod, chi_ratio, chi_ratio_quadrature
-from diamag.kernel import _classify
+from diamag.kernel import RegimeTag, regime_select
 
 
 def _loguniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -28,10 +28,6 @@ def _box_point(rng: random.Random, q_min: float = 1e-9, static_share: float = 0.
         return 0.0, 0.0, q
     x = 0.0 if rng.random() < 0.3 else _loguniform(rng, 1e-12, 1e6)
     return x, _loguniform(rng, 1e-14, 1e6), q
-
-
-def _strategy(point: DimensionlessPoint) -> str:
-    return _classify(point)[1]
 
 
 # Points the Laurent branch used to take without converging: the first
@@ -59,20 +55,41 @@ def test_large_q_points_match_the_oracle_in_every_regime():
     # q <= _TAYLOR_SPAN * dist(s, +-1) with |s| < 2 + q, so q < 3, and a
     # measured loss above _CANCEL_DIGITS besides; 200k draws met no such point.
     rng = random.Random(13)
-    wanted = {"laurent": 12, "far-field": 12}
+    wanted = {RegimeTag.LAURENT_SERIES: 12, RegimeTag.FAR_FIELD_CLOSED_FORM: 12}
     points = []
     for _ in range(2000):
         x, y, q = _box_point(rng, q_min=2.0, static_share=0.0)
         point = DimensionlessPoint(x, y, q)
-        strategy = _strategy(point)
-        if wanted.get(strategy, 0):
-            wanted[strategy] -= 1
+        tag = regime_select(point)
+        if wanted.get(tag, 0):
+            wanted[tag] -= 1
             points.append(point)
     assert not any(wanted.values()), wanted
     for point in points:
         got = chi_ratio(point).total
         want = chi_ratio_quadrature(point).total
-        assert abs(got - want) <= 1e-12 * abs(want), (point, _strategy(point))
+        assert abs(got - want) <= 1e-12 * abs(want), (point, regime_select(point))
+
+
+# The CSV method column is coarser than the tag: it names the strategy family.
+METHOD_OF_TAG = {
+    RegimeTag.PV_STATIC: EvalMethod.PV_STATIC,
+    RegimeTag.DIRECT_CLOSED_FORM: EvalMethod.CLOSED_FORM,
+    RegimeTag.FAR_FIELD_CLOSED_FORM: EvalMethod.CLOSED_FORM,
+    RegimeTag.TAYLOR_SERIES: EvalMethod.SERIES_SMALL_Q,
+    RegimeTag.LAURENT_SERIES: EvalMethod.SERIES_SMALL_Q,
+}
+
+
+def test_every_tag_occurs_and_names_the_strategy_that_ran():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(2000):
+        point = DimensionlessPoint(*_box_point(rng))
+        tag = regime_select(point)
+        seen.add(tag)
+        assert chi_ratio(point).method is METHOD_OF_TAG[tag], (point, tag)
+    assert seen == set(RegimeTag)
 
 
 # Frozen from the closed forms at 400 digits (mpmath); chi_ratio_quadrature
@@ -87,7 +104,7 @@ LARGE_Q_REFERENCES = [
 @pytest.mark.parametrize("coords, ref", LARGE_Q_REFERENCES)
 def test_far_field_closed_form_at_frozen_large_q_points(coords, ref):
     point = DimensionlessPoint(*coords)
-    assert _strategy(point) == "far-field"
+    assert regime_select(point) is RegimeTag.FAR_FIELD_CLOSED_FORM
     result = chi_ratio(point)
     assert result.method == EvalMethod.CLOSED_FORM
     assert abs(result.total - ref) <= 1e-12 * abs(ref)

@@ -11,8 +11,7 @@ import math
 import pytest
 
 from diamag.core import DimensionlessPoint, EvalMethod
-from diamag.errors import DomainError
-from diamag.kernel import chi_ratio, chi_series_small_q, eval_integrals
+from diamag.kernel import _laurent_result, chi_ratio, eval_integrals
 
 OVERLAP_WINDOW = [
     # (q, chi(0, 1e-6, q)) frozen at 60 digits
@@ -78,7 +77,7 @@ def test_asymptotic_and_direct_agree_in_overlap():
     # well-conditioned for the direct closed form
     point = DimensionlessPoint(x=0.0, y=4.0, q=1.2)
     direct = chi_ratio(point)
-    series = chi_series_small_q(point)
+    series = _laurent_result(point)
     assert direct.method == EvalMethod.CLOSED_FORM
     assert series.method == EvalMethod.SERIES_SMALL_Q
     assert abs(direct.total - series.total) <= 1e-11 * abs(direct.total)
@@ -92,7 +91,3 @@ def test_finite_frequency_asymptotic_value():
     assert abs(result.total - expected) < 1e-12 * abs(expected)
     assert abs(result.classic) > abs(result.quant)
 
-
-def test_series_outside_regime_rejected():
-    with pytest.raises(DomainError):
-        chi_series_small_q(DimensionlessPoint(x=0.1, y=0.1, q=0.5))

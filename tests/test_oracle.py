@@ -17,8 +17,6 @@ from diamag import (
     DimensionlessPoint,
     DomainError,
     ExtrapolationError,
-    KineticIntegrand,
-    NascentDelta,
     ValidationError,
     chi_from_kinetic,
     chi_quant_smallk,
@@ -26,9 +24,9 @@ from diamag import (
     chi_ratio_quadrature,
     chi_ratio_quadrature_reflected,
     j_integrals_nascent_delta,
-    richardson_extrapolate,
 )
 from diamag import oracle
+from diamag.oracle import KineticIntegrand, NascentDelta, richardson_extrapolate
 
 
 def rel(a: complex, b: complex) -> float:

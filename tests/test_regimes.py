@@ -4,8 +4,7 @@ import pytest
 
 from diamag import kernel
 from diamag.core import DimensionlessPoint, EvalMethod
-from diamag.errors import ConvergenceError, DomainError
-from diamag.kernel import RegimeTag, chi_ratio, chi_series_small_q, regime_select
+from diamag.kernel import RegimeTag, chi_ratio, regime_select
 
 
 def test_static_pv_window():
@@ -16,7 +15,7 @@ def test_static_pv_window():
 def test_smallq_static_series_window():
     assert (
         regime_select(DimensionlessPoint(0.0, 1e-8, 1e-4))
-        is RegimeTag.SMALLQ_STATIC_SERIES
+        is RegimeTag.TAYLOR_SERIES
     )
 
 
@@ -31,7 +30,7 @@ def test_large_s_window():
     # |s| = 60 > 50
     assert (
         regime_select(DimensionlessPoint(0.0, 60.0, 1.0))
-        is RegimeTag.LARGE_S_ASYMPTOTIC
+        is RegimeTag.LAURENT_SERIES
     )
 
 
@@ -65,7 +64,7 @@ def test_quant_suppression_forces_escalation_at_moderate_s():
     # at |s| = 8 the two quantum terms cancel to ~q^4/(5 y^4) of their size,
     # so the measured-loss guard reroutes the point
     p = DimensionlessPoint(0.0, 8.0, 1.0)
-    assert regime_select(p) is RegimeTag.LARGE_S_ASYMPTOTIC
+    assert regime_select(p) is RegimeTag.LAURENT_SERIES
 
 
 def test_cancellation_escalates_to_series():
@@ -87,24 +86,18 @@ def test_method_matches_regime_for_literal_windows():
 
 
 # |s| < 2 (1 + q/2): the Laurent series in q/z does not converge here
-# (|s|/(1 + q/2) = 0.0135 and 0.962), so neither way into it may be taken
+# (|s|/(1 + q/2) = 0.0135 and 0.962), so neither way into it may be taken,
+# and q exceeds what the Taylor series can serve
 OUTSIDE_LAURENT = [(0.0, 55276.0, 2857.0), (0.0, 754.0, 38.6)]
 
 
 @pytest.mark.parametrize("x, y, q", OUTSIDE_LAURENT)
 def test_points_outside_laurent_convergence_get_the_closed_form(x, y, q):
     point = DimensionlessPoint(x, y, q)
-    assert regime_select(point) is RegimeTag.DIRECT_CLOSED_FORM
+    assert regime_select(point) is RegimeTag.FAR_FIELD_CLOSED_FORM
     result = chi_ratio(point)
     assert result.method == EvalMethod.CLOSED_FORM
     assert result.err_est > 0.0
-
-
-@pytest.mark.parametrize("x, y, q", OUTSIDE_LAURENT)
-def test_series_entry_point_rejects_points_outside_both_branches(x, y, q):
-    with pytest.raises(DomainError) as info:
-        chi_series_small_q(DimensionlessPoint(x, y, q))
-    assert not isinstance(info.value, ConvergenceError)
 
 
 # |s| just above 2 (1 + q/2) and above _LARGE_S: the Laurent branch
@@ -124,7 +117,7 @@ LAURENT_EDGE = [
 @pytest.mark.parametrize("coords, classic, quant, err_est", LAURENT_EDGE)
 def test_laurent_edge_points_keep_their_branch_and_bits(coords, classic, quant, err_est):
     point = DimensionlessPoint(*coords)
-    assert regime_select(point) is RegimeTag.LARGE_S_ASYMPTOTIC
+    assert regime_select(point) is RegimeTag.LAURENT_SERIES
     result = chi_ratio(point)
     assert result.method == EvalMethod.SERIES_SMALL_Q
     assert (result.classic, result.quant, result.err_est) == (classic, quant, err_est)

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from diamag import CheckResult, render_report, run_verification
+from diamag import CheckResult, ValidationError, render_report, run_verification
+from diamag import verify
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,16 @@ def test_impossible_tolerance_fails_and_reports_counts():
     passed_count = sum(r.passed for r in results)
     assert f"{passed_count}/{len(results)} checks passed" in report
     assert any(line.startswith("FAIL ") for line in report.splitlines())
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_tolerance_is_rejected_before_any_check(tol, monkeypatch):
+    def first_check(bound):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_check_quadrature_grid", first_check)
+    with pytest.raises(ValidationError, match="tol"):
+        run_verification(tol=tol)
 
 
 def test_check_result_line_shape():
