@@ -25,7 +25,7 @@ from .core import (
     landau_chi_physical,
 )
 from .errors import DiamagError
-from .kernel import TermBreakdown, chi_ratio, eval_integrals, regime_select
+from .kernel import TermBreakdown, chi_ratio_detailed, eval_integrals
 from .sweep import (
     FIGURE1_Y_VALUES,
     OutputRow,
@@ -152,16 +152,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     point = DimensionlessPoint(x=args.x, y=args.y, q=args.q)
     # validates v_F before anything is printed
     chi_l = None if args.vf is None else landau_chi_physical(args.vf)
-    result = chi_ratio(point)
-    regime = regime_select(point).value
-    breakdown = _term_breakdown(point)
+    tag, result, breakdown = chi_ratio_detailed(point)
+    if breakdown is None or point.y == 0.0:
+        # the guard evaluated no closed form here; eval shows no terms at y = 0
+        breakdown = _term_breakdown(point)
     if args.fmt == "json":
-        payload = _eval_payload(point, result, regime, breakdown, args.vf, chi_l)
+        payload = _eval_payload(point, result, tag.value, breakdown, args.vf, chi_l)
         print(json.dumps(payload, indent=2))
         return 0
     print(f"point        x = {format_float(point.x)}  y = {format_float(point.y)}"
           f"  q = {format_float(point.q)}")
-    print(f"regime       {regime}")
+    print(f"regime       {tag.value}")
     print(f"method       {result.method.value}")
     print(f"chi_classic  {_fmt_complex(result.classic)}")
     print(f"chi_quant    {_fmt_complex(result.quant)}")

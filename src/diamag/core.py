@@ -163,9 +163,11 @@ class ChiResult:
     quant   : the quantum contribution that survives the static limit
     total   : classic + quant, exactly, by construction
     method  : numerical strategy actually used
-    err_est : strategy error bound; 0 for exact closed forms, a truncation
-              bound for series, the quadrature estimate for oracles. Only
-              the mpmath quadrature oracle adds a rounding bound to it.
+    err_est : strategy error bound; a truncation bound for series, and for
+              the closed form the bounds of the pieces it summed as series
+              (0 when every piece came from its closed form, and for the
+              static principal value); the quadrature estimate for oracles.
+              Only the mpmath quadrature oracle adds a rounding bound to it.
     """
 
     classic: complex

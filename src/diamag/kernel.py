@@ -27,20 +27,19 @@ The classical term vanishes identically at x = 0. The quantum pair is a
 difference of terms of size 3/q^2 * O(max(1, |s|^2)) that cancel to O(1) or
 far below, so small q or large |s| destroys the closed form in double
 precision. Large q does too: g(s -+ q/2) is then a difference of terms of
-size |s -+ q/2|^3 that cancel to O(1/|s -+ q/2|). Four evaluations cover that
-ground, and with the plain closed form they make the five strategies that
-RegimeTag names:
+size |s -+ q/2|^3 that cancel to O(1/|s -+ q/2|). The four strategies that
+RegimeTag names cover that ground:
 
+  * the closed form, which takes each piece whose argument has modulus >= 3
+    from its expansion in 1/sigma, where the cancelling orders drop out
+    symbolically, and every other piece from its closed form,
   * static principal value at x = y = 0 (its own real formula),
   * a shifted-difference Taylor series in q for moderate s (the two shifted
     antiderivative evaluations are expanded about s, and the leading order
     cancels the middle term exactly, term by term),
   * a Laurent series in q/z for large |s|, whose 1/z^2 and q^2/z^4 orders
     cancel symbolically so only the true residual is summed; it converges
-    only for |s| > 1 + q/2 and is used only where |s| >= 2 (1 + q/2),
-  * a far-field form of the closed form for large q, which sums each piece
-    whose argument has modulus >= 3 from its expansion in 1/sigma, where the
-    cancelling orders drop out symbolically.
+    only for |s| > 1 + q/2 and is used only where |s| >= 2 (1 + q/2).
 
 Regime choice is deterministic in (x, y, q): literal thresholds first, then a
 measured-cancellation escalation (intermediate magnitude over the computed
@@ -64,18 +63,16 @@ __all__ = [
     "branch_log_L",
     "eval_integrals",
     "chi_ratio",
+    "chi_ratio_detailed",
     "chi_static_pv",
     "regime_select",
 ]
 
 _TINY = 1e-300
 # |sigma| at and above which the far-field series replace the closed-form
-# pieces: their terms then fall by at least 9x per order
+# pieces: their terms then fall by at least 9x per order, while the closed
+# forms cancel digits there that the guard does not see
 _FAR_MIN = 3.0
-# above this q the far-field form also replaces the plain closed form where
-# the latter passes the cancellation guard: s + q/2 then grows with q, and the
-# log difference inside g cancels further digits that the guard does not see
-_FAR_Q_MIN = 2.0
 # |s| above which the Laurent branch is taken at once where it converges,
 # without measuring the closed form's cancellation first
 _LARGE_S = 50.0
@@ -98,8 +95,7 @@ class RegimeTag(enum.Enum):
     """The evaluation strategy that serves a point. One tag per point."""
 
     PV_STATIC = "pv-static"
-    DIRECT_CLOSED_FORM = "direct-closed-form"
-    FAR_FIELD_CLOSED_FORM = "far-field-closed-form"
+    CLOSED_FORM = "closed-form"
     TAYLOR_SERIES = "taylor-series"
     LAURENT_SERIES = "laurent-series"
 
@@ -110,9 +106,9 @@ class TermBreakdown:
 
     term1 = -(3x/q^2) I1 is the classical contribution (0 exactly at x = 0),
     term2 = (3/q) I2 and term3 = (3/4) I3 sum to the quantum contribution.
-    On well-conditioned (direct-regime) points term1 + term2 + term3 agrees
-    with chi_ratio's total to 1e-14 relative; inside cancellation regimes the
-    raw sum is exactly what the series strategies exist to replace.
+    On well-conditioned closed-form points term1 + term2 + term3 agrees with
+    chi_ratio's total to 1e-14 relative; inside cancellation regimes the raw
+    sum is exactly what the series strategies exist to replace.
     """
 
     I1: complex
@@ -188,11 +184,12 @@ def _antiderivative_far(sigma: complex) -> tuple:
     return -16.0 * u * acc, tail
 
 
-def _antiderivative_piece(sigma: complex) -> tuple:
-    """g(sigma) and its truncation bound: the series far out, else the closed form."""
+def _antiderivative_piece(sigma: complex, closed) -> tuple:
+    """g(sigma) and its truncation bound: the series far out, else the closed
+    form, which is `closed` where the caller already evaluated it."""
     if abs(sigma) >= _FAR_MIN:
         return _antiderivative_far(sigma)
-    return _antiderivative_with_peak(sigma)[0], 0.0
+    return (_antiderivative_with_peak(sigma)[0] if closed is None else closed), 0.0
 
 
 def eval_integrals(z: complex, q: float) -> TermBreakdown:
@@ -209,7 +206,7 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
     _reject_pole_on_contour(z.real, z.imag, q)
-    return _direct_pieces(z, q)[0]
+    return _breakdown(z.real, q, _closed_pieces(z, q)[0])
 
 
 def _reject_pole_on_contour(x: float, y: float, q: float) -> None:
@@ -234,41 +231,51 @@ def _reject_pole_on_contour(x: float, y: float, q: float) -> None:
         )
 
 
-def _direct_pieces(z: complex, q: float) -> tuple:
-    """Shared closed-form evaluation.
-
-    Returns (TermBreakdown, peak intermediate size, bracket_log, g_plus),
-    where bracket_log = s (1 - s^2) L(s) and g_plus = g(s + q/2) are kept for
-    the real-valued assembly on the x = 0 line. The peak scans every summand
-    that feeds the quantum sum, at all three assembly levels (the
-    middle-integral bracket, the two antiderivative values, and the summands
-    inside each antiderivative), all already scaled by their 1/q weights.
-    """
-    x = z.real
-    s = z / q
-    a = 0.5 * q
+def _first_integral_closed(s: complex, q: float) -> tuple:
+    """(I1, bracket, bracket_log) from the closed forms, where bracket =
+    q I2 = 4/3 + z I1 and bracket_log = s (1 - s^2) L(s) is its log term."""
     Ls = branch_log_L(s)
     one_ms2 = 1.0 - s * s
     bracket_log = s * one_ms2 * Ls
-    I1 = (-2.0 * s + one_ms2 * Ls) / q
-    I2 = (4.0 / 3.0 - 2.0 * s * s + bracket_log) / q
+    return (-2.0 * s + one_ms2 * Ls) / q, 4.0 / 3.0 - 2.0 * s * s + bracket_log, bracket_log
+
+
+def _closed_pieces(z: complex, q: float) -> tuple:
+    """Every closed-form piece at z and the digits their quantum sum cancels.
+
+    Returns ((I1, bracket, g_plus, g_minus), lost digits), with
+    g_-+ = g(s -+ q/2). The lost digits are log10 of the peak intermediate
+    size over the quantum sum. The peak scans every summand that feeds the
+    quantum sum, at all three assembly levels (the middle-integral bracket,
+    the two antiderivative values, and the summands inside each
+    antiderivative), all already scaled by their 1/q weights.
+    """
+    s = z / q
+    a = 0.5 * q
+    I1, bracket, bracket_log = _first_integral_closed(s, q)
     g_plus, peak_plus = _antiderivative_with_peak(s + a)
     g_minus, peak_minus = _antiderivative_with_peak(s - a)
-    I3 = (g_plus - g_minus) / q**3
-    term1 = complex(0.0) if x == 0.0 else -3.0 * x / (q * q) * I1
-    breakdown = TermBreakdown(
-        I1=I1,
-        I2=I2,
-        I3=I3,
-        term1=term1,
-        term2=3.0 / q * I2,
-        term3=0.75 * I3,
-    )
     peak = max(
         3.0 / (q * q) * max(4.0 / 3.0, 2.0 * abs(s * s), abs(bracket_log)),
         0.75 / q**3 * max(peak_plus, peak_minus, abs(g_plus), abs(g_minus)),
     )
-    return breakdown, peak, bracket_log, g_plus
+    quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q**3)
+    return (I1, bracket, g_plus, g_minus), math.log10(peak / max(abs(quant), _TINY))
+
+
+def _breakdown(x: float, q: float, closed: tuple) -> TermBreakdown:
+    """The integrals and weighted terms from the closed-form pieces."""
+    I1, bracket, g_plus, g_minus = closed
+    I2 = bracket / q
+    I3 = (g_plus - g_minus) / q**3
+    return TermBreakdown(
+        I1=I1,
+        I2=I2,
+        I3=I3,
+        term1=complex(0.0) if x == 0.0 else -3.0 * x / (q * q) * I1,
+        term2=3.0 / q * I2,
+        term3=0.75 * I3,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +518,18 @@ def _taylor_converges(s: complex, q: float) -> bool:
 
 
 def _classify(point: DimensionlessPoint) -> tuple:
-    """Deterministic regime choice; returns (RegimeTag, direct pieces|None).
+    """Deterministic regime choice; returns (RegimeTag, closed pieces|None).
 
     Raises PoleError first for a pole on the contour. The x = y = 0 point is
     PV_STATIC at every q, and the static series window x = 0,
     q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways into
     LAURENT_SERIES, the literal window |s| > _LARGE_S and the escalation of a
     closed form that loses more than _CANCEL_DIGITS digits at
-    |s| >= _SERIES_S_MIN, require _laurent_converges. A point that fails it,
-    and also fails the Taylor condition, gets FAR_FIELD_CLOSED_FORM when it
-    is in the large-|s| window or its closed form cancels. Above
-    q = _FAR_Q_MIN the far-field form also takes the points the plain closed
-    form (DIRECT_CLOSED_FORM) would serve. The pieces are the closed form's
-    evaluation where the guard measured it, reused by DIRECT_CLOSED_FORM.
+    |s| >= _SERIES_S_MIN, require _laurent_converges. The cancellation guard
+    runs only where a series could take the point; every other point, and
+    every point that the guard passes or that no series can serve, gets
+    CLOSED_FORM. The closed pieces are those the guard evaluated, for the
+    evaluators to reuse.
     """
     x, y, q = point.x, point.y, point.q
     _reject_pole_on_contour(x, y, q)
@@ -537,24 +543,14 @@ def _classify(point: DimensionlessPoint) -> tuple:
     if s_abs > _LARGE_S and laurent:
         return RegimeTag.LAURENT_SERIES, None
     taylor = _taylor_converges(s, q)
-    pieces = None
-    if s_abs <= _LARGE_S and (laurent or taylor or q <= _FAR_Q_MIN):
-        # the cancellation guard picks between the closed form and a series;
-        # where neither series may serve above _FAR_Q_MIN, every outcome of
-        # the guard leads to the far-field form, so it is skipped there
-        pieces = _direct_pieces(point.z, q)
-        breakdown, peak = pieces[0], pieces[1]
-        quant = breakdown.term2 + breakdown.term3
-        lost_digits = math.log10(peak / max(abs(quant), _TINY))
-        if not lost_digits > _CANCEL_DIGITS:
-            if q <= _FAR_Q_MIN:
-                return RegimeTag.DIRECT_CLOSED_FORM, pieces
-            return RegimeTag.FAR_FIELD_CLOSED_FORM, pieces
-        if s_abs >= _SERIES_S_MIN and laurent:
-            return RegimeTag.LAURENT_SERIES, pieces
-    if taylor:
-        return RegimeTag.TAYLOR_SERIES, pieces
-    return RegimeTag.FAR_FIELD_CLOSED_FORM, pieces
+    if s_abs > _LARGE_S or not (laurent or taylor):
+        return RegimeTag.CLOSED_FORM, None
+    closed, lost_digits = _closed_pieces(point.z, q)
+    if not lost_digits > _CANCEL_DIGITS:
+        return RegimeTag.CLOSED_FORM, closed
+    if s_abs >= _SERIES_S_MIN and laurent:
+        return RegimeTag.LAURENT_SERIES, closed
+    return (RegimeTag.TAYLOR_SERIES if taylor else RegimeTag.CLOSED_FORM), closed
 
 
 def regime_select(point: DimensionlessPoint) -> RegimeTag:
@@ -563,55 +559,40 @@ def regime_select(point: DimensionlessPoint) -> RegimeTag:
     Literal windows come first: the static principal value at x = y = 0, the
     static Taylor series for x = 0 with q below _SMALLQ_Q_MAX and y below
     _SMALLQ_BETA * q, and the Laurent series for |s| above _LARGE_S.
-    Otherwise the closed form is evaluated and escalated to a series when its
-    measured cancellation exceeds _CANCEL_DIGITS decimal digits (boundary
-    values stay with the closed form; all comparisons are strict). The
-    Laurent series is taken only where it converges, |s| >= 2 (1 + q/2); a
-    point outside it that the Taylor series cannot serve either gets the
-    far-field closed form, as does every closed-form point with q > 2.
+    Where a series converges, the closed form is evaluated and escalated to
+    it when its measured cancellation exceeds _CANCEL_DIGITS decimal digits
+    (boundary values stay with the closed form; all comparisons are strict).
+    The Laurent series is taken only where it converges, |s| >= 2 (1 + q/2).
+    Every other point gets the closed form, which sums its large-argument
+    pieces as series.
 
     Raises PoleError for a collisionless point with a pole on the contour.
     """
     return _classify(point)[0]
 
 
-def _direct_result(point: DimensionlessPoint, pieces: tuple) -> ChiResult:
-    breakdown, _, bracket_log, g_plus = pieces
-    x, q = point.x, point.q
-    if x == 0.0:
-        # assemble from real parts: the quantum part is exactly real here and
-        # the shifted-difference bracket reduces to twice a real part
-        s = point.s
-        bracket = 4.0 / 3.0 - 2.0 * (s * s).real + bracket_log.real
-        shifted = 2.0 * g_plus.real
-        quant = complex(3.0 / (q * q) * bracket + 0.75 * shifted / q**3, 0.0)
-        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.CLOSED_FORM, 0.0)
-    quant = _compensated_pair(breakdown.term2, breakdown.term3)
-    return ChiResult.from_parts(breakdown.term1, quant, EvalMethod.CLOSED_FORM, 0.0)
-
-
-def _far_field_result(
-    point: DimensionlessPoint, method: EvalMethod = EvalMethod.CLOSED_FORM
+def _closed_form_result(
+    point: DimensionlessPoint, closed, method: EvalMethod = EvalMethod.CLOSED_FORM
 ) -> ChiResult:
-    """The closed form with its large-argument pieces summed as series.
+    """The closed form, with its large-argument pieces summed as series.
 
-        chi/chi_L = -(3x/q^2) I1 + (3/q^2) bracket
-                    + (3/(4q^3)) (g(s + q/2) - g(s - q/2)),
+        chi/chi_L = -(3x/q^2) I1 + (3/q) (bracket/q)
+                    + (3/4) (g(s + q/2) - g(s - q/2))/q^3,
 
     with bracket = q I2 = 4/3 + z I1. A piece whose argument has modulus
     >= _FAR_MIN comes from its series: g from _antiderivative_far, I1 and the
     bracket from _first_integral_series (summed from j >= 1 for the bracket,
-    so its 4/3 cancels symbolically). Smaller arguments keep the closed-form
-    piece. This serves the points outside the Laurent branch's reach where the
-    closed form cancels, and every closed-form point above q = _FAR_Q_MIN:
-    there the closed form cancels in g(s -+ q/2) and, at large |s|, in I1 and
-    the bracket. It also serves the static point x = y = 0 above q = 2,
-    where the caller passes method PV_STATIC. err_est is the weighted sum of
-    the series truncation bounds.
+    so its 4/3 cancels symbolically). Every other piece comes from its closed
+    form, taken from `closed` where the cancellation guard already evaluated
+    it. The static point x = y = 0 above q = 2 comes here too, with method
+    PV_STATIC. err_est is the weighted sum of the series truncation bounds,
+    0 when every piece came from its closed form.
     """
     x, q = point.x, point.q
     z, s = point.z, point.s
+    I1, bracket, g_plus, g_minus = closed or (None, None, None, None)
     weight = 3.0 / (q * q)
+    bracket_err = I1_err = 0.0
     if abs(s) >= _FAR_MIN:
         w = (q / z) ** 2
         tail, last = _first_integral_series(w, 0.0)
@@ -620,21 +601,17 @@ def _far_field_result(
         bracket = -tail
         I1 = -(4.0 / 3.0 + tail) / z
         I1_err = bracket_err / abs(z)
-    else:
-        Ls = branch_log_L(s)
-        one_ms2 = 1.0 - s * s
-        bracket = 4.0 / 3.0 - 2.0 * s * s + s * one_ms2 * Ls
-        I1 = (-2.0 * s + one_ms2 * Ls) / q
-        bracket_err = I1_err = 0.0
-    g_plus, err_plus = _antiderivative_piece(s + 0.5 * q)
+    elif closed is None:
+        I1, bracket, _ = _first_integral_closed(s, q)
+    g_plus, err_plus = _antiderivative_piece(s + 0.5 * q, g_plus)
     if x == 0.0:
         # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
         quant = weight * bracket.real + 1.5 * g_plus.real / q**3
         err_est = weight * bracket_err + 1.5 * err_plus / q**3
         return ChiResult.from_parts(complex(0.0), complex(quant, 0.0), method, err_est)
-    g_minus, err_minus = _antiderivative_piece(s - 0.5 * q)
+    g_minus, err_minus = _antiderivative_piece(s - 0.5 * q, g_minus)
     classic = -3.0 * x / (q * q) * I1
-    quant = _compensated_pair(weight * bracket, 0.75 / q**3 * (g_plus - g_minus))
+    quant = _compensated_pair(3.0 / q * (bracket / q), 0.75 * ((g_plus - g_minus) / q**3))
     err_est = x * weight * I1_err + weight * bracket_err + 0.75 / q**3 * (err_plus + err_minus)
     return ChiResult.from_parts(classic, quant, method, err_est)
 
@@ -647,19 +624,19 @@ def _compensated_pair(a: complex, b: complex) -> complex:
     return s + err
 
 
-def _taylor_result(point: DimensionlessPoint) -> ChiResult:
+def _taylor_result(point: DimensionlessPoint, closed) -> ChiResult:
     """The shifted-difference Taylor series about s for the quantum part.
 
     Exact in beta = y/q; on the static line it reduces to 1 - q^2/20 - ... .
-    The classical part keeps its closed form, which does not cancel here.
-    err_est carries the series' truncation bound.
+    The classical part keeps its closed form (the guard's I1 where it ran),
+    which does not cancel here. err_est carries the series' truncation bound.
     """
     x, q, s = point.x, point.q, point.s
     quant, err_est = _quant_taylor_shift(s, q)
     if x == 0.0:
         quant = complex(quant.real, 0.0)
         return ChiResult.from_parts(complex(0.0), quant, EvalMethod.SERIES_SMALL_Q, err_est)
-    I1 = (-2.0 * s + (1.0 - s * s) * branch_log_L(s)) / q
+    I1 = closed[0] if closed else _first_integral_closed(s, q)[0]
     classic = -3.0 * x / (q * q) * I1
     return ChiResult.from_parts(classic, quant, EvalMethod.SERIES_SMALL_Q, err_est)
 
@@ -681,29 +658,42 @@ def _laurent_result(point: DimensionlessPoint) -> ChiResult:
     return ChiResult.from_parts(classic, quant, EvalMethod.SERIES_SMALL_Q, quant_err + classic_err)
 
 
+def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
+    """Run the evaluator that `tag` names."""
+    if tag is RegimeTag.PV_STATIC:
+        if point.q > 2.0:
+            # no principal value is involved once the poles leave [-1, 1]
+            return _closed_form_result(point, None, EvalMethod.PV_STATIC)
+        quant = complex(chi_static_pv(point.q), 0.0)
+        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.PV_STATIC, 0.0)
+    if tag is RegimeTag.CLOSED_FORM:
+        return _closed_form_result(point, closed)
+    if tag is RegimeTag.TAYLOR_SERIES:
+        return _taylor_result(point, closed)
+    return _laurent_result(point)
+
+
 def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio chi/chi_L with automatic regime handling.
 
     classic and quant are the two physical contributions; total is their sum
     exactly. method records the strategy actually used and err_est its
-    truncation bound (0 for the plain closed form and the principal value,
-    the series bounds for the far-field closed form, which also serves the
-    static point above q = 2, and for the series branches).
+    truncation bound: 0 for the principal value, the bounds of the pieces
+    the closed form summed as series (0 if none), and the series bounds for
+    the series branches.
 
     Raises PoleError for collisionless points with a pole on the contour
     (y = 0 with 0 < x unless every pole is outside the interval).
     """
-    tag, pieces = _classify(point)
-    if tag is RegimeTag.PV_STATIC:
-        if point.q > 2.0:
-            # no principal value is involved once the poles leave [-1, 1]
-            return _far_field_result(point, EvalMethod.PV_STATIC)
-        quant = complex(chi_static_pv(point.q), 0.0)
-        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.PV_STATIC, 0.0)
-    if tag is RegimeTag.DIRECT_CLOSED_FORM:
-        return _direct_result(point, pieces)
-    if tag is RegimeTag.FAR_FIELD_CLOSED_FORM:
-        return _far_field_result(point)
-    if tag is RegimeTag.TAYLOR_SERIES:
-        return _taylor_result(point)
-    return _laurent_result(point)
+    return _result(point, *_classify(point))
+
+
+def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
+    """(RegimeTag, ChiResult, TermBreakdown|None) from one regime choice.
+
+    The breakdown is the closed form's evaluation where the cancellation
+    guard measured it, else None.
+    """
+    tag, closed = _classify(point)
+    breakdown = None if closed is None else _breakdown(point.x, point.q, closed)
+    return tag, _result(point, tag, closed), breakdown

@@ -54,7 +54,7 @@ class SweepSpec:
 
     axis    : which coordinate varies, one of "q", "x", "y"
     lo, hi  : sweep bounds, lo < hi
-    points  : grid size, at least 2
+    points  : grid size, an int of at least 2
     spacing : "log" (requires lo > 0) or "linear"
     fixed_x, fixed_y, fixed_q : values for the non-swept coordinates; the
         entry matching `axis` is ignored and may be left at its default
@@ -84,6 +84,8 @@ class SweepSpec:
             raise ValidationError(
                 f"sweep requires lo < hi, got [{self.lo}, {self.hi}]"
             )
+        if isinstance(self.points, bool) or not isinstance(self.points, int):
+            raise ValidationError(f"sweep points must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValidationError(f"sweep needs at least 2 points, got {self.points}")
         if self.spacing == "log" and self.lo <= 0.0:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from diamag import DimensionlessPoint, chi_ratio, landau_chi_physical
+from diamag import DimensionlessPoint, chi_ratio, eval_integrals, kernel, landau_chi_physical
 from diamag.cli import main
 from diamag.sweep import CSV_HEADER
 
@@ -29,12 +29,30 @@ def test_eval_json_payload(capsys):
     assert payload["chi_total_re"] == want.total.real
     assert payload["chi_total_im"] == want.total.imag
     assert payload["method"] == want.method.value
-    assert payload["regime"] == "direct-closed-form"
+    assert payload["regime"] == "closed-form"
     assert set(payload["terms"]) == {"I1", "I2", "I3", "term1", "term2", "term3"}
     total_from_terms = complex(*payload["terms"]["term2"]) + complex(
         *payload["terms"]["term3"]
     ) + complex(*payload["terms"]["term1"])
     assert abs(total_from_terms - want.total) < 1e-12 * abs(want.total)
+
+
+@pytest.mark.parametrize("x, y, q", [(0.1, 0.1, 0.5), (0.0, 80.0, 1.0)])
+def test_eval_chooses_the_regime_and_evaluates_the_closed_form_once(x, y, q, capsys, monkeypatch):
+    # the first point passes the cancellation guard, whose closed-form terms
+    # are printed; the second is a literal Laurent point, where no guard runs
+    calls = {"_classify": 0, "_closed_pieces": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(kernel, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(kernel, name, counted)
+    args = ["eval", "--x", str(x), "--y", str(y), "--q", str(q), "--json"]
+    assert main(args) == 0
+    assert calls == {"_classify": 1, "_closed_pieces": 1}
+    payload = json.loads(capsys.readouterr().out)
+    terms = eval_integrals(complex(x, y), q)
+    assert payload["terms"] == {name: [v.real, v.imag] for name, v in vars(terms).items()}
 
 
 def test_eval_json_row_equals_the_csv_row(tmp_path, capsys):

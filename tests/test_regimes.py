@@ -22,7 +22,7 @@ def test_smallq_static_series_window():
 def test_direct_window():
     assert (
         regime_select(DimensionlessPoint(0.1, 0.1, 0.5))
-        is RegimeTag.DIRECT_CLOSED_FORM
+        is RegimeTag.CLOSED_FORM
     )
 
 
@@ -94,7 +94,7 @@ OUTSIDE_LAURENT = [(0.0, 55276.0, 2857.0), (0.0, 754.0, 38.6)]
 @pytest.mark.parametrize("x, y, q", OUTSIDE_LAURENT)
 def test_points_outside_laurent_convergence_get_the_closed_form(x, y, q):
     point = DimensionlessPoint(x, y, q)
-    assert regime_select(point) is RegimeTag.FAR_FIELD_CLOSED_FORM
+    assert regime_select(point) is RegimeTag.CLOSED_FORM
     result = chi_ratio(point)
     assert result.method == EvalMethod.CLOSED_FORM
     assert result.err_est > 0.0

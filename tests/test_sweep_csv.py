@@ -48,6 +48,9 @@ def test_csv_header_is_frozen():
         dict(axis="q", lo=0.1, hi=math.inf, points=5),
         dict(axis="x", lo=0.1, hi=1.0, points=5, fixed_q=0.0),
         dict(axis="q", lo=0.1, hi=1.0, points=5, fixed_y=-1.0),
+        dict(axis="q", lo=1.0, hi=2.0, points=2.5),
+        dict(axis="q", lo=1.0, hi=2.0, points="3"),
+        dict(axis="q", lo=1.0, hi=2.0, points=True),
     ],
 )
 def test_sweep_spec_rejects_bad_input(kwargs):
