@@ -90,7 +90,6 @@ __all__ = [
     "chi_quant_smallk",
     "chi_ratio",
     "chi_ratio_quadrature",
-    "chi_ratio_quadrature_reflected",
     "chi_ratio_to_absolute",
     "chi_static_pv",
     "eval_integrals",
@@ -119,7 +118,6 @@ _ORACLE_NAMES = frozenset({
     "chi_from_kinetic",
     "chi_quant_smallk",
     "chi_ratio_quadrature",
-    "chi_ratio_quadrature_reflected",
     "j_integrals_nascent_delta",
 })
 

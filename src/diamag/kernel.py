@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +90,12 @@ _TAYLOR_SPAN = 0.5
 # where the closed form loses about 3 log10(1/q) > 9 digits
 _SMALLQ_Q_MAX = 1e-3
 _SMALLQ_BETA = 1e-3
+# term caps of the series, far above what any point they serve needs; a
+# series that reaches one raises ConvergenceError
+_TAYLOR_MAX_TERMS = 60
+_FIRST_SERIES_MAX_TERMS = 400
+_LAURENT_MAX_OUTER = 200
+_LAURENT_MAX_INNER = 400
 
 
 class RegimeTag(enum.Enum):
@@ -117,6 +124,28 @@ class TermBreakdown:
     term1: complex
     term2: complex
     term3: complex
+
+
+def _double_range(func):
+    """Raise DomainError where func overflows or divides by zero.
+
+    The kernel's public entry points work in double precision. Far out in
+    the accepted domain (|x|, y or q beyond about 1e+-100) an intermediate
+    such as sigma^3 or q^-3 leaves its range; the point is then outside
+    what the kernel serves, which DomainError says instead of a bare
+    OverflowError or ZeroDivisionError.
+    """
+
+    @functools.wraps(func)
+    def checked(*args):
+        try:
+            return func(*args)
+        except ArithmeticError as exc:
+            raise DomainError(
+                f"{func.__name__}: the point is beyond double-precision range ({exc})"
+            ) from exc
+
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +221,15 @@ def _antiderivative_piece(sigma: complex, closed) -> tuple:
     return (_antiderivative_with_peak(sigma)[0] if closed is None else closed), 0.0
 
 
+@_double_range
 def eval_integrals(z: complex, q: float) -> TermBreakdown:
     """Closed forms of the three angular integrals at z = x + iy, wave number q.
 
     Valid for Im(z) > 0, and on the real axis when every pole lies strictly
     outside [-1, 1] (the x = 0 static line is served by chi_static_pv, but the
     boundary-value closed forms are still well defined there and equal the
-    y -> 0+ limit).
+    y -> 0+ limit). Raises DomainError where the closed forms leave double
+    precision range, as at large |s|.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be finite and > 0")
@@ -363,7 +394,7 @@ def _antiderivative_odd_derivatives(s: complex, count: int) -> list:
     return out
 
 
-def _quant_taylor_shift(s: complex, q: float, max_terms: int = 60) -> tuple:
+def _quant_taylor_shift(s: complex, q: float) -> tuple:
     """Quantum part via the shifted-difference Taylor series about s.
 
     Expanding the two antiderivative evaluations at s -+ q/2 about s, the
@@ -378,7 +409,7 @@ def _quant_taylor_shift(s: complex, q: float, max_terms: int = 60) -> tuple:
     dist = min(abs(s - 1.0), abs(s + 1.0))
     ratio = (q / (2.0 * dist)) ** 2
     # grow the derivative table on demand; every selected point exits within
-    # a few terms of m = 17/(2 log10(1/ratio)), far below max_terms
+    # a few terms of m = 17/(2 log10(1/ratio)), far below _TAYLOR_MAX_TERMS
     count = 8
     derivs = _antiderivative_odd_derivatives(s, count)
     total = complex(0.0)
@@ -388,9 +419,9 @@ def _quant_taylor_shift(s: complex, q: float, max_terms: int = 60) -> tuple:
     fact = 6.0
     qpow = 1.0
     fourpow = 4.0
-    for m in range(1, max_terms + 1):
+    for m in range(1, _TAYLOR_MAX_TERMS + 1):
         if m > count:
-            count = min(2 * count, max_terms)
+            count = min(2 * count, _TAYLOR_MAX_TERMS)
             derivs = _antiderivative_odd_derivatives(s, count)
         term = 0.75 * qpow * derivs[m - 1] / (fourpow * fact)
         total, comp = _neumaier_add(total, comp, term)
@@ -406,14 +437,14 @@ def _quant_taylor_shift(s: complex, q: float, max_terms: int = 60) -> tuple:
         fact *= (2 * m + 2) * (2 * m + 3)
     else:
         raise ConvergenceError(
-            "shifted-difference series did not converge", total + comp, last, max_terms
+            "shifted-difference series did not converge", total + comp, last, _TAYLOR_MAX_TERMS
         )
     total += comp
     tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else last
     return total, 4.0 * tail
 
 
-def _quant_laurent(z: complex, q: float, max_outer: int = 200, max_inner: int = 400) -> tuple:
+def _quant_laurent(z: complex, q: float) -> tuple:
     """Quantum part via the large-|s| Laurent double series.
 
     The quantum integrals expand in powers of (q/z)^2 and q^4/(4 z^2); the
@@ -436,17 +467,19 @@ def _quant_laurent(z: complex, q: float, max_outer: int = 200, max_inner: int = 
     rm = r / 15.0
     last_inner = 0.0
     small_streak = 0
-    for m in range(1, max_outer + 1):
+    for m in range(1, _LAURENT_MAX_OUTER + 1):
         tmj = rm
         inner = tmj
         icomp = complex(0.0)
-        for j in range(max_inner):
+        for j in range(_LAURENT_MAX_INNER):
             tmj *= w * ((2 * j + 2 * m + 3) * (2 * j + 2 * m + 2)) / ((2 * j + 2) * (2 * j + 7))
             inner, icomp = _neumaier_add(inner, icomp, tmj)
             if abs(tmj) <= 1e-17 * max(abs(inner), abs(total), _TINY):
                 break
         else:
-            raise ConvergenceError("Laurent inner series stalled", total, abs(inner), max_inner)
+            raise ConvergenceError(
+                "Laurent inner series stalled", total, abs(inner), _LAURENT_MAX_INNER
+            )
         inner += icomp
         total, comp = _neumaier_add(total, comp, inner)
         last_inner = abs(inner)
@@ -458,13 +491,15 @@ def _quant_laurent(z: complex, q: float, max_outer: int = 200, max_inner: int = 
             small_streak = 0
         rm *= r
     else:
-        raise ConvergenceError("Laurent outer series stalled", total, last_inner, max_outer)
+        raise ConvergenceError(
+            "Laurent outer series stalled", total, last_inner, _LAURENT_MAX_OUTER
+        )
     total += comp
     prefactor = 12.0 / (z * z)
     return prefactor * total, 4.0 * abs(prefactor) * last_inner
 
 
-def _first_integral_series(w: complex, head: complex, max_terms: int = 400) -> tuple:
+def _first_integral_series(w: complex, head: complex) -> tuple:
     """head + sum_{j>=1} (4 / ((2j+1)(2j+3))) w^j, with w = (q/z)^2.
 
     With head = 4/3 this is -z I1; with head = 0 it is minus the middle
@@ -481,7 +516,7 @@ def _first_integral_series(w: complex, head: complex, max_terms: int = 400) -> t
         j += 1
         if abs(term) <= 1e-17 * max(abs(total), _TINY):
             break
-        if j >= max_terms:
+        if j >= _FIRST_SERIES_MAX_TERMS:
             raise ConvergenceError("first-integral Laurent series stalled", total, abs(term), j)
     return total + comp, term
 
@@ -553,6 +588,7 @@ def _classify(point: DimensionlessPoint) -> tuple:
     return (RegimeTag.TAYLOR_SERIES if taylor else RegimeTag.CLOSED_FORM), closed
 
 
+@_double_range
 def regime_select(point: DimensionlessPoint) -> RegimeTag:
     """Pick the evaluation strategy for a point. Deterministic in (x, y, q).
 
@@ -566,7 +602,8 @@ def regime_select(point: DimensionlessPoint) -> RegimeTag:
     Every other point gets the closed form, which sums its large-argument
     pieces as series.
 
-    Raises PoleError for a collisionless point with a pole on the contour.
+    Raises PoleError for a collisionless point with a pole on the contour,
+    and DomainError where the point is beyond double-precision range.
     """
     return _classify(point)[0]
 
@@ -673,6 +710,7 @@ def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
     return _laurent_result(point)
 
 
+@_double_range
 def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio chi/chi_L with automatic regime handling.
 
@@ -683,16 +721,19 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     the series branches.
 
     Raises PoleError for collisionless points with a pole on the contour
-    (y = 0 with 0 < x unless every pole is outside the interval).
+    (y = 0 with 0 < x unless every pole is outside the interval), and
+    DomainError where an intermediate overflows or divides by zero in double
+    precision, which happens only far outside |x|, y, q in 1e+-100.
     """
     return _result(point, *_classify(point))
 
 
+@_double_range
 def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
     """(RegimeTag, ChiResult, TermBreakdown|None) from one regime choice.
 
     The breakdown is the closed form's evaluation where the cancellation
-    guard measured it, else None.
+    guard measured it, else None. Raises as chi_ratio does.
     """
     tag, closed = _classify(point)
     breakdown = None if closed is None else _breakdown(point.x, point.q, closed)

@@ -41,7 +41,6 @@ __all__ = [
     "JIntegrals",
     "NascentDelta",
     "chi_ratio_quadrature",
-    "chi_ratio_quadrature_reflected",
     "chi_from_kinetic",
     "chi_quant_smallk",
     "j_integrals_nascent_delta",
@@ -303,22 +302,40 @@ def _contour_sums(x: float, y: float, q: float):
     return level_sums
 
 
+def _removable_peak(pole: complex, q: float):
+    """A bound on |(1 - t^2)/(q t - pole)| along the path, for Im pole >= 0.
+
+    With t0 = pole/q, |1 - t^2| <= |1 - t0^2| + |t - t0| |t + t0| and |t| <= 1
+    on the path, so the quotient is at most |1 - t0^2|/d + (1 + |t0|)/q, d the
+    pole's distance to the path in g = q t. The path leaves t = -+1 at 45
+    degrees below the axis, so d >= q min|t0 -+ 1|/sqrt(2), and the bound
+    stays finite for a pole on an end, where 1 - t^2 cancels it.
+    """
+    return (1 + mp.sqrt(2)) * (1 + abs(mpc(pole) / q)) / q
+
+
 def _rounding_noise(x: float, y: float, q: float) -> tuple:
     """The rounding allowance of I2, I3 and I1 at (x, y, q) and the working precision.
 
-    Each is 2^-(prec+10) (_NODE_TAIL_BITS) of the integrand's peak times the
-    path length 2 sqrt(2). A peak is the most |numerator| reaches on the
-    path (2 for I1 and I2, 4 for I3) over the distance of the integrand's
-    poles, in g = q t, to the path.
+    Each is 2^-(prec+10) (_NODE_TAIL_BITS) of a bound on the integrand's peak
+    times the path length 2 sqrt(2): the smaller of the most |numerator|
+    reaches on the path (2 for I1 and I2, 4 for I3) over its poles' distance
+    to the path in g = q t, which diverges for a pole on an end t = +-1, and
+    _removable_peak, for I3 through partial fractions over its pole pair.
     """
     z = complex(x, y)
     shift = 0.5 * q * q
     # I1 and I2 share the simple pole g = z; I3 has the pair g = z -+ q^2/2,
     # which lie q^2 apart, so one factor of its denominator is >= q^2/2.
+    d1 = _path_distance(z, q)
     d_lo = _path_distance(z - shift, q)
     d_hi = _path_distance(z + shift, q)
-    peak1 = 2 / mpf(_path_distance(z, q))
-    peak3 = 4 / max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
+    d3 = max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
+    peak1 = min(2 / mpf(d1) if d1 else mp.inf, _removable_peak(z, q))
+    peak3 = min(
+        4 / d3 if d3 else mp.inf,
+        2 * (_removable_peak(z - shift, q) + _removable_peak(z + shift, q)) / mpf(q) ** 2,
+    )
     tail_eps = _PATH_LENGTH * mpf(2) ** -(mp.prec + _NODE_TAIL_BITS)
     return tail_eps * peak1, tail_eps * peak3, tail_eps * peak1
 
@@ -340,34 +357,19 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
         I2 = Int t (1-t^2)/(q t - z) dt
         I3 = Int (1-t^2)^2 / ((q t - z)^2 - q^4/4) dt
     from -1 to 1 with mpmath's tanh-sinh rule and assembles
-    -(3x/q^2) I1 + (3/q) I2 + (3/4) I3. Every pole lies above the real
-    axis, so the integrals run along the polyline -1 -> -i -> 1 through the
-    lower half plane, where the integrands stay bounded, with no split
-    points; all three come from one pass over shared nodes. The working
+    -(3x/q^2) I1 + (3/q) I2 + (3/4) I3. Every pole lies at Im t = y/q >= 0,
+    so the integrals run along the polyline -1 -> -i -> 1 through the lower
+    half plane, where the integrands stay bounded, with no split points;
+    all three come from one pass over shared nodes. At y = 0 this gives the
+    limit y -> 0+, poles inside [-1, 1] or on t = +-1 included. The working
     precision is chosen per point: a pass at 20 digits measures its own
     rounding noise and error, and passes at more digits follow until the
     classical part, the quantum part and their sum are each known to 1e-16
     relative (or 150 digits are reached). err_est is the quadrature's error
-    estimate plus the predicted rounding bound. Requires y > 0. An oracle:
-    slow, independent, trusted.
+    estimate plus the predicted rounding bound. Serves every accepted point;
+    _quadrature_raw also takes x < 0. An oracle: slow, independent, trusted.
     """
-    if point.y <= 0.0:
-        raise DomainError("chi_ratio_quadrature requires y > 0")
     return _quadrature_raw(point.x, point.y, point.q)
-
-
-def chi_ratio_quadrature_reflected(point: DimensionlessPoint) -> ChiResult:
-    """Quadrature value at reflected frequency -x (same y, q).
-
-    A real-field response must satisfy chi(-x) = conj(chi(x)); this evaluates
-    the left side directly (the integrands are perfectly well defined for
-    negative frequency, only the public coordinate type restricts to x >= 0)
-    so the symmetry can be tested against the closed form. Precision is
-    chosen per point as in chi_ratio_quadrature.
-    """
-    if point.y <= 0.0:
-        raise DomainError("chi_ratio_quadrature_reflected requires y > 0")
-    return _quadrature_raw(-point.x, point.y, point.q)
 
 
 def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
@@ -598,12 +600,12 @@ class NascentDelta:
         return (e * e / s2 - 1.0) / s2 * self(e)
 
 
-def richardson_extrapolate(h_values, values, max_order: int | None = None) -> tuple:
+def richardson_extrapolate(h_values, values) -> tuple:
     """Polynomial extrapolation of values(h) to h = 0 (Neville scheme).
 
-    h_values must be positive and strictly decreasing. max_order caps the
-    tableau depth (None uses every sample). Returns (limit, err_est) where
-    err_est combines the last order-increase and sample-shift corrections.
+    h_values must be positive and strictly decreasing; the tableau uses every
+    sample. Returns (limit, err_est) where err_est combines the last
+    order-increase and sample-shift corrections.
     """
     hs = [float(h) for h in h_values]
     vs = list(values)
@@ -612,19 +614,17 @@ def richardson_extrapolate(h_values, values, max_order: int | None = None) -> tu
     if any(h <= 0 for h in hs) or any(b >= a for a, b in zip(hs, hs[1:])):
         raise ExtrapolationError("h values must be positive and strictly decreasing")
     n = len(hs)
-    depth = n - 1 if max_order is None else max(1, min(max_order, n - 1))
     tableau = [vs]
-    for j in range(1, depth + 1):
+    for j in range(1, n):
         prev = tableau[j - 1]
         row = []
         for i in range(j, n):
             num = hs[i] * prev[i - j] - hs[i - j] * prev[i - j + 1]
             row.append(num / (hs[i] - hs[i - j]))
         tableau.append(row)
-    limit = tableau[depth][-1]
-    order_prev = tableau[depth - 1][-1]
-    sample_prev = tableau[depth][-2] if len(tableau[depth]) >= 2 else tableau[depth - 1][0]
-    err_est = abs(limit - order_prev) + abs(limit - sample_prev)
+    # the last row holds the limit alone; the row above, its two neighbours
+    (limit,) = tableau[-1]
+    err_est = abs(limit - tableau[-2][-1]) + abs(limit - tableau[-2][0])
     if not math.isfinite(limit):
         raise ExtrapolationError("extrapolation diverged")
     return limit, err_est
@@ -649,10 +649,9 @@ class JIntegrals:
         return self.j1 - 3.0 * self.j2
 
 
-# Nascent-delta widths in units of E_F, descending, and the polynomial order
-# of the Richardson extrapolation in width^2 across them.
+# Nascent-delta widths in units of E_F, descending; the Richardson
+# extrapolation in width^2 uses all of them.
 _DELTA_WIDTHS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-_EXTRAPOLATION_ORDER = 5
 # Quadrature tolerances of the moment integrals: the rounding floor of their
 # cancelling delta-derivative lobes at the narrowest width.
 _MOMENT_TOL = 1e-8
@@ -703,6 +702,6 @@ def j_integrals_nascent_delta() -> JIntegrals:
 
     samples = [moments_at(w) for w in widths]
     h = [w * w for w in widths]
-    j1, j1_err = richardson_extrapolate(h, [s[0] for s in samples], _EXTRAPOLATION_ORDER)
-    j2, j2_err = richardson_extrapolate(h, [s[1] for s in samples], _EXTRAPOLATION_ORDER)
+    j1, j1_err = richardson_extrapolate(h, [s[0] for s in samples])
+    j2, j2_err = richardson_extrapolate(h, [s[1] for s in samples])
     return JIntegrals(j1=j1, j2=j2, j1_err_est=j1_err, j2_err_est=j2_err)

@@ -92,6 +92,16 @@ def test_eval_static_point_has_no_terms(capsys):
     assert payload["method"] == "pv-static"
 
 
+@pytest.mark.parametrize("x, y", [("0", "1e200"), ("1e200", "1")])
+def test_eval_beyond_double_range_shows_no_terms(x, y, capsys):
+    # the Laurent series serves the point; the raw closed-form terms overflow
+    code = main(["eval", "--x", x, "--y", y, "--q", "1", "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["terms"] is None
+    assert payload["regime"] == "laurent-series"
+
+
 def test_eval_rejects_bad_coordinates(capsys):
     code = main(["eval", "--x", "-1", "--y", "0.1", "--q", "1"])
     err = capsys.readouterr().err
@@ -147,6 +157,18 @@ def test_sweep_numerical_failure_exits_two(tmp_path, capsys):
     assert ",error," in text
     # grid is still complete, errors marked in place
     assert len(text.splitlines()) == 9
+
+
+def test_sweep_beyond_double_range_writes_error_rows(tmp_path, capsys):
+    # q^-3 overflows at the last two points: error rows, not a traceback
+    csv_path = tmp_path / "far.csv"
+    code = main([
+        "sweep", "--axis", "q", "--min", "1e100", "--max", "1e104", "--points", "5",
+        "--x", "1e-9", "--y", "1e-67", "--out", str(csv_path),
+    ])
+    assert code == 2
+    methods = [line.split(",")[9] for line in csv_path.read_text(encoding="utf-8").splitlines()]
+    assert methods == ["method", "closed-form", "closed-form", "closed-form", "error", "error"]
 
 
 def test_sweep_invalid_bounds_exit_one(tmp_path, capsys):

@@ -6,7 +6,8 @@ are drawn log-uniform from the box x in {0} or [1e-12, 1e6], y in
 [1e-14, 1e6], q in [1e-9, 1e4], with a share at the static point x = y = 0.
 For q >= 2, where the Laurent branch's convergence region ends and the
 closed form, with its large-argument pieces summed as series, takes over,
-the kernel is held to the mpmath oracle.
+the kernel is held to the mpmath oracle. Over the whole float range, every
+point gives a finite ChiResult or a DiamagError, never a bare exception.
 """
 
 import cmath
@@ -15,8 +16,8 @@ import random
 
 import pytest
 
-from diamag import DimensionlessPoint, EvalMethod, chi_ratio, chi_ratio_quadrature
-from diamag.kernel import RegimeTag, regime_select
+from diamag import DiamagError, DimensionlessPoint, EvalMethod, chi_ratio, chi_ratio_quadrature
+from diamag.kernel import RegimeTag, chi_ratio_detailed, regime_select
 
 
 def _loguniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -47,6 +48,39 @@ def test_every_point_of_the_box_gives_a_finite_result():
         assert cmath.isfinite(result.total), coords
         assert cmath.isfinite(result.classic) and cmath.isfinite(result.quant), coords
         assert math.isfinite(result.err_est), coords
+
+
+# Points whose float intermediates overflow or divide by zero: q^-3 and
+# q^4/z^2 at the first two, sigma^3 in the guard at the third.
+BEYOND_DOUBLE_RANGE = [
+    (1.1433118018573683e-09, 1.4430363836814327e-67, 6.17201645987063e102),
+    (0.0, 1.8397995805043747e-112, 1.515947389935776e-110),
+    (3.521683048580499e-163, 1.641804714551147e-168, 5.62401586933034e-167),
+]
+
+
+def _float_range_point(rng: random.Random) -> tuple:
+    """x, y and q log-uniform over 1e+-300, with a quarter each at x = 0 and y = 0."""
+    x = 0.0 if rng.random() < 0.25 else _loguniform(rng, 1e-300, 1e300)
+    y = 0.0 if rng.random() < 0.25 else _loguniform(rng, 1e-300, 1e300)
+    return x, y, _loguniform(rng, 1e-300, 1e300)
+
+
+def test_whole_float_range_gives_a_finite_result_or_a_diamag_error():
+    rng = random.Random(23)
+    served = 0
+    for coords in BEYOND_DOUBLE_RANGE + [_float_range_point(rng) for _ in range(2000)]:
+        point = DimensionlessPoint(*coords)
+        try:
+            regime_select(point)
+            result = chi_ratio(point)
+        except DiamagError:
+            continue
+        assert cmath.isfinite(result.total) and math.isfinite(result.err_est), coords
+        assert chi_ratio_detailed(point)[1] == result, coords
+        served += 1
+    # most of the range is served, not refused
+    assert served > 500
 
 
 def test_large_q_points_match_the_oracle_in_every_regime():
