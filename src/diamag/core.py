@@ -68,10 +68,8 @@ class DimensionlessPoint:
     q : wave number over k_F, > 0
 
     Negative x is rejected; those values are reachable through the conjugation
-    symmetry chi(-x) = conj(chi(x)) instead of direct evaluation. y = 0 is
-    accepted at construction but only evaluable on the static line (x = 0) or
-    when all integrand poles lie strictly outside the integration interval;
-    the kernel enforces that at call time (PoleError).
+    symmetry chi(-x) = conj(chi(x)) instead of direct evaluation. y = 0 is the
+    collisionless line, which the kernel serves as the limit y -> 0+.
     """
 
     x: float

@@ -20,10 +20,10 @@ class ValidationError(DiamagError, ValueError):
 
 
 class PoleError(DiamagError, ValueError):
-    """A requested evaluation puts an integrand pole on the contour.
+    """The branch logarithm L(sigma) was asked for its value at a pole.
 
-    Raised for sigma = +-1 in the branch logarithm and for collisionless
-    (y = 0) points whose poles fall inside the integration interval.
+    Only branch_log_L raises it, at sigma = +-1. The kernel's entries serve
+    those points from the limit (1 - sigma^2) L(sigma) -> 0 instead.
     """
 
 

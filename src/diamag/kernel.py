@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ChiResult, DimensionlessPoint, EvalMethod, require_finite_complex
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, ValidationError
 
 __all__ = [
     "RegimeTag",
@@ -178,11 +178,12 @@ def _antiderivative_with_peak(sigma: complex) -> tuple:
     Returns (value, peak) where peak is the largest |summand|; the three
     pieces cancel to O(1/sigma) at large |sigma|, and tracking the peak is
     what lets the regime choice measure that loss instead of guessing it.
+    At sigma = +-1 the log term takes its limit 0.
     """
     one_ms2 = 1.0 - sigma * sigma
     cubic = 2.0 * sigma**3
     linear = -(10.0 / 3.0) * sigma
-    logpart = one_ms2 * one_ms2 * branch_log_L(sigma)
+    logpart = one_ms2 * one_ms2 * branch_log_L(sigma) if one_ms2 else 0j
     return cubic + linear + logpart, max(abs(cubic), abs(linear), abs(logpart))
 
 
@@ -225,48 +226,24 @@ def _antiderivative_piece(sigma: complex, closed) -> tuple:
 def eval_integrals(z: complex, q: float) -> TermBreakdown:
     """Closed forms of the three angular integrals at z = x + iy, wave number q.
 
-    Valid for Im(z) > 0, and on the real axis when every pole lies strictly
-    outside [-1, 1] (the x = 0 static line is served by chi_static_pv, but the
-    boundary-value closed forms are still well defined there and equal the
-    y -> 0+ limit). Raises DomainError where the closed forms leave double
-    precision range, as at large |s|.
+    Valid for Im(z) >= 0; on the real axis the closed forms give the limit
+    y -> 0+, poles inside [-1, 1] or on t = +-1 included. Raises DomainError
+    where the closed forms leave double precision range, as at large |s|.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be finite and > 0")
     z = require_finite_complex("z", complex(z))
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
-    _reject_pole_on_contour(z.real, z.imag, q)
     return _breakdown(z.real, q, _closed_pieces(z, q)[0])
-
-
-def _reject_pole_on_contour(x: float, y: float, q: float) -> None:
-    """Raise PoleError when an integrand pole lies on the contour [-1, 1].
-
-    This is the package's one test for a pole on the contour. Only the
-    collisionless line y = 0 can put one there: the poles are then real, at
-    t = s = x/q for the plain denominators and t = s -+ q/2 for the shifted
-    one, and the poles at -x mirror those at x. At x = y = 0 the poles
-    t = -+ q/2 sit on the contour for q < 2, but the upper-side closed forms
-    remain finite and their imaginary parts cancel in the quantum sum
-    (verified against the principal value), so the static point passes.
-    """
-    if y != 0.0 or x == 0.0:
-        return
-    s = abs(x) / q
-    # s > 1 already puts the pole at s + q/2 beyond t = 1
-    if not (s > 1.0 and abs(s - 0.5 * q) > 1.0):
-        raise PoleError(
-            "y = 0 with x != 0 puts a pole inside the integration interval "
-            "(collisionless Landau-damping line); evaluation is rejected"
-        )
 
 
 def _first_integral_closed(s: complex, q: float) -> tuple:
     """(I1, bracket, bracket_log) from the closed forms, where bracket =
-    q I2 = 4/3 + z I1 and bracket_log = s (1 - s^2) L(s) is its log term."""
-    Ls = branch_log_L(s)
+    q I2 = 4/3 + z I1 and bracket_log = s (1 - s^2) L(s) is its log term.
+    At s = +-1 every log term takes its limit 0."""
     one_ms2 = 1.0 - s * s
+    Ls = branch_log_L(s) if one_ms2 else 0j
     bracket_log = s * one_ms2 * Ls
     return (-2.0 * s + one_ms2 * Ls) / q, 4.0 / 3.0 - 2.0 * s * s + bracket_log, bracket_log
 
@@ -555,19 +532,18 @@ def _taylor_converges(s: complex, q: float) -> bool:
 def _classify(point: DimensionlessPoint) -> tuple:
     """Deterministic regime choice; returns (RegimeTag, closed pieces|None).
 
-    Raises PoleError first for a pole on the contour. The x = y = 0 point is
-    PV_STATIC at every q, and the static series window x = 0,
-    q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways into
-    LAURENT_SERIES, the literal window |s| > _LARGE_S and the escalation of a
-    closed form that loses more than _CANCEL_DIGITS digits at
-    |s| >= _SERIES_S_MIN, require _laurent_converges. The cancellation guard
+    The x = y = 0 point is PV_STATIC at every q, and the static series window
+    x = 0, q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways
+    into LAURENT_SERIES, the literal window |s| > _LARGE_S and the escalation
+    of a closed form that loses more than _CANCEL_DIGITS digits at
+    |s| >= _SERIES_S_MIN, require _laurent_converges. The collisionless line
+    y = 0 takes the same path as y > 0 and gets the limit y -> 0+. The cancellation guard
     runs only where a series could take the point; every other point, and
     every point that the guard passes or that no series can serve, gets
     CLOSED_FORM. The closed pieces are those the guard evaluated, for the
     evaluators to reuse.
     """
     x, y, q = point.x, point.y, point.q
-    _reject_pole_on_contour(x, y, q)
     if y == 0.0 and x == 0.0:
         return RegimeTag.PV_STATIC, None
     if x == 0.0 and q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
@@ -602,8 +578,7 @@ def regime_select(point: DimensionlessPoint) -> RegimeTag:
     Every other point gets the closed form, which sums its large-argument
     pieces as series.
 
-    Raises PoleError for a collisionless point with a pole on the contour,
-    and DomainError where the point is beyond double-precision range.
+    Raises DomainError where the point is beyond double-precision range.
     """
     return _classify(point)[0]
 
@@ -696,18 +671,26 @@ def _laurent_result(point: DimensionlessPoint) -> ChiResult:
 
 
 def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
-    """Run the evaluator that `tag` names."""
-    if tag is RegimeTag.PV_STATIC:
-        if point.q > 2.0:
-            # no principal value is involved once the poles leave [-1, 1]
-            return _closed_form_result(point, None, EvalMethod.PV_STATIC)
-        quant = complex(chi_static_pv(point.q), 0.0)
-        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.PV_STATIC, 0.0)
-    if tag is RegimeTag.CLOSED_FORM:
-        return _closed_form_result(point, closed)
-    if tag is RegimeTag.TAYLOR_SERIES:
-        return _taylor_result(point, closed)
-    return _laurent_result(point)
+    """Run the evaluator that `tag` names.
+
+    A float product that overflows gives inf without raising, and ChiResult
+    then refuses the non-finite part with ValidationError. The point itself
+    is valid, so that is raised as DomainError, as _double_range does.
+    """
+    try:
+        if tag is RegimeTag.PV_STATIC:
+            if point.q > 2.0:
+                # no principal value is involved once the poles leave [-1, 1]
+                return _closed_form_result(point, None, EvalMethod.PV_STATIC)
+            quant = complex(chi_static_pv(point.q), 0.0)
+            return ChiResult.from_parts(complex(0.0), quant, EvalMethod.PV_STATIC, 0.0)
+        if tag is RegimeTag.CLOSED_FORM:
+            return _closed_form_result(point, closed)
+        if tag is RegimeTag.TAYLOR_SERIES:
+            return _taylor_result(point, closed)
+        return _laurent_result(point)
+    except ValidationError as exc:
+        raise DomainError(f"the result is beyond double-precision range ({exc})") from exc
 
 
 @_double_range
@@ -720,9 +703,9 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     the closed form summed as series (0 if none), and the series bounds for
     the series branches.
 
-    Raises PoleError for collisionless points with a pole on the contour
-    (y = 0 with 0 < x unless every pole is outside the interval), and
-    DomainError where an intermediate overflows or divides by zero in double
+    On the collisionless line y = 0 it returns the limit y -> 0+, poles
+    inside [-1, 1] or on t = +-1 included. Raises DomainError where an
+    intermediate or the result overflows or divides by zero in double
     precision, which happens only far outside |x|, y, q in 1e+-100.
     """
     return _result(point, *_classify(point))

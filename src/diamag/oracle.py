@@ -366,7 +366,8 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     rounding noise and error, and passes at more digits follow until the
     classical part, the quantum part and their sum are each known to 1e-16
     relative (or 150 digits are reached). err_est is the quadrature's error
-    estimate plus the predicted rounding bound. Serves every accepted point;
+    estimate plus the predicted rounding bound, plus half an ulp for each
+    rounding to double of the parts and their sum. Serves every accepted point;
     _quadrature_raw also takes x < 0. An oracle: slow, independent, trusted.
     """
     return _quadrature_raw(point.x, point.y, point.q)
@@ -390,7 +391,9 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     |classic|, |quant| and |total|; a pass that misses by a factor E is
     redone at dps + ceil(log10 E) + 2 digits (twice the digits when a part
     cancelled to exactly 0), up to _MAX_DPS, where the value is returned
-    with the whole bound as err_est.
+    with the whole bound as err_est. err_est also counts half an ulp for the
+    rounding to double of each real and imaginary part of classic and quant
+    and of their double sum.
     """
     level_sums = _contour_sums(x, y, q)
     dps = _FIRST_DPS
@@ -426,8 +429,15 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
                 _excess(bound, classic + quant),
             )
             if excess <= 1 or dps == _MAX_DPS:
+                classic, quant = complex(classic), complex(quant)
+                # half an ulp for each double part and for their double sum
+                rounding = sum(
+                    math.ulp(part) / 2
+                    for value in (classic, quant, classic + quant)
+                    for part in (value.real, value.imag)
+                )
                 return ChiResult.from_parts(
-                    complex(classic), complex(quant), EvalMethod.QUADRATURE, float(bound)
+                    classic, quant, EvalMethod.QUADRATURE, float(bound) + rounding
                 )
             step = mp.ceil(mp.log10(excess)) + 2 if mp.isfinite(excess) else dps
         dps = min(_MAX_DPS, dps + int(step))

@@ -3,8 +3,8 @@
 A sweep varies exactly one of (q, x, y) over a log or linear grid while the
 other two stay fixed. Every grid point is evaluated through the kernel's
 automatic regime selection; points that raise are reported as rows with
-method "error" rather than aborting the whole sweep, so a single pole in the
-middle of a scan still yields a usable file.
+method "error" rather than aborting the whole sweep, so a single point beyond
+double-precision range in the middle of a scan still yields a usable file.
 
 CSV output is byte-deterministic: fixed column order, 17 significant digits
 via repr-stable '%.17g' formatting, '.' decimal separator, '\\n' line endings,

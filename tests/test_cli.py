@@ -145,17 +145,27 @@ def test_sweep_conflicting_fixed_flag_exits_one(tmp_path, capsys):
 
 
 def test_sweep_numerical_failure_exits_two(tmp_path, capsys):
-    # collisionless resonance inside the sweep: rows become method=error
+    # q^-3 overflows at the last two points: rows become method=error
+    csv_path = tmp_path / "far.csv"
+    code = main([
+        "sweep", "--axis", "q", "--min", "1e100", "--max", "1e104", "--points", "5",
+        "--x", "1e-9", "--y", "1e-67", "--out", str(csv_path),
+    ])
+    assert code == 2
+    text = csv_path.read_text(encoding="utf-8")
+    assert ",error," in text
+    # grid is still complete, errors marked in place
+    assert len(text.splitlines()) == 6
+    # the collisionless resonance inside a sweep is no failure
     csv_path = tmp_path / "res.csv"
     code = main([
         "sweep", "--axis", "x", "--min", "0.1", "--max", "0.8",
         "--points", "8", "--spacing", "linear", "--y", "0", "--q", "0.5",
         "--out", str(csv_path),
     ])
-    assert code == 2
+    assert code == 0
     text = csv_path.read_text(encoding="utf-8")
-    assert ",error," in text
-    # grid is still complete, errors marked in place
+    assert ",error," not in text
     assert len(text.splitlines()) == 9
 
 

@@ -1,4 +1,4 @@
-"""Full susceptibility ratio: frozen values, split, pole handling.
+"""Full susceptibility ratio: frozen values, split, the collisionless line.
 
 Frozen references were generated at 60 decimal digits from the closed forms
 and double-checked against direct quadrature of the defining integrals.
@@ -9,7 +9,7 @@ import math
 import pytest
 
 from diamag.core import DimensionlessPoint, EvalMethod
-from diamag.errors import PoleError
+from diamag.oracle import chi_ratio_quadrature
 from diamag.kernel import chi_ratio, eval_integrals
 
 FROZEN_STATIC_LINE = [
@@ -59,10 +59,17 @@ def test_classical_part_nonzero_at_finite_frequency():
     assert abs(result.classic.imag) > 0.0
 
 
-def test_collisionless_with_interior_pole_rejected():
-    # y = 0, x > 0 with the pole projection inside the integration range
-    with pytest.raises(PoleError):
-        chi_ratio(DimensionlessPoint(x=0.25, y=0.0, q=0.5))
+def test_collisionless_with_interior_pole_is_the_upper_limit():
+    # y = 0, x > 0 with the pole projection inside the integration range:
+    # the kernel returns the limit y -> 0+, as the contour oracle does
+    point = DimensionlessPoint(x=0.25, y=0.0, q=0.5)
+    result = chi_ratio(point)
+    lifted = chi_ratio(DimensionlessPoint(x=0.25, y=1e-300, q=0.5))
+    assert abs(result.total - lifted.total) <= 1e-15 * abs(lifted.total)
+    want = chi_ratio_quadrature(point).total
+    assert abs(result.total - want) <= 1e-14 * abs(want)
+    # Landau damping: the pole inside [-1, 1] gives an absorptive part
+    assert result.total.imag != 0.0
 
 
 def test_collisionless_with_poles_outside_evaluates():

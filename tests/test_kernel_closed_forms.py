@@ -9,8 +9,14 @@ import math
 
 import pytest
 
+from diamag.core import DimensionlessPoint
 from diamag.errors import DomainError, PoleError
-from diamag.kernel import _reject_pole_on_contour, branch_log_L, eval_integrals
+from diamag.kernel import branch_log_L, eval_integrals
+from diamag.oracle import chi_ratio_quadrature
+
+
+def _total(bd) -> complex:
+    return bd.term1 + bd.term2 + bd.term3
 
 
 class TestBranchLog:
@@ -91,23 +97,32 @@ class TestIntegralsClosedForm:
         bd = eval_integrals(complex(0.0, 0.25), 0.9)
         assert bd.term1 == 0j
 
-    def test_pole_configuration_rejected(self):
-        # y = 0 with s = 1: pole on the contour edge
-        with pytest.raises(PoleError):
-            eval_integrals(complex(0.5, 0.0), 0.5)
+    def test_pole_on_the_contour_edge_takes_the_limit(self):
+        # y = 0 with s = 1: the pole sits on the contour edge t = 1, where the
+        # log terms take their limit (1 - s^2) L(s) -> 0
+        bd = eval_integrals(complex(0.5, 0.0), 0.5)
+        lifted = eval_integrals(complex(0.5, 1e-300), 0.5)
+        for name in ("I1", "I2", "I3"):
+            got, want = getattr(bd, name), getattr(lifted, name)
+            assert abs(got - want) <= 1e-15 * abs(want), name
+        want = chi_ratio_quadrature(DimensionlessPoint(0.5, 0.0, 0.5)).total
+        assert abs(_total(bd) - want) <= 1e-14 * abs(want)
 
-    def test_reject_pole_on_contour(self):
+    def test_poles_inside_the_contour_give_the_upper_limit(self):
+        # y = 0, pole projection at t = 0.5 inside [-1, 1]: the closed forms
+        # give the limit y -> 0+, which the contour oracle also returns
+        bd = eval_integrals(complex(0.25, 0.0), 0.5)
+        want = chi_ratio_quadrature(DimensionlessPoint(0.25, 0.0, 0.5)).total
+        assert abs(_total(bd) - want) <= 1e-14 * abs(want)
+        # any y > 0 lifts the poles off the contour, continuously
+        lifted = _total(eval_integrals(complex(0.25, 1e-9), 0.5))
+        assert abs(lifted - want) <= 1e-7 * abs(want)
+        # the poles at -x mirror those at x: chi(-x) = conj(chi(x))
+        mirrored = _total(eval_integrals(complex(-0.25, 0.0), 0.5))
+        assert abs(mirrored - _total(bd).conjugate()) <= 1e-15 * abs(want)
         # y = 0, x/q = 50 with q = 0.1: all three poles beyond t = 1
-        _reject_pole_on_contour(5.0, 0.0, 0.1)
-        # pole projection at t = 0.5 sits inside
-        with pytest.raises(PoleError):
-            _reject_pole_on_contour(0.25, 0.0, 0.5)
-        # any y > 0 lifts the poles off the contour
-        _reject_pole_on_contour(0.25, 1e-9, 0.5)
-        # the poles at -x mirror those at x
-        with pytest.raises(PoleError):
-            eval_integrals(complex(-0.25, 0.0), 0.5)
-        eval_integrals(complex(-5.0, 0.0), 0.1)
+        outside = _total(eval_integrals(complex(-5.0, 0.0), 0.1))
+        assert outside == _total(eval_integrals(complex(5.0, 0.0), 0.1)).conjugate()
 
     def test_collisionless_poles_outside_are_fine(self):
         bd = eval_integrals(complex(5.0, 0.0), 0.1)

@@ -1,13 +1,15 @@
 """The kernel over the whole accepted domain, large q included.
 
-Every point that DimensionlessPoint accepts, off the rejected collisionless
-line y = 0 < x, must come back from chi_ratio as a finite ChiResult. Points
-are drawn log-uniform from the box x in {0} or [1e-12, 1e6], y in
-[1e-14, 1e6], q in [1e-9, 1e4], with a share at the static point x = y = 0.
+Every point that DimensionlessPoint accepts must come back from chi_ratio
+as a finite ChiResult. Points are drawn log-uniform from the box x in {0} or
+[1e-12, 1e6], y in [1e-14, 1e6], q in [1e-9, 1e4], with a share at the
+static point x = y = 0 and a share on the collisionless line y = 0 < x.
 For q >= 2, where the Laurent branch's convergence region ends and the
 closed form, with its large-argument pieces summed as series, takes over,
-the kernel is held to the mpmath oracle. Over the whole float range, every
-point gives a finite ChiResult or a DiamagError, never a bare exception.
+the kernel is held to the mpmath oracle. On the collisionless line it is
+held to its own limit y -> 0+ and to the oracle. Over the whole float range,
+every point gives a finite ChiResult or a DomainError or ConvergenceError,
+never a bare exception.
 """
 
 import cmath
@@ -16,8 +18,23 @@ import random
 
 import pytest
 
-from diamag import DiamagError, DimensionlessPoint, EvalMethod, chi_ratio, chi_ratio_quadrature
-from diamag.kernel import RegimeTag, chi_ratio_detailed, regime_select
+from diamag import (
+    DiamagError,
+    DimensionlessPoint,
+    DomainError,
+    EvalMethod,
+    PoleError,
+    ValidationError,
+    chi_ratio,
+    chi_ratio_quadrature,
+)
+from diamag.kernel import (
+    _CANCEL_DIGITS,
+    RegimeTag,
+    _closed_pieces,
+    chi_ratio_detailed,
+    regime_select,
+)
 
 
 def _loguniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -43,6 +60,8 @@ FORMER_FAILURES = [
 def test_every_point_of_the_box_gives_a_finite_result():
     rng = random.Random(11)
     points = FORMER_FAILURES + [_box_point(rng) for _ in range(2500)]
+    # the collisionless line: every fifth box point with x > 0 again at y = 0
+    points += [(x, 0.0, q) for x, _, q in points[::5] if x > 0.0]
     for coords in points:
         result = chi_ratio(DimensionlessPoint(*coords))
         assert cmath.isfinite(result.total), coords
@@ -74,13 +93,106 @@ def test_whole_float_range_gives_a_finite_result_or_a_diamag_error():
         try:
             regime_select(point)
             result = chi_ratio(point)
-        except DiamagError:
+        except DiamagError as exc:
+            # only a point beyond double-precision range or a stalled series
+            assert not isinstance(exc, (ValidationError, PoleError)), (coords, exc)
             continue
         assert cmath.isfinite(result.total) and math.isfinite(result.err_est), coords
         assert chi_ratio_detailed(point)[1] == result, coords
         served += 1
     # most of the range is served, not refused
     assert served > 500
+
+
+def test_overflowing_result_raises_domain_error():
+    # the weight 3x/q^2 overflows to inf in a float product, which raises
+    # nothing, though the classical part, about 4/q^2 = 7.5e135, is finite
+    point = DimensionlessPoint(8.09e201, 0.0, 2.31e-68)
+    with pytest.raises(DomainError):
+        chi_ratio(point)
+    with pytest.raises(DomainError):
+        chi_ratio_detailed(point)
+
+
+def _collisionless_point(rng: random.Random) -> tuple:
+    """(x, 0, q) with q log-uniform over the box: a third with a pole placed
+    in [-1, 1], a share within 1e-12 relative of a hit, where s or s -+ q/2
+    is +-1, and the rest with x log-uniform over the box."""
+    q = _loguniform(rng, 1e-9, 1e4)
+    draw = rng.random()
+    if draw < 1.0 / 3.0:
+        t = rng.uniform(-1.0, 1.0)
+        s = abs(t) if rng.random() < 0.5 else abs(t + 0.5 * q)
+    elif draw < 0.4:
+        s = rng.choice((1.0, 1.0 + 0.5 * q, abs(0.5 * q - 1.0)))
+        s *= 1.0 + rng.uniform(-1e-12, 1e-12)
+    else:
+        return _loguniform(rng, 1e-12, 1e6), 0.0, q
+    return q * s, 0.0, q
+
+
+def _collisionless_line(count: int) -> list:
+    rng = random.Random(29)
+    return [_collisionless_point(rng) for _ in range(count)]
+
+
+def _pole_inside(x: float, q: float) -> bool:
+    s = x / q
+    return s <= 1.0 or abs(s - 0.5 * q) <= 1.0
+
+
+def test_collisionless_line_is_the_upper_limit():
+    points = _collisionless_line(2000)
+    assert sum(_pole_inside(x, q) for x, _, q in points) >= len(points) // 3
+    for x, _, q in points:
+        got = chi_ratio(DimensionlessPoint(x, 0.0, q)).total
+        want = chi_ratio(DimensionlessPoint(x, 1e-300, q)).total
+        assert abs(got - want) <= 1e-15 * abs(want), (x, q)
+
+
+@pytest.mark.slow
+def test_collisionless_line_matches_the_oracle():
+    # Every 16th point of the line above. The series are held to 1e-14 and
+    # the closed form to 1e-10, or, where it cancels more than
+    # _CANCEL_DIGITS digits and no series converges (near a hit at small q),
+    # to the rounding of its measured cancellation, 4 eps 10^lost |quant|.
+    for x, _, q in _collisionless_line(2000)[::16]:
+        point = DimensionlessPoint(x, 0.0, q)
+        tag = regime_select(point)
+        result = chi_ratio(point)
+        want = chi_ratio_quadrature(point).total
+        if tag is not RegimeTag.CLOSED_FORM:
+            bound = 1e-14 * abs(want)
+        else:
+            lost = _closed_pieces(point.z, q)[1]
+            bound = 1e-10 * abs(want)
+            if lost > _CANCEL_DIGITS:
+                bound = max(bound, 4.0 * 2.0**-52 * 10.0**lost * abs(result.quant))
+        assert abs(result.total - want) <= bound, (x, q, tag)
+
+
+# Exact hits: s or s -+ q/2 is exactly +-1, where the closed forms take the
+# limit (1 - sigma^2) L(sigma) -> 0 of their log terms.
+COLLISIONLESS_HITS = [
+    (0.5, 0.5),
+    (1.0, 1.0),
+    (0.375, 0.5),
+    (2.0, 2.0),
+    (1.5, 1.0),
+    (0.5, 1.0),
+    (1.5, 3.0),
+    (0.625, 2.5),
+    (4.0, 4.0),
+    (0.21875, 0.25),
+]
+
+
+@pytest.mark.parametrize("x, q", COLLISIONLESS_HITS)
+def test_collisionless_hits_match_the_oracle(x, q):
+    point = DimensionlessPoint(x, 0.0, q)
+    got = chi_ratio(point).total
+    want = chi_ratio_quadrature(point).total
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_large_q_points_match_the_oracle_in_every_regime():

@@ -66,7 +66,7 @@ DEEP_CANCELLATION = [
 @pytest.mark.parametrize("x, y, q, ref", DEEP_CANCELLATION)
 def test_quadrature_survives_deep_cancellation(x, y, q, ref):
     got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-    assert abs(got.total - ref) <= max(got.err_est, 4e-16 * ref)
+    assert abs(got.total - ref) <= got.err_est
 
 
 def test_quadrature_at_precision_cap_reports_its_error(monkeypatch):
@@ -108,7 +108,7 @@ def test_quadrature_error_estimate_holds_over_whole_domain():
         q = 10.0 ** rng.uniform(-9.0, 4.0)
         got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
         ref = _closed_form_reference(x, y, q)
-        assert abs(got.total - ref) <= max(got.err_est, 4e-16 * abs(ref)), (x, y, q)
+        assert abs(got.total - ref) <= got.err_est, (x, y, q)
 
 
 # Far below the benchmark box in y the poles hug the real axis. The contour
@@ -145,7 +145,7 @@ HARD_POINTS = [
 def test_quadrature_error_estimate_holds_at_hard_points(x, y, q):
     got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
     ref = _closed_form_reference(x, y, q)
-    assert abs(got.total - ref) <= max(got.err_est, 4e-16 * abs(ref))
+    assert abs(got.total - ref) <= got.err_est
 
 
 def object_sums(f):
@@ -315,7 +315,7 @@ def test_quadrature_at_poles_on_the_path_ends(x, q):
     got = oracle._quadrature_raw(x, 0.0, q)
     elapsed = time.perf_counter() - start
     ref = _collisionless_reference(x, q)
-    assert abs(got.total - ref) <= max(got.err_est, 4e-16 * abs(ref))
+    assert abs(got.total - ref) <= got.err_est
     assert elapsed < 5.0
     if x >= 0.0:
         assert chi_ratio_quadrature(DimensionlessPoint(x, 0.0, q)).total == got.total
@@ -332,7 +332,7 @@ def test_quadrature_on_the_collisionless_line():
             x = -x
         got = oracle._quadrature_raw(x, 0.0, q)
         ref = _collisionless_reference(x, q)
-        assert abs(got.total - ref) <= max(got.err_est, 4e-16 * abs(ref)), (x, q)
+        assert abs(got.total - ref) <= got.err_est, (x, q)
     # both kinds of point: a pole inside [-1, 1], and every pole outside it
     assert 30 <= inside <= 90
 

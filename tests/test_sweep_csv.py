@@ -98,11 +98,9 @@ def test_run_sweep_row_fields_and_determinism():
     assert rows_to_csv(rows) == rows_to_csv(again)
 
 
-def test_run_sweep_marks_resonant_points_as_errors():
-    # y = 0 with the sweep crossing the collisionless resonance line
-    spec = SweepSpec(
-        axis="x", lo=0.1, hi=0.8, points=8, spacing="linear", fixed_y=0.0, fixed_q=0.5
-    )
+def test_run_sweep_marks_points_beyond_double_range_as_errors():
+    # q^-3 overflows at the last two points of the sweep
+    spec = SweepSpec(axis="q", lo=1e100, hi=1e104, points=5, fixed_x=1e-9, fixed_y=1e-67)
     rows, had_error = run_sweep(spec)
     assert had_error
     bad = [r for r in rows if r.method == "error"]
@@ -111,7 +109,18 @@ def test_run_sweep_marks_resonant_points_as_errors():
     for r in bad:
         assert (r.chi_total_re, r.chi_total_im, r.err_est) == (0.0, 0.0, 0.0)
     # grid stays complete: one row per requested point, errors in place
+    assert len(rows) == 5
+
+
+def test_run_sweep_across_the_collisionless_resonance():
+    # y = 0 with the sweep crossing the resonance: every point is served
+    spec = SweepSpec(
+        axis="x", lo=0.1, hi=0.8, points=8, spacing="linear", fixed_y=0.0, fixed_q=0.5
+    )
+    rows, had_error = run_sweep(spec)
+    assert not had_error
     assert len(rows) == 8
+    assert all(r.method != "error" for r in rows)
 
 
 def test_output_row_matches_direct_evaluation():
