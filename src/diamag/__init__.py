@@ -7,6 +7,8 @@ closed-form kernel is cross-validated by independent quadrature oracles and
 exposed through a CLI (eval / sweep / figure1 / verify).
 """
 
+import importlib
+
 from .constants import (
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
@@ -42,22 +44,6 @@ from .kernel import (
     eval_integrals,
     regime_select,
 )
-from .quadrature import integrate_complex_adaptive
-from .svg import render_line_chart, write_svg
-from .sweep import (
-    CSV_HEADER,
-    FIGURE1_POINTS_PER_CURVE,
-    FIGURE1_Q_RANGE,
-    FIGURE1_Y_VALUES,
-    OutputRow,
-    SweepSpec,
-    figure1_rows,
-    format_float,
-    rows_to_csv,
-    run_sweep,
-    write_csv,
-)
-from .verify import CheckResult, render_report, run_verification
 
 __version__ = "0.1.0"
 
@@ -112,19 +98,34 @@ __all__ = [
     "write_svg",
 ]
 
-# The oracles need mpmath, which costs about as much start-up time as the
-# rest of the package; they load on first access to one of these names.
-_ORACLE_NAMES = frozenset({
-    "chi_from_kinetic",
-    "chi_quant_smallk",
-    "chi_ratio_quadrature",
-    "j_integrals_nascent_delta",
-})
+# Importing the package loads constants, errors, core and kernel: what one
+# chi_ratio call needs. Every other public name loads its module on first
+# access, so that a cold command pays only for the code it runs; the oracles
+# also bring in mpmath, which costs about as much as the rest of the package.
+_LAZY = {
+    name: module
+    for module, names in {
+        "oracle": (
+            "chi_from_kinetic", "chi_quant_smallk", "chi_ratio_quadrature",
+            "j_integrals_nascent_delta",
+        ),
+        "quadrature": ("integrate_complex_adaptive",),
+        "svg": ("render_line_chart", "write_svg"),
+        "sweep": (
+            "CSV_HEADER", "FIGURE1_POINTS_PER_CURVE", "FIGURE1_Q_RANGE", "FIGURE1_Y_VALUES",
+            "OutputRow", "SweepSpec", "figure1_rows", "format_float", "rows_to_csv",
+            "run_sweep", "write_csv",
+        ),
+        "verify": ("CheckResult", "render_report", "run_verification"),
+    }.items()
+    for name in names
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .constants import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
 from .errors import ValidationError
@@ -50,6 +49,62 @@ def require_finite_complex(name: str, value: complex) -> complex:
     return value
 
 
+class FrozenRecord:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in ``_fields``. This ``__init__``
+    takes one value per field, by position or by name. A subclass that checks
+    its values has its own ``__init__``, which passes them to ``_set`` in
+    field order. Assigning or deleting an attribute raises AttributeError.
+    Equality, hashing and repr follow the fields, as ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if len(args) + len(kwargs) == len(fields):
+            try:
+                for name, value in zip(fields, args):
+                    object.__setattr__(self, name, value)
+                for name in fields[len(args):]:
+                    object.__setattr__(self, name, kwargs[name])
+                return
+            except KeyError:
+                pass
+        raise TypeError(f"{type(self).__name__} takes exactly the fields {fields}")
+
+    def _set(self, *values) -> None:
+        """Set the fields, in order: the one way past ``__setattr__``.
+
+        Fields are set and read as attributes only: touching
+        ``self.__dict__`` would make every later field read slower.
+        """
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class EvalMethod(enum.Enum):
     """Which numerical strategy produced a ChiResult."""
 
@@ -59,8 +114,7 @@ class EvalMethod(enum.Enum):
     QUADRATURE = "quadrature"
 
 
-@dataclass(frozen=True)
-class DimensionlessPoint:
+class DimensionlessPoint(FrozenRecord):
     """One evaluation point (x, y, q) in dimensionless plasma variables.
 
     x : frequency over k_F v_F, >= 0
@@ -72,14 +126,12 @@ class DimensionlessPoint:
     collisionless line, which the kernel serves as the limit y -> 0+.
     """
 
-    x: float
-    y: float
-    q: float
+    _fields = ("x", "y", "q")
 
-    def __post_init__(self) -> None:
-        x = _require_finite("x", self.x)
-        y = _require_finite("y", self.y)
-        q = _require_finite("q", self.q)
+    def __init__(self, x: float, y: float, q: float) -> None:
+        x = _require_finite("x", x)
+        y = _require_finite("y", y)
+        q = _require_finite("q", q)
         if x < 0:
             raise ValidationError(
                 "x must be >= 0; negative frequencies are served by the "
@@ -89,9 +141,7 @@ class DimensionlessPoint:
             raise ValidationError("y must be >= 0")
         if q <= 0:
             raise ValidationError("q must be > 0")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "q", q)
+        self._set(x, y, q)
 
     @property
     def z(self) -> complex:
@@ -104,8 +154,7 @@ class DimensionlessPoint:
         return complex(self.x, self.y) / self.q
 
 
-@dataclass(frozen=True)
-class PhysicalState:
+class PhysicalState(FrozenRecord):
     """Laboratory-frame CGS parameters of one evaluation.
 
     v_F   Fermi velocity [cm/s], > 0
@@ -114,16 +163,13 @@ class PhysicalState:
     k     wave number [1/cm], > 0
     """
 
-    v_F: float
-    nu: float
-    omega: float
-    k: float
+    _fields = ("v_F", "nu", "omega", "k")
 
-    def __post_init__(self) -> None:
-        v_F = _require_finite("v_F", self.v_F)
-        nu = _require_finite("nu", self.nu)
-        omega = _require_finite("omega", self.omega)
-        k = _require_finite("k", self.k)
+    def __init__(self, v_F: float, nu: float, omega: float, k: float) -> None:
+        v_F = _require_finite("v_F", v_F)
+        nu = _require_finite("nu", nu)
+        omega = _require_finite("omega", omega)
+        k = _require_finite("k", k)
         if v_F <= 0:
             raise ValidationError("v_F must be > 0")
         if nu < 0:
@@ -132,10 +178,7 @@ class PhysicalState:
             raise ValidationError("omega must be >= 0")
         if k <= 0:
             raise ValidationError("k must be > 0")
-        object.__setattr__(self, "v_F", v_F)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "k", k)
+        self._set(v_F, nu, omega, k)
 
     @property
     def k_F(self) -> float:
@@ -143,18 +186,13 @@ class PhysicalState:
         return ELECTRON_MASS * self.v_F / HBAR
 
 
-@dataclass(frozen=True)
-class FermiParameters:
+class FermiParameters(FrozenRecord):
     """Derived degenerate-gas scales for a given electron density."""
 
-    v_F: float
-    k_F: float
-    p_F: float
-    E_F: float
+    _fields = ("v_F", "k_F", "p_F", "E_F")
 
 
-@dataclass(frozen=True)
-class ChiResult:
+class ChiResult(FrozenRecord):
     """Susceptibility ratio chi/chi_L split into its two physical origins.
 
     classic : the classical (orbit-drift) contribution, zero at x = 0
@@ -168,18 +206,18 @@ class ChiResult:
               Only the mpmath quadrature oracle adds a rounding bound to it.
     """
 
-    classic: complex
-    quant: complex
-    total: complex
-    method: EvalMethod
-    err_est: float
+    _fields = ("classic", "quant", "total", "method", "err_est")
 
-    def __post_init__(self) -> None:
-        require_finite_complex("classic", self.classic)
-        require_finite_complex("quant", self.quant)
-        require_finite_complex("total", self.total)
-        if self.err_est < 0 or not math.isfinite(self.err_est):
+    def __init__(
+        self, classic: complex, quant: complex, total: complex, method: EvalMethod,
+        err_est: float,
+    ) -> None:
+        require_finite_complex("classic", classic)
+        require_finite_complex("quant", quant)
+        require_finite_complex("total", total)
+        if err_est < 0 or not math.isfinite(err_est):
             raise ValidationError("err_est must be finite and >= 0")
+        self._set(classic, quant, total, method, err_est)
 
     @classmethod
     def from_parts(

@@ -53,9 +53,14 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
-from .core import ChiResult, DimensionlessPoint, EvalMethod, require_finite_complex
+from .core import (
+    ChiResult,
+    DimensionlessPoint,
+    EvalMethod,
+    FrozenRecord,
+    require_finite_complex,
+)
 from .errors import ConvergenceError, DomainError, PoleError, ValidationError
 
 __all__ = [
@@ -107,8 +112,7 @@ class RegimeTag(enum.Enum):
     LAURENT_SERIES = "laurent-series"
 
 
-@dataclass(frozen=True)
-class TermBreakdown:
+class TermBreakdown(FrozenRecord):
     """The three integrals and their weighted terms at one point.
 
     term1 = -(3x/q^2) I1 is the classical contribution (0 exactly at x = 0),
@@ -118,12 +122,7 @@ class TermBreakdown:
     sum is exactly what the series strategies exist to replace.
     """
 
-    I1: complex
-    I2: complex
-    I3: complex
-    term1: complex
-    term2: complex
-    term3: complex
+    _fields = ("I1", "I2", "I3", "term1", "term2", "term3")
 
 
 def _double_range(func):

@@ -27,12 +27,11 @@ the CLI verify command) asserts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 from mpmath.calculus.quadrature import TanhSinh
 
-from .core import ChiResult, DimensionlessPoint, EvalMethod
+from .core import ChiResult, DimensionlessPoint, EvalMethod, FrozenRecord
 from .errors import DomainError, ExtrapolationError, ValidationError
 from .quadrature import integrate_complex_adaptive
 
@@ -448,8 +447,7 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KineticIntegrand:
+class KineticIntegrand(FrozenRecord):
     """Pieces of the kinetic-equation form of the susceptibility.
 
     The quantum contribution couples momentum states q apart, so the natural
@@ -458,9 +456,7 @@ class KineticIntegrand:
     coupled states. The resonance denominator is shared by every piece.
     """
 
-    x: float
-    y: float
-    q: float
+    _fields = ("x", "y", "q")
 
     @property
     def half_width(self) -> float:
@@ -582,8 +578,7 @@ def chi_quant_smallk(point: DimensionlessPoint) -> ChiResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NascentDelta:
+class NascentDelta(FrozenRecord):
     """Gaussian nascent delta of a given energy width.
 
     As width -> 0 this tends to the Dirac delta; its first and second
@@ -592,11 +587,12 @@ class NascentDelta:
     polynomial in width^2, which is what the Richardson step exploits.
     """
 
-    width: float
+    _fields = ("width",)
 
-    def __post_init__(self) -> None:
-        if not (self.width > 0.0 and math.isfinite(self.width)):
+    def __init__(self, width: float) -> None:
+        if not (width > 0.0 and math.isfinite(width)):
             raise ValidationError("NascentDelta width must be finite and > 0")
+        self._set(width)
 
     def __call__(self, e: float) -> float:
         s = self.width
@@ -640,8 +636,7 @@ def richardson_extrapolate(h_values, values) -> tuple:
     return limit, err_est
 
 
-@dataclass(frozen=True)
-class JIntegrals:
+class JIntegrals(FrozenRecord):
     """The two Fermi-surface velocity moments and their width-0 error bars.
 
     In units where the electron mass, Fermi speed, and Fermi energy scale
@@ -649,10 +644,7 @@ class JIntegrals:
     j1 - 3 j2 equals -8 pi.
     """
 
-    j1: float
-    j2: float
-    j1_err_est: float
-    j2_err_est: float
+    _fields = ("j1", "j2", "j1_err_est", "j2_err_est")
 
     @property
     def landau_combination(self) -> float:

@@ -14,10 +14,9 @@ UTF-8. Two runs over the same grid produce identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import ChiResult, DimensionlessPoint
+from .core import ChiResult, DimensionlessPoint, FrozenRecord
 from .errors import DiamagError, ValidationError
 from .kernel import chi_ratio
 
@@ -48,8 +47,7 @@ _AXES = ("q", "x", "y")
 _SPACINGS = ("log", "linear")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(FrozenRecord):
     """One swept coordinate over [lo, hi] with the other two held fixed.
 
     axis    : which coordinate varies, one of "q", "x", "y"
@@ -60,22 +58,24 @@ class SweepSpec:
         entry matching `axis` is ignored and may be left at its default
     """
 
-    axis: str
-    lo: float
-    hi: float
-    points: int
-    spacing: str = "log"
-    fixed_x: float = 0.0
-    fixed_y: float = 0.0
-    fixed_q: float = 1.0
+    _fields = ("axis", "lo", "hi", "points", "spacing", "fixed_x", "fixed_y", "fixed_q")
 
-    def __post_init__(self) -> None:
-        if self.axis not in _AXES:
-            raise ValidationError(f"axis must be one of {_AXES}, got {self.axis!r}")
-        if self.spacing not in _SPACINGS:
-            raise ValidationError(
-                f"spacing must be one of {_SPACINGS}, got {self.spacing!r}"
-            )
+    def __init__(
+        self,
+        axis: str,
+        lo: float,
+        hi: float,
+        points: int,
+        spacing: str = "log",
+        fixed_x: float = 0.0,
+        fixed_y: float = 0.0,
+        fixed_q: float = 1.0,
+    ) -> None:
+        if axis not in _AXES:
+            raise ValidationError(f"axis must be one of {_AXES}, got {axis!r}")
+        if spacing not in _SPACINGS:
+            raise ValidationError(f"spacing must be one of {_SPACINGS}, got {spacing!r}")
+        self._set(axis, lo, hi, points, spacing, fixed_x, fixed_y, fixed_q)
         # every grid value lies in [lo, hi], so valid bounds make every grid
         # point a valid coordinate; DimensionlessPoint is the one judge
         self.point_at(self.lo)
@@ -109,21 +109,13 @@ class SweepSpec:
         return DimensionlessPoint(x=coords["x"], y=coords["y"], q=coords["q"])
 
 
-@dataclass(frozen=True)
-class OutputRow:
+class OutputRow(FrozenRecord):
     """One CSV row: coordinates, split susceptibility ratio, provenance."""
 
-    q: float
-    x: float
-    y: float
-    chi_total_re: float
-    chi_total_im: float
-    chi_classic_re: float
-    chi_classic_im: float
-    chi_quant_re: float
-    chi_quant_im: float
-    method: str
-    err_est: float
+    _fields = (
+        "q", "x", "y", "chi_total_re", "chi_total_im", "chi_classic_re",
+        "chi_classic_im", "chi_quant_re", "chi_quant_im", "method", "err_est",
+    )
 
     @classmethod
     def from_result(cls, point: DimensionlessPoint, result: ChiResult) -> "OutputRow":
@@ -180,38 +172,41 @@ def format_float(value: float) -> str:
     return "%.17g" % value
 
 
-def run_sweep(spec: SweepSpec) -> Tuple[List[OutputRow], bool]:
+def run_sweep(spec: SweepSpec) -> Tuple[List[OutputRow], List[str]]:
     """Evaluate the sweep grid in ascending order.
 
-    Returns (rows, had_error). A point whose evaluation raises any package
-    error becomes a zeroed row with method "error"; had_error reports whether
-    at least one such row exists so the caller can exit nonzero.
+    Returns (rows, errors). A point whose evaluation raises any package
+    error becomes a zeroed row with method "error", and errors gets one line
+    for it, "x=..., y=..., q=...: ErrorType: message", so the caller can name
+    each failure and exit nonzero when the list is not empty.
     """
     rows: List[OutputRow] = []
-    had_error = False
+    errors: List[str] = []
     for value in spec.grid():
         # SweepSpec's checks make every grid value a valid coordinate
         point = spec.point_at(value)
         try:
             result = chi_ratio(point)
-        except DiamagError:
+        except DiamagError as exc:
             rows.append(OutputRow.error_row(point))
-            had_error = True
+            errors.append(
+                f"x={point.x!r}, y={point.y!r}, q={point.q!r}: {type(exc).__name__}: {exc}"
+            )
             continue
         rows.append(OutputRow.from_result(point, result))
-    return rows, had_error
+    return rows, errors
 
 
-def figure1_rows() -> Tuple[List[OutputRow], bool]:
+def figure1_rows() -> Tuple[List[OutputRow], List[str]]:
     """Static collisional-suppression curve family.
 
     Four q-sweeps at x = 0, one per collision rate in FIGURE1_Y_VALUES,
     each over FIGURE1_Q_RANGE with FIGURE1_POINTS_PER_CURVE log-spaced
     points. Rows are grouped by curve (ascending y), ascending q within
-    each curve: 4 x 400 data rows.
+    each curve: 4 x 400 data rows. The error lines are run_sweep's.
     """
     rows: List[OutputRow] = []
-    had_error = False
+    errors: List[str] = []
     lo, hi = FIGURE1_Q_RANGE
     for y in FIGURE1_Y_VALUES:
         spec = SweepSpec(
@@ -223,10 +218,10 @@ def figure1_rows() -> Tuple[List[OutputRow], bool]:
             fixed_x=0.0,
             fixed_y=y,
         )
-        curve, curve_error = run_sweep(spec)
+        curve, curve_errors = run_sweep(spec)
         rows.extend(curve)
-        had_error = had_error or curve_error
-    return rows, had_error
+        errors.extend(curve_errors)
+    return rows, errors
 
 
 def rows_to_csv(rows: Iterable[OutputRow]) -> str:

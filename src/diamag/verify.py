@@ -17,10 +17,14 @@ they run, so importing this module, and the CLI that imports it, does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional
 
-from .core import DimensionlessPoint, landau_chi_magneton_form, landau_chi_physical
+from .core import (
+    DimensionlessPoint,
+    FrozenRecord,
+    landau_chi_magneton_form,
+    landau_chi_physical,
+)
 from .errors import ValidationError
 from .kernel import chi_ratio, chi_static_pv
 
@@ -33,13 +37,10 @@ GRID_Q = (0.05, 0.1, 0.5, 1.0, 1.9)
 _FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    bound: float
-    detail: str
+class CheckResult(FrozenRecord):
+    """One check's verdict: its measured number against its bound."""
+
+    _fields = ("name", "passed", "measured", "bound", "detail")
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -84,12 +84,20 @@ def test_eval_json_absolute_block(capsys):
     assert block["chi_total_cgs_re"] == payload["chi_total_re"] * block["chi_landau_cgs"]
 
 
-def test_eval_static_point_has_no_terms(capsys):
-    code = main(["eval", "--x", "0", "--y", "0", "--q", "1", "--json"])
+@pytest.mark.parametrize(
+    "x, y, q, regime", [("0", "0", "1", "pv-static"), ("0.5", "0", "0.5", "closed-form")]
+)
+def test_eval_collisionless_point_shows_terms(x, y, q, regime, capsys):
+    # eval_integrals serves every y = 0 point: the static point, and the
+    # exact hit s = z/q = 1
+    code = main(["eval", "--x", x, "--y", y, "--q", q, "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["terms"] is None
-    assert payload["method"] == "pv-static"
+    assert payload["regime"] == regime
+    assert set(payload["terms"]) == {"I1", "I2", "I3", "term1", "term2", "term3"}
+    total = complex(payload["chi_total_re"], payload["chi_total_im"])
+    from_terms = sum(complex(*payload["terms"][name]) for name in ("term1", "term2", "term3"))
+    assert abs(from_terms - total) <= 1e-14 * abs(total)
 
 
 @pytest.mark.parametrize("x, y", [("0", "1e200"), ("1e200", "1")])
@@ -179,6 +187,19 @@ def test_sweep_beyond_double_range_writes_error_rows(tmp_path, capsys):
     assert code == 2
     methods = [line.split(",")[9] for line in csv_path.read_text(encoding="utf-8").splitlines()]
     assert methods == ["method", "closed-form", "closed-form", "closed-form", "error", "error"]
+    # each failed point is named on stderr, before the summary line
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("diamag sweep: some points failed")
+    error_qs = [
+        float(line.split(",")[0])
+        for line in csv_path.read_text(encoding="utf-8").splitlines()
+        if ",error," in line
+    ]
+    prefix = "diamag sweep: x=1e-09, y=1e-67, q="
+    assert len(err) == 3 and all(line.startswith(prefix) for line in err[:-1])
+    named = [line[len(prefix):].split(": ", 2) for line in err[:-1]]
+    assert [float(q) for q, _, _ in named] == error_qs
+    assert all(kind == "DomainError" and message for _, kind, message in named)
 
 
 def test_sweep_invalid_bounds_exit_one(tmp_path, capsys):

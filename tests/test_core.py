@@ -1,6 +1,7 @@
 """Domain types, unit conversions, and the Landau constant."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -19,6 +20,9 @@ from diamag.core import (
     to_dimensionless,
 )
 from diamag.errors import ValidationError
+from diamag.kernel import TermBreakdown
+from diamag.sweep import OutputRow, SweepSpec
+from diamag.verify import CheckResult
 
 
 class TestDimensionlessPoint:
@@ -169,3 +173,70 @@ class TestChiResult:
             ChiResult.from_parts(
                 complex(float("nan")), complex(0.0), EvalMethod.CLOSED_FORM
             )
+
+
+# Each factory builds a new record with the same fields on every call; the
+# repr is the one a frozen dataclass printed for it.
+RECORDS = {
+    "DimensionlessPoint": (
+        lambda: DimensionlessPoint(x=0.1, y=0.0, q=0.5),
+        "DimensionlessPoint(x=0.1, y=0.0, q=0.5)",
+    ),
+    "ChiResult": (
+        lambda: ChiResult.from_parts(1 + 2j, 0.5j, EvalMethod.CLOSED_FORM, 1e-16),
+        "ChiResult(classic=(1+2j), quant=0.5j, total=(1+2.5j),"
+        " method=<EvalMethod.CLOSED_FORM: 'closed-form'>, err_est=1e-16)",
+    ),
+    "TermBreakdown": (
+        lambda: TermBreakdown(I1=1j, I2=2 + 0j, I3=3j, term1=0j, term2=(3 + 0j), term3=2.25j),
+        "TermBreakdown(I1=1j, I2=(2+0j), I3=3j, term1=0j, term2=(3+0j), term3=2.25j)",
+    ),
+    "SweepSpec": (
+        lambda: SweepSpec(axis="q", lo=0.1, hi=1.0, points=3),
+        "SweepSpec(axis='q', lo=0.1, hi=1.0, points=3, spacing='log',"
+        " fixed_x=0.0, fixed_y=0.0, fixed_q=1.0)",
+    ),
+    "OutputRow": (
+        lambda: OutputRow.error_row(DimensionlessPoint(0.1, 0.2, 0.5)),
+        "OutputRow(q=0.5, x=0.1, y=0.2, chi_total_re=0.0, chi_total_im=0.0,"
+        " chi_classic_re=0.0, chi_classic_im=0.0, chi_quant_re=0.0, chi_quant_im=0.0,"
+        " method='error', err_est=0.0)",
+    ),
+    "CheckResult": (
+        lambda: CheckResult(
+            name="landau-limit", passed=True, measured=1e-12, bound=1e-08, detail="ok"
+        ),
+        "CheckResult(name='landau-limit', passed=True, measured=1e-12, bound=1e-08,"
+        " detail='ok')",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_is_a_frozen_value(name):
+    make, want_repr = RECORDS[name]
+    record, twin = make(), make()
+    assert record is not twin
+    assert record == twin and hash(record) == hash(twin)
+    assert record != object()
+    assert repr(record) == want_repr
+    for field, value in vars(record).items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert vars(record) == vars(twin)
+    restored = pickle.loads(pickle.dumps(record))
+    assert restored == record and repr(restored) == want_repr
+
+
+def test_record_takes_exactly_its_fields():
+    with pytest.raises(TypeError):
+        CheckResult("landau-limit", True, 1e-12, 1e-08)
+    with pytest.raises(TypeError):
+        CheckResult("landau-limit", True, 1e-12, 1e-08, "ok", name="landau-limit")
+    with pytest.raises(TypeError):
+        CheckResult("landau-limit", True, 1e-12, 1e-08, details="ok")
+    assert CheckResult("a", True, 1.0, 2.0, detail="ok") == CheckResult(
+        detail="ok", bound=2.0, measured=1.0, passed=True, name="a"
+    )

@@ -2,8 +2,8 @@
 
 A name left in an __all__ after its definition is gone, or a demo still
 calling a removed function, fails here rather than in a user's hands. The
-package and its CLI import without the mpmath oracle, which loads on first
-use of an oracle name.
+package and its CLI import without the modules they do not run, the mpmath
+oracle among them; each loads on first use of one of its names.
 """
 
 import importlib
@@ -38,20 +38,35 @@ def _subprocess_env():
 
 
 def test_import_leaves_the_oracle_unloaded():
+    # the package loads what one chi_ratio call needs, the CLI adds sweep and
+    # verify; every other module loads on first access to one of its names
     script = (
         "import sys\n"
-        "import diamag, diamag.cli\n"
-        "lazy = ('mpmath', 'diamag.oracle')\n"
-        "print([m for m in lazy if m in sys.modules])\n"
+        "def loaded(names):\n"
+        "    print(sorted(m for m in names if m in sys.modules))\n"
+        "import diamag\n"
+        "loaded(('dataclasses', 'json', 'mpmath', 'diamag.sweep', 'diamag.svg',"
+        " 'diamag.verify', 'diamag.quadrature', 'diamag.oracle'))\n"
+        "import diamag.cli\n"
+        "lazy = ('dataclasses', 'json', 'diamag.svg', 'diamag.quadrature',"
+        " 'diamag.oracle', 'mpmath')\n"
+        "loaded(lazy)\n"
+        "diamag.render_line_chart\n"
+        "loaded(lazy)\n"
         "diamag.chi_ratio_quadrature\n"
-        "print([m for m in lazy if m in sys.modules])\n"
+        "loaded(lazy)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env=_subprocess_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['mpmath', 'diamag.oracle']"]
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "[]",
+        "['diamag.svg']",
+        "['diamag.oracle', 'diamag.quadrature', 'diamag.svg', 'mpmath']",
+    ]
 
 
 def test_unknown_package_attribute_raises():

@@ -85,8 +85,8 @@ def test_format_float_round_trips(value):
 
 def test_run_sweep_row_fields_and_determinism():
     spec = SweepSpec(axis="q", lo=0.05, hi=1.9, points=12, fixed_y=1e-3)
-    rows, had_error = run_sweep(spec)
-    assert not had_error
+    rows, errors = run_sweep(spec)
+    assert errors == []
     assert len(rows) == 12
     grid = spec.grid()
     for value, row in zip(grid, rows):
@@ -101,13 +101,17 @@ def test_run_sweep_row_fields_and_determinism():
 def test_run_sweep_marks_points_beyond_double_range_as_errors():
     # q^-3 overflows at the last two points of the sweep
     spec = SweepSpec(axis="q", lo=1e100, hi=1e104, points=5, fixed_x=1e-9, fixed_y=1e-67)
-    rows, had_error = run_sweep(spec)
-    assert had_error
+    rows, errors = run_sweep(spec)
+    assert errors
     bad = [r for r in rows if r.method == "error"]
     good = [r for r in rows if r.method != "error"]
     assert bad and good
     for r in bad:
         assert (r.chi_total_re, r.chi_total_im, r.err_est) == (0.0, 0.0, 0.0)
+    # one line per error row names the point and the exception
+    assert len(errors) == len(bad) == 2
+    for line, r in zip(errors, bad):
+        assert line.startswith(f"x={r.x!r}, y={r.y!r}, q={r.q!r}: DomainError: ")
     # grid stays complete: one row per requested point, errors in place
     assert len(rows) == 5
 
@@ -117,8 +121,8 @@ def test_run_sweep_across_the_collisionless_resonance():
     spec = SweepSpec(
         axis="x", lo=0.1, hi=0.8, points=8, spacing="linear", fixed_y=0.0, fixed_q=0.5
     )
-    rows, had_error = run_sweep(spec)
-    assert not had_error
+    rows, errors = run_sweep(spec)
+    assert errors == []
     assert len(rows) == 8
     assert all(r.method != "error" for r in rows)
 
@@ -158,8 +162,8 @@ def test_write_csv_bytes(tmp_path):
 
 
 def test_figure1_shape_and_determinism():
-    rows, had_error = figure1_rows()
-    assert not had_error
+    rows, errors = figure1_rows()
+    assert errors == []
     assert len(rows) == len(FIGURE1_Y_VALUES) * FIGURE1_POINTS_PER_CURVE
     per_curve = {}
     for row in rows:
