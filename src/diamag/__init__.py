@@ -18,9 +18,9 @@ from .constants import (
 from .core import (
     ChiResult,
     DimensionlessPoint,
-    EvalMethod,
     FermiParameters,
     PhysicalState,
+    RegimeTag,
     chi_ratio_to_absolute,
     fermi_parameters_from_density,
     from_dimensionless,
@@ -37,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .kernel import (
-    RegimeTag,
     branch_log_L,
     chi_ratio,
     chi_static_pv,
@@ -57,7 +56,6 @@ __all__ = [
     "DomainError",
     "ELECTRON_MASS",
     "ELEMENTARY_CHARGE",
-    "EvalMethod",
     "ExtrapolationError",
     "FIGURE1_POINTS_PER_CURVE",
     "FIGURE1_Q_RANGE",

@@ -125,15 +125,14 @@ def _term_breakdown(point: DimensionlessPoint) -> Optional[TermBreakdown]:
 
 
 def _eval_payload(
-    point: DimensionlessPoint,
+    row: OutputRow,
     result: ChiResult,
-    regime: str,
     breakdown: Optional[TermBreakdown],
     vf: Optional[float],
     chi_l: Optional[float],
 ) -> dict:
-    payload = dict(vars(OutputRow.from_result(point, result)))
-    payload["regime"] = regime
+    payload = dict(vars(row))
+    payload["regime"] = result.method.value
     payload["terms"] = None if breakdown is None else {
         name: [value.real, value.imag] for name, value in vars(breakdown).items()
     }
@@ -151,20 +150,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     point = DimensionlessPoint(x=args.x, y=args.y, q=args.q)
     # validates v_F before anything is printed
     chi_l = None if args.vf is None else landau_chi_physical(args.vf)
-    tag, result, breakdown = chi_ratio_detailed(point)
+    result, breakdown = chi_ratio_detailed(point)
     if breakdown is None:
         # the guard evaluated no closed form here
         breakdown = _term_breakdown(point)
+    row = OutputRow.from_result(point, result)
     if args.fmt == "json":
         import json
 
-        payload = _eval_payload(point, result, tag.value, breakdown, args.vf, chi_l)
+        payload = _eval_payload(row, result, breakdown, args.vf, chi_l)
         print(json.dumps(payload, indent=2))
         return 0
     print(f"point        x = {format_float(point.x)}  y = {format_float(point.y)}"
           f"  q = {format_float(point.q)}")
-    print(f"regime       {tag.value}")
-    print(f"method       {result.method.value}")
+    print(f"regime       {result.method.value}")
+    print(f"method       {row.method}")
     print(f"chi_classic  {_fmt_complex(result.classic)}")
     print(f"chi_quant    {_fmt_complex(result.quant)}")
     print(f"chi_total    {_fmt_complex(result.total)}")

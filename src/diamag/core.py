@@ -26,7 +26,7 @@ __all__ = [
     "PhysicalState",
     "FermiParameters",
     "ChiResult",
-    "EvalMethod",
+    "RegimeTag",
     "to_dimensionless",
     "from_dimensionless",
     "fermi_parameters_from_density",
@@ -105,12 +105,14 @@ class FrozenRecord:
         return f"{type(self).__qualname__}({fields})"
 
 
-class EvalMethod(enum.Enum):
-    """Which numerical strategy produced a ChiResult."""
+class RegimeTag(enum.Enum):
+    """The strategy that produced a ChiResult: one of the kernel's four
+    regimes, one tag per point, or the oracles' quadrature."""
 
-    CLOSED_FORM = "closed-form"
-    SERIES_SMALL_Q = "series-small-q"
     PV_STATIC = "pv-static"
+    CLOSED_FORM = "closed-form"
+    TAYLOR_SERIES = "taylor-series"
+    LAURENT_SERIES = "laurent-series"
     QUADRATURE = "quadrature"
 
 
@@ -198,7 +200,7 @@ class ChiResult(FrozenRecord):
     classic : the classical (orbit-drift) contribution, zero at x = 0
     quant   : the quantum contribution that survives the static limit
     total   : classic + quant, exactly, by construction
-    method  : numerical strategy actually used
+    method  : the RegimeTag of the strategy that ran
     err_est : strategy error bound; a truncation bound for series, and for
               the closed form the bounds of the pieces it summed as series
               (0 when every piece came from its closed form, and for the
@@ -209,7 +211,7 @@ class ChiResult(FrozenRecord):
     _fields = ("classic", "quant", "total", "method", "err_est")
 
     def __init__(
-        self, classic: complex, quant: complex, total: complex, method: EvalMethod,
+        self, classic: complex, quant: complex, total: complex, method: RegimeTag,
         err_est: float,
     ) -> None:
         require_finite_complex("classic", classic)
@@ -221,7 +223,7 @@ class ChiResult(FrozenRecord):
 
     @classmethod
     def from_parts(
-        cls, classic: complex, quant: complex, method: EvalMethod, err_est: float = 0.0
+        cls, classic: complex, quant: complex, method: RegimeTag, err_est: float = 0.0
     ) -> "ChiResult":
         return cls(
             classic=classic,

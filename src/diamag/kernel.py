@@ -27,8 +27,8 @@ The classical term vanishes identically at x = 0. The quantum pair is a
 difference of terms of size 3/q^2 * O(max(1, |s|^2)) that cancel to O(1) or
 far below, so small q or large |s| destroys the closed form in double
 precision. Large q does too: g(s -+ q/2) is then a difference of terms of
-size |s -+ q/2|^3 that cancel to O(1/|s -+ q/2|). The four strategies that
-RegimeTag names cover that ground:
+size |s -+ q/2|^3 that cancel to O(1/|s -+ q/2|). The four kernel
+strategies that RegimeTag names cover that ground:
 
   * the closed form, which takes each piece whose argument has modulus >= 3
     from its expansion in 1/sigma, where the cancelling orders drop out
@@ -50,15 +50,14 @@ constants; every accuracy result of the package is measured at their values.
 from __future__ import annotations
 
 import cmath
-import enum
 import functools
 import math
 
 from .core import (
     ChiResult,
     DimensionlessPoint,
-    EvalMethod,
     FrozenRecord,
+    RegimeTag,
     require_finite_complex,
 )
 from .errors import ConvergenceError, DomainError, PoleError, ValidationError
@@ -101,15 +100,6 @@ _TAYLOR_MAX_TERMS = 60
 _FIRST_SERIES_MAX_TERMS = 400
 _LAURENT_MAX_OUTER = 200
 _LAURENT_MAX_INNER = 400
-
-
-class RegimeTag(enum.Enum):
-    """The evaluation strategy that serves a point. One tag per point."""
-
-    PV_STATIC = "pv-static"
-    CLOSED_FORM = "closed-form"
-    TAYLOR_SERIES = "taylor-series"
-    LAURENT_SERIES = "laurent-series"
 
 
 class TermBreakdown(FrozenRecord):
@@ -227,14 +217,19 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
 
     Valid for Im(z) >= 0; on the real axis the closed forms give the limit
     y -> 0+, poles inside [-1, 1] or on t = +-1 included. Raises DomainError
-    where the closed forms leave double precision range, as at large |s|.
+    where the closed forms leave double precision range, as at large |s|:
+    an intermediate overflows, or a complex product of overflowed parts
+    makes a term NaN or infinite without raising.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be finite and > 0")
     z = require_finite_complex("z", complex(z))
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
-    return _breakdown(z.real, q, _closed_pieces(z, q)[0])
+    terms = _breakdown(z.real, q, _closed_pieces(z, q)[0])
+    if not all(map(cmath.isfinite, terms._values())):
+        raise DomainError("eval_integrals: a term is beyond double-precision range")
+    return terms
 
 
 def _first_integral_closed(s: complex, q: float) -> tuple:
@@ -583,7 +578,7 @@ def regime_select(point: DimensionlessPoint) -> RegimeTag:
 
 
 def _closed_form_result(
-    point: DimensionlessPoint, closed, method: EvalMethod = EvalMethod.CLOSED_FORM
+    point: DimensionlessPoint, closed, method: RegimeTag = RegimeTag.CLOSED_FORM
 ) -> ChiResult:
     """The closed form, with its large-argument pieces summed as series.
 
@@ -646,10 +641,10 @@ def _taylor_result(point: DimensionlessPoint, closed) -> ChiResult:
     quant, err_est = _quant_taylor_shift(s, q)
     if x == 0.0:
         quant = complex(quant.real, 0.0)
-        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.SERIES_SMALL_Q, err_est)
+        return ChiResult.from_parts(complex(0.0), quant, RegimeTag.TAYLOR_SERIES, err_est)
     I1 = closed[0] if closed else _first_integral_closed(s, q)[0]
     classic = -3.0 * x / (q * q) * I1
-    return ChiResult.from_parts(classic, quant, EvalMethod.SERIES_SMALL_Q, err_est)
+    return ChiResult.from_parts(classic, quant, RegimeTag.TAYLOR_SERIES, err_est)
 
 
 def _laurent_result(point: DimensionlessPoint) -> ChiResult:
@@ -664,9 +659,9 @@ def _laurent_result(point: DimensionlessPoint) -> ChiResult:
     quant, quant_err = _quant_laurent(z, q)
     if x == 0.0:
         quant = complex(quant.real, 0.0)
-        return ChiResult.from_parts(complex(0.0), quant, EvalMethod.SERIES_SMALL_Q, quant_err)
+        return ChiResult.from_parts(complex(0.0), quant, RegimeTag.LAURENT_SERIES, quant_err)
     classic, classic_err = _classic_laurent(z, q, x)
-    return ChiResult.from_parts(classic, quant, EvalMethod.SERIES_SMALL_Q, quant_err + classic_err)
+    return ChiResult.from_parts(classic, quant, RegimeTag.LAURENT_SERIES, quant_err + classic_err)
 
 
 def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
@@ -680,9 +675,9 @@ def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
         if tag is RegimeTag.PV_STATIC:
             if point.q > 2.0:
                 # no principal value is involved once the poles leave [-1, 1]
-                return _closed_form_result(point, None, EvalMethod.PV_STATIC)
+                return _closed_form_result(point, None, RegimeTag.PV_STATIC)
             quant = complex(chi_static_pv(point.q), 0.0)
-            return ChiResult.from_parts(complex(0.0), quant, EvalMethod.PV_STATIC, 0.0)
+            return ChiResult.from_parts(complex(0.0), quant, RegimeTag.PV_STATIC, 0.0)
         if tag is RegimeTag.CLOSED_FORM:
             return _closed_form_result(point, closed)
         if tag is RegimeTag.TAYLOR_SERIES:
@@ -697,10 +692,10 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio chi/chi_L with automatic regime handling.
 
     classic and quant are the two physical contributions; total is their sum
-    exactly. method records the strategy actually used and err_est its
-    truncation bound: 0 for the principal value, the bounds of the pieces
-    the closed form summed as series (0 if none), and the series bounds for
-    the series branches.
+    exactly. method is the RegimeTag that regime_select gives the point, and
+    err_est its truncation bound: 0 for the principal value, the bounds of
+    the pieces the closed form summed as series (0 if none), and the series
+    bounds for the series branches.
 
     On the collisionless line y = 0 it returns the limit y -> 0+, poles
     inside [-1, 1] or on t = +-1 included. Raises DomainError where an
@@ -712,11 +707,11 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
 
 @_double_range
 def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
-    """(RegimeTag, ChiResult, TermBreakdown|None) from one regime choice.
+    """(ChiResult, TermBreakdown|None) from one regime choice.
 
     The breakdown is the closed form's evaluation where the cancellation
     guard measured it, else None. Raises as chi_ratio does.
     """
     tag, closed = _classify(point)
     breakdown = None if closed is None else _breakdown(point.x, point.q, closed)
-    return tag, _result(point, tag, closed), breakdown
+    return _result(point, tag, closed), breakdown

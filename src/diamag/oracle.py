@@ -31,7 +31,7 @@ import math
 from mpmath import mp, mpc, mpf
 from mpmath.calculus.quadrature import TanhSinh
 
-from .core import ChiResult, DimensionlessPoint, EvalMethod, FrozenRecord
+from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
 from .errors import DomainError, ExtrapolationError, ValidationError
 from .quadrature import integrate_complex_adaptive
 
@@ -436,7 +436,7 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
                     for part in (value.real, value.imag)
                 )
                 return ChiResult.from_parts(
-                    classic, quant, EvalMethod.QUADRATURE, float(bound) + rounding
+                    classic, quant, RegimeTag.QUADRATURE, float(bound) + rounding
                 )
             step = mp.ceil(mp.log10(excess)) + 2 if mp.isfinite(excess) else dps
         dps = min(_MAX_DPS, dps + int(step))
@@ -519,7 +519,7 @@ def chi_from_kinetic(point: DimensionlessPoint) -> ChiResult:
         v_c, e_c = integrate_complex_adaptive(f_classic, -1.0, 1.0, splits)
         classic = -3.0 * x / (q * q) * v_c
         err += 3.0 * x / (q * q) * e_c
-    return ChiResult.from_parts(classic, quant, EvalMethod.QUADRATURE, err)
+    return ChiResult.from_parts(classic, quant, RegimeTag.QUADRATURE, err)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +553,7 @@ def chi_quant_smallk(point: DimensionlessPoint) -> ChiResult:
             return complex(-(1.0 - t * t) * (15.0 * t * t - 9.0) / 8.0)
 
         value, err = integrate_complex_adaptive(f_static, -1.0, 1.0)
-        return ChiResult.from_parts(complex(0.0), value, EvalMethod.QUADRATURE, err)
+        return ChiResult.from_parts(complex(0.0), value, RegimeTag.QUADRATURE, err)
     if y <= 0.0:
         raise DomainError("chi_quant_smallk requires y > 0 (or the static point)")
     z = point.z
@@ -569,7 +569,7 @@ def chi_quant_smallk(point: DimensionlessPoint) -> ChiResult:
     value, err = integrate_complex_adaptive(f, -1.0, 1.0, splits)
     scale = -0.25 * q
     return ChiResult.from_parts(
-        complex(0.0), scale * value, EvalMethod.QUADRATURE, abs(scale) * err
+        complex(0.0), scale * value, RegimeTag.QUADRATURE, abs(scale) * err
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
-from .core import ChiResult, DimensionlessPoint, FrozenRecord
+from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
 from .errors import DiamagError, ValidationError
 from .kernel import chi_ratio
 
@@ -33,11 +33,6 @@ __all__ = [
     "rows_to_csv",
     "write_csv",
 ]
-
-CSV_HEADER = (
-    "q,x,y,chi_total_re,chi_total_im,chi_classic_re,chi_classic_im,"
-    "chi_quant_re,chi_quant_im,method,err_est"
-)
 
 FIGURE1_Y_VALUES: Tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3)
 FIGURE1_Q_RANGE: Tuple[float, float] = (1e-7, 2.0)
@@ -119,52 +114,33 @@ class OutputRow(FrozenRecord):
 
     @classmethod
     def from_result(cls, point: DimensionlessPoint, result: ChiResult) -> "OutputRow":
+        total, classic, quant = result.total, result.classic, result.quant
+        method = _CSV_METHOD.get(result.method, result.method.value)
         return cls(
-            q=point.q,
-            x=point.x,
-            y=point.y,
-            chi_total_re=result.total.real,
-            chi_total_im=result.total.imag,
-            chi_classic_re=result.classic.real,
-            chi_classic_im=result.classic.imag,
-            chi_quant_re=result.quant.real,
-            chi_quant_im=result.quant.imag,
-            method=result.method.value,
-            err_est=result.err_est,
+            point.q, point.x, point.y, total.real, total.imag, classic.real,
+            classic.imag, quant.real, quant.imag, method, result.err_est,
         )
 
     @classmethod
     def error_row(cls, point: DimensionlessPoint) -> "OutputRow":
-        return cls(
-            q=point.q,
-            x=point.x,
-            y=point.y,
-            chi_total_re=0.0,
-            chi_total_im=0.0,
-            chi_classic_re=0.0,
-            chi_classic_im=0.0,
-            chi_quant_re=0.0,
-            chi_quant_im=0.0,
-            method="error",
-            err_est=0.0,
-        )
+        return cls(point.q, point.x, point.y, *(0.0,) * 6, "error", 0.0)
 
     def to_csv_line(self) -> str:
         return ",".join(
-            (
-                format_float(self.q),
-                format_float(self.x),
-                format_float(self.y),
-                format_float(self.chi_total_re),
-                format_float(self.chi_total_im),
-                format_float(self.chi_classic_re),
-                format_float(self.chi_classic_im),
-                format_float(self.chi_quant_re),
-                format_float(self.chi_quant_im),
-                self.method,
-                format_float(self.err_est),
-            )
+            value if isinstance(value, str) else format_float(value)
+            for value in self._values()
         )
+
+
+CSV_HEADER = ",".join(OutputRow._fields)
+
+# The CSV method column gives both series one label, as figure1's pinned
+# bytes (FIGURE1_SHA256 in perfbench/run.py) have it; every other tag is
+# written as its value. Deleting this table moves that pin.
+_CSV_METHOD = {
+    RegimeTag.TAYLOR_SERIES: "series-small-q",
+    RegimeTag.LAURENT_SERIES: "series-small-q",
+}
 
 
 def format_float(value: float) -> str:

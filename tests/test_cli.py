@@ -100,14 +100,27 @@ def test_eval_collisionless_point_shows_terms(x, y, q, regime, capsys):
     assert abs(from_terms - total) <= 1e-14 * abs(total)
 
 
-@pytest.mark.parametrize("x, y", [("0", "1e200"), ("1e200", "1")])
-def test_eval_beyond_double_range_shows_no_terms(x, y, capsys):
-    # the Laurent series serves the point; the raw closed-form terms overflow
-    code = main(["eval", "--x", x, "--y", y, "--q", "1", "--json"])
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "x, y, q, regime",
+    [
+        pytest.param("0", "1e200", "1", "laurent-series", id="0-1e200"),
+        pytest.param("1e200", "1", "1", "laurent-series", id="1e200-1"),
+        # a complex product of overflowed parts makes I3 NaN without raising
+        pytest.param("0", "7.7e-33", "9.5e77", "closed-form", id="0-7.7e-33-9.5e77"),
+        pytest.param("0", "2.755e75", "2.1e-4", "laurent-series", id="0-2.755e75-2.1e-4"),
+    ],
+)
+def test_eval_beyond_double_range_shows_no_terms(x, y, q, regime, capsys):
+    # the kernel serves the point; the raw closed-form terms leave double range
+    code = main(["eval", "--x", x, "--y", y, "--q", q, "--json"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert payload["terms"] is None
-    assert payload["regime"] == "laurent-series"
+    assert payload["regime"] == regime
 
 
 def test_eval_rejects_bad_coordinates(capsys):

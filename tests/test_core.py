@@ -10,8 +10,8 @@ from diamag.constants import ELECTRON_MASS, HBAR
 from diamag.core import (
     ChiResult,
     DimensionlessPoint,
-    EvalMethod,
     PhysicalState,
+    RegimeTag,
     chi_ratio_to_absolute,
     fermi_parameters_from_density,
     from_dimensionless,
@@ -158,20 +158,20 @@ class TestAbsoluteConversion:
 class TestChiResult:
     def test_total_is_sum_by_construction(self):
         r = ChiResult.from_parts(
-            complex(1.0, -2.0), complex(0.25, 0.5), EvalMethod.CLOSED_FORM
+            complex(1.0, -2.0), complex(0.25, 0.5), RegimeTag.CLOSED_FORM
         )
         assert r.total == complex(1.25, -1.5)
 
     def test_rejects_negative_err_est(self):
         with pytest.raises(ValidationError):
             ChiResult.from_parts(
-                complex(1.0), complex(0.0), EvalMethod.CLOSED_FORM, err_est=-1e-3
+                complex(1.0), complex(0.0), RegimeTag.CLOSED_FORM, err_est=-1e-3
             )
 
     def test_rejects_nonfinite_components(self):
         with pytest.raises(ValidationError):
             ChiResult.from_parts(
-                complex(float("nan")), complex(0.0), EvalMethod.CLOSED_FORM
+                complex(float("nan")), complex(0.0), RegimeTag.CLOSED_FORM
             )
 
 
@@ -183,9 +183,9 @@ RECORDS = {
         "DimensionlessPoint(x=0.1, y=0.0, q=0.5)",
     ),
     "ChiResult": (
-        lambda: ChiResult.from_parts(1 + 2j, 0.5j, EvalMethod.CLOSED_FORM, 1e-16),
+        lambda: ChiResult.from_parts(1 + 2j, 0.5j, RegimeTag.CLOSED_FORM, 1e-16),
         "ChiResult(classic=(1+2j), quant=0.5j, total=(1+2.5j),"
-        " method=<EvalMethod.CLOSED_FORM: 'closed-form'>, err_est=1e-16)",
+        " method=<RegimeTag.CLOSED_FORM: 'closed-form'>, err_est=1e-16)",
     ),
     "TermBreakdown": (
         lambda: TermBreakdown(I1=1j, I2=2 + 0j, I3=3j, term1=0j, term2=(3 + 0j), term3=2.25j),

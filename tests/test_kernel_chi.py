@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from diamag.core import DimensionlessPoint, EvalMethod
+from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.oracle import chi_ratio_quadrature
 from diamag.kernel import chi_ratio, eval_integrals
 
@@ -47,7 +47,7 @@ def test_term_breakdown_matches_total_in_direct_regime():
     for x, y, q in ((0.1, 0.1, 0.5), (0.5, 1.0, 1.9), (0.3, 0.02, 1.0)):
         point = DimensionlessPoint(x=x, y=y, q=q)
         result = chi_ratio(point)
-        assert result.method == EvalMethod.CLOSED_FORM
+        assert result.method is RegimeTag.CLOSED_FORM
         bd = eval_integrals(point.z, point.q)
         raw = bd.term1 + bd.term2 + bd.term3
         assert abs(raw - result.total) <= 1e-14 * abs(result.total)
@@ -87,6 +87,6 @@ def test_series_err_est_bounds_actual_truncation():
     # compare the series value against the frozen 60-digit reference
     point = DimensionlessPoint(x=0.0, y=0.01, q=0.01)
     result = chi_ratio(point)
-    assert result.method == EvalMethod.SERIES_SMALL_Q
+    assert result.method is RegimeTag.TAYLOR_SERIES
     true_error = abs(result.total.real - 0.0719021299071757452119)
     assert true_error <= max(result.err_est, 1e-13)

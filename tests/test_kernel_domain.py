@@ -22,15 +22,14 @@ from diamag import (
     DiamagError,
     DimensionlessPoint,
     DomainError,
-    EvalMethod,
     PoleError,
+    RegimeTag,
     ValidationError,
     chi_ratio,
     chi_ratio_quadrature,
 )
 from diamag.kernel import (
     _CANCEL_DIGITS,
-    RegimeTag,
     _closed_pieces,
     chi_ratio_detailed,
     regime_select,
@@ -98,7 +97,7 @@ def test_whole_float_range_gives_a_finite_result_or_a_diamag_error():
             assert not isinstance(exc, (ValidationError, PoleError)), (coords, exc)
             continue
         assert cmath.isfinite(result.total) and math.isfinite(result.err_est), coords
-        assert chi_ratio_detailed(point)[1] == result, coords
+        assert chi_ratio_detailed(point)[0] == result, coords
         served += 1
     # most of the range is served, not refused
     assert served > 500
@@ -217,15 +216,6 @@ def test_large_q_points_match_the_oracle_in_every_regime():
         assert abs(got - want) <= 1e-12 * abs(want), (point, regime_select(point))
 
 
-# The CSV method column is coarser than the tag: it names the strategy family.
-METHOD_OF_TAG = {
-    RegimeTag.PV_STATIC: EvalMethod.PV_STATIC,
-    RegimeTag.CLOSED_FORM: EvalMethod.CLOSED_FORM,
-    RegimeTag.TAYLOR_SERIES: EvalMethod.SERIES_SMALL_Q,
-    RegimeTag.LAURENT_SERIES: EvalMethod.SERIES_SMALL_Q,
-}
-
-
 def test_every_tag_occurs_and_names_the_strategy_that_ran():
     rng = random.Random(17)
     seen = set()
@@ -233,8 +223,9 @@ def test_every_tag_occurs_and_names_the_strategy_that_ran():
         point = DimensionlessPoint(*_box_point(rng))
         tag = regime_select(point)
         seen.add(tag)
-        assert chi_ratio(point).method is METHOD_OF_TAG[tag], (point, tag)
-    assert seen == set(RegimeTag)
+        assert chi_ratio(point).method is tag, (point, tag)
+    # every tag but the oracles' QUADRATURE names a kernel strategy
+    assert seen == set(RegimeTag) - {RegimeTag.QUADRATURE}
 
 
 # Frozen from the closed forms at 400 digits (mpmath); chi_ratio_quadrature
@@ -251,7 +242,7 @@ def test_far_field_closed_form_at_frozen_large_q_points(coords, ref):
     point = DimensionlessPoint(*coords)
     assert regime_select(point) is RegimeTag.CLOSED_FORM
     result = chi_ratio(point)
-    assert result.method == EvalMethod.CLOSED_FORM
+    assert result.method is RegimeTag.CLOSED_FORM
     assert abs(result.total - ref) <= 1e-12 * abs(ref)
     assert result.err_est > 0.0
 
@@ -277,6 +268,6 @@ def test_closed_form_sums_far_arguments_as_series_below_q_2(coords, ref):
     point = DimensionlessPoint(*coords)
     assert regime_select(point) is RegimeTag.CLOSED_FORM
     result = chi_ratio(point)
-    assert result.method == EvalMethod.CLOSED_FORM
+    assert result.method is RegimeTag.CLOSED_FORM
     assert abs(result.total - ref) <= 1e-13 * abs(ref)
     assert result.err_est > 0.0

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from diamag.core import DimensionlessPoint, EvalMethod
+from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.kernel import _laurent_result, chi_ratio, eval_integrals
 
 OVERLAP_WINDOW = [
@@ -25,7 +25,7 @@ OVERLAP_WINDOW = [
 @pytest.mark.parametrize("q,expected", OVERLAP_WINDOW)
 def test_series_matches_true_value_in_overlap_window(q, expected):
     result = chi_ratio(DimensionlessPoint(x=0.0, y=1e-6, q=q))
-    assert result.method == EvalMethod.SERIES_SMALL_Q
+    assert result.method is RegimeTag.TAYLOR_SERIES
     assert math.isclose(result.total.real, expected, rel_tol=1e-9)
 
 
@@ -78,8 +78,8 @@ def test_asymptotic_and_direct_agree_in_overlap():
     point = DimensionlessPoint(x=0.0, y=4.0, q=1.2)
     direct = chi_ratio(point)
     series = _laurent_result(point)
-    assert direct.method == EvalMethod.CLOSED_FORM
-    assert series.method == EvalMethod.SERIES_SMALL_Q
+    assert direct.method is RegimeTag.CLOSED_FORM
+    assert series.method is RegimeTag.LAURENT_SERIES
     assert abs(direct.total - series.total) <= 1e-11 * abs(direct.total)
 
 
@@ -87,7 +87,7 @@ def test_finite_frequency_asymptotic_value():
     # |s| = 63: mandatory asymptotic regime, classical part dominant
     result = chi_ratio(DimensionlessPoint(x=3.0, y=1.0, q=0.05))
     expected = complex(1440.04319969421539534, -480.062408138595653387)
-    assert result.method == EvalMethod.SERIES_SMALL_Q
+    assert result.method is RegimeTag.LAURENT_SERIES
     assert abs(result.total - expected) < 1e-12 * abs(expected)
     assert abs(result.classic) > abs(result.quant)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from diamag.core import DimensionlessPoint, EvalMethod
+from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.errors import DomainError
 from diamag.kernel import chi_ratio, chi_static_pv, eval_integrals
 
@@ -55,7 +55,7 @@ def test_static_point_beyond_pv_window_uses_closed_form():
     result = chi_ratio(DimensionlessPoint(x=0.0, y=0.0, q=3.0))
     assert math.isclose(result.total.real, 0.401958514545651009149, rel_tol=1e-13)
     assert result.total.imag == 0.0
-    assert result.method == EvalMethod.PV_STATIC
+    assert result.method is RegimeTag.PV_STATIC
 
 
 def test_pv_matches_boundary_closed_form():
@@ -70,7 +70,7 @@ def test_pv_matches_boundary_closed_form():
 
 def test_static_ratio_via_chi_ratio_dispatch():
     result = chi_ratio(DimensionlessPoint(x=0.0, y=0.0, q=1.0))
-    assert result.method == EvalMethod.PV_STATIC
+    assert result.method is RegimeTag.PV_STATIC
     assert result.classic == 0j
     assert result.err_est == 0.0
     assert math.isclose(result.total.real, 0.948045881436282447885, rel_tol=1e-14)
@@ -90,7 +90,7 @@ STATIC_LARGE_Q_REFERENCES = [
 @pytest.mark.parametrize("q, ref", STATIC_LARGE_Q_REFERENCES)
 def test_static_point_at_large_q_matches_frozen_reference(q, ref):
     result = chi_ratio(DimensionlessPoint(x=0.0, y=0.0, q=q))
-    assert result.method == EvalMethod.PV_STATIC
+    assert result.method is RegimeTag.PV_STATIC
     assert result.classic == 0j
     assert result.total.imag == 0.0
     assert abs(result.total.real - ref) <= 1e-14 * ref

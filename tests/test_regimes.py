@@ -3,7 +3,7 @@
 import pytest
 
 from diamag import kernel
-from diamag.core import DimensionlessPoint, EvalMethod
+from diamag.core import DimensionlessPoint
 from diamag.kernel import RegimeTag, chi_ratio, regime_select
 
 
@@ -71,18 +71,18 @@ def test_cancellation_escalates_to_series():
     # q = y = 0.01: the direct form loses ~7 digits, so evaluation escalates
     p = DimensionlessPoint(0.0, 0.01, 0.01)
     result = chi_ratio(p)
-    assert result.method == EvalMethod.SERIES_SMALL_Q
+    assert result.method is RegimeTag.TAYLOR_SERIES
 
 
 def test_method_matches_regime_for_literal_windows():
     cases = [
-        (DimensionlessPoint(0.0, 0.0, 1.0), EvalMethod.PV_STATIC),
-        (DimensionlessPoint(0.0, 1e-9, 1e-5), EvalMethod.SERIES_SMALL_Q),
-        (DimensionlessPoint(0.1, 0.1, 0.5), EvalMethod.CLOSED_FORM),
-        (DimensionlessPoint(0.0, 80.0, 1.0), EvalMethod.SERIES_SMALL_Q),
+        (DimensionlessPoint(0.0, 0.0, 1.0), RegimeTag.PV_STATIC),
+        (DimensionlessPoint(0.0, 1e-9, 1e-5), RegimeTag.TAYLOR_SERIES),
+        (DimensionlessPoint(0.1, 0.1, 0.5), RegimeTag.CLOSED_FORM),
+        (DimensionlessPoint(0.0, 80.0, 1.0), RegimeTag.LAURENT_SERIES),
     ]
     for point, method in cases:
-        assert chi_ratio(point).method == method
+        assert chi_ratio(point).method is method
 
 
 # |s| < 2 (1 + q/2): the Laurent series in q/z does not converge here
@@ -96,7 +96,7 @@ def test_points_outside_laurent_convergence_get_the_closed_form(x, y, q):
     point = DimensionlessPoint(x, y, q)
     assert regime_select(point) is RegimeTag.CLOSED_FORM
     result = chi_ratio(point)
-    assert result.method == EvalMethod.CLOSED_FORM
+    assert result.method is RegimeTag.CLOSED_FORM
     assert result.err_est > 0.0
 
 
@@ -119,5 +119,5 @@ def test_laurent_edge_points_keep_their_branch_and_bits(coords, classic, quant, 
     point = DimensionlessPoint(*coords)
     assert regime_select(point) is RegimeTag.LAURENT_SERIES
     result = chi_ratio(point)
-    assert result.method == EvalMethod.SERIES_SMALL_Q
+    assert result.method is RegimeTag.LAURENT_SERIES
     assert (result.classic, result.quant, result.err_est) == (classic, quant, err_est)

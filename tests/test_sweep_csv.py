@@ -8,14 +8,19 @@ import pytest
 
 from diamag import (
     CSV_HEADER,
+    ChiResult,
     DimensionlessPoint,
     FIGURE1_POINTS_PER_CURVE,
     FIGURE1_Q_RANGE,
     FIGURE1_Y_VALUES,
     OutputRow,
+    RegimeTag,
     SweepSpec,
     ValidationError,
+    chi_from_kinetic,
+    chi_quant_smallk,
     chi_ratio,
+    chi_ratio_quadrature,
     figure1_rows,
     format_float,
     render_line_chart,
@@ -33,6 +38,19 @@ EXPECTED_HEADER = (
 
 def test_csv_header_is_frozen():
     assert CSV_HEADER == EXPECTED_HEADER
+
+
+def test_method_column_names_one_tag_or_the_series_family():
+    # the oracles report QUADRATURE; the CSV method column writes both series
+    # as series-small-q, as figure1's pinned bytes have them, and every other
+    # tag as its value
+    point = DimensionlessPoint(0.0, 0.1, 1e-2)
+    for oracle in (chi_ratio_quadrature, chi_from_kinetic, chi_quant_smallk):
+        assert oracle(point).method is RegimeTag.QUADRATURE
+    series = {RegimeTag.TAYLOR_SERIES, RegimeTag.LAURENT_SERIES}
+    for tag in RegimeTag:
+        row = OutputRow.from_result(point, ChiResult.from_parts(1j, 0j, tag))
+        assert row.method == ("series-small-q" if tag in series else tag.value)
 
 
 @pytest.mark.parametrize(
