@@ -5,10 +5,11 @@ the kernel module uses, on purpose:
 
   * chi_ratio_quadrature integrates the three angular integrals directly
     with high-precision arithmetic, never touching the kernel's
-    branch-logarithm algebra: one tanh-sinh pass (mpmath's nodes and error
-    estimate) over shared nodes along the polyline -1 -> -i -> 1, which
-    passes below every pole, so the integrands stay bounded and no split
-    points are needed; the integrands are evaluated in fixed-width complex
+    branch-logarithm algebra: one tanh-sinh pass (mpmath's standard nodes
+    and error estimate) over shared nodes along the polyline -1 -> -i -> 1,
+    which passes below every pole, so the integrands stay bounded and no
+    split points are needed (at x = 0 the second segment mirrors the first,
+    so one suffices); the integrands are evaluated in fixed-width complex
     arithmetic on Python ints at the pass's precision;
   * chi_from_kinetic rebuilds the ratio from the kinetic-equation form, a
     velocity-shell occupation difference against a shifted resonance
@@ -107,8 +108,8 @@ def _path_distance(c: complex, q: float) -> float:
     return best
 
 
-def _path_quad(level_sums) -> list:
-    """Integrals of every component of an integrand along _PATH, in one pass.
+def _path_quad(level_sums, path=_PATH) -> list:
+    """Integrals of every component of an integrand along path, in one pass.
 
     This is mp.quad's loop (QuadratureRule.summation with TanhSinh.sum_next)
     for a vector integrand. level_sums(a, b, degree, prec) returns, per
@@ -117,33 +118,35 @@ def _path_quad(level_sums) -> list:
     precision; every component keeps its own sequence of level sums and
     error estimate. A segment stops at the first degree from
     _FIRST_STOP_DEGREE on where every component's estimate meets mp.quad's
-    epsilon, eps/8 at the working precision; the sums run _GUARD_BITS above
-    it. With mp.fdot level sums of a one-component integrand f and
-    _FIRST_STOP_DEGREE = 2 it returns exactly what
-    mp.quad(f, _PATH, error=True) does. Returns [(value, error), ...].
+    epsilon, eps/8 at the working precision, so no estimate is made below
+    that degree; the sums run _GUARD_BITS above it. With mp.fdot level sums
+    of a one-component integrand f and _FIRST_STOP_DEGREE = 2 it returns
+    exactly what mp.quad(f, path, error=True) does. Returns
+    [(value, error), ...].
     """
     prec = mp.prec
     epsilon = mp.eps / 8
-    max_degree = _TANH_SINH.guess_degree(prec)
+    max_degree = _TANH_SINH.guess_degree(prec)  # at least 6
+    first_estimate = max(2, _FIRST_STOP_DEGREE)
     segments = []
     with mp.extraprec(_GUARD_BITS):
-        for a, b in zip(_PATH, _PATH[1:]):
+        for a, b in zip(path, path[1:]):
             levels = []  # per degree, the level sum of every component
             for degree in range(1, max_degree + 1):
                 sums = level_sums(a, b, degree, prec)
                 h = mpf(2) ** (-degree)
                 previous = levels[-1] if levels else [mp.zero] * len(sums)
                 levels.append([h * (prev / (h * 2) + s) for prev, s in zip(previous, sums)])
-                if degree == 1:
+                if degree < first_estimate:
                     continue
                 errs = [_TANH_SINH.estimate_error(r, prec, epsilon) for r in zip(*levels)]
-                if degree >= _FIRST_STOP_DEGREE and max(errs) <= epsilon:
+                if max(errs) <= epsilon:
                     break
-            segments.append((levels[-1], errs))
-        (v_a, e_a), (v_b, e_b) = segments
-        totals = [u + v for u, v in zip(v_a, v_b)]
-        errors = [d + e for d, e in zip(e_a, e_b)]
-    return [(+v, e) for v, e in zip(totals, errors)]
+            segments.append(zip(levels[-1], errs))
+        totals = [
+            (sum(v for v, _ in parts), sum(e for _, e in parts)) for parts in zip(*segments)
+        ]
+    return [(+v, e) for v, e in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +157,9 @@ def _path_quad(level_sums) -> list:
 # integers and rounds it once, to nearest, so that the larger part keeps at
 # most `width` bits (a carry may add one). The error is at most half a unit
 # in the last place of each part: sqrt(2) 2^-width of the result's modulus.
+# Ties round away from zero, so that the arithmetic commutes with negating a
+# part: conjugate inputs give exactly conjugate results, which the mirrored
+# segments at x = 0 rely on (_quadrature_raw).
 
 
 def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
@@ -162,7 +168,11 @@ def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
     if excess <= 0:
         return re, im, exp
     half = 1 << (excess - 1)
-    return (re + half) >> excess, (im + half) >> excess, exp + excess
+    return (
+        (re + half) >> excess if re >= 0 else -((half - re) >> excess),
+        (im + half) >> excess if im >= 0 else -((half - im) >> excess),
+        exp + excess,
+    )
 
 
 def _quotient(ar: int, ai: int, ae: int, br: int, bi: int, be: int, width: int) -> tuple:
@@ -178,7 +188,11 @@ def _quotient(ar: int, ai: int, ae: int, br: int, bi: int, be: int, width: int) 
     else:
         den <<= -shift
     twice = den << 1
-    return (2 * nr + den) // twice, (2 * ni + den) // twice, ae - be - shift
+    return (
+        (2 * nr + den) // twice if nr >= 0 else -((den - 2 * nr) // twice),
+        (2 * ni + den) // twice if ni >= 0 else -((den - 2 * ni) // twice),
+        ae - be - shift,
+    )
 
 
 def _difference(ar: int, ai: int, ae: int, br: int, bi: int, be: int, width: int) -> tuple:
@@ -221,28 +235,41 @@ _FIXED_NODES: dict = {}
 
 
 def _fixed_nodes(a, b, degree: int, prec: int) -> list:
-    """t, 1 - t^2, (1 - t^2)^2 and the weight of each node, at width prec + 20.
+    """t, 1 - t^2, (1 - t^2)^2 at width prec + 20 and half the weight, per node.
 
-    The nodes are those of _TANH_SINH.get_nodes(a, b, degree, prec), each
-    flattened into one tuple of four values. 1 - t^2 and its square are
-    exact from the rounded t before they are rounded. Converted once and
-    kept, like TanhSinh's own node cache; nothing about a point is stored.
+    The nodes are those of _TANH_SINH.get_nodes(a, b, degree, prec), built
+    from the standard nodes x, w on [-1, 1] that get_nodes(-1, 1, ...) caches,
+    without mpmath's transform to the segment a -> b. Each part of a and b is
+    0 or +-1, so (b + a)/2 + (b - a)/2 x is formed exactly on the integers
+    and rounded once; since ties round away from zero, the nodes of -1 -> -i
+    and -i -> 1 are exact mirror images t and -conj(t), as the standard
+    nodes +-x are. 1 - t^2 and its square are exact from the rounded t
+    before they are rounded. The weight (b - a)/2 w is kept as w/2 rounded
+    at prec + 20 bits, as get_nodes rounds it, so that (b - a) times it is
+    get_nodes' weight exactly. Converted once and kept, like TanhSinh's own
+    node cache; nothing about a point is stored.
     """
     key = (a, b, degree, prec)
     nodes = _FIXED_NODES.get(key)
     if nodes is None:
         width = prec + _GUARD_BITS
+        # twice the segment's centre and twice its half-length
+        cr, ci = int((b + a).real), int((b + a).imag)
+        sr, si = int((b - a).real), int((b - a).imag)
         nodes = []
-        for t, weight in _TANH_SINH.get_nodes(a, b, degree, prec):
-            tr, ti, te = _rounded(*_fixed(t.real, t.imag), width)
-            # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
-            ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
-            nodes.append(
-                (tr, ti, te)
-                + _rounded(ur, ui, ue, width)
-                + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
-                + _rounded(*_fixed(weight.real, weight.imag), width)
-            )
+        with mp.workprec(width):
+            for x, weight in _TANH_SINH.get_nodes(-1, 1, degree, prec):
+                m, e = _parts(x)  # |x| < 1, so e <= 0
+                re, im = (cr << -e) + sr * m, (ci << -e) + si * m
+                tr, ti, te = _rounded(re, im, e - 1, width)
+                # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
+                ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
+                nodes.append(
+                    (tr, ti, te)
+                    + _rounded(ur, ui, ue, width)
+                    + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
+                    + _parts(+mp.ldexp(weight, -1))
+                )
         _FIXED_NODES[key] = nodes
     return nodes
 
@@ -253,8 +280,9 @@ def _contour_sums(x: float, y: float, q: float):
     Per node, with t, u = 1 - t^2, u^2 and the weight from _fixed_nodes, a
     point computes w = q t - z, u/w, t u/w and u^2/(w^2 - q^4/4) in the
     fixed-width arithmetic above, at the width prec + 20 that mp.quad's sums
-    use; each level sum is the exact sum of the weight products, rounded
-    once when it becomes an mpc.
+    use; each level sum is the exact sum of the products with the real half
+    weights, times b - a (whose parts are 0 or +-1), rounded once when it
+    becomes an mpc.
 
     Why the rounding allowance of _quadrature_raw (_rounding_noise) still
     covers this arithmetic: every result is rounded once, to nearest, so it
@@ -279,22 +307,21 @@ def _contour_sums(x: float, y: float, q: float):
 
     def level_sums(start, end, degree: int, prec: int) -> list:
         width = prec + _GUARD_BITS
+        sr, si = int((end - start).real), int((end - start).imag)
         i2, i3, i1 = [], [], []
-        # per node: c the weight, w = q t - z, a = u/w, b = t a, d = w^2 - q^4/4, f = u^2/d
-        for tr, ti, te, ur, ui, ue, vr, vi, ve, cr, ci, ce in _fixed_nodes(
-            start, end, degree, prec
-        ):
+        # per node: c half the weight, w = q t - z, a = u/w, b = t a, d = w^2 - q^4/4, f = u^2/d
+        for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in _fixed_nodes(start, end, degree, prec):
             wr, wi, we = _difference(qm * tr, qm * ti, qe + te, zr, zi, ze, width)
             ar, ai, ae = _quotient(ur, ui, ue, wr, wi, we, width)
             br, bi, be = _rounded(tr * ar - ti * ai, tr * ai + ti * ar, te + ae, width)
             dr, di, de = _difference(wr * wr - wi * wi, 2 * wr * wi, 2 * we, km, 0, ke, width)
             fr, fi, fe = _quotient(vr, vi, ve, dr, di, de, width)
-            i2.append((cr * br - ci * bi, cr * bi + ci * br, ce + be))
-            i3.append((cr * fr - ci * fi, cr * fi + ci * fr, ce + fe))
+            i2.append((c * br, c * bi, ce + be))
+            i3.append((c * fr, c * fi, ce + fe))
             if x:
-                i1.append((cr * ar - ci * ai, cr * ai + ci * ar, ce + ae))
+                i1.append((c * ar, c * ai, ce + ae))
         return [
-            mpc(mp.ldexp(re, exp), mp.ldexp(im, exp))
+            mpc(mp.ldexp(sr * re - si * im, exp), mp.ldexp(sr * im + si * re, exp))
             for re, im, exp in map(_exact_sum, (i2, i3, i1) if x else (i2, i3))
         ]
 
@@ -376,14 +403,19 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     """Quadrature along _PATH at the fewest working digits the point needs.
 
     One _path_quad pass per working precision yields I2, I3 and, for x != 0,
-    I1. Its integrands come from _contour_sums: each node computes q t - z
-    and u/w once for all of them, in fixed-width integer complex arithmetic
-    20 bits above the working precision that rounds every result once, to
-    nearest. Each pass bounds its own rounding noise from magnitudes it
-    already has: 10^-dps of every assembled term, and 2^-(prec+10) (about
-    10^-(dps+4), the node tails left out at the corner, _NODE_TAIL_BITS) of
-    each integrand's peak times the path length 2 sqrt(2) for the sums
-    inside the pass (_rounding_noise). That term is 2^10 times the scale of
+    I1. At x = 0 the pass covers only the segment -1 -> -i: t -> -conj(t)
+    carries it, nodes and weights included, onto -i -> 1, where the
+    integrands of I2 and I3 take the conjugate values, so each integral is
+    twice the real part of the segment's and its error estimate twice the
+    segment's (the imaginary parts cancel exactly). Its integrands come
+    from _contour_sums: each node computes q t - z and u/w once for all of
+    them, in fixed-width integer complex arithmetic 20 bits above the
+    working precision that rounds every result once, to nearest. Each pass
+    bounds its own rounding noise from magnitudes it already has: 10^-dps
+    of every assembled term, and 2^-(prec+10) (about 10^-(dps+4), the node
+    tails left out at the corner, _NODE_TAIL_BITS) of each integrand's peak
+    times the path length 2 sqrt(2) for the sums inside the pass
+    (_rounding_noise). That term is 2^10 times the scale of
     the integer arithmetic's rounding, which _contour_sums shows to be no
     worse than that of mpmath's mpc arithmetic at the same width. Noise plus
     the quadrature's error estimate must stay within _TARGET_REL of
@@ -395,12 +427,15 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     and of their double sum.
     """
     level_sums = _contour_sums(x, y, q)
+    path = _PATH[:2] if x == 0.0 else _PATH
     dps = _FIRST_DPS
     while True:
         with mp.workdps(dps):
             qm = mpf(q)
             out_eps = mpf(10) ** -dps
-            results = _path_quad(level_sums)
+            results = _path_quad(level_sums, path)
+            if x == 0.0:
+                results = [(mp.ldexp(v.real, 1), mp.ldexp(e, 1)) for v, e in results]
             noise2, noise3, noise1 = _rounding_noise(x, y, q)
             (v2, e2), (v3, e3) = results[:2]
             if x == 0.0:

@@ -215,12 +215,21 @@ def test_fixed_width_operations_round_to_nearest():
         difference = oracle._difference(ar, ai, ae, br, bi, be, width)
         assert_nearest(difference, ar * a - br * b, ai * a - bi * b, width)
         den = (br * br + bi * bi) * b
+        quotient = oracle._quotient(ar, ai, ae, br, bi, be, width)
         assert_nearest(
-            oracle._quotient(ar, ai, ae, br, bi, be, width),
+            quotient,
             (ar * br + ai * bi) * a / den,
             (ai * br - ar * bi) * a / den,
             width,
         )
+        # ties round away from zero: conjugate inputs give conjugate results
+        re, im, exp = quotient
+        assert oracle._quotient(ar, -ai, ae, br, -bi, be, width) == (re, -im, exp)
+        re, im, exp = oracle._rounded(ar, ai, ae, width)
+        assert oracle._rounded(-ar, ai, ae, width) == (-re, im, exp)
+    # exact ties, 3/2 and 1/2 of a unit of either sign
+    assert oracle._rounded(3, -3, 0, 1) == (2, -2, 1)
+    assert oracle._rounded(-1, 1, 0, 0) == (-1, 1, 1)
 
 
 # The deep-cancellation points escalate to 40 digits and then to 48-59.
@@ -277,6 +286,89 @@ def test_path_quad_shares_nodes_without_losing_accuracy(x, y, q):
         for i, (value, err) in enumerate(shared):
             alone, _ = mp.quad(lambda t: f(t)[i], list(oracle._PATH), error=True)
             assert abs(value - alone) <= err
+
+
+def _exact(value) -> Fraction:
+    mantissa, exponent = oracle._parts(value)
+    return mantissa * Fraction(2) ** exponent
+
+
+@pytest.mark.parametrize("prec", [86, 143])
+def test_fixed_nodes_are_mpmaths_nodes(prec):
+    # built from the standard nodes on [-1, 1], each t is within one unit at
+    # the width of mpmath's node on the segment, and (b - a) times the half
+    # weight is mpmath's weight exactly
+    for a, b in zip(oracle._PATH, oracle._PATH[1:]):
+        span = complex(b - a)
+        span_re, span_im = int(span.real), int(span.imag)
+        for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
+            nodes = oracle._fixed_nodes(a, b, degree, prec)
+            want = oracle._TANH_SINH.get_nodes(a, b, degree, prec)
+            assert len(nodes) == len(want)
+            for (tr, ti, te, *_, c, ce), (t, weight) in zip(nodes, want):
+                unit = Fraction(2) ** te
+                assert abs(tr * unit - _exact(t.real)) <= unit
+                assert abs(ti * unit - _exact(t.imag)) <= unit
+                half = c * Fraction(2) ** ce
+                assert span_re * half == _exact(weight.real)
+                assert span_im * half == _exact(weight.imag)
+
+
+def test_fixed_nodes_mirror_at_the_corner():
+    # t -> -conj(t) maps the nodes of -1 -> -i onto those of -i -> 1 exactly
+    for degree in range(1, 7):
+        first = oracle._fixed_nodes(-1, -1j, degree, 86)
+        second = oracle._fixed_nodes(-1j, 1, degree, 86)
+        mirrored = {
+            (-tr, ti, te, ur, -ui, ue, vr, -vi, ve, c, ce)
+            for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in first
+        }
+        assert mirrored == set(second)
+
+
+# At x = 0 the second segment mirrors the first and the integrands of I2 and
+# I3 conjugate, so the oracle integrates one segment and doubles its real part.
+X_ZERO_CASES = (
+    [(0.0, q, 20) for q in (0.3, 2.0, 150.0)]
+    + [(y, q, dps) for _, y, q, _ in DEEP_CANCELLATION for dps in (20, 58)]
+    + [(0.00488897048678087, 155.9966209175565, 20), (1e-300, 1.0, 20)]
+    + [(y, q, 20) for x, y, q in _whole_domain_points(17, 40) if x == 0.0]
+)
+
+
+@pytest.mark.parametrize("y, q, dps", X_ZERO_CASES)
+def test_one_segment_at_x_zero_is_the_whole_path(y, q, dps):
+    level_sums = oracle._contour_sums(0.0, y, q)
+    with mp.workdps(dps):
+        whole = oracle._path_quad(level_sums)
+        half = oracle._path_quad(level_sums, oracle._PATH[:2])
+        assert len(whole) == len(half) == 2
+        for (value, err), (segment, segment_err) in zip(whole, half):
+            assert value.imag == 0
+            assert value.real == mp.ldexp(segment.real, 1)
+            assert err == mp.ldexp(segment_err, 1)
+    assert oracle._quadrature_raw(0.0, y, q).quant.imag == 0.0
+
+
+@pytest.mark.parametrize("first_stop", [2, 4])
+def test_error_is_estimated_only_where_it_can_stop(first_stop, monkeypatch):
+    monkeypatch.setattr(oracle, "_FIRST_STOP_DEGREE", first_stop)
+    estimate = oracle._TANH_SINH.estimate_error
+    degrees = []
+
+    def counting(results, prec, epsilon):
+        degrees.append(len(results))
+        return estimate(results, prec, epsilon)
+
+    monkeypatch.setattr(oracle._TANH_SINH, "estimate_error", counting)
+    with mp.workdps(20):
+        oracle._path_quad(oracle._contour_sums(0.3, 1e-3, 0.7))
+    # one estimate per component (I1, I2, I3) and degree; each of the two
+    # segments runs its degrees up from the first that may stop
+    per_degree = degrees[::3]
+    assert degrees == [d for d in per_degree for _ in range(3)]
+    starts = [d for i, d in enumerate(per_degree) if i == 0 or d != per_degree[i - 1] + 1]
+    assert starts == [max(2, first_stop)] * 2
 
 
 # On the collisionless line y = 0 the path still passes below every pole, so
