@@ -92,7 +92,7 @@ _TARGET_REL = 1e-16
 # its half-length; the path length times that bounds both corner ends. The
 # integrand arithmetic and the sums run _GUARD_BITS above the working
 # precision, so their rounding is about a thousand times smaller (see
-# _contour_sums).
+# _contour_sums); the result is assembled at that width too (_quadrature_raw).
 _NODE_TAIL_BITS = 10
 _GUARD_BITS = 20
 
@@ -119,8 +119,11 @@ def _path_quad(level_sums, path=_PATH) -> list:
     error estimate. A segment stops at the first degree from
     _FIRST_STOP_DEGREE on where every component's estimate meets mp.quad's
     epsilon, eps/8 at the working precision, so no estimate is made below
-    that degree; the sums run _GUARD_BITS above it. With mp.fdot level sums
-    of a one-component integrand f and _FIRST_STOP_DEGREE = 2 it returns
+    that degree; the sums run _GUARD_BITS above it, and the totals are left
+    there, not rounded back to the working precision, so that
+    _quadrature_raw combines them at that width. With mp.fdot level sums of
+    a one-component integrand f and _FIRST_STOP_DEGREE = 2, rounding each
+    value to the working precision (+value, mp.quad's final step) gives
     exactly what mp.quad(f, path, error=True) does. Returns
     [(value, error), ...].
     """
@@ -143,10 +146,9 @@ def _path_quad(level_sums, path=_PATH) -> list:
                 if max(errs) <= epsilon:
                     break
             segments.append(zip(levels[-1], errs))
-        totals = [
+        return [
             (sum(v for v, _ in parts), sum(e for _, e in parts)) for parts in zip(*segments)
         ]
-    return [(+v, e) for v, e in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +412,12 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     segment's (the imaginary parts cancel exactly). Its integrands come
     from _contour_sums: each node computes q t - z and u/w once for all of
     them, in fixed-width integer complex arithmetic 20 bits above the
-    working precision that rounds every result once, to nearest. Each pass
-    bounds its own rounding noise from magnitudes it already has: 10^-dps
-    of every assembled term, and 2^-(prec+10) (about 10^-(dps+4), the node
+    working precision that rounds every result once, to nearest. The pass's
+    totals stay at that guard width, and classic, quant and the bounds are
+    assembled there too. Each pass bounds its own rounding noise from
+    magnitudes it already has: 10^-dps 2^-20 of every assembled term (about
+    12 units in the last place at the guard width: the assembly's few
+    roundings and a margin), and 2^-(prec+10) (about 10^-(dps+4), the node
     tails left out at the corner, _NODE_TAIL_BITS) of each integrand's peak
     times the path length 2 sqrt(2) for the sums inside the pass
     (_rounding_noise). That term is 2^10 times the scale of
@@ -431,12 +436,13 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     dps = _FIRST_DPS
     while True:
         with mp.workdps(dps):
-            qm = mpf(q)
-            out_eps = mpf(10) ** -dps
             results = _path_quad(level_sums, path)
+            noise2, noise3, noise1 = _rounding_noise(x, y, q)
+        with mp.workdps(dps), mp.extraprec(_GUARD_BITS):
+            qm = mpf(q)
+            out_eps = mpf(10) ** -dps * mpf(2) ** -_GUARD_BITS
             if x == 0.0:
                 results = [(mp.ldexp(v.real, 1), mp.ldexp(e, 1)) for v, e in results]
-            noise2, noise3, noise1 = _rounding_noise(x, y, q)
             (v2, e2), (v3, e3) = results[:2]
             if x == 0.0:
                 classic = mpc(0)

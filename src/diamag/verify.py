@@ -167,10 +167,10 @@ def _half_crossing(y: float) -> float:
     lo, hi = 1e-7, 0.1
     for _ in range(80):
         mid = math.sqrt(lo * hi)
-        if _suppression_ratio(mid, y) < 0.5:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if _suppression_ratio(mid, y) < 0.5 else (lo, mid)
+        if bracket == (lo, hi):
+            break  # every later step would repeat this one
+        lo, hi = bracket
     return math.sqrt(lo * hi)
 
 

@@ -82,3 +82,32 @@ def test_bad_tolerance_is_rejected_before_any_check(tol, monkeypatch):
 def test_check_result_line_shape():
     line = CheckResult("demo", True, 1.5e-9, 1e-8, "extra words").line()
     assert line == "PASS demo: measured 1.500e-09 (bound 1.000e-08) extra words"
+
+
+def test_half_crossing_stops_when_the_bisection_stops_moving(monkeypatch):
+    # once a step leaves (lo, hi) unchanged every later step repeats it, so
+    # stopping there gives the crossing of the plain 80-step bisection
+    ratio = verify._suppression_ratio
+
+    def plain_bisection(y: float) -> float:
+        lo, hi = 1e-7, 0.1
+        for _ in range(80):
+            mid = math.sqrt(lo * hi)
+            if ratio(mid, y) < 0.5:
+                lo = mid
+            else:
+                hi = mid
+        return math.sqrt(lo * hi)
+
+    calls = []
+
+    def counting(q: float, y: float) -> float:
+        calls.append(q)
+        return ratio(q, y)
+
+    monkeypatch.setattr(verify, "_suppression_ratio", counting)
+    for y in (1e-6, 1e-5, 1e-4, 1e-3):
+        calls.clear()
+        crossing = verify._half_crossing(y)
+        assert crossing == plain_bisection(y)
+        assert len(calls) < 80
