@@ -112,43 +112,102 @@ def _path_quad(level_sums, path=_PATH) -> list:
     """Integrals of every component of an integrand along path, in one pass.
 
     This is mp.quad's loop (QuadratureRule.summation with TanhSinh.sum_next)
-    for a vector integrand. level_sums(a, b, degree, prec) returns, per
-    component, the sum of weight * f(t) over the nodes that
-    _TANH_SINH.get_nodes(a, b, degree, prec) gives, as an mpc at the pass's
-    precision; every component keeps its own sequence of level sums and
-    error estimate. A segment stops at the first degree from
-    _FIRST_STOP_DEGREE on where every component's estimate meets mp.quad's
-    epsilon, eps/8 at the working precision, so no estimate is made below
-    that degree; the sums run _GUARD_BITS above it, and the totals are left
-    there, not rounded back to the working precision, so that
-    _quadrature_raw combines them at that width. With mp.fdot level sums of
-    a one-component integrand f and _FIRST_STOP_DEGREE = 2, rounding each
-    value to the working precision (+value, mp.quad's final step) gives
-    exactly what mp.quad(f, path, error=True) does. Returns
-    [(value, error), ...].
+    for a vector integrand, run on integers up to each segment's total.
+    level_sums(a, b, degree, prec) returns, per component, the sum of
+    weight * f(t) over the nodes that _TANH_SINH.get_nodes(a, b, degree,
+    prec) gives, as an exact value (re, im, exp) of the fixed-width
+    arithmetic below; every component keeps its own sequence of levels and
+    error estimate. The levels are exact values too, each part rounded as
+    mpc arithmetic _GUARD_BITS above the working precision rounds it
+    (_next_level), and the error estimate takes float logarithms of their
+    exact differences (_error_estimate), so every level, estimate and total
+    is bit for bit what the same loop computes on mpc values. A segment
+    stops at the first degree from _FIRST_STOP_DEGREE on where every
+    component's estimate meets mp.quad's epsilon, eps/8 at the working
+    precision, so no estimate is made below that degree. The segment totals
+    are summed into mpmath numbers at the guard width, not rounded back to
+    the working precision, so that _quadrature_raw combines them at that
+    width. With the mp.fdot level sums of a one-component integrand f and
+    _FIRST_STOP_DEGREE = 2, rounding each value to the working precision
+    (+value, mp.quad's final step) gives exactly what
+    mp.quad(f, path, error=True) does. Returns [(value, error), ...], an mpc
+    and an mpf each.
     """
     prec = mp.prec
+    width = prec + _GUARD_BITS
     epsilon = mp.eps / 8
     max_degree = _TANH_SINH.guess_degree(prec)  # at least 6
     first_estimate = max(2, _FIRST_STOP_DEGREE)
     segments = []
     with mp.extraprec(_GUARD_BITS):
         for a, b in zip(path, path[1:]):
-            levels = []  # per degree, the level sum of every component
+            levels = []  # per degree, the level of every component
             for degree in range(1, max_degree + 1):
                 sums = level_sums(a, b, degree, prec)
-                h = mpf(2) ** (-degree)
-                previous = levels[-1] if levels else [mp.zero] * len(sums)
-                levels.append([h * (prev / (h * 2) + s) for prev, s in zip(previous, sums)])
+                previous = levels[-1] if levels else [(0, 0, 0)] * len(sums)
+                levels.append(
+                    [_next_level(prev, s, degree, width) for prev, s in zip(previous, sums)]
+                )
                 if degree < first_estimate:
                     continue
-                errs = [_TANH_SINH.estimate_error(r, prec, epsilon) for r in zip(*levels)]
+                errs = [_error_estimate(r, prec, epsilon) for r in zip(*levels)]
                 if max(errs) <= epsilon:
                     break
             segments.append(zip(levels[-1], errs))
         return [
-            (sum(v for v, _ in parts), sum(e for _, e in parts)) for parts in zip(*segments)
+            (_as_mpc(_exact_sum([v for v, _ in parts])), sum(e for _, e in parts))
+            for parts in zip(*segments)
         ]
+
+
+def _next_level(previous: tuple, level_sum: tuple, degree: int, width: int) -> tuple:
+    """TanhSinh.sum_next's level h (previous/(2h) + level_sum), h = 2^-degree,
+    rounded as mpc arithmetic at width bits rounds it: once where the level
+    sum becomes an mpc, and once after the addition."""
+    pr, pi, pe = previous
+    total = _exact_sum([(pr, pi, pe + degree - 1), _mpc_rounded(*level_sum, width)])
+    re, im, exp = _mpc_rounded(*total, width)
+    return re, im, exp - degree
+
+
+_LOG10_2 = math.log10(2)
+# _error_estimate's float logarithms are within about 1e-13 of mpmath's; a
+# float exponent this close to an integer leaves the truncation to mpmath.
+_LOG_SLACK = 1e-9
+
+
+def _log10_distance(a: tuple, b: tuple):
+    """log10 |a - b| of two exact values, as a float; None where a == b."""
+    re, im, exp = _exact_sum([a, (-b[0], -b[1], b[2])])
+    square = re * re + im * im
+    return 0.5 * math.log10(square) + exp * _LOG10_2 if square else None
+
+
+def _error_estimate(levels, prec: int, epsilon):
+    """_TANH_SINH.estimate_error(levels, prec, epsilon) of exact levels, exactly.
+
+    From degree 3 on, mpmath's estimate is 10^int(min(0, max(D1^2/D2, 2 D1,
+    -prec))) (Borwein, Bailey and Girgensohn's extrapolation), D1 and D2
+    being log10 of the distances from the last level to the two before it,
+    taken at the guard width; all it keeps is an integer power of ten. Here
+    D1 and D2 are float logarithms of the exact distances, within about
+    1e-13 of mpmath's, so the integer is mpmath's unless max(D1^2/D2, 2 D1)
+    lies within _LOG_SLACK of an integer that truncation toward zero can
+    cross (-prec to -1), or |D2| < 1 magnifies that error in D1^2/D2. There,
+    at degree 2 (where the estimate is |I2 - I1| itself) and where two
+    levels are equal, mpmath's estimate is called on the levels as mpc
+    values, which the guard width holds exactly. Runs at the guard width,
+    where _path_quad calls it, as mpmath's does.
+    """
+    if len(levels) > 2:
+        d1 = _log10_distance(levels[-1], levels[-2])
+        d2 = _log10_distance(levels[-1], levels[-3])
+        if d1 is not None and d2 is not None and abs(d2) >= 1:
+            exponent = max(d1 * d1 / d2, 2 * d1)
+            nearest = round(exponent)
+            if not (-prec <= nearest < 0 and abs(exponent - nearest) < _LOG_SLACK):
+                return mpf(10) ** int(min(0, max(exponent, -prec)))
+    return _TANH_SINH.estimate_error([_as_mpc(level) for level in levels], prec, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +220,9 @@ def _path_quad(level_sums, path=_PATH) -> list:
 # in the last place of each part: sqrt(2) 2^-width of the result's modulus.
 # Ties round away from zero, so that the arithmetic commutes with negating a
 # part: conjugate inputs give exactly conjugate results, which the mirrored
-# segments at x = 0 rely on (_quadrature_raw).
+# node tables (_fixed_nodes) and segments at x = 0 (_quadrature_raw) rely on.
+# _path_quad's levels are the exception: there each part rounds on its own,
+# ties to even, as an mpc does (_nearest_even, _mpc_rounded).
 
 
 def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
@@ -223,13 +284,41 @@ def _parts(value) -> tuple:
     return -int(m) if value < 0 else int(m), int(e)
 
 
-def _fixed(re, im) -> tuple:
-    """re + i im, each a float or an mpf, as an exact value."""
-    (mr, er), (mi, ei) = _parts(re), _parts(im)
+def _nearest_even(m: int, exp: int, width: int) -> tuple:
+    """m 2^exp rounded to nearest at width bits, ties to even: as an mpf rounds."""
+    excess = abs(m).bit_length() - width
+    if excess <= 0:
+        return m, exp
+    kept, rest = divmod(abs(m), 1 << excess)
+    half = 1 << (excess - 1)
+    if rest > half or rest == half and kept & 1:
+        kept += 1
+    return kept if m >= 0 else -kept, exp + excess
+
+
+def _joined(real: tuple, imag: tuple) -> tuple:
+    """Two exact (mantissa, exponent) parts as one value."""
+    (mr, er), (mi, ei) = real, imag
     # a zero part takes the other's exponent, so that it cannot set the shared one
     er, ei = (er if mr else ei), (ei if mi else er)
     exp = min(er, ei)
     return mr << (er - exp), mi << (ei - exp), exp
+
+
+def _fixed(re, im) -> tuple:
+    """re + i im, each a float or an mpf, as an exact value."""
+    return _joined(_parts(re), _parts(im))
+
+
+def _mpc_rounded(re: int, im: int, exp: int, width: int) -> tuple:
+    """A value with each part rounded as an mpc at width bits rounds it."""
+    return _joined(_nearest_even(re, exp, width), _nearest_even(im, exp, width))
+
+
+def _as_mpc(value: tuple):
+    """A value as an mpc at the context's precision, rounded as _mpc_rounded rounds."""
+    re, im, exp = value
+    return mpc(mp.ldexp(re, exp), mp.ldexp(im, exp))
 
 
 # The point-independent pieces of the pass's nodes, per (a, b, degree, prec).
@@ -239,38 +328,50 @@ _FIXED_NODES: dict = {}
 def _fixed_nodes(a, b, degree: int, prec: int) -> list:
     """t, 1 - t^2, (1 - t^2)^2 at width prec + 20 and half the weight, per node.
 
-    The nodes are those of _TANH_SINH.get_nodes(a, b, degree, prec), built
-    from the standard nodes x, w on [-1, 1] that get_nodes(-1, 1, ...) caches,
-    without mpmath's transform to the segment a -> b. Each part of a and b is
-    0 or +-1, so (b + a)/2 + (b - a)/2 x is formed exactly on the integers
-    and rounded once; since ties round away from zero, the nodes of -1 -> -i
-    and -i -> 1 are exact mirror images t and -conj(t), as the standard
-    nodes +-x are. 1 - t^2 and its square are exact from the rounded t
-    before they are rounded. The weight (b - a)/2 w is kept as w/2 rounded
-    at prec + 20 bits, as get_nodes rounds it, so that (b - a) times it is
-    get_nodes' weight exactly. Converted once and kept, like TanhSinh's own
-    node cache; nothing about a point is stored.
+    The nodes are those of _TANH_SINH.get_nodes(a, b, degree, prec), in some
+    order, built from the standard nodes x, w on [-1, 1] that
+    get_nodes(-1, 1, ...) caches, without mpmath's transform to the segment
+    a -> b. Each part of a and b is 0 or +-1, so (b + a)/2 + (b - a)/2 x is
+    formed exactly on the integers and rounded once. 1 - t^2 and its square
+    are exact from the rounded t before they are rounded. The weight
+    (b - a)/2 w is kept as w/2: w rounded at prec + 20 bits, to nearest with
+    ties to even as get_nodes rounds it, and halved in its exponent, so that
+    (b - a) times it is get_nodes' weight exactly. A segment that ends right
+    of the imaginary axis, such as -i -> 1, is the mirror image t -> -conj(t)
+    of one that does not (-1 -> -i): its node at x is the mirror of that
+    one's at -x, and since ties round away from zero and the standard nodes
+    come in pairs +-x with one weight, its table is that table mirrored, node
+    for node. Converted once and kept, like TanhSinh's own node cache;
+    nothing about a point is stored.
     """
     key = (a, b, degree, prec)
     nodes = _FIXED_NODES.get(key)
     if nodes is None:
-        width = prec + _GUARD_BITS
-        # twice the segment's centre and twice its half-length
-        cr, ci = int((b + a).real), int((b + a).imag)
-        sr, si = int((b - a).real), int((b - a).imag)
-        nodes = []
-        with mp.workprec(width):
+        if b.real > 0:
+            nodes = [
+                (-tr, ti, te, ur, -ui, ue, vr, -vi, ve, c, ce)
+                for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in _fixed_nodes(
+                    -b.conjugate(), -a.conjugate(), degree, prec
+                )
+            ]
+        else:
+            width = prec + _GUARD_BITS
+            # twice the segment's centre and twice its half-length
+            cr, ci = int((b + a).real), int((b + a).imag)
+            sr, si = int((b - a).real), int((b - a).imag)
+            nodes = []
             for x, weight in _TANH_SINH.get_nodes(-1, 1, degree, prec):
                 m, e = _parts(x)  # |x| < 1, so e <= 0
                 re, im = (cr << -e) + sr * m, (ci << -e) + si * m
                 tr, ti, te = _rounded(re, im, e - 1, width)
                 # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
                 ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
+                c, ce = _nearest_even(*_parts(weight), width)
                 nodes.append(
                     (tr, ti, te)
                     + _rounded(ur, ui, ue, width)
                     + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
-                    + _parts(+mp.ldexp(weight, -1))
+                    + (c, ce - 1)
                 )
         _FIXED_NODES[key] = nodes
     return nodes
@@ -283,8 +384,8 @@ def _contour_sums(x: float, y: float, q: float):
     point computes w = q t - z, u/w, t u/w and u^2/(w^2 - q^4/4) in the
     fixed-width arithmetic above, at the width prec + 20 that mp.quad's sums
     use; each level sum is the exact sum of the products with the real half
-    weights, times b - a (whose parts are 0 or +-1), rounded once when it
-    becomes an mpc.
+    weights, times b - a (whose parts are 0 or +-1), returned exact, for
+    _path_quad to round once as an mpc at that width would be.
 
     Why the rounding allowance of _quadrature_raw (_rounding_noise) still
     covers this arithmetic: every result is rounded once, to nearest, so it
@@ -323,7 +424,7 @@ def _contour_sums(x: float, y: float, q: float):
             if x:
                 i1.append((c * ar, c * ai, ce + ae))
         return [
-            mpc(mp.ldexp(sr * re - si * im, exp), mp.ldexp(sr * im + si * re, exp))
+            (sr * re - si * im, sr * im + si * re, exp)
             for re, im, exp in map(_exact_sum, (i2, i3, i1) if x else (i2, i3))
         ]
 
@@ -412,9 +513,10 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     segment's (the imaginary parts cancel exactly). Its integrands come
     from _contour_sums: each node computes q t - z and u/w once for all of
     them, in fixed-width integer complex arithmetic 20 bits above the
-    working precision that rounds every result once, to nearest. The pass's
-    totals stay at that guard width, and classic, quant and the bounds are
-    assembled there too. Each pass bounds its own rounding noise from
+    working precision that rounds every result once, to nearest. The pass
+    keeps its levels and error estimates on integers too; its totals become
+    mpmath numbers at that guard width, and classic, quant and the bounds
+    are assembled there. Each pass bounds its own rounding noise from
     magnitudes it already has: 10^-dps 2^-20 of every assembled term (about
     12 units in the last place at the guard width: the assembly's few
     roundings and a margin), and 2^-(prec+10) (about 10^-(dps+4), the node

@@ -91,3 +91,18 @@ def test_finite_frequency_asymptotic_value():
     assert abs(result.total - expected) < 1e-12 * abs(expected)
     assert abs(result.classic) > abs(result.quant)
 
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the Laurent ratio forms q^4, which underflows at q = 1e-83, so the "
+        "result is 0 with err_est 0; ROADMAP item 1 forms it without underflow"
+    ),
+)
+def test_laurent_static_line_survives_a_tiny_wavenumber():
+    # the quantum part is 0.2 (q/y)^4 to leading order, 2e-13 at q/y = 1e-3;
+    # the same ratio at (0, 1e-6, 1e-9) gives 1.99999714e-13
+    result = chi_ratio(DimensionlessPoint(x=0.0, y=1e-80, q=1e-83))
+    assert result.method is RegimeTag.LAURENT_SERIES
+    assert math.isclose(result.total.real, 1.99999714e-13, rel_tol=1e-6)

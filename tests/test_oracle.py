@@ -5,6 +5,7 @@ oracle output against the kernel at loose-but-meaningful tolerances and pin
 down the oracles' own contracts (domains, error fields, limiting values).
 """
 
+import hashlib
 import math
 import random
 import time
@@ -188,6 +189,26 @@ def test_verify_grid_takes_at_most_63_passes(monkeypatch):
     assert len(passes) <= 63, passes
 
 
+# sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
+# at verify's 60 grid points, one line per point, with mpmath 1.3.0, whose
+# tanh-sinh nodes and error estimate the oracle uses. Three of the points,
+# (x, 1, 0.05), take a second pass, so two precisions are pinned. A change to
+# the oracle's numbers moves this pin, and says so.
+VERIFY_GRID_ORACLE_SHA256 = "b4a6382dd4296d0771caeeb9f3ab0ac0ba3f7349837ffb6776e25c3042a32f1a"
+
+
+def test_oracle_bits_on_the_verify_grid_are_pinned():
+    lines = []
+    for x in GRID_X:
+        for y in GRID_Y:
+            for q in GRID_Q:
+                got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+                parts = (got.classic.real, got.classic.imag, got.quant.real, got.quant.imag)
+                lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == VERIFY_GRID_ORACLE_SHA256
+
+
 @pytest.mark.parametrize("x, y, q", TWO_PASS_GRID_POINTS)
 def test_quadrature_error_estimate_holds_at_former_two_pass_points(x, y, q):
     got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
@@ -197,12 +218,14 @@ def test_quadrature_error_estimate_holds_at_former_two_pass_points(x, y, q):
 
 def object_sums(f):
     """Level sums for oracle._path_quad of f, whose value at a node is a tuple
-    of mpmath numbers: mp.quad's own (TanhSinh.sum_next, one mp.fdot)."""
+    of mpmath numbers: mp.quad's own (TanhSinh.sum_next, one mp.fdot),
+    converted exactly to the oracle's integer values."""
 
     def level_sums(start, end, degree, prec):
         nodes = oracle._TANH_SINH.get_nodes(start, end, degree, prec)
         weights = [w for _, w in nodes]
-        return [mp.fdot(weights, column) for column in zip(*(f(t) for t, _ in nodes))]
+        sums = (mp.fdot(weights, column) for column in zip(*(f(t) for t, _ in nodes)))
+        return [oracle._fixed(s.real, s.imag) for s in sums]
 
     return level_sums
 
@@ -279,6 +302,25 @@ def test_fixed_width_operations_round_to_nearest():
     assert oracle._rounded(-1, 1, 0, 0) == (-1, 1, 1)
 
 
+def test_nearest_even_rounds_as_an_mpf_does():
+    rng = random.Random(5)
+    for _ in range(300):
+        width = rng.randrange(2, 200)
+        if rng.random() < 0.3:  # an exact tie: width bits and half a unit
+            kept = rng.randrange(2 ** (width - 1), 2**width)
+            m = rng.choice((-1, 1)) * (2 * kept + 1) << rng.randrange(20)
+        else:
+            m = rng.randrange(-(2**300), 2**300) >> rng.randrange(300)
+        exp = rng.randrange(-400, 400)
+        with mp.workprec(width):
+            want = _exact(mp.mpf(mp.ldexp(m, exp)))  # ldexp is exact; mpf() rounds
+        mantissa, exponent = oracle._nearest_even(m, exp, width)
+        assert mantissa * Fraction(2) ** exponent == want
+    # ties to even: 5/2 -> 2 and 7/2 -> 4 units at two bits
+    assert oracle._nearest_even(5, 0, 2) == (2, 1)
+    assert oracle._nearest_even(-7, 0, 2) == (-4, 1)
+
+
 # The deep-cancellation points escalate to 40 digits and then to 48-59.
 KERNEL_CASES = (
     [(x, y, q, 20) for x, y, q in _whole_domain_points(11, 30)]
@@ -301,6 +343,41 @@ def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
     assert len(kernel) == len(reference) == (3 if x else 2)
     for (value, _), (want, _), allowance in zip(kernel, reference, noise):
         assert abs(value - want) <= allowance + out_eps * abs(want), (x, y, q, dps)
+
+
+def mpc_path_quad(level_sums, path=oracle._PATH):
+    """oracle._path_quad's loop on mpc values, as mp.quad runs it: each level
+    sum becomes an mpc at the guard width, and TanhSinh's sum_next step and
+    estimate_error follow."""
+    prec = mp.prec
+    epsilon = mp.eps / 8
+    segments = []
+    with mp.extraprec(oracle._GUARD_BITS):
+        for a, b in zip(path, path[1:]):
+            levels = []
+            for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
+                sums = [oracle._as_mpc(s) for s in level_sums(a, b, degree, prec)]
+                h = mpf(2) ** -degree
+                previous = levels[-1] if levels else [mp.zero] * len(sums)
+                levels.append([h * (p / (h * 2) + s) for p, s in zip(previous, sums)])
+                if degree < max(2, oracle._FIRST_STOP_DEGREE):
+                    continue
+                errs = [oracle._TANH_SINH.estimate_error(r, prec, epsilon) for r in zip(*levels)]
+                if max(errs) <= epsilon:
+                    break
+            segments.append(zip(levels[-1], errs))
+        return [(sum(v for v, _ in parts), sum(e for _, e in parts)) for parts in zip(*segments)]
+
+
+@pytest.mark.parametrize("x, y, q, dps", KERNEL_CASES)
+def test_integer_levels_are_the_mpc_loops_bit_for_bit(x, y, q, dps):
+    # levels, error estimates and totals on integers round as the mpc loop
+    # does, so the totals and errors are equal at the guard width
+    level_sums = oracle._contour_sums(x, y, q)
+    with mp.workdps(dps):
+        got = oracle._path_quad(level_sums)
+        want = mpc_path_quad(level_sums)
+    assert got == want
 
 
 def at_working_precision(results):
@@ -350,13 +427,21 @@ def _exact(value) -> Fraction:
 def test_fixed_nodes_are_mpmaths_nodes(prec):
     # built from the standard nodes on [-1, 1], each t is within one unit at
     # the width of mpmath's node on the segment, and (b - a) times the half
-    # weight is mpmath's weight exactly
+    # weight is mpmath's weight exactly; -i -> 1 mirrors -1 -> -i, which
+    # swaps the nodes +-x of each pair, so both lists are taken in the order
+    # of Re t, which grows with x on either segment
     for a, b in zip(oracle._PATH, oracle._PATH[1:]):
         span = complex(b - a)
         span_re, span_im = int(span.real), int(span.imag)
         for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
-            nodes = oracle._fixed_nodes(a, b, degree, prec)
-            want = oracle._TANH_SINH.get_nodes(a, b, degree, prec)
+            nodes = sorted(
+                oracle._fixed_nodes(a, b, degree, prec),
+                key=lambda node: node[0] * Fraction(2) ** node[2],
+            )
+            want = sorted(
+                oracle._TANH_SINH.get_nodes(a, b, degree, prec),
+                key=lambda node: _exact(node[0].real),
+            )
             assert len(nodes) == len(want)
             for (tr, ti, te, *_, c, ce), (t, weight) in zip(nodes, want):
                 unit = Fraction(2) ** te
@@ -406,14 +491,14 @@ def test_one_segment_at_x_zero_is_the_whole_path(y, q, dps):
 @pytest.mark.parametrize("first_stop", [2, 4])
 def test_error_is_estimated_only_where_it_can_stop(first_stop, monkeypatch):
     monkeypatch.setattr(oracle, "_FIRST_STOP_DEGREE", first_stop)
-    estimate = oracle._TANH_SINH.estimate_error
+    estimate = oracle._error_estimate
     degrees = []
 
-    def counting(results, prec, epsilon):
-        degrees.append(len(results))
-        return estimate(results, prec, epsilon)
+    def counting(levels, prec, epsilon):
+        degrees.append(len(levels))
+        return estimate(levels, prec, epsilon)
 
-    monkeypatch.setattr(oracle._TANH_SINH, "estimate_error", counting)
+    monkeypatch.setattr(oracle, "_error_estimate", counting)
     with mp.workdps(20):
         oracle._path_quad(oracle._contour_sums(0.3, 1e-3, 0.7))
     # one estimate per component (I1, I2, I3) and degree; each of the two
@@ -422,6 +507,77 @@ def test_error_is_estimated_only_where_it_can_stop(first_stop, monkeypatch):
     assert degrees == [d for d in per_degree for _ in range(3)]
     starts = [d for i, d in enumerate(per_degree) if i == 0 or d != per_degree[i - 1] + 1]
     assert starts == [max(2, first_stop)] * 2
+
+
+def _levels(prec, last, *distances):
+    """Exact levels at the guard width of prec, the earlier ones at the given
+    distances from the last one, `last`, in random directions; and the same
+    levels as mpc values."""
+    rng = random.Random(repr((prec, last, distances)))
+    with mp.workprec(prec + oracle._GUARD_BITS):
+        values = [last + d * mp.expjpi(rng.uniform(-1.0, 1.0)) for d in distances]
+        values = [mpc(v) for v in values + [last]]
+    return [oracle._fixed(v.real, v.imag) for v in values], values
+
+
+def _estimates(levels, values, prec, monkeypatch):
+    """_error_estimate of the exact levels, mpmath's estimate of the same
+    levels as mpc values, and whether the former called the latter."""
+    estimate = oracle._TANH_SINH.estimate_error
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(oracle._TANH_SINH, "estimate_error", counting)
+    with mp.workprec(prec + oracle._GUARD_BITS):
+        epsilon = mp.ldexp(1, -prec - 2)
+        got = oracle._error_estimate(levels, prec, epsilon)
+        want = estimate(values, prec, epsilon)
+    return got, want, bool(calls)
+
+
+ESTIMATE_CASES = [
+    # (prec, last level, distances of the levels before it, mpmath called)
+    pytest.param(70, 0.3 + 0.1j, (1e-3,), True, id="degree-2"),
+    pytest.param(70, 0.3 + 0.1j, (0, 0), True, id="last-three-equal"),
+    pytest.param(70, 0.3 + 0.1j, (1e-3, 0), True, id="last-two-equal"),
+    pytest.param(70, 0.3 + 0.1j, (0, 1e-3), True, id="last-and-third-equal"),
+    pytest.param(70, 1e-80, (1e-90, 1e-100), False, id="clipped-at-minus-prec"),
+    pytest.param(70, 1e5 - 3e4j, (1e3, 1e2), False, id="clipped-at-zero"),
+    pytest.param(70, 0.5, (1e-3, 2e-4, 3e-11), False, id="two-d1"),
+    pytest.param(143, 2.0, (1e-4, 1e-7), False, id="d1-squared-over-d2"),
+    # D1^2/D2 = 36/-4 = -9 within 1e-12, above 2 D1 = -12: only mpmath's
+    # logarithms at the guard width tell on which side of -9 it lies
+    pytest.param(70, 0, (1e-4, 1e-6), True, id="near-an-integer"),
+    pytest.param(70, 1e-3, (0.5, 3e-5), True, id="d2-below-one"),
+]
+
+
+@pytest.mark.parametrize("prec, last, distances, fallback", ESTIMATE_CASES)
+def test_error_estimate_is_mpmaths(prec, last, distances, fallback, monkeypatch):
+    levels, values = _levels(prec, last, *distances)
+    got, want, called = _estimates(levels, values, prec, monkeypatch)
+    assert got == want
+    assert called is fallback
+
+
+def test_error_estimate_is_mpmaths_on_random_levels(monkeypatch):
+    rng = random.Random(16)
+    called = 0
+    for _ in range(300):
+        prec = rng.choice((70, 136, 236, 518))
+        scale = 10.0 ** rng.uniform(-200.0, 200.0)
+        d1 = 10.0 ** rng.uniform(-0.9 * prec / 3.33, 1.0)
+        d2 = d1 * 10.0 ** rng.uniform(0.0, 12.0)
+        last = scale * complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        levels, values = _levels(prec, last, d2 * scale, d1 * scale)
+        got, want, fallback = _estimates(levels, values, prec, monkeypatch)
+        assert got == want, (prec, last, d1, d2)
+        called += fallback
+    # the float path decides almost everywhere
+    assert called < 30
 
 
 # On the collisionless line y = 0 the path still passes below every pole, so
