@@ -15,6 +15,7 @@ infinity escapes a public operation.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 
@@ -49,14 +50,21 @@ def require_finite_complex(name: str, value: complex) -> complex:
     return value
 
 
+# sets a field past FrozenRecord.__setattr__; touching self.__dict__
+# instead would make every later field read slower
+_store = object.__setattr__
+
+
 class FrozenRecord:
     """Base of the package's immutable value types.
 
     A subclass names its fields, in order, in ``_fields``. This ``__init__``
     takes one value per field, by position or by name. A subclass that checks
     its values has its own ``__init__``, which passes them to ``_set`` in
-    field order. Assigning or deleting an attribute raises AttributeError.
-    Equality, hashing and repr follow the fields, as ``Name(field=value, ...)``.
+    field order, or, in the two records every kernel point builds, stores
+    each with ``_store``. Assigning or deleting an attribute raises
+    AttributeError. Equality, hashing and repr follow the fields, as
+    ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -66,22 +74,18 @@ class FrozenRecord:
         if len(args) + len(kwargs) == len(fields):
             try:
                 for name, value in zip(fields, args):
-                    object.__setattr__(self, name, value)
+                    _store(self, name, value)
                 for name in fields[len(args):]:
-                    object.__setattr__(self, name, kwargs[name])
+                    _store(self, name, kwargs[name])
                 return
             except KeyError:
                 pass
         raise TypeError(f"{type(self).__name__} takes exactly the fields {fields}")
 
     def _set(self, *values) -> None:
-        """Set the fields, in order: the one way past ``__setattr__``.
-
-        Fields are set and read as attributes only: touching
-        ``self.__dict__`` would make every later field read slower.
-        """
+        """Set the fields, in order, with ``_store``."""
         for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+            _store(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -125,15 +129,19 @@ class DimensionlessPoint(FrozenRecord):
 
     Negative x is rejected; those values are reachable through the conjugation
     symmetry chi(-x) = conj(chi(x)) instead of direct evaluation. y = 0 is the
-    collisionless line, which the kernel serves as the limit y -> 0+.
+    collisionless line, which the kernel serves as the limit y -> 0+; -0.0 is
+    stored as 0.0.
     """
 
     _fields = ("x", "y", "q")
 
     def __init__(self, x: float, y: float, q: float) -> None:
-        x = _require_finite("x", x)
-        y = _require_finite("y", y)
-        q = _require_finite("q", q)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(q)):
+            _require_finite("x", x)
+            _require_finite("y", y)
+            _require_finite("q", q)
+        # + 0.0 turns -0.0 into +0.0, so y = -0.0 gets the limit y -> 0+
+        x, y, q = float(x) + 0.0, float(y) + 0.0, float(q)
         if x < 0:
             raise ValidationError(
                 "x must be >= 0; negative frequencies are served by the "
@@ -143,7 +151,9 @@ class DimensionlessPoint(FrozenRecord):
             raise ValidationError("y must be >= 0")
         if q <= 0:
             raise ValidationError("q must be > 0")
-        self._set(x, y, q)
+        _store(self, "x", x)
+        _store(self, "y", y)
+        _store(self, "q", q)
 
     @property
     def z(self) -> complex:
@@ -214,24 +224,24 @@ class ChiResult(FrozenRecord):
         self, classic: complex, quant: complex, total: complex, method: RegimeTag,
         err_est: float,
     ) -> None:
-        require_finite_complex("classic", classic)
-        require_finite_complex("quant", quant)
-        require_finite_complex("total", total)
+        # a NaN or infinite part makes the sum so; the per-field checks name it
+        if not cmath.isfinite(classic + quant + total):
+            require_finite_complex("classic", classic)
+            require_finite_complex("quant", quant)
+            require_finite_complex("total", total)
         if err_est < 0 or not math.isfinite(err_est):
             raise ValidationError("err_est must be finite and >= 0")
-        self._set(classic, quant, total, method, err_est)
+        _store(self, "classic", classic)
+        _store(self, "quant", quant)
+        _store(self, "total", total)
+        _store(self, "method", method)
+        _store(self, "err_est", err_est)
 
     @classmethod
     def from_parts(
         cls, classic: complex, quant: complex, method: RegimeTag, err_est: float = 0.0
     ) -> "ChiResult":
-        return cls(
-            classic=classic,
-            quant=quant,
-            total=classic + quant,
-            method=method,
-            err_est=err_est,
-        )
+        return cls(classic, quant, classic + quant, method, err_est)
 
 
 # ---------------------------------------------------------------------------

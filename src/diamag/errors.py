@@ -32,10 +32,14 @@ class DomainError(DiamagError, ValueError):
 
 
 class ConvergenceError(DiamagError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """A quadrature or a kernel series stopped before it converged.
 
-    Carries the best available estimate and its error bound so callers can
-    decide whether the partial result is still useful.
+    Adaptive quadrature raises it when it fails to reach the requested
+    tolerance, with ``subdivisions`` the interval splits it made. The kernel's
+    series raise it when they reach their term cap, with ``subdivisions`` the
+    terms summed, ``value`` the partial sum and ``err`` the size of the last
+    term. Carries the best available estimate and its error bound so callers
+    can decide whether the partial result is still useful.
     """
 
     def __init__(self, message: str, value: complex, err: float, subdivisions: int):

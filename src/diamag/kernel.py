@@ -148,12 +148,13 @@ def branch_log_L(sigma: complex) -> complex:
     Computed as a difference of principal logarithms, which is single-valued
     and analytic on the closed upper half-plane minus the points +-1. On the
     real segment |sigma| < 1 (reached as the y -> 0+ boundary) this yields
-    ln((1-sigma)/(1+sigma)) + i pi, the upper-side boundary value.
+    ln((1-sigma)/(1+sigma)) + i pi, the upper-side boundary value, also where
+    Im(sigma) is -0.0.
 
     Raises PoleError at sigma = +-1 and DomainError for Im(sigma) < 0 (no
     caller needs the lower half-plane; the conjugation symmetry covers it).
     """
-    sigma = complex(sigma)
+    sigma = complex(sigma) + 0j  # Im(sigma) = -0.0 becomes +0.0
     if sigma.imag < 0.0:
         raise DomainError("branch_log_L requires Im(sigma) >= 0")
     if sigma == 1.0 or sigma == -1.0:
@@ -176,6 +177,11 @@ def _antiderivative_with_peak(sigma: complex) -> tuple:
     return cubic + linear + logpart, max(abs(cubic), abs(linear), abs(logpart))
 
 
+def _terms_to_eps(ratio: float) -> int:
+    """The least n >= 1 with ratio^n <= 1e-17, for 0 <= ratio < 1."""
+    return 1 if ratio <= 1e-17 else math.ceil(-17.0 / math.log10(ratio))
+
+
 # 1 / ((2k+1)(2k+3)(2k+5)), k = 0, 1, ...: coefficients of g's far-field series
 _G_FAR_COEFFS = tuple(1.0 / ((2 * k + 1) * (2 * k + 3) * (2 * k + 5)) for k in range(20))
 
@@ -195,7 +201,7 @@ def _antiderivative_far(sigma: complex) -> tuple:
     u = 1.0 / sigma
     u2 = u * u
     ratio = abs(u2)
-    n = 1 if ratio <= 1e-17 else math.ceil(-17.0 / math.log10(ratio))
+    n = _terms_to_eps(ratio)
     acc = complex(_G_FAR_COEFFS[n - 1])
     for k in range(n - 2, -1, -1):
         acc = acc * u2 + _G_FAR_COEFFS[k]
@@ -223,7 +229,7 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be finite and > 0")
-    z = require_finite_complex("z", complex(z))
+    z = require_finite_complex("z", complex(z) + 0j)  # Im(z) = -0.0 becomes +0.0
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
     terms = _breakdown(z.real, q, _closed_pieces(z, q)[0])
@@ -330,14 +336,15 @@ def chi_static_pv(q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _neumaier_add(total: complex, comp: complex, term: complex) -> tuple:
-    """One compensated-summation step; returns the new (total, compensation)."""
-    t = total + term
-    if abs(total) >= abs(term):
-        comp += (total - t) + term
-    else:
-        comp += (term - t) + total
-    return t, comp
+# The series below sum with Neumaier's compensated step, written out in each
+# loop: t = total + term, and comp gathers the rounding of +, as
+# (total - t) + term where |total| >= |term|, else (term - t) + total. Their
+# stop tests write max(|total|, _TINY) as the comparison max() makes.
+
+# C(n, k), k <= min(4, n): the Leibniz coefficients of g^(n), n <= 2 _TAYLOR_MAX_TERMS + 1
+_LEIBNIZ_BINOMIALS = tuple(
+    tuple(math.comb(n, k) for k in range(min(4, n) + 1)) for n in range(2 * _TAYLOR_MAX_TERMS + 2)
+)
 
 
 def _antiderivative_odd_derivatives(s: complex, count: int) -> list:
@@ -359,8 +366,8 @@ def _antiderivative_odd_derivatives(s: complex, count: int) -> list:
     for m in range(1, count + 1):
         n = 2 * m + 1
         total = complex(12.0) if n == 3 else complex(0.0)
-        for k in range(min(4, n) + 1):
-            total += math.comb(n, k) * u[k] * Lv[n - k]
+        for k, binomial in enumerate(_LEIBNIZ_BINOMIALS[n]):
+            total += binomial * u[k] * Lv[n - k]
         out.append(total)
     return out
 
@@ -379,11 +386,13 @@ def _quant_taylor_shift(s: complex, q: float) -> tuple:
     """
     dist = min(abs(s - 1.0), abs(s + 1.0))
     ratio = (q / (2.0 * dist)) ** 2
-    # grow the derivative table on demand; every selected point exits within
-    # a few terms of m = 17/(2 log10(1/ratio)), far below _TAYLOR_MAX_TERMS
-    count = 8
+    # the terms fall by about ratio <= 1/16 each, so the table starts with the
+    # terms until ratio^m <= 1e-17 and three more, and grows on demand; the
+    # derivatives do not depend on the table's length
+    count = min(_terms_to_eps(ratio) + 3, _TAYLOR_MAX_TERMS)
     derivs = _antiderivative_odd_derivatives(s, count)
     total = complex(0.0)
+    total_abs = 0.0
     comp = complex(0.0)
     last = 0.0
     small_streak = 0
@@ -395,9 +404,12 @@ def _quant_taylor_shift(s: complex, q: float) -> tuple:
             count = min(2 * count, _TAYLOR_MAX_TERMS)
             derivs = _antiderivative_odd_derivatives(s, count)
         term = 0.75 * qpow * derivs[m - 1] / (fourpow * fact)
-        total, comp = _neumaier_add(total, comp, term)
         last = abs(term)
-        if last <= 1e-17 * max(abs(total), _TINY):
+        t = total + term
+        comp += (total - t) + term if total_abs >= last else (term - t) + total
+        total = t
+        total_abs = abs(t)
+        if last <= 1e-17 * (_TINY if _TINY > total_abs else total_abs):
             small_streak += 1
             if small_streak >= 2:
                 break
@@ -434,6 +446,7 @@ def _quant_laurent(z: complex, q: float) -> tuple:
     w = (q / z) ** 2
     r = q**4 / (4.0 * z * z)
     total = complex(0.0)
+    total_abs = 0.0
     comp = complex(0.0)
     rm = r / 15.0
     last_inner = 0.0
@@ -441,20 +454,32 @@ def _quant_laurent(z: complex, q: float) -> tuple:
     for m in range(1, _LAURENT_MAX_OUTER + 1):
         tmj = rm
         inner = tmj
+        inner_abs = abs(inner)
         icomp = complex(0.0)
-        for j in range(_LAURENT_MAX_INNER):
-            tmj *= w * ((2 * j + 2 * m + 3) * (2 * j + 2 * m + 2)) / ((2 * j + 2) * (2 * j + 7))
-            inner, icomp = _neumaier_add(inner, icomp, tmj)
-            if abs(tmj) <= 1e-17 * max(abs(inner), abs(total), _TINY):
+        floor = _TINY if _TINY > total_abs else total_abs
+        m2 = 2 * m
+        for j2 in range(2, 2 * _LAURENT_MAX_INNER + 2, 2):
+            # j2 = 2j + 2, and a = 2j + 2m + 2
+            a = j2 + m2
+            tmj *= w * ((a + 1) * a) / (j2 * (j2 + 5))
+            tmj_abs = abs(tmj)
+            t = inner + tmj
+            icomp += (inner - t) + tmj if inner_abs >= tmj_abs else (tmj - t) + inner
+            inner = t
+            inner_abs = abs(t)
+            if tmj_abs <= 1e-17 * (floor if floor > inner_abs else inner_abs):
                 break
         else:
             raise ConvergenceError(
-                "Laurent inner series stalled", total, abs(inner), _LAURENT_MAX_INNER
+                "Laurent inner series stalled", total, inner_abs, _LAURENT_MAX_INNER
             )
         inner += icomp
-        total, comp = _neumaier_add(total, comp, inner)
         last_inner = abs(inner)
-        if last_inner <= 1e-17 * max(abs(total), _TINY):
+        t = total + inner
+        comp += (total - t) + inner if total_abs >= last_inner else (inner - t) + total
+        total = t
+        total_abs = abs(t)
+        if last_inner <= 1e-17 * (_TINY if _TINY > total_abs else total_abs):
             small_streak += 1
             if small_streak >= 2:
                 break
@@ -479,16 +504,19 @@ def _first_integral_series(w: complex, head: complex) -> tuple:
     """
     term = 4.0 / 3.0 + 0j
     total = complex(head)
+    total_abs = abs(total)
     comp = complex(0.0)
-    j = 0
-    while True:
-        term *= w * (2 * j + 1) / (2 * j + 5)
-        total, comp = _neumaier_add(total, comp, term)
-        j += 1
-        if abs(term) <= 1e-17 * max(abs(total), _TINY):
+    for j in range(1, _FIRST_SERIES_MAX_TERMS + 1):
+        term *= w * (2 * j - 1) / (2 * j + 3)
+        term_abs = abs(term)
+        t = total + term
+        comp += (total - t) + term if total_abs >= term_abs else (term - t) + total
+        total = t
+        total_abs = abs(t)
+        if term_abs <= 1e-17 * (_TINY if _TINY > total_abs else total_abs):
             break
-        if j >= _FIRST_SERIES_MAX_TERMS:
-            raise ConvergenceError("first-integral Laurent series stalled", total, abs(term), j)
+    else:
+        raise ConvergenceError("first-integral Laurent series stalled", total, term_abs, j)
     return total + comp, term
 
 
@@ -542,7 +570,8 @@ def _classify(point: DimensionlessPoint) -> tuple:
         return RegimeTag.PV_STATIC, None
     if x == 0.0 and q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
         return RegimeTag.TAYLOR_SERIES, None
-    s = point.s
+    z = complex(x, y)
+    s = z / q
     s_abs = abs(s)
     laurent = _laurent_converges(s_abs, q)
     if s_abs > _LARGE_S and laurent:
@@ -550,7 +579,7 @@ def _classify(point: DimensionlessPoint) -> tuple:
     taylor = _taylor_converges(s, q)
     if s_abs > _LARGE_S or not (laurent or taylor):
         return RegimeTag.CLOSED_FORM, None
-    closed, lost_digits = _closed_pieces(point.z, q)
+    closed, lost_digits = _closed_pieces(z, q)
     if not lost_digits > _CANCEL_DIGITS:
         return RegimeTag.CLOSED_FORM, closed
     if s_abs >= _SERIES_S_MIN and laurent:
@@ -595,7 +624,8 @@ def _closed_form_result(
     0 when every piece came from its closed form.
     """
     x, q = point.x, point.q
-    z, s = point.z, point.s
+    z = complex(x, point.y)
+    s = z / q
     I1, bracket, g_plus, g_minus = closed or (None, None, None, None)
     weight = 3.0 / (q * q)
     bracket_err = I1_err = 0.0

@@ -100,6 +100,15 @@ def test_eval_collisionless_point_shows_terms(x, y, q, regime, capsys):
     assert abs(from_terms - total) <= 1e-14 * abs(total)
 
 
+def test_eval_reads_negative_zero_y_as_the_upper_limit(capsys):
+    assert main(["eval", "--x", "0.3", "--y", "-0", "--q", "1"]) == 0
+    below = capsys.readouterr().out
+    assert main(["eval", "--x", "0.3", "--y", "0", "--q", "1"]) == 0
+    assert below == capsys.readouterr().out
+    assert "  y = 0  " in below
+    assert "chi_total    1.7861722883585556 - 1.866106036232337j" in below
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 

@@ -31,7 +31,9 @@ from diamag import (
 from diamag.kernel import (
     _CANCEL_DIGITS,
     _closed_pieces,
+    branch_log_L,
     chi_ratio_detailed,
+    eval_integrals,
     regime_select,
 )
 
@@ -168,6 +170,36 @@ def test_collisionless_line_matches_the_oracle():
             if lost > _CANCEL_DIGITS:
                 bound = max(bound, 4.0 * 2.0**-52 * 10.0**lost * abs(result.quant))
         assert abs(result.total - want) <= bound, (x, q, tag)
+
+
+NEGATIVE_ZERO_POINTS = [(0.3, 1.0), (0.5, 0.5)]
+
+
+def _bits(result) -> tuple:
+    parts = (result.classic, result.quant, result.total)
+    return tuple(v.hex() for c in parts for v in (c.real, c.imag)) + (result.err_est.hex(),)
+
+
+@pytest.mark.parametrize("x, q", NEGATIVE_ZERO_POINTS)
+def test_negative_zero_y_is_the_upper_limit(x, q):
+    # -0.0 < 0 is False, so y = -0.0 is accepted; it must give the y -> 0+
+    # side, as the oracle does, not the lower one
+    point = DimensionlessPoint(x, -0.0, q)
+    assert math.copysign(1.0, point.y) == 1.0
+    assert point == DimensionlessPoint(x, 0.0, q)
+    assert _bits(chi_ratio(point)) == _bits(chi_ratio(DimensionlessPoint(x, 0.0, q)))
+    want = chi_ratio_quadrature(DimensionlessPoint(x, 0.0, q)).total
+    assert abs(chi_ratio(point).total - want) <= 1e-14 * abs(want)
+
+
+def test_negative_zero_imaginary_parts_are_the_upper_side():
+    upper = branch_log_L(complex(0.5, 0.0))
+    assert upper.imag == math.pi
+    assert branch_log_L(complex(0.5, -0.0)) == upper
+    below = eval_integrals(complex(0.3, -0.0), 1.0)
+    above = eval_integrals(complex(0.3, 0.0), 1.0)
+    assert below == above and above.I1.imag > 0.0
+    assert math.copysign(1.0, DimensionlessPoint(-0.0, 0.1, 1.0).x) == 1.0
 
 
 # Exact hits: s or s -+ q/2 is exactly +-1, where the closed forms take the

@@ -6,10 +6,13 @@ references frozen from 60-digit arithmetic; the raw double-precision closed
 form is held only to the accuracy its conditioning permits.
 """
 
+import hashlib
 import math
+import random
 
 import pytest
 
+from diamag import ConvergenceError, kernel
 from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.kernel import _laurent_result, chi_ratio, eval_integrals
 
@@ -106,3 +109,71 @@ def test_laurent_static_line_survives_a_tiny_wavenumber():
     result = chi_ratio(DimensionlessPoint(x=0.0, y=1e-80, q=1e-83))
     assert result.method is RegimeTag.LAURENT_SERIES
     assert math.isclose(result.total.real, 1.99999714e-13, rel_tol=1e-6)
+
+
+# Each term cap, set low, at a point whose branch needs more terms than that:
+# (cap name, point, branch). The x > 0 Laurent point also sums the first
+# integral's series for its classical part.
+STALLS = [
+    ("_TAYLOR_MAX_TERMS", (0.0, 0.01, 0.01), RegimeTag.TAYLOR_SERIES),
+    ("_LAURENT_MAX_INNER", (0.0, 80.0, 1.0), RegimeTag.LAURENT_SERIES),
+    ("_LAURENT_MAX_OUTER", (0.0, 80.0, 1.0), RegimeTag.LAURENT_SERIES),
+    ("_FIRST_SERIES_MAX_TERMS", (3.0, 1.0, 0.05), RegimeTag.LAURENT_SERIES),
+]
+
+
+@pytest.mark.parametrize("cap, coords, tag", STALLS)
+def test_a_series_that_reaches_its_term_cap_raises(cap, coords, tag, monkeypatch):
+    point = DimensionlessPoint(*coords)
+    assert chi_ratio(point).method is tag
+    monkeypatch.setattr(kernel, cap, 2)
+    with pytest.raises(ConvergenceError) as info:
+        chi_ratio(point)
+    assert info.value.subdivisions == 2
+    assert math.isfinite(info.value.err)
+
+
+def _loguniform(rng: random.Random, lo: float, hi: float) -> float:
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+
+def _pinned_points() -> list:
+    """4000 points log-uniform over the box x in {0} or [1e-12, 1e6],
+    y in [1e-14, 1e6], q in [1e-9, 1e4], with 1 % at x = y = 0 and 30 % of
+    the rest at x = 0, then 100 points on the collisionless line y = 0 < x."""
+    rng = random.Random(17)
+    points = []
+    for _ in range(4000):
+        if rng.random() < 0.01:
+            points.append((0.0, 0.0, _loguniform(rng, 1e-9, 1e4)))
+            continue
+        x = 0.0 if rng.random() < 0.3 else _loguniform(rng, 1e-12, 1e6)
+        points.append((x, _loguniform(rng, 1e-14, 1e6), _loguniform(rng, 1e-9, 1e4)))
+    for _ in range(100):
+        points.append((_loguniform(rng, 1e-12, 1e6), 0.0, _loguniform(rng, 1e-9, 1e4)))
+    return points
+
+
+# sha256 of float.hex of classic, quant and total (real and imaginary parts)
+# and err_est, and the method value, at the pinned points, one line per
+# point. It holds the kernel's bits while its hot path is rewritten; a
+# change to the kernel's numbers moves it openly, as figure1's pin moves.
+KERNEL_BITS_SHA256 = "39d69f26de6ede40ae42f49c23807963e0ecee9d63cb77e7e3947ec38197579d"
+
+
+def test_kernel_bits_are_pinned():
+    lines = []
+    cells = set()
+    for coords in _pinned_points():
+        point = DimensionlessPoint(*coords)
+        result = chi_ratio(point)
+        parts = (result.classic, result.quant, result.total)
+        values = [v for c in parts for v in (c.real, c.imag)] + [result.err_est]
+        lines.append(" ".join(v.hex() for v in values) + " " + result.method.value)
+        tag, closed = kernel._classify(point)
+        cells.add((tag, closed is not None, point.x == 0.0))
+    # every (tag, guard ran, x == 0) cell the kernel has: the static point,
+    # the small-q window and the literal Laurent window skip the guard
+    assert len(cells) == 12
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == KERNEL_BITS_SHA256
