@@ -427,23 +427,22 @@ def _quant_taylor_shift(s: complex, q: float) -> tuple:
     return total, 4.0 * tail
 
 
-def _quant_laurent(z: complex, q: float) -> tuple:
+def _quant_laurent(z: complex, q: float, w: complex) -> tuple:
     """Quantum part via the large-|s| Laurent double series.
 
-    The quantum integrals expand in powers of (q/z)^2 and q^4/(4 z^2); the
+    The quantum integrals expand in powers of w = (q/z)^2 and q^4/(4 z^2); the
     entire first shifted order cancels the middle term order by order, so the
     sum starts at the q^4/z^4 residual:
 
         quant = (12/z^2) sum_{m>=1} sum_{j>=0} t_mj,
         t_m0 = (q^4/(4 z^2))^m / 15,
-        t_m,j+1 = t_mj (q/z)^2 (2j+2m+3)(2j+2m+2) / ((2j+2)(2j+7)).
+        t_m,j+1 = t_mj w (2j+2m+3)(2j+2m+2) / ((2j+2)(2j+7)).
 
     Absolutely convergent for |s| > 1 + q/2. Every caller first checks
     _laurent_converges, |s| >= 2 (1 + q/2), so the outer ratio is at most 1/4;
     nearer the edge the series needs thousands of terms or overflows.
     Returns (quant, abs truncation bound).
     """
-    w = (q / z) ** 2
     r = q**4 / (4.0 * z * z)
     total = complex(0.0)
     total_abs = 0.0
@@ -520,13 +519,13 @@ def _first_integral_series(w: complex, head: complex) -> tuple:
     return total + comp, term
 
 
-def _classic_laurent(z: complex, q: float, x: float) -> tuple:
+def _classic_laurent(z: complex, q: float, x: float, w: complex) -> tuple:
     """Classical term via the Laurent series of the first integral.
 
-    I1 = -(1/z) sum_{j>=0} (4 / ((2j+1)(2j+3))) (q/z)^(2j); the weighted term
-    is -(3x/q^2) I1. Converges for |s| > 1. Returns (value, abs bound).
+    I1 = -(1/z) sum_{j>=0} (4 / ((2j+1)(2j+3))) w^j, w = (q/z)^2; the weighted
+    term is -(3x/q^2) I1. Converges for |s| > 1. Returns (value, abs bound).
     """
-    total, term = _first_integral_series((q / z) ** 2, 4.0 / 3.0)
+    total, term = _first_integral_series(w, 4.0 / 3.0)
     I1 = -total / z
     weight = -3.0 * x / (q * q)
     return weight * I1, 4.0 * abs(weight * term / z)
@@ -552,7 +551,7 @@ def _taylor_converges(s: complex, q: float) -> bool:
 
 
 def _classify(point: DimensionlessPoint) -> tuple:
-    """Deterministic regime choice; returns (RegimeTag, closed pieces|None).
+    """Deterministic regime choice; returns (RegimeTag, closed pieces|None, z|None).
 
     The x = y = 0 point is PV_STATIC at every q, and the static series window
     x = 0, q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways
@@ -562,29 +561,30 @@ def _classify(point: DimensionlessPoint) -> tuple:
     y = 0 takes the same path as y > 0 and gets the limit y -> 0+. The cancellation guard
     runs only where a series could take the point; every other point, and
     every point that the guard passes or that no series can serve, gets
-    CLOSED_FORM. The closed pieces are those the guard evaluated, for the
+    CLOSED_FORM. The closed pieces are those the guard evaluated, and z = x + iy
+    is the one the choice formed (None where it decided without it), for the
     evaluators to reuse.
     """
     x, y, q = point.x, point.y, point.q
     if y == 0.0 and x == 0.0:
-        return RegimeTag.PV_STATIC, None
+        return RegimeTag.PV_STATIC, None, None
     if x == 0.0 and q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
-        return RegimeTag.TAYLOR_SERIES, None
+        return RegimeTag.TAYLOR_SERIES, None, None
     z = complex(x, y)
     s = z / q
     s_abs = abs(s)
     laurent = _laurent_converges(s_abs, q)
     if s_abs > _LARGE_S and laurent:
-        return RegimeTag.LAURENT_SERIES, None
+        return RegimeTag.LAURENT_SERIES, None, z
     taylor = _taylor_converges(s, q)
     if s_abs > _LARGE_S or not (laurent or taylor):
-        return RegimeTag.CLOSED_FORM, None
+        return RegimeTag.CLOSED_FORM, None, z
     closed, lost_digits = _closed_pieces(z, q)
     if not lost_digits > _CANCEL_DIGITS:
-        return RegimeTag.CLOSED_FORM, closed
+        return RegimeTag.CLOSED_FORM, closed, z
     if s_abs >= _SERIES_S_MIN and laurent:
-        return RegimeTag.LAURENT_SERIES, closed
-    return (RegimeTag.TAYLOR_SERIES if taylor else RegimeTag.CLOSED_FORM), closed
+        return RegimeTag.LAURENT_SERIES, closed, z
+    return (RegimeTag.TAYLOR_SERIES if taylor else RegimeTag.CLOSED_FORM), closed, z
 
 
 @_double_range
@@ -677,7 +677,7 @@ def _taylor_result(point: DimensionlessPoint, closed) -> ChiResult:
     return ChiResult.from_parts(classic, quant, RegimeTag.TAYLOR_SERIES, err_est)
 
 
-def _laurent_result(point: DimensionlessPoint) -> ChiResult:
+def _laurent_result(point: DimensionlessPoint, z: complex) -> ChiResult:
     """The Laurent expansion in q/z for both parts.
 
     The 1/z^2 and q^2/z^4 orders of the two quantum terms cancel
@@ -685,17 +685,18 @@ def _laurent_result(point: DimensionlessPoint) -> ChiResult:
     (starting at q^4/z^4). This covers both the collision-dominated window
     q << |z| and the large-|s| window. err_est carries the truncation bounds.
     """
-    x, q, z = point.x, point.q, point.z
-    quant, quant_err = _quant_laurent(z, q)
+    x, q = point.x, point.q
+    w = (q / z) ** 2
+    quant, quant_err = _quant_laurent(z, q, w)
     if x == 0.0:
         quant = complex(quant.real, 0.0)
         return ChiResult.from_parts(complex(0.0), quant, RegimeTag.LAURENT_SERIES, quant_err)
-    classic, classic_err = _classic_laurent(z, q, x)
+    classic, classic_err = _classic_laurent(z, q, x, w)
     return ChiResult.from_parts(classic, quant, RegimeTag.LAURENT_SERIES, quant_err + classic_err)
 
 
-def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
-    """Run the evaluator that `tag` names.
+def _result(point: DimensionlessPoint, tag: RegimeTag, closed, z) -> ChiResult:
+    """Run the evaluator that `tag` names, with the pieces _classify formed.
 
     A float product that overflows gives inf without raising, and ChiResult
     then refuses the non-finite part with ValidationError. The point itself
@@ -712,7 +713,7 @@ def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
             return _closed_form_result(point, closed)
         if tag is RegimeTag.TAYLOR_SERIES:
             return _taylor_result(point, closed)
-        return _laurent_result(point)
+        return _laurent_result(point, z)
     except ValidationError as exc:
         raise DomainError(f"the result is beyond double-precision range ({exc})") from exc
 
@@ -742,6 +743,6 @@ def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
     The breakdown is the closed form's evaluation where the cancellation
     guard measured it, else None. Raises as chi_ratio does.
     """
-    tag, closed = _classify(point)
+    tag, closed, z = _classify(point)
     breakdown = None if closed is None else _breakdown(point.x, point.q, closed)
-    return _result(point, tag, closed), breakdown
+    return _result(point, tag, closed, z), breakdown

@@ -216,13 +216,15 @@ def _error_estimate(levels, prec: int, epsilon):
 # A value is (re, im, exp), Python ints meaning (re + i im) 2^exp: both parts
 # share the exponent. An operation computes its result exactly on the
 # integers and rounds it once, to nearest, so that the larger part keeps at
-# most `width` bits (a carry may add one). The error is at most half a unit
-# in the last place of each part: sqrt(2) 2^-width of the result's modulus.
-# Ties round away from zero, so that the arithmetic commutes with negating a
-# part: conjugate inputs give exactly conjugate results, which the mirrored
-# node tables (_fixed_nodes) and segments at x = 0 (_quadrature_raw) rely on.
-# _path_quad's levels are the exception: there each part rounds on its own,
-# ties to even, as an mpc does (_nearest_even, _mpc_rounded).
+# most `width` bits (a carry may add one): _rounded rounds a value, and
+# _contour_sums' loop writes its differences, products and quotients out.
+# The error is at most half a unit in the last place of each part:
+# sqrt(2) 2^-width of the result's modulus. Ties round away from zero, so
+# that the arithmetic commutes with negating a part: conjugate inputs give
+# exactly conjugate results, which the mirrored node tables (_fixed_nodes)
+# and segments at x = 0 (_quadrature_raw) rely on. _path_quad's levels are
+# the exception: there each part rounds on its own, ties to even, as an mpc
+# does (_nearest_even, _mpc_rounded).
 
 
 def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
@@ -236,33 +238,6 @@ def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
         (im + half) >> excess if im >= 0 else -((half - im) >> excess),
         exp + excess,
     )
-
-
-def _quotient(ar: int, ai: int, ae: int, br: int, bi: int, be: int, width: int) -> tuple:
-    """The quotient of two values, rounded to nearest at width bits."""
-    den = br * br + bi * bi
-    nr = ar * br + ai * bi
-    ni = ai * br - ar * bi
-    # scaled so that the larger part of the quotient gets width or width + 1 bits
-    shift = width + den.bit_length() - max(nr.bit_length(), ni.bit_length())
-    if shift >= 0:
-        nr <<= shift
-        ni <<= shift
-    else:
-        den <<= -shift
-    twice = den << 1
-    return (
-        (2 * nr + den) // twice if nr >= 0 else -((den - 2 * nr) // twice),
-        (2 * ni + den) // twice if ni >= 0 else -((den - 2 * ni) // twice),
-        ae - be - shift,
-    )
-
-
-def _difference(ar: int, ai: int, ae: int, br: int, bi: int, be: int, width: int) -> tuple:
-    """a - b, exact at the smaller exponent, then rounded to nearest at width bits."""
-    if ae >= be:
-        return _rounded((ar << (ae - be)) - br, (ai << (ae - be)) - bi, be, width)
-    return _rounded(ar - (br << (be - ae)), ai - (bi << (be - ae)), ae, width)
 
 
 def _exact_sum(values) -> tuple:
@@ -320,6 +295,11 @@ def _as_mpc(value: tuple):
     re, im, exp = value
     return mpc(mp.ldexp(re, exp), mp.ldexp(im, exp))
 
+
+# The exponent an empty running sum of _contour_sums starts at: above that of
+# every term, none of which comes near 2^(2^20), so the first term sets it.
+# Shifting the sum's 0 up to a term's exponent costs nothing.
+_NO_TERMS = 1 << 20
 
 # The point-independent pieces of the pass's nodes, per (a, b, degree, prec).
 _FIXED_NODES: dict = {}
@@ -383,9 +363,15 @@ def _contour_sums(x: float, y: float, q: float):
     Per node, with t, u = 1 - t^2, u^2 and the weight from _fixed_nodes, a
     point computes w = q t - z, u/w, t u/w and u^2/(w^2 - q^4/4) in the
     fixed-width arithmetic above, at the width prec + 20 that mp.quad's sums
-    use; each level sum is the exact sum of the products with the real half
-    weights, times b - a (whose parts are 0 or +-1), returned exact, for
-    _path_quad to round once as an mpc at that width would be.
+    use: w exact and then rounded, u/w rounded to nearest, t (u/w) rounded,
+    w^2 - q^4/4 exact from the squares of w's parts that u/w's denominator
+    formed and then rounded, and u^2 over it rounded to nearest. A level is
+    one straight-line loop over its nodes on Python ints, with no call or
+    tuple per operation: each component's exact sum of the products with the
+    real half weights runs along as (re, im, exp), shifted down to each new
+    term's exponent where that is smaller, so it ends at the smallest one.
+    Each level sum, times b - a (whose parts are 0 or +-1), is returned
+    exact, for _path_quad to round once as an mpc at that width would be.
 
     Why the rounding allowance of _quadrature_raw (_rounding_noise) still
     covers this arithmetic: every result is rounded once, to nearest, so it
@@ -407,26 +393,111 @@ def _contour_sums(x: float, y: float, q: float):
     qm, qe = _parts(q)
     zr, zi, ze = _fixed(x, y)
     km, ke = qm**4, 4 * qe - 2  # q^4/4
+    zq = ze - qe
 
     def level_sums(start, end, degree: int, prec: int) -> list:
         width = prec + _GUARD_BITS
         sr, si = int((end - start).real), int((end - start).imag)
-        i2, i3, i1 = [], [], []
+        # the running exact sums of I2, I3 and I1, each at the smallest
+        # exponent of its terms so far; a zero sum starts above every term
+        s2r = s2i = s3r = s3i = s1r = s1i = 0
+        s2e = s3e = s1e = _NO_TERMS
         # per node: c half the weight, w = q t - z, a = u/w, b = t a, d = w^2 - q^4/4, f = u^2/d
         for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in _fixed_nodes(start, end, degree, prec):
-            wr, wi, we = _difference(qm * tr, qm * ti, qe + te, zr, zi, ze, width)
-            ar, ai, ae = _quotient(ur, ui, ue, wr, wi, we, width)
-            br, bi, be = _rounded(tr * ar - ti * ai, tr * ai + ti * ar, te + ae, width)
-            dr, di, de = _difference(wr * wr - wi * wi, 2 * wr * wi, 2 * we, km, 0, ke, width)
-            fr, fi, fe = _quotient(vr, vi, ve, dr, di, de, width)
-            i2.append((c * br, c * bi, ce + be))
-            i3.append((c * fr, c * fi, ce + fe))
+            # w = q t - z, exact at the smaller exponent, then rounded
+            k = te - zq
+            if k >= 0:
+                wr, wi, we = (qm * tr << k) - zr, (qm * ti << k) - zi, ze
+            else:
+                wr, wi, we = qm * tr - (zr << -k), qm * ti - (zi << -k), qe + te
+            n, m = wr.bit_length(), wi.bit_length()
+            k = (n if n > m else m) - width
+            if k > 0:
+                h = 1 << (k - 1)
+                wr = (wr + h) >> k if wr >= 0 else -((h - wr) >> k)
+                wi = (wi + h) >> k if wi >= 0 else -((h - wi) >> k)
+                we += k
+            # a = u/w, scaled so that its larger part gets width or width + 1 bits
+            wr2, wi2 = wr * wr, wi * wi
+            den = wr2 + wi2
+            nr, ni = ur * wr + ui * wi, ui * wr - ur * wi
+            n, m = nr.bit_length(), ni.bit_length()
+            k = width + den.bit_length() - (n if n > m else m)
+            if k >= 0:
+                nr <<= k
+                ni <<= k
+            else:
+                den <<= -k
+            h = den << 1
+            ar = (2 * nr + den) // h if nr >= 0 else -((den - 2 * nr) // h)
+            ai = (2 * ni + den) // h if ni >= 0 else -((den - 2 * ni) // h)
+            ae = ue - we - k
+            # b = t a, rounded
+            br, bi, be = tr * ar - ti * ai, tr * ai + ti * ar, te + ae
+            n, m = br.bit_length(), bi.bit_length()
+            k = (n if n > m else m) - width
+            if k > 0:
+                h = 1 << (k - 1)
+                br = (br + h) >> k if br >= 0 else -((h - br) >> k)
+                bi = (bi + h) >> k if bi >= 0 else -((h - bi) >> k)
+                be += k
+            # d = w^2 - q^4/4, exact at the smaller exponent, then rounded
+            k = 2 * we - ke
+            if k >= 0:
+                dr, di, de = ((wr2 - wi2) << k) - km, (wr * wi) << (k + 1), ke
+            else:
+                dr, di, de = wr2 - wi2 - (km << -k), 2 * wr * wi, 2 * we
+            n, m = dr.bit_length(), di.bit_length()
+            k = (n if n > m else m) - width
+            if k > 0:
+                h = 1 << (k - 1)
+                dr = (dr + h) >> k if dr >= 0 else -((h - dr) >> k)
+                di = (di + h) >> k if di >= 0 else -((h - di) >> k)
+                de += k
+            # f = u^2/d, as a
+            den = dr * dr + di * di
+            nr, ni = vr * dr + vi * di, vi * dr - vr * di
+            n, m = nr.bit_length(), ni.bit_length()
+            k = width + den.bit_length() - (n if n > m else m)
+            if k >= 0:
+                nr <<= k
+                ni <<= k
+            else:
+                den <<= -k
+            h = den << 1
+            fr = (2 * nr + den) // h if nr >= 0 else -((den - 2 * nr) // h)
+            fi = (2 * ni + den) // h if ni >= 0 else -((den - 2 * ni) // h)
+            fe = ve - de - k
+            # add c b, c f and c a to the sums, exactly
+            k = ce + be - s2e
+            if k >= 0:
+                s2r += c * br << k
+                s2i += c * bi << k
+            else:
+                s2r = (s2r << -k) + c * br
+                s2i = (s2i << -k) + c * bi
+                s2e = ce + be
+            k = ce + fe - s3e
+            if k >= 0:
+                s3r += c * fr << k
+                s3i += c * fi << k
+            else:
+                s3r = (s3r << -k) + c * fr
+                s3i = (s3i << -k) + c * fi
+                s3e = ce + fe
             if x:
-                i1.append((c * ar, c * ai, ce + ae))
-        return [
-            (sr * re - si * im, sr * im + si * re, exp)
-            for re, im, exp in map(_exact_sum, (i2, i3, i1) if x else (i2, i3))
-        ]
+                k = ce + ae - s1e
+                if k >= 0:
+                    s1r += c * ar << k
+                    s1i += c * ai << k
+                else:
+                    s1r = (s1r << -k) + c * ar
+                    s1i = (s1i << -k) + c * ai
+                    s1e = ce + ae
+        sums = [(s2r, s2i, s2e), (s3r, s3i, s3e)]
+        if x:
+            sums.append((s1r, s1i, s1e))
+        return [(sr * re - si * im, sr * im + si * re, exp) for re, im, exp in sums]
 
     return level_sums
 
@@ -591,7 +662,7 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
 
 
 class KineticIntegrand(FrozenRecord):
-    """Pieces of the kinetic-equation form of the susceptibility.
+    """The integrands of the kinetic-equation form of the susceptibility.
 
     The quantum contribution couples momentum states q apart, so the natural
     integration variable u runs over [-1 - q/2, 1 + q/2] and the occupation
@@ -605,22 +676,34 @@ class KineticIntegrand(FrozenRecord):
     def half_width(self) -> float:
         return 0.5 * self.q
 
-    def occupation_difference(self, u: float) -> float:
-        """Clamped shell-overlap difference; odd in u, zero for |u| > 1 + q/2."""
+    def integrands(self) -> tuple:
+        """(occupation, shell, classic): functions of one float giving
+        W(u)/(q u - z), t (1 - t^2)/(q t - z) and (1 - t^2)/(q t - z).
+
+        W is the clamped shell-overlap difference, odd in u and zero for
+        |u| > 1 + q/2, and 1 - t^2 the velocity-shell angular weight. Each
+        divides by the resonance denominator y + i(q u - x) = i(q u - z),
+        never zero for y > 0: 1/(q u - z) = i / (y + i(q u - x)). The
+        bodies call no method or property, so that a quadrature's thousands
+        of evaluations spend nothing on dispatch.
+        """
+        x, y, q = self.x, self.y, self.q
         a = self.half_width
-        lower = 1.0 - (u - a) ** 2
-        upper = 1.0 - (u + a) ** 2
-        plus = lower * lower if lower > 0.0 else 0.0
-        minus = upper * upper if upper > 0.0 else 0.0
-        return plus - minus
 
-    def shell_weight(self, t: float) -> float:
-        """Velocity-shell angular weight 1 - t^2."""
-        return 1.0 - t * t
+        def occupation(u: float) -> complex:
+            lower = 1.0 - (u - a) ** 2
+            upper = 1.0 - (u + a) ** 2
+            plus = lower * lower if lower > 0.0 else 0.0
+            minus = upper * upper if upper > 0.0 else 0.0
+            return (plus - minus) * 1j / complex(y, q * u - x)
 
-    def denominator(self, u: float) -> complex:
-        """Resonance denominator y + i(q u - x) = i (q u - z); never zero for y > 0."""
-        return complex(self.y, self.q * u - self.x)
+        def shell(t: float) -> complex:
+            return t * (1.0 - t * t) * 1j / complex(y, q * t - x)
+
+        def classic(t: float) -> complex:
+            return (1.0 - t * t) * 1j / complex(y, q * t - x)
+
+        return occupation, shell, classic
 
 
 def chi_from_kinetic(point: DimensionlessPoint) -> ChiResult:
@@ -639,18 +722,8 @@ def chi_from_kinetic(point: DimensionlessPoint) -> ChiResult:
     x, y, q = point.x, point.y, point.q
     ig = KineticIntegrand(x=x, y=y, q=q)
     a = ig.half_width
+    f_w, f_shell, f_classic = ig.integrands()
     splits = _interior_breakpoints(x, y, q)
-
-    # 1/(q u - z) = i / denominator
-    def f_w(u: float) -> complex:
-        return ig.occupation_difference(u) * 1j / ig.denominator(u)
-
-    def f_shell(t: float) -> complex:
-        return t * ig.shell_weight(t) * 1j / ig.denominator(t)
-
-    def f_classic(t: float) -> complex:
-        return ig.shell_weight(t) * 1j / ig.denominator(t)
-
     w_breaks = [-1.0 + a, 1.0 - a] + splits
     v_w, e_w = integrate_complex_adaptive(f_w, -1.0 - a, 1.0 + a, w_breaks)
     v_s, e_s = integrate_complex_adaptive(f_shell, -1.0, 1.0, splits)

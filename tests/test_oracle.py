@@ -259,6 +259,70 @@ def _whole_domain_points(seed, count):
     return points
 
 
+# The fixed-width operations as separate helpers, one call and one tuple per
+# operation: the reference that oracle._contour_sums' straight-line loop is
+# checked against bit for bit.
+
+
+def _quotient(ar, ai, ae, br, bi, be, width):
+    """The quotient of two values, rounded to nearest at width bits."""
+    den = br * br + bi * bi
+    nr = ar * br + ai * bi
+    ni = ai * br - ar * bi
+    # scaled so that the larger part of the quotient gets width or width + 1 bits
+    shift = width + den.bit_length() - max(nr.bit_length(), ni.bit_length())
+    if shift >= 0:
+        nr <<= shift
+        ni <<= shift
+    else:
+        den <<= -shift
+    twice = den << 1
+    return (
+        (2 * nr + den) // twice if nr >= 0 else -((den - 2 * nr) // twice),
+        (2 * ni + den) // twice if ni >= 0 else -((den - 2 * ni) // twice),
+        ae - be - shift,
+    )
+
+
+def _difference(ar, ai, ae, br, bi, be, width):
+    """a - b, exact at the smaller exponent, then rounded to nearest at width bits."""
+    if ae >= be:
+        return oracle._rounded((ar << (ae - be)) - br, (ai << (ae - be)) - bi, be, width)
+    return oracle._rounded(ar - (br << (be - ae)), ai - (bi << (be - ae)), ae, width)
+
+
+def reference_sums(x, y, q):
+    """oracle._contour_sums composed from the helpers above: per node the same
+    operations in the same order, each a call returning a tuple, and each
+    component's terms collected and summed exactly by oracle._exact_sum."""
+    qm, qe = oracle._parts(q)
+    zr, zi, ze = oracle._fixed(x, y)
+    km, ke = qm**4, 4 * qe - 2  # q^4/4
+
+    def level_sums(start, end, degree, prec):
+        width = prec + oracle._GUARD_BITS
+        sr, si = int((end - start).real), int((end - start).imag)
+        i2, i3, i1 = [], [], []
+        for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in oracle._fixed_nodes(
+            start, end, degree, prec
+        ):
+            wr, wi, we = _difference(qm * tr, qm * ti, qe + te, zr, zi, ze, width)
+            ar, ai, ae = _quotient(ur, ui, ue, wr, wi, we, width)
+            br, bi, be = oracle._rounded(tr * ar - ti * ai, tr * ai + ti * ar, te + ae, width)
+            dr, di, de = _difference(wr * wr - wi * wi, 2 * wr * wi, 2 * we, km, 0, ke, width)
+            fr, fi, fe = _quotient(vr, vi, ve, dr, di, de, width)
+            i2.append((c * br, c * bi, ce + be))
+            i3.append((c * fr, c * fi, ce + fe))
+            if x:
+                i1.append((c * ar, c * ai, ce + ae))
+        return [
+            (sr * re - si * im, sr * im + si * re, exp)
+            for re, im, exp in map(oracle._exact_sum, (i2, i3, i1) if x else (i2, i3))
+        ]
+
+    return level_sums
+
+
 def test_fixed_width_operations_round_to_nearest():
     # each result is within half a unit in its last place, per part, of the
     # exact one, and its larger part has at most width + 1 bits
@@ -282,10 +346,10 @@ def test_fixed_width_operations_round_to_nearest():
         (ar, ai, ae), (br, bi, be) = value(), value()
         a, b = Fraction(2) ** ae, Fraction(2) ** be
         assert_nearest(oracle._rounded(ar, ai, ae, width), ar * a, ai * a, width)
-        difference = oracle._difference(ar, ai, ae, br, bi, be, width)
+        difference = _difference(ar, ai, ae, br, bi, be, width)
         assert_nearest(difference, ar * a - br * b, ai * a - bi * b, width)
         den = (br * br + bi * bi) * b
-        quotient = oracle._quotient(ar, ai, ae, br, bi, be, width)
+        quotient = _quotient(ar, ai, ae, br, bi, be, width)
         assert_nearest(
             quotient,
             (ar * br + ai * bi) * a / den,
@@ -294,7 +358,7 @@ def test_fixed_width_operations_round_to_nearest():
         )
         # ties round away from zero: conjugate inputs give conjugate results
         re, im, exp = quotient
-        assert oracle._quotient(ar, -ai, ae, br, -bi, be, width) == (re, -im, exp)
+        assert _quotient(ar, -ai, ae, br, -bi, be, width) == (re, -im, exp)
         re, im, exp = oracle._rounded(ar, ai, ae, width)
         assert oracle._rounded(-ar, ai, ae, width) == (-re, im, exp)
     # exact ties, 3/2 and 1/2 of a unit of either sign
@@ -378,6 +442,32 @@ def test_integer_levels_are_the_mpc_loops_bit_for_bit(x, y, q, dps):
         got = oracle._path_quad(level_sums)
         want = mpc_path_quad(level_sums)
     assert got == want
+
+
+# The level loop against its reference: seeded points over the whole domain
+# (x = 0 and x < 0 among them), the hard points, and the collisionless line,
+# poles on the path ends and the static point included, at 20 digits; and
+# six of them, which hold each kind of point, at 40 and 58.
+LEVEL_POINTS = (
+    _whole_domain_points(11, 12)
+    + HARD_POINTS
+    + [(0.3, 0.0, 0.5), (-1.0, 0.0, 1.0), (0.375, 0.0, 0.5), (0.0, 0.0, 2.0)]
+)
+LEVEL_CASES = [(x, y, q, 20) for x, y, q in LEVEL_POINTS] + [
+    (x, y, q, dps)
+    for x, y, q in (LEVEL_POINTS[i] for i in (0, 2, 8, 12, 19, 21))
+    for dps in (40, 58)
+]
+
+
+@pytest.mark.parametrize("x, y, q, dps", LEVEL_CASES)
+def test_level_loop_is_the_helpers_bit_for_bit(x, y, q, dps):
+    with mp.workdps(dps):
+        prec = mp.prec
+    loop, reference = oracle._contour_sums(x, y, q), reference_sums(x, y, q)
+    for a, b in zip(oracle._PATH, oracle._PATH[1:]):
+        for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
+            assert loop(a, b, degree, prec) == reference(a, b, degree, prec), (a, b, degree)
 
 
 def at_working_precision(results):
@@ -672,26 +762,53 @@ def test_kinetic_rejects_static_line():
         chi_from_kinetic(DimensionlessPoint(0.0, 0.0, 1.0))
 
 
+# sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
+# of chi_from_kinetic at verify's 60 grid points, one line per point, as the
+# oracle pin above. A change to the kinetic oracle's numbers moves this pin,
+# and says so.
+VERIFY_GRID_KINETIC_SHA256 = "15304d3588525a5040e2a78f4f87641c0243632e02f7f9fb01a4d4f6981b0906"
+
+
+def test_kinetic_bits_on_the_verify_grid_are_pinned():
+    lines = []
+    for x in GRID_X:
+        for y in GRID_Y:
+            for q in GRID_Q:
+                got = chi_from_kinetic(DimensionlessPoint(x, y, q))
+                parts = (got.classic.real, got.classic.imag, got.quant.real, got.quant.imag)
+                lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == VERIFY_GRID_KINETIC_SHA256
+
+
 def test_occupation_difference_shape():
+    # through the occupation integrand W(u)/(q u - z) at x = 0, where the
+    # denominator's value at -u is the conjugate of its value at u: an odd W
+    # makes the integrand's value at -u the conjugate of its value at u
     ig = KineticIntegrand(x=0.0, y=0.1, q=0.5)
-    assert ig.occupation_difference(0.0) == 0.0
+    occupation, _, _ = ig.integrands()
+    assert occupation(0.0) == 0.0
     # odd, and identically zero beyond the coupled-shell support
     for u in (0.2, 0.9, 1.2):
-        assert ig.occupation_difference(-u) == -ig.occupation_difference(u)
+        assert occupation(u) != 0.0
+        assert occupation(-u) == occupation(u).conjugate()
     edge = 1.0 + ig.half_width
-    assert ig.occupation_difference(edge + 1e-9) == 0.0
-    assert ig.occupation_difference(-edge - 0.5) == 0.0
-    # continuous across the clamp seam at u = 1 - q/2
+    assert occupation(edge + 1e-9) == 0.0
+    assert occupation(-edge - 0.5) == 0.0
+    # continuous across the clamp seam at u = 1 - q/2; |q u - z| >= y = 0.1
     seam = 1.0 - ig.half_width
-    below = ig.occupation_difference(seam - 1e-9)
-    above = ig.occupation_difference(seam + 1e-9)
-    assert abs(below - above) < 1e-7
+    below = occupation(seam - 1e-9)
+    above = occupation(seam + 1e-9)
+    assert abs(below - above) < 1e-7 / ig.y
 
 
 def test_denominator_never_vanishes_for_positive_y():
+    # |q t - z| >= y: the classical integrand (1 - t^2)/(q t - z) stays within
+    # |1 - t^2|/y, up to rounding
     ig = KineticIntegrand(x=0.3, y=1e-6, q=0.6)
+    _, _, classic = ig.integrands()
     for u in (-1.3, 0.0, 0.3 / 0.6, 1.3):
-        assert abs(ig.denominator(u)) >= ig.y
+        assert abs(classic(u)) <= (1.0 + 1e-15) * abs(1.0 - u * u) / ig.y
 
 
 # ---------------------------------------------------------------------------
