@@ -551,7 +551,7 @@ def _taylor_converges(s: complex, q: float) -> bool:
 
 
 def _classify(point: DimensionlessPoint) -> tuple:
-    """Deterministic regime choice; returns (RegimeTag, closed pieces|None, z|None).
+    """Deterministic regime choice; returns (RegimeTag, closed pieces|None).
 
     The x = y = 0 point is PV_STATIC at every q, and the static series window
     x = 0, q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways
@@ -561,30 +561,29 @@ def _classify(point: DimensionlessPoint) -> tuple:
     y = 0 takes the same path as y > 0 and gets the limit y -> 0+. The cancellation guard
     runs only where a series could take the point; every other point, and
     every point that the guard passes or that no series can serve, gets
-    CLOSED_FORM. The closed pieces are those the guard evaluated, and z = x + iy
-    is the one the choice formed (None where it decided without it), for the
+    CLOSED_FORM. The closed pieces are those the guard evaluated, for the
     evaluators to reuse.
     """
     x, y, q = point.x, point.y, point.q
     if y == 0.0 and x == 0.0:
-        return RegimeTag.PV_STATIC, None, None
+        return RegimeTag.PV_STATIC, None
     if x == 0.0 and q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
-        return RegimeTag.TAYLOR_SERIES, None, None
+        return RegimeTag.TAYLOR_SERIES, None
     z = complex(x, y)
     s = z / q
     s_abs = abs(s)
     laurent = _laurent_converges(s_abs, q)
     if s_abs > _LARGE_S and laurent:
-        return RegimeTag.LAURENT_SERIES, None, z
+        return RegimeTag.LAURENT_SERIES, None
     taylor = _taylor_converges(s, q)
     if s_abs > _LARGE_S or not (laurent or taylor):
-        return RegimeTag.CLOSED_FORM, None, z
+        return RegimeTag.CLOSED_FORM, None
     closed, lost_digits = _closed_pieces(z, q)
     if not lost_digits > _CANCEL_DIGITS:
-        return RegimeTag.CLOSED_FORM, closed, z
+        return RegimeTag.CLOSED_FORM, closed
     if s_abs >= _SERIES_S_MIN and laurent:
-        return RegimeTag.LAURENT_SERIES, closed, z
-    return (RegimeTag.TAYLOR_SERIES if taylor else RegimeTag.CLOSED_FORM), closed, z
+        return RegimeTag.LAURENT_SERIES, closed
+    return (RegimeTag.TAYLOR_SERIES if taylor else RegimeTag.CLOSED_FORM), closed
 
 
 @_double_range
@@ -677,7 +676,7 @@ def _taylor_result(point: DimensionlessPoint, closed) -> ChiResult:
     return ChiResult.from_parts(classic, quant, RegimeTag.TAYLOR_SERIES, err_est)
 
 
-def _laurent_result(point: DimensionlessPoint, z: complex) -> ChiResult:
+def _laurent_result(point: DimensionlessPoint) -> ChiResult:
     """The Laurent expansion in q/z for both parts.
 
     The 1/z^2 and q^2/z^4 orders of the two quantum terms cancel
@@ -686,6 +685,7 @@ def _laurent_result(point: DimensionlessPoint, z: complex) -> ChiResult:
     q << |z| and the large-|s| window. err_est carries the truncation bounds.
     """
     x, q = point.x, point.q
+    z = complex(x, point.y)
     w = (q / z) ** 2
     quant, quant_err = _quant_laurent(z, q, w)
     if x == 0.0:
@@ -695,8 +695,8 @@ def _laurent_result(point: DimensionlessPoint, z: complex) -> ChiResult:
     return ChiResult.from_parts(classic, quant, RegimeTag.LAURENT_SERIES, quant_err + classic_err)
 
 
-def _result(point: DimensionlessPoint, tag: RegimeTag, closed, z) -> ChiResult:
-    """Run the evaluator that `tag` names, with the pieces _classify formed.
+def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
+    """Run the evaluator that `tag` names.
 
     A float product that overflows gives inf without raising, and ChiResult
     then refuses the non-finite part with ValidationError. The point itself
@@ -713,7 +713,7 @@ def _result(point: DimensionlessPoint, tag: RegimeTag, closed, z) -> ChiResult:
             return _closed_form_result(point, closed)
         if tag is RegimeTag.TAYLOR_SERIES:
             return _taylor_result(point, closed)
-        return _laurent_result(point, z)
+        return _laurent_result(point)
     except ValidationError as exc:
         raise DomainError(f"the result is beyond double-precision range ({exc})") from exc
 
@@ -743,6 +743,6 @@ def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
     The breakdown is the closed form's evaluation where the cancellation
     guard measured it, else None. Raises as chi_ratio does.
     """
-    tag, closed, z = _classify(point)
+    tag, closed = _classify(point)
     breakdown = None if closed is None else _breakdown(point.x, point.q, closed)
-    return _result(point, tag, closed, z), breakdown
+    return _result(point, tag, closed), breakdown

@@ -80,7 +80,7 @@ def test_asymptotic_and_direct_agree_in_overlap():
     # well-conditioned for the direct closed form
     point = DimensionlessPoint(x=0.0, y=4.0, q=1.2)
     direct = chi_ratio(point)
-    series = _laurent_result(point, point.z)
+    series = _laurent_result(point)
     assert direct.method is RegimeTag.CLOSED_FORM
     assert series.method is RegimeTag.LAURENT_SERIES
     assert abs(direct.total - series.total) <= 1e-11 * abs(direct.total)
@@ -170,7 +170,7 @@ def test_kernel_bits_are_pinned():
         parts = (result.classic, result.quant, result.total)
         values = [v for c in parts for v in (c.real, c.imag)] + [result.err_est]
         lines.append(" ".join(v.hex() for v in values) + " " + result.method.value)
-        tag, closed, _ = kernel._classify(point)
+        tag, closed = kernel._classify(point)
         cells.add((tag, closed is not None, point.x == 0.0))
     # every (tag, guard ran, x == 0) cell the kernel has: the static point,
     # the small-q window and the literal Laurent window skip the guard

@@ -795,20 +795,21 @@ def test_occupation_difference_shape():
     edge = 1.0 + ig.half_width
     assert occupation(edge + 1e-9) == 0.0
     assert occupation(-edge - 0.5) == 0.0
-    # continuous across the clamp seam at u = 1 - q/2; |q u - z| >= y = 0.1
+    # W continuous across the clamp seam at u = 1 - q/2: each value times
+    # its own denominator (q u - z)/i = y + i q u gives back W
     seam = 1.0 - ig.half_width
-    below = occupation(seam - 1e-9)
-    above = occupation(seam + 1e-9)
-    assert abs(below - above) < 1e-7 / ig.y
+    below = occupation(seam - 1e-9) * complex(ig.y, ig.q * (seam - 1e-9)) / 1j
+    above = occupation(seam + 1e-9) * complex(ig.y, ig.q * (seam + 1e-9)) / 1j
+    assert abs(below - above) < 1e-7
 
 
 def test_denominator_never_vanishes_for_positive_y():
     # |q t - z| >= y: the classical integrand (1 - t^2)/(q t - z) stays within
-    # |1 - t^2|/y, up to rounding
+    # |1 - t^2|/y, with equality at t = x/q
     ig = KineticIntegrand(x=0.3, y=1e-6, q=0.6)
     _, _, classic = ig.integrands()
     for u in (-1.3, 0.0, 0.3 / 0.6, 1.3):
-        assert abs(classic(u)) <= (1.0 + 1e-15) * abs(1.0 - u * u) / ig.y
+        assert abs(classic(u)) <= abs(1.0 - u * u) / ig.y
 
 
 # ---------------------------------------------------------------------------
