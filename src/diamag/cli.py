@@ -210,7 +210,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     rows, errors = run_sweep(spec)
     write_csv(rows, args.out)
-    if args.svg is not None:
+    if args.svg is not None and len(errors) == len(rows):
+        # every row is an error row, which leaves the chart nothing to draw
+        print(f"diamag sweep: no plottable row; {args.svg} not written", file=sys.stderr)
+    elif args.svg is not None:
         from .svg import render_line_chart, write_svg
 
         svg = render_line_chart(
@@ -280,10 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DiamagError as exc:
-        print(f"diamag {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DiamagError, OSError) as exc:
         print(f"diamag {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

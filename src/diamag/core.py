@@ -60,7 +60,7 @@ class FrozenRecord:
 
     A subclass names its fields, in order, in ``_fields``. This ``__init__``
     takes one value per field, by position or by name. A subclass that checks
-    its values has its own ``__init__``, which passes them to ``_set`` in
+    its values has its own ``__init__``, which passes them on to this one in
     field order, or, in the two records every kernel point builds, stores
     each with ``_store``. Assigning or deleting an attribute raises
     AttributeError. Equality, hashing and repr follow the fields, as
@@ -81,11 +81,6 @@ class FrozenRecord:
             except KeyError:
                 pass
         raise TypeError(f"{type(self).__name__} takes exactly the fields {fields}")
-
-    def _set(self, *values) -> None:
-        """Set the fields, in order, with ``_store``."""
-        for name, value in zip(self._fields, values):
-            _store(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -190,7 +185,7 @@ class PhysicalState(FrozenRecord):
             raise ValidationError("omega must be >= 0")
         if k <= 0:
             raise ValidationError("k must be > 0")
-        self._set(v_F, nu, omega, k)
+        FrozenRecord.__init__(self, v_F, nu, omega, k)
 
     @property
     def k_F(self) -> float:

@@ -663,16 +663,16 @@ def _taylor_result(point: DimensionlessPoint, closed) -> ChiResult:
     """The shifted-difference Taylor series about s for the quantum part.
 
     Exact in beta = y/q; on the static line it reduces to 1 - q^2/20 - ... .
-    The classical part keeps its closed form (the guard's I1 where it ran),
-    which does not cancel here. err_est carries the series' truncation bound.
+    The classical part keeps its closed form, the guard's I1, which does not
+    cancel here. err_est carries the series' truncation bound.
     """
     x, q, s = point.x, point.q, point.s
     quant, err_est = _quant_taylor_shift(s, q)
     if x == 0.0:
         quant = complex(quant.real, 0.0)
         return ChiResult.from_parts(complex(0.0), quant, RegimeTag.TAYLOR_SERIES, err_est)
-    I1 = closed[0] if closed else _first_integral_closed(s, q)[0]
-    classic = -3.0 * x / (q * q) * I1
+    # off x = 0, a point reaches this series only through the guard
+    classic = -3.0 * x / (q * q) * closed[0]
     return ChiResult.from_parts(classic, quant, RegimeTag.TAYLOR_SERIES, err_est)
 
 

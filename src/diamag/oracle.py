@@ -33,13 +33,11 @@ from mpmath import mp, mpc, mpf
 from mpmath.calculus.quadrature import TanhSinh
 
 from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
-from .errors import DomainError, ExtrapolationError, ValidationError
+from .errors import DomainError, ExtrapolationError
 from .quadrature import integrate_complex_adaptive
 
 __all__ = [
-    "KineticIntegrand",
     "JIntegrals",
-    "NascentDelta",
     "chi_ratio_quadrature",
     "chi_from_kinetic",
     "chi_quant_smallk",
@@ -221,10 +219,10 @@ def _error_estimate(levels, prec: int, epsilon):
 # The error is at most half a unit in the last place of each part:
 # sqrt(2) 2^-width of the result's modulus. Ties round away from zero, so
 # that the arithmetic commutes with negating a part: conjugate inputs give
-# exactly conjugate results, which the mirrored node tables (_fixed_nodes)
-# and segments at x = 0 (_quadrature_raw) rely on. _path_quad's levels are
-# the exception: there each part rounds on its own, ties to even, as an mpc
-# does (_nearest_even, _mpc_rounded).
+# exactly conjugate results, which the mirrored segments at x = 0
+# (_quadrature_raw) rely on. _path_quad's levels are the exception: there
+# each part rounds on its own, ties to even, as an mpc does (_nearest_even,
+# _mpc_rounded).
 
 
 def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
@@ -316,43 +314,30 @@ def _fixed_nodes(a, b, degree: int, prec: int) -> list:
     are exact from the rounded t before they are rounded. The weight
     (b - a)/2 w is kept as w/2: w rounded at prec + 20 bits, to nearest with
     ties to even as get_nodes rounds it, and halved in its exponent, so that
-    (b - a) times it is get_nodes' weight exactly. A segment that ends right
-    of the imaginary axis, such as -i -> 1, is the mirror image t -> -conj(t)
-    of one that does not (-1 -> -i): its node at x is the mirror of that
-    one's at -x, and since ties round away from zero and the standard nodes
-    come in pairs +-x with one weight, its table is that table mirrored, node
-    for node. Converted once and kept, like TanhSinh's own node cache;
-    nothing about a point is stored.
+    (b - a) times it is get_nodes' weight exactly. Converted once and kept,
+    like TanhSinh's own node cache; nothing about a point is stored.
     """
     key = (a, b, degree, prec)
     nodes = _FIXED_NODES.get(key)
     if nodes is None:
-        if b.real > 0:
-            nodes = [
-                (-tr, ti, te, ur, -ui, ue, vr, -vi, ve, c, ce)
-                for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in _fixed_nodes(
-                    -b.conjugate(), -a.conjugate(), degree, prec
-                )
-            ]
-        else:
-            width = prec + _GUARD_BITS
-            # twice the segment's centre and twice its half-length
-            cr, ci = int((b + a).real), int((b + a).imag)
-            sr, si = int((b - a).real), int((b - a).imag)
-            nodes = []
-            for x, weight in _TANH_SINH.get_nodes(-1, 1, degree, prec):
-                m, e = _parts(x)  # |x| < 1, so e <= 0
-                re, im = (cr << -e) + sr * m, (ci << -e) + si * m
-                tr, ti, te = _rounded(re, im, e - 1, width)
-                # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
-                ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
-                c, ce = _nearest_even(*_parts(weight), width)
-                nodes.append(
-                    (tr, ti, te)
-                    + _rounded(ur, ui, ue, width)
-                    + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
-                    + (c, ce - 1)
-                )
+        width = prec + _GUARD_BITS
+        # twice the segment's centre and twice its half-length
+        cr, ci = int((b + a).real), int((b + a).imag)
+        sr, si = int((b - a).real), int((b - a).imag)
+        nodes = []
+        for x, weight in _TANH_SINH.get_nodes(-1, 1, degree, prec):
+            m, e = _parts(x)  # |x| < 1, so e <= 0
+            re, im = (cr << -e) + sr * m, (ci << -e) + si * m
+            tr, ti, te = _rounded(re, im, e - 1, width)
+            # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
+            ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
+            c, ce = _nearest_even(*_parts(weight), width)
+            nodes.append(
+                (tr, ti, te)
+                + _rounded(ur, ui, ue, width)
+                + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
+                + (c, ce - 1)
+            )
         _FIXED_NODES[key] = nodes
     return nodes
 
@@ -615,13 +600,11 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
             qm = mpf(q)
             out_eps = mpf(10) ** -dps * mpf(2) ** -_GUARD_BITS
             if x == 0.0:
-                results = [(mp.ldexp(v.real, 1), mp.ldexp(e, 1)) for v, e in results]
-            (v2, e2), (v3, e3) = results[:2]
-            if x == 0.0:
+                (v2, e2), (v3, e3) = [(mp.ldexp(v.real, 1), mp.ldexp(e, 1)) for v, e in results]
                 classic = mpc(0)
                 bound_c = mpf(0)
             else:
-                v1, e1 = results[2]
+                (v2, e2), (v3, e3), (v1, e1) = results
                 c1 = 3 * mpf(x) / qm**2
                 classic = -c1 * v1
                 bound_c = abs(c1) * (e1 + noise1) + out_eps * abs(classic)
@@ -661,49 +644,34 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
 # ---------------------------------------------------------------------------
 
 
-class KineticIntegrand(FrozenRecord):
+def _kinetic_integrands(x: float, y: float, q: float) -> tuple:
     """The integrands of the kinetic-equation form of the susceptibility.
 
-    The quantum contribution couples momentum states q apart, so the natural
-    integration variable u runs over [-1 - q/2, 1 + q/2] and the occupation
-    difference below is the (squared, clamped) shell overlap of the two
-    coupled states. The resonance denominator is shared by every piece.
+    (occupation, shell, classic): functions of one float giving
+    W(u)/(q u - z), t (1 - t^2)/(q t - z) and (1 - t^2)/(q t - z). The
+    quantum contribution couples momentum states q apart, so u runs over
+    [-1 - q/2, 1 + q/2] and W, the clamped shell-overlap difference of the
+    two coupled states, is odd in u and zero for |u| > 1 + q/2; 1 - t^2 is
+    the velocity-shell angular weight. Each divides by the resonance
+    denominator y + i(q u - x) = i(q u - z), never zero for y > 0:
+    1/(q u - z) = i / (y + i(q u - x)).
     """
+    a = 0.5 * q
 
-    _fields = ("x", "y", "q")
+    def occupation(u: float) -> complex:
+        lower = 1.0 - (u - a) ** 2
+        upper = 1.0 - (u + a) ** 2
+        plus = lower * lower if lower > 0.0 else 0.0
+        minus = upper * upper if upper > 0.0 else 0.0
+        return (plus - minus) * 1j / complex(y, q * u - x)
 
-    @property
-    def half_width(self) -> float:
-        return 0.5 * self.q
+    def shell(t: float) -> complex:
+        return t * (1.0 - t * t) * 1j / complex(y, q * t - x)
 
-    def integrands(self) -> tuple:
-        """(occupation, shell, classic): functions of one float giving
-        W(u)/(q u - z), t (1 - t^2)/(q t - z) and (1 - t^2)/(q t - z).
+    def classic(t: float) -> complex:
+        return (1.0 - t * t) * 1j / complex(y, q * t - x)
 
-        W is the clamped shell-overlap difference, odd in u and zero for
-        |u| > 1 + q/2, and 1 - t^2 the velocity-shell angular weight. Each
-        divides by the resonance denominator y + i(q u - x) = i(q u - z),
-        never zero for y > 0: 1/(q u - z) = i / (y + i(q u - x)). The
-        bodies call no method or property, so that a quadrature's thousands
-        of evaluations spend nothing on dispatch.
-        """
-        x, y, q = self.x, self.y, self.q
-        a = self.half_width
-
-        def occupation(u: float) -> complex:
-            lower = 1.0 - (u - a) ** 2
-            upper = 1.0 - (u + a) ** 2
-            plus = lower * lower if lower > 0.0 else 0.0
-            minus = upper * upper if upper > 0.0 else 0.0
-            return (plus - minus) * 1j / complex(y, q * u - x)
-
-        def shell(t: float) -> complex:
-            return t * (1.0 - t * t) * 1j / complex(y, q * t - x)
-
-        def classic(t: float) -> complex:
-            return (1.0 - t * t) * 1j / complex(y, q * t - x)
-
-        return occupation, shell, classic
+    return occupation, shell, classic
 
 
 def chi_from_kinetic(point: DimensionlessPoint) -> ChiResult:
@@ -720,9 +688,8 @@ def chi_from_kinetic(point: DimensionlessPoint) -> ChiResult:
     if point.y <= 0.0:
         raise DomainError("chi_from_kinetic requires y > 0")
     x, y, q = point.x, point.y, point.q
-    ig = KineticIntegrand(x=x, y=y, q=q)
-    a = ig.half_width
-    f_w, f_shell, f_classic = ig.integrands()
+    a = 0.5 * q
+    f_w, f_shell, f_classic = _kinetic_integrands(x, y, q)
     splits = _interior_breakpoints(x, y, q)
     w_breaks = [-1.0 + a, 1.0 - a] + splits
     v_w, e_w = integrate_complex_adaptive(f_w, -1.0 - a, 1.0 + a, w_breaks)
@@ -794,32 +761,28 @@ def chi_quant_smallk(point: DimensionlessPoint) -> ChiResult:
 # ---------------------------------------------------------------------------
 
 
-class NascentDelta(FrozenRecord):
-    """Gaussian nascent delta of a given energy width.
+def _nascent_delta(width: float) -> tuple:
+    """The Gaussian nascent delta of an energy width > 0 and its first and
+    second derivatives, as functions of one float.
 
-    As width -> 0 this tends to the Dirac delta; its first and second
-    derivatives tend to the corresponding distributional derivatives. The
-    even-moment structure of the Gaussian makes observables computed with it
-    polynomial in width^2, which is what the Richardson step exploits.
+    As width -> 0 these tend to the Dirac delta and its distributional
+    derivatives. The even-moment structure of the Gaussian makes observables
+    computed with them polynomial in width^2, which is what the Richardson
+    step exploits.
     """
+    norm = width * math.sqrt(2.0 * math.pi)
+    s2 = width * width
 
-    _fields = ("width",)
+    def delta(e: float) -> float:
+        return math.exp(-0.5 * (e / width) ** 2) / norm
 
-    def __init__(self, width: float) -> None:
-        if not (width > 0.0 and math.isfinite(width)):
-            raise ValidationError("NascentDelta width must be finite and > 0")
-        self._set(width)
+    def first_derivative(e: float) -> float:
+        return -e / s2 * delta(e)
 
-    def __call__(self, e: float) -> float:
-        s = self.width
-        return math.exp(-0.5 * (e / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+    def second_derivative(e: float) -> float:
+        return (e * e / s2 - 1.0) / s2 * delta(e)
 
-    def first_derivative(self, e: float) -> float:
-        return -e / (self.width * self.width) * self(e)
-
-    def second_derivative(self, e: float) -> float:
-        s2 = self.width * self.width
-        return (e * e / s2 - 1.0) / s2 * self(e)
+    return delta, first_derivative, second_derivative
 
 
 def richardson_extrapolate(h_values, values) -> tuple:
@@ -896,15 +859,15 @@ def j_integrals_nascent_delta() -> JIntegrals:
     widths = [w * e_f for w in _DELTA_WIDTHS]
 
     def moments_at(width: float) -> tuple:
-        delta = NascentDelta(width=width)
+        _, first_derivative, second_derivative = _nascent_delta(width)
         v_lo = math.sqrt(max(0.0, 1.0 - 28.0 * width))
         v_hi = math.sqrt(1.0 + 28.0 * width)
 
         def f1(v: float) -> complex:
-            return complex(v**6 * delta.second_derivative(0.5 * v * v - e_f))
+            return complex(v**6 * second_derivative(0.5 * v * v - e_f))
 
         def f2(v: float) -> complex:
-            return complex(-(v**4) * delta.first_derivative(0.5 * v * v - e_f))
+            return complex(-(v**4) * first_derivative(0.5 * v * v - e_f))
 
         breaks = [1.0]
         v1, _ = integrate_complex_adaptive(

@@ -70,7 +70,7 @@ class SweepSpec(FrozenRecord):
             raise ValidationError(f"axis must be one of {_AXES}, got {axis!r}")
         if spacing not in _SPACINGS:
             raise ValidationError(f"spacing must be one of {_SPACINGS}, got {spacing!r}")
-        self._set(axis, lo, hi, points, spacing, fixed_x, fixed_y, fixed_q)
+        FrozenRecord.__init__(self, axis, lo, hi, points, spacing, fixed_x, fixed_y, fixed_q)
         # every grid value lies in [lo, hi], so valid bounds make every grid
         # point a valid coordinate; DimensionlessPoint is the one judge
         self.point_at(self.lo)

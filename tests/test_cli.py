@@ -224,6 +224,26 @@ def test_sweep_beyond_double_range_writes_error_rows(tmp_path, capsys):
     assert all(kind == "DomainError" and message for _, kind, message in named)
 
 
+def test_sweep_with_no_plottable_row_writes_no_svg(tmp_path, capsys):
+    # q^-3 overflows at both points: the CSV holds two error rows, the SVG
+    # has nothing to draw, and each failed point is still named
+    csv_path = tmp_path / "f.csv"
+    svg_path = tmp_path / "f.svg"
+    code = main([
+        "sweep", "--axis", "q", "--min", "1e103", "--max", "1e104", "--points", "2",
+        "--x", "1e-9", "--y", "1e-67", "--out", str(csv_path), "--svg", str(svg_path),
+    ])
+    assert code == 2
+    assert not svg_path.exists()
+    methods = [line.split(",")[9] for line in csv_path.read_text(encoding="utf-8").splitlines()]
+    assert methods == ["method", "error", "error"]
+    err = capsys.readouterr().err
+    assert "not written" in err
+    for q in ("1e+103", "1e+104"):
+        assert f"diamag sweep: x=1e-09, y=1e-67, q={q}: DomainError: " in err
+    assert err.splitlines()[-1].startswith("diamag sweep: some points failed")
+
+
 def test_sweep_invalid_bounds_exit_one(tmp_path, capsys):
     code = main([
         "sweep", "--axis", "q", "--min", "1.0", "--max", "0.1",

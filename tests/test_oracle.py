@@ -18,7 +18,6 @@ from diamag import (
     DimensionlessPoint,
     DomainError,
     ExtrapolationError,
-    ValidationError,
     chi_from_kinetic,
     chi_quant_smallk,
     chi_ratio,
@@ -26,7 +25,7 @@ from diamag import (
     j_integrals_nascent_delta,
 )
 from diamag import oracle
-from diamag.oracle import KineticIntegrand, NascentDelta, richardson_extrapolate
+from diamag.oracle import _kinetic_integrands, _nascent_delta, richardson_extrapolate
 from diamag.verify import GRID_Q, GRID_X, GRID_Y
 
 
@@ -785,31 +784,31 @@ def test_occupation_difference_shape():
     # through the occupation integrand W(u)/(q u - z) at x = 0, where the
     # denominator's value at -u is the conjugate of its value at u: an odd W
     # makes the integrand's value at -u the conjugate of its value at u
-    ig = KineticIntegrand(x=0.0, y=0.1, q=0.5)
-    occupation, _, _ = ig.integrands()
+    y, q = 0.1, 0.5
+    occupation, _, _ = _kinetic_integrands(0.0, y, q)
     assert occupation(0.0) == 0.0
     # odd, and identically zero beyond the coupled-shell support
     for u in (0.2, 0.9, 1.2):
         assert occupation(u) != 0.0
         assert occupation(-u) == occupation(u).conjugate()
-    edge = 1.0 + ig.half_width
+    edge = 1.0 + 0.5 * q
     assert occupation(edge + 1e-9) == 0.0
     assert occupation(-edge - 0.5) == 0.0
     # W continuous across the clamp seam at u = 1 - q/2: each value times
     # its own denominator (q u - z)/i = y + i q u gives back W
-    seam = 1.0 - ig.half_width
-    below = occupation(seam - 1e-9) * complex(ig.y, ig.q * (seam - 1e-9)) / 1j
-    above = occupation(seam + 1e-9) * complex(ig.y, ig.q * (seam + 1e-9)) / 1j
+    seam = 1.0 - 0.5 * q
+    below = occupation(seam - 1e-9) * complex(y, q * (seam - 1e-9)) / 1j
+    above = occupation(seam + 1e-9) * complex(y, q * (seam + 1e-9)) / 1j
     assert abs(below - above) < 1e-7
 
 
 def test_denominator_never_vanishes_for_positive_y():
     # |q t - z| >= y: the classical integrand (1 - t^2)/(q t - z) stays within
     # |1 - t^2|/y, with equality at t = x/q
-    ig = KineticIntegrand(x=0.3, y=1e-6, q=0.6)
-    _, _, classic = ig.integrands()
+    y = 1e-6
+    _, _, classic = _kinetic_integrands(0.3, y, 0.6)
     for u in (-1.3, 0.0, 0.3 / 0.6, 1.3):
-        assert abs(classic(u)) <= abs(1.0 - u * u) / ig.y
+        assert abs(classic(u)) <= abs(1.0 - u * u) / y
 
 
 # ---------------------------------------------------------------------------
@@ -852,32 +851,27 @@ def test_smallk_rejects_negative_collision_rate_off_static_point():
 # ---------------------------------------------------------------------------
 
 
-def test_nascent_delta_validates_width():
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValidationError):
-            NascentDelta(bad)
-
-
 def test_nascent_delta_normalization_and_peak():
-    d = NascentDelta(0.03)
+    width = 0.03
+    d, _, _ = _nascent_delta(width)
     assert abs(d(0.0) - 1.0 / (0.03 * math.sqrt(2.0 * math.pi))) < 1e-15
     # trapezoid over +-10 widths captures the full mass
     n = 20000
-    h = 20.0 * d.width / n
-    total = sum(d(-10.0 * d.width + i * h) for i in range(n + 1)) * h
+    h = 20.0 * width / n
+    total = sum(d(-10.0 * width + i * h) for i in range(n + 1)) * h
     assert abs(total - 1.0) < 1e-9
 
 
 def test_nascent_delta_derivatives_match_finite_differences():
-    d = NascentDelta(0.5)
+    d, first_derivative, second_derivative = _nascent_delta(0.5)
     for e in (-0.7, 0.2, 1.1):
         h = 1e-6
         fd1 = (d(e + h) - d(e - h)) / (2.0 * h)
-        assert abs(d.first_derivative(e) - fd1) < 1e-6
+        assert abs(first_derivative(e) - fd1) < 1e-6
         # wider step: the second difference amplifies roundoff by 1/h^2
         h = 1e-4
         fd2 = (d(e + h) - 2.0 * d(e) + d(e - h)) / (h * h)
-        assert abs(d.second_derivative(e) - fd2) < 1e-6
+        assert abs(second_derivative(e) - fd2) < 1e-6
 
 
 def test_richardson_recovers_polynomial_exactly():
