@@ -94,6 +94,20 @@ _TARGET_REL = 1e-16
 _NODE_TAIL_BITS = 10
 _GUARD_BITS = 20
 
+# The point-independent constants of a pass, per (context precision, key):
+# an int key k holds 10^k, a name the constant its caller computes. Computed
+# once and kept, like TanhSinh's node cache and _FIXED_NODES.
+_CONSTANTS: dict = {}
+
+
+def _cached(key, make):
+    """make() at the context's precision, computed once per precision and key."""
+    key = (mp.prec, key)
+    value = _CONSTANTS.get(key)
+    if value is None:
+        value = _CONSTANTS[key] = make()
+    return value
+
 
 def _path_distance(c: complex, q: float) -> float:
     """Distance from c to the contour in g = q t, the polyline -q -> -iq -> q."""
@@ -133,8 +147,8 @@ def _path_quad(level_sums, path=_PATH) -> list:
     """
     prec = mp.prec
     width = prec + _GUARD_BITS
-    epsilon = mp.eps / 8
-    max_degree = _TANH_SINH.guess_degree(prec)  # at least 6
+    epsilon = _cached("eps/8", lambda: mp.eps / 8)
+    max_degree = _cached("degree", lambda: _TANH_SINH.guess_degree(prec))  # at least 6
     first_estimate = max(2, _FIRST_STOP_DEGREE)
     segments = []
     with mp.extraprec(_GUARD_BITS):
@@ -161,11 +175,49 @@ def _path_quad(level_sums, path=_PATH) -> list:
 def _next_level(previous: tuple, level_sum: tuple, degree: int, width: int) -> tuple:
     """TanhSinh.sum_next's level h (previous/(2h) + level_sum), h = 2^-degree,
     rounded as mpc arithmetic at width bits rounds it: once where the level
-    sum becomes an mpc, and once after the addition."""
+    sum becomes an mpc, and once after the addition.
+
+    Each part is an mpf of its own, so each is rounded, aligned and added on
+    its own, in straight-line integer code: the level sum's part is rounded
+    as _nearest_even rounds it, written out, the previous level's part is
+    added exactly at the smaller exponent, and the sum is rounded again.
+    """
     pr, pi, pe = previous
-    total = _exact_sum([(pr, pi, pe + degree - 1), _mpc_rounded(*level_sum, width)])
-    re, im, exp = _mpc_rounded(*total, width)
-    return re, im, exp - degree
+    re, im, er = level_sum
+    ei = er
+    pe += degree - 1  # the previous level over 2h
+    k = re.bit_length() - width
+    if k > 0:
+        re = (re + (1 << (k - 1)) - 1 + ((re >> k) & 1)) >> k
+        er += k
+    k = im.bit_length() - width
+    if k > 0:
+        im = (im + (1 << (k - 1)) - 1 + ((im >> k) & 1)) >> k
+        ei += k
+    if er >= pe:
+        re, er = (re << (er - pe)) + pr, pe
+    else:
+        re += pr << (pe - er)
+    if ei >= pe:
+        im, ei = (im << (ei - pe)) + pi, pe
+    else:
+        im += pi << (pe - ei)
+    k = re.bit_length() - width
+    if k > 0:
+        re = (re + (1 << (k - 1)) - 1 + ((re >> k) & 1)) >> k
+        er += k
+    k = im.bit_length() - width
+    if k > 0:
+        im = (im + (1 << (k - 1)) - 1 + ((im >> k) & 1)) >> k
+        ei += k
+    # one shared exponent, which a zero part does not set
+    if not re:
+        er = ei
+    elif not im:
+        ei = er
+    if er > ei:
+        return re << (er - ei), im, ei - degree
+    return re, im << (ei - er), er - degree
 
 
 _LOG10_2 = math.log10(2)
@@ -176,7 +228,12 @@ _LOG_SLACK = 1e-9
 
 def _log10_distance(a: tuple, b: tuple):
     """log10 |a - b| of two exact values, as a float; None where a == b."""
-    re, im, exp = _exact_sum([a, (-b[0], -b[1], b[2])])
+    ar, ai, ae = a
+    br, bi, be = b
+    if ae >= be:
+        re, im, exp = (ar << (ae - be)) - br, (ai << (ae - be)) - bi, be
+    else:
+        re, im, exp = ar - (br << (be - ae)), ai - (bi << (be - ae)), ae
     square = re * re + im * im
     return 0.5 * math.log10(square) + exp * _LOG10_2 if square else None
 
@@ -192,10 +249,11 @@ def _error_estimate(levels, prec: int, epsilon):
     1e-13 of mpmath's, so the integer is mpmath's unless max(D1^2/D2, 2 D1)
     lies within _LOG_SLACK of an integer that truncation toward zero can
     cross (-prec to -1), or |D2| < 1 magnifies that error in D1^2/D2. There,
-    at degree 2 (where the estimate is |I2 - I1| itself) and where two
-    levels are equal, mpmath's estimate is called on the levels as mpc
-    values, which the guard width holds exactly. Runs at the guard width,
-    where _path_quad calls it, as mpmath's does.
+    at degree 2 (where the estimate is |I2 - I1| itself; _path_quad gets
+    there only when a test lowers _FIRST_STOP_DEGREE) and where two levels
+    are equal, mpmath's estimate is called on the levels as mpc values,
+    which the guard width holds exactly. Runs at the guard width, where
+    _path_quad calls it, as mpmath's does; the powers of ten are cached.
     """
     if len(levels) > 2:
         d1 = _log10_distance(levels[-1], levels[-2])
@@ -204,7 +262,8 @@ def _error_estimate(levels, prec: int, epsilon):
             exponent = max(d1 * d1 / d2, 2 * d1)
             nearest = round(exponent)
             if not (-prec <= nearest < 0 and abs(exponent - nearest) < _LOG_SLACK):
-                return mpf(10) ** int(min(0, max(exponent, -prec)))
+                power = int(min(0, max(exponent, -prec)))
+                return _cached(power, lambda: mpf(10) ** power)
     return _TANH_SINH.estimate_error([_as_mpc(level) for level in levels], prec, epsilon)
 
 
@@ -222,7 +281,7 @@ def _error_estimate(levels, prec: int, epsilon):
 # exactly conjugate results, which the mirrored segments at x = 0
 # (_quadrature_raw) rely on. _path_quad's levels are the exception: there
 # each part rounds on its own, ties to even, as an mpc does (_nearest_even,
-# _mpc_rounded).
+# _next_level).
 
 
 def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
@@ -253,20 +312,20 @@ def _parts(value) -> tuple:
     if isinstance(value, float):
         m, e = math.frexp(value)
         return int(m * 2.0**53), e - 53
-    m, e = value.man_exp  # the modulus's mantissa
-    return -int(m) if value < 0 else int(m), int(e)
+    sign, m, e, _ = value._mpf_  # mpmath's raw form: m is the modulus's mantissa
+    return -int(m) if sign else int(m), int(e)
 
 
 def _nearest_even(m: int, exp: int, width: int) -> tuple:
-    """m 2^exp rounded to nearest at width bits, ties to even: as an mpf rounds."""
-    excess = abs(m).bit_length() - width
-    if excess <= 0:
+    """m 2^exp rounded to nearest at width bits, ties to even: as an mpf rounds.
+
+    Adding 2^(k-1) - 1 and the last bit kept, then shifting the k excess bits
+    out (a floor, for either sign), rounds so.
+    """
+    k = m.bit_length() - width
+    if k <= 0:
         return m, exp
-    kept, rest = divmod(abs(m), 1 << excess)
-    half = 1 << (excess - 1)
-    if rest > half or rest == half and kept & 1:
-        kept += 1
-    return kept if m >= 0 else -kept, exp + excess
+    return (m + (1 << (k - 1)) - 1 + ((m >> k) & 1)) >> k, exp + k
 
 
 def _joined(real: tuple, imag: tuple) -> tuple:
@@ -283,13 +342,9 @@ def _fixed(re, im) -> tuple:
     return _joined(_parts(re), _parts(im))
 
 
-def _mpc_rounded(re: int, im: int, exp: int, width: int) -> tuple:
-    """A value with each part rounded as an mpc at width bits rounds it."""
-    return _joined(_nearest_even(re, exp, width), _nearest_even(im, exp, width))
-
-
 def _as_mpc(value: tuple):
-    """A value as an mpc at the context's precision, rounded as _mpc_rounded rounds."""
+    """A value as an mpc at the context's precision: each part rounded to
+    nearest, ties to even, as _next_level rounds it."""
     re, im, exp = value
     return mpc(mp.ldexp(re, exp), mp.ldexp(im, exp))
 
@@ -306,39 +361,46 @@ _FIXED_NODES: dict = {}
 def _fixed_nodes(a, b, degree: int, prec: int) -> list:
     """t, 1 - t^2, (1 - t^2)^2 at width prec + 20 and half the weight, per node.
 
-    The nodes are those of _TANH_SINH.get_nodes(a, b, degree, prec), in some
-    order, built from the standard nodes x, w on [-1, 1] that
-    get_nodes(-1, 1, ...) caches, without mpmath's transform to the segment
-    a -> b. Each part of a and b is 0 or +-1, so (b + a)/2 + (b - a)/2 x is
-    formed exactly on the integers and rounded once. 1 - t^2 and its square
-    are exact from the rounded t before they are rounded. The weight
-    (b - a)/2 w is kept as w/2: w rounded at prec + 20 bits, to nearest with
-    ties to even as get_nodes rounds it, and halved in its exponent, so that
-    (b - a) times it is get_nodes' weight exactly. Converted once and kept,
-    like TanhSinh's own node cache; nothing about a point is stored.
+    a -> b is a segment of _PATH. The nodes are those of
+    _TANH_SINH.get_nodes(a, b, degree, prec), in some order, built from the
+    standard nodes x, w on [-1, 1] that get_nodes(-1, 1, ...) caches,
+    without mpmath's transform to the segment a -> b. Each part of a and b is
+    0 or +-1, so (b + a)/2 + (b - a)/2 x is formed exactly on the integers and
+    rounded once. 1 - t^2 and its square are exact from the rounded t before
+    they are rounded. The weight (b - a)/2 w is kept as w/2: w rounded at
+    prec + 20 bits, to nearest with ties to even as get_nodes rounds it, and
+    halved in its exponent, so that (b - a) times it is get_nodes' weight
+    exactly. One loop over the standard nodes converts each x and w once and
+    builds every segment's table from them; the tables are kept, like
+    TanhSinh's own node cache, and nothing about a point is stored.
     """
-    key = (a, b, degree, prec)
-    nodes = _FIXED_NODES.get(key)
+    nodes = _FIXED_NODES.get((a, b, degree, prec))
     if nodes is None:
         width = prec + _GUARD_BITS
-        # twice the segment's centre and twice its half-length
-        cr, ci = int((b + a).real), int((b + a).imag)
-        sr, si = int((b - a).real), int((b - a).imag)
-        nodes = []
+        segments = list(zip(_PATH, _PATH[1:]))
+        # twice each segment's centre and twice its half-length
+        spans = [
+            (int(c.real), int(c.imag), int(s.real), int(s.imag))
+            for c, s in ((end + start, end - start) for start, end in segments)
+        ]
+        tables = [[] for _ in segments]
         for x, weight in _TANH_SINH.get_nodes(-1, 1, degree, prec):
             m, e = _parts(x)  # |x| < 1, so e <= 0
-            re, im = (cr << -e) + sr * m, (ci << -e) + si * m
-            tr, ti, te = _rounded(re, im, e - 1, width)
-            # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
-            ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
             c, ce = _nearest_even(*_parts(weight), width)
-            nodes.append(
-                (tr, ti, te)
-                + _rounded(ur, ui, ue, width)
-                + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
-                + (c, ce - 1)
-            )
-        _FIXED_NODES[key] = nodes
+            for (cr, ci, sr, si), table in zip(spans, tables):
+                re, im = (cr << -e) + sr * m, (ci << -e) + si * m
+                tr, ti, te = _rounded(re, im, e - 1, width)
+                # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
+                ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
+                table.append(
+                    (tr, ti, te)
+                    + _rounded(ur, ui, ue, width)
+                    + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
+                    + (c, ce - 1)
+                )
+        for (start, end), table in zip(segments, tables):
+            _FIXED_NODES[start, end, degree, prec] = table
+        nodes = _FIXED_NODES[a, b, degree, prec]
     return nodes
 
 
@@ -487,16 +549,16 @@ def _contour_sums(x: float, y: float, q: float):
     return level_sums
 
 
-def _removable_peak(pole: complex, q: float):
+def _removable_peak(pole: complex, q):
     """A bound on |(1 - t^2)/(q t - pole)| along the path, for Im pole >= 0.
 
     With t0 = pole/q, |1 - t^2| <= |1 - t0^2| + |t - t0| |t + t0| and |t| <= 1
     on the path, so the quotient is at most |1 - t0^2|/d + (1 + |t0|)/q, d the
     pole's distance to the path in g = q t. The path leaves t = -+1 at 45
     degrees below the axis, so d >= q min|t0 -+ 1|/sqrt(2), and the bound
-    stays finite for a pole on an end, where 1 - t^2 cancels it.
+    stays finite for a pole on an end, where 1 - t^2 cancels it. q is an mpf.
     """
-    return (1 + mp.sqrt(2)) * (1 + abs(mpc(pole) / q)) / q
+    return _cached("1 + sqrt(2)", lambda: 1 + mp.sqrt(2)) * (1 + abs(mpc(pole) / q)) / q
 
 
 def _rounding_noise(x: float, y: float, q: float) -> tuple:
@@ -509,6 +571,7 @@ def _rounding_noise(x: float, y: float, q: float) -> tuple:
     _removable_peak, for I3 through partial fractions over its pole pair.
     """
     z = complex(x, y)
+    qm = mpf(q)
     shift = 0.5 * q * q
     # I1 and I2 share the simple pole g = z; I3 has the pair g = z -+ q^2/2,
     # which lie q^2 apart, so one factor of its denominator is >= q^2/2.
@@ -516,13 +579,14 @@ def _rounding_noise(x: float, y: float, q: float) -> tuple:
     d_lo = _path_distance(z - shift, q)
     d_hi = _path_distance(z + shift, q)
     d3 = max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
-    peak1 = min(2 / mpf(d1) if d1 else mp.inf, _removable_peak(z, q))
+    peak1 = min(2 / mpf(d1) if d1 else mp.inf, _removable_peak(z, qm))
     peak3 = min(
         4 / d3 if d3 else mp.inf,
-        2 * (_removable_peak(z - shift, q) + _removable_peak(z + shift, q)) / mpf(q) ** 2,
+        2 * (_removable_peak(z - shift, qm) + _removable_peak(z + shift, qm)) / qm**2,
     )
-    tail_eps = _PATH_LENGTH * mpf(2) ** -(mp.prec + _NODE_TAIL_BITS)
-    return tail_eps * peak1, tail_eps * peak3, tail_eps * peak1
+    tail_eps = _cached("tail", lambda: _PATH_LENGTH * mpf(2) ** -(mp.prec + _NODE_TAIL_BITS))
+    noise1 = tail_eps * peak1
+    return noise1, tail_eps * peak3, noise1
 
 
 def _excess(bound, value):
@@ -598,7 +662,7 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
             noise2, noise3, noise1 = _rounding_noise(x, y, q)
         with mp.workdps(dps), mp.extraprec(_GUARD_BITS):
             qm = mpf(q)
-            out_eps = mpf(10) ** -dps * mpf(2) ** -_GUARD_BITS
+            out_eps = _cached(("out_eps", dps), lambda: mpf(10) ** -dps * mpf(2) ** -_GUARD_BITS)
             if x == 0.0:
                 (v2, e2), (v3, e3) = [(mp.ldexp(v.real, 1), mp.ldexp(e, 1)) for v, e in results]
                 classic = mpc(0)
@@ -609,7 +673,7 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
                 classic = -c1 * v1
                 bound_c = abs(c1) * (e1 + noise1) + out_eps * abs(classic)
             c2 = 3 / qm
-            c3 = mpf(3) / 4
+            c3 = _cached("3/4", lambda: mpf(3) / 4)
             term2 = c2 * v2
             term3 = c3 * v3
             quant = term2 + term3

@@ -24,9 +24,10 @@ __all__ = ["integrate_complex_adaptive"]
 # hard budget of panel bisections per integral
 _MAX_SUBDIVISIONS = 2000
 
-# 15-point Kronrod nodes on [-1, 1] (nonnegative half; symmetric) and
-# weights; rows marked gauss also belong to the embedded 7-point rule.
-_KRONROD = (
+# 15-point Kronrod nodes on [-1, 1]: the seven symmetric pairs +-node and
+# the centre, with their weights; pairs with a gauss weight and the centre
+# also belong to the embedded 7-point rule.
+_KRONROD_PAIRS = (
     # (node, kronrod weight, gauss weight or None)
     (0.991455371120813, 0.022935322010529, None),
     (0.949107912342759, 0.063092092629979, 0.129484966168870),
@@ -35,28 +36,28 @@ _KRONROD = (
     (0.586087235467691, 0.169004726639267, None),
     (0.405845151377397, 0.190350578064785, 0.381830050505119),
     (0.207784955007898, 0.204432940075298, None),
-    (0.0, 0.209482141084728, 0.417959183673469),
 )
+# the centre node 0's kronrod and gauss weights
+_KRONROD_CENTRE = (0.209482141084728, 0.417959183673469)
 
 
 def _panel(f: Callable[[float], complex], lo: float, hi: float) -> tuple:
-    """One Gauss-Kronrod pass over [lo, hi]: (value, error gauge)."""
+    """One Gauss-Kronrod pass over [lo, hi]: (value, error gauge).
+
+    The pairs are summed outward-in and the centre last, in both rules.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    kron = complex(0.0)
-    gauss = complex(0.0)
-    for node, wk, wg in _KRONROD:
-        if node == 0.0:
-            fv = f(mid)
-            kron += wk * fv
-            gauss += wg * fv
-            continue
-        f_plus = f(mid + half * node)
-        f_minus = f(mid - half * node)
-        pair = f_plus + f_minus
+    kron = gauss = complex(0.0)
+    for node, wk, wg in _KRONROD_PAIRS:
+        pair = f(mid + half * node) + f(mid - half * node)
         kron += wk * pair
         if wg is not None:
             gauss += wg * pair
+    wk, wg = _KRONROD_CENTRE
+    centre = f(mid)
+    kron += wk * centre
+    gauss += wg * centre
     kron *= half
     gauss *= half
     return kron, abs(kron - gauss)

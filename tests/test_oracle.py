@@ -669,6 +669,159 @@ def test_error_estimate_is_mpmaths_on_random_levels(monkeypatch):
     assert called < 30
 
 
+# _path_quad's bookkeeping written with the helpers, one list and one tuple
+# per operation, and the power of ten computed afresh: the reference that
+# oracle._next_level and oracle._error_estimate are checked against bit for
+# bit.
+
+
+def _mpc_rounded(re, im, exp, width):
+    """A value with each part rounded as an mpc at width bits rounds it."""
+    return oracle._joined(
+        oracle._nearest_even(re, exp, width), oracle._nearest_even(im, exp, width)
+    )
+
+
+def reference_next_level(previous, level_sum, degree, width):
+    pr, pi, pe = previous
+    total = oracle._exact_sum([(pr, pi, pe + degree - 1), _mpc_rounded(*level_sum, width)])
+    re, im, exp = _mpc_rounded(*total, width)
+    return re, im, exp - degree
+
+
+def _reference_log10_distance(a, b):
+    re, im, exp = oracle._exact_sum([a, (-b[0], -b[1], b[2])])
+    square = re * re + im * im
+    return 0.5 * math.log10(square) + exp * oracle._LOG10_2 if square else None
+
+
+def reference_error_estimate(levels, prec, epsilon):
+    if len(levels) > 2:
+        d1 = _reference_log10_distance(levels[-1], levels[-2])
+        d2 = _reference_log10_distance(levels[-1], levels[-3])
+        if d1 is not None and d2 is not None and abs(d2) >= 1:
+            exponent = max(d1 * d1 / d2, 2 * d1)
+            nearest = round(exponent)
+            if not (-prec <= nearest < 0 and abs(exponent - nearest) < oracle._LOG_SLACK):
+                return mpf(10) ** int(min(0, max(exponent, -prec)))
+    values = [oracle._as_mpc(level) for level in levels]
+    return oracle._TANH_SINH.estimate_error(values, prec, epsilon)
+
+
+def _value(level):
+    """An exact value as two Fractions: a level's bits are those of its value."""
+    re, im, exp = level
+    unit = Fraction(2) ** exp
+    return re * unit, im * unit
+
+
+def test_level_bookkeeping_on_the_verify_grid_is_the_reference(monkeypatch):
+    # every level and every error estimate of verify's 60 points, from an
+    # empty constant cache as in a fresh process
+    next_level, error_estimate = oracle._next_level, oracle._error_estimate
+    checked = {"levels": 0, "estimates": 0}
+
+    def checked_level(*args):
+        got = next_level(*args)
+        assert _value(got) == _value(reference_next_level(*args)), args
+        checked["levels"] += 1
+        return got
+
+    def checked_estimate(levels, prec, epsilon):
+        got = error_estimate(levels, prec, epsilon)
+        assert got._mpf_ == reference_error_estimate(levels, prec, epsilon)._mpf_, levels
+        checked["estimates"] += 1
+        return got
+
+    monkeypatch.setattr(oracle, "_CONSTANTS", {})
+    monkeypatch.setattr(oracle, "_next_level", checked_level)
+    monkeypatch.setattr(oracle, "_error_estimate", checked_estimate)
+    for x in GRID_X:
+        for y in GRID_Y:
+            for q in GRID_Q:
+                chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    # the counts of verify's 63 passes; a change to the passes moves them
+    assert checked == {"levels": 1317, "estimates": 435}
+
+
+def test_next_level_is_the_reference_on_random_values():
+    # exact ties of either rounding, zero parts and a zero previous level
+    # included; the values are equal, their integers may carry other powers
+    # of two
+    rng = random.Random(20)
+
+    def part(bits):
+        if rng.random() < 0.05:
+            return 0
+        return rng.randrange(-(2**bits), 2**bits) >> rng.randrange(bits)
+
+    for _ in range(3000):
+        width = rng.choice((90, 153, 220))
+        previous = (part(width), part(width), rng.randrange(-300, 10))
+        if rng.random() < 0.1:
+            previous = (0, 0, 0)
+        level_sum = (part(2 * width), part(2 * width), rng.randrange(-500, 10))
+        tie = 2 * rng.randrange(2 ** (width - 1), 2**width) + 1  # half a unit off width bits
+        if rng.random() < 0.1:  # the level sum's real part rounds a tie
+            level_sum = (tie << 5,) + level_sum[1:]
+        elif rng.random() < 0.1:  # the sum's real part does
+            previous, level_sum = (tie,) + previous[1:], (0,) + level_sum[1:]
+        args = (previous, level_sum, rng.randrange(1, 8), width)
+        assert _value(oracle._next_level(*args)) == _value(reference_next_level(*args)), args
+
+
+def _fresh_constant(key):
+    """A constant of oracle._CONSTANTS computed without the cache, at the
+    context's precision."""
+    if isinstance(key, int):
+        return mpf(10) ** key
+    if isinstance(key, tuple):  # ("out_eps", dps)
+        return mpf(10) ** -key[1] * mpf(2) ** -oracle._GUARD_BITS
+    return {
+        "eps/8": lambda: mp.eps / 8,
+        "degree": lambda: oracle._TANH_SINH.guess_degree(mp.prec),
+        "1 + sqrt(2)": lambda: 1 + mp.sqrt(2),
+        "tail": lambda: oracle._PATH_LENGTH * mpf(2) ** -(mp.prec + oracle._NODE_TAIL_BITS),
+        "3/4": lambda: mpf(3) / 4,
+    }[key]()
+
+
+def test_cached_constants_are_the_uncached_values_at_each_precision(monkeypatch):
+    # a point that takes a second pass, then one that takes one pass, then a
+    # pass at 33 digits: each precision keeps its own constants, and each is
+    # bit for bit the value computed afresh there
+    monkeypatch.setattr(oracle, "_CONSTANTS", {})
+    digits = []
+    path_quad = oracle._path_quad
+
+    def counting(level_sums, path=oracle._PATH):
+        digits.append(mp.dps)
+        return path_quad(level_sums, path)
+
+    monkeypatch.setattr(oracle, "_path_quad", counting)
+    chi_ratio_quadrature(DimensionlessPoint(0.1, 1.0, 0.05))
+    chi_ratio_quadrature(DimensionlessPoint(0.1, 0.01, 0.5))
+    monkeypatch.setattr(oracle, "_FIRST_DPS", 33)
+    chi_ratio_quadrature(DimensionlessPoint(0.1, 0.01, 0.5))
+    assert digits[0] == digits[2] == 20 and digits[1] > 20 and digits[3:] == [33], digits
+    for dps in set(digits):
+        with mp.workdps(dps):
+            working = mp.prec
+        guard = working + oracle._GUARD_BITS
+        for key in ("eps/8", "degree", "1 + sqrt(2)", "tail"):
+            assert (working, key) in oracle._CONSTANTS, (dps, key)
+        for key in (("out_eps", dps), "3/4"):
+            assert (guard, key) in oracle._CONSTANTS, (dps, key)
+        assert any(p == guard and isinstance(k, int) for p, k in oracle._CONSTANTS), dps
+    for (prec, key), value in oracle._CONSTANTS.items():
+        with mp.workprec(prec):
+            want = _fresh_constant(key)
+        if isinstance(want, int):
+            assert value == want, (prec, key)
+        else:
+            assert value._mpf_ == want._mpf_, (prec, key)
+
+
 # On the collisionless line y = 0 the path still passes below every pole, so
 # the oracle gives the limit y -> 0+: the kernel's principal value at x = y = 0
 # and, elsewhere, the closed form just above the axis.

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
 from diamag import quadrature
 from diamag.errors import ConvergenceError, ValidationError
+from diamag.oracle import _kinetic_integrands
 from diamag.quadrature import integrate_complex_adaptive
 
 
@@ -79,3 +81,56 @@ def test_subdivision_budget_raises_with_partial_value(monkeypatch):
     exact = 2.0 / 1e-3 * math.atan(1.0 / 1e-3)
     assert abs(partial - exact) / exact < 1e-6
     assert excinfo.value.subdivisions == 64
+
+
+# The Gauss-Kronrod panel written as one loop over all 15 nodes with a test
+# for the centre: the reference that quadrature._panel is checked against.
+_KRONROD = (
+    # (node, kronrod weight, gauss weight or None)
+    (0.991455371120813, 0.022935322010529, None),
+    (0.949107912342759, 0.063092092629979, 0.129484966168870),
+    (0.864864423359769, 0.104790010322250, None),
+    (0.741531185599394, 0.140653259715525, 0.279705391489277),
+    (0.586087235467691, 0.169004726639267, None),
+    (0.405845151377397, 0.190350578064785, 0.381830050505119),
+    (0.207784955007898, 0.204432940075298, None),
+    (0.0, 0.209482141084728, 0.417959183673469),
+)
+
+
+def reference_panel(f, lo, hi):
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    kron = complex(0.0)
+    gauss = complex(0.0)
+    for node, wk, wg in _KRONROD:
+        if node == 0.0:
+            fv = f(mid)
+            kron += wk * fv
+            gauss += wg * fv
+            continue
+        pair = f(mid + half * node) + f(mid - half * node)
+        kron += wk * pair
+        if wg is not None:
+            gauss += wg * pair
+    kron *= half
+    gauss *= half
+    return kron, abs(kron - gauss)
+
+
+def test_panel_is_the_reference_on_kinetic_integrands():
+    # seeded panels of the kinetic oracle's three integrands, wide and narrow,
+    # on and off the resonances; bits compared through float.hex, signed
+    # zeros included
+    rng = random.Random(20)
+    for _ in range(300):
+        x = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 0.5)
+        y = 10.0 ** rng.uniform(-4.0, 1.0)
+        q = 10.0 ** rng.uniform(-2.0, 0.5)
+        reach = 1.0 + 0.5 * q
+        for f in _kinetic_integrands(x, y, q):
+            lo = rng.uniform(-reach, reach)
+            hi = lo + 10.0 ** rng.uniform(-6.0, 0.3)
+            got, want = quadrature._panel(f, lo, hi), reference_panel(f, lo, hi)
+            bits = [(v.real.hex(), v.imag.hex()) for v in (got[0], want[0])]
+            assert bits[0] == bits[1] and got[1].hex() == want[1].hex(), (x, y, q, lo, hi)
