@@ -3,14 +3,15 @@
 Everything here recomputes physics from a more primitive formulation than
 the kernel module uses, on purpose:
 
-  * chi_ratio_quadrature integrates the three angular integrals directly
-    with high-precision arithmetic, never touching the kernel's
-    branch-logarithm algebra: one tanh-sinh pass (mpmath's standard nodes
-    and error estimate) over shared nodes along the polyline -1 -> -i -> 1,
-    which passes below every pole, so the integrands stay bounded and no
-    split points are needed (at x = 0 the second segment mirrors the first,
-    so one suffices); the integrands are evaluated in fixed-width complex
-    arithmetic on Python ints at the pass's precision;
+  * chi_ratio_quadrature integrates the classical integral and the quantum
+    part, the latter as one integrand Q whose terms do not cancel, with
+    high-precision arithmetic, never touching the kernel's branch-logarithm
+    algebra: one tanh-sinh pass (mpmath's standard nodes, each integral
+    judged by its own relative error estimate) over shared nodes along the
+    polyline -1 -> -i -> 1, which passes below every pole, so the integrands
+    stay bounded and no split points are needed (at x = 0 the second segment
+    mirrors the first, so one suffices); the integrands are evaluated in
+    fixed-width complex arithmetic on Python ints at the pass's precision;
   * chi_from_kinetic rebuilds the ratio from the kinetic-equation form, a
     velocity-shell occupation difference against a shifted resonance
     denominator, using the package's own adaptive Gauss-Kronrod engine;
@@ -74,9 +75,10 @@ def _interior_breakpoints(x: float, y: float, q: float) -> list:
 _PATH = (-1, -1j, 1)
 _PATH_LENGTH = 2.0 * math.sqrt(2.0)
 _TANH_SINH = TanhSinh(mp)
-# mp.quad may stop at degree 2. At degree 3 its estimate still leans on the
-# coarse degree-1 sum and can be far too small: at (0, 4.9e-3, 156) it read
-# 1e-23 against a true error of 5e-16 of |I2|. From degree 4 on it held.
+# The error estimate compares the last level with the two before it. At
+# degree 3 the oldest of them is the coarse degree-1 sum, and mp.quad's
+# estimate there read 1e-23 against a true error of 5e-16 of |I2| at
+# (0, 4.9e-3, 156). From degree 4 on it held.
 _FIRST_STOP_DEGREE = 4
 
 # Working digits of the first quadrature pass, and the most any point gets.
@@ -88,183 +90,104 @@ _TARGET_REL = 1e-16
 # integrands vanish at t = +-1 but not at the corner t = -i, where each
 # segment leaves out up to about twice |f| |C| 2^-(prec+10), |C| = sqrt(2)/2
 # its half-length; the path length times that bounds both corner ends. The
-# integrand arithmetic and the sums run _GUARD_BITS above the working
-# precision, so their rounding is about a thousand times smaller (see
-# _contour_sums); the result is assembled at that width too (_quadrature_raw).
+# integrand arithmetic, the levels and the assembly run _GUARD_BITS above the
+# working precision, so their rounding is about a thousand times smaller (see
+# _contour_sums).
 _NODE_TAIL_BITS = 10
 _GUARD_BITS = 20
-
-# The point-independent constants of a pass, per (context precision, key):
-# an int key k holds 10^k, a name the constant its caller computes. Computed
-# once and kept, like TanhSinh's node cache and _FIXED_NODES.
-_CONSTANTS: dict = {}
+# Q's integrand is q^4 a^2/d, a = u/w, and quant = (3/16) times its integral.
+_QUANT_FACTOR = 3.0 / 16.0  # exact in binary
 
 
-def _cached(key, make):
-    """make() at the context's precision, computed once per precision and key."""
-    key = (mp.prec, key)
-    value = _CONSTANTS.get(key)
-    if value is None:
-        value = _CONSTANTS[key] = make()
-    return value
-
-
-def _path_distance(c: complex, q: float) -> float:
-    """Distance from c to the contour in g = q t, the polyline -q -> -iq -> q."""
-    corners = [q * complex(t) for t in _PATH]
+def _path_distance(p: complex) -> float:
+    """Distance from p to the contour in t, the polyline -1 -> -i -> 1."""
     best = math.inf
-    for a, b in zip(corners, corners[1:]):
-        ab = b - a
-        u = ((c - a) * ab.conjugate()).real / abs(ab) ** 2
-        best = min(best, abs(c - (a + min(max(u, 0.0), 1.0) * ab)))
+    for a, b in zip(_PATH, _PATH[1:]):
+        ab = complex(b - a)
+        u = ((p - a) * ab.conjugate()).real / abs(ab) ** 2
+        best = min(best, abs(p - (a + min(max(u, 0.0), 1.0) * ab)))
     return best
 
 
 def _path_quad(level_sums, path=_PATH) -> list:
     """Integrals of every component of an integrand along path, in one pass.
 
-    This is mp.quad's loop (QuadratureRule.summation with TanhSinh.sum_next)
-    for a vector integrand, run on integers up to each segment's total.
+    A tanh-sinh pass with mpmath's nodes (_TANH_SINH), run on integers.
     level_sums(a, b, degree, prec) returns, per component, the sum of
     weight * f(t) over the nodes that _TANH_SINH.get_nodes(a, b, degree,
     prec) gives, as an exact value (re, im, exp) of the fixed-width
-    arithmetic below; every component keeps its own sequence of levels and
-    error estimate. The levels are exact values too, each part rounded as
-    mpc arithmetic _GUARD_BITS above the working precision rounds it
-    (_next_level), and the error estimate takes float logarithms of their
-    exact differences (_error_estimate), so every level, estimate and total
-    is bit for bit what the same loop computes on mpc values. A segment
-    stops at the first degree from _FIRST_STOP_DEGREE on where every
-    component's estimate meets mp.quad's epsilon, eps/8 at the working
-    precision, so no estimate is made below that degree. The segment totals
-    are summed into mpmath numbers at the guard width, not rounded back to
-    the working precision, so that _quadrature_raw combines them at that
-    width. With the mp.fdot level sums of a one-component integrand f and
-    _FIRST_STOP_DEGREE = 2, rounding each value to the working precision
-    (+value, mp.quad's final step) gives exactly what
-    mp.quad(f, path, error=True) does. Returns [(value, error), ...], an mpc
-    and an mpf each.
+    arithmetic below. Each level is the previous one halved plus 2^-degree
+    times the level sum, exact on the integers and rounded once (_rounded)
+    at _GUARD_BITS above the working precision. Every component is judged by
+    its own relative error estimate (_level_error); a segment stops at the
+    first degree from _FIRST_STOP_DEGREE on where each estimate is at most
+    eps/8, or at guess_degree(prec). Returns [(value, error), ...] per
+    component: the sum of the segments' last levels, an mpc at the guard
+    width, and of their estimates times a bound on their moduli, an mpf.
     """
     prec = mp.prec
     width = prec + _GUARD_BITS
-    epsilon = _cached("eps/8", lambda: mp.eps / 8)
-    max_degree = _cached("degree", lambda: _TANH_SINH.guess_degree(prec))  # at least 6
-    first_estimate = max(2, _FIRST_STOP_DEGREE)
     segments = []
-    with mp.extraprec(_GUARD_BITS):
-        for a, b in zip(path, path[1:]):
-            levels = []  # per degree, the level of every component
-            for degree in range(1, max_degree + 1):
-                sums = level_sums(a, b, degree, prec)
-                previous = levels[-1] if levels else [(0, 0, 0)] * len(sums)
-                levels.append(
-                    [_next_level(prev, s, degree, width) for prev, s in zip(previous, sums)]
-                )
-                if degree < first_estimate:
-                    continue
-                errs = [_error_estimate(r, prec, epsilon) for r in zip(*levels)]
-                if max(errs) <= epsilon:
+    for a, b in zip(path, path[1:]):
+        levels = []  # per degree, the level of every component
+        for degree in range(1, _TANH_SINH.guess_degree(prec) + 1):
+            sums = level_sums(a, b, degree, prec)
+            previous = levels[-1] if levels else [(0, 0, 0)] * len(sums)
+            levels.append(
+                [
+                    _rounded(*_exact_sum([(pr, pi, pe - 1), (sr, si, se - degree)]), width)
+                    for (pr, pi, pe), (sr, si, se) in zip(previous, sums)
+                ]
+            )
+            if degree >= _FIRST_STOP_DEGREE:
+                errors = [_level_error(last_three, width) for last_three in zip(*levels[-3:])]
+                if max(rel for rel, _ in errors) <= -(prec + 2):  # eps/8 = 2^-(prec+2)
                     break
-            segments.append(zip(levels[-1], errs))
+        segments.append(zip(levels[-1], errors))
+    with mp.extraprec(_GUARD_BITS):
         return [
-            (_as_mpc(_exact_sum([v for v, _ in parts])), sum(e for _, e in parts))
+            (
+                _as_mpc(_exact_sum([level for level, _ in parts])),
+                sum(mp.ldexp(1, top + 1 + rel) for _, (rel, top) in parts if top is not None),
+            )
             for parts in zip(*segments)
         ]
 
 
-def _next_level(previous: tuple, level_sum: tuple, degree: int, width: int) -> tuple:
-    """TanhSinh.sum_next's level h (previous/(2h) + level_sum), h = 2^-degree,
-    rounded as mpc arithmetic at width bits rounds it: once where the level
-    sum becomes an mpc, and once after the addition.
+def _top(value: tuple) -> int:
+    """e with 2^(e-1) <= |value| < 2^(e+1/2), for a nonzero value."""
+    re, im, exp = value
+    n, m = re.bit_length(), im.bit_length()
+    return (n if n > m else m) + exp
 
-    Each part is an mpf of its own, so each is rounded, aligned and added on
-    its own, in straight-line integer code: the level sum's part is rounded
-    as _nearest_even rounds it, written out, the previous level's part is
-    added exactly at the smaller exponent, and the sum is rounded again.
+
+def _level_error(levels: tuple, width: int) -> tuple:
+    """(e, top): a relative error estimate 2^e of the last of three levels of
+    width bits, and the exponent top with every level's modulus below
+    2^(top+1), None where all three are 0.
+
+    Bailey, Jeyabalan and Li's rule (Exp. Math. 14, 2005), which mp.quad's
+    tanh-sinh error estimate follows, made relative: D1 and D2 are log2 of
+    the distances from the last level to the two before it, over 2^top, read
+    from bit lengths (within 1.5 bits), and e = min(0, max(D1^2/D2, 2 D1,
+    -width)), with D1^2/D2 rounded up. -width is the levels' own resolution,
+    which also stands for a distance of 0. All integers, so every platform
+    gives the same e. top is the largest level's, which is the last one's
+    once the levels agree, and keeps a last level of 0 from claiming an
+    error of 0 when the levels before it are not.
     """
-    pr, pi, pe = previous
-    re, im, er = level_sum
-    ei = er
-    pe += degree - 1  # the previous level over 2h
-    k = re.bit_length() - width
-    if k > 0:
-        re = (re + (1 << (k - 1)) - 1 + ((re >> k) & 1)) >> k
-        er += k
-    k = im.bit_length() - width
-    if k > 0:
-        im = (im + (1 << (k - 1)) - 1 + ((im >> k) & 1)) >> k
-        ei += k
-    if er >= pe:
-        re, er = (re << (er - pe)) + pr, pe
-    else:
-        re += pr << (pe - er)
-    if ei >= pe:
-        im, ei = (im << (ei - pe)) + pi, pe
-    else:
-        im += pi << (pe - ei)
-    k = re.bit_length() - width
-    if k > 0:
-        re = (re + (1 << (k - 1)) - 1 + ((re >> k) & 1)) >> k
-        er += k
-    k = im.bit_length() - width
-    if k > 0:
-        im = (im + (1 << (k - 1)) - 1 + ((im >> k) & 1)) >> k
-        ei += k
-    # one shared exponent, which a zero part does not set
-    if not re:
-        er = ei
-    elif not im:
-        ei = er
-    if er > ei:
-        return re << (er - ei), im, ei - degree
-    return re, im << (ei - er), er - degree
-
-
-_LOG10_2 = math.log10(2)
-# _error_estimate's float logarithms are within about 1e-13 of mpmath's; a
-# float exponent this close to an integer leaves the truncation to mpmath.
-_LOG_SLACK = 1e-9
-
-
-def _log10_distance(a: tuple, b: tuple):
-    """log10 |a - b| of two exact values, as a float; None where a == b."""
-    ar, ai, ae = a
-    br, bi, be = b
-    if ae >= be:
-        re, im, exp = (ar << (ae - be)) - br, (ai << (ae - be)) - bi, be
-    else:
-        re, im, exp = ar - (br << (be - ae)), ai - (bi << (be - ae)), ae
-    square = re * re + im * im
-    return 0.5 * math.log10(square) + exp * _LOG10_2 if square else None
-
-
-def _error_estimate(levels, prec: int, epsilon):
-    """_TANH_SINH.estimate_error(levels, prec, epsilon) of exact levels, exactly.
-
-    From degree 3 on, mpmath's estimate is 10^int(min(0, max(D1^2/D2, 2 D1,
-    -prec))) (Borwein, Bailey and Girgensohn's extrapolation), D1 and D2
-    being log10 of the distances from the last level to the two before it,
-    taken at the guard width; all it keeps is an integer power of ten. Here
-    D1 and D2 are float logarithms of the exact distances, within about
-    1e-13 of mpmath's, so the integer is mpmath's unless max(D1^2/D2, 2 D1)
-    lies within _LOG_SLACK of an integer that truncation toward zero can
-    cross (-prec to -1), or |D2| < 1 magnifies that error in D1^2/D2. There,
-    at degree 2 (where the estimate is |I2 - I1| itself; _path_quad gets
-    there only when a test lowers _FIRST_STOP_DEGREE) and where two levels
-    are equal, mpmath's estimate is called on the levels as mpc values,
-    which the guard width holds exactly. Runs at the guard width, where
-    _path_quad calls it, as mpmath's does; the powers of ten are cached.
-    """
-    if len(levels) > 2:
-        d1 = _log10_distance(levels[-1], levels[-2])
-        d2 = _log10_distance(levels[-1], levels[-3])
-        if d1 is not None and d2 is not None and abs(d2) >= 1:
-            exponent = max(d1 * d1 / d2, 2 * d1)
-            nearest = round(exponent)
-            if not (-prec <= nearest < 0 and abs(exponent - nearest) < _LOG_SLACK):
-                power = int(min(0, max(exponent, -prec)))
-                return _cached(power, lambda: mpf(10) ** power)
-    return _TANH_SINH.estimate_error([_as_mpc(level) for level in levels], prec, epsilon)
+    tops = [_top(level) for level in levels if level[0] or level[1]]
+    if not tops:
+        return -width, None
+    top = max(tops)
+    last = levels[-1]
+    d1, d2 = (
+        _top(distance) - top if distance[0] or distance[1] else -width
+        for distance in (_exact_sum([last, (-re, -im, exp)]) for re, im, exp in levels[-2::-1])
+    )
+    if d2 >= 0:
+        return 0, top
+    return min(0, max(-(d1 * d1 // -d2), 2 * d1, -width)), top
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +202,8 @@ def _error_estimate(levels, prec: int, epsilon):
 # sqrt(2) 2^-width of the result's modulus. Ties round away from zero, so
 # that the arithmetic commutes with negating a part: conjugate inputs give
 # exactly conjugate results, which the mirrored segments at x = 0
-# (_quadrature_raw) rely on. _path_quad's levels are the exception: there
-# each part rounds on its own, ties to even, as an mpc does (_nearest_even,
-# _next_level).
+# (_quadrature_raw) rely on. Only the node weights round ties to even, as
+# mpmath rounds them (_nearest_even, _fixed_nodes).
 
 
 def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
@@ -328,23 +250,18 @@ def _nearest_even(m: int, exp: int, width: int) -> tuple:
     return (m + (1 << (k - 1)) - 1 + ((m >> k) & 1)) >> k, exp + k
 
 
-def _joined(real: tuple, imag: tuple) -> tuple:
-    """Two exact (mantissa, exponent) parts as one value."""
-    (mr, er), (mi, ei) = real, imag
+def _fixed(re, im) -> tuple:
+    """re + i im, each a float or an mpf, as an exact value."""
+    (mr, er), (mi, ei) = _parts(re), _parts(im)
     # a zero part takes the other's exponent, so that it cannot set the shared one
     er, ei = (er if mr else ei), (ei if mi else er)
     exp = min(er, ei)
     return mr << (er - exp), mi << (ei - exp), exp
 
 
-def _fixed(re, im) -> tuple:
-    """re + i im, each a float or an mpf, as an exact value."""
-    return _joined(_parts(re), _parts(im))
-
-
 def _as_mpc(value: tuple):
-    """A value as an mpc at the context's precision: each part rounded to
-    nearest, ties to even, as _next_level rounds it."""
+    """A value as an mpc at the context's precision, each part rounded to
+    nearest."""
     re, im, exp = value
     return mpc(mp.ldexp(re, exp), mp.ldexp(im, exp))
 
@@ -359,20 +276,20 @@ _FIXED_NODES: dict = {}
 
 
 def _fixed_nodes(a, b, degree: int, prec: int) -> list:
-    """t, 1 - t^2, (1 - t^2)^2 at width prec + 20 and half the weight, per node.
+    """t and 1 - t^2 at width prec + 20 and half the weight, per node.
 
     a -> b is a segment of _PATH. The nodes are those of
     _TANH_SINH.get_nodes(a, b, degree, prec), in some order, built from the
     standard nodes x, w on [-1, 1] that get_nodes(-1, 1, ...) caches,
     without mpmath's transform to the segment a -> b. Each part of a and b is
     0 or +-1, so (b + a)/2 + (b - a)/2 x is formed exactly on the integers and
-    rounded once. 1 - t^2 and its square are exact from the rounded t before
-    they are rounded. The weight (b - a)/2 w is kept as w/2: w rounded at
-    prec + 20 bits, to nearest with ties to even as get_nodes rounds it, and
-    halved in its exponent, so that (b - a) times it is get_nodes' weight
-    exactly. One loop over the standard nodes converts each x and w once and
-    builds every segment's table from them; the tables are kept, like
-    TanhSinh's own node cache, and nothing about a point is stored.
+    rounded once. 1 - t^2 is exact from the rounded t before it is rounded.
+    The weight (b - a)/2 w is kept as w/2: w rounded at prec + 20 bits, to
+    nearest with ties to even as get_nodes rounds it, and halved in its
+    exponent, so that (b - a) times it is get_nodes' weight exactly. One loop
+    over the standard nodes converts each x and w once and builds every
+    segment's table from them; the tables are kept, like TanhSinh's own node
+    cache, and nothing about a point is stored.
     """
     nodes = _FIXED_NODES.get((a, b, degree, prec))
     if nodes is None:
@@ -391,13 +308,8 @@ def _fixed_nodes(a, b, degree: int, prec: int) -> list:
                 re, im = (cr << -e) + sr * m, (ci << -e) + si * m
                 tr, ti, te = _rounded(re, im, e - 1, width)
                 # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
-                ur, ui, ue = (1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te
-                table.append(
-                    (tr, ti, te)
-                    + _rounded(ur, ui, ue, width)
-                    + _rounded(ur * ur - ui * ui, 2 * ur * ui, 2 * ue, width)
-                    + (c, ce - 1)
-                )
+                u = _rounded((1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te, width)
+                table.append((tr, ti, te) + u + (c, ce - 1))
         for (start, end), table in zip(segments, tables):
             _FIXED_NODES[start, end, degree, prec] = table
         nodes = _FIXED_NODES[a, b, degree, prec]
@@ -405,37 +317,31 @@ def _fixed_nodes(a, b, degree: int, prec: int) -> list:
 
 
 def _contour_sums(x: float, y: float, q: float):
-    """Level sums of the integrands of I2, I3 and, for x != 0, I1, for _path_quad.
+    """Level sums of Q's integrand and, for x != 0, I1's, for _path_quad.
 
-    Per node, with t, u = 1 - t^2, u^2 and the weight from _fixed_nodes, a
-    point computes w = q t - z, u/w, t u/w and u^2/(w^2 - q^4/4) in the
-    fixed-width arithmetic above, at the width prec + 20 that mp.quad's sums
-    use: w exact and then rounded, u/w rounded to nearest, t (u/w) rounded,
-    w^2 - q^4/4 exact from the squares of w's parts that u/w's denominator
-    formed and then rounded, and u^2 over it rounded to nearest. A level is
-    one straight-line loop over its nodes on Python ints, with no call or
-    tuple per operation: each component's exact sum of the products with the
-    real half weights runs along as (re, im, exp), shifted down to each new
-    term's exponent where that is smaller, so it ends at the smallest one.
-    Each level sum, times b - a (whose parts are 0 or +-1), is returned
-    exact, for _path_quad to round once as an mpc at that width would be.
+    Q's integrand, (1 - t^2)^2/((t - s)^2 ((t - s)^2 - q^2/4)) with s = z/q,
+    is q^4 a^2/d in w = q t - z, a = u/w (I1's integrand, u = 1 - t^2) and
+    d = w^2 - q^4/4. Per node, with t, u and the weight from _fixed_nodes, a
+    point computes w exact and then rounded, a rounded to nearest, d exact
+    from the squares of w's parts that a's denominator formed and then
+    rounded, a^2 rounded and a^2/d rounded to nearest, in the fixed-width
+    arithmetic above at the width prec + 20. A level is one straight-line
+    loop over its nodes on Python ints, with no call or tuple per operation:
+    each component's exact sum of the products with the real half weights
+    runs along as (re, im, exp), shifted down to each new term's exponent
+    where that is smaller, so it ends at the smallest one. Each level sum,
+    times b - a (whose parts are 0 or +-1), and Q's times q^4, is returned
+    exact, for _path_quad to round once.
 
-    Why the rounding allowance of _quadrature_raw (_rounding_noise) still
-    covers this arithmetic: every result is rounded once, to nearest, so it
-    errs by at most sqrt(2) 2^-(prec+20) of its modulus. mpmath's mpc
-    arithmetic at the same width, the reference the tests compare against,
-    rounds each part and rounds more often: q t and then q t - z, w^2 and
-    q^4/4 and then their difference, t^2 and then 1 - t^2. The errors that
-    grow near a pole, where w is small beside q t or w^2 - q^4/4 beside w^2,
-    come from those subtractions, which here are exact (q, z and q^4/4 are
-    held exactly) with only their result rounded. So a node's value is as
-    accurate as there, up to sqrt(2) on a last rounding, and a level sum,
-    exact up to its one rounding, at least as accurate as mp.fdot's. All of
-    it sits at the 2^-(prec+20) scale of the peak times the path length,
-    which the weights' moduli total, and the allowance, 2^-(prec+10) of the
-    peak times 2 sqrt(2), is 2^10 times that scale. The pass with this
-    arithmetic and the same pass with mpmath numbers therefore agree within
-    each integral's allowance plus 10^-dps of its value.
+    Why the rounding allowance of _quadrature_raw (_tail_noise) covers this
+    arithmetic: every result is rounded once, to nearest, so it errs by at
+    most sqrt(2) 2^-(prec+20) of its modulus. The errors that grow near a
+    pole, where w is small beside q t or d beside w^2, come from those
+    subtractions, which here are exact (q, z and q^4/4 are held exactly) with
+    only their result rounded. A level sum is exact up to its one rounding.
+    All of it sits at the 2^-(prec+20) scale of the peak times the path
+    length, which the weights' moduli total, and the allowance, 2^-(prec+10)
+    of the peak times 2 sqrt(2), is 2^10 times that scale.
     """
     qm, qe = _parts(q)
     zr, zi, ze = _fixed(x, y)
@@ -445,12 +351,12 @@ def _contour_sums(x: float, y: float, q: float):
     def level_sums(start, end, degree: int, prec: int) -> list:
         width = prec + _GUARD_BITS
         sr, si = int((end - start).real), int((end - start).imag)
-        # the running exact sums of I2, I3 and I1, each at the smallest
-        # exponent of its terms so far; a zero sum starts above every term
-        s2r = s2i = s3r = s3i = s1r = s1i = 0
-        s2e = s3e = s1e = _NO_TERMS
-        # per node: c half the weight, w = q t - z, a = u/w, b = t a, d = w^2 - q^4/4, f = u^2/d
-        for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in _fixed_nodes(start, end, degree, prec):
+        # the running exact sums of Q and I1, each at the smallest exponent
+        # of its terms so far; a zero sum starts above every term
+        sqr = sqi = s1r = s1i = 0
+        sqe = s1e = _NO_TERMS
+        # per node: c half the weight, w = q t - z, a = u/w, d = w^2 - q^4/4, f = a^2/d
+        for tr, ti, te, ur, ui, ue, c, ce in _fixed_nodes(start, end, degree, prec):
             # w = q t - z, exact at the smaller exponent, then rounded
             k = te - zq
             if k >= 0:
@@ -479,15 +385,6 @@ def _contour_sums(x: float, y: float, q: float):
             ar = (2 * nr + den) // h if nr >= 0 else -((den - 2 * nr) // h)
             ai = (2 * ni + den) // h if ni >= 0 else -((den - 2 * ni) // h)
             ae = ue - we - k
-            # b = t a, rounded
-            br, bi, be = tr * ar - ti * ai, tr * ai + ti * ar, te + ae
-            n, m = br.bit_length(), bi.bit_length()
-            k = (n if n > m else m) - width
-            if k > 0:
-                h = 1 << (k - 1)
-                br = (br + h) >> k if br >= 0 else -((h - br) >> k)
-                bi = (bi + h) >> k if bi >= 0 else -((h - bi) >> k)
-                be += k
             # d = w^2 - q^4/4, exact at the smaller exponent, then rounded
             k = 2 * we - ke
             if k >= 0:
@@ -501,9 +398,18 @@ def _contour_sums(x: float, y: float, q: float):
                 dr = (dr + h) >> k if dr >= 0 else -((h - dr) >> k)
                 di = (di + h) >> k if di >= 0 else -((h - di) >> k)
                 de += k
-            # f = u^2/d, as a
+            # b = a^2, rounded
+            br, bi, be = ar * ar - ai * ai, 2 * ar * ai, 2 * ae
+            n, m = br.bit_length(), bi.bit_length()
+            k = (n if n > m else m) - width
+            if k > 0:
+                h = 1 << (k - 1)
+                br = (br + h) >> k if br >= 0 else -((h - br) >> k)
+                bi = (bi + h) >> k if bi >= 0 else -((h - bi) >> k)
+                be += k
+            # f = b/d, as a
             den = dr * dr + di * di
-            nr, ni = vr * dr + vi * di, vi * dr - vr * di
+            nr, ni = br * dr + bi * di, bi * dr - br * di
             n, m = nr.bit_length(), ni.bit_length()
             k = width + den.bit_length() - (n if n > m else m)
             if k >= 0:
@@ -514,24 +420,16 @@ def _contour_sums(x: float, y: float, q: float):
             h = den << 1
             fr = (2 * nr + den) // h if nr >= 0 else -((den - 2 * nr) // h)
             fi = (2 * ni + den) // h if ni >= 0 else -((den - 2 * ni) // h)
-            fe = ve - de - k
-            # add c b, c f and c a to the sums, exactly
-            k = ce + be - s2e
+            fe = be - de - k
+            # add c f and c a to the sums, exactly
+            k = ce + fe - sqe
             if k >= 0:
-                s2r += c * br << k
-                s2i += c * bi << k
+                sqr += c * fr << k
+                sqi += c * fi << k
             else:
-                s2r = (s2r << -k) + c * br
-                s2i = (s2i << -k) + c * bi
-                s2e = ce + be
-            k = ce + fe - s3e
-            if k >= 0:
-                s3r += c * fr << k
-                s3i += c * fi << k
-            else:
-                s3r = (s3r << -k) + c * fr
-                s3i = (s3i << -k) + c * fi
-                s3e = ce + fe
+                sqr = (sqr << -k) + c * fr
+                sqi = (sqi << -k) + c * fi
+                sqe = ce + fe
             if x:
                 k = ce + ae - s1e
                 if k >= 0:
@@ -541,7 +439,7 @@ def _contour_sums(x: float, y: float, q: float):
                     s1r = (s1r << -k) + c * ar
                     s1i = (s1i << -k) + c * ai
                     s1e = ce + ae
-        sums = [(s2r, s2i, s2e), (s3r, s3i, s3e)]
+        sums = [(sqr * km, sqi * km, sqe + ke + 2)]  # times q^4
         if x:
             sums.append((s1r, s1i, s1e))
         return [(sr * re - si * im, sr * im + si * re, exp) for re, im, exp in sums]
@@ -549,53 +447,58 @@ def _contour_sums(x: float, y: float, q: float):
     return level_sums
 
 
-def _removable_peak(pole: complex, q):
-    """A bound on |(1 - t^2)/(q t - pole)| along the path, for Im pole >= 0.
+def _log2(value: float) -> float:
+    return math.log2(value) if value else -math.inf
 
-    With t0 = pole/q, |1 - t^2| <= |1 - t0^2| + |t - t0| |t + t0| and |t| <= 1
-    on the path, so the quotient is at most |1 - t0^2|/d + (1 + |t0|)/q, d the
-    pole's distance to the path in g = q t. The path leaves t = -+1 at 45
-    degrees below the axis, so d >= q min|t0 -+ 1|/sqrt(2), and the bound
-    stays finite for a pole on an end, where 1 - t^2 cancels it. q is an mpf.
+
+def _peak_log2(x: float, y: float, q: float) -> tuple:
+    """log2 of bounds on |Q's integrand| and on |I1's| along the path.
+
+    With s = z/q, h = q/2 and u = 1 - t^2, Q's integrand is
+    u^2/((t - s)^2 (t - s - h)(t - s + h)) and I1's is u/(t - s) over q.
+    Each pole p (Im p >= 0) gives two bounds on the path: |t - p| is at least
+    its distance d_p to the path, and |u/(t - p)| <= R(p) = (1 + sqrt(2))
+    (1 + |p|), through the zero of u at the ends (with t0 = p,
+    |1 - t^2| <= |1 - t0^2| + |t - t0| |t + t0|, |t| <= 1, and d_p >=
+    min|p -+ 1|/sqrt(2), as the path leaves t = -+1 at 45 degrees). The pair
+    s -+ h lies 2h apart, so |(t - s)^2 - h^2| >= D = max(d- d+, h min(d-,
+    d+)), and partial fractions split it, and 1/((t - s)((t - s)^2 - h^2)),
+    into simple poles. Q's bound is the least of: 4/(ds^2 D) (|u| <= 2),
+    R(s)^2/D, (R(s+h) + R(s-h))/(h ds^2), and R(s) (R(s) + (R(s+h) +
+    R(s-h))/2)/h^2, which stays finite with any pole on an end t = +-1. Each
+    is summed in logarithms of doubles, so no product leaves the double
+    range; a bound on a pole on the path is +inf in logarithms.
     """
-    return _cached("1 + sqrt(2)", lambda: 1 + mp.sqrt(2)) * (1 + abs(mpc(pole) / q)) / q
-
-
-def _rounding_noise(x: float, y: float, q: float) -> tuple:
-    """The rounding allowance of I2, I3 and I1 at (x, y, q) and the working precision.
-
-    Each is 2^-(prec+10) (_NODE_TAIL_BITS) of a bound on the integrand's peak
-    times the path length 2 sqrt(2): the smaller of the most |numerator|
-    reaches on the path (2 for I1 and I2, 4 for I3) over its poles' distance
-    to the path in g = q t, which diverges for a pole on an end t = +-1, and
-    _removable_peak, for I3 through partial fractions over its pole pair.
-    """
-    z = complex(x, y)
-    qm = mpf(q)
-    shift = 0.5 * q * q
-    # I1 and I2 share the simple pole g = z; I3 has the pair g = z -+ q^2/2,
-    # which lie q^2 apart, so one factor of its denominator is >= q^2/2.
-    d1 = _path_distance(z, q)
-    d_lo = _path_distance(z - shift, q)
-    d_hi = _path_distance(z + shift, q)
-    d3 = max(mpf(d_lo) * d_hi, mpf(min(d_lo, d_hi)) * shift)
-    peak1 = min(2 / mpf(d1) if d1 else mp.inf, _removable_peak(z, qm))
-    peak3 = min(
-        4 / d3 if d3 else mp.inf,
-        2 * (_removable_peak(z - shift, qm) + _removable_peak(z + shift, qm)) / qm**2,
+    s, h = complex(x / q, y / q), 0.5 * q
+    if math.isinf(abs(s)):
+        # |s| >= 2^far > 2^1023, and then h < 1: every pole lies at least |s|/2
+        # from the path, which the first bound alone turns into these
+        far = math.log2(max(abs(x), y)) - math.log2(q)
+        return 6.0 - 4.0 * far, 2.0 - far - math.log2(q)
+    ds, dp, dm = (_log2(_path_distance(p)) for p in (s, s + h, s - h))
+    rs, rp, rm = (
+        math.log2(1.0 + math.sqrt(2.0)) + math.log2(1.0 + abs(p)) for p in (s, s + h, s - h)
     )
-    tail_eps = _cached("tail", lambda: _PATH_LENGTH * mpf(2) ** -(mp.prec + _NODE_TAIL_BITS))
-    noise1 = tail_eps * peak1
-    return noise1, tail_eps * peak3, noise1
+    lh = _log2(h)
+    pair = max(dp + dm, lh + min(dp, dm))  # log2 D
+    r_pair = max(rp, rm) + 1.0  # log2 of at least R(s+h) + R(s-h)
+    peak_q = min(
+        2.0 - 2.0 * ds - pair,
+        2.0 * rs - pair,
+        r_pair - lh - 2.0 * ds,
+        rs + max(rs, r_pair - 1.0) + 1.0 - 2.0 * lh,
+    )
+    return peak_q, min(1.0 - ds, rs) - math.log2(q)
 
 
-def _excess(bound, value):
-    """How many times bound exceeds the target share of |value|."""
-    if bound == 0:
-        return 0
-    if value == 0:
+def _tail_noise(peak_log2: float):
+    """The rounding allowance of an integral at the working precision, an mpf:
+    2^-(prec+10) (_NODE_TAIL_BITS) of its integrand's peak 2^peak_log2 times
+    the path length 2 sqrt(2)."""
+    if peak_log2 == math.inf:
         return mp.inf
-    return bound / (_TARGET_REL * abs(value))
+    whole = math.floor(peak_log2)
+    return mp.ldexp(_PATH_LENGTH * 2.0 ** (peak_log2 - whole), whole - mp.prec - _NODE_TAIL_BITS)
 
 
 def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
@@ -603,21 +506,24 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
 
     Integrates
         I1 = Int (1-t^2)/(q t - z) dt
-        I2 = Int t (1-t^2)/(q t - z) dt
-        I3 = Int (1-t^2)^2 / ((q t - z)^2 - q^4/4) dt
-    from -1 to 1 with mpmath's tanh-sinh rule and assembles
-    -(3x/q^2) I1 + (3/q) I2 + (3/4) I3. Every pole lies at Im t = y/q >= 0,
-    so the integrals run along the polyline -1 -> -i -> 1 through the lower
-    half plane, where the integrands stay bounded, with no split points;
-    all three come from one pass over shared nodes. At y = 0 this gives the
-    limit y -> 0+, poles inside [-1, 1] or on t = +-1 included. The working
-    precision is chosen per point: a pass at 20 digits measures its own
-    rounding noise and error, and passes at more digits follow until the
-    classical part, the quantum part and their sum are each known to 1e-16
-    relative (or 150 digits are reached). err_est is the quadrature's error
-    estimate plus the predicted rounding bound, plus half an ulp for each
-    rounding to double of the parts and their sum. Serves every accepted point;
-    _quadrature_raw also takes x < 0. An oracle: slow, independent, trusted.
+        Q  = Int (1-t^2)^2 / ((t - s)^2 ((t - s)^2 - q^2/4)) dt,   s = z/q,
+    from -1 to 1 with mpmath's tanh-sinh nodes and returns classic =
+    -(3x/q^2) I1 and quant = (3/16) Q. Q is the quantum part (3/q) I2 +
+    (3/4) I3 of the kernel's three angular integrals under one integral, in a
+    form whose terms do not cancel; at s = 0 it is 16/3, Landau's ratio 1.
+    Every pole lies at Im t = y/q >= 0, so the integrals run along the
+    polyline -1 -> -i -> 1 through the lower half plane, where the
+    integrands stay bounded, with no split points; both come from one pass
+    over shared nodes. At y = 0 this gives the limit y -> 0+, poles inside
+    [-1, 1] or on t = +-1 included. The working precision is chosen per
+    point: a pass at 20 digits measures its own rounding noise and error,
+    and passes at more digits follow until the classical part, the quantum
+    part and their sum are each known to 1e-16 relative (or 150 digits are
+    reached). err_est is each integral's own relative error estimate times
+    its size, plus the predicted rounding bound, plus half an ulp for each
+    rounding to double of the parts and their sum. Serves every accepted
+    point; _quadrature_raw also takes x < 0. An oracle: slow, independent,
+    trusted.
     """
     return _quadrature_raw(point.x, point.y, point.q)
 
@@ -625,70 +531,54 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
 def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     """Quadrature along _PATH at the fewest working digits the point needs.
 
-    One _path_quad pass per working precision yields I2, I3 and, for x != 0,
-    I1. At x = 0 the pass covers only the segment -1 -> -i: t -> -conj(t)
-    carries it, nodes and weights included, onto -i -> 1, where the
-    integrands of I2 and I3 take the conjugate values, so each integral is
-    twice the real part of the segment's and its error estimate twice the
-    segment's (the imaginary parts cancel exactly). Its integrands come
-    from _contour_sums: each node computes q t - z and u/w once for all of
-    them, in fixed-width integer complex arithmetic 20 bits above the
-    working precision that rounds every result once, to nearest. The pass
-    keeps its levels and error estimates on integers too; its totals become
-    mpmath numbers at that guard width, and classic, quant and the bounds
-    are assembled there. Each pass bounds its own rounding noise from
-    magnitudes it already has: 10^-dps 2^-20 of every assembled term (about
-    12 units in the last place at the guard width: the assembly's few
-    roundings and a margin), and 2^-(prec+10) (about 10^-(dps+4), the node
-    tails left out at the corner, _NODE_TAIL_BITS) of each integrand's peak
-    times the path length 2 sqrt(2) for the sums inside the pass
-    (_rounding_noise). That term is 2^10 times the scale of
-    the integer arithmetic's rounding, which _contour_sums shows to be no
-    worse than that of mpmath's mpc arithmetic at the same width. Noise plus
-    the quadrature's error estimate must stay within _TARGET_REL of
-    |classic|, |quant| and |total|; a pass that misses by a factor E is
-    redone at dps + ceil(log10 E) + 2 digits (twice the digits when a part
-    cancelled to exactly 0), up to _MAX_DPS, where the value is returned
-    with the whole bound as err_est. err_est also counts half an ulp for the
-    rounding to double of each real and imaginary part of classic and quant
-    and of their double sum.
+    One _path_quad pass per working precision yields Q and, for x != 0, I1.
+    At x = 0 the pass covers only the segment -1 -> -i: t -> -conj(t)
+    carries it, nodes and weights included, onto -i -> 1, where Q's
+    integrand takes the conjugate values, so Q is twice the real part of the
+    segment's and its error twice the segment's (the imaginary parts cancel
+    exactly). The integrands come from _contour_sums, in fixed-width integer
+    complex arithmetic 20 bits above the working precision that rounds every
+    result once, to nearest; the pass's totals become mpmath numbers at that
+    guard width, and classic, quant and their bounds are assembled there.
+    Each pass bounds its own rounding noise: 10^-dps 2^-20 of each assembled
+    part (about 12 units in the last place at the guard width: the
+    assembly's few roundings and a margin), and 2^-(prec+10) (about
+    10^-(dps+4), the node tails left out at the corner, _NODE_TAIL_BITS) of
+    each integrand's peak times the path length 2 sqrt(2) for the sums inside
+    the pass (_peak_log2, _tail_noise), 2^10 times the scale of the integer
+    arithmetic's rounding. Noise plus each integral's error estimate must
+    stay within _TARGET_REL of |classic|, |quant| and |total|; a pass that
+    misses by a factor E is redone at dps + ceil(log10 E) + 2 digits (twice
+    the digits when a part is exactly 0), up to _MAX_DPS, where the value is
+    returned with the whole bound as err_est. err_est also counts half an ulp
+    for the rounding to double of each real and imaginary part of classic
+    and quant and of their double sum.
     """
     level_sums = _contour_sums(x, y, q)
     path = _PATH[:2] if x == 0.0 else _PATH
+    peak_q, peak_1 = _peak_log2(x, y, q)
     dps = _FIRST_DPS
     while True:
         with mp.workdps(dps):
             results = _path_quad(level_sums, path)
-            noise2, noise3, noise1 = _rounding_noise(x, y, q)
+            noise_q, noise_1 = _tail_noise(peak_q), _tail_noise(peak_1)
         with mp.workdps(dps), mp.extraprec(_GUARD_BITS):
-            qm = mpf(q)
-            out_eps = _cached(("out_eps", dps), lambda: mpf(10) ** -dps * mpf(2) ** -_GUARD_BITS)
+            out_eps = 10.0**-dps * 2.0**-_GUARD_BITS
+            (vq, eq), *classical = results
             if x == 0.0:
-                (v2, e2), (v3, e3) = [(mp.ldexp(v.real, 1), mp.ldexp(e, 1)) for v, e in results]
+                vq, eq = mp.ldexp(vq.real, 1), mp.ldexp(eq, 1)
                 classic = mpc(0)
-                bound_c = mpf(0)
+                bound_c = mp.zero
             else:
-                (v2, e2), (v3, e3), (v1, e1) = results
-                c1 = 3 * mpf(x) / qm**2
+                ((v1, e1),) = classical
+                c1 = 3 * mpf(x) / mpf(q) ** 2
                 classic = -c1 * v1
-                bound_c = abs(c1) * (e1 + noise1) + out_eps * abs(classic)
-            c2 = 3 / qm
-            c3 = _cached("3/4", lambda: mpf(3) / 4)
-            term2 = c2 * v2
-            term3 = c3 * v3
-            quant = term2 + term3
-            bound_q = (
-                c2 * (e2 + noise2)
-                + c3 * (e3 + noise3)
-                + out_eps * (abs(term2) + abs(term3))
-            )
-            bound = bound_c + bound_q
-            excess = max(
-                _excess(bound_c, classic),
-                _excess(bound_q, quant),
-                _excess(bound, classic + quant),
-            )
-            if excess <= 1 or dps == _MAX_DPS:
+                bound_c = abs(c1) * (e1 + noise_1) + out_eps * abs(classic)
+            quant = _QUANT_FACTOR * vq
+            bound_q = _QUANT_FACTOR * (eq + noise_q) + out_eps * abs(quant)
+            totals = ((bound_c, classic), (bound_q, quant), (bound_c + bound_q, classic + quant))
+            checks = [(bound, _TARGET_REL * abs(value)) for bound, value in totals]
+            if dps == _MAX_DPS or all(bound <= limit for bound, limit in checks):
                 classic, quant = complex(classic), complex(quant)
                 # half an ulp for each double part and for their double sum
                 rounding = sum(
@@ -697,10 +587,13 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
                     for part in (value.real, value.imag)
                 )
                 return ChiResult.from_parts(
-                    classic, quant, RegimeTag.QUADRATURE, float(bound) + rounding
+                    classic, quant, RegimeTag.QUADRATURE, float(bound_c + bound_q) + rounding
                 )
-            step = mp.ceil(mp.log10(excess)) + 2 if mp.isfinite(excess) else dps
-        dps = min(_MAX_DPS, dps + int(step))
+            excess = max(
+                bound / limit if limit else mp.inf for bound, limit in checks if bound > limit
+            )
+            step = int(mp.ceil(mp.log10(excess))) + 2 if mp.isfinite(excess) else dps
+        dps = min(_MAX_DPS, dps + step)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,20 @@ def rel(a: complex, b: complex) -> float:
     return abs(a - b) / abs(b)
 
 
+def count_passes(monkeypatch) -> list:
+    """The working digits of every oracle pass from here on, one entry per
+    _path_quad call, in a list that fills as the passes run."""
+    digits = []
+    path_quad = oracle._path_quad
+
+    def counting(level_sums, path=oracle._PATH):
+        digits.append(mp.dps)
+        return path_quad(level_sums, path)
+
+    monkeypatch.setattr(oracle, "_path_quad", counting)
+    return digits
+
+
 # ---------------------------------------------------------------------------
 # high-precision quadrature
 # ---------------------------------------------------------------------------
@@ -56,7 +70,8 @@ def test_quadrature_matches_kernel(x, y, q):
 
 
 # 90-digit values, frozen from mpmath. In this small-q, y >> q corner the
-# assembly (3/q) I2 + (3/4) I3 cancels 25-30 digits.
+# kernel's quantum pair (3/q) I2 + (3/4) I3 cancels 25-30 digits; the
+# oracle's Q, whose terms do not cancel, serves each in one pass.
 DEEP_CANCELLATION = [
     (0.0, 2700.0, 5.3e-7, 2.969466413016685e-40),
     (0.0, 6e5, 6.5e-6, 2.754726080246913e-45),
@@ -70,18 +85,27 @@ def test_quadrature_survives_deep_cancellation(x, y, q, ref):
     assert abs(got.total - ref) <= got.err_est
 
 
+# A pole 1e-13 beyond the path end t = 1: each pass adds digits until the
+# segment there runs enough tanh-sinh levels.
+ESCALATING_POINT = (1e-7 * (1.0 + 1e-13), 1e-30, 1e-7)
+
+
 def test_quadrature_at_precision_cap_reports_its_error(monkeypatch):
     # stopped after the first pass, the value is poor but err_est says so
+    x, y, q = ESCALATING_POINT
+    passes = count_passes(monkeypatch)
+    chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    assert len(passes) > 1, passes
     monkeypatch.setattr(oracle, "_MAX_DPS", oracle._FIRST_DPS)
-    x, y, q, ref = DEEP_CANCELLATION[0]
+    ref = _closed_form_reference(x, y, q)
     got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
     assert abs(got.total - ref) <= got.err_est
-    assert got.err_est > 1e-16 * ref
+    assert got.err_est > 1e-16 * abs(ref)
 
 
-def _closed_form_reference(x: float, y: float, q: float) -> complex:
-    """The three integrals from their exact antiderivatives at 400 digits,
-    enough to absorb every cancellation in the box sampled below."""
+def _closed_form_integrals(x: float, y: float, q: float) -> tuple:
+    """I1, I2 and I3 from their exact antiderivatives at 400 digits, enough
+    to absorb every cancellation in the box sampled below; mpc values."""
 
     def branch_log(sigma):
         return log(1 - sigma) - log(-1 - sigma)
@@ -95,21 +119,47 @@ def _closed_form_reference(x: float, y: float, q: float) -> complex:
         i1 = (-2 * s + (1 - s**2) * branch_log(s)) / qm
         i2 = (mpf(4) / 3 - 2 * s**2 + s * (1 - s**2) * branch_log(s)) / qm
         i3 = (shifted(s + qm / 2) - shifted(s - qm / 2)) / qm**3
+        return i1, i2, i3
+
+
+def _closed_form_reference(x: float, y: float, q: float) -> complex:
+    """The ratio from the 400-digit integrals."""
+    i1, i2, i3 = _closed_form_integrals(x, y, q)
+    with mp.workdps(400):
+        qm = mpf(q)
         return complex(-3 * mpf(x) / qm**2 * i1 + 3 / qm * i2 + mpf(3) / 4 * i3)
+
+
+def _box(seed: int, count: int) -> list:
+    """Log-uniform over the accepted domain, y > 0, 30 % on the static line."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        x = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-12.0, 6.0)
+        points.append((x, 10.0 ** rng.uniform(-14.0, 6.0), 10.0 ** rng.uniform(-9.0, 4.0)))
+    return points
 
 
 def test_quadrature_error_estimate_holds_over_whole_domain():
     for x, y, q, ref in DEEP_CANCELLATION:
         assert abs(_closed_form_reference(x, y, q) - ref) <= 1e-16 * ref
-    # log-uniform over the accepted domain, y > 0, 30 % on the static line
-    rng = random.Random(7)
-    for _ in range(24):
-        x = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-12.0, 6.0)
-        y = 10.0 ** rng.uniform(-14.0, 6.0)
-        q = 10.0 ** rng.uniform(-9.0, 4.0)
+    for x, y, q in _box(7, 24):
         got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
         ref = _closed_form_reference(x, y, q)
         assert abs(got.total - ref) <= got.err_est, (x, y, q)
+
+
+# 60 points for each of the seeds 1-5
+BOX_300 = [point for seed in range(1, 6) for point in _box(seed, 60)]
+
+
+def test_quadrature_error_estimate_holds_over_the_300_point_box(monkeypatch):
+    passes = count_passes(monkeypatch)
+    for x, y, q in BOX_300:
+        got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+        assert abs(got.total - _closed_form_reference(x, y, q)) <= got.err_est, (x, y, q)
+    # one pass each, as measured; a change to the passes moves this count
+    assert len(passes) == 300, passes
 
 
 # Far below the benchmark box in y the poles hug the real axis. The contour
@@ -149,10 +199,45 @@ def test_quadrature_error_estimate_holds_at_hard_points(x, y, q):
     assert abs(got.total - ref) <= got.err_est
 
 
-# verify's grid points that took a second pass while the oracle combined its
-# integrals at the working precision, where the allowance of 10^-dps of
-# |term2| + |term3| swamped a quantum part of 1e-6 to 1e-2. Combined at the
-# guard width, only y = 1, q = 0.05 still needs one, for its node noise.
+def test_hard_points_take_one_pass_each(monkeypatch):
+    # the peak bounds through the zeros of (1 - t^2)^2 keep the rounding
+    # allowance small beside a pole 1e-10 from an end
+    passes = count_passes(monkeypatch)
+    for x, y, q in HARD_POINTS:
+        chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    assert len(passes) <= 8, passes
+
+
+# Q is the kernel's quantum pair under one integral: (3/16) Q = (3/q) I2 +
+# (3/4) I3, checked with mpmath's own quadrature at 30 digits against the
+# 400-digit closed forms, with neither the kernel nor the oracle's engine.
+# Q's integrand is scaled by max(1, |s|)^4, its size at large |s|, so that
+# mp.quad's absolute stop acts as a relative one.
+@pytest.mark.parametrize("x, y, q", HARD_POINTS + _box(13, 12))
+def test_q_is_the_quantum_pair_of_the_closed_form(x, y, q):
+    _, i2, i3 = _closed_form_integrals(x, y, q)
+    with mp.workdps(400):
+        want = mpf(16) / 3 * (3 / mpf(q) * i2 + mpf(3) / 4 * i3)
+    with mp.workdps(30):
+        qm = mpf(q)
+        s = mpc(x, y) / qm
+        h2 = qm**2 / 4
+        scale = max(1, abs(s)) ** 4
+
+        def integrand(t):
+            v = (t - s) ** 2
+            return scale * (1 - t * t) ** 2 / (v * (v - h2))
+
+        value, err = mp.quad(integrand, list(oracle._PATH), error=True)
+        got = value / scale
+        assert abs(got - want) <= err / scale + mpf(10) ** -25 * abs(want), (x, y, q)
+
+
+# verify's grid points that took a second pass while the oracle assembled
+# the quantum part from I2 and I3: at the working precision first, where the
+# allowance of 10^-dps of |term2| + |term3| swamped a quantum part of 1e-6 to
+# 1e-2, and at the guard width later, still for y = 1, q = 0.05. Q needs no
+# second pass at any of them.
 TWO_PASS_GRID_POINTS = [
     (0.0, 0.1, 0.05),
     (0.0, 1.0, 0.05),
@@ -171,29 +256,21 @@ TWO_PASS_GRID_POINTS = [
 ]
 
 
-def test_verify_grid_takes_at_most_63_passes(monkeypatch):
-    passes = []
-    path_quad = oracle._path_quad
-
-    def counting(level_sums, path=oracle._PATH):
-        passes.append(mp.dps)
-        return path_quad(level_sums, path)
-
-    monkeypatch.setattr(oracle, "_path_quad", counting)
+def test_verify_grid_takes_one_pass_per_point(monkeypatch):
+    passes = count_passes(monkeypatch)
     for x in GRID_X:
         for y in GRID_Y:
             for q in GRID_Q:
                 chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-    # 60 first passes, and second ones only at (x, 1, 0.05)
-    assert len(passes) <= 63, passes
+    # 60 first passes, none at more than 20 digits
+    assert passes == [oracle._FIRST_DPS] * 60, passes
 
 
 # sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
 # at verify's 60 grid points, one line per point, with mpmath 1.3.0, whose
-# tanh-sinh nodes and error estimate the oracle uses. Three of the points,
-# (x, 1, 0.05), take a second pass, so two precisions are pinned. A change to
-# the oracle's numbers moves this pin, and says so.
-VERIFY_GRID_ORACLE_SHA256 = "b4a6382dd4296d0771caeeb9f3ab0ac0ba3f7349837ffb6776e25c3042a32f1a"
+# tanh-sinh nodes the oracle uses. Every point takes one pass, at 20 digits.
+# A change to the oracle's numbers moves this pin, and says so.
+VERIFY_GRID_ORACLE_SHA256 = "1c0b4ce3aa76f6cca45fc1d720f3a67db06211f0c599c1f37912fbaf3eba4c3a"
 
 
 def test_oracle_bits_on_the_verify_grid_are_pinned():
@@ -230,17 +307,16 @@ def object_sums(f):
 
 
 def object_integrands(x, y, q):
-    """The integrands of I2, I3 and, for x != 0, I1 in mpmath number
-    arithmetic: the reference for the oracle's fixed-width integer kernel."""
+    """The integrands of Q and, for x != 0, I1 in mpmath number arithmetic:
+    the reference for the oracle's fixed-width integer kernel."""
     qm, zm = mpf(q), mpc(x, y)
     quartic = qm**4 / 4
 
     def f(t):
-        u = 1 - t * t
         w = qm * t - zm
-        r = u / w
-        parts = (t * r, u * u / (w * w - quartic))
-        return parts + (r,) if x else parts
+        a = (1 - t * t) / w
+        value = qm**4 * a * a / (w * w - quartic)
+        return (value, a) if x else (value,)
 
     return f
 
@@ -301,23 +377,20 @@ def reference_sums(x, y, q):
     def level_sums(start, end, degree, prec):
         width = prec + oracle._GUARD_BITS
         sr, si = int((end - start).real), int((end - start).imag)
-        i2, i3, i1 = [], [], []
-        for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in oracle._fixed_nodes(
-            start, end, degree, prec
-        ):
+        quantum, classical = [], []
+        for tr, ti, te, ur, ui, ue, c, ce in oracle._fixed_nodes(start, end, degree, prec):
             wr, wi, we = _difference(qm * tr, qm * ti, qe + te, zr, zi, ze, width)
             ar, ai, ae = _quotient(ur, ui, ue, wr, wi, we, width)
-            br, bi, be = oracle._rounded(tr * ar - ti * ai, tr * ai + ti * ar, te + ae, width)
             dr, di, de = _difference(wr * wr - wi * wi, 2 * wr * wi, 2 * we, km, 0, ke, width)
-            fr, fi, fe = _quotient(vr, vi, ve, dr, di, de, width)
-            i2.append((c * br, c * bi, ce + be))
-            i3.append((c * fr, c * fi, ce + fe))
-            if x:
-                i1.append((c * ar, c * ai, ce + ae))
-        return [
-            (sr * re - si * im, sr * im + si * re, exp)
-            for re, im, exp in map(oracle._exact_sum, (i2, i3, i1) if x else (i2, i3))
-        ]
+            br, bi, be = oracle._rounded(ar * ar - ai * ai, 2 * ar * ai, 2 * ae, width)
+            fr, fi, fe = _quotient(br, bi, be, dr, di, de, width)
+            quantum.append((c * fr, c * fi, ce + fe))
+            classical.append((c * ar, c * ai, ce + ae))
+        vr, vi, ve = oracle._exact_sum(quantum)
+        sums = [(vr * km, vi * km, ve + ke + 2)]  # times q^4
+        if x:
+            sums.append(oracle._exact_sum(classical))
+        return [(sr * re - si * im, sr * im + si * re, exp) for re, im, exp in sums]
 
     return level_sums
 
@@ -384,7 +457,8 @@ def test_nearest_even_rounds_as_an_mpf_does():
     assert oracle._nearest_even(-7, 0, 2) == (-4, 1)
 
 
-# The deep-cancellation points escalate to 40 digits and then to 48-59.
+# Seeded points, the deep-cancellation points at 40 and 58 digits, the
+# vanishing collision rates and the hard points.
 KERNEL_CASES = (
     [(x, y, q, 20) for x, y, q in _whole_domain_points(11, 30)]
     + [(x, y, q, dps) for x, y, q, _ in DEEP_CANCELLATION for dps in (40, 58)]
@@ -398,49 +472,15 @@ def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
     # the same pass, once in the kernel's integer arithmetic and once in
     # mpmath numbers, differs only by rounding: within each integral's
     # rounding noise plus 10^-dps of its value, what _quadrature_raw allows
+    peaks = oracle._peak_log2(x, y, q)
     with mp.workdps(dps):
         kernel = oracle._path_quad(oracle._contour_sums(x, y, q))
         reference = oracle._path_quad(object_sums(object_integrands(x, y, q)))
-        noise = oracle._rounding_noise(x, y, q)
+        noise = [oracle._tail_noise(peak) for peak in peaks]
         out_eps = mpf(10) ** -dps
-    assert len(kernel) == len(reference) == (3 if x else 2)
+    assert len(kernel) == len(reference) == (2 if x else 1)
     for (value, _), (want, _), allowance in zip(kernel, reference, noise):
         assert abs(value - want) <= allowance + out_eps * abs(want), (x, y, q, dps)
-
-
-def mpc_path_quad(level_sums, path=oracle._PATH):
-    """oracle._path_quad's loop on mpc values, as mp.quad runs it: each level
-    sum becomes an mpc at the guard width, and TanhSinh's sum_next step and
-    estimate_error follow."""
-    prec = mp.prec
-    epsilon = mp.eps / 8
-    segments = []
-    with mp.extraprec(oracle._GUARD_BITS):
-        for a, b in zip(path, path[1:]):
-            levels = []
-            for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
-                sums = [oracle._as_mpc(s) for s in level_sums(a, b, degree, prec)]
-                h = mpf(2) ** -degree
-                previous = levels[-1] if levels else [mp.zero] * len(sums)
-                levels.append([h * (p / (h * 2) + s) for p, s in zip(previous, sums)])
-                if degree < max(2, oracle._FIRST_STOP_DEGREE):
-                    continue
-                errs = [oracle._TANH_SINH.estimate_error(r, prec, epsilon) for r in zip(*levels)]
-                if max(errs) <= epsilon:
-                    break
-            segments.append(zip(levels[-1], errs))
-        return [(sum(v for v, _ in parts), sum(e for _, e in parts)) for parts in zip(*segments)]
-
-
-@pytest.mark.parametrize("x, y, q, dps", KERNEL_CASES)
-def test_integer_levels_are_the_mpc_loops_bit_for_bit(x, y, q, dps):
-    # levels, error estimates and totals on integers round as the mpc loop
-    # does, so the totals and errors are equal at the guard width
-    level_sums = oracle._contour_sums(x, y, q)
-    with mp.workdps(dps):
-        got = oracle._path_quad(level_sums)
-        want = mpc_path_quad(level_sums)
-    assert got == want
 
 
 # The level loop against its reference: seeded points over the whole domain
@@ -469,42 +509,38 @@ def test_level_loop_is_the_helpers_bit_for_bit(x, y, q, dps):
             assert loop(a, b, degree, prec) == reference(a, b, degree, prec), (a, b, degree)
 
 
-def at_working_precision(results):
-    """_path_quad's totals, which it leaves at its guard width, rounded to the
-    working precision as mp.quad rounds its result."""
-    return [(+value, err) for value, err in results]
-
-
 @pytest.mark.parametrize("dps", [20, 40])
-def test_path_quad_is_mp_quad_for_one_integrand(dps, monkeypatch):
-    # mp.quad's own stopping rule: its estimate is trusted from degree 2
-    monkeypatch.setattr(oracle, "_FIRST_STOP_DEGREE", 2)
+def test_path_quad_agrees_with_mp_quad_and_the_closed_form(dps):
+    # I1 at (0.3 + 1e-3 i, 0.7) from the oracle's pass, from mp.quad and from
+    # its 400-digit antiderivative: the oracle's value within the sum of its
+    # estimate (quadrature error and rounding allowance) and mp.quad's, and
+    # within its own of the closed form, whose error is 0 at these digits.
+    # mp.quad's estimate leaves out the rounding of its result to the working
+    # precision, at most eps of its modulus.
+    x, y, q = 0.3, 1e-3, 0.7
+    closed = _closed_form_integrals(x, y, q)[0]
     with mp.workdps(dps):
-        qm, zm = mpf(0.7), mpc(0.3, 1e-3)
-
-        def f(t):
-            return (1 - t * t) / (qm * t - zm)
-
-        assert at_working_precision(oracle._path_quad(object_sums(lambda t: (f(t),)))) == [
-            mp.quad(f, list(oracle._PATH), error=True)
-        ]
+        qm, zm = mpf(q), mpc(x, y)
+        _, (value, err) = oracle._path_quad(oracle._contour_sums(x, y, q))
+        err += oracle._tail_noise(oracle._peak_log2(x, y, q)[1])
+        want, want_err = mp.quad(
+            lambda t: (1 - t * t) / (qm * t - zm), list(oracle._PATH), error=True
+        )
+        assert err <= mpf(10) ** -dps * abs(value)
+        assert abs(value - want) <= err + want_err + mp.eps * abs(want)
+        assert abs(value - closed) <= err
 
 
 @pytest.mark.parametrize("x, y, q", [(0.3, 1e-3, 0.7), (0.0, 1e-8, 1.5), (2.0, 1e-30, 3.0)])
 def test_path_quad_shares_nodes_without_losing_accuracy(x, y, q):
+    # each component of one shared pass agrees with mp.quad of it alone,
+    # within both estimates and mp.quad's rounding of its result
     with mp.workdps(20):
-        qm, zm = mpf(q), mpc(x, y)
-        quartic = qm**4 / 4
-
-        def f(t):
-            u = 1 - t * t
-            w = qm * t - zm
-            return (u / w, t * u / w, u * u / (w * w - quartic))
-
-        shared = at_working_precision(oracle._path_quad(object_sums(f)))
+        f = object_integrands(x, y, q)
+        shared = oracle._path_quad(object_sums(f))
         for i, (value, err) in enumerate(shared):
-            alone, _ = mp.quad(lambda t: f(t)[i], list(oracle._PATH), error=True)
-            assert abs(value - alone) <= err
+            alone, alone_err = mp.quad(lambda t: f(t)[i], list(oracle._PATH), error=True)
+            assert abs(value - alone) <= err + alone_err + mp.eps * abs(alone)
 
 
 def _exact(value) -> Fraction:
@@ -546,15 +582,12 @@ def test_fixed_nodes_mirror_at_the_corner():
     for degree in range(1, 7):
         first = oracle._fixed_nodes(-1, -1j, degree, 86)
         second = oracle._fixed_nodes(-1j, 1, degree, 86)
-        mirrored = {
-            (-tr, ti, te, ur, -ui, ue, vr, -vi, ve, c, ce)
-            for tr, ti, te, ur, ui, ue, vr, vi, ve, c, ce in first
-        }
+        mirrored = {(-tr, ti, te, ur, -ui, ue, c, ce) for tr, ti, te, ur, ui, ue, c, ce in first}
         assert mirrored == set(second)
 
 
-# At x = 0 the second segment mirrors the first and the integrands of I2 and
-# I3 conjugate, so the oracle integrates one segment and doubles its real part.
+# At x = 0 the second segment mirrors the first and Q's integrand
+# conjugates, so the oracle integrates one segment and doubles its real part.
 X_ZERO_CASES = (
     [(0.0, q, 20) for q in (0.3, 2.0, 150.0)]
     + [(y, q, dps) for _, y, q, _ in DEEP_CANCELLATION for dps in (20, 58)]
@@ -569,7 +602,7 @@ def test_one_segment_at_x_zero_is_the_whole_path(y, q, dps):
     with mp.workdps(dps):
         whole = oracle._path_quad(level_sums)
         half = oracle._path_quad(level_sums, oracle._PATH[:2])
-        assert len(whole) == len(half) == 2
+        assert len(whole) == len(half) == 1
         for (value, err), (segment, segment_err) in zip(whole, half):
             assert value.imag == 0
             assert value.real == mp.ldexp(segment.real, 1)
@@ -577,258 +610,99 @@ def test_one_segment_at_x_zero_is_the_whole_path(y, q, dps):
     assert oracle._quadrature_raw(0.0, y, q).quant.imag == 0.0
 
 
-@pytest.mark.parametrize("first_stop", [2, 4])
+@pytest.mark.parametrize("first_stop", [3, 4, 6])
 def test_error_is_estimated_only_where_it_can_stop(first_stop, monkeypatch):
     monkeypatch.setattr(oracle, "_FIRST_STOP_DEGREE", first_stop)
-    estimate = oracle._error_estimate
-    degrees = []
-
-    def counting(levels, prec, epsilon):
-        degrees.append(len(levels))
-        return estimate(levels, prec, epsilon)
-
-    monkeypatch.setattr(oracle, "_error_estimate", counting)
-    with mp.workdps(20):
-        oracle._path_quad(oracle._contour_sums(0.3, 1e-3, 0.7))
-    # one estimate per component (I1, I2, I3) and degree; each of the two
-    # segments runs its degrees up from the first that may stop
-    per_degree = degrees[::3]
-    assert degrees == [d for d in per_degree for _ in range(3)]
-    starts = [d for i, d in enumerate(per_degree) if i == 0 or d != per_degree[i - 1] + 1]
-    assert starts == [max(2, first_stop)] * 2
-
-
-def _levels(prec, last, *distances):
-    """Exact levels at the guard width of prec, the earlier ones at the given
-    distances from the last one, `last`, in random directions; and the same
-    levels as mpc values."""
-    rng = random.Random(repr((prec, last, distances)))
-    with mp.workprec(prec + oracle._GUARD_BITS):
-        values = [last + d * mp.expjpi(rng.uniform(-1.0, 1.0)) for d in distances]
-        values = [mpc(v) for v in values + [last]]
-    return [oracle._fixed(v.real, v.imag) for v in values], values
-
-
-def _estimates(levels, values, prec, monkeypatch):
-    """_error_estimate of the exact levels, mpmath's estimate of the same
-    levels as mpc values, and whether the former called the latter."""
-    estimate = oracle._TANH_SINH.estimate_error
+    level_error = oracle._level_error
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return estimate(*args)
+    def counting(levels, width):
+        calls.append(len(levels))
+        return level_error(levels, width)
 
-    monkeypatch.setattr(oracle._TANH_SINH, "estimate_error", counting)
-    with mp.workprec(prec + oracle._GUARD_BITS):
-        epsilon = mp.ldexp(1, -prec - 2)
-        got = oracle._error_estimate(levels, prec, epsilon)
-        want = estimate(values, prec, epsilon)
-    return got, want, bool(calls)
+    monkeypatch.setattr(oracle, "_level_error", counting)
+    inner = oracle._contour_sums(0.3, 1e-3, 0.7)
+    degrees = []
+
+    def level_sums(a, b, degree, prec):
+        degrees.append(degree)
+        return inner(a, b, degree, prec)
+
+    with mp.workdps(20):
+        oracle._path_quad(level_sums)
+    # each of the two segments runs its degrees up from 1, and its estimates,
+    # one per component (Q, I1) and each from three levels, from first_stop
+    starts = [i for i, degree in enumerate(degrees) if degree == 1]
+    assert len(starts) == 2
+    runs = [len(degrees[i:j]) for i, j in zip(starts, starts[1:] + [len(degrees)])]
+    assert min(runs) >= first_stop
+    assert calls == [3] * 2 * sum(run - first_stop + 1 for run in runs)
 
 
-ESTIMATE_CASES = [
-    # (prec, last level, distances of the levels before it, mpmath called)
-    pytest.param(70, 0.3 + 0.1j, (1e-3,), True, id="degree-2"),
-    pytest.param(70, 0.3 + 0.1j, (0, 0), True, id="last-three-equal"),
-    pytest.param(70, 0.3 + 0.1j, (1e-3, 0), True, id="last-two-equal"),
-    pytest.param(70, 0.3 + 0.1j, (0, 1e-3), True, id="last-and-third-equal"),
-    pytest.param(70, 1e-80, (1e-90, 1e-100), False, id="clipped-at-minus-prec"),
-    pytest.param(70, 1e5 - 3e4j, (1e3, 1e2), False, id="clipped-at-zero"),
-    pytest.param(70, 0.5, (1e-3, 2e-4, 3e-11), False, id="two-d1"),
-    pytest.param(143, 2.0, (1e-4, 1e-7), False, id="d1-squared-over-d2"),
-    # D1^2/D2 = 36/-4 = -9 within 1e-12, above 2 D1 = -12: only mpmath's
-    # logarithms at the guard width tell on which side of -9 it lies
-    pytest.param(70, 0, (1e-4, 1e-6), True, id="near-an-integer"),
-    pytest.param(70, 1e-3, (0.5, 3e-5), True, id="d2-below-one"),
+LEVEL_ERROR_CASES = [
+    # (D1, D2 as log2 of the distances over the last level, 1; expected e)
+    pytest.param(-10, -5, -20, id="both-branches-equal"),
+    pytest.param(-30, -10, -60, id="two-d1"),
+    pytest.param(-12, -40, -3, id="d1-squared-over-d2-rounded-up"),
+    pytest.param(-5, 1, 0, id="d2-not-below-the-level"),
+    pytest.param(2, -1, 0, id="clipped-at-zero"),
+    pytest.param(-200, -150, -90, id="clipped-at-minus-width"),
+    pytest.param(None, None, -90, id="three-equal-levels"),
+    pytest.param(None, -30, -90, id="last-two-equal"),
 ]
 
 
-@pytest.mark.parametrize("prec, last, distances, fallback", ESTIMATE_CASES)
-def test_error_estimate_is_mpmaths(prec, last, distances, fallback, monkeypatch):
-    levels, values = _levels(prec, last, *distances)
-    got, want, called = _estimates(levels, values, prec, monkeypatch)
-    assert got == want
-    assert called is fallback
+@pytest.mark.parametrize("d1, d2, want", LEVEL_ERROR_CASES)
+def test_level_error_is_the_rule_on_bit_lengths(d1, d2, want):
+    # levels 1 + 2^d2, 1 + 2^d1 and 1 (a distance None is 0): the estimate
+    # is 2^min(0, max(ceil(D1^2/D2), 2 D1, -width)) of the last level
+    width = 90
+
+    def level(d):
+        return (1 << 200, 0, -200) if d is None else (2**200 + 2 ** (200 + d), 0, -200)
+
+    assert oracle._level_error((level(d2), level(d1), level(None)), width)[0] == want
 
 
-def test_error_estimate_is_mpmaths_on_random_levels(monkeypatch):
-    rng = random.Random(16)
-    called = 0
-    for _ in range(300):
-        prec = rng.choice((70, 136, 236, 518))
-        scale = 10.0 ** rng.uniform(-200.0, 200.0)
-        d1 = 10.0 ** rng.uniform(-0.9 * prec / 3.33, 1.0)
-        d2 = d1 * 10.0 ** rng.uniform(0.0, 12.0)
-        last = scale * complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        levels, values = _levels(prec, last, d2 * scale, d1 * scale)
-        got, want, fallback = _estimates(levels, values, prec, monkeypatch)
-        assert got == want, (prec, last, d1, d2)
-        called += fallback
-    # the float path decides almost everywhere
-    assert called < 30
-
-
-# _path_quad's bookkeeping written with the helpers, one list and one tuple
-# per operation, and the power of ten computed afresh: the reference that
-# oracle._next_level and oracle._error_estimate are checked against bit for
-# bit.
-
-
-def _mpc_rounded(re, im, exp, width):
-    """A value with each part rounded as an mpc at width bits rounds it."""
-    return oracle._joined(
-        oracle._nearest_even(re, exp, width), oracle._nearest_even(im, exp, width)
-    )
-
-
-def reference_next_level(previous, level_sum, degree, width):
-    pr, pi, pe = previous
-    total = oracle._exact_sum([(pr, pi, pe + degree - 1), _mpc_rounded(*level_sum, width)])
-    re, im, exp = _mpc_rounded(*total, width)
-    return re, im, exp - degree
-
-
-def _reference_log10_distance(a, b):
-    re, im, exp = oracle._exact_sum([a, (-b[0], -b[1], b[2])])
-    square = re * re + im * im
-    return 0.5 * math.log10(square) + exp * oracle._LOG10_2 if square else None
-
-
-def reference_error_estimate(levels, prec, epsilon):
-    if len(levels) > 2:
-        d1 = _reference_log10_distance(levels[-1], levels[-2])
-        d2 = _reference_log10_distance(levels[-1], levels[-3])
-        if d1 is not None and d2 is not None and abs(d2) >= 1:
-            exponent = max(d1 * d1 / d2, 2 * d1)
-            nearest = round(exponent)
-            if not (-prec <= nearest < 0 and abs(exponent - nearest) < oracle._LOG_SLACK):
-                return mpf(10) ** int(min(0, max(exponent, -prec)))
-    values = [oracle._as_mpc(level) for level in levels]
-    return oracle._TANH_SINH.estimate_error(values, prec, epsilon)
-
-
-def _value(level):
-    """An exact value as two Fractions: a level's bits are those of its value."""
-    re, im, exp = level
-    unit = Fraction(2) ** exp
-    return re * unit, im * unit
-
-
-def test_level_bookkeeping_on_the_verify_grid_is_the_reference(monkeypatch):
-    # every level and every error estimate of verify's 60 points, from an
-    # empty constant cache as in a fresh process
-    next_level, error_estimate = oracle._next_level, oracle._error_estimate
-    checked = {"levels": 0, "estimates": 0}
-
-    def checked_level(*args):
-        got = next_level(*args)
-        assert _value(got) == _value(reference_next_level(*args)), args
-        checked["levels"] += 1
-        return got
-
-    def checked_estimate(levels, prec, epsilon):
-        got = error_estimate(levels, prec, epsilon)
-        assert got._mpf_ == reference_error_estimate(levels, prec, epsilon)._mpf_, levels
-        checked["estimates"] += 1
-        return got
-
-    monkeypatch.setattr(oracle, "_CONSTANTS", {})
-    monkeypatch.setattr(oracle, "_next_level", checked_level)
-    monkeypatch.setattr(oracle, "_error_estimate", checked_estimate)
-    for x in GRID_X:
-        for y in GRID_Y:
-            for q in GRID_Q:
-                chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-    # the counts of verify's 63 passes; a change to the passes moves them
-    assert checked == {"levels": 1317, "estimates": 435}
-
-
-def test_next_level_is_the_reference_on_random_values():
-    # exact ties of either rounding, zero parts and a zero previous level
-    # included; the values are equal, their integers may carry other powers
-    # of two
-    rng = random.Random(20)
-
-    def part(bits):
-        if rng.random() < 0.05:
-            return 0
-        return rng.randrange(-(2**bits), 2**bits) >> rng.randrange(bits)
-
-    for _ in range(3000):
-        width = rng.choice((90, 153, 220))
-        previous = (part(width), part(width), rng.randrange(-300, 10))
-        if rng.random() < 0.1:
-            previous = (0, 0, 0)
-        level_sum = (part(2 * width), part(2 * width), rng.randrange(-500, 10))
-        tie = 2 * rng.randrange(2 ** (width - 1), 2**width) + 1  # half a unit off width bits
-        if rng.random() < 0.1:  # the level sum's real part rounds a tie
-            level_sum = (tie << 5,) + level_sum[1:]
-        elif rng.random() < 0.1:  # the sum's real part does
-            previous, level_sum = (tie,) + previous[1:], (0,) + level_sum[1:]
-        args = (previous, level_sum, rng.randrange(1, 8), width)
-        assert _value(oracle._next_level(*args)) == _value(reference_next_level(*args)), args
-
-
-def _fresh_constant(key):
-    """A constant of oracle._CONSTANTS computed without the cache, at the
-    context's precision."""
-    if isinstance(key, int):
-        return mpf(10) ** key
-    if isinstance(key, tuple):  # ("out_eps", dps)
-        return mpf(10) ** -key[1] * mpf(2) ** -oracle._GUARD_BITS
-    return {
-        "eps/8": lambda: mp.eps / 8,
-        "degree": lambda: oracle._TANH_SINH.guess_degree(mp.prec),
-        "1 + sqrt(2)": lambda: 1 + mp.sqrt(2),
-        "tail": lambda: oracle._PATH_LENGTH * mpf(2) ** -(mp.prec + oracle._NODE_TAIL_BITS),
-        "3/4": lambda: mpf(3) / 4,
-    }[key]()
-
-
-def test_cached_constants_are_the_uncached_values_at_each_precision(monkeypatch):
-    # a point that takes a second pass, then one that takes one pass, then a
-    # pass at 33 digits: each precision keeps its own constants, and each is
-    # bit for bit the value computed afresh there
-    monkeypatch.setattr(oracle, "_CONSTANTS", {})
-    digits = []
-    path_quad = oracle._path_quad
-
-    def counting(level_sums, path=oracle._PATH):
-        digits.append(mp.dps)
-        return path_quad(level_sums, path)
-
-    monkeypatch.setattr(oracle, "_path_quad", counting)
-    chi_ratio_quadrature(DimensionlessPoint(0.1, 1.0, 0.05))
-    chi_ratio_quadrature(DimensionlessPoint(0.1, 0.01, 0.5))
-    monkeypatch.setattr(oracle, "_FIRST_DPS", 33)
-    chi_ratio_quadrature(DimensionlessPoint(0.1, 0.01, 0.5))
-    assert digits[0] == digits[2] == 20 and digits[1] > 20 and digits[3:] == [33], digits
-    for dps in set(digits):
-        with mp.workdps(dps):
-            working = mp.prec
-        guard = working + oracle._GUARD_BITS
-        for key in ("eps/8", "degree", "1 + sqrt(2)", "tail"):
-            assert (working, key) in oracle._CONSTANTS, (dps, key)
-        for key in (("out_eps", dps), "3/4"):
-            assert (guard, key) in oracle._CONSTANTS, (dps, key)
-        assert any(p == guard and isinstance(k, int) for p, k in oracle._CONSTANTS), dps
-    for (prec, key), value in oracle._CONSTANTS.items():
-        with mp.workprec(prec):
-            want = _fresh_constant(key)
-        if isinstance(want, int):
-            assert value == want, (prec, key)
-        else:
-            assert value._mpf_ == want._mpf_, (prec, key)
+def test_level_error_bounds_every_level_and_a_zero_last_level():
+    width = 90
+    levels = [(3, 0, 0), (-7, 0, -2), (0, 0, 0)]  # 3, -1.75 and 0
+    rel, top = oracle._level_error(tuple(levels), width)
+    # 2^(top+1) is above each modulus, and a last level of 0 after nonzero
+    # ones has relative error 1 of that bound, not an error of 0
+    assert all(abs(Fraction(re) * Fraction(2) ** exp) < 2 ** (top + 1) for re, _, exp in levels)
+    assert rel == 0
+    assert oracle._level_error(((0, 0, 0),) * 3, width) == (-width, None)
+    # random levels: the bound holds for complex values of any size
+    rng = random.Random(21)
+    for _ in range(500):
+        levels = [
+            (rng.randrange(-(2**width), 2**width), rng.randrange(-(2**width), 2**width), exp)
+            for exp in (rng.randrange(-300, 300) for _ in range(3))
+        ]
+        _, top = oracle._level_error(tuple(levels), width)
+        for re, im, exp in levels:
+            assert (re * re + im * im) * Fraction(4) ** exp < 4 ** (top + 1)
 
 
 # On the collisionless line y = 0 the path still passes below every pole, so
 # the oracle gives the limit y -> 0+: the kernel's principal value at x = y = 0
 # and, elsewhere, the closed form just above the axis.
-@pytest.mark.parametrize("q", [10.0 ** (k / 4.0) for k in range(-12, 17)] + [2.0])
+@pytest.mark.parametrize("q", [10.0 ** (k / 4.0) for k in range(-12, 17)] + [2.0, 1e-200])
 def test_quadrature_serves_static_point(q):
     p = DimensionlessPoint(0.0, 0.0, q)
     assert rel(chi_ratio_quadrature(p).total, chi_ratio(p).total) < 1e-14
+
+
+# s = z/q beyond the double range: every pole lies more than 2^1023 from the
+# path, and the peak bounds come from |s| alone. The ratio is its Laurent
+# leading term 4x/(q^2 z) to far below an ulp.
+@pytest.mark.parametrize("x, y, q", [(1e300, 1.0, 1e-10), (1.3e204, 4.9e124, 1.5e-111)])
+def test_quadrature_with_s_beyond_the_double_range(x, y, q):
+    got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    with mp.workdps(30):
+        want = complex(4 * mpf(x) / (mpf(q) ** 2 * mpc(x, y)))
+    assert abs(got.total - want) <= got.err_est <= 1e-15 * abs(want)
 
 
 def _collisionless_reference(x: float, q: float) -> complex:
