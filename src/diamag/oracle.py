@@ -522,8 +522,9 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     reached). err_est is each integral's own relative error estimate times
     its size, plus the predicted rounding bound, plus half an ulp for each
     rounding to double of the parts and their sum. Serves every accepted
-    point; _quadrature_raw also takes x < 0. An oracle: slow, independent,
-    trusted.
+    point whose parts fit in a double (elsewhere ChiResult raises
+    ValidationError); _quadrature_raw also takes x < 0. An oracle: slow,
+    independent, trusted.
     """
     return _quadrature_raw(point.x, point.y, point.q)
 
