@@ -474,6 +474,77 @@ def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
         assert abs(value - want) <= allowance + out_eps * abs(want), (x, y, q, dps)
 
 
+# Above the bits any value of the reference loop below spans, so that its
+# sums and differences of mpc values are exact.
+_EXACT_PREC = 1 << 16
+
+
+def mpc_path_quad(level_sums, path=oracle._PATH):
+    """oracle._path_quad's loop on mpc values: each level exact and then
+    rounded to nearest, ties away from zero, in units of 2^(T - width), T the
+    exponent of its larger part, and each error estimate read from frexp
+    exponents and compared with eps/8, as the rule of _level_error states."""
+    prec = mp.prec
+    width = prec + oracle._GUARD_BITS
+    epsilon = mp.eps / 8
+
+    def top(v):
+        return max(mp.frexp(part)[1] for part in (v.real, v.imag) if part)
+
+    def rounded(v):
+        unit = top(v) - width if v else 0
+
+        def part(p):
+            n = mp.floor(abs(mp.ldexp(p, -unit)) + mpf(0.5))
+            return mp.ldexp(n if p >= 0 else -n, unit)
+
+        return mpc(part(v.real), part(v.imag))
+
+    def estimate(levels):
+        tops = [top(v) for v in levels if v]
+        if not tops:
+            return -width, None
+        t = max(tops)
+        d1, d2 = (top(levels[-1] - v) - t if levels[-1] != v else -width for v in levels[-2::-1])
+        if d2 >= 0:
+            return 0, t
+        return min(0, max(math.ceil(Fraction(d1 * d1, d2)), 2 * d1, -width)), t
+
+    degrees = range(1, oracle._TANH_SINH.guess_degree(prec) + 1)
+    segments = []
+    with mp.workprec(_EXACT_PREC):
+        for a, b in zip(path, path[1:]):
+            levels = []
+            for degree in degrees:
+                sums = [oracle._as_mpc(s) for s in level_sums(a, b, degree, prec)]
+                previous = levels[-1] if levels else [mpc(0)] * len(sums)
+                half, h = mp.ldexp(1, -1), mp.ldexp(1, -degree)
+                levels.append([rounded(half * p + h * s) for p, s in zip(previous, sums)])
+                if degree < oracle._FIRST_STOP_DEGREE:
+                    continue
+                errs = [estimate(last_three) for last_three in zip(*levels[-3:])]
+                if max(mp.ldexp(1, rel) for rel, _ in errs) <= epsilon:
+                    break
+            segments.append(list(zip(levels[-1], errs)))
+        totals = [sum(v for v, _ in parts) for parts in zip(*segments)]
+    with mp.workprec(width):
+        return [
+            (+total, sum(mp.ldexp(1, t + 1 + rel) for _, (rel, t) in parts if t is not None))
+            for total, parts in zip(totals, zip(*segments))
+        ]
+
+
+@pytest.mark.parametrize("x, y, q, dps", KERNEL_CASES)
+def test_integer_levels_are_the_mpc_loops_bit_for_bit(x, y, q, dps):
+    # levels, error estimates and totals on integers round as the mpc loop
+    # does, so the totals and errors are equal at the guard width
+    level_sums = oracle._contour_sums(x, y, q)
+    with mp.workdps(dps):
+        got = oracle._path_quad(level_sums)
+        want = mpc_path_quad(level_sums)
+    assert got == want
+
+
 # The level loop against its reference: seeded points over the whole domain
 # (x = 0 and x < 0 among them), the hard points, and the collisionless line,
 # poles on the path ends and the static point included, at 20 digits; and
