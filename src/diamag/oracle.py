@@ -8,10 +8,11 @@ the kernel module uses, on purpose:
     high-precision arithmetic, never touching the kernel's branch-logarithm
     algebra: one tanh-sinh pass (mpmath's standard nodes, each integral
     judged by its own relative error estimate) over shared nodes along the
-    polyline -1 -> -i -> 1, which passes below every pole, so the integrands
-    stay bounded and no split points are needed (at x = 0 the second segment
-    mirrors the first, so one suffices); the integrands are evaluated in
-    fixed-width complex arithmetic on Python ints at the pass's precision;
+    lower unit semicircle from -1 through -i to 1, one smooth arc that
+    passes below every pole, so the integrands stay bounded and no split
+    points are needed (at x = 0 the half v >= 0 of the arc suffices); the
+    integrands are evaluated in fixed-width complex arithmetic on Python
+    ints at the pass's precision;
   * chi_from_kinetic rebuilds the ratio from the kinetic-equation form, a
     velocity-shell occupation difference against a shifted resonance
     denominator, using the package's own adaptive Gauss-Kronrod engine;
@@ -32,6 +33,7 @@ import math
 
 from mpmath import mp, mpc, mpf
 from mpmath.calculus.quadrature import TanhSinh
+from mpmath.libmp import dps_to_prec, mpf_cos_sin_pi, mpf_pi, mpf_shift, round_nearest
 
 from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
 from .errors import DomainError, ExtrapolationError
@@ -70,10 +72,13 @@ def _interior_breakpoints(x: float, y: float, q: float) -> list:
     return sorted(pts)
 
 
-# The contour in t: every pole has Im t = y/q > 0, so the polyline through
-# the lower half plane gives the integrals over [-1, 1] (Cauchy's theorem).
-_PATH = (-1, -1j, 1)
-_PATH_LENGTH = 2.0 * math.sqrt(2.0)
+# The contour in t: every pole has Im t = y/q >= 0, so the lower unit
+# semicircle t = -i e^(i pi v/2), v in [-1, 1], from -1 through -i to 1,
+# gives the integrals over [-1, 1] (Cauchy's theorem). It is one smooth arc,
+# so one tanh-sinh rule in v covers it, its nodes clustering only at the ends
+# t = +-1, where the integrands' factor 1 - t^2 vanishes. Every pole lies at
+# least its _path_distance from it.
+_PATH_LENGTH = math.pi
 _TANH_SINH = TanhSinh(mp)
 # The error estimate compares the last level with the two before it. At
 # degree 3 the oldest of them is the coarse degree-1 sum, and mp.quad's
@@ -86,71 +91,84 @@ _FIRST_DPS = 20
 _MAX_DPS = 150
 # Each part and their sum must be known to this relative accuracy.
 _TARGET_REL = 1e-16
-# TanhSinh drops the nodes within 2^-(prec+10) of a segment end. The
-# integrands vanish at t = +-1 but not at the corner t = -i, where each
-# segment leaves out up to about twice |f| |C| 2^-(prec+10), |C| = sqrt(2)/2
-# its half-length; the path length times that bounds both corner ends. The
-# integrand arithmetic, the levels and the assembly run _GUARD_BITS above the
-# working precision, so their rounding is about a thousand times smaller (see
-# _contour_sums).
-_NODE_TAIL_BITS = 10
+# The integrand arithmetic, the levels and the assembly run _GUARD_BITS above
+# the working precision, and their rounding stays at about 2^-(prec+20) of an
+# integrand's peak on the path times the path length (see _contour_sums); the
+# allowance for it is 2^_NOISE_BITS times that scale.
+_NOISE_BITS = 10
+# TanhSinh also drops the nodes v within tol = 2^-(prec+10) of an end v = +-1.
+# A pass's last level sums the weights w(v) = (pi/2) cosh(r)/cosh(g)^2, v =
+# tanh(g), g = (pi/2) sinh(r), over a grid in r of step h = 2^-degree, and
+# w <= pi cosh(r) (1 - v), since cosh(g)^-2 = (1 - v)(1 + v). The weight it
+# drops beyond an end is then at most h w(r_c) + (the integral of w beyond
+# r_c) <= (1 + h pi cosh(r_c)) tol, r_c the first dropped grid point, whose
+# neighbour r_c - h is kept, so that pi sinh(r_c - h) < ln(2/tol); that is
+# below (1 + h e^h (pi + ln(2/tol))) tol. From degree 4 (_FIRST_STOP_DEGREE)
+# on, this is 4.95 tol at 20 digits and 24.9 tol at 150 (_MAX_DPS); measured
+# over every such degree and precision, the dropped weight reaches 16.7 tol
+# (143 digits, degree 4), and 1.4 tol at 20 digits. |dt/dv| = pi/2, so the
+# two ends leave out at most 24.9 pi tol times the integrand's peak near an
+# end, below 2^-(prec+5) (_NODE_TAIL_BITS) of that peak times the path length
+# pi. "Near" means within _END_REACH: the dropped nodes lie within (pi/2) tol
+# of an end in t, tol is largest at the first pass, and _END_REACH is twice
+# that.
+_NODE_TAIL_BITS = 5
+_END_REACH = math.pi * 2.0 ** -(dps_to_prec(_FIRST_DPS) + 10)
 _GUARD_BITS = 20
 # Q's integrand is q^4 a^2/d, a = u/w, and quant = (3/16) times its integral.
 _QUANT_FACTOR = 3.0 / 16.0  # exact in binary
 
+# guess_degree(prec), the most tanh-sinh levels a pass at prec bits runs, per
+# prec: TanhSinh computes it with an mpmath log on every call.
+_DEGREES: dict = {}
+
 
 def _path_distance(p: complex) -> float:
-    """Distance from p to the contour in t, the polyline -1 -> -i -> 1."""
-    best = math.inf
-    for a, b in zip(_PATH, _PATH[1:]):
-        ab = complex(b - a)
-        u = ((p - a) * ab.conjugate()).real / abs(ab) ** 2
-        best = min(best, abs(p - (a + min(max(u, 0.0), 1.0) * ab)))
-    return best
+    """Distance from p, Im p >= 0, to the arc: min|p -+ 1|, since the point
+    of the lower unit semicircle nearest to p is an end."""
+    return min(abs(p - 1.0), abs(p + 1.0))
 
 
-def _path_quad(level_sums, path=_PATH) -> list:
-    """Integrals of every component of an integrand along path, in one pass.
+def _path_quad(level_sums) -> list:
+    """Integrals of every component of an integrand along the arc, in one pass.
 
-    A tanh-sinh pass with mpmath's nodes (_TANH_SINH), run on integers.
-    level_sums(a, b, degree, prec) returns, per component, the sum of
-    weight * f(t) over the nodes that _TANH_SINH.get_nodes(a, b, degree,
-    prec) gives, as an exact value (re, im, exp) of the fixed-width
-    arithmetic below. Each level is the previous one halved plus 2^-degree
-    times the level sum, exact on the integers and rounded once (_rounded)
-    at _GUARD_BITS above the working precision. Every component is judged by
-    its own relative error estimate (_level_error); a segment stops at the
-    first degree from _FIRST_STOP_DEGREE on where each estimate is at most
-    eps/8, or at guess_degree(prec). Returns [(value, error), ...] per
-    component: the sum of the segments' last levels, an mpc at the guard
-    width, and of their estimates times a bound on their moduli, an mpf.
+    A tanh-sinh pass with mpmath's nodes (_TANH_SINH) in the arc's parameter
+    v, run on integers. level_sums(degree, prec) returns, per component, the
+    sum of weight * f(t) over the nodes of _fixed_nodes(degree, prec, ...),
+    as an exact value (re, im, exp) of the fixed-width arithmetic below.
+    Each level is the previous one halved plus 2^-degree times the level
+    sum, exact on the integers and rounded once (_rounded) at _GUARD_BITS
+    above the working precision. Every component is judged by its own
+    relative error estimate (_level_error); the pass stops at the first
+    degree from _FIRST_STOP_DEGREE on where each estimate is at most eps/8,
+    or at guess_degree(prec), which is computed once per prec (_DEGREES).
+    Returns [(value, error), ...] per component: the last level, an mpc at
+    the guard width, and its estimate times a bound on the levels' moduli,
+    an mpf.
     """
     prec = mp.prec
     width = prec + _GUARD_BITS
-    segments = []
-    for a, b in zip(path, path[1:]):
-        levels = []  # per degree, the level of every component
-        for degree in range(1, _TANH_SINH.guess_degree(prec) + 1):
-            sums = level_sums(a, b, degree, prec)
-            previous = levels[-1] if levels else [(0, 0, 0)] * len(sums)
-            levels.append(
-                [
-                    _rounded(*_exact_sum([(pr, pi, pe - 1), (sr, si, se - degree)]), width)
-                    for (pr, pi, pe), (sr, si, se) in zip(previous, sums)
-                ]
-            )
-            if degree >= _FIRST_STOP_DEGREE:
-                errors = [_level_error(last_three, width) for last_three in zip(*levels[-3:])]
-                if max(rel for rel, _ in errors) <= -(prec + 2):  # eps/8 = 2^-(prec+2)
-                    break
-        segments.append(zip(levels[-1], errors))
+    last = _DEGREES.get(prec)
+    if last is None:
+        last = _DEGREES[prec] = _TANH_SINH.guess_degree(prec)
+    levels = []  # per degree, the level of every component
+    for degree in range(1, last + 1):
+        sums = level_sums(degree, prec)
+        previous = levels[-1] if levels else [(0, 0, 0)] * len(sums)
+        levels.append(
+            [
+                _rounded(*_exact_sum([(pr, pi, pe - 1), (sr, si, se - degree)]), width)
+                for (pr, pi, pe), (sr, si, se) in zip(previous, sums)
+            ]
+        )
+        if degree >= _FIRST_STOP_DEGREE:
+            errors = [_level_error(last_three, width) for last_three in zip(*levels[-3:])]
+            if max(rel for rel, _ in errors) <= -(prec + 2):  # eps/8 = 2^-(prec+2)
+                break
     with mp.extraprec(_GUARD_BITS):
         return [
-            (
-                _as_mpc(_exact_sum([level for level, _ in parts])),
-                sum(mp.ldexp(1, top + 1 + rel) for _, (rel, top) in parts if top is not None),
-            )
-            for parts in zip(*segments)
+            (_as_mpc(level), mp.zero if top is None else mp.ldexp(1, top + 1 + rel))
+            for level, (rel, top) in zip(levels[-1], errors)
         ]
 
 
@@ -201,9 +219,8 @@ def _level_error(levels: tuple, width: int) -> tuple:
 # The error is at most half a unit in the last place of each part:
 # sqrt(2) 2^-width of the result's modulus. Ties round away from zero, so
 # that the arithmetic commutes with negating a part: conjugate inputs give
-# exactly conjugate results, which the mirrored segments at x = 0
-# (_quadrature_raw) rely on. Only the node weights round ties to even, as
-# mpmath rounds them (_nearest_even, _fixed_nodes).
+# exactly conjugate results, which the fold at x = 0 (_contour_sums) relies
+# on.
 
 
 def _rounded(re: int, im: int, exp: int, width: int) -> tuple:
@@ -230,28 +247,19 @@ def _exact_sum(values) -> tuple:
 
 
 def _parts(value) -> tuple:
-    """A float or an mpf as an exact (mantissa, exponent) pair of ints."""
+    """A float, an mpf or an mpf's raw form as an exact (mantissa, exponent)
+    pair of ints."""
     if isinstance(value, float):
         m, e = math.frexp(value)
         return int(m * 2.0**53), e - 53
-    sign, m, e, _ = value._mpf_  # mpmath's raw form: m is the modulus's mantissa
+    # mpmath's raw form: m is the modulus's mantissa
+    sign, m, e, _ = value if isinstance(value, tuple) else value._mpf_
     return -int(m) if sign else int(m), int(e)
 
 
-def _nearest_even(m: int, exp: int, width: int) -> tuple:
-    """m 2^exp rounded to nearest at width bits, ties to even: as an mpf rounds.
-
-    Adding 2^(k-1) - 1 and the last bit kept, then shifting the k excess bits
-    out (a floor, for either sign), rounds so.
-    """
-    k = m.bit_length() - width
-    if k <= 0:
-        return m, exp
-    return (m + (1 << (k - 1)) - 1 + ((m >> k) & 1)) >> k, exp + k
-
-
 def _fixed(re, im) -> tuple:
-    """re + i im, each a float or an mpf, as an exact value."""
+    """re + i im, each a float, an mpf or an mpf's raw form, as an exact
+    value."""
     (mr, er), (mi, ei) = _parts(re), _parts(im)
     # a zero part takes the other's exponent, so that it cannot set the shared one
     er, ei = (er if mr else ei), (ei if mi else er)
@@ -271,49 +279,58 @@ def _as_mpc(value: tuple):
 # Shifting the sum's 0 up to a term's exponent costs nothing.
 _NO_TERMS = 1 << 20
 
-# The point-independent pieces of the pass's nodes, per (a, b, degree, prec).
+# The point-independent pieces of the pass's nodes, per (degree, prec): the
+# whole table and the folded one.
 _FIXED_NODES: dict = {}
 
 
-def _fixed_nodes(a, b, degree: int, prec: int) -> list:
-    """t and 1 - t^2 at width prec + 20 and half the weight, per node.
+def _fixed_nodes(degree: int, prec: int, fold: bool) -> list:
+    """t, 1 - t^2 and the weight at width prec + 20, per node of the arc.
 
-    a -> b is a segment of _PATH. The nodes are those of
-    _TANH_SINH.get_nodes(a, b, degree, prec), in some order, built from the
-    standard nodes x, w on [-1, 1] that get_nodes(-1, 1, ...) caches,
-    without mpmath's transform to the segment a -> b. Each part of a and b is
-    0 or +-1, so (b + a)/2 + (b - a)/2 x is formed exactly on the integers and
-    rounded once. 1 - t^2 is exact from the rounded t before it is rounded.
-    The weight (b - a)/2 w is kept as w/2: w rounded at prec + 20 bits, to
-    nearest with ties to even as get_nodes rounds it, and halved in its
-    exponent, so that (b - a) times it is get_nodes' weight exactly. One loop
-    over the standard nodes converts each x and w once and builds every
-    segment's table from them; the tables are kept, like TanhSinh's own node
-    cache, and nothing about a point is stored.
+    The arc is t = -i e^(i pi v/2) = sin(pi v/2) - i cos(pi v/2) over the
+    standard nodes v, w on [-1, 1] that _TANH_SINH.get_nodes(-1, 1, degree,
+    prec) gives, and the weight of a node is w dt/dv = w (pi/2) i t. cos and
+    sin of pi v/2 are computed once per node v >= 0, at prec + 40 bits as
+    the standard nodes are; t is rounded from them, 1 - t^2 is exact from the
+    rounded t before it is rounded, and the weight is the exact product
+    w (pi/2) (cos + i sin) of those prec + 40 bit numbers, rounded. The node
+    at -v is the mirror of the node at v: t(-v) = -conj t(v), so 1 - t^2
+    and the weight conjugate, and its entries are those of v with signs
+    changed, exactly. With fold, the table holds the nodes v >= 0 alone, the
+    centre v = 0 (t = -i, its own mirror; degree 1 only) at half its weight,
+    so that twice the real part of its sum is the whole table's sum wherever
+    the integrand's value at -v is the conjugate of its value at v (at x = 0,
+    see _contour_sums).
+    Both tables are built in one loop over the standard nodes and kept, like
+    TanhSinh's own node cache; nothing about a point is stored.
     """
-    nodes = _FIXED_NODES.get((a, b, degree, prec))
-    if nodes is None:
+    tables = _FIXED_NODES.get((degree, prec))
+    if tables is None:
         width = prec + _GUARD_BITS
-        segments = list(zip(_PATH, _PATH[1:]))
-        # twice each segment's centre and twice its half-length
-        spans = [
-            (int(c.real), int(c.imag), int(s.real), int(s.imag))
-            for c, s in ((end + start, end - start) for start, end in segments)
-        ]
-        tables = [[] for _ in segments]
-        for x, weight in _TANH_SINH.get_nodes(-1, 1, degree, prec):
-            m, e = _parts(x)  # |x| < 1, so e <= 0
-            c, ce = _nearest_even(*_parts(weight), width)
-            for (cr, ci, sr, si), table in zip(spans, tables):
-                re, im = (cr << -e) + sr * m, (ci << -e) + si * m
-                tr, ti, te = _rounded(re, im, e - 1, width)
-                # |t| < 1 on the path, so te < 0 and 1 = 2^(-2 te) 2^(2 te)
-                u = _rounded((1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te, width)
-                table.append((tr, ti, te) + u + (c, ce - 1))
-        for (start, end), table in zip(segments, tables):
-            _FIXED_NODES[start, end, degree, prec] = table
-        nodes = _FIXED_NODES[a, b, degree, prec]
-    return nodes
+        wide = prec + 40  # the standard nodes' precision
+        hm, he = _parts(mpf_pi(wide))  # pi/2 = hm 2^(he-1)
+        whole, half = [], []
+        for v, w in _TANH_SINH.get_nodes(-1, 1, degree, prec):
+            sign, centre = v._mpf_[0], not v._mpf_[1]  # v < 0, v = 0
+            if sign:
+                continue  # the mirror of the node at -v, made below
+            # cos and sin of pi v/2, exact at one exponent, and t = sin - i cos
+            cr, ci, ce = _fixed(*mpf_cos_sin_pi(mpf_shift(v._mpf_, -1), wide, round_nearest))
+            tr, ti, te = _rounded(ci, -cr, ce, width)
+            # |t| <= 1, so te <= 0 and 1 = 2^(-2 te) 2^(2 te)
+            ur, ui, ue = _rounded((1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te, width)
+            # the weight w (pi/2) (cos + i sin), exact and then rounded
+            wm, we = _parts(w)
+            cr, ci, ce = _rounded(wm * hm * cr, wm * hm * ci, we + he - 1 + ce, width)
+            node = (tr, ti, te, ur, ui, ue, cr, ci, ce)
+            if centre:
+                whole.append(node)
+                half.append((tr, ti, te, ur, ui, ue, cr, ci, ce - 1))
+            else:
+                whole += [node, (-tr, ti, te, ur, -ui, ue, cr, -ci, ce)]
+                half.append(node)
+        tables = _FIXED_NODES[degree, prec] = whole, half
+    return tables[1] if fold else tables[0]
 
 
 def _contour_sums(x: float, y: float, q: float):
@@ -327,11 +344,17 @@ def _contour_sums(x: float, y: float, q: float):
     rounded, a^2 rounded and a^2/d rounded to nearest, in the fixed-width
     arithmetic above at the width prec + 20. A level is one straight-line
     loop over its nodes on Python ints, with no call or tuple per operation:
-    each component's exact sum of the products with the real half weights
+    each component's exact sum of the products with the complex weights
     runs along as (re, im, exp), shifted down to each new term's exponent
     where that is smaller, so it ends at the smallest one. Each level sum,
-    times b - a (whose parts are 0 or +-1), and Q's times q^4, is returned
-    exact, for _path_quad to round once.
+    Q's times q^4, is returned exact, for _path_quad to round once.
+
+    At x = 0 the loop walks the folded table: z = i y, so Q's integrand at
+    -conj t is the conjugate of its value at t, and so is the weight, while
+    the fixed-width arithmetic commutes with conjugation (ties round away
+    from zero). The terms of v and -v are then exact conjugates, and Q's
+    level sum is twice the real part of the folded sum, exactly the whole
+    table's sum with half the nodes; its imaginary part is exactly 0.
 
     Why the rounding allowance of _quadrature_raw (_tail_noise) covers this
     arithmetic: every result is rounded once, to nearest, so it errs by at
@@ -340,23 +363,22 @@ def _contour_sums(x: float, y: float, q: float):
     subtractions, which here are exact (q, z and q^4/4 are held exactly) with
     only their result rounded. A level sum is exact up to its one rounding.
     All of it sits at the 2^-(prec+20) scale of the peak times the path
-    length, which the weights' moduli total, and the allowance, 2^-(prec+10)
-    of the peak times 2 sqrt(2), is 2^10 times that scale.
+    length, which the weights' moduli total, and the allowance for it,
+    2^-(prec+10) of the peak times pi, is 2^10 times that scale.
     """
     qm, qe = _parts(q)
     zr, zi, ze = _fixed(x, y)
     km, ke = qm**4, 4 * qe - 2  # q^4/4
     zq = ze - qe
 
-    def level_sums(start, end, degree: int, prec: int) -> list:
+    def level_sums(degree: int, prec: int) -> list:
         width = prec + _GUARD_BITS
-        sr, si = int((end - start).real), int((end - start).imag)
         # the running exact sums of Q and I1, each at the smallest exponent
         # of its terms so far; a zero sum starts above every term
         sqr = sqi = s1r = s1i = 0
         sqe = s1e = _NO_TERMS
-        # per node: c half the weight, w = q t - z, a = u/w, d = w^2 - q^4/4, f = a^2/d
-        for tr, ti, te, ur, ui, ue, c, ce in _fixed_nodes(start, end, degree, prec):
+        # per node: c the weight, w = q t - z, a = u/w, d = w^2 - q^4/4, f = a^2/d
+        for tr, ti, te, ur, ui, ue, cr, ci, ce in _fixed_nodes(degree, prec, not x):
             # w = q t - z, exact at the smaller exponent, then rounded
             k = te - zq
             if k >= 0:
@@ -421,28 +443,28 @@ def _contour_sums(x: float, y: float, q: float):
             fr = (2 * nr + den) // h if nr >= 0 else -((den - 2 * nr) // h)
             fi = (2 * ni + den) // h if ni >= 0 else -((den - 2 * ni) // h)
             fe = be - de - k
-            # add c f and c a to the sums, exactly
+            # add c f and, for x != 0, c a to the sums, exactly (at x = 0
+            # only Q's real part)
             k = ce + fe - sqe
-            if k >= 0:
-                sqr += c * fr << k
-                sqi += c * fi << k
-            else:
-                sqr = (sqr << -k) + c * fr
-                sqi = (sqi << -k) + c * fi
-                sqe = ce + fe
+            if k < 0:
+                sqr <<= -k
+                sqi <<= -k
+                sqe += k
+                k = 0
+            sqr += cr * fr - ci * fi << k
             if x:
+                sqi += cr * fi + ci * fr << k
                 k = ce + ae - s1e
-                if k >= 0:
-                    s1r += c * ar << k
-                    s1i += c * ai << k
-                else:
-                    s1r = (s1r << -k) + c * ar
-                    s1i = (s1i << -k) + c * ai
-                    s1e = ce + ae
-        sums = [(sqr * km, sqi * km, sqe + ke + 2)]  # times q^4
-        if x:
-            sums.append((s1r, s1i, s1e))
-        return [(sr * re - si * im, sr * im + si * re, exp) for re, im, exp in sums]
+                if k < 0:
+                    s1r <<= -k
+                    s1i <<= -k
+                    s1e += k
+                    k = 0
+                s1r += cr * ar - ci * ai << k
+                s1i += cr * ai + ci * ar << k
+        if not x:  # twice the folded sum's real part, times q^4
+            return [(sqr * km, 0, sqe + ke + 3)]
+        return [(sqr * km, sqi * km, sqe + ke + 2), (s1r, s1i, s1e)]  # Q's times q^4
 
     return level_sums
 
@@ -452,53 +474,72 @@ def _log2(value: float) -> float:
 
 
 def _peak_log2(x: float, y: float, q: float) -> tuple:
-    """log2 of bounds on |Q's integrand| and on |I1's| along the path.
+    """log2 of bounds on |Q's integrand| and on |I1's|, each as (on the whole
+    path, within _END_REACH of an end).
 
     With s = z/q, h = q/2 and u = 1 - t^2, Q's integrand is
     u^2/((t - s)^2 (t - s - h)(t - s + h)) and I1's is u/(t - s) over q.
-    Each pole p (Im p >= 0) gives two bounds on the path: |t - p| is at least
-    its distance d_p to the path, and |u/(t - p)| <= R(p) = (1 + sqrt(2))
-    (1 + |p|), through the zero of u at the ends (with t0 = p,
-    |1 - t^2| <= |1 - t0^2| + |t - t0| |t + t0|, |t| <= 1, and d_p >=
-    min|p -+ 1|/sqrt(2), as the path leaves t = -+1 at 45 degrees). The pair
-    s -+ h lies 2h apart, so |(t - s)^2 - h^2| >= D = max(d- d+, h min(d-,
-    d+)), and partial fractions split it, and 1/((t - s)((t - s)^2 - h^2)),
-    into simple poles. Q's bound is the least of: 4/(ds^2 D) (|u| <= 2),
-    R(s)^2/D, (R(s+h) + R(s-h))/(h ds^2), and R(s) (R(s) + (R(s+h) +
-    R(s-h))/2)/h^2, which stays finite with any pole on an end t = +-1. Each
-    is summed in logarithms of doubles, so no product leaves the double
-    range; a bound on a pole on the path is +inf in logarithms.
+    Each pole p (Im p >= 0) gives two bounds on the arc: |t - p| is at least
+    its distance d_p = min|p -+ 1| to the arc (_path_distance), and
+    |u/(t - p)| <= R(p) = 2 (1 +
+    min(1, |p|)), through the zero of u at the ends: with e the end nearest
+    to p, |u| = |t - e| |t + e| <= 2 (|t - p| + d_p) <= 4 |t - p|, and also
+    |u| <= |1 - p^2| + |t - p| |t + p| <= (1 + |p|) (d_p + |t - p|), since
+    |1 - p^2| = |p - 1| |p + 1| <= d_p (1 + |p|). The pair s -+ h lies 2h
+    apart, so |(t - s)^2 - h^2| >= D = max(d- d+, h min(d-, d+)), and partial
+    fractions split it, and 1/((t - s)((t - s)^2 - h^2)), into simple poles.
+    With |u| <= U, Q's bound is the least of: U^2/(ds^2 D), R(s)^2/D,
+    (R(s+h) + R(s-h))/(h ds^2), and R(s) (R(s) + (R(s+h) + R(s-h))/2)/h^2,
+    which stays finite with any pole on an end t = +-1; I1's is the lesser of
+    U/ds and R(s), over q. On the whole path U = 2. Within r = _END_REACH of
+    an end e, U = 2r, as |u| <= 2 |t - e|, and each d_p is also at least
+    |p - e| - r. Each bound is summed in logarithms of doubles, so no product
+    leaves the double range; a bound on a pole on the path is +inf in
+    logarithms.
     """
     s, h = complex(x / q, y / q), 0.5 * q
+    lq = math.log2(q)
     if math.isinf(abs(s)):
         # |s| >= 2^far > 2^1023, and then h < 1: every pole lies at least |s|/2
-        # from the path, which the first bound alone turns into these
-        far = math.log2(max(abs(x), y)) - math.log2(q)
-        return 6.0 - 4.0 * far, 2.0 - far - math.log2(q)
-    ds, dp, dm = (_log2(_path_distance(p)) for p in (s, s + h, s - h))
-    rs, rp, rm = (
-        math.log2(1.0 + math.sqrt(2.0)) + math.log2(1.0 + abs(p)) for p in (s, s + h, s - h)
-    )
+        # from the path, which the first bound alone turns into these, on the
+        # whole path and so near its ends
+        far = math.log2(max(abs(x), y)) - lq
+        return (6.0 - 4.0 * far,) * 2, (2.0 - far - lq,) * 2
+    poles = (s, s + h, s - h)
+    rs, rp, rm = (1.0 + math.log2(1.0 + min(1.0, abs(p))) for p in poles)
     lh = _log2(h)
-    pair = max(dp + dm, lh + min(dp, dm))  # log2 D
     r_pair = max(rp, rm) + 1.0  # log2 of at least R(s+h) + R(s-h)
-    peak_q = min(
-        2.0 - 2.0 * ds - pair,
-        2.0 * rs - pair,
-        r_pair - lh - 2.0 * ds,
-        rs + max(rs, r_pair - 1.0) + 1.0 - 2.0 * lh,
-    )
-    return peak_q, min(1.0 - ds, rs) - math.log2(q)
+    partial = rs + max(rs, r_pair - 1.0) + 1.0 - 2.0 * lh
+
+    def bounds(distances, lu: float) -> tuple:
+        # (Q's, I1's) from the poles' distances and log2 U
+        ds, dp, dm = (_log2(d) for d in distances)
+        pair = max(dp + dm, lh + min(dp, dm))  # log2 D
+        peak_q = min(2.0 * lu - 2.0 * ds - pair, 2.0 * rs - pair, r_pair - lh - 2.0 * ds, partial)
+        return peak_q, min(lu - ds, rs) - lq
+
+    near = [_path_distance(p) for p in poles]
+    lu = math.log2(2.0 * _END_REACH)
+    ends = [
+        bounds([max(d, abs(p - e) - _END_REACH) for p, d in zip(poles, near)], lu)
+        for e in (1.0, -1.0)
+    ]
+    return tuple((whole, max(end)) for whole, *end in zip(bounds(near, 1.0), *ends))
 
 
-def _tail_noise(peak_log2: float):
-    """The rounding allowance of an integral at the working precision, an mpf:
-    2^-(prec+10) (_NODE_TAIL_BITS) of its integrand's peak 2^peak_log2 times
-    the path length 2 sqrt(2)."""
-    if peak_log2 == math.inf:
+def _tail_noise(bounds: tuple):
+    """The rounding allowance of an integral at the working precision, an mpf,
+    from its bounds (peak, end) of _peak_log2: 2^-(prec+10) (_NOISE_BITS) of
+    the integrand's peak 2^peak on the path for the integer arithmetic, and
+    2^-(prec+5) (_NODE_TAIL_BITS) of its peak 2^end near an end for the node
+    tails that TanhSinh drops there, each times the path length pi."""
+    peak, end = bounds
+    if peak == math.inf:
         return mp.inf
-    whole = math.floor(peak_log2)
-    return mp.ldexp(_PATH_LENGTH * 2.0 ** (peak_log2 - whole), whole - mp.prec - _NODE_TAIL_BITS)
+    return sum(
+        mp.ldexp(_PATH_LENGTH * 2.0 ** (value - math.floor(value)), math.floor(value) - mp.prec - bits)
+        for value, bits in ((peak, _NOISE_BITS), (end, _NODE_TAIL_BITS))
+    )
 
 
 def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
@@ -511,63 +552,61 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     -(3x/q^2) I1 and quant = (3/16) Q. Q is the quantum part (3/q) I2 +
     (3/4) I3 of the kernel's three angular integrals under one integral, in a
     form whose terms do not cancel; at s = 0 it is 16/3, Landau's ratio 1.
-    Every pole lies at Im t = y/q >= 0, so the integrals run along the
-    polyline -1 -> -i -> 1 through the lower half plane, where the
-    integrands stay bounded, with no split points; both come from one pass
-    over shared nodes. At y = 0 this gives the limit y -> 0+, poles inside
-    [-1, 1] or on t = +-1 included. The working precision is chosen per
-    point: a pass at 20 digits measures its own rounding noise and error,
-    and passes at more digits follow until the classical part, the quantum
-    part and their sum are each known to 1e-16 relative (or 150 digits are
-    reached). err_est is each integral's own relative error estimate times
-    its size, plus the predicted rounding bound, plus half an ulp for each
-    rounding to double of the parts and their sum. Serves every accepted
-    point whose parts fit in a double (elsewhere ChiResult raises
-    ValidationError); _quadrature_raw also takes x < 0. An oracle: slow,
-    independent, trusted.
+    Every pole lies at Im t = y/q >= 0, so the integrals run along the lower
+    unit semicircle from -1 through -i to 1, where the integrands stay
+    bounded, with no split points: one smooth arc, one tanh-sinh rule, and
+    both integrals from one pass over shared nodes. At y = 0 this gives the
+    limit y -> 0+, poles inside [-1, 1] or on t = +-1 included. The working
+    precision is chosen per point: a pass at 20 digits measures its own
+    rounding noise and error, and passes at more digits follow until the
+    classical part, the quantum part and their sum are each known to 1e-16
+    relative (or 150 digits are reached). err_est is each integral's own
+    relative error estimate times its size, plus the predicted rounding
+    bound, plus half an ulp for each rounding to double of the parts and
+    their sum. Serves every accepted point whose parts fit in a double
+    (elsewhere ChiResult raises ValidationError); _quadrature_raw also takes
+    x < 0. An oracle: slow, independent, trusted.
     """
     return _quadrature_raw(point.x, point.y, point.q)
 
 
 def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
-    """Quadrature along _PATH at the fewest working digits the point needs.
+    """Quadrature along the arc at the fewest working digits the point needs.
 
     One _path_quad pass per working precision yields Q and, for x != 0, I1.
-    At x = 0 the pass covers only the segment -1 -> -i: t -> -conj(t)
-    carries it, nodes and weights included, onto -i -> 1, where Q's
-    integrand takes the conjugate values, so Q is twice the real part of the
-    segment's and its error twice the segment's (the imaginary parts cancel
-    exactly). The integrands come from _contour_sums, in fixed-width integer
-    complex arithmetic 20 bits above the working precision that rounds every
-    result once, to nearest; the pass's totals become mpmath numbers at that
-    guard width, and classic, quant and their bounds are assembled there.
-    Each pass bounds its own rounding noise: 10^-dps 2^-20 of each assembled
-    part (about 12 units in the last place at the guard width: the
-    assembly's few roundings and a margin), and 2^-(prec+10) (about
-    10^-(dps+4), the node tails left out at the corner, _NODE_TAIL_BITS) of
-    each integrand's peak times the path length 2 sqrt(2) for the sums inside
-    the pass (_peak_log2, _tail_noise), 2^10 times the scale of the integer
-    arithmetic's rounding. Noise plus each integral's error estimate must
-    stay within _TARGET_REL of |classic|, |quant| and |total|; a pass that
-    misses by a factor E is redone at dps + ceil(log10 E) + 2 digits (twice
-    the digits when a part is exactly 0), up to _MAX_DPS, where the value is
-    returned with the whole bound as err_est. err_est also counts half an ulp
-    for the rounding to double of each real and imaginary part of classic
-    and quant and of their double sum.
+    At x = 0 the pass walks half the nodes: Q's integrand and the weights
+    conjugate under v -> -v, so _contour_sums folds each pair into twice its
+    real part, and Q's imaginary part is exactly 0. The integrands come from
+    _contour_sums, in fixed-width integer complex arithmetic 20 bits above
+    the working precision that rounds every result once, to nearest; the
+    pass's totals become mpmath numbers at that guard width, and classic,
+    quant and their bounds are assembled there. Each pass bounds its own
+    rounding noise: 10^-dps 2^-20 of each assembled part (about 12 units in
+    the last place at the guard width: the assembly's few roundings and a
+    margin); 2^-(prec+10) (about 10^-(dps+3)) of each integrand's peak on
+    the path times the path length pi for the sums inside the pass, 2^10
+    times the scale of the integer arithmetic's rounding; and 2^-(prec+5) of
+    each integrand's peak within _END_REACH of an end times pi for the node
+    tails that TanhSinh drops there (_NODE_TAIL_BITS). The peaks come from
+    _peak_log2, the allowance from _tail_noise. Noise plus each integral's error
+    estimate must stay within _TARGET_REL of |classic|, |quant| and |total|;
+    a pass that misses by a factor E is redone at dps + ceil(log10 E) + 2
+    digits (twice the digits when a part is exactly 0), up to _MAX_DPS,
+    where the value is returned with the whole bound as err_est. err_est
+    also counts half an ulp for the rounding to double of each real and
+    imaginary part of classic and quant and of their double sum.
     """
     level_sums = _contour_sums(x, y, q)
-    path = _PATH[:2] if x == 0.0 else _PATH
     peak_q, peak_1 = _peak_log2(x, y, q)
     dps = _FIRST_DPS
     while True:
         with mp.workdps(dps):
-            results = _path_quad(level_sums, path)
+            results = _path_quad(level_sums)
             noise_q, noise_1 = _tail_noise(peak_q), _tail_noise(peak_1)
         with mp.workdps(dps), mp.extraprec(_GUARD_BITS):
             out_eps = 10.0**-dps * 2.0**-_GUARD_BITS
             (vq, eq), *classical = results
             if x == 0.0:
-                vq, eq = mp.ldexp(vq.real, 1), mp.ldexp(eq, 1)
                 classic = mpc(0)
                 bound_c = mp.zero
             else:

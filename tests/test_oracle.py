@@ -5,6 +5,7 @@ oracle output against the kernel at loose-but-meaningful tolerances and pin
 down the oracles' own contracts (domains, error fields, limiting values).
 """
 
+import cmath
 import hashlib
 import math
 import random
@@ -33,18 +34,9 @@ def rel(a: complex, b: complex) -> float:
     return abs(a - b) / abs(b)
 
 
-def count_passes(monkeypatch) -> list:
-    """The working digits of every oracle pass from here on, one entry per
-    _path_quad call, in a list that fills as the passes run."""
-    digits = []
-    path_quad = oracle._path_quad
-
-    def counting(level_sums, path=oracle._PATH):
-        digits.append(mp.dps)
-        return path_quad(level_sums, path)
-
-    monkeypatch.setattr(oracle, "_path_quad", counting)
-    return digits
+# A path for mp.quad that, like the oracle's arc, passes below every pole
+# (Cauchy's theorem), but is not the oracle's: the polyline -1 -> -i -> 1.
+POLYLINE = [-1, -1j, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +77,16 @@ def test_quadrature_survives_deep_cancellation(x, y, q, ref):
     assert abs(got.total - ref) <= got.err_est
 
 
-# A pole 1e-13 beyond the path end t = 1: each pass adds digits until the
-# segment there runs enough tanh-sinh levels.
+# A pole 1e-13 beyond the path end t = 1 at small q: the first pass needs
+# more tanh-sinh levels than 20 digits allow, and a second one follows.
 ESCALATING_POINT = (1e-7 * (1.0 + 1e-13), 1e-30, 1e-7)
 
 
-def test_quadrature_at_precision_cap_reports_its_error(monkeypatch):
+def test_quadrature_at_precision_cap_reports_its_error(monkeypatch, oracle_passes):
     # stopped after the first pass, the value is poor but err_est says so
     x, y, q = ESCALATING_POINT
-    passes = count_passes(monkeypatch)
     chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-    assert len(passes) > 1, passes
+    assert len(oracle_passes) > 1, oracle_passes
     monkeypatch.setattr(oracle, "_MAX_DPS", oracle._FIRST_DPS)
     ref = _closed_form_reference(x, y, q)
     got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
@@ -153,13 +144,12 @@ def test_quadrature_error_estimate_holds_over_whole_domain():
 BOX_300 = [point for seed in range(1, 6) for point in _box(seed, 60)]
 
 
-def test_quadrature_error_estimate_holds_over_the_300_point_box(monkeypatch):
-    passes = count_passes(monkeypatch)
+def test_quadrature_error_estimate_holds_over_the_300_point_box(oracle_passes):
     for x, y, q in BOX_300:
         got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
         assert abs(got.total - _closed_form_reference(x, y, q)) <= got.err_est, (x, y, q)
     # one pass each, as measured; a change to the passes moves this count
-    assert len(passes) == 300, passes
+    assert len(oracle_passes) == 300, oracle_passes
 
 
 # Far below the benchmark box in y the poles hug the real axis. The contour
@@ -219,7 +209,7 @@ def test_q_is_the_quantum_pair_of_the_closed_form(x, y, q):
             v = (t - s) ** 2
             return scale * (1 - t * t) ** 2 / (v * (v - h2))
 
-        value, err = mp.quad(integrand, list(oracle._PATH), error=True)
+        value, err = mp.quad(integrand, POLYLINE, error=True)
         got = value / scale
         assert abs(got - want) <= err / scale + mpf(10) ** -25 * abs(want), (x, y, q)
 
@@ -247,21 +237,42 @@ TWO_PASS_GRID_POINTS = [
 ]
 
 
-def test_verify_grid_takes_one_pass_per_point(monkeypatch):
-    passes = count_passes(monkeypatch)
+def test_verify_grid_takes_one_pass_per_point(oracle_passes):
     for x in GRID_X:
         for y in GRID_Y:
             for q in GRID_Q:
                 chi_ratio_quadrature(DimensionlessPoint(x, y, q))
     # 60 first passes, none at more than 20 digits
-    assert passes == [oracle._FIRST_DPS] * 60, passes
+    assert oracle_passes == [oracle._FIRST_DPS] * 60, oracle_passes
+
+
+def test_verify_grid_takes_8667_node_evaluations(monkeypatch):
+    # the node evaluations over verify's grid: the lengths of the node tables
+    # that the level sums walk, the x = 0 points walking the folded half. As
+    # measured; a change to the nodes, the degrees or the passes moves this
+    # count
+    fixed_nodes = oracle._fixed_nodes
+    walked = []
+
+    def counting(degree, prec, fold):
+        table = fixed_nodes(degree, prec, fold)
+        walked.append(len(table))
+        return table
+
+    monkeypatch.setattr(oracle, "_fixed_nodes", counting)
+    for x in GRID_X:
+        for y in GRID_Y:
+            for q in GRID_Q:
+                chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    assert sum(walked) == 8667, sum(walked)
 
 
 # sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
 # at verify's 60 grid points, one line per point, with mpmath 1.3.0, whose
-# tanh-sinh nodes the oracle uses. Every point takes one pass, at 20 digits.
+# standard tanh-sinh nodes the oracle maps onto its arc. Every point takes one
+# pass, at 20 digits.
 # A change to the oracle's numbers moves this pin, and says so.
-VERIFY_GRID_ORACLE_SHA256 = "1c0b4ce3aa76f6cca45fc1d720f3a67db06211f0c599c1f37912fbaf3eba4c3a"
+VERIFY_GRID_ORACLE_SHA256 = "d335f802db0d405fb69ca881bf84e5f0e287d23e4de4818acafb6b82602ab5d3"
 
 
 def test_oracle_bits_on_the_verify_grid_are_pinned():
@@ -285,11 +296,19 @@ def test_quadrature_error_estimate_holds_at_former_two_pass_points(x, y, q):
 
 def object_sums(f):
     """Level sums for oracle._path_quad of f, whose value at a node is a tuple
-    of mpmath numbers: mp.quad's own (TanhSinh.sum_next, one mp.fdot),
-    converted exactly to the oracle's integer values."""
+    of mpmath numbers: mpmath's standard nodes v, w carried onto the arc t =
+    -i exp(i pi v/2) with the weight w dt/dv = w (pi/2) i t in mpc
+    arithmetic at the working precision, summed as mp.quad sums (one
+    mp.fdot), and converted exactly to the oracle's integer values."""
 
-    def level_sums(start, end, degree, prec):
-        nodes = oracle._TANH_SINH.get_nodes(start, end, degree, prec)
+    def level_sums(degree, prec):
+        nodes = [
+            (t, w * mp.pi / 2 * 1j * t)
+            for t, w in (
+                (-1j * mp.expjpi(v / 2), w)
+                for v, w in oracle._TANH_SINH.get_nodes(-1, 1, degree, prec)
+            )
+        ]
         weights = [w for _, w in nodes]
         sums = (mp.fdot(weights, column) for column in zip(*(f(t) for t, _ in nodes)))
         return [oracle._fixed(s.real, s.imag) for s in sums]
@@ -357,33 +376,46 @@ def _difference(ar, ai, ae, br, bi, be, width):
     return oracle._rounded(ar - (br << (be - ae)), ai - (bi << (be - ae)), ae, width)
 
 
+def _product(ar, ai, ae, br, bi, be):
+    """The exact product of two values."""
+    return ar * br - ai * bi, ar * bi + ai * br, ae + be
+
+
 def reference_sums(x, y, q):
     """oracle._contour_sums composed from the helpers above: per node the same
-    operations in the same order, each a call returning a tuple, and each
-    component's terms collected and summed exactly by oracle._exact_sum."""
+    operations in the same order, each a call returning a tuple, over the
+    whole node table at every x (no fold at x = 0), and each component's
+    terms collected and summed exactly by oracle._exact_sum."""
     qm, qe = oracle._parts(q)
     zr, zi, ze = oracle._fixed(x, y)
     km, ke = qm**4, 4 * qe - 2  # q^4/4
 
-    def level_sums(start, end, degree, prec):
+    def level_sums(degree, prec):
         width = prec + oracle._GUARD_BITS
-        sr, si = int((end - start).real), int((end - start).imag)
         quantum, classical = [], []
-        for tr, ti, te, ur, ui, ue, c, ce in oracle._fixed_nodes(start, end, degree, prec):
+        for tr, ti, te, ur, ui, ue, *c in oracle._fixed_nodes(degree, prec, False):
             wr, wi, we = _difference(qm * tr, qm * ti, qe + te, zr, zi, ze, width)
-            ar, ai, ae = _quotient(ur, ui, ue, wr, wi, we, width)
+            a = _quotient(ur, ui, ue, wr, wi, we, width)
+            ar, ai, ae = a
             dr, di, de = _difference(wr * wr - wi * wi, 2 * wr * wi, 2 * we, km, 0, ke, width)
             br, bi, be = oracle._rounded(ar * ar - ai * ai, 2 * ar * ai, 2 * ae, width)
-            fr, fi, fe = _quotient(br, bi, be, dr, di, de, width)
-            quantum.append((c * fr, c * fi, ce + fe))
-            classical.append((c * ar, c * ai, ce + ae))
+            f = _quotient(br, bi, be, dr, di, de, width)
+            quantum.append(_product(*c, *f))
+            classical.append(_product(*c, *a))
         vr, vi, ve = oracle._exact_sum(quantum)
         sums = [(vr * km, vi * km, ve + ke + 2)]  # times q^4
         if x:
             sums.append(oracle._exact_sum(classical))
-        return [(sr * re - si * im, sr * im + si * re, exp) for re, im, exp in sums]
+        return sums
 
     return level_sums
+
+
+def _value(value) -> tuple:
+    """An exact value (re, im, exp) as a pair of Fractions."""
+    re, im, exp = value
+    unit = Fraction(2) ** exp
+    return re * unit, im * unit
 
 
 def test_fixed_width_operations_round_to_nearest():
@@ -429,25 +461,6 @@ def test_fixed_width_operations_round_to_nearest():
     assert oracle._rounded(-1, 1, 0, 0) == (-1, 1, 1)
 
 
-def test_nearest_even_rounds_as_an_mpf_does():
-    rng = random.Random(5)
-    for _ in range(300):
-        width = rng.randrange(2, 200)
-        if rng.random() < 0.3:  # an exact tie: width bits and half a unit
-            kept = rng.randrange(2 ** (width - 1), 2**width)
-            m = rng.choice((-1, 1)) * (2 * kept + 1) << rng.randrange(20)
-        else:
-            m = rng.randrange(-(2**300), 2**300) >> rng.randrange(300)
-        exp = rng.randrange(-400, 400)
-        with mp.workprec(width):
-            want = _exact(mp.mpf(mp.ldexp(m, exp)))  # ldexp is exact; mpf() rounds
-        mantissa, exponent = oracle._nearest_even(m, exp, width)
-        assert mantissa * Fraction(2) ** exponent == want
-    # ties to even: 5/2 -> 2 and 7/2 -> 4 units at two bits
-    assert oracle._nearest_even(5, 0, 2) == (2, 1)
-    assert oracle._nearest_even(-7, 0, 2) == (-4, 1)
-
-
 # Seeded points, the deep-cancellation points at 40 and 58 digits, the
 # vanishing collision rates and the hard points.
 KERNEL_CASES = (
@@ -479,7 +492,7 @@ def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
 _EXACT_PREC = 1 << 16
 
 
-def mpc_path_quad(level_sums, path=oracle._PATH):
+def mpc_path_quad(level_sums):
     """oracle._path_quad's loop on mpc values: each level exact and then
     rounded to nearest, ties away from zero, in units of 2^(T - width), T the
     exponent of its larger part, and each error estimate read from frexp
@@ -511,26 +524,22 @@ def mpc_path_quad(level_sums, path=oracle._PATH):
         return min(0, max(math.ceil(Fraction(d1 * d1, d2)), 2 * d1, -width)), t
 
     degrees = range(1, oracle._TANH_SINH.guess_degree(prec) + 1)
-    segments = []
+    levels = []
     with mp.workprec(_EXACT_PREC):
-        for a, b in zip(path, path[1:]):
-            levels = []
-            for degree in degrees:
-                sums = [oracle._as_mpc(s) for s in level_sums(a, b, degree, prec)]
-                previous = levels[-1] if levels else [mpc(0)] * len(sums)
-                half, h = mp.ldexp(1, -1), mp.ldexp(1, -degree)
-                levels.append([rounded(half * p + h * s) for p, s in zip(previous, sums)])
-                if degree < oracle._FIRST_STOP_DEGREE:
-                    continue
-                errs = [estimate(last_three) for last_three in zip(*levels[-3:])]
-                if max(mp.ldexp(1, rel) for rel, _ in errs) <= epsilon:
-                    break
-            segments.append(list(zip(levels[-1], errs)))
-        totals = [sum(v for v, _ in parts) for parts in zip(*segments)]
+        for degree in degrees:
+            sums = [oracle._as_mpc(s) for s in level_sums(degree, prec)]
+            previous = levels[-1] if levels else [mpc(0)] * len(sums)
+            half, h = mp.ldexp(1, -1), mp.ldexp(1, -degree)
+            levels.append([rounded(half * p + h * s) for p, s in zip(previous, sums)])
+            if degree < oracle._FIRST_STOP_DEGREE:
+                continue
+            errs = [estimate(last_three) for last_three in zip(*levels[-3:])]
+            if max(mp.ldexp(1, rel) for rel, _ in errs) <= epsilon:
+                break
     with mp.workprec(width):
         return [
-            (+total, sum(mp.ldexp(1, t + 1 + rel) for _, (rel, t) in parts if t is not None))
-            for total, parts in zip(totals, zip(*segments))
+            (+total, 0 if t is None else mp.ldexp(1, t + 1 + rel))
+            for total, (rel, t) in zip(levels[-1], errs)
         ]
 
 
@@ -565,10 +574,14 @@ LEVEL_CASES = [(x, y, q, 20) for x, y, q in LEVEL_POINTS] + [
 def test_level_loop_is_the_helpers_bit_for_bit(x, y, q, dps):
     with mp.workdps(dps):
         prec = mp.prec
+    # at x = 0 the loop folds the table and the reference walks all of it:
+    # equal values, each sum's imaginary part then exactly 0
     loop, reference = oracle._contour_sums(x, y, q), reference_sums(x, y, q)
-    for a, b in zip(oracle._PATH, oracle._PATH[1:]):
-        for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
-            assert loop(a, b, degree, prec) == reference(a, b, degree, prec), (a, b, degree)
+    for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
+        got, want = loop(degree, prec), reference(degree, prec)
+        assert [_value(v) for v in got] == [_value(v) for v in want], degree
+        if not x:
+            assert got[0][1] == 0
 
 
 @pytest.mark.parametrize("dps", [20, 40])
@@ -586,7 +599,7 @@ def test_path_quad_agrees_with_mp_quad_and_the_closed_form(dps):
         _, (value, err) = oracle._path_quad(oracle._contour_sums(x, y, q))
         err += oracle._tail_noise(oracle._peak_log2(x, y, q)[1])
         want, want_err = mp.quad(
-            lambda t: (1 - t * t) / (qm * t - zm), list(oracle._PATH), error=True
+            lambda t: (1 - t * t) / (qm * t - zm), POLYLINE, error=True
         )
         assert err <= mpf(10) ** -dps * abs(value)
         assert abs(value - want) <= err + want_err + mp.eps * abs(want)
@@ -601,7 +614,7 @@ def test_path_quad_shares_nodes_without_losing_accuracy(x, y, q):
         f = object_integrands(x, y, q)
         shared = oracle._path_quad(object_sums(f))
         for i, (value, err) in enumerate(shared):
-            alone, alone_err = mp.quad(lambda t: f(t)[i], list(oracle._PATH), error=True)
+            alone, alone_err = mp.quad(lambda t: f(t)[i], POLYLINE, error=True)
             assert abs(value - alone) <= err + alone_err + mp.eps * abs(alone)
 
 
@@ -612,44 +625,72 @@ def _exact(value) -> Fraction:
 
 @pytest.mark.parametrize("prec", [86, 143])
 def test_fixed_nodes_are_mpmaths_nodes(prec):
-    # built from the standard nodes on [-1, 1], each t is within one unit at
-    # the width of mpmath's node on the segment, and (b - a) times the half
-    # weight is mpmath's weight exactly; -i -> 1 mirrors -1 -> -i, which
-    # swaps the nodes +-x of each pair, so both lists are taken in the order
-    # of Re t, which grows with x on either segment
-    for a, b in zip(oracle._PATH, oracle._PATH[1:]):
-        span = complex(b - a)
-        span_re, span_im = int(span.real), int(span.imag)
-        for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
-            nodes = sorted(
-                oracle._fixed_nodes(a, b, degree, prec),
-                key=lambda node: node[0] * Fraction(2) ** node[2],
-            )
-            want = sorted(
-                oracle._TANH_SINH.get_nodes(a, b, degree, prec),
-                key=lambda node: _exact(node[0].real),
-            )
-            assert len(nodes) == len(want)
-            for (tr, ti, te, *_, c, ce), (t, weight) in zip(nodes, want):
-                unit = Fraction(2) ** te
-                assert abs(tr * unit - _exact(t.real)) <= unit
-                assert abs(ti * unit - _exact(t.imag)) <= unit
-                half = c * Fraction(2) ** ce
-                assert span_re * half == _exact(weight.real)
-                assert span_im * half == _exact(weight.imag)
+    # mpmath's standard nodes v, w carried onto the arc t = -i exp(i pi v/2):
+    # t within one unit of that point and on the unit circle within one
+    # rounding, 1 - t^2 exact from the rounded t and then rounded to nearest,
+    # and the weight within one unit of w dt/dv = w (pi/2) i t; both lists
+    # in the order of v, along the arc: Re t = sin(pi v/2) grows with v, and
+    # where the rounded Re t ties (near t = -+1), Im t = -cos(pi v/2) falls
+    # left of t = -i and rises right of it
+    def along(node):
+        tr, ti, te, *_ = node
+        return tr * Fraction(2) ** te, (-ti if tr < 0 else ti) * Fraction(2) ** te
+
+    for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
+        nodes = sorted(oracle._fixed_nodes(degree, prec, False), key=along)
+        standard = oracle._TANH_SINH.get_nodes(-1, 1, degree, prec)
+        assert len(nodes) == len(standard)
+        for (tr, ti, te, ur, ui, ue, cr, ci, ce), (v, w) in zip(nodes, sorted(standard)):
+            with mp.workprec(prec + 100):
+                t = -1j * mp.expjpi(v / 2)
+                weight = w * mp.pi / 2 * 1j * t
+            unit = Fraction(2) ** te
+            assert abs(tr * unit - _exact(t.real)) <= unit
+            assert abs(ti * unit - _exact(t.imag)) <= unit
+            assert abs((tr * tr + ti * ti) * unit * unit - 1) <= Fraction(3, 2) * unit
+            square = (tr * unit) ** 2 - (ti * unit) ** 2, 2 * tr * ti * unit * unit
+            half = Fraction(2) ** ue / 2
+            assert abs(ur * 2 * half - (1 - square[0])) <= half
+            assert abs(ui * 2 * half + square[1]) <= half
+            unit = Fraction(2) ** ce
+            assert abs(cr * unit - _exact(weight.real)) <= unit
+            assert abs(ci * unit - _exact(weight.imag)) <= unit
 
 
-def test_fixed_nodes_mirror_at_the_corner():
-    # t -> -conj(t) maps the nodes of -1 -> -i onto those of -i -> 1 exactly
-    for degree in range(1, 7):
-        first = oracle._fixed_nodes(-1, -1j, degree, 86)
-        second = oracle._fixed_nodes(-1j, 1, degree, 86)
-        mirrored = {(-tr, ti, te, ur, -ui, ue, c, ce) for tr, ti, te, ur, ui, ue, c, ce in first}
-        assert mirrored == set(second)
+def test_fixed_nodes_mirror_and_fold_exactly():
+    # t -> -conj(t) maps the nodes v > 0 onto the nodes -v of the whole
+    # table, weights and 1 - t^2 conjugated, and the folded table is the
+    # nodes v >= 0 with the centre t = -i at half its weight
+    for prec in (70, 86):
+        for degree in range(1, 8):
+            whole = oracle._fixed_nodes(degree, prec, False)
+            folded = oracle._fixed_nodes(degree, prec, True)
+            rebuilt = []
+            for tr, ti, te, ur, ui, ue, cr, ci, ce in folded:
+                if tr:
+                    rebuilt.append((tr, ti, te, ur, ui, ue, cr, ci, ce))
+                    rebuilt.append((-tr, ti, te, ur, -ui, ue, cr, -ci, ce))
+                else:
+                    rebuilt.append((tr, ti, te, ur, ui, ue, cr, ci, ce + 1))
+            assert sorted(rebuilt) == sorted(whole)
+            assert sum(1 for tr, *_ in folded if tr == 0) == (degree == 1)
 
 
-# At x = 0 the second segment mirrors the first and Q's integrand
-# conjugates, so the oracle integrates one segment and doubles its real part.
+def test_path_distance_is_the_nearest_point_of_the_arc():
+    # min|p -+ 1| against the least distance to 4001 points of the arc t =
+    # -i exp(i pi v/2), v in [-1, 1], ends included, at poles above, on and
+    # beside the real axis and the arc's ends: the ends hold the minimum
+    rng = random.Random(23)
+    poles = [0j, 1 + 0j, -1 + 0j, 0.5 + 0j, -0.999 + 0j, 1j, 2 + 1e-9j, -3 + 0.2j, 1e-12j]
+    poles += [complex(rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0)) for _ in range(40)]
+    arc = [-1j * cmath.exp(0.5j * math.pi * (k / 2000 - 1)) for k in range(4001)]
+    for p in poles:
+        brute = min(abs(p - t) for t in arc)
+        assert abs(oracle._path_distance(p) - brute) <= 1e-15, p
+
+
+# At x = 0 Q's integrand and the weights conjugate under v -> -v, so the
+# oracle integrates the half v >= 0 of the arc and doubles its real part.
 X_ZERO_CASES = (
     [(0.0, q, 20) for q in (0.3, 2.0, 150.0)]
     + [(y, q, dps) for _, y, q, _ in DEEP_CANCELLATION for dps in (20, 58)]
@@ -660,15 +701,13 @@ X_ZERO_CASES = (
 
 @pytest.mark.parametrize("y, q, dps", X_ZERO_CASES)
 def test_one_segment_at_x_zero_is_the_whole_path(y, q, dps):
-    level_sums = oracle._contour_sums(0.0, y, q)
+    # the folded pass equals, bit for bit, the pass over the whole table
     with mp.workdps(dps):
-        whole = oracle._path_quad(level_sums)
-        half = oracle._path_quad(level_sums, oracle._PATH[:2])
-        assert len(whole) == len(half) == 1
-        for (value, err), (segment, segment_err) in zip(whole, half):
-            assert value.imag == 0
-            assert value.real == mp.ldexp(segment.real, 1)
-            assert err == mp.ldexp(segment_err, 1)
+        folded = oracle._path_quad(oracle._contour_sums(0.0, y, q))
+        whole = oracle._path_quad(reference_sums(0.0, y, q))
+        assert len(folded) == 1
+        assert folded == whole
+        assert folded[0][0].imag == 0
     assert oracle._quadrature_raw(0.0, y, q).quant.imag == 0.0
 
 
@@ -686,19 +725,17 @@ def test_error_is_estimated_only_where_it_can_stop(first_stop, monkeypatch):
     inner = oracle._contour_sums(0.3, 1e-3, 0.7)
     degrees = []
 
-    def level_sums(a, b, degree, prec):
+    def level_sums(degree, prec):
         degrees.append(degree)
-        return inner(a, b, degree, prec)
+        return inner(degree, prec)
 
     with mp.workdps(20):
         oracle._path_quad(level_sums)
-    # each of the two segments runs its degrees up from 1, and its estimates,
-    # one per component (Q, I1) and each from three levels, from first_stop
-    starts = [i for i, degree in enumerate(degrees) if degree == 1]
-    assert len(starts) == 2
-    runs = [len(degrees[i:j]) for i, j in zip(starts, starts[1:] + [len(degrees)])]
-    assert min(runs) >= first_stop
-    assert calls == [3] * 2 * sum(run - first_stop + 1 for run in runs)
+    # the pass runs its degrees up from 1, and its estimates, one per
+    # component (Q, I1) and each from three levels, from first_stop
+    assert degrees == list(range(1, len(degrees) + 1))
+    assert len(degrees) >= first_stop
+    assert calls == [3] * 2 * (len(degrees) - first_stop + 1)
 
 
 LEVEL_ERROR_CASES = [
@@ -805,14 +842,37 @@ def test_quadrature_at_poles_on_the_path_ends(x, q):
         assert chi_ratio_quadrature(DimensionlessPoint(x, 0.0, q)).total == got.total
 
 
-def test_hard_points_and_endpoint_poles_take_one_pass_each(monkeypatch):
+def test_hard_points_and_endpoint_poles_take_one_pass_each(oracle_passes):
     # the peak bounds through the zeros of (1 - t^2)^2 keep the rounding
     # allowance small beside a pole 1e-10 from an end or on one; at q =
-    # 6.2e-9 the end's segment needs more tanh-sinh levels than 20 digits give
-    passes = count_passes(monkeypatch)
+    # 6.2e-9 the arc's end needs more tanh-sinh levels than 20 digits give
     for x, y, q in HARD_POINTS + [(x, 0.0, q) for x, q in ENDPOINT_POLES if q > 1e-6]:
         oracle._quadrature_raw(x, y, q)
-    assert passes == [oracle._FIRST_DPS] * (len(HARD_POINTS) + len(ENDPOINT_POLES) - 1), passes
+    want = [oracle._FIRST_DPS] * (len(HARD_POINTS) + len(ENDPOINT_POLES) - 1)
+    assert oracle_passes == want, oracle_passes
+
+
+# The peak bounds behind the rounding allowance: |Q's| and |I1's integrands|,
+# sampled on the arc uniformly in v and geometrically towards each end, stay
+# below 2^peak, and within _END_REACH of an end below 2^end.
+@pytest.mark.parametrize(
+    "x, y, q", HARD_POINTS + [(x, 0.0, q) for x, q in ENDPOINT_POLES] + _whole_domain_points(19, 12)
+)
+def test_peak_bounds_hold_on_the_arc(x, y, q):
+    (peak_q, end_q), (peak_1, end_1) = oracle._peak_log2(x, y, q)
+    with mp.workprec(200):
+        s, h = mpc(x, y) / q, mpf(q) / 2
+        ends = [1 - mp.ldexp(1, -k) for k in range(1, 91)]
+        for v in [mpf(k) / 20 for k in range(-19, 20)] + ends + [-v for v in ends]:
+            t = -1j * mp.expjpi(v / 2)
+            u = 1 - t * t
+            logs = (
+                float(mp.log(abs(u * u / ((t - s) ** 2 * ((t - s) ** 2 - h * h))), 2)),
+                float(mp.log(abs(u / (t - s) / q), 2)),
+            )
+            near = mp.pi / 2 * (1 - abs(v)) <= oracle._END_REACH
+            for got, peak, end in zip(logs, (peak_q, peak_1), (end_q, end_1)):
+                assert got <= (end if near else peak) + 1e-9, (v, got, peak, end)
 
 
 def test_quadrature_on_the_collisionless_line():
