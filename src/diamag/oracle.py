@@ -481,9 +481,9 @@ def _peak_log2(x: float, y: float, q: float) -> tuple:
     u^2/((t - s)^2 (t - s - h)(t - s + h)) and I1's is u/(t - s) over q.
     Each pole p (Im p >= 0) gives two bounds on the arc: |t - p| is at least
     its distance d_p = min|p -+ 1| to the arc (_path_distance), and
-    |u/(t - p)| <= R(p) = 2 (1 +
-    min(1, |p|)), through the zero of u at the ends: with e the end nearest
-    to p, |u| = |t - e| |t + e| <= 2 (|t - p| + d_p) <= 4 |t - p|, and also
+    |u/(t - p)| <= R(p) = 2 (1 + min(1, |p|)), through the zero of u at the
+    ends: with e the end nearest to p, |u| = |t - e| |t + e| <= 2 (|t - p| +
+    d_p) <= 4 |t - p|, and also
     |u| <= |1 - p^2| + |t - p| |t + p| <= (1 + |p|) (d_p + |t - p|), since
     |1 - p^2| = |p - 1| |p + 1| <= d_p (1 + |p|). The pair s -+ h lies 2h
     apart, so |(t - s)^2 - h^2| >= D = max(d- d+, h min(d-, d+)), and partial
