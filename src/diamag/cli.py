@@ -74,13 +74,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--x", type=float, required=True, help="frequency / (k_F v_F)")
     p_eval.add_argument("--y", type=float, required=True, help="collision rate / (k_F v_F)")
     p_eval.add_argument("--q", type=float, required=True, help="wave number / k_F")
-    p_eval.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    p_eval.add_argument(
-        "--json", action="store_const", const="json", dest="fmt",
-        help="shorthand for --format json",
-    )
+    p_eval.add_argument("--json", action="store_true", help="print the point as JSON")
     p_eval.add_argument(
         "--vf", type=float, default=None, metavar="CM_PER_S",
         help="Fermi velocity; adds absolute CGS susceptibility output",
@@ -155,7 +149,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         # the guard evaluated no closed form here
         breakdown = _term_breakdown(point)
     row = OutputRow.from_result(point, result)
-    if args.fmt == "json":
+    if args.json:
         import json
 
         payload = _eval_payload(row, result, breakdown, args.vf, chi_l)
@@ -209,55 +203,58 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         **fixed,
     )
     rows, errors = run_sweep(spec)
-    write_csv(rows, args.out)
-    if args.svg is not None and len(errors) == len(rows):
-        # every row is an error row, which leaves the chart nothing to draw
-        print(f"diamag sweep: no plottable row; {args.svg} not written", file=sys.stderr)
-    elif args.svg is not None:
-        from .svg import render_line_chart, write_svg
-
-        svg = render_line_chart(
-            _sweep_curves(rows, spec.axis),
-            x_log=(spec.spacing == "log"),
-            title=f"sweep over {spec.axis}",
-            x_label=spec.axis,
-            y_label="chi / chi_L",
-        )
-        write_svg(svg, args.svg)
-    if errors:
-        for line in errors:
-            print(f"diamag sweep: {line}", file=sys.stderr)
-        print("diamag sweep: some points failed; rows marked method=error", file=sys.stderr)
-        return 2
-    return 0
+    return _write_outputs(
+        args,
+        rows,
+        errors,
+        _sweep_curves(rows, spec.axis),
+        x_log=(spec.spacing == "log"),
+        title=f"sweep over {spec.axis}",
+        x_label=spec.axis,
+        y_label="chi / chi_L",
+    )
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
     rows, errors = figure1_rows()
+    curves = []
+    for y in FIGURE1_Y_VALUES:
+        points = [
+            (row.q, abs(complex(row.chi_total_re, row.chi_total_im)))
+            for row in rows
+            if row.y == y and row.method != "error"
+        ]
+        curves.append((f"y = {y:g}", points))
+    return _write_outputs(
+        args,
+        rows,
+        errors,
+        curves,
+        x_log=True,
+        title="static collisional suppression, x = 0",
+        x_label="q",
+        y_label="|chi / chi_L|",
+    )
+
+
+def _write_outputs(
+    args: argparse.Namespace, rows: Sequence[OutputRow], errors: List[str], curves: List, **chart
+) -> int:
+    """Write the CSV to --out and the chart of `curves` to --svg if given, name
+    each failed row on stderr, and return the exit code: 2 if any row failed."""
+    prefix = f"diamag {args.command}:"
     write_csv(rows, args.out)
-    if args.svg is not None:
+    if args.svg is not None and len(errors) == len(rows):
+        # every row is an error row, which leaves the chart nothing to draw
+        print(f"{prefix} no plottable row; {args.svg} not written", file=sys.stderr)
+    elif args.svg is not None:
         from .svg import render_line_chart, write_svg
 
-        curves = []
-        for y in FIGURE1_Y_VALUES:
-            points = [
-                (row.q, abs(complex(row.chi_total_re, row.chi_total_im)))
-                for row in rows
-                if row.y == y and row.method != "error"
-            ]
-            curves.append((f"y = {y:g}", points))
-        svg = render_line_chart(
-            curves,
-            x_log=True,
-            title="static collisional suppression, x = 0",
-            x_label="q",
-            y_label="|chi / chi_L|",
-        )
-        write_svg(svg, args.svg)
+        write_svg(render_line_chart(curves, **chart), args.svg)
     if errors:
         for line in errors:
-            print(f"diamag figure1: {line}", file=sys.stderr)
-        print("diamag figure1: some points failed", file=sys.stderr)
+            print(f"{prefix} {line}", file=sys.stderr)
+        print(f"{prefix} some points failed; rows marked method=error", file=sys.stderr)
         return 2
     return 0
 

@@ -347,29 +347,26 @@ _LEIBNIZ_BINOMIALS = tuple(
 )
 
 
-def _antiderivative_odd_derivatives(s: complex, count: int) -> list:
-    """Odd-order derivatives g^(3), g^(5), ..., g^(2*count+1) at sigma = s.
+def _antiderivative_odd_derivatives(s: complex):
+    """Yield the odd-order derivatives g^(3), g^(5), ..., g^(2 _TAYLOR_MAX_TERMS + 1)
+    at sigma = s.
 
     Derivatives of L satisfy the two-term ladder
         (1 - s^2) L^(n+1) = 2 n s L^(n) + n (n-1) L^(n-1)
     seeded by L and L' = -2/(1 - s^2); the polynomial and (1 - s^2)^2 L parts
     of g then combine by the Leibniz rule (the quartic prefactor has only
-    five nonzero derivatives).
+    five nonzero derivatives). Each yield extends the ladder by two rungs.
     """
     one_ms2 = 1.0 - s * s
-    nmax = 2 * count + 1
     Lv = [branch_log_L(s), -2.0 / one_ms2]
-    for n in range(1, nmax):
-        Lv.append((2.0 * n * s * Lv[n] + n * (n - 1) * Lv[n - 1]) / one_ms2)
     u = [one_ms2 * one_ms2, -4.0 * s + 4.0 * s**3, -4.0 + 12.0 * s * s, 24.0 * s, 24.0 + 0j]
-    out = []
-    for m in range(1, count + 1):
-        n = 2 * m + 1
+    for n in range(3, 2 * _TAYLOR_MAX_TERMS + 2, 2):
+        for r in (n - 2, n - 1):
+            Lv.append((2.0 * r * s * Lv[r] + r * (r - 1) * Lv[r - 1]) / one_ms2)
         total = complex(12.0) if n == 3 else complex(0.0)
         for k, binomial in enumerate(_LEIBNIZ_BINOMIALS[n]):
             total += binomial * u[k] * Lv[n - k]
-        out.append(total)
-    return out
+        yield total
 
 
 def _quant_taylor_shift(s: complex, q: float) -> tuple:
@@ -381,16 +378,12 @@ def _quant_taylor_shift(s: complex, q: float) -> tuple:
 
         quant = sum_{m>=1} (3/4) q^(2m-2) g^(2m+1)(s) / (4^m (2m+1)!)
 
-    which converges geometrically with ratio (q / (2 dist(s, +-1)))^2.
-    Returns (quant, abs truncation bound).
+    which converges geometrically with ratio (q / (2 dist(s, +-1)))^2. The
+    derivatives are drawn on demand, one per term, so the series builds none
+    past the term where it stops. Returns (quant, abs truncation bound).
     """
     dist = min(abs(s - 1.0), abs(s + 1.0))
     ratio = (q / (2.0 * dist)) ** 2
-    # the terms fall by about ratio <= 1/16 each, so the table starts with the
-    # terms until ratio^m <= 1e-17 and three more, and grows on demand; the
-    # derivatives do not depend on the table's length
-    count = min(_terms_to_eps(ratio) + 3, _TAYLOR_MAX_TERMS)
-    derivs = _antiderivative_odd_derivatives(s, count)
     total = complex(0.0)
     total_abs = 0.0
     comp = complex(0.0)
@@ -399,11 +392,8 @@ def _quant_taylor_shift(s: complex, q: float) -> tuple:
     fact = 6.0
     qpow = 1.0
     fourpow = 4.0
-    for m in range(1, _TAYLOR_MAX_TERMS + 1):
-        if m > count:
-            count = min(2 * count, _TAYLOR_MAX_TERMS)
-            derivs = _antiderivative_odd_derivatives(s, count)
-        term = 0.75 * qpow * derivs[m - 1] / (fourpow * fact)
+    for m, deriv in enumerate(_antiderivative_odd_derivatives(s), 1):
+        term = 0.75 * qpow * deriv / (fourpow * fact)
         last = abs(term)
         t = total + term
         comp += (total - t) + term if total_abs >= last else (term - t) + total

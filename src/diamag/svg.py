@@ -34,7 +34,7 @@ def _nice_step(span: float) -> float:
     # smallest of {1, 2, 5} * 10^k giving at most ~6 intervals
     raw = span / 6.0
     magnitude = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if magnitude * mult >= raw:
             return magnitude * mult
     return magnitude * 10.0

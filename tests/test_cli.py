@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from diamag import DimensionlessPoint, chi_ratio, eval_integrals, kernel, landau_chi_physical
+from diamag import DimensionlessPoint, chi_ratio, cli, eval_integrals, kernel, landau_chi_physical
 from diamag.cli import main
-from diamag.sweep import CSV_HEADER
+from diamag.sweep import CSV_HEADER, SweepSpec, run_sweep
 
 
 def test_eval_text_output(capsys):
@@ -19,6 +19,20 @@ def test_eval_text_output(capsys):
                   "chi_total", "err_est", "I1", "term3"):
         assert any(line.startswith(label) for line in out.splitlines())
     assert "0.94804588120066" in out
+
+
+def test_eval_text_absolute_lines(capsys):
+    vf = 1.57e8
+    assert main(["eval", "--x", "0.1", "--y", "0.1", "--q", "0.5", "--vf", str(vf)]) == 0
+    out = capsys.readouterr().out
+    lines = {line[:13].rstrip(): line[13:].split() for line in out.splitlines()}
+    chi_l = landau_chi_physical(vf)
+    total = chi_ratio(DimensionlessPoint(0.1, 0.1, 0.5)).total
+    assert float(lines["chi_L"][0]) == chi_l
+    assert lines["chi_L"][1:] == ["(v_F", "=", "157000000", "cm/s)"]
+    re_text, sign, im_text = lines["chi_cgs"]
+    assert float(re_text) == total.real * chi_l
+    assert float(sign + im_text.rstrip("j")) == total.imag * chi_l
 
 
 def test_eval_json_payload(capsys):
@@ -74,8 +88,7 @@ def test_eval_json_row_equals_the_csv_row(tmp_path, capsys):
 
 def test_eval_json_absolute_block(capsys):
     vf = 1.57e8
-    code = main(["eval", "--x", "0", "--y", "1e-3", "--q", "0.5",
-                 "--format", "json", "--vf", str(vf)])
+    code = main(["eval", "--x", "0", "--y", "1e-3", "--q", "0.5", "--json", "--vf", str(vf)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     block = payload["absolute"]
@@ -270,6 +283,22 @@ def test_figure1_svg(tmp_path):
     assert text.count("<polyline") == 4
 
 
+def test_figure1_with_failed_rows_names_them_and_draws_nothing(tmp_path, capsys, monkeypatch):
+    # figure1 reports failed rows as sweep does, through the same writer
+    failed = run_sweep(SweepSpec(axis="q", lo=1e103, hi=1e104, points=2, fixed_x=1e-9,
+                                 fixed_y=1e-67))
+    monkeypatch.setattr(cli, "figure1_rows", lambda: failed)
+    svg_path = tmp_path / "fig.svg"
+    code = main(["figure1", "--out", str(tmp_path / "fig.csv"), "--svg", str(svg_path)])
+    assert code == 2
+    assert not svg_path.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"diamag figure1: no plottable row; {svg_path} not written",
+        *(f"diamag figure1: {line}" for line in failed[1]),
+        "diamag figure1: some points failed; rows marked method=error",
+    ]
+
+
 def test_verify_passes_with_default_tolerances(capsys):
     code = main(["verify"])
     out = capsys.readouterr().out
@@ -297,7 +326,8 @@ def test_verify_rejects_bad_tolerance_before_any_check(tol, capsys):
 @pytest.mark.parametrize("vf", ["-1", "0", "nan"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_eval_rejects_bad_fermi_velocity_before_printing(vf, fmt, capsys):
-    code = main(["eval", "--x", "0.1", "--y", "0.1", "--q", "0.5", "--format", fmt, "--vf", vf])
+    flags = ["--json"] if fmt == "json" else []
+    code = main(["eval", "--x", "0.1", "--y", "0.1", "--q", "0.5", *flags, "--vf", vf])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -88,6 +88,8 @@ class TestConversions:
             PhysicalState(v_F=0.0, nu=0.0, omega=0.0, k=1.0)
         with pytest.raises(ValidationError, match="nu"):
             PhysicalState(v_F=1e8, nu=-1.0, omega=0.0, k=1.0)
+        with pytest.raises(ValidationError, match="omega"):
+            PhysicalState(v_F=1e8, nu=0.0, omega=-1.0, k=1.0)
         with pytest.raises(ValidationError, match="k"):
             PhysicalState(v_F=1e8, nu=0.0, omega=0.0, k=0.0)
 
@@ -139,6 +141,16 @@ class TestLandauConstant:
         with pytest.raises(ValidationError):
             landau_chi_physical(0.0)
 
+    @pytest.mark.parametrize("v_F", [0.0, -1e8, math.inf, math.nan])
+    def test_every_velocity_entry_rejects_a_bad_velocity(self, v_F):
+        # PhysicalState would reject these velocities too, with other
+        # messages; this one shows that each entry point's own check ran
+        point = DimensionlessPoint(x=0.1, y=0.1, q=0.5)
+        for convert in (landau_chi_physical, landau_chi_magneton_form,
+                        lambda v: from_dimensionless(point, v)):
+            with pytest.raises(ValidationError, match=r"^v_F must be finite and > 0$"):
+                convert(v_F)
+
 
 class TestAbsoluteConversion:
     def test_unit_ratio_is_chi_l(self):
@@ -173,6 +185,10 @@ class TestChiResult:
             ChiResult.from_parts(
                 complex(float("nan")), complex(0.0), RegimeTag.CLOSED_FORM
             )
+
+    def test_rejects_a_total_that_alone_overflows(self):
+        with pytest.raises(ValidationError, match="^total must be finite"):
+            ChiResult.from_parts(complex(1e308), complex(1e308), RegimeTag.CLOSED_FORM)
 
 
 # Each factory builds a new record with the same fields on every call; the

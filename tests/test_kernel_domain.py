@@ -211,6 +211,19 @@ def test_negative_zero_imaginary_parts_are_the_upper_side():
     assert math.copysign(1.0, DimensionlessPoint(-0.0, 0.1, 1.0).x) == 1.0
 
 
+@pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+def test_eval_integrals_rejects_a_bad_wavenumber(q):
+    # without the check, q = 0 and nan would still fail, later and naming
+    # another cause
+    with pytest.raises(DomainError, match=r"q must be finite and > 0"):
+        eval_integrals(complex(0.1, 0.1), q)
+
+
+def test_eval_integrals_rejects_the_lower_half_plane():
+    with pytest.raises(DomainError, match=r"Im\(z\) must be >= 0"):
+        eval_integrals(complex(0.1, -0.1), 1.0)
+
+
 # Exact hits: s or s -+ q/2 is exactly +-1, where the closed forms take the
 # limit (1 - sigma^2) L(sigma) -> 0 of their log terms.
 COLLISIONLESS_HITS = [

@@ -177,3 +177,101 @@ def test_kernel_bits_are_pinned():
     assert len(cells) == 12
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == KERNEL_BITS_SHA256
+
+
+# The shifted-difference Taylor branch as it was before it drew its
+# derivatives on demand: the whole table is built up front, sized by a guess,
+# and regrown by doubling when the series outlasts it. The kernel must give
+# the same bits.
+def _reference_odd_derivatives(s: complex, count: int) -> list:
+    one_ms2 = 1.0 - s * s
+    nmax = 2 * count + 1
+    Lv = [kernel.branch_log_L(s), -2.0 / one_ms2]
+    for n in range(1, nmax):
+        Lv.append((2.0 * n * s * Lv[n] + n * (n - 1) * Lv[n - 1]) / one_ms2)
+    u = [one_ms2 * one_ms2, -4.0 * s + 4.0 * s**3, -4.0 + 12.0 * s * s, 24.0 * s, 24.0 + 0j]
+    out = []
+    for m in range(1, count + 1):
+        n = 2 * m + 1
+        total = complex(12.0) if n == 3 else complex(0.0)
+        for k in range(min(4, n) + 1):
+            total += math.comb(n, k) * u[k] * Lv[n - k]
+        out.append(total)
+    return out
+
+
+def _reference_taylor_shift(s: complex, q: float) -> tuple:
+    cap = kernel._TAYLOR_MAX_TERMS
+    tiny = kernel._TINY
+    dist = min(abs(s - 1.0), abs(s + 1.0))
+    ratio = (q / (2.0 * dist)) ** 2
+    count = min(kernel._terms_to_eps(ratio) + 3, cap)
+    derivs = _reference_odd_derivatives(s, count)
+    total = complex(0.0)
+    total_abs = 0.0
+    comp = complex(0.0)
+    last = 0.0
+    small_streak = 0
+    fact = 6.0
+    qpow = 1.0
+    fourpow = 4.0
+    for m in range(1, cap + 1):
+        if m > count:
+            count = min(2 * count, cap)
+            derivs = _reference_odd_derivatives(s, count)
+        term = 0.75 * qpow * derivs[m - 1] / (fourpow * fact)
+        last = abs(term)
+        t = total + term
+        comp += (total - t) + term if total_abs >= last else (term - t) + total
+        total = t
+        total_abs = abs(t)
+        if last <= 1e-17 * (tiny if tiny > total_abs else total_abs):
+            small_streak += 1
+            if small_streak >= 2:
+                break
+        else:
+            small_streak = 0
+        qpow *= q * q
+        fourpow *= 4.0
+        fact *= (2 * m + 2) * (2 * m + 3)
+    else:
+        raise ConvergenceError("reference series did not converge", total + comp, last, cap)
+    total += comp
+    tail = last * ratio / (1.0 - ratio) if ratio < 1.0 else last
+    return total, 4.0 * tail
+
+
+def _taylor_centres() -> list:
+    """Seeded s in the closed upper half-plane: 100 within 1e-6..0.5 of +-1,
+    100 on the imaginary axis and 100 out to |s| = 3."""
+    rng = random.Random(23)
+    centres = []
+    for _ in range(100):
+        d = _loguniform(rng, 1e-6, 0.5)
+        theta = rng.uniform(0.0, math.pi)
+        centres.append(rng.choice((-1.0, 1.0)) + d * complex(math.cos(theta), math.sin(theta)))
+    centres += [complex(0.0, rng.uniform(0.0, 3.0)) for _ in range(100)]
+    for _ in range(100):
+        r = rng.uniform(0.0, 3.0)
+        theta = rng.uniform(0.0, math.pi)
+        centres.append(r * complex(math.cos(theta), math.sin(theta)))
+    return [s for s in centres if s != 1.0 and s != -1.0]
+
+
+def _hex(values) -> list:
+    return [part.hex() for value in values for part in (complex(value).real, complex(value).imag)]
+
+
+def test_odd_derivatives_equal_the_table_built_up_front():
+    for s in _taylor_centres():
+        drawn = list(kernel._antiderivative_odd_derivatives(s))
+        assert len(drawn) == kernel._TAYLOR_MAX_TERMS
+        assert _hex(drawn) == _hex(_reference_odd_derivatives(s, kernel._TAYLOR_MAX_TERMS)), s
+
+
+def test_taylor_shift_equals_the_reference_up_to_the_convergence_edge():
+    rng = random.Random(29)
+    for s in _taylor_centres():
+        dist = min(abs(s - 1.0), abs(s + 1.0))
+        for q in (kernel._TAYLOR_SPAN * dist, dist * _loguniform(rng, 1e-8, kernel._TAYLOR_SPAN)):
+            assert _hex(kernel._quant_taylor_shift(s, q)) == _hex(_reference_taylor_shift(s, q))

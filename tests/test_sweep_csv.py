@@ -29,6 +29,7 @@ from diamag import (
     write_csv,
     write_svg,
 )
+from diamag.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
 EXPECTED_HEADER = (
     "q,x,y,chi_total_re,chi_total_im,chi_classic_re,chi_classic_im,"
@@ -258,6 +259,30 @@ def test_svg_drops_unplottable_points_or_refuses():
     assert len(polylines[0].get("points").split()) == 2
     with pytest.raises(ValueError):
         render_line_chart([("empty", [(-1.0, 5.0)])], x_log=True)
+
+
+def _polyline_points(svg: str) -> list:
+    root = ET.fromstring(svg)
+    return [
+        [tuple(map(float, pair.split(","))) for pair in el.get("points").split()]
+        for el in root.iter()
+        if el.tag.endswith("polyline")
+    ]
+
+
+@pytest.mark.parametrize("x_log", [True, False])
+def test_svg_centres_a_single_x_value_and_a_constant_y(x_log):
+    # a degenerate range is widened about its one value, on either axis
+    svg = render_line_chart([("one", [(0.5, 2.0), (0.5, 2.0)])], x_log=x_log)
+    centre = (MARGIN_LEFT + (WIDTH - MARGIN_LEFT - MARGIN_RIGHT) / 2,
+              MARGIN_TOP + (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) / 2)
+    assert _polyline_points(svg) == [[centre, centre]]
+
+
+def test_svg_skips_an_empty_curve_beside_a_plotted_one():
+    svg = render_line_chart([("empty", []), ("kept", [(0.1, 1.0), (1.0, 2.0)])])
+    assert [len(points) for points in _polyline_points(svg)] == [2]
+    assert ">empty<" not in svg and ">kept<" in svg
 
 
 def test_write_svg_round_trip(tmp_path):
