@@ -2,17 +2,16 @@
 Cross-checking the closed form against independent evaluations
 ==============================================================
 
-The closed-form kernel is fast but algebra-heavy. Three independent
+The closed-form kernel is fast but algebra-heavy. Two independent
 computations guard it: high-precision quadrature of the defining angular
-integrals, a kinetic-equation reconstruction on the package's own
-Gauss-Kronrod engine, and a long-wavelength limit built from resonance
-moments. This script prints all four side by side at a few points.
+integrals, and a kinetic-equation reconstruction on the package's own
+Gauss-Kronrod engine. This script prints all three side by side at a few
+points.
 """
 
 from diamag import (
     DimensionlessPoint,
     chi_from_kinetic,
-    chi_quant_smallk,
     chi_ratio,
     chi_ratio_quadrature,
 )
@@ -34,8 +33,4 @@ for p in points:
           f"   (rel dev {abs(kernel - quad) / abs(quad):.1e})")
     print(f"  kinetic       {kinetic.real:+.12e} {kinetic.imag:+.12e}j"
           f"   (rel dev {abs(kernel - kinetic) / abs(kinetic):.1e})")
-    if p.x == 0.0 and p.q < 0.1:
-        smallk = chi_quant_smallk(p).total
-        print(f"  small-q limit {smallk.real:+.12e} {smallk.imag:+.12e}j"
-              f"   (rel dev {abs(kernel - smallk) / abs(kernel):.1e})")
     print()

@@ -46,56 +46,6 @@ from .kernel import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CSV_HEADER",
-    "CheckResult",
-    "ChiResult",
-    "ConvergenceError",
-    "DiamagError",
-    "DimensionlessPoint",
-    "DomainError",
-    "ELECTRON_MASS",
-    "ELEMENTARY_CHARGE",
-    "ExtrapolationError",
-    "FIGURE1_POINTS_PER_CURVE",
-    "FIGURE1_Q_RANGE",
-    "FIGURE1_Y_VALUES",
-    "FermiParameters",
-    "HBAR",
-    "OutputRow",
-    "PhysicalState",
-    "PoleError",
-    "RegimeTag",
-    "SPEED_OF_LIGHT",
-    "SweepSpec",
-    "ValidationError",
-    "branch_log_L",
-    "chi_from_kinetic",
-    "chi_quant_smallk",
-    "chi_ratio",
-    "chi_ratio_quadrature",
-    "chi_ratio_to_absolute",
-    "chi_static_pv",
-    "eval_integrals",
-    "fermi_parameters_from_density",
-    "figure1_rows",
-    "format_float",
-    "from_dimensionless",
-    "integrate_complex_adaptive",
-    "j_integrals_nascent_delta",
-    "landau_chi_magneton_form",
-    "landau_chi_physical",
-    "regime_select",
-    "render_line_chart",
-    "render_report",
-    "rows_to_csv",
-    "run_sweep",
-    "run_verification",
-    "to_dimensionless",
-    "write_csv",
-    "write_svg",
-]
-
 # Importing the package loads constants, errors, core and kernel: what one
 # chi_ratio call needs. Every other public name loads its module on first
 # access, so that a cold command pays only for the code it runs; the oracles
@@ -103,10 +53,7 @@ __all__ = [
 _LAZY = {
     name: module
     for module, names in {
-        "oracle": (
-            "chi_from_kinetic", "chi_quant_smallk", "chi_ratio_quadrature",
-            "j_integrals_nascent_delta",
-        ),
+        "oracle": ("chi_from_kinetic", "chi_ratio_quadrature", "j_integrals_nascent_delta"),
         "quadrature": ("integrate_complex_adaptive",),
         "svg": ("render_line_chart", "write_svg"),
         "sweep": (
@@ -118,6 +65,36 @@ _LAZY = {
     }.items()
     for name in names
 }
+
+__all__ = sorted([
+    "ChiResult",
+    "ConvergenceError",
+    "DiamagError",
+    "DimensionlessPoint",
+    "DomainError",
+    "ELECTRON_MASS",
+    "ELEMENTARY_CHARGE",
+    "ExtrapolationError",
+    "FermiParameters",
+    "HBAR",
+    "PhysicalState",
+    "PoleError",
+    "RegimeTag",
+    "SPEED_OF_LIGHT",
+    "ValidationError",
+    "branch_log_L",
+    "chi_ratio",
+    "chi_ratio_to_absolute",
+    "chi_static_pv",
+    "eval_integrals",
+    "fermi_parameters_from_density",
+    "from_dimensionless",
+    "landau_chi_magneton_form",
+    "landau_chi_physical",
+    "regime_select",
+    "to_dimensionless",
+    *_LAZY,
+])
 
 
 def __getattr__(name):

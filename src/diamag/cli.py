@@ -23,7 +23,7 @@ from .core import (
     landau_chi_physical,
 )
 from .errors import DiamagError
-from .kernel import TermBreakdown, chi_ratio_detailed, eval_integrals
+from .kernel import TermBreakdown, chi_ratio_detailed
 from .sweep import (
     FIGURE1_Y_VALUES,
     OutputRow,
@@ -110,14 +110,6 @@ def _fmt_complex(value: complex) -> str:
     return f"{format_float(value.real)} {sign} {format_float(abs(value.imag))}j"
 
 
-def _term_breakdown(point: DimensionlessPoint) -> Optional[TermBreakdown]:
-    """The raw closed-form integrals and terms, or None where they overflow."""
-    try:
-        return eval_integrals(point.z, point.q)
-    except DiamagError:
-        return None
-
-
 def _eval_payload(
     row: OutputRow,
     result: ChiResult,
@@ -145,9 +137,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # validates v_F before anything is printed
     chi_l = None if args.vf is None else landau_chi_physical(args.vf)
     result, breakdown = chi_ratio_detailed(point)
-    if breakdown is None:
-        # the guard evaluated no closed form here
-        breakdown = _term_breakdown(point)
     row = OutputRow.from_result(point, result)
     if args.json:
         import json

@@ -730,9 +730,17 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
 def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
     """(ChiResult, TermBreakdown|None) from one regime choice.
 
-    The breakdown is the closed form's evaluation where the cancellation
-    guard measured it, else None. Raises as chi_ratio does.
+    The breakdown is the raw closed form's integrals and terms: from the
+    pieces the cancellation guard evaluated where it ran, else
+    eval_integrals at the point, or None where that raises DomainError.
+    Raises as chi_ratio does.
     """
     tag, closed = _classify(point)
-    breakdown = None if closed is None else _breakdown(point.x, point.q, closed)
-    return _result(point, tag, closed), breakdown
+    if closed is not None:
+        breakdown = _breakdown(point.x, point.q, closed)
+        return _result(point, tag, closed), breakdown
+    result = _result(point, tag, closed)
+    try:
+        return result, eval_integrals(point.z, point.q)
+    except DomainError:
+        return result, None

@@ -16,9 +16,6 @@ the kernel module uses, on purpose:
   * chi_from_kinetic rebuilds the ratio from the kinetic-equation form, a
     velocity-shell occupation difference against a shifted resonance
     denominator, using the package's own adaptive Gauss-Kronrod engine;
-  * chi_quant_smallk evaluates the long-wavelength limit of the quantum
-    part from resonance-denominator moments, which reduces at zero
-    frequency to a polynomial whose integral is exactly 1;
   * j_integrals_nascent_delta computes the two Fermi-surface velocity
     moments behind the Landau normalization by replacing the surface-delta
     derivatives with nascent Gaussians and extrapolating the width to zero.
@@ -43,7 +40,6 @@ __all__ = [
     "JIntegrals",
     "chi_ratio_quadrature",
     "chi_from_kinetic",
-    "chi_quant_smallk",
     "j_integrals_nascent_delta",
     "richardson_extrapolate",
 ]
@@ -52,24 +48,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Direct quadrature of the angular integrals (mpmath)
 # ---------------------------------------------------------------------------
-
-
-def _interior_breakpoints(x: float, y: float, q: float) -> list:
-    """Split points near each resonance's projection onto the t axis.
-
-    The integrands peak within ~y/q of t = x/q (simple pole projection) and
-    t = x/q -+ q/2 (the shifted pair); seeding splits at each center and
-    center +- 5y/q inside (-1, 1) keeps the adaptive rules from straddling a
-    spike.
-    """
-    s = x / q
-    spread = 5.0 * y / q
-    pts = set()
-    for center in (s, s - 0.5 * q, s + 0.5 * q):
-        for p in (center - spread, center, center + spread):
-            if -1.0 < p < 1.0:
-                pts.add(p)
-    return sorted(pts)
 
 
 # The contour in t: every pole has Im t = y/q >= 0, so the lower unit
@@ -671,6 +649,25 @@ def _kinetic_integrands(x: float, y: float, q: float) -> tuple:
     return occupation, shell, classic
 
 
+def _interior_breakpoints(x: float, y: float, q: float) -> list:
+    """chi_from_kinetic's split points, near each resonance's projection onto
+    the t axis.
+
+    Its integrands peak within ~y/q of t = x/q (simple pole projection) and
+    t = x/q -+ q/2 (the shifted pair); seeding splits at each center and
+    center +- 5y/q inside (-1, 1) keeps the adaptive rules from straddling a
+    spike.
+    """
+    s = x / q
+    spread = 5.0 * y / q
+    pts = set()
+    for center in (s, s - 0.5 * q, s + 0.5 * q):
+        for p in (center - spread, center, center + spread):
+            if -1.0 < p < 1.0:
+                pts.add(p)
+    return sorted(pts)
+
+
 def chi_from_kinetic(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio rebuilt from the kinetic-equation formulation.
 
@@ -700,57 +697,6 @@ def chi_from_kinetic(point: DimensionlessPoint) -> ChiResult:
         classic = -3.0 * x / (q * q) * v_c
         err += 3.0 * x / (q * q) * e_c
     return ChiResult.from_parts(classic, quant, RegimeTag.QUADRATURE, err)
-
-
-# ---------------------------------------------------------------------------
-# Long-wavelength quantum limit
-# ---------------------------------------------------------------------------
-
-
-def chi_quant_smallk(point: DimensionlessPoint) -> ChiResult:
-    """Quantum part of the ratio in the long-wavelength (small q) limit.
-
-    Built from first and second moments of the shifted resonance denominator
-    (the leading orders of the coupled-state energy difference):
-
-        quant ~= -(q/4) Int t (1-t^2) [2 t^2 D2(t) - 3 D1(t)] dt,
-        D1 = 2/(g-z) - (g/2)/(g-z)^2,
-        D2 = 6/(g-z) - (11 g/4)/(g-z)^2 + (g^2/2)/(g-z)^3,   g = q t.
-
-    At z = 0 the combination collapses to the polynomial
-    -(1-t^2)(15 t^2 - 9)/8 whose integral is exactly 1, the static
-    long-wavelength normalization; the O(q) and O(q^2) resonance moments
-    cancel identically (the t^4 and t^2 shell moments weigh 2:3 against the
-    35/4 : 5/2 denominator coefficients), so for y >> q the value tracks the
-    full quantum part to O(q^4). Against the full kernel at general (y, q)
-    the omitted static curvature is q^2/20. Requires y > 0 or the exact
-    static point x = y = 0.
-    """
-    x, y, q = point.x, point.y, point.q
-    if y == 0.0 and x == 0.0:
-
-        def f_static(t: float) -> complex:
-            return complex(-(1.0 - t * t) * (15.0 * t * t - 9.0) / 8.0)
-
-        value, err = integrate_complex_adaptive(f_static, -1.0, 1.0)
-        return ChiResult.from_parts(complex(0.0), value, RegimeTag.QUADRATURE, err)
-    if y <= 0.0:
-        raise DomainError("chi_quant_smallk requires y > 0 (or the static point)")
-    z = point.z
-    splits = _interior_breakpoints(x, y, q)
-
-    def f(t: float) -> complex:
-        g = q * t
-        d = g - z
-        d1 = 2.0 / d - (0.5 * g) / (d * d)
-        d2 = 6.0 / d - (2.75 * g) / (d * d) + (0.5 * g * g) / (d * d * d)
-        return t * (1.0 - t * t) * (2.0 * t * t * d2 - 3.0 * d1)
-
-    value, err = integrate_complex_adaptive(f, -1.0, 1.0, splits)
-    scale = -0.25 * q
-    return ChiResult.from_parts(
-        complex(0.0), scale * value, RegimeTag.QUADRATURE, abs(scale) * err
-    )
 
 
 # ---------------------------------------------------------------------------

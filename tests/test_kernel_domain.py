@@ -119,6 +119,22 @@ def test_overflowing_result_raises_domain_error():
         chi_ratio_detailed(point)
 
 
+def test_detailed_breakdown_is_the_raw_closed_form_where_it_is_finite():
+    # a literal Laurent point, where no cancellation guard runs: the
+    # breakdown is eval_integrals' at the point
+    point = DimensionlessPoint(0.0, 0.1, 1e-3)
+    result, breakdown = chi_ratio_detailed(point)
+    assert result == chi_ratio(point) and result.method is RegimeTag.LAURENT_SERIES
+    assert breakdown == eval_integrals(point.z, point.q)
+    # a complex product of overflowed parts makes I3 NaN without raising, so
+    # eval_integrals raises DomainError and there is no breakdown
+    point = DimensionlessPoint(0.0, 7.7e-33, 9.5e77)
+    with pytest.raises(DomainError):
+        eval_integrals(point.z, point.q)
+    result, breakdown = chi_ratio_detailed(point)
+    assert result == chi_ratio(point) and breakdown is None
+
+
 def _collisionless_point(rng: random.Random) -> tuple:
     """(x, 0, q) with q log-uniform over the box: a third with a pole placed
     in [-1, 1], a share within 1e-12 relative of a hit, where s or s -+ q/2
@@ -325,3 +341,18 @@ def test_closed_form_sums_far_arguments_as_series_below_q_2(coords, ref):
     assert result.method is RegimeTag.CLOSED_FORM
     assert abs(result.total - ref) <= 1e-13 * abs(ref)
     assert result.err_est > 0.0
+
+
+# Frozen from the closed forms at 400 digits (mpmath), at x = 0 with y >> q:
+# the collision-dominated static window, where the quantum part is O(q^2)
+# and the closed form's intermediates grow as 1/q^3.
+COLLISION_DOMINATED_REFERENCES = [
+    ((0.0, 0.1, 1e-3), complex(1.999714318993998e-09, 0.0)),
+    ((0.0, 0.1, 0.01), complex(1.9717578211689274e-05, 0.0)),
+]
+
+
+@pytest.mark.parametrize("coords, ref", COLLISION_DOMINATED_REFERENCES)
+def test_collision_dominated_static_points_hold_the_reference(coords, ref):
+    result = chi_ratio(DimensionlessPoint(*coords))
+    assert abs(result.total - ref) <= 1e-14 * abs(ref)

@@ -20,7 +20,6 @@ from diamag import (
     DomainError,
     ExtrapolationError,
     chi_from_kinetic,
-    chi_quant_smallk,
     chi_ratio,
     chi_ratio_quadrature,
     j_integrals_nascent_delta,
@@ -469,6 +468,13 @@ KERNEL_CASES = (
     + [(0.0, 1e-300, 1.0, 20), (0.3, 1e-60, 0.5, 20)]
     + [(x, y, q, 20) for x, y, q in HARD_POINTS]
 )
+
+
+def test_tail_noise_of_a_pole_on_the_path_is_infinite():
+    # q/2 underflows to 0, so s and s -+ q/2 all sit on the end t = 1
+    peak = oracle._peak_log2(5e-324, 0.0, 5e-324)[0]
+    assert peak[0] == math.inf
+    assert oracle._tail_noise(peak) == mp.inf
 
 
 @pytest.mark.parametrize("x, y, q, dps", KERNEL_CASES)
@@ -976,41 +982,6 @@ def test_denominator_never_vanishes_for_positive_y():
 
 
 # ---------------------------------------------------------------------------
-# long-wavelength quantum limit
-# ---------------------------------------------------------------------------
-
-
-def test_smallk_static_normalization():
-    out = chi_quant_smallk(DimensionlessPoint(0.0, 0.0, 1e-4))
-    assert abs(out.quant - 1.0) < 1e-12
-    assert out.classic == 0j
-
-
-def test_smallk_tracks_kernel_when_collisions_dominate():
-    # y >> q: the omitted curvature enters at O(q^2) of an O(q^4) value
-    y = 0.1
-    for q, bar in [(1e-3, 1e-6), (0.01, 1e-5), (0.001, 1e-7)]:
-        p = DimensionlessPoint(0.0, y, q)
-        got = chi_quant_smallk(p)
-        want = chi_ratio(p)
-        assert rel(got.total, want.total) < bar
-
-
-def test_smallk_deviation_is_static_curvature():
-    # for y << q the fractional gap to the kernel approaches q^2/20
-    p = DimensionlessPoint(0.0, 1e-6, 0.01)
-    got = chi_quant_smallk(p).total
-    want = chi_ratio(p).total
-    gap = abs(got - want) / abs(want)
-    assert abs(gap - p.q**2 / 20.0) < 0.1 * (p.q**2 / 20.0)
-
-
-def test_smallk_rejects_negative_collision_rate_off_static_point():
-    with pytest.raises(DomainError):
-        chi_quant_smallk(DimensionlessPoint(0.5, 0.0, 0.01))
-
-
-# ---------------------------------------------------------------------------
 # nascent delta and extrapolation
 # ---------------------------------------------------------------------------
 
@@ -1053,6 +1024,12 @@ def test_richardson_input_validation():
         richardson_extrapolate([0.1, 0.2], [1.0, 2.0])
     with pytest.raises(ExtrapolationError):
         richardson_extrapolate([0.1, 0.1], [1.0, 2.0])
+
+
+def test_richardson_refuses_a_diverged_limit():
+    # the one tableau step, (0.1 * 1e308 + 0.2 * 1e308) / -0.1, overflows
+    with pytest.raises(ExtrapolationError, match="extrapolation diverged"):
+        richardson_extrapolate([0.2, 0.1], [1e308, -1e308])
 
 
 # ---------------------------------------------------------------------------

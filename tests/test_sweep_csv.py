@@ -18,7 +18,6 @@ from diamag import (
     SweepSpec,
     ValidationError,
     chi_from_kinetic,
-    chi_quant_smallk,
     chi_ratio,
     chi_ratio_quadrature,
     figure1_rows,
@@ -29,7 +28,7 @@ from diamag import (
     write_csv,
     write_svg,
 )
-from diamag.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
+from diamag.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, _nice_step
 
 EXPECTED_HEADER = (
     "q,x,y,chi_total_re,chi_total_im,chi_classic_re,chi_classic_im,"
@@ -46,7 +45,7 @@ def test_method_column_names_one_tag_or_the_series_family():
     # as series-small-q, as figure1's pinned bytes have them, and every other
     # tag as its value
     point = DimensionlessPoint(0.0, 0.1, 1e-2)
-    for oracle in (chi_ratio_quadrature, chi_from_kinetic, chi_quant_smallk):
+    for oracle in (chi_ratio_quadrature, chi_from_kinetic):
         assert oracle(point).method is RegimeTag.QUADRATURE
     series = {RegimeTag.TAYLOR_SERIES, RegimeTag.LAURENT_SERIES}
     for tag in RegimeTag:
@@ -277,6 +276,11 @@ def test_svg_centres_a_single_x_value_and_a_constant_y(x_log):
     centre = (MARGIN_LEFT + (WIDTH - MARGIN_LEFT - MARGIN_RIGHT) / 2,
               MARGIN_TOP + (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) / 2)
     assert _polyline_points(svg) == [[centre, centre]]
+
+
+def test_tick_step_is_one_two_five_or_ten_times_a_power_of_ten():
+    # span / 6 = 1, 2, 5 and 7: the last is above 5, so the step is 10
+    assert [_nice_step(span) for span in (6.0, 12.0, 30.0, 42.0)] == [1.0, 2.0, 5.0, 10.0]
 
 
 def test_svg_skips_an_empty_curve_beside_a_plotted_one():
