@@ -4,18 +4,17 @@ least once during the suite.
 
     PYTHONPATH=src:tests python -m pytest -p line_trace -q
 
-It records line events with sys.settrace (and threading.settrace), so the
-suite runs about three times slower under it, and it sees no code that runs
-in a child process. A statement counts as run when any line of it produced
-a line event. Meant for the whole suite: a subset leaves statements unrun.
-A statement that no test can reach is exempted in EXEMPT by its function
-and its source text, with the reason.
+It records line events with sys.settrace, in the main thread, so the suite
+runs about four times slower under it, and it sees no code that runs in
+another thread or a child process. A statement counts as run when any line
+of it produced a line event. Meant for the whole suite: a subset leaves
+statements unrun. A statement that no test can reach is exempted in EXEMPT
+by its function and its source text, with the reason.
 """
 
 import ast
 import os
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -54,30 +53,26 @@ def _global(frame, event, arg):
 def _statements(path: Path):
     """(function, first line, last line, source) of every statement in a
     function body in the module at path, nested blocks included, without
-    docstrings and global or nonlocal declarations. A function is named by
-    its dotted path within the module, as "Class.method" or "outer.inner"."""
+    docstrings. A function is named by its dotted path within the module,
+    as "Class.method" or "outer.inner"."""
     text = path.read_text(encoding="utf-8")
     found = []
 
     def body(function: str, nodes) -> None:
         for node in nodes:
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                continue
             source = ast.get_source_segment(text, node).splitlines()[0]
             found.append((function, node.lineno, node.end_lineno, source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 scan([node], f"{function}.")
                 continue
             for field in ("body", "orelse", "finalbody"):
                 body(function, getattr(node, field, ()))
             for handler in getattr(node, "handlers", ()):
                 body(function, handler.body)
-            for case in getattr(node, "cases", ()):
-                body(function, case.body)
 
     def scan(nodes, prefix: str) -> None:
         for node in nodes:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, ast.FunctionDef):
                 skip = 1 if ast.get_docstring(node) is not None else 0
                 body(prefix + node.name, node.body[skip:])
             elif isinstance(node, ast.ClassDef):
@@ -92,12 +87,10 @@ def _statements(path: Path):
 
 def pytest_configure(config):
     sys.settrace(_global)
-    threading.settrace(_global)
 
 
 def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
-    threading.settrace(None)
     missed = []
     for path in sorted(PACKAGE.glob("*.py")):
         real = os.path.realpath(path)
