@@ -206,11 +206,13 @@ class ChiResult(FrozenRecord):
     quant   : the quantum contribution that survives the static limit
     total   : classic + quant, exactly, by construction
     method  : the RegimeTag of the strategy that ran
-    err_est : strategy error bound; a truncation bound for series, and for
-              the closed form the bounds of the pieces it summed as series
-              (0 when every piece came from its closed form, and for the
-              static principal value); the quadrature estimate for oracles.
-              Only the mpmath quadrature oracle adds a rounding bound to it.
+    err_est : strategy error bound; a truncation bound for series (the
+              static point below q = 1/2 included), and for the closed form
+              the bounds of the pieces it summed as series (0 when every
+              piece came from its closed form, and for the static principal
+              value's own formula, q = 1/2 to 2); the quadrature estimate
+              for oracles. Only the mpmath quadrature oracle adds a rounding
+              bound to it.
     """
 
     _fields = ("classic", "quant", "total", "method", "err_est")

@@ -33,7 +33,8 @@ strategies that RegimeTag names cover that ground:
   * the closed form, which takes each piece whose argument has modulus >= 3
     from its expansion in 1/sigma, where the cancelling orders drop out
     symbolically, and every other piece from its closed form,
-  * static principal value at x = y = 0 (its own real formula),
+  * static principal value at x = y = 0: its own real formula from q = 1/2
+    to 2, the Taylor series below, and the closed form above,
   * a shifted-difference Taylor series in q for moderate s (the two shifted
     antiderivative evaluations are expanded about s, and the leading order
     cancels the middle term exactly, term by term),
@@ -306,29 +307,27 @@ def chi_static_pv(q: float) -> float:
     For q > 2 the poles leave [-1, 1], no principal value is involved, and
     chi_ratio's ordinary closed form applies; such q raise DomainError.
 
-    Below q = 1/2 the closed form is evaluated through its power series
-    (identical function, no 1/q^2 cancellation): 1 - q^2/20 - q^4/560 - ...
+    Below q = 1/2 the formula cancels its 1/q^2 orders, and the value comes
+    from the shifted-difference Taylor series about s = 0 instead, Landau's
+    1 - q^2/20 - q^4/560 - ... with ratio (q/2)^2; chi_ratio gives the same
+    value at x = y = 0.
     """
     if not (0.0 < q <= 2.0) or not math.isfinite(q):
         raise DomainError("chi_static_pv serves 0 < q <= 2; use chi_ratio elsewhere")
+    return _static_parts(q)[1].real
+
+
+def _static_parts(q: float) -> tuple:
+    """(classic, quant, err_est) at x = y = 0, 0 < q <= 2: the Taylor series
+    about s = 0 with its truncation bound below q = 1/2, else chi_static_pv's
+    formula with err_est 0."""
+    if q < 0.5:
+        return (0j, *_quant_taylor_shift(0j, q))
     a = 0.5 * q
     if a == 1.0:
-        return 0.75
-    if q < 0.5:
-        # sum_k 3 a^(2k) / ((2k-1)(2k+1)(2k+3)) subtracted from 1
-        total = 1.0
-        a2 = a * a
-        power = 1.0
-        k = 1
-        while True:
-            power *= a2
-            term = 3.0 * power / ((2 * k - 1) * (2 * k + 1) * (2 * k + 3))
-            total -= term
-            if term <= 1e-17 * abs(total):
-                return total
-            k += 1
+        return 0j, 0.75, 0.0
     log_term = (1.0 - a * a) ** 2 / a * math.log((1.0 - a) / (1.0 + a))
-    return 4.0 / (q * q) + 3.0 / (4.0 * q * q) * (2.0 / 3.0 + 2.0 * (a * a - 2.0) + log_term)
+    return 0j, 4.0 / (q * q) + 0.75 / (q * q) * (2.0 / 3.0 + 2.0 * (a * a - 2.0) + log_term), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +430,13 @@ def _quant_laurent(z: complex, q: float, w: complex) -> tuple:
     Absolutely convergent for |s| > 1 + q/2. Every caller first checks
     _laurent_converges, |s| >= 2 (1 + q/2), so the outer ratio is at most 1/4;
     nearer the edge the series needs thousands of terms or overflows.
+    Below q = 2^-250, q^4 would underflow: r is then formed from
+    (2^-e q)^4, with e = 250 + the binary exponent of q < 0, and scaled by
+    2^(4e) after the division. Elsewhere e = 0, and the scaling changes no bit.
     Returns (quant, abs truncation bound).
     """
-    r = q**4 / (4.0 * z * z)
+    e = min(0, math.frexp(q)[1] + 250)
+    r = math.ldexp(q, -e) ** 4 / (4.0 * z * z) * 2.0 ** (4 * e)
     total = complex(0.0)
     total_abs = 0.0
     comp = complex(0.0)
@@ -543,16 +546,17 @@ def _taylor_converges(s: complex, q: float) -> bool:
 def _classify(point: DimensionlessPoint) -> tuple:
     """Deterministic regime choice; returns (RegimeTag, closed pieces|None).
 
-    The x = y = 0 point is PV_STATIC at every q, and the static series window
-    x = 0, q < _SMALLQ_Q_MAX, y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways
-    into LAURENT_SERIES, the literal window |s| > _LARGE_S and the escalation
-    of a closed form that loses more than _CANCEL_DIGITS digits at
-    |s| >= _SERIES_S_MIN, require _laurent_converges. The collisionless line
-    y = 0 takes the same path as y > 0 and gets the limit y -> 0+. The cancellation guard
-    runs only where a series could take the point; every other point, and
-    every point that the guard passes or that no series can serve, gets
-    CLOSED_FORM. The closed pieces are those the guard evaluated, for the
-    evaluators to reuse.
+    The x = y = 0 point is PV_STATIC at every q; _result serves it by the
+    Taylor series below q = 1/2, chi_static_pv's formula up to q = 2 and the
+    closed form above. The static series window x = 0, q < _SMALLQ_Q_MAX,
+    y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways into LAURENT_SERIES, the
+    literal window |s| > _LARGE_S and the escalation of a closed form that
+    loses more than _CANCEL_DIGITS digits at |s| >= _SERIES_S_MIN, require
+    _laurent_converges. The collisionless line y = 0 takes the same path as
+    y > 0 and gets the limit y -> 0+. The cancellation guard runs only where
+    a series could take the point; every other point, and every point that
+    the guard passes or that no series can serve, gets CLOSED_FORM. The
+    closed pieces are those the guard evaluated, for the evaluators to reuse.
     """
     x, y, q = point.x, point.y, point.q
     if y == 0.0 and x == 0.0:
@@ -595,9 +599,7 @@ def regime_select(point: DimensionlessPoint) -> RegimeTag:
     return _classify(point)[0]
 
 
-def _closed_form_result(
-    point: DimensionlessPoint, closed, method: RegimeTag = RegimeTag.CLOSED_FORM
-) -> ChiResult:
+def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
     """The closed form, with its large-argument pieces summed as series.
 
         chi/chi_L = -(3x/q^2) I1 + (3/q) (bracket/q)
@@ -608,9 +610,8 @@ def _closed_form_result(
     bracket from _first_integral_series (summed from j >= 1 for the bracket,
     so its 4/3 cancels symbolically). Every other piece comes from its closed
     form, taken from `closed` where the cancellation guard already evaluated
-    it. The static point x = y = 0 above q = 2 comes here too, with method
-    PV_STATIC. err_est is the weighted sum of the series truncation bounds,
-    0 when every piece came from its closed form.
+    it. err_est is the weighted sum of the series truncation bounds, 0 when
+    every piece came from its closed form.
     """
     x, q = point.x, point.q
     z = complex(x, point.y)
@@ -632,13 +633,12 @@ def _closed_form_result(
     if x == 0.0:
         # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
         quant = weight * bracket.real + 1.5 * g_plus.real / q**3
-        err_est = weight * bracket_err + 1.5 * err_plus / q**3
-        return ChiResult.from_parts(complex(0.0), complex(quant, 0.0), method, err_est)
+        return 0j, quant, weight * bracket_err + 1.5 * err_plus / q**3
     g_minus, err_minus = _antiderivative_piece(s - 0.5 * q, g_minus)
     classic = -3.0 * x / (q * q) * I1
     quant = _compensated_pair(3.0 / q * (bracket / q), 0.75 * ((g_plus - g_minus) / q**3))
     err_est = x * weight * I1_err + weight * bracket_err + 0.75 / q**3 * (err_plus + err_minus)
-    return ChiResult.from_parts(classic, quant, method, err_est)
+    return classic, quant, err_est
 
 
 def _compensated_pair(a: complex, b: complex) -> complex:
@@ -649,24 +649,20 @@ def _compensated_pair(a: complex, b: complex) -> complex:
     return s + err
 
 
-def _taylor_result(point: DimensionlessPoint, closed) -> ChiResult:
+def _taylor_parts(point: DimensionlessPoint, closed) -> tuple:
     """The shifted-difference Taylor series about s for the quantum part.
 
     Exact in beta = y/q; on the static line it reduces to 1 - q^2/20 - ... .
     The classical part keeps its closed form, the guard's I1, which does not
-    cancel here. err_est carries the series' truncation bound.
+    cancel here; off x = 0 a point reaches this series only through the
+    guard. err_est carries the series' truncation bound.
     """
-    x, q, s = point.x, point.q, point.s
-    quant, err_est = _quant_taylor_shift(s, q)
-    if x == 0.0:
-        quant = complex(quant.real, 0.0)
-        return ChiResult.from_parts(complex(0.0), quant, RegimeTag.TAYLOR_SERIES, err_est)
-    # off x = 0, a point reaches this series only through the guard
-    classic = -3.0 * x / (q * q) * closed[0]
-    return ChiResult.from_parts(classic, quant, RegimeTag.TAYLOR_SERIES, err_est)
+    x, q = point.x, point.q
+    quant, err_est = _quant_taylor_shift(point.s, q)
+    return (-3.0 * x / (q * q) * closed[0] if x else 0j), quant, err_est
 
 
-def _laurent_result(point: DimensionlessPoint) -> ChiResult:
+def _laurent_parts(point: DimensionlessPoint) -> tuple:
     """The Laurent expansion in q/z for both parts.
 
     The 1/z^2 and q^2/z^4 orders of the two quantum terms cancel
@@ -679,31 +675,33 @@ def _laurent_result(point: DimensionlessPoint) -> ChiResult:
     w = (q / z) ** 2
     quant, quant_err = _quant_laurent(z, q, w)
     if x == 0.0:
-        quant = complex(quant.real, 0.0)
-        return ChiResult.from_parts(complex(0.0), quant, RegimeTag.LAURENT_SERIES, quant_err)
+        return 0j, quant, quant_err
     classic, classic_err = _classic_laurent(z, q, x, w)
-    return ChiResult.from_parts(classic, quant, RegimeTag.LAURENT_SERIES, quant_err + classic_err)
+    return classic, quant, quant_err + classic_err
 
 
 def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
-    """Run the evaluator that `tag` names.
+    """The ChiResult of the strategy that `tag` names, built from its parts.
 
-    A float product that overflows gives inf without raising, and ChiResult
-    then refuses the non-finite part with ValidationError. The point itself
-    is valid, so that is raised as DomainError, as _double_range does.
+    Each strategy returns (classic, quant, err_est); at x = 0 the classical
+    part is exactly 0 and the quantum part real. A float product that
+    overflows gives inf without raising, and ChiResult then refuses the
+    non-finite part with ValidationError. The point itself is valid, so that
+    is raised as DomainError, as _double_range does.
     """
     try:
-        if tag is RegimeTag.PV_STATIC:
-            if point.q > 2.0:
-                # no principal value is involved once the poles leave [-1, 1]
-                return _closed_form_result(point, None, RegimeTag.PV_STATIC)
-            quant = complex(chi_static_pv(point.q), 0.0)
-            return ChiResult.from_parts(complex(0.0), quant, RegimeTag.PV_STATIC, 0.0)
-        if tag is RegimeTag.CLOSED_FORM:
-            return _closed_form_result(point, closed)
-        if tag is RegimeTag.TAYLOR_SERIES:
-            return _taylor_result(point, closed)
-        return _laurent_result(point)
+        if tag is RegimeTag.LAURENT_SERIES:
+            classic, quant, err_est = _laurent_parts(point)
+        elif tag is RegimeTag.TAYLOR_SERIES:
+            classic, quant, err_est = _taylor_parts(point, closed)
+        elif tag is RegimeTag.PV_STATIC and point.q <= 2.0:
+            classic, quant, err_est = _static_parts(point.q)
+        else:
+            # the static point above q = 2 too: its poles have left [-1, 1]
+            classic, quant, err_est = _closed_form_parts(point, closed)
+        if point.x == 0.0:
+            classic, quant = 0j, complex(quant.real, 0.0)
+        return ChiResult.from_parts(classic, quant, tag, err_est)
     except ValidationError as exc:
         raise DomainError(f"the result is beyond double-precision range ({exc})") from exc
 
@@ -714,9 +712,10 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
 
     classic and quant are the two physical contributions; total is their sum
     exactly. method is the RegimeTag that regime_select gives the point, and
-    err_est its truncation bound: 0 for the principal value, the bounds of
-    the pieces the closed form summed as series (0 if none), and the series
-    bounds for the series branches.
+    err_est its truncation bound: the bounds of the pieces the closed form
+    summed as series (0 if none), and the series bounds for the series
+    branches, the static point below q = 1/2 included (0 from q = 1/2 to 2,
+    where the principal value is its own formula).
 
     On the collisionless line y = 0 it returns the limit y -> 0+, poles
     inside [-1, 1] or on t = +-1 included. Raises DomainError where an

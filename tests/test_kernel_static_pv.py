@@ -94,3 +94,24 @@ def test_static_point_at_large_q_matches_frozen_reference(q, ref):
     assert result.classic == 0j
     assert result.total.imag == 0.0
     assert abs(result.total.real - ref) <= 1e-14 * ref
+
+
+# x = y = 0 below q = 1/2, frozen from the static formula at 80 digits
+# (mpmath). The value there is the shifted-difference Taylor series about
+# s = 0, Landau's 1 - q^2/20 - q^4/560 - ...; a separately summed power series
+# of the same function was 2.7e-16, 2.6e-16 and 2.3e-16 relative off.
+STATIC_SMALL_Q_REFERENCES = [
+    (0.38809098739046916, 0.992428243458043189909507),
+    (0.3675923205837739, 0.9932108169012249946192612),
+    (0.13471529781804917, 0.9990920003968443100166971),
+]
+
+
+@pytest.mark.parametrize("q, ref", STATIC_SMALL_Q_REFERENCES)
+def test_static_point_below_half_is_the_taylor_series(q, ref):
+    result = chi_ratio(DimensionlessPoint(x=0.0, y=0.0, q=q))
+    assert result.method is RegimeTag.PV_STATIC
+    assert result.classic == 0j
+    assert result.total.imag == 0.0
+    assert abs(result.total.real - ref) <= 1e-16 * ref
+    assert chi_static_pv(q) == result.total.real
