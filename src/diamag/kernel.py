@@ -40,12 +40,16 @@ strategies that RegimeTag names cover that ground:
     cancels the middle term exactly, term by term),
   * a Laurent series in q/z for large |s|, whose 1/z^2 and q^2/z^4 orders
     cancel symbolically so only the true residual is summed; it converges
-    only for |s| > 1 + q/2 and is used only where |s| >= 2 (1 + q/2).
+    only for |s| > 1 + q/2 and serves the far field, |s| >= 3 and
+    |s| >= 2 (1 + q/2).
 
-Regime choice is deterministic in (x, y, q): literal thresholds first, then a
-measured-cancellation escalation (intermediate magnitude over the computed
-quantum part) at a fixed digit threshold. The thresholds are module
-constants; every accuracy result of the package is measured at their values.
+Regime choice is deterministic in (x, y, q): the static point and the small-q
+static window first, then the far field, which the Laurent series serves
+whole. Nearer in, where the Taylor series converges, a measured-cancellation
+escalation (intermediate magnitude over the computed quantum part) at a
+fixed digit threshold chooses between the closed form and the Taylor series;
+every other point gets the closed form. The thresholds are module constants;
+every accuracy result of the package is measured at their values.
 """
 
 from __future__ import annotations
@@ -76,18 +80,13 @@ __all__ = [
 
 _TINY = 1e-300
 # |sigma| at and above which the far-field series replace the closed-form
-# pieces: their terms then fall by at least 9x per order, while the closed
-# forms cancel digits there that the guard does not see
+# pieces, and |s| at and above which the Laurent branch serves a point where
+# it converges: their terms then fall by at least 9x per order, while the
+# closed forms cancel digits there that the guard does not see
 _FAR_MIN = 3.0
-# |s| above which the Laurent branch is taken at once where it converges,
-# without measuring the closed form's cancellation first
-_LARGE_S = 50.0
 # predicted decimal digits of cancellation in the closed form's quantum part
-# above which a point is escalated to a series
+# above which a point is escalated to the Taylor series
 _CANCEL_DIGITS = 6.0
-# |s| at and above which the escalation uses the Laurent branch where it
-# converges; below it the shifted-difference Taylor branch
-_SERIES_S_MIN = 3.0
 # the Taylor branch requires q <= _TAYLOR_SPAN * dist(s, +-1): its ratio
 # (q / (2 dist))^2 is then at most 1/16
 _TAYLOR_SPAN = 0.5
@@ -430,17 +429,20 @@ def _quant_laurent(z: complex, q: float, w: complex) -> tuple:
     Absolutely convergent for |s| > 1 + q/2. Every caller first checks
     _laurent_converges, |s| >= 2 (1 + q/2), so the outer ratio is at most 1/4;
     nearer the edge the series needs thousands of terms or overflows.
-    Below q = 2^-250, q^4 would underflow: r is then formed from
-    (2^-e q)^4, with e = 250 + the binary exponent of q < 0, and scaled by
-    2^(4e) after the division. Elsewhere e = 0, and the scaling changes no bit.
+    Below q = 2^-250, q^4 and r = q^4/(4 z^2) may leave the double range:
+    the sum then starts from r_scaled = (2^-e q)^4/(4 z^2), with e = 250 +
+    the binary exponent of q < 0, and steps with the true r = 2^(4e) r_scaled;
+    at the end ldexp applies 2^(2e) to the prefactor 12/z^2 and to the sum.
+    Elsewhere e = 0, and this is the plain arithmetic bit for bit.
     Returns (quant, abs truncation bound).
     """
     e = min(0, math.frexp(q)[1] + 250)
-    r = math.ldexp(q, -e) ** 4 / (4.0 * z * z) * 2.0 ** (4 * e)
+    r_scaled = math.ldexp(q, -e) ** 4 / (4.0 * z * z)
+    r = r_scaled * 2.0 ** (4 * e)
     total = complex(0.0)
     total_abs = 0.0
     comp = complex(0.0)
-    rm = r / 15.0
+    rm = r_scaled / 15.0
     last_inner = 0.0
     small_streak = 0
     for m in range(1, _LAURENT_MAX_OUTER + 1):
@@ -484,6 +486,12 @@ def _quant_laurent(z: complex, q: float, w: complex) -> tuple:
         )
     total += comp
     prefactor = 12.0 / (z * z)
+    if e < 0:
+        # 2^(4e) goes half into each factor, so that neither a factor nor
+        # their product leaves the double range where the value does not
+        prefactor = complex(math.ldexp(prefactor.real, 2 * e), math.ldexp(prefactor.imag, 2 * e))
+        total = complex(math.ldexp(total.real, 2 * e), math.ldexp(total.imag, 2 * e))
+        last_inner = math.ldexp(last_inner, 2 * e)
     return prefactor * total, 4.0 * abs(prefactor) * last_inner
 
 
@@ -530,12 +538,15 @@ def _classic_laurent(z: complex, q: float, x: float, w: complex) -> tuple:
 
 
 def _laurent_converges(s_abs: float, q: float) -> bool:
-    """Whether the Laurent branch may serve a point: |s| >= 2 (1 + q/2).
+    """Whether the Laurent branch serves a point, the far field:
+    |s| >= _FAR_MIN and |s| >= 2 (1 + q/2).
 
-    That is the series' convergence condition |s| > 1 + q/2 with a factor-2
-    margin, which keeps its outer ratio at or below 1/4.
+    The second is the series' convergence condition |s| > 1 + q/2 with a
+    factor-2 margin, which keeps its outer ratio at or below 1/4; the first
+    keeps its inner ratio |q/z|^2 at or below 1/9, as the closed form's own
+    far-field pieces do.
     """
-    return s_abs >= 2.0 * (1.0 + 0.5 * q)
+    return s_abs >= _FAR_MIN and s_abs >= 2.0 * (1.0 + 0.5 * q)
 
 
 def _taylor_converges(s: complex, q: float) -> bool:
@@ -549,48 +560,41 @@ def _classify(point: DimensionlessPoint) -> tuple:
     The x = y = 0 point is PV_STATIC at every q; _result serves it by the
     Taylor series below q = 1/2, chi_static_pv's formula up to q = 2 and the
     closed form above. The static series window x = 0, q < _SMALLQ_Q_MAX,
-    y < _SMALLQ_BETA * q is TAYLOR_SERIES. Both ways into LAURENT_SERIES, the
-    literal window |s| > _LARGE_S and the escalation of a closed form that
-    loses more than _CANCEL_DIGITS digits at |s| >= _SERIES_S_MIN, require
-    _laurent_converges. The collisionless line y = 0 takes the same path as
-    y > 0 and gets the limit y -> 0+. The cancellation guard runs only where
-    a series could take the point; every other point, and every point that
-    the guard passes or that no series can serve, gets CLOSED_FORM. The
-    closed pieces are those the guard evaluated, for the evaluators to reuse.
+    y < _SMALLQ_BETA * q is TAYLOR_SERIES. Every other point comes from three
+    decisions: the far field, where _laurent_converges holds, is
+    LAURENT_SERIES; a point where the Taylor series does not converge is
+    CLOSED_FORM; and the cancellation guard, which runs only at the rest,
+    escalates a closed form that loses more than _CANCEL_DIGITS digits to
+    TAYLOR_SERIES and keeps every other one. The collisionless line y = 0
+    takes the same path as y > 0 and gets the limit y -> 0+. The closed
+    pieces are those the guard evaluated, for the evaluators to reuse.
     """
     x, y, q = point.x, point.y, point.q
     if y == 0.0 and x == 0.0:
         return RegimeTag.PV_STATIC, None
     if x == 0.0 and q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
         return RegimeTag.TAYLOR_SERIES, None
-    z = complex(x, y)
-    s = z / q
-    s_abs = abs(s)
-    laurent = _laurent_converges(s_abs, q)
-    if s_abs > _LARGE_S and laurent:
+    s = point.s
+    if _laurent_converges(abs(s), q):
         return RegimeTag.LAURENT_SERIES, None
-    taylor = _taylor_converges(s, q)
-    if s_abs > _LARGE_S or not (laurent or taylor):
+    if not _taylor_converges(s, q):
         return RegimeTag.CLOSED_FORM, None
-    closed, lost_digits = _closed_pieces(z, q)
-    if not lost_digits > _CANCEL_DIGITS:
-        return RegimeTag.CLOSED_FORM, closed
-    if s_abs >= _SERIES_S_MIN and laurent:
-        return RegimeTag.LAURENT_SERIES, closed
-    return (RegimeTag.TAYLOR_SERIES if taylor else RegimeTag.CLOSED_FORM), closed
+    closed, lost_digits = _closed_pieces(point.z, q)
+    tag = RegimeTag.TAYLOR_SERIES if lost_digits > _CANCEL_DIGITS else RegimeTag.CLOSED_FORM
+    return tag, closed
 
 
 @_double_range
 def regime_select(point: DimensionlessPoint) -> RegimeTag:
     """Pick the evaluation strategy for a point. Deterministic in (x, y, q).
 
-    Literal windows come first: the static principal value at x = y = 0, the
-    static Taylor series for x = 0 with q below _SMALLQ_Q_MAX and y below
-    _SMALLQ_BETA * q, and the Laurent series for |s| above _LARGE_S.
-    Where a series converges, the closed form is evaluated and escalated to
-    it when its measured cancellation exceeds _CANCEL_DIGITS decimal digits
-    (boundary values stay with the closed form; all comparisons are strict).
-    The Laurent series is taken only where it converges, |s| >= 2 (1 + q/2).
+    Literal windows come first: the static principal value at x = y = 0 and
+    the static Taylor series for x = 0 with q below _SMALLQ_Q_MAX and y below
+    _SMALLQ_BETA * q. The far field, |s| >= _FAR_MIN and |s| >= 2 (1 + q/2),
+    gets the Laurent series, which converges there. Elsewhere, where the
+    Taylor series converges, the closed form is evaluated and escalated to it
+    when its measured cancellation exceeds _CANCEL_DIGITS decimal digits
+    (boundary values stay with the closed form; the comparison is strict).
     Every other point gets the closed form, which sums its large-argument
     pieces as series.
 
@@ -636,17 +640,9 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
         return 0j, quant, weight * bracket_err + 1.5 * err_plus / q**3
     g_minus, err_minus = _antiderivative_piece(s - 0.5 * q, g_minus)
     classic = -3.0 * x / (q * q) * I1
-    quant = _compensated_pair(3.0 / q * (bracket / q), 0.75 * ((g_plus - g_minus) / q**3))
+    quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q**3)
     err_est = x * weight * I1_err + weight * bracket_err + 0.75 / q**3 * (err_plus + err_minus)
     return classic, quant, err_est
-
-
-def _compensated_pair(a: complex, b: complex) -> complex:
-    """Two-sum of the two quantum terms (the rounding of + captured exactly)."""
-    s = a + b
-    bp = s - a
-    err = (a - (s - bp)) + (b - bp)
-    return s + err
 
 
 def _taylor_parts(point: DimensionlessPoint, closed) -> tuple:
@@ -715,7 +711,10 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     err_est its truncation bound: the bounds of the pieces the closed form
     summed as series (0 if none), and the series bounds for the series
     branches, the static point below q = 1/2 included (0 from q = 1/2 to 2,
-    where the principal value is its own formula).
+    where the principal value is its own formula). It models no rounding:
+    the far field comes from the Laurent series, which cancels nothing, but
+    nearer in the closed form may lose up to _CANCEL_DIGITS digits that
+    err_est does not show.
 
     On the collisionless line y = 0 it returns the limit y -> 0+, poles
     inside [-1, 1] or on t = +-1 included. Raises DomainError where an

@@ -54,7 +54,7 @@ def test_eval_json_payload(capsys):
 @pytest.mark.parametrize("x, y, q", [(0.1, 0.1, 0.5), (0.0, 80.0, 1.0)])
 def test_eval_chooses_the_regime_and_evaluates_the_closed_form_once(x, y, q, capsys, monkeypatch):
     # the first point passes the cancellation guard, whose closed-form terms
-    # are printed; the second is a literal Laurent point, where no guard runs
+    # are printed; the second is a far-field Laurent point, where no guard runs
     calls = {"_classify": 0, "_closed_pieces": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(kernel, name)):

@@ -120,7 +120,7 @@ def test_overflowing_result_raises_domain_error():
 
 
 def test_detailed_breakdown_is_the_raw_closed_form_where_it_is_finite():
-    # a literal Laurent point, where no cancellation guard runs: the
+    # a far-field Laurent point, where no cancellation guard runs: the
     # breakdown is eval_integrals' at the point
     point = DimensionlessPoint(0.0, 0.1, 1e-3)
     result, breakdown = chi_ratio_detailed(point)
@@ -320,7 +320,8 @@ def test_far_field_closed_form_at_frozen_large_q_points(coords, ref):
 # Frozen from the closed forms at 400 digits (mpmath), at q < 2 where every
 # argument has modulus >= 3: |s| = 6.2 at the first point and 3.5 at the
 # second. Taking every piece from its closed form there was 2.0e-10 and
-# 1.3e-12 off, with err_est = 0; the series pieces bring both within 1e-13.
+# 1.3e-12 off, with err_est = 0. Both points lie in the far field, which the
+# Laurent series serves; it holds them within 1e-13 too.
 SMALL_Q_FAR_ARGUMENT_REFERENCES = [
     (
         (5.446760319435417e-05, 10.98869766351823, 1.7731386213477403),
@@ -335,6 +336,37 @@ SMALL_Q_FAR_ARGUMENT_REFERENCES = [
 
 @pytest.mark.parametrize("coords, ref", SMALL_Q_FAR_ARGUMENT_REFERENCES)
 def test_closed_form_sums_far_arguments_as_series_below_q_2(coords, ref):
+    point = DimensionlessPoint(*coords)
+    assert regime_select(point) is RegimeTag.LAURENT_SERIES
+    result = chi_ratio(point)
+    assert result.method is RegimeTag.LAURENT_SERIES
+    assert abs(result.total - ref) <= 1e-13 * abs(ref)
+    assert result.err_est > 0.0
+
+
+# Frozen from the closed forms at 400 digits (mpmath), at q < 2 outside both
+# series' convergence, where one argument s -+ q/2 has modulus >= 3: every
+# such point of perfbench's seed-0 pool, the third through the guard, and
+# (3.75, 0.0015, 1.5). The closed form sums that piece as a series.
+CLOSED_FORM_FAR_ARGUMENT_REFERENCES = [
+    (
+        (4.205781600386302, 0.12800805343505522, 1.8224242374916402),
+        complex(1.2642115654252164, -0.04340366450297714),
+    ),
+    (
+        (3.565113487042186, 6.453643913925199e-07, 1.2793110601048077),
+        complex(2.5150404471793446, -4.836919532905615e-07),
+    ),
+    (
+        (1.2472951368144833, 2.9382624856275776e-14, 0.4194694588566843),
+        complex(23.277022192634988, -5.754019461715134e-13),
+    ),
+    ((3.75, 0.0015, 1.5), complex(1.8464042572771084, -0.0008029049021929938)),
+]
+
+
+@pytest.mark.parametrize("coords, ref", CLOSED_FORM_FAR_ARGUMENT_REFERENCES)
+def test_closed_form_sums_a_far_argument_outside_both_series(coords, ref):
     point = DimensionlessPoint(*coords)
     assert regime_select(point) is RegimeTag.CLOSED_FORM
     result = chi_ratio(point)

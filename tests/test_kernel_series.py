@@ -9,12 +9,13 @@ form is held only to the accuracy its conditioning permits.
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
 from diamag import ConvergenceError, kernel
 from diamag.core import DimensionlessPoint, RegimeTag
-from diamag.kernel import _laurent_parts, chi_ratio, eval_integrals
+from diamag.kernel import _closed_form_parts, _laurent_parts, chi_ratio, eval_integrals
 
 OVERLAP_WINDOW = [
     # (q, chi(0, 1e-6, q)) frozen at 60 digits
@@ -76,13 +77,13 @@ class TestCollisionDominatedCancellation:
 
 
 def test_asymptotic_and_direct_agree_in_overlap():
-    # |s| = 3.33: far enough out for the asymptotic branch, still
-    # well-conditioned for the direct closed form
+    # |s| = 3.33: the Laurent branch serves the point, and the direct closed
+    # form is still well-conditioned there
     point = DimensionlessPoint(x=0.0, y=4.0, q=1.2)
-    direct = chi_ratio(point)
+    assert chi_ratio(point).method is RegimeTag.LAURENT_SERIES
+    direct = sum(_closed_form_parts(point, None)[:2])
     classic, quant, _ = _laurent_parts(point)
-    assert direct.method is RegimeTag.CLOSED_FORM
-    assert abs(direct.total - (classic + quant)) <= 1e-11 * abs(direct.total)
+    assert abs(direct - (classic + quant)) <= 1e-11 * abs(direct)
 
 
 def test_finite_frequency_asymptotic_value():
@@ -101,6 +102,25 @@ def test_laurent_static_line_survives_a_tiny_wavenumber():
     result = chi_ratio(DimensionlessPoint(x=0.0, y=1e-80, q=1e-83))
     assert result.method is RegimeTag.LAURENT_SERIES
     assert math.isclose(result.total.real, 1.99999714e-13, rel_tol=1e-6)
+
+
+# Frozen from the closed forms at 1500 digits (mpmath; 400 are not enough
+# here), where the Laurent ratio r = q^4/(4 z^2) is below the double range.
+# The first two values lie near the bottom of that range; at the third,
+# 12/z^2 is near its top, and the scaled sum times 12/z^2 would overflow.
+# Summing from the unscaled r gave 0, 4.40e-278 and 0, with err_est 0.
+TINY_RATIO_REFERENCES = [
+    ((0.0, 4.13e-30, 1.91e-99), 9.148781553700916e-279),
+    ((0.0, 3.67e-23, 2.78e-92), 6.584835383003991e-278),
+    ((0.0, 1e-153, 1e-160), 1.999999999999971e-29),
+]
+
+
+@pytest.mark.parametrize("coords, ref", TINY_RATIO_REFERENCES)
+def test_laurent_keeps_its_digits_where_its_ratio_underflows(coords, ref):
+    result = chi_ratio(DimensionlessPoint(*coords))
+    assert result.method is RegimeTag.LAURENT_SERIES
+    assert abs(result.total.real - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * ref
 
 
 # Each term cap, set low, at a point whose branch needs more terms than that:
@@ -150,7 +170,23 @@ def _pinned_points() -> list:
 # and err_est, and the method value, at the pinned points, one line per
 # point. It holds the kernel's bits while its hot path is rewritten; a
 # change to the kernel's numbers moves it openly, as figure1's pin moves.
-KERNEL_BITS_SHA256 = "dfb9f1eb29fb5b6922601d60ff4793d7dc99349c59c1f94bf3f29b2532200c9e"
+KERNEL_BITS_SHA256 = "b6ef94d26ae4d7c8f6bccddde6199b119e3b9215f8869052d834d7845e0cf0cf"
+
+# every (tag, guard ran, x == 0) cell the kernel has: the static point, the
+# small-q window, the Laurent branch and the closed form outside Taylor's
+# convergence skip the guard
+KERNEL_CELLS = {
+    (RegimeTag.PV_STATIC, False, True),
+    (RegimeTag.TAYLOR_SERIES, False, True),
+    (RegimeTag.TAYLOR_SERIES, True, True),
+    (RegimeTag.TAYLOR_SERIES, True, False),
+    (RegimeTag.LAURENT_SERIES, False, True),
+    (RegimeTag.LAURENT_SERIES, False, False),
+    (RegimeTag.CLOSED_FORM, True, True),
+    (RegimeTag.CLOSED_FORM, True, False),
+    (RegimeTag.CLOSED_FORM, False, True),
+    (RegimeTag.CLOSED_FORM, False, False),
+}
 
 
 def test_kernel_bits_are_pinned():
@@ -164,9 +200,7 @@ def test_kernel_bits_are_pinned():
         lines.append(" ".join(v.hex() for v in values) + " " + result.method.value)
         tag, closed = kernel._classify(point)
         cells.add((tag, closed is not None, point.x == 0.0))
-    # every (tag, guard ran, x == 0) cell the kernel has: the static point,
-    # the small-q window and the literal Laurent window skip the guard
-    assert len(cells) == 12
+    assert cells == KERNEL_CELLS
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == KERNEL_BITS_SHA256
 

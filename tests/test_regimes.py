@@ -1,10 +1,15 @@
-"""Regime selection: deterministic windows and cancellation escalation."""
+"""Regime selection: deterministic windows, the far field and cancellation
+escalation."""
+
+import math
+import sys
 
 import pytest
 
 from diamag import kernel
 from diamag.core import DimensionlessPoint
 from diamag.kernel import RegimeTag, chi_ratio, regime_select
+from test_oracle import _closed_form_reference
 
 
 def test_static_pv_window():
@@ -27,7 +32,7 @@ def test_direct_window():
 
 
 def test_large_s_window():
-    # |s| = 60 > 50
+    # |s| = 60: deep in the far field
     assert (
         regime_select(DimensionlessPoint(0.0, 60.0, 1.0))
         is RegimeTag.LAURENT_SERIES
@@ -61,8 +66,9 @@ def test_selection_is_deterministic():
 
 
 def test_quant_suppression_forces_escalation_at_moderate_s():
-    # at |s| = 8 the two quantum terms cancel to ~q^4/(5 y^4) of their size,
-    # so the measured-loss guard reroutes the point
+    # at |s| = 8 the two quantum terms cancel to ~q^4/(5 y^4) of their size;
+    # the point lies in the far field, where the Laurent series takes it
+    # without running the guard
     p = DimensionlessPoint(0.0, 8.0, 1.0)
     assert regime_select(p) is RegimeTag.LAURENT_SERIES
 
@@ -86,8 +92,8 @@ def test_method_matches_regime_for_literal_windows():
 
 
 # |s| < 2 (1 + q/2): the Laurent series in q/z does not converge here
-# (|s|/(1 + q/2) = 0.0135 and 0.962), so neither way into it may be taken,
-# and q exceeds what the Taylor series can serve
+# (|s|/(1 + q/2) = 0.0135 and 0.962), so the far-field test fails, and q
+# exceeds what the Taylor series can serve
 OUTSIDE_LAURENT = [(0.0, 55276.0, 2857.0), (0.0, 754.0, 38.6)]
 
 
@@ -100,9 +106,9 @@ def test_points_outside_laurent_convergence_get_the_closed_form(x, y, q):
     assert result.err_est > 0.0
 
 
-# |s| just above 2 (1 + q/2) and above _LARGE_S: the Laurent branch
-# keeps these points, with the exact bits it gave before the convergence
-# predicate existed
+# |s| just above 2 (1 + q/2) and above 50: the Laurent branch keeps these
+# points, with the exact bits it gave before the convergence predicate
+# existed
 LAURENT_EDGE = [
     (
         (1000.0, 2450.0, 50.0),
@@ -121,3 +127,50 @@ def test_laurent_edge_points_keep_their_branch_and_bits(coords, classic, quant, 
     result = chi_ratio(point)
     assert result.method is RegimeTag.LAURENT_SERIES
     assert (result.classic, result.quant, result.err_est) == (classic, quant, err_est)
+
+
+# Seam points of the far-field test |s| >= 3 and |s| >= 2 (1 + q/2): each
+# base (x, y, q) lies on the boundary; (x, y) scaled by 1 + 2^-51 gives the
+# outer point, just inside the far field, and by 1 - 2^-51 the inner point,
+# just below it. The first five bases sit on |s| = 3, the last two on
+# |s| = 2 + q = 3.5.
+SEAM_BASES = [(0.0, 3.0 * q, q) for q in (0.01, 0.5, 0.99)] + [
+    (1.5, 0.0, 0.5),
+    (1.5 * math.cos(1.4), 1.5 * math.sin(1.4), 0.5),
+    (0.0, 5.25, 1.5),
+    (3.15, 4.2, 1.5),
+]
+
+
+def _seam_point(base, scale):
+    x, y, q = base
+    return DimensionlessPoint(x * scale, y * scale, q)
+
+
+def _honest(point) -> bool:
+    """Whether chi_ratio is within err_est + 4 eps |ref| of the 400-digit
+    closed form."""
+    result = chi_ratio(point)
+    ref = _closed_form_reference(point.x, point.y, point.q)
+    return abs(result.total - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * abs(ref)
+
+
+@pytest.mark.parametrize("base", SEAM_BASES)
+def test_far_field_side_of_the_seam_is_laurent_and_honest(base):
+    point = _seam_point(base, 1.0 + 2.0**-51)
+    assert regime_select(point) is RegimeTag.LAURENT_SERIES
+    assert _honest(point)
+    assert regime_select(_seam_point(base, 1.0 - 2.0**-51)) is not RegimeTag.LAURENT_SERIES
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: below the far field the closed form and the Taylor series lose "
+    "digits that err_est omits; the closed form is 5.45e-12 relative off at (0, 1.5, 0.5) "
+    "with err_est 0",
+)
+def test_near_field_side_of_the_seam_is_honest():
+    points = [_seam_point(base, 1.0 - 2.0**-51) for base in SEAM_BASES]
+    # a closed-form point 3.6e-13 off, outside both series' convergence
+    points.append(DimensionlessPoint(0.0, 5.51, 1.9))
+    assert all(_honest(point) for point in points)
