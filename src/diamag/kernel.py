@@ -50,6 +50,12 @@ escalation (intermediate magnitude over the computed quantum part) at a
 fixed digit threshold chooses between the closed form and the Taylor series;
 every other point gets the closed form. The thresholds are module constants;
 every accuracy result of the package is measured at their values.
+
+The hot path keeps each series' order of operations, and so its bits, with
+less work per point: exact float tables hold the recurrences' integer
+factors, the Taylor series climbs its ladder inline from the guard's L(s),
+and the Laurent sums run in real arithmetic at x = 0, where all their
+imaginary parts are exact zeros.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from itertools import islice
 
 from .core import (
     ChiResult,
@@ -79,6 +86,10 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# the kernel's tags, read once: EnumType's __getattr__ slows each RegimeTag.X
+_PV, _CLOSED, _TAYLOR, _LAURENT = (
+    RegimeTag.PV_STATIC, RegimeTag.CLOSED_FORM, RegimeTag.TAYLOR_SERIES, RegimeTag.LAURENT_SERIES
+)
 # |sigma| at and above which the far-field series replace the closed-form
 # pieces, and |s| at and above which the Laurent branch serves a point where
 # it converges: their terms then fall by at least 9x per order, while the
@@ -239,19 +250,19 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
 
 
 def _first_integral_closed(s: complex, q: float) -> tuple:
-    """(I1, bracket, bracket_log) from the closed forms, where bracket =
+    """(I1, bracket, bracket_log, L(s)) from the closed forms, where bracket =
     q I2 = 4/3 + z I1 and bracket_log = s (1 - s^2) L(s) is its log term.
-    At s = +-1 every log term takes its limit 0."""
+    At s = +-1 every log term takes its limit 0 (L(s) is then 0)."""
     one_ms2 = 1.0 - s * s
     Ls = branch_log_L(s) if one_ms2 else 0j
     bracket_log = s * one_ms2 * Ls
-    return (-2.0 * s + one_ms2 * Ls) / q, 4.0 / 3.0 - 2.0 * s * s + bracket_log, bracket_log
+    return (-2.0 * s + one_ms2 * Ls) / q, 4.0 / 3.0 - 2.0 * s * s + bracket_log, bracket_log, Ls
 
 
 def _closed_pieces(z: complex, q: float) -> tuple:
     """Every closed-form piece at z and the digits their quantum sum cancels.
 
-    Returns ((I1, bracket, g_plus, g_minus), lost digits), with
+    Returns ((I1, bracket, g_plus, g_minus, L(s)), lost digits), with
     g_-+ = g(s -+ q/2). The lost digits are log10 of the peak intermediate
     size over the quantum sum. The peak scans every summand that feeds the
     quantum sum, at all three assembly levels (the middle-integral bracket,
@@ -260,7 +271,7 @@ def _closed_pieces(z: complex, q: float) -> tuple:
     """
     s = z / q
     a = 0.5 * q
-    I1, bracket, bracket_log = _first_integral_closed(s, q)
+    I1, bracket, bracket_log, Ls = _first_integral_closed(s, q)
     g_plus, peak_plus = _antiderivative_with_peak(s + a)
     g_minus, peak_minus = _antiderivative_with_peak(s - a)
     peak = max(
@@ -268,12 +279,12 @@ def _closed_pieces(z: complex, q: float) -> tuple:
         0.75 / q**3 * max(peak_plus, peak_minus, abs(g_plus), abs(g_minus)),
     )
     quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q**3)
-    return (I1, bracket, g_plus, g_minus), math.log10(peak / max(abs(quant), _TINY))
+    return (I1, bracket, g_plus, g_minus, Ls), math.log10(peak / max(abs(quant), _TINY))
 
 
 def _breakdown(x: float, q: float, closed: tuple) -> TermBreakdown:
     """The integrals and weighted terms from the closed-form pieces."""
-    I1, bracket, g_plus, g_minus = closed
+    I1, bracket, g_plus, g_minus, _ = closed
     I2 = bracket / q
     I3 = (g_plus - g_minus) / q**3
     return TermBreakdown(
@@ -339,35 +350,19 @@ def _static_parts(q: float) -> tuple:
 # (total - t) + term where |total| >= |term|, else (term - t) + total. Their
 # stop tests write max(|total|, _TINY) as the comparison max() makes.
 
-# C(n, k), k <= min(4, n): the Leibniz coefficients of g^(n), n <= 2 _TAYLOR_MAX_TERMS + 1
-_LEIBNIZ_BINOMIALS = tuple(
-    tuple(math.comb(n, k) for k in range(min(4, n) + 1)) for n in range(2 * _TAYLOR_MAX_TERMS + 2)
+# Exact float factors of Taylor term m = 1 .. _TAYLOR_MAX_TERMS, n = 2m + 1: g^(n)'s
+# constant, 2r and r (r - 1) of the ladder's rungs r = n - 2 and n - 1, the
+# Leibniz C(n, 1..3) and 24 C(n, 4), and the factorial's next factor (n + 1)(n + 2)
+_TAYLOR_ROWS = tuple(
+    tuple(map(float, (
+        12 if n == 3 else 0, 2 * (n - 2), (n - 2) * (n - 3), 2 * (n - 1), (n - 1) * (n - 2),
+        math.comb(n, 1), math.comb(n, 2), math.comb(n, 3), 24 * math.comb(n, 4), (n + 1) * (n + 2),
+    )))
+    for n in range(3, 2 * _TAYLOR_MAX_TERMS + 2, 2)
 )
 
 
-def _antiderivative_odd_derivatives(s: complex):
-    """Yield the odd-order derivatives g^(3), g^(5), ..., g^(2 _TAYLOR_MAX_TERMS + 1)
-    at sigma = s.
-
-    Derivatives of L satisfy the two-term ladder
-        (1 - s^2) L^(n+1) = 2 n s L^(n) + n (n-1) L^(n-1)
-    seeded by L and L' = -2/(1 - s^2); the polynomial and (1 - s^2)^2 L parts
-    of g then combine by the Leibniz rule (the quartic prefactor has only
-    five nonzero derivatives). Each yield extends the ladder by two rungs.
-    """
-    one_ms2 = 1.0 - s * s
-    Lv = [branch_log_L(s), -2.0 / one_ms2]
-    u = [one_ms2 * one_ms2, -4.0 * s + 4.0 * s**3, -4.0 + 12.0 * s * s, 24.0 * s, 24.0 + 0j]
-    for n in range(3, 2 * _TAYLOR_MAX_TERMS + 2, 2):
-        for r in (n - 2, n - 1):
-            Lv.append((2.0 * r * s * Lv[r] + r * (r - 1) * Lv[r - 1]) / one_ms2)
-        total = complex(12.0) if n == 3 else complex(0.0)
-        for k, binomial in enumerate(_LEIBNIZ_BINOMIALS[n]):
-            total += binomial * u[k] * Lv[n - k]
-        yield total
-
-
-def _quant_taylor_shift(s: complex, q: float) -> tuple:
+def _quant_taylor_shift(s: complex, q: float, Ls=None) -> tuple:
     """Quantum part via the shifted-difference Taylor series about s.
 
     Expanding the two antiderivative evaluations at s -+ q/2 about s, the
@@ -376,12 +371,21 @@ def _quant_taylor_shift(s: complex, q: float) -> tuple:
 
         quant = sum_{m>=1} (3/4) q^(2m-2) g^(2m+1)(s) / (4^m (2m+1)!)
 
-    which converges geometrically with ratio (q / (2 dist(s, +-1)))^2. The
-    derivatives are drawn on demand, one per term, so the series builds none
-    past the term where it stops. Returns (quant, abs truncation bound).
+    which converges geometrically with ratio (q / (2 dist(s, +-1)))^2.
+    Derivatives of L satisfy the two-term ladder
+        (1 - s^2) L^(n+1) = 2 n s L^(n) + n (n-1) L^(n-1)
+    seeded by L = Ls (computed here when None) and L' = -2/(1 - s^2); the
+    polynomial and (1 - s^2)^2 L parts of g then combine by the Leibniz rule
+    (the quartic prefactor has only five nonzero derivatives). Each term
+    climbs two rungs, so the series builds no derivative past the term where
+    it stops. Returns (quant, abs truncation bound).
     """
     dist = min(abs(s - 1.0), abs(s + 1.0))
     ratio = (q / (2.0 * dist)) ** 2
+    one_ms2 = 1.0 - s * s
+    u0, u1, u2, u3 = one_ms2 * one_ms2, -4.0 * s + 4.0 * s**3, -4.0 + 12.0 * s * s, 24.0 * s
+    # L^(n-2), L^(n-3), L^(n-4) for n = 3; L^(-1) enters only times C(3, 4) = 0
+    lb, lc, ld = -2.0 / one_ms2, branch_log_L(s) if Ls is None else Ls, 0j
     total = complex(0.0)
     total_abs = 0.0
     comp = complex(0.0)
@@ -389,23 +393,31 @@ def _quant_taylor_shift(s: complex, q: float) -> tuple:
     small_streak = 0
     fact = 6.0
     qpow = 1.0
+    qq = q * q
     fourpow = 4.0
-    for m, deriv in enumerate(_antiderivative_odd_derivatives(s), 1):
+    tiny = _TINY
+    for head, two_a, rr_a, two_b, rr_b, c1, c2, c3, c4u4, fact_step in islice(
+        _TAYLOR_ROWS, _TAYLOR_MAX_TERMS
+    ):
+        la = (two_a * s * lb + rr_a * lc) / one_ms2
+        lz = (two_b * s * la + rr_b * lb) / one_ms2
+        deriv = head + u0 * lz + c1 * u1 * la + c2 * u2 * lb + c3 * u3 * lc + c4u4 * ld
+        lb, lc, ld = lz, la, lb
         term = 0.75 * qpow * deriv / (fourpow * fact)
         last = abs(term)
         t = total + term
         comp += (total - t) + term if total_abs >= last else (term - t) + total
         total = t
         total_abs = abs(t)
-        if last <= 1e-17 * (_TINY if _TINY > total_abs else total_abs):
+        if last <= 1e-17 * (tiny if tiny > total_abs else total_abs):
             small_streak += 1
             if small_streak >= 2:
                 break
         else:
             small_streak = 0
-        qpow *= q * q
+        qpow *= qq
         fourpow *= 4.0
-        fact *= (2 * m + 2) * (2 * m + 3)
+        fact *= fact_step
     else:
         raise ConvergenceError(
             "shifted-difference series did not converge", total + comp, last, _TAYLOR_MAX_TERMS
@@ -415,7 +427,17 @@ def _quant_taylor_shift(s: complex, q: float) -> tuple:
     return total, 4.0 * tail
 
 
-def _quant_laurent(z: complex, q: float, w: complex) -> tuple:
+# Exact float factors of the series' term recurrences, sized by the term caps:
+# (a + 1) a at a / 2 and j2 (j2 + 5) at j2 / 2, for the Laurent terms' even a
+# and j2, and 2j - 1 at j, for the first integral's 2j - 1 and 2j + 3
+_LAURENT_A = tuple(
+    float((a + 1) * a) for a in range(0, 2 * (_LAURENT_MAX_OUTER + _LAURENT_MAX_INNER) + 1, 2)
+)
+_LAURENT_J2 = tuple(float(j2 * (j2 + 5)) for j2 in range(0, 2 * _LAURENT_MAX_INNER + 1, 2))
+_ODD = tuple(float(2 * j - 1) for j in range(_FIRST_SERIES_MAX_TERMS + 3))
+
+
+def _quant_laurent(w, r_scaled, prefactor, e: int) -> tuple:
     """Quantum part via the large-|s| Laurent double series.
 
     The quantum integrals expand in powers of w = (q/z)^2 and q^4/(4 z^2); the
@@ -426,54 +448,51 @@ def _quant_laurent(z: complex, q: float, w: complex) -> tuple:
         t_m0 = (q^4/(4 z^2))^m / 15,
         t_m,j+1 = t_mj w (2j+2m+3)(2j+2m+2) / ((2j+2)(2j+7)).
 
-    Absolutely convergent for |s| > 1 + q/2. Every caller first checks
-    _laurent_converges, |s| >= 2 (1 + q/2), so the outer ratio is at most 1/4;
-    nearer the edge the series needs thousands of terms or overflows.
-    Below q = 2^-250, q^4 and r = q^4/(4 z^2) may leave the double range:
-    the sum then starts from r_scaled = (2^-e q)^4/(4 z^2), with e = 250 +
-    the binary exponent of q < 0, and steps with the true r = 2^(4e) r_scaled;
-    at the end ldexp applies 2^(2e) to the prefactor 12/z^2 and to the sum.
-    Elsewhere e = 0, and this is the plain arithmetic bit for bit.
-    Returns (quant, abs truncation bound).
+    Absolutely convergent for |s| > 1 + q/2. Every caller first checks the
+    far field, |s| >= 2 (1 + q/2), so the outer ratio is at most 1/4; nearer
+    the edge the series needs thousands of terms or overflows. The caller
+    passes w, r_scaled = (2^-e q)^4/(4 z^2) and prefactor = 12/z^2, complex,
+    or real at x = 0, where every imaginary part is an exact 0. Below
+    q = 2^-250, q^4 and r = q^4/(4 z^2) may leave the double range: e is then
+    250 + the binary exponent of q < 0, the sum starts from r_scaled and
+    steps with the true r = 2^(4e) r_scaled, and at the end ldexp applies
+    2^(2e) to the prefactor and to the sum. Elsewhere e = 0, and this is the
+    plain arithmetic bit for bit. Returns (quant, abs truncation bound).
     """
-    e = min(0, math.frexp(q)[1] + 250)
-    r_scaled = math.ldexp(q, -e) ** 4 / (4.0 * z * z)
     r = r_scaled * 2.0 ** (4 * e)
-    total = complex(0.0)
-    total_abs = 0.0
-    comp = complex(0.0)
+    tiny, a_factors, j2_factors, inner_cap = _TINY, _LAURENT_A, _LAURENT_J2, _LAURENT_MAX_INNER
+    # a float 0 start adds to a complex term exactly as complex(0.0) does
+    total = total_abs = comp = 0.0
     rm = r_scaled / 15.0
     last_inner = 0.0
     small_streak = 0
+    # 1e-17 max(total_abs, _TINY), the stop threshold of both sums
+    stop = 1e-17 * tiny
     for m in range(1, _LAURENT_MAX_OUTER + 1):
-        tmj = rm
-        inner = tmj
-        inner_abs = abs(inner)
-        icomp = complex(0.0)
-        floor = _TINY if _TINY > total_abs else total_abs
-        m2 = 2 * m
-        for j2 in range(2, 2 * _LAURENT_MAX_INNER + 2, 2):
-            # j2 = 2j + 2, and a = 2j + 2m + 2
-            a = j2 + m2
-            tmj *= w * ((a + 1) * a) / (j2 * (j2 + 5))
+        tmj = inner = rm
+        inner_abs = abs(rm)
+        icomp = 0.0
+        # j2 = 2 i and a = j2 + 2m
+        for i in range(1, inner_cap + 1):
+            tmj *= w * a_factors[i + m] / j2_factors[i]
             tmj_abs = abs(tmj)
             t = inner + tmj
             icomp += (inner - t) + tmj if inner_abs >= tmj_abs else (tmj - t) + inner
             inner = t
             inner_abs = abs(t)
-            if tmj_abs <= 1e-17 * (floor if floor > inner_abs else inner_abs):
+            # tmj_abs <= 1e-17 max(total_abs, _TINY, inner_abs), as max() compares
+            if tmj_abs <= stop or tmj_abs <= 1e-17 * inner_abs:
                 break
         else:
-            raise ConvergenceError(
-                "Laurent inner series stalled", total, inner_abs, _LAURENT_MAX_INNER
-            )
+            raise ConvergenceError("Laurent inner series stalled", total, inner_abs, inner_cap)
         inner += icomp
         last_inner = abs(inner)
         t = total + inner
         comp += (total - t) + inner if total_abs >= last_inner else (inner - t) + total
         total = t
         total_abs = abs(t)
-        if last_inner <= 1e-17 * (_TINY if _TINY > total_abs else total_abs):
+        stop = 1e-17 * (tiny if tiny > total_abs else total_abs)
+        if last_inner <= stop:
             small_streak += 1
             if small_streak >= 2:
                 break
@@ -485,7 +504,6 @@ def _quant_laurent(z: complex, q: float, w: complex) -> tuple:
             "Laurent outer series stalled", total, last_inner, _LAURENT_MAX_OUTER
         )
     total += comp
-    prefactor = 12.0 / (z * z)
     if e < 0:
         # 2^(4e) goes half into each factor, so that neither a factor nor
         # their product leaves the double range where the value does not
@@ -506,8 +524,9 @@ def _first_integral_series(w: complex, head: complex) -> tuple:
     total = complex(head)
     total_abs = abs(total)
     comp = complex(0.0)
+    odd = _ODD
     for j in range(1, _FIRST_SERIES_MAX_TERMS + 1):
-        term *= w * (2 * j - 1) / (2 * j + 3)
+        term *= w * odd[j] / odd[j + 2]
         term_abs = abs(term)
         t = total + term
         comp += (total - t) + term if total_abs >= term_abs else (term - t) + total
@@ -537,23 +556,6 @@ def _classic_laurent(z: complex, q: float, x: float, w: complex) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_converges(s_abs: float, q: float) -> bool:
-    """Whether the Laurent branch serves a point, the far field:
-    |s| >= _FAR_MIN and |s| >= 2 (1 + q/2).
-
-    The second is the series' convergence condition |s| > 1 + q/2 with a
-    factor-2 margin, which keeps its outer ratio at or below 1/4; the first
-    keeps its inner ratio |q/z|^2 at or below 1/9, as the closed form's own
-    far-field pieces do.
-    """
-    return s_abs >= _FAR_MIN and s_abs >= 2.0 * (1.0 + 0.5 * q)
-
-
-def _taylor_converges(s: complex, q: float) -> bool:
-    """Whether the Taylor branch may serve a point: q <= _TAYLOR_SPAN * dist(s, +-1)."""
-    return q <= _TAYLOR_SPAN * min(abs(s - 1.0), abs(s + 1.0))
-
-
 def _classify(point: DimensionlessPoint) -> tuple:
     """Deterministic regime choice; returns (RegimeTag, closed pieces|None).
 
@@ -561,26 +563,32 @@ def _classify(point: DimensionlessPoint) -> tuple:
     Taylor series below q = 1/2, chi_static_pv's formula up to q = 2 and the
     closed form above. The static series window x = 0, q < _SMALLQ_Q_MAX,
     y < _SMALLQ_BETA * q is TAYLOR_SERIES. Every other point comes from three
-    decisions: the far field, where _laurent_converges holds, is
-    LAURENT_SERIES; a point where the Taylor series does not converge is
-    CLOSED_FORM; and the cancellation guard, which runs only at the rest,
-    escalates a closed form that loses more than _CANCEL_DIGITS digits to
-    TAYLOR_SERIES and keeps every other one. The collisionless line y = 0
-    takes the same path as y > 0 and gets the limit y -> 0+. The closed
-    pieces are those the guard evaluated, for the evaluators to reuse.
+    decisions: the far field, |s| >= _FAR_MIN and |s| >= 2 (1 + q/2), is
+    LAURENT_SERIES; a point where the Taylor series does not converge,
+    q > _TAYLOR_SPAN * dist(s, +-1), is CLOSED_FORM; and the cancellation
+    guard, which runs only at the rest, escalates a closed form that loses
+    more than _CANCEL_DIGITS digits to TAYLOR_SERIES and keeps every other
+    one. The collisionless line y = 0 takes the same path as y > 0 and gets
+    the limit y -> 0+. The closed pieces are those the guard evaluated, for
+    the evaluators to reuse.
     """
     x, y, q = point.x, point.y, point.q
-    if y == 0.0 and x == 0.0:
-        return RegimeTag.PV_STATIC, None
-    if x == 0.0 and q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
-        return RegimeTag.TAYLOR_SERIES, None
-    s = point.s
-    if _laurent_converges(abs(s), q):
-        return RegimeTag.LAURENT_SERIES, None
-    if not _taylor_converges(s, q):
-        return RegimeTag.CLOSED_FORM, None
-    closed, lost_digits = _closed_pieces(point.z, q)
-    tag = RegimeTag.TAYLOR_SERIES if lost_digits > _CANCEL_DIGITS else RegimeTag.CLOSED_FORM
+    if x == 0.0:
+        if y == 0.0:
+            return _PV, None
+        if q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
+            return _TAYLOR, None
+    z = complex(x, y)
+    s = z / q
+    s_abs = abs(s)
+    # the Laurent series converges for |s| > 1 + q/2; the margin keeps its outer
+    # ratio <= 1/4, and _FAR_MIN its inner ratio |q/z|^2 <= 1/9, as in the closed form
+    if s_abs >= _FAR_MIN and s_abs >= 2.0 * (1.0 + 0.5 * q):
+        return _LAURENT, None
+    if not q <= _TAYLOR_SPAN * min(abs(s - 1.0), abs(s + 1.0)):
+        return _CLOSED, None
+    closed, lost_digits = _closed_pieces(z, q)
+    tag = _TAYLOR if lost_digits > _CANCEL_DIGITS else _CLOSED
     return tag, closed
 
 
@@ -620,7 +628,7 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
     x, q = point.x, point.q
     z = complex(x, point.y)
     s = z / q
-    I1, bracket, g_plus, g_minus = closed or (None, None, None, None)
+    I1, bracket, g_plus, g_minus, _ = closed or (None,) * 5
     weight = 3.0 / (q * q)
     bracket_err = I1_err = 0.0
     if abs(s) >= _FAR_MIN:
@@ -632,7 +640,7 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
         I1 = -(4.0 / 3.0 + tail) / z
         I1_err = bracket_err / abs(z)
     elif closed is None:
-        I1, bracket, _ = _first_integral_closed(s, q)
+        I1, bracket = _first_integral_closed(s, q)[:2]
     g_plus, err_plus = _antiderivative_piece(s + 0.5 * q, g_plus)
     if x == 0.0:
         # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
@@ -651,10 +659,11 @@ def _taylor_parts(point: DimensionlessPoint, closed) -> tuple:
     Exact in beta = y/q; on the static line it reduces to 1 - q^2/20 - ... .
     The classical part keeps its closed form, the guard's I1, which does not
     cancel here; off x = 0 a point reaches this series only through the
-    guard. err_est carries the series' truncation bound.
+    guard, whose L(s) the series reuses. err_est carries the series'
+    truncation bound.
     """
     x, q = point.x, point.q
-    quant, err_est = _quant_taylor_shift(point.s, q)
+    quant, err_est = _quant_taylor_shift(point.s, q, closed[4] if closed else None)
     return (-3.0 * x / (q * q) * closed[0] if x else 0j), quant, err_est
 
 
@@ -666,12 +675,19 @@ def _laurent_parts(point: DimensionlessPoint) -> tuple:
     (starting at q^4/z^4). This covers both the collision-dominated window
     q << |z| and the large-|s| window. err_est carries the truncation bounds.
     """
-    x, q = point.x, point.q
-    z = complex(x, point.y)
-    w = (q / z) ** 2
-    quant, quant_err = _quant_laurent(z, q, w)
+    x, y, q = point.x, point.y, point.q
+    e = min(0, math.frexp(q)[1] + 250)
+    q4 = math.ldexp(q, -e) ** 4
     if x == 0.0:
-        return 0j, quant, quant_err
+        # z = iy: z^2 = -y^2, w = -(q/y)^2 and every term are real, and the sums
+        # run in real arithmetic in the complex code's order, to the same bits;
+        # + 0.0 keeps a zero +0.0 as there (ldexp below q = 2^-250 gives complex)
+        u = q / y
+        quant, quant_err = _quant_laurent(0.0 - u * u, q4 / (4.0 * y * -y), 12.0 / (y * -y), e)
+        return 0j, quant.real + 0.0, quant_err
+    z = complex(x, y)
+    w = (q / z) ** 2
+    quant, quant_err = _quant_laurent(w, q4 / (4.0 * z * z), 12.0 / (z * z), e)
     classic, classic_err = _classic_laurent(z, q, x, w)
     return classic, quant, quant_err + classic_err
 
@@ -683,26 +699,25 @@ def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
     part is exactly 0 and the quantum part real. A float product that
     overflows gives inf without raising, and ChiResult then refuses the
     non-finite part with ValidationError. The point itself is valid, so that
-    is raised as DomainError, as _double_range does.
+    is raised as DomainError, as an overflow inside chi_ratio is.
     """
     try:
-        if tag is RegimeTag.LAURENT_SERIES:
+        if tag is _LAURENT:
             classic, quant, err_est = _laurent_parts(point)
-        elif tag is RegimeTag.TAYLOR_SERIES:
+        elif tag is _TAYLOR:
             classic, quant, err_est = _taylor_parts(point, closed)
-        elif tag is RegimeTag.PV_STATIC and point.q <= 2.0:
+        elif tag is _PV and point.q <= 2.0:
             classic, quant, err_est = _static_parts(point.q)
         else:
             # the static point above q = 2 too: its poles have left [-1, 1]
             classic, quant, err_est = _closed_form_parts(point, closed)
         if point.x == 0.0:
             classic, quant = 0j, complex(quant.real, 0.0)
-        return ChiResult.from_parts(classic, quant, tag, err_est)
+        return ChiResult(classic, quant, classic + quant, tag, err_est)
     except ValidationError as exc:
         raise DomainError(f"the result is beyond double-precision range ({exc})") from exc
 
 
-@_double_range
 def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio chi/chi_L with automatic regime handling.
 
@@ -721,7 +736,11 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     intermediate or the result overflows or divides by zero in double
     precision, which happens only far outside |x|, y, q in 1e+-100.
     """
-    return _result(point, *_classify(point))
+    # the catch of _double_range, written out on the kernel's hot path
+    try:
+        return _result(point, *_classify(point))
+    except ArithmeticError as exc:
+        raise DomainError(f"chi_ratio: the point is beyond double-precision range ({exc})") from exc
 
 
 @_double_range

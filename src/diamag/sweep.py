@@ -39,6 +39,7 @@ FIGURE1_Q_RANGE: Tuple[float, float] = (1e-7, 2.0)
 FIGURE1_POINTS_PER_CURVE = 400
 
 _AXES = ("q", "x", "y")
+_FLOAT_FORMAT = "%.17g"
 _SPACINGS = ("log", "linear")
 
 
@@ -126,13 +127,14 @@ class OutputRow(FrozenRecord):
         return cls(point.q, point.x, point.y, *(0.0,) * 6, "error", 0.0)
 
     def to_csv_line(self) -> str:
-        return ",".join(
-            value if isinstance(value, str) else format_float(value)
-            for value in self._values()
-        )
+        return _CSV_ROW_FORMAT % self._values()
 
 
 CSV_HEADER = ",".join(OutputRow._fields)
+# one row: the method name as it is, every other field as format_float writes it
+_CSV_ROW_FORMAT = ",".join(
+    "%s" if name == "method" else _FLOAT_FORMAT for name in OutputRow._fields
+)
 
 # The CSV method column gives both series one label, as figure1's pinned
 # bytes (FIGURE1_SHA256 in perfbench/run.py) have it; every other tag is
@@ -145,7 +147,7 @@ _CSV_METHOD = {
 
 def format_float(value: float) -> str:
     """17 significant digits, enough to round-trip any double exactly."""
-    return "%.17g" % value
+    return _FLOAT_FORMAT % value
 
 
 def run_sweep(spec: SweepSpec) -> Tuple[List[OutputRow], List[str]]:

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from diamag import ConvergenceError, kernel
+from diamag import ConvergenceError, DomainError, kernel
 from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.kernel import _closed_form_parts, _laurent_parts, chi_ratio, eval_integrals
 
@@ -121,6 +121,56 @@ def test_laurent_keeps_its_digits_where_its_ratio_underflows(coords, ref):
     result = chi_ratio(DimensionlessPoint(*coords))
     assert result.method is RegimeTag.LAURENT_SERIES
     assert abs(result.total.real - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * ref
+
+
+def _complex_laurent_quant(y: float, q: float) -> tuple:
+    """_quant_laurent on the complex inputs that a point x > 0 gives it,
+    here at z = iy, where _laurent_parts feeds the same loop real ones."""
+    z = complex(0.0, y)
+    e = min(0, math.frexp(q)[1] + 250)
+    r_scaled = math.ldexp(q, -e) ** 4 / (4.0 * z * z)
+    return kernel._quant_laurent((q / z) ** 2, r_scaled, 12.0 / (z * z), e)
+
+
+def _outcome(func, *args):
+    """func's value, or the type of the exception it raises."""
+    try:
+        return func(*args)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+def test_x0_laurent_in_real_arithmetic_keeps_the_complex_bits():
+    # y and q log-uniform over 1e+-300: the real sums give the complex sums'
+    # real part bit for bit, err_est too, and raise where they raise,
+    # silent zeros (+0.0 on both) and y^2 underflow included
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(20000):
+        y, q = _loguniform(rng, 1e-300, 1e300), _loguniform(rng, 1e-300, 1e300)
+        point = DimensionlessPoint(0.0, y, q)
+        tag = _outcome(kernel._classify, point)
+        if isinstance(tag, type) or tag[0] is not RegimeTag.LAURENT_SERIES:
+            continue
+        want = _outcome(_complex_laurent_quant, y, q)
+        got = _outcome(_laurent_parts, point)
+        if isinstance(want, type):
+            assert got is want, (y, q)
+            kinds.add(want.__name__)
+            continue
+        classic, quant, err_est = got
+        assert (quant.hex(), err_est.hex()) == (want[0].real.hex(), want[1].hex()), (y, q)
+        kinds.add("zero" if quant == 0.0 else "finite")
+    assert kinds == {"finite", "zero", "OverflowError", "ZeroDivisionError"}
+
+
+def test_x0_laurent_where_y_squared_underflows_raises_domain_error():
+    # 4 y^2 and y^2 are below the double range; the real sums divide by -0.0
+    point = DimensionlessPoint(0.0, 1e-170, 1e-175)
+    assert kernel._classify(point)[0] is RegimeTag.LAURENT_SERIES
+    with pytest.raises(DomainError, match="beyond double-precision range") as info:
+        chi_ratio(point)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 # Each term cap, set low, at a point whose branch needs more terms than that:
@@ -286,13 +336,6 @@ def _taylor_centres() -> list:
 
 def _hex(values) -> list:
     return [part.hex() for value in values for part in (complex(value).real, complex(value).imag)]
-
-
-def test_odd_derivatives_equal_the_table_built_up_front():
-    for s in _taylor_centres():
-        drawn = list(kernel._antiderivative_odd_derivatives(s))
-        assert len(drawn) == kernel._TAYLOR_MAX_TERMS
-        assert _hex(drawn) == _hex(_reference_odd_derivatives(s, kernel._TAYLOR_MAX_TERMS)), s
 
 
 def test_taylor_shift_equals_the_reference_up_to_the_convergence_edge():
