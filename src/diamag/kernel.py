@@ -437,7 +437,7 @@ _LAURENT_J2 = tuple(float(j2 * (j2 + 5)) for j2 in range(0, 2 * _LAURENT_MAX_INN
 _ODD = tuple(float(2 * j - 1) for j in range(_FIRST_SERIES_MAX_TERMS + 3))
 
 
-def _quant_laurent(w, r_scaled, prefactor, e: int) -> tuple:
+def _quant_laurent(w, r_scaled, r, prefactor, k: int) -> tuple:
     """Quantum part via the large-|s| Laurent double series.
 
     The quantum integrals expand in powers of w = (q/z)^2 and q^4/(4 z^2); the
@@ -451,15 +451,14 @@ def _quant_laurent(w, r_scaled, prefactor, e: int) -> tuple:
     Absolutely convergent for |s| > 1 + q/2. Every caller first checks the
     far field, |s| >= 2 (1 + q/2), so the outer ratio is at most 1/4; nearer
     the edge the series needs thousands of terms or overflows. The caller
-    passes w, r_scaled = (2^-e q)^4/(4 z^2) and prefactor = 12/z^2, complex,
-    or real at x = 0, where every imaginary part is an exact 0. Below
-    q = 2^-250, q^4 and r = q^4/(4 z^2) may leave the double range: e is then
-    250 + the binary exponent of q < 0, the sum starts from r_scaled and
-    steps with the true r = 2^(4e) r_scaled, and at the end ldexp applies
-    2^(2e) to the prefactor and to the sum. Elsewhere e = 0, and this is the
-    plain arithmetic bit for bit. Returns (quant, abs truncation bound).
+    passes w, the ratio r = q^4/(4 z^2), and r_scaled and prefactor, which
+    are r and 12/z^2 times powers of two that keep them in the double range:
+    the sum starts from r_scaled and steps with r, and at the end ldexp
+    applies 2^k to the prefactor and to the sum. Where nothing needs scaling,
+    r_scaled = r, k = 0, and this is the plain arithmetic bit for bit. The
+    values are complex, or real at x = 0, where every imaginary part is an
+    exact 0. Returns (quant, abs truncation bound).
     """
-    r = r_scaled * 2.0 ** (4 * e)
     tiny, a_factors, j2_factors, inner_cap = _TINY, _LAURENT_A, _LAURENT_J2, _LAURENT_MAX_INNER
     # a float 0 start adds to a complex term exactly as complex(0.0) does
     total = total_abs = comp = 0.0
@@ -472,8 +471,10 @@ def _quant_laurent(w, r_scaled, prefactor, e: int) -> tuple:
         tmj = inner = rm
         inner_abs = abs(rm)
         icomp = 0.0
-        # j2 = 2 i and a = j2 + 2m
-        for i in range(1, inner_cap + 1):
+        # j2 = 2 i and a = j2 + 2m; past the first outer term most inner sums
+        # stop at i = 1, where a while loop saves building a range
+        i = 1
+        while True:
             tmj *= w * a_factors[i + m] / j2_factors[i]
             tmj_abs = abs(tmj)
             t = inner + tmj
@@ -483,8 +484,9 @@ def _quant_laurent(w, r_scaled, prefactor, e: int) -> tuple:
             # tmj_abs <= 1e-17 max(total_abs, _TINY, inner_abs), as max() compares
             if tmj_abs <= stop or tmj_abs <= 1e-17 * inner_abs:
                 break
-        else:
-            raise ConvergenceError("Laurent inner series stalled", total, inner_abs, inner_cap)
+            if i >= inner_cap:
+                raise ConvergenceError("Laurent inner series stalled", total, inner_abs, inner_cap)
+            i += 1
         inner += icomp
         last_inner = abs(inner)
         t = total + inner
@@ -504,12 +506,12 @@ def _quant_laurent(w, r_scaled, prefactor, e: int) -> tuple:
             "Laurent outer series stalled", total, last_inner, _LAURENT_MAX_OUTER
         )
     total += comp
-    if e < 0:
-        # 2^(4e) goes half into each factor, so that neither a factor nor
+    if k:
+        # the scale goes half into each factor, so that neither a factor nor
         # their product leaves the double range where the value does not
-        prefactor = complex(math.ldexp(prefactor.real, 2 * e), math.ldexp(prefactor.imag, 2 * e))
-        total = complex(math.ldexp(total.real, 2 * e), math.ldexp(total.imag, 2 * e))
-        last_inner = math.ldexp(last_inner, 2 * e)
+        prefactor = complex(math.ldexp(prefactor.real, k), math.ldexp(prefactor.imag, k))
+        total = complex(math.ldexp(total.real, k), math.ldexp(total.imag, k))
+        last_inner = math.ldexp(last_inner, k)
     return prefactor * total, 4.0 * abs(prefactor) * last_inner
 
 
@@ -674,20 +676,35 @@ def _laurent_parts(point: DimensionlessPoint) -> tuple:
     symbolically, so the quantum value is the true leading residual
     (starting at q^4/z^4). This covers both the collision-dominated window
     q << |z| and the large-|s| window. err_est carries the truncation bounds.
+    Raises OverflowError before any sum runs where z^2 overflows to a NaN.
     """
     x, y, q = point.x, point.y, point.q
-    e = min(0, math.frexp(q)[1] + 250)
-    q4 = math.ldexp(q, -e) ** 4
+    # below q = 2^-251, q^4 and r may leave the double range: the sum starts
+    # from r 2^(-4e), e = 250 + the binary exponent of q < 0, and k = 2e
+    e = 0 if q >= 2.0 ** -251 else math.frexp(q)[1] + 250
+    q4, k = (math.ldexp(q, -e) if e else q) ** 4, 2 * e
     if x == 0.0:
         # z = iy: z^2 = -y^2, w = -(q/y)^2 and every term are real, and the sums
         # run in real arithmetic in the complex code's order, to the same bits;
-        # + 0.0 keeps a zero +0.0 as there (ldexp below q = 2^-250 gives complex)
+        # + 0.0 keeps a zero +0.0 as there (ldexp below q = 2^-251 gives complex)
         u = q / y
-        quant, quant_err = _quant_laurent(0.0 - u * u, q4 / (4.0 * y * -y), 12.0 / (y * -y), e)
+        w = 0.0 - u * u
+        if y < 2.0 ** -511:
+            # y^2 is below the normal range, and q < y/3 has e < 0: y scaled by
+            # 2^-e too gives r 2^(-2e) and 2^(2e) 12/z^2, whose scales cancel
+            y, k = math.ldexp(y, -e), 0
+        r_scaled, prefactor = q4 / (4.0 * y * -y), 12.0 / (y * -y)
+    else:
+        z = complex(x, y)
+        w = (q / z) ** 2
+        r_scaled = q4 / (4.0 * z * z)
+        if r_scaled != r_scaled:
+            # z^2 overflowed to a NaN, on which the inner sum would run to its cap
+            raise OverflowError("z^2 overflows")
+        prefactor = 12.0 / (z * z)
+    quant, quant_err = _quant_laurent(w, r_scaled, r_scaled * 2.0 ** (2 * e + k), prefactor, k)
+    if x == 0.0:
         return 0j, quant.real + 0.0, quant_err
-    z = complex(x, y)
-    w = (q / z) ** 2
-    quant, quant_err = _quant_laurent(w, q4 / (4.0 * z * z), 12.0 / (z * z), e)
     classic, classic_err = _classic_laurent(z, q, x, w)
     return classic, quant, quant_err + classic_err
 
@@ -738,7 +755,8 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     """
     # the catch of _double_range, written out on the kernel's hot path
     try:
-        return _result(point, *_classify(point))
+        tag, closed = _classify(point)
+        return _result(point, tag, closed)
     except ArithmeticError as exc:
         raise DomainError(f"chi_ratio: the point is beyond double-precision range ({exc})") from exc
 
