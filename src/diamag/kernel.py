@@ -691,7 +691,7 @@ def _laurent_parts(point: DimensionlessPoint) -> tuple:
         w = 0.0 - u * u
         if y < 2.0 ** -511:
             # y^2 is below the normal range, and q < y/3 has e < 0: y scaled by
-            # 2^-e too gives r 2^(-2e) and 2^(2e) 12/z^2, whose scales cancel
+            # 2^-e too makes r_scaled 2^(-2e) r, the prefactor 2^(2e) 12/z^2, k = 0
             y, k = math.ldexp(y, -e), 0
         r_scaled, prefactor = q4 / (4.0 * y * -y), 12.0 / (y * -y)
     else:
