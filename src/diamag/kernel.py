@@ -111,6 +111,8 @@ _TAYLOR_MAX_TERMS = 60
 _FIRST_SERIES_MAX_TERMS = 400
 _LAURENT_MAX_OUTER = 200
 _LAURENT_MAX_INNER = 400
+# the largest q whose q**3 is a finite double
+_Q3_MAX = 5.643803094122361e102
 
 
 class TermBreakdown(FrozenRecord):
@@ -233,17 +235,29 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
     """Closed forms of the three angular integrals at z = x + iy, wave number q.
 
     Valid for Im(z) >= 0; on the real axis the closed forms give the limit
-    y -> 0+, poles inside [-1, 1] or on t = +-1 included. Raises DomainError
-    where the closed forms leave double precision range, as at large |s|:
-    an intermediate overflows, or a complex product of overflowed parts
-    makes a term NaN or infinite without raising.
+    y -> 0+, poles inside [-1, 1] or on t = +-1 included. This is the raw
+    closed form that chi_ratio's series strategies exist to replace, and the
+    breakdown that chi_ratio_detailed reports. Raises DomainError where the
+    closed forms leave double precision range, as at large |s|: an
+    intermediate overflows, or a complex product of overflowed parts makes a
+    term NaN or infinite without raising.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be finite and > 0")
     z = require_finite_complex("z", complex(z) + 0j)  # Im(z) = -0.0 becomes +0.0
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
-    terms = _breakdown(z.real, q, _closed_pieces(z, q)[0])
+    I1, bracket, g_plus, g_minus, _ = _closed_pieces(z, q)[0]
+    I2 = bracket / q
+    I3 = (g_plus - g_minus) / q**3
+    terms = TermBreakdown(
+        I1=I1,
+        I2=I2,
+        I3=I3,
+        term1=complex(0.0) if z.real == 0.0 else -3.0 * z.real / (q * q) * I1,
+        term2=3.0 / q * I2,
+        term3=0.75 * I3,
+    )
     if not all(map(cmath.isfinite, terms._values())):
         raise DomainError("eval_integrals: a term is beyond double-precision range")
     return terms
@@ -280,21 +294,6 @@ def _closed_pieces(z: complex, q: float) -> tuple:
     )
     quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q**3)
     return (I1, bracket, g_plus, g_minus, Ls), math.log10(peak / max(abs(quant), _TINY))
-
-
-def _breakdown(x: float, q: float, closed: tuple) -> TermBreakdown:
-    """The integrals and weighted terms from the closed-form pieces."""
-    I1, bracket, g_plus, g_minus, _ = closed
-    I2 = bracket / q
-    I3 = (g_plus - g_minus) / q**3
-    return TermBreakdown(
-        I1=I1,
-        I2=I2,
-        I3=I3,
-        term1=complex(0.0) if x == 0.0 else -3.0 * x / (q * q) * I1,
-        term2=3.0 / q * I2,
-        term3=0.75 * I3,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +508,14 @@ def _quant_laurent(w, r_scaled, r, prefactor, k: int) -> tuple:
     if k:
         # the scale goes half into each factor, so that neither a factor nor
         # their product leaves the double range where the value does not
-        prefactor = complex(math.ldexp(prefactor.real, k), math.ldexp(prefactor.imag, k))
-        total = complex(math.ldexp(total.real, k), math.ldexp(total.imag, k))
+        prefactor, total = _ldexp_complex(prefactor, k), _ldexp_complex(total, k)
         last_inner = math.ldexp(last_inner, k)
     return prefactor * total, 4.0 * abs(prefactor) * last_inner
+
+
+def _ldexp_complex(value: complex, k: int) -> complex:
+    """value 2^k, exact where neither part leaves the normal range."""
+    return complex(math.ldexp(value.real, k), math.ldexp(value.imag, k))
 
 
 def _first_integral_series(w: complex, head: complex) -> tuple:
@@ -549,8 +552,17 @@ def _classic_laurent(z: complex, q: float, x: float, w: complex) -> tuple:
     """
     total, term = _first_integral_series(w, 4.0 / 3.0)
     I1 = -total / z
-    weight = -3.0 * x / (q * q)
-    return weight * I1, 4.0 * abs(weight * term / z)
+    if q >= 2.0 ** -511:
+        weight = -3.0 * x / (q * q)
+        return weight * I1, 4.0 * abs(weight * term / z)
+    # q^2 is below the normal range: the weight is -3 mx/mq^2 2^k for
+    # x = mx 2^ex, q = mq 2^eq, and ldexp applies 2^k, k = ex - 2 eq, last
+    (mx, ex), (mq, eq) = math.frexp(x), math.frexp(q)
+    weight, k = -3.0 * mx / (mq * mq), ex - 2 * eq
+    try:
+        return _ldexp_complex(weight * I1, k), math.ldexp(4.0 * abs(weight * term / z), k)
+    except OverflowError:
+        raise OverflowError("the classical part overflows") from None
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +656,18 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
     elif closed is None:
         I1, bracket = _first_integral_closed(s, q)[:2]
     g_plus, err_plus = _antiderivative_piece(s + 0.5 * q, g_plus)
+    try:
+        q3 = q**3
+    except OverflowError:
+        raise OverflowError(f"q^3 overflows above q = {_Q3_MAX!r}") from None
     if x == 0.0:
         # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
-        quant = weight * bracket.real + 1.5 * g_plus.real / q**3
-        return 0j, quant, weight * bracket_err + 1.5 * err_plus / q**3
+        quant = weight * bracket.real + 1.5 * g_plus.real / q3
+        return 0j, quant, weight * bracket_err + 1.5 * err_plus / q3
     g_minus, err_minus = _antiderivative_piece(s - 0.5 * q, g_minus)
     classic = -3.0 * x / (q * q) * I1
-    quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q**3)
-    err_est = x * weight * I1_err + weight * bracket_err + 0.75 / q**3 * (err_plus + err_minus)
+    quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q3)
+    err_est = x * weight * I1_err + weight * bracket_err + 0.75 / q3 * (err_plus + err_minus)
     return classic, quant, err_est
 
 
@@ -761,20 +777,11 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
         raise DomainError(f"chi_ratio: the point is beyond double-precision range ({exc})") from exc
 
 
-@_double_range
 def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
-    """(ChiResult, TermBreakdown|None) from one regime choice.
-
-    The breakdown is the raw closed form's integrals and terms: from the
-    pieces the cancellation guard evaluated where it ran, else
-    eval_integrals at the point, or None where that raises DomainError.
-    Raises as chi_ratio does.
-    """
-    tag, closed = _classify(point)
-    if closed is not None:
-        breakdown = _breakdown(point.x, point.q, closed)
-        return _result(point, tag, closed), breakdown
-    result = _result(point, tag, closed)
+    """(chi_ratio(point), eval_integrals at the point), with None as the
+    breakdown where eval_integrals raises DomainError. Raises as chi_ratio
+    does."""
+    result = chi_ratio(point)
     try:
         return result, eval_integrals(point.z, point.q)
     except DomainError:

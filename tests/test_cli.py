@@ -53,8 +53,9 @@ def test_eval_json_payload(capsys):
 
 @pytest.mark.parametrize("x, y, q", [(0.1, 0.1, 0.5), (0.0, 80.0, 1.0)])
 def test_eval_chooses_the_regime_and_evaluates_the_closed_form_once(x, y, q, capsys, monkeypatch):
-    # the first point passes the cancellation guard, whose closed-form terms
-    # are printed; the second is a far-field Laurent point, where no guard runs
+    # the first point is a closed-form point nearer in than the Taylor series
+    # converges, the second a far-field Laurent point: no guard runs at either,
+    # and the printed terms are eval_integrals' closed form
     calls = {"_classify": 0, "_closed_pieces": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(kernel, name)):
@@ -143,6 +144,14 @@ def test_eval_beyond_double_range_shows_no_terms(x, y, q, regime, capsys):
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert payload["terms"] is None
     assert payload["regime"] == regime
+
+
+def test_eval_where_q_cubed_overflows_names_it(capsys):
+    code = main(["eval", "--x", "0", "--y", "1", "--q", "1e103"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "diamag eval: error: chi_ratio: " in captured.err
+    assert "q^3 overflows above q = 5.643803094122361e+102" in captured.err
 
 
 def test_eval_rejects_bad_coordinates(capsys):

@@ -119,6 +119,17 @@ def test_overflowing_result_raises_domain_error():
         chi_ratio_detailed(point)
 
 
+@pytest.mark.parametrize("coords", [(0.0, 1.0, 1e103), (1.0, 1.0, 1e103), (0.0, 0.0, 1e103)])
+def test_q_cubed_overflow_names_q_cubed(coords):
+    # the closed form's weight 1/q^3 leaves the double range above q = 5.64e102,
+    # and the error names that quantity and limit
+    point = DimensionlessPoint(*coords)
+    for func in (chi_ratio, chi_ratio_detailed):
+        with pytest.raises(DomainError, match=r"q\^3 overflows above q = 5\.64") as info:
+            func(point)
+        assert isinstance(info.value.__cause__, OverflowError)
+
+
 def test_detailed_breakdown_is_the_raw_closed_form_where_it_is_finite():
     # a far-field Laurent point, where no cancellation guard runs: the
     # breakdown is eval_integrals' at the point

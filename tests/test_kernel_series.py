@@ -12,6 +12,7 @@ import random
 import sys
 
 import pytest
+from mpmath import mp, mpc, mpf
 
 from diamag import ConvergenceError, DomainError, kernel
 from diamag.core import DimensionlessPoint, RegimeTag
@@ -195,6 +196,64 @@ def test_laurent_where_z_squared_overflows_raises_domain_error():
     with pytest.raises(DomainError, match="double-precision range") as info:
         chi_ratio(point)
     assert isinstance(info.value.__cause__, OverflowError)
+
+
+def _closed_form_mp(x: float, y: float, q: float):
+    """chi/chi_L from the closed forms in mpmath at the working precision."""
+    q = mpf(q)
+    s = mpc(x, y) / q
+
+    def branch_log(sigma):
+        return mp.log(sigma - 1) - mp.log(sigma + 1)
+
+    def antiderivative(sigma):
+        return 2 * sigma**3 - mpf(10) / 3 * sigma + (1 - sigma**2) ** 2 * branch_log(sigma)
+
+    Ls = branch_log(s)
+    I1 = (-2 * s + (1 - s * s) * Ls) / q
+    bracket = mpf(4) / 3 - 2 * s * s + s * (1 - s * s) * Ls
+    I3 = (antiderivative(s + q / 2) - antiderivative(s - q / 2)) / q**3
+    return -3 * mpf(x) / q**2 * I1 + 3 / q**2 * bracket + mpf(3) / 4 * I3
+
+
+def test_x_positive_laurent_where_q_squared_underflows_is_honest():
+    # q in [1e-200, 1e-150], where q^2 is below the normal range (a subnormal
+    # above about 1.5e-162, 0 below): the classical weight 3x/q^2 lost its
+    # digits there, or divided by zero. x and y log-uniform over 1e+-300, a
+    # tenth at y = 0, far field 3 <= |s| <= 1e200. Each served point is held
+    # to the closed form at 8 log10|s| + 4 log10(1/q) + 300 digits, enough
+    # for its cancellation (about 6 log10|s| + 2 log10(1/q) digits in the
+    # quantum part); every other point raises DomainError (the value or an
+    # intermediate leaves the double range)
+    rng = random.Random(29)
+    served = 0
+    for _ in range(100):
+        while True:
+            q = _loguniform(rng, 1e-200, 1e-150)
+            x = _loguniform(rng, 1e-300, 1e300)
+            y = 0.0 if rng.random() < 0.1 else _loguniform(rng, 1e-300, 1e300)
+            s_abs = abs(complex(x, y)) / q
+            if 3.0 <= s_abs <= 1e200:
+                break
+        point = DimensionlessPoint(x, y, q)
+        try:
+            result = chi_ratio(point)
+        except DomainError:
+            continue
+        assert result.method is RegimeTag.LAURENT_SERIES
+        with mp.workdps(math.ceil(8 * math.log10(s_abs) + 4 * math.log10(1 / q) + 300)):
+            ref = _closed_form_mp(x, y, q)
+            bound = result.err_est + 4 * sys.float_info.epsilon * abs(ref)
+            assert abs(mpc(result.total) - ref) <= bound, (x, y, q)
+        served += 1
+    assert served >= 30
+
+
+def test_x_positive_laurent_where_the_classical_part_overflows_names_it():
+    # q^2 is subnormal, and the classical part, about 4x/(q^2 |z|) = 2.8e320,
+    # is beyond the double range
+    with pytest.raises(DomainError, match="the classical part overflows"):
+        chi_ratio(DimensionlessPoint(1.0, 1.0, 1e-160))
 
 
 # Each term cap, set low, at a point whose branch needs more terms than that:
