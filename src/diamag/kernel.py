@@ -61,7 +61,6 @@ imaginary parts are exact zeros.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from itertools import islice
 
@@ -126,28 +125,6 @@ class TermBreakdown(FrozenRecord):
     """
 
     _fields = ("I1", "I2", "I3", "term1", "term2", "term3")
-
-
-def _double_range(func):
-    """Raise DomainError where func overflows or divides by zero.
-
-    The kernel's public entry points work in double precision. Far out in
-    the accepted domain (|x|, y or q beyond about 1e+-100) an intermediate
-    such as sigma^3 or q^-3 leaves its range; the point is then outside
-    what the kernel serves, which DomainError says instead of a bare
-    OverflowError or ZeroDivisionError.
-    """
-
-    @functools.wraps(func)
-    def checked(*args):
-        try:
-            return func(*args)
-        except ArithmeticError as exc:
-            raise DomainError(
-                f"{func.__name__}: the point is beyond double-precision range ({exc})"
-            ) from exc
-
-    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +207,6 @@ def _antiderivative_piece(sigma: complex, closed) -> tuple:
     return (_antiderivative_with_peak(sigma)[0] if closed is None else closed), 0.0
 
 
-@_double_range
 def eval_integrals(z: complex, q: float) -> TermBreakdown:
     """Closed forms of the three angular integrals at z = x + iy, wave number q.
 
@@ -239,25 +215,28 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
     closed form that chi_ratio's series strategies exist to replace, and the
     breakdown that chi_ratio_detailed reports. Raises DomainError where the
     closed forms leave double precision range, as at large |s|: an
-    intermediate overflows, or a complex product of overflowed parts makes a
-    term NaN or infinite without raising.
+    intermediate overflows or divides by zero, or a complex product of
+    overflowed parts makes a term NaN or infinite without raising.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be finite and > 0")
     z = require_finite_complex("z", complex(z) + 0j)  # Im(z) = -0.0 becomes +0.0
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
-    I1, bracket, g_plus, g_minus, _ = _closed_pieces(z, q)[0]
-    I2 = bracket / q
-    I3 = (g_plus - g_minus) / q**3
-    terms = TermBreakdown(
-        I1=I1,
-        I2=I2,
-        I3=I3,
-        term1=complex(0.0) if z.real == 0.0 else -3.0 * z.real / (q * q) * I1,
-        term2=3.0 / q * I2,
-        term3=0.75 * I3,
-    )
+    try:
+        I1, bracket, g_plus, g_minus, _ = _closed_pieces(z, q)[0]
+        I2 = bracket / q
+        I3 = (g_plus - g_minus) / q**3
+        terms = TermBreakdown(
+            I1=I1,
+            I2=I2,
+            I3=I3,
+            term1=complex(0.0) if z.real == 0.0 else -3.0 * z.real / (q * q) * I1,
+            term2=3.0 / q * I2,
+            term3=0.75 * I3,
+        )
+    except ArithmeticError as exc:
+        raise DomainError(f"eval_integrals: the point is beyond double-precision range ({exc})") from exc
     if not all(map(cmath.isfinite, terms._values())):
         raise DomainError("eval_integrals: a term is beyond double-precision range")
     return terms
@@ -273,6 +252,14 @@ def _first_integral_closed(s: complex, q: float) -> tuple:
     return (-2.0 * s + one_ms2 * Ls) / q, 4.0 / 3.0 - 2.0 * s * s + bracket_log, bracket_log, Ls
 
 
+def _cube(q: float) -> float:
+    """q^3, raising an OverflowError that names q^3 and its limit above _Q3_MAX."""
+    try:
+        return q**3
+    except OverflowError:
+        raise OverflowError(f"q^3 overflows above q = {_Q3_MAX!r}") from None
+
+
 def _closed_pieces(z: complex, q: float) -> tuple:
     """Every closed-form piece at z and the digits their quantum sum cancels.
 
@@ -285,14 +272,15 @@ def _closed_pieces(z: complex, q: float) -> tuple:
     """
     s = z / q
     a = 0.5 * q
+    q3 = _cube(q)
     I1, bracket, bracket_log, Ls = _first_integral_closed(s, q)
     g_plus, peak_plus = _antiderivative_with_peak(s + a)
     g_minus, peak_minus = _antiderivative_with_peak(s - a)
     peak = max(
         3.0 / (q * q) * max(4.0 / 3.0, 2.0 * abs(s * s), abs(bracket_log)),
-        0.75 / q**3 * max(peak_plus, peak_minus, abs(g_plus), abs(g_minus)),
+        0.75 / q3 * max(peak_plus, peak_minus, abs(g_plus), abs(g_minus)),
     )
-    quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q**3)
+    quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q3)
     return (I1, bracket, g_plus, g_minus, Ls), math.log10(peak / max(abs(quant), _TINY))
 
 
@@ -451,12 +439,13 @@ def _quant_laurent(w, r_scaled, r, prefactor, k: int) -> tuple:
     far field, |s| >= 2 (1 + q/2), so the outer ratio is at most 1/4; nearer
     the edge the series needs thousands of terms or overflows. The caller
     passes w, the ratio r = q^4/(4 z^2), and r_scaled and prefactor, which
-    are r and 12/z^2 times powers of two that keep them in the double range:
-    the sum starts from r_scaled and steps with r, and at the end ldexp
-    applies 2^k to the prefactor and to the sum. Where nothing needs scaling,
-    r_scaled = r, k = 0, and this is the plain arithmetic bit for bit. The
-    values are complex, or real at x = 0, where every imaginary part is an
-    exact 0. Returns (quant, abs truncation bound).
+    are r and 12/z^2 on q 2^-eq and z 2^-ez (_laurent_parts' range rule):
+    the sum starts from r_scaled = 2^(2 ez - 4 eq) r and steps with r, and
+    at the end ldexp applies 2^k, k = 2 (eq - ez), to the prefactor,
+    2^(2 ez) 12/z^2, and to the sum. Where eq = ez = 0, r_scaled = r, k = 0,
+    and this is the plain arithmetic bit for bit. The values are complex, or
+    real at x = 0, where every imaginary part is an exact 0. Returns (quant,
+    abs truncation bound).
     """
     tiny, a_factors, j2_factors, inner_cap = _TINY, _LAURENT_A, _LAURENT_J2, _LAURENT_MAX_INNER
     # a float 0 start adds to a complex term exactly as complex(0.0) does
@@ -544,25 +533,26 @@ def _first_integral_series(w: complex, head: complex) -> tuple:
     return total + comp, term
 
 
-def _classic_laurent(z: complex, q: float, x: float, w: complex) -> tuple:
+def _classic_laurent(z: complex, q: float, x: float, w: complex, eq: int, ez: int) -> tuple:
     """Classical term via the Laurent series of the first integral.
 
     I1 = -(1/z) sum_{j>=0} (4 / ((2j+1)(2j+3))) w^j, w = (q/z)^2; the weighted
-    term is -(3x/q^2) I1. Converges for |s| > 1. Returns (value, abs bound).
+    term is -(3x/q^2) I1. Converges for |s| > 1. z and q come scaled, as
+    z 2^-ez and q 2^-eq; where an exponent is nonzero, the weight is
+    -3 mx/q^2 for x = mx 2^ex, and ldexp applies 2^(ex - 2 eq - ez) last.
+    Returns (value, abs bound).
     """
     total, term = _first_integral_series(w, 4.0 / 3.0)
-    I1 = -total / z
-    if q >= 2.0 ** -511:
-        weight = -3.0 * x / (q * q)
-        return weight * I1, 4.0 * abs(weight * term / z)
-    # q^2 is below the normal range: the weight is -3 mx/mq^2 2^k for
-    # x = mx 2^ex, q = mq 2^eq, and ldexp applies 2^k, k = ex - 2 eq, last
-    (mx, ex), (mq, eq) = math.frexp(x), math.frexp(q)
-    weight, k = -3.0 * mx / (mq * mq), ex - 2 * eq
-    try:
-        return _ldexp_complex(weight * I1, k), math.ldexp(4.0 * abs(weight * term / z), k)
-    except OverflowError:
-        raise OverflowError("the classical part overflows") from None
+    # unscaled, the weight keeps the bits of -3x/q^2, a subnormal one too
+    mx, ex = math.frexp(x) if eq or ez else (x, 0)
+    weight, k = -3.0 * mx / (q * q), ex - 2 * eq - ez
+    classic, bound = weight * (-total / z), 4.0 * abs(weight * term / z)
+    if k:
+        try:
+            classic, bound = _ldexp_complex(classic, k), math.ldexp(bound, k)
+        except OverflowError:
+            raise OverflowError("the classical part overflows") from None
+    return classic, bound
 
 
 # ---------------------------------------------------------------------------
@@ -606,23 +596,13 @@ def _classify(point: DimensionlessPoint) -> tuple:
     return tag, closed
 
 
-@_double_range
 def regime_select(point: DimensionlessPoint) -> RegimeTag:
-    """Pick the evaluation strategy for a point. Deterministic in (x, y, q).
+    """The RegimeTag of the strategy that chi_ratio runs at the point.
 
-    Literal windows come first: the static principal value at x = y = 0 and
-    the static Taylor series for x = 0 with q below _SMALLQ_Q_MAX and y below
-    _SMALLQ_BETA * q. The far field, |s| >= _FAR_MIN and |s| >= 2 (1 + q/2),
-    gets the Laurent series, which converges there. Elsewhere, where the
-    Taylor series converges, the closed form is evaluated and escalated to it
-    when its measured cancellation exceeds _CANCEL_DIGITS decimal digits
-    (boundary values stay with the closed form; the comparison is strict).
-    Every other point gets the closed form, which sums its large-argument
-    pieces as series.
-
-    Raises DomainError where the point is beyond double-precision range.
+    This is chi_ratio(point).method, so it evaluates the point and raises
+    what chi_ratio raises; _classify documents the choice.
     """
-    return _classify(point)[0]
+    return chi_ratio(point).method
 
 
 def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
@@ -656,10 +636,7 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
     elif closed is None:
         I1, bracket = _first_integral_closed(s, q)[:2]
     g_plus, err_plus = _antiderivative_piece(s + 0.5 * q, g_plus)
-    try:
-        q3 = q**3
-    except OverflowError:
-        raise OverflowError(f"q^3 overflows above q = {_Q3_MAX!r}") from None
+    q3 = _cube(q)
     if x == 0.0:
         # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
         quant = weight * bracket.real + 1.5 * g_plus.real / q3
@@ -692,36 +669,46 @@ def _laurent_parts(point: DimensionlessPoint) -> tuple:
     symbolically, so the quantum value is the true leading residual
     (starting at q^4/z^4). This covers both the collision-dominated window
     q << |z| and the large-|s| window. err_est carries the truncation bounds.
-    Raises OverflowError before any sum runs where z^2 overflows to a NaN.
+
+    One range rule serves the whole far field: the sums run on q 2^-eq and
+    z 2^-ez, and ldexp applies the powers of two last. eq is nonzero only
+    for q outside [2^-251, 2^255] and ez only for max(x, y) outside
+    [2^-510, 2^510], and each then moves its value just inside that window,
+    where q^4, 4 z^2 and 12/z^2 are finite and normal. Where eq = ez = 0
+    this is the plain arithmetic bit for bit.
     """
     x, y, q = point.x, point.y, point.q
-    # below q = 2^-251, q^4 and r may leave the double range: the sum starts
-    # from r 2^(-4e), e = 250 + the binary exponent of q < 0, and k = 2e
-    e = 0 if q >= 2.0 ** -251 else math.frexp(q)[1] + 250
-    q4, k = (math.ldexp(q, -e) if e else q) ** 4, 2 * e
+    m = x if x > y else y
+    eq = 0 if 2.0**-251 <= q <= 2.0**255 else math.frexp(q)[1] - (255 if q > 1.0 else -250)
+    ez = 0 if 2.0**-510 <= m <= 2.0**510 else math.frexp(m)[1] - (510 if m > 1.0 else -509)
+    # only q outside its window is scaled: pow is not scale-invariant, and
+    # q^4 keeps its bits inside
+    q_scaled = math.ldexp(q, -eq) if eq else q
+    q4 = q_scaled**4
     if x == 0.0:
         # z = iy: z^2 = -y^2, w = -(q/y)^2 and every term are real, and the sums
         # run in real arithmetic in the complex code's order, to the same bits;
-        # + 0.0 keeps a zero +0.0 as there (ldexp below q = 2^-251 gives complex)
+        # + 0.0 keeps a zero +0.0 as there (ldexp by a nonzero k gives complex)
         u = q / y
         w = 0.0 - u * u
-        if y < 2.0 ** -511:
-            # y^2 is below the normal range, and q < y/3 has e < 0: y scaled by
-            # 2^-e too makes r_scaled 2^(-2e) r, the prefactor 2^(2e) 12/z^2, k = 0
-            y, k = math.ldexp(y, -e), 0
+        if ez:
+            y = math.ldexp(y, -ez)
         r_scaled, prefactor = q4 / (4.0 * y * -y), 12.0 / (y * -y)
     else:
         z = complex(x, y)
         w = (q / z) ** 2
+        if ez:
+            z = complex(math.ldexp(x, -ez), math.ldexp(y, -ez))
         r_scaled = q4 / (4.0 * z * z)
-        if r_scaled != r_scaled:
-            # z^2 overflowed to a NaN, on which the inner sum would run to its cap
-            raise OverflowError("z^2 overflows")
         prefactor = 12.0 / (z * z)
-    quant, quant_err = _quant_laurent(w, r_scaled, r_scaled * 2.0 ** (2 * e + k), prefactor, k)
+    # r_scaled is 2^(2 ez - 4 eq) r, and the prefactor 2^(2 ez) 12/z^2
+    quant, quant_err = _quant_laurent(
+        w, r_scaled, r_scaled * 2.0 ** (4 * eq - 2 * ez), prefactor, 2 * (eq - ez)
+    )
     if x == 0.0:
         return 0j, quant.real + 0.0, quant_err
-    classic, classic_err = _classic_laurent(z, q, x, w)
+    # x itself, not its scaled copy, which may flush to 0
+    classic, classic_err = _classic_laurent(z, q_scaled, x, w, eq, ez)
     return classic, quant, quant_err + classic_err
 
 
@@ -731,49 +718,45 @@ def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
     Each strategy returns (classic, quant, err_est); at x = 0 the classical
     part is exactly 0 and the quantum part real. A float product that
     overflows gives inf without raising, and ChiResult then refuses the
-    non-finite part with ValidationError. The point itself is valid, so that
-    is raised as DomainError, as an overflow inside chi_ratio is.
+    non-finite part with ValidationError, which chi_ratio reports.
     """
-    try:
-        if tag is _LAURENT:
-            classic, quant, err_est = _laurent_parts(point)
-        elif tag is _TAYLOR:
-            classic, quant, err_est = _taylor_parts(point, closed)
-        elif tag is _PV and point.q <= 2.0:
-            classic, quant, err_est = _static_parts(point.q)
-        else:
-            # the static point above q = 2 too: its poles have left [-1, 1]
-            classic, quant, err_est = _closed_form_parts(point, closed)
-        if point.x == 0.0:
-            classic, quant = 0j, complex(quant.real, 0.0)
-        return ChiResult(classic, quant, classic + quant, tag, err_est)
-    except ValidationError as exc:
-        raise DomainError(f"the result is beyond double-precision range ({exc})") from exc
+    if tag is _LAURENT:
+        classic, quant, err_est = _laurent_parts(point)
+    elif tag is _TAYLOR:
+        classic, quant, err_est = _taylor_parts(point, closed)
+    elif tag is _PV and point.q <= 2.0:
+        classic, quant, err_est = _static_parts(point.q)
+    else:
+        # the static point above q = 2 too: its poles have left [-1, 1]
+        classic, quant, err_est = _closed_form_parts(point, closed)
+    if point.x == 0.0:
+        classic, quant = 0j, complex(quant.real, 0.0)
+    return ChiResult(classic, quant, classic + quant, tag, err_est)
 
 
 def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio chi/chi_L with automatic regime handling.
 
     classic and quant are the two physical contributions; total is their sum
-    exactly. method is the RegimeTag that regime_select gives the point, and
-    err_est its truncation bound: the bounds of the pieces the closed form
-    summed as series (0 if none), and the series bounds for the series
-    branches, the static point below q = 1/2 included (0 from q = 1/2 to 2,
-    where the principal value is its own formula). It models no rounding:
-    the far field comes from the Laurent series, which cancels nothing, but
-    nearer in the closed form may lose up to _CANCEL_DIGITS digits that
-    err_est does not show.
+    exactly. method is the RegimeTag of the strategy that ran, and err_est
+    its truncation bound: the bounds of the pieces the closed form summed as
+    series (0 if none), and the series bounds for the series branches, the
+    static point below q = 1/2 included (0 from q = 1/2 to 2, where the
+    principal value is its own formula). It models no rounding: the far
+    field comes from the Laurent series, which cancels nothing, but nearer
+    in the closed form may lose up to _CANCEL_DIGITS digits that err_est
+    does not show.
 
     On the collisionless line y = 0 it returns the limit y -> 0+, poles
-    inside [-1, 1] or on t = +-1 included. Raises DomainError where an
-    intermediate or the result overflows or divides by zero in double
-    precision, which happens only far outside |x|, y, q in 1e+-100.
+    inside [-1, 1] or on t = +-1 included. This is the kernel's one catch:
+    where an intermediate overflows or divides by zero, or a part of the
+    result is not finite, it raises DomainError, which happens only far
+    outside |x|, y, q in 1e+-100.
     """
-    # the catch of _double_range, written out on the kernel's hot path
     try:
         tag, closed = _classify(point)
         return _result(point, tag, closed)
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValidationError) as exc:
         raise DomainError(f"chi_ratio: the point is beyond double-precision range ({exc})") from exc
 
 

@@ -15,6 +15,7 @@ never a bare exception.
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -110,9 +111,13 @@ def test_whole_float_range_gives_a_finite_result_or_a_diamag_error():
 
 
 def test_overflowing_result_raises_domain_error():
-    # the weight 3x/q^2 overflows to inf in a float product, which raises
-    # nothing, though the classical part, about 4/q^2 = 7.5e135, is finite
-    point = DimensionlessPoint(8.09e201, 0.0, 2.31e-68)
+    # unscaled, z^2 overflows here, though the classical part, about
+    # 4/q^2 = 7.5e135, is finite: the closed form at 2727 digits
+    result = chi_ratio(DimensionlessPoint(8.09e201, 0.0, 2.31e-68))
+    ref = 7.4961113922152875e135
+    assert abs(result.total - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * ref
+    # the classical part, about 4/q^2 = 4e320, is beyond the double range
+    point = DimensionlessPoint(1e300, 0.0, 1e-160)
     with pytest.raises(DomainError):
         chi_ratio(point)
     with pytest.raises(DomainError):
@@ -124,10 +129,16 @@ def test_q_cubed_overflow_names_q_cubed(coords):
     # the closed form's weight 1/q^3 leaves the double range above q = 5.64e102,
     # and the error names that quantity and limit
     point = DimensionlessPoint(*coords)
-    for func in (chi_ratio, chi_ratio_detailed):
+    for func in (chi_ratio, chi_ratio_detailed, regime_select):
         with pytest.raises(DomainError, match=r"q\^3 overflows above q = 5\.64") as info:
             func(point)
         assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_eval_integrals_names_q_cubed_where_it_overflows():
+    with pytest.raises(DomainError, match=r"q\^3 overflows above q = 5\.64") as info:
+        eval_integrals(1j, 1e103)
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 def test_detailed_breakdown_is_the_raw_closed_form_where_it_is_finite():

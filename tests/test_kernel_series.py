@@ -124,14 +124,24 @@ def test_laurent_keeps_its_digits_where_its_ratio_underflows(coords, ref):
     assert abs(result.total.real - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * ref
 
 
+def _laurent_exponents(m: float, q: float) -> tuple:
+    """(eq, ez) of the Laurent branch's range rule at max(x, y) = m: q 2^-eq
+    lies in [2^-251, 2^255] and m 2^-ez in [2^-510, 2^510], and each
+    exponent is 0 where no scaling is needed."""
+    eq = 0 if 2.0**-251 <= q <= 2.0**255 else math.frexp(q)[1] - (255 if q > 1.0 else -250)
+    ez = 0 if 2.0**-510 <= m <= 2.0**510 else math.frexp(m)[1] - (510 if m > 1.0 else -509)
+    return eq, ez
+
+
 def _complex_laurent_quant(y: float, q: float) -> tuple:
     """_quant_laurent on the complex inputs that a point x > 0 gives it,
     here at z = iy, where _laurent_parts feeds the same loop real ones."""
-    z = complex(0.0, y)
-    e = min(0, math.frexp(q)[1] + 250)
-    r_scaled = math.ldexp(q, -e) ** 4 / (4.0 * z * z)
-    r = r_scaled * 2.0 ** (4 * e)
-    return kernel._quant_laurent((q / z) ** 2, r_scaled, r, 12.0 / (z * z), 2 * e)
+    eq, ez = _laurent_exponents(y, q)
+    z = complex(0.0, math.ldexp(y, -ez))
+    r_scaled = math.ldexp(q, -eq) ** 4 / (4.0 * z * z)
+    r = r_scaled * 2.0 ** (4 * eq - 2 * ez)
+    w = (q / complex(0.0, y)) ** 2
+    return kernel._quant_laurent(w, r_scaled, r, 12.0 / (z * z), 2 * (eq - ez))
 
 
 def _outcome(func, *args):
@@ -145,11 +155,11 @@ def _outcome(func, *args):
 def test_x0_laurent_in_real_arithmetic_keeps_the_complex_bits():
     # y and q log-uniform over 1e+-300: the real sums give the complex sums'
     # real part bit for bit, err_est too, and raise where they raise, silent
-    # zeros (+0.0 on both) included. Where y^2 is below the normal range
-    # (y < 2^-511) the complex sums lose digits or divide by zero, and the
-    # real ones scale y instead; the next test holds those to the reference
+    # zeros (+0.0 on both) included; both scale q and y by the same rule,
+    # and every (eq != 0, ez != 0) cell of it occurs
     rng = random.Random(41)
     kinds = set()
+    cells = set()
     for _ in range(20000):
         y, q = _loguniform(rng, 1e-300, 1e300), _loguniform(rng, 1e-300, 1e300)
         point = DimensionlessPoint(0.0, y, q)
@@ -157,10 +167,6 @@ def test_x0_laurent_in_real_arithmetic_keeps_the_complex_bits():
         if isinstance(tag, type) or tag[0] is not RegimeTag.LAURENT_SERIES:
             continue
         got = _outcome(_laurent_parts, point)
-        if y < 2.0**-511:
-            assert not isinstance(got, type) and math.isfinite(got[1]), (y, q)
-            kinds.add("y^2 below normal")
-            continue
         want = _outcome(_complex_laurent_quant, y, q)
         if isinstance(want, type):
             assert got is want, (y, q)
@@ -169,7 +175,9 @@ def test_x0_laurent_in_real_arithmetic_keeps_the_complex_bits():
         classic, quant, err_est = got
         assert (quant.hex(), err_est.hex()) == (want[0].real.hex(), want[1].hex()), (y, q)
         kinds.add("zero" if quant == 0.0 else "finite")
-    assert kinds == {"finite", "zero", "OverflowError", "y^2 below normal"}
+        cells.add(tuple(e != 0 for e in _laurent_exponents(y, q)))
+    assert kinds == {"finite", "zero"}
+    assert cells == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # Frozen from the closed forms at 1500 digits (mpmath; 2000 agree to 950
@@ -188,14 +196,14 @@ def test_x0_laurent_where_y_squared_underflows_keeps_its_digits(coords, ref):
     assert abs(result.total.real - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * ref
 
 
-def test_laurent_where_z_squared_overflows_raises_domain_error():
-    # x y is above 9e307: z^2 overflows to a NaN, which the inner sum would
-    # carry to its 400-term cap and report as a ConvergenceError
-    point = DimensionlessPoint(1.37e292, 1.96e126, 9.2e-44)
-    assert kernel._classify(point)[0] is RegimeTag.LAURENT_SERIES
-    with pytest.raises(DomainError, match="double-precision range") as info:
-        chi_ratio(point)
-    assert isinstance(info.value.__cause__, OverflowError)
+def test_laurent_where_z_squared_overflows_keeps_its_digits():
+    # x y is above 9e307: unscaled, z^2 overflows to a NaN; the sums run on
+    # z 2^-ez and q 2^-eq. The reference is the closed form at 3154 digits
+    result = chi_ratio(DimensionlessPoint(1.37e292, 1.96e126, 9.2e-44))
+    assert result.method is RegimeTag.LAURENT_SERIES
+    ref = complex(4.725897920604915e86, -6.7611386309384191e-80)
+    bound = result.err_est + 4.0 * sys.float_info.epsilon * abs(ref)
+    assert abs(result.total - ref) <= bound
 
 
 def _closed_form_mp(x: float, y: float, q: float):
@@ -247,6 +255,46 @@ def test_x_positive_laurent_where_q_squared_underflows_is_honest():
             assert abs(mpc(result.total) - ref) <= bound, (x, y, q)
         served += 1
     assert served >= 30
+
+
+# x > 0 range classes where an unscaled Laurent intermediate leaves the double
+# range: z^2 overflows above max(x, y) = 2^512 and underflows below 2^-512,
+# and q^4 overflows above q = 2^256
+LAURENT_RANGE_CLASSES = {
+    "z^2 overflows": lambda x, y, q: max(x, y) >= 2.0**512,
+    "z^2 underflows": lambda x, y, q: max(x, y) < 2.0**-512,
+    "q^4 overflows": lambda x, y, q: q >= 2.0**256,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAURENT_RANGE_CLASSES))
+def test_x_positive_laurent_keeps_its_digits_where_an_unscaled_intermediate_leaves_the_range(kind):
+    # x, y and q log-uniform over 1e+-300, a tenth at y = 0, kept where the
+    # point is in the far field and in the class, and its classical part,
+    # 4x/(q^2 |z|) to leading order, lies within 1e+-300. Each of 5 points is
+    # held to the closed form at 8 log10|s| + 4 max(0, log10(1/q)) + 300
+    # digits, as the q^2 test above is
+    in_class = LAURENT_RANGE_CLASSES[kind]
+    rng = random.Random(30)
+    for _ in range(5):
+        while True:
+            x, q = _loguniform(rng, 1e-300, 1e300), _loguniform(rng, 1e-300, 1e300)
+            y = 0.0 if rng.random() < 0.1 else _loguniform(rng, 1e-300, 1e300)
+            log_z = math.log10(max(x, y)) + 0.5 * math.log10(1.0 + (min(x, y) / max(x, y)) ** 2)
+            log_s = log_z - math.log10(q)
+            log_classic = math.log10(4.0 * x) - 2.0 * math.log10(q) - log_z
+            if (
+                in_class(x, y, q)
+                and log_s >= max(math.log10(3.0), math.log10(2.0 + q))
+                and abs(log_classic) <= 300.0
+            ):
+                break
+        result = chi_ratio(DimensionlessPoint(x, y, q))
+        assert result.method is RegimeTag.LAURENT_SERIES
+        with mp.workdps(math.ceil(8 * log_s + 4 * max(0.0, -math.log10(q)) + 300)):
+            ref = _closed_form_mp(x, y, q)
+            bound = result.err_est + 4 * sys.float_info.epsilon * abs(ref)
+            assert abs(mpc(result.total) - ref) <= bound, (x, y, q)
 
 
 def test_x_positive_laurent_where_the_classical_part_overflows_names_it():
