@@ -111,8 +111,8 @@ def test_whole_float_range_gives_a_finite_result_or_a_diamag_error():
 
 
 def test_overflowing_result_raises_domain_error():
-    # unscaled, z^2 overflows here, though the classical part, about
-    # 4/q^2 = 7.5e135, is finite: the closed form at 2727 digits
+    # unscaled, z^2 and the weight 3x/q^2 overflow here, though the classical
+    # part, about 4/q^2 = 7.5e135, is finite: the closed form at 2727 digits
     result = chi_ratio(DimensionlessPoint(8.09e201, 0.0, 2.31e-68))
     ref = 7.4961113922152875e135
     assert abs(result.total - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * ref
