@@ -2,17 +2,20 @@
 Cross-checking the closed form against independent evaluations
 ==============================================================
 
-The closed-form kernel is fast but algebra-heavy. Two independent
-computations guard it: high-precision quadrature of the defining angular
-integrals, and a kinetic-equation reconstruction on the package's own
-Gauss-Kronrod engine. This script prints all three side by side at a few
-points.
+The closed-form kernel is fast but algebra-heavy. Three slower evaluations
+guard it: the exact reference (the closed forms in mpmath at the digits
+each point needs, measured from how far their summands cancel),
+high-precision quadrature of the defining angular integrals, and a
+kinetic-equation reconstruction on the package's own Gauss-Kronrod engine.
+This script prints the exact reference and the other three side by side at
+a few points, each with its relative deviation from the exact reference.
 """
 
 from diamag import (
     DimensionlessPoint,
     chi_from_kinetic,
     chi_ratio,
+    chi_ratio_exact,
     chi_ratio_quadrature,
 )
 
@@ -24,13 +27,15 @@ points = [
 ]
 
 for p in points:
-    kernel = chi_ratio(p).total
-    quad = chi_ratio_quadrature(p).total
-    kinetic = chi_from_kinetic(p).total
+    exact = chi_ratio_exact(p).total
     print(f"x = {p.x:g}, y = {p.y:g}, q = {p.q:g}")
-    print(f"  closed form   {kernel.real:+.12e} {kernel.imag:+.12e}j")
-    print(f"  quadrature    {quad.real:+.12e} {quad.imag:+.12e}j"
-          f"   (rel dev {abs(kernel - quad) / abs(quad):.1e})")
-    print(f"  kinetic       {kinetic.real:+.12e} {kinetic.imag:+.12e}j"
-          f"   (rel dev {abs(kernel - kinetic) / abs(kinetic):.1e})")
+    print(f"  exact         {exact.real:+.12e} {exact.imag:+.12e}j")
+    for name, oracle in (
+        ("closed form", chi_ratio),
+        ("quadrature", chi_ratio_quadrature),
+        ("kinetic", chi_from_kinetic),
+    ):
+        value = oracle(p).total
+        print(f"  {name:<13} {value.real:+.12e} {value.imag:+.12e}j"
+              f"   (rel dev {abs(value - exact) / abs(exact):.1e})")
     print()

@@ -53,7 +53,10 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "oracle": ("chi_from_kinetic", "chi_ratio_quadrature", "j_integrals_nascent_delta"),
+        "oracle": (
+            "chi_from_kinetic", "chi_ratio_exact", "chi_ratio_quadrature",
+            "j_integrals_nascent_delta",
+        ),
         "quadrature": ("integrate_complex_adaptive",),
         "svg": ("render_line_chart", "write_svg"),
         "sweep": (

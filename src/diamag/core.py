@@ -110,7 +110,8 @@ _set_fields = FrozenRecord.__dict__["__dict__"].__set__
 
 class RegimeTag(enum.Enum):
     """The strategy that produced a ChiResult: one of the kernel's four
-    regimes, one tag per point, or the oracles' quadrature."""
+    regimes, one tag per point, or QUADRATURE, which every oracle result
+    carries, the exact closed-form reference's (chi_ratio_exact) included."""
 
     PV_STATIC = "pv-static"
     CLOSED_FORM = "closed-form"
@@ -212,9 +213,10 @@ class ChiResult(FrozenRecord):
               static point below q = 1/2 included), and for the closed form
               the bounds of the pieces it summed as series (0 when every
               piece came from its closed form, and for the static principal
-              value's own formula, q = 1/2 to 2); the quadrature estimate
-              for oracles. Only the mpmath quadrature oracle adds a rounding
-              bound to it.
+              value's own formula, q = 1/2 to 2); for the oracles, tagged
+              QUADRATURE, the quadrature estimate, or for chi_ratio_exact
+              the difference of its last two evaluations. The two mpmath
+              oracles add half an ulp per rounding to double to it.
     """
 
     _fields = ("classic", "quant", "total", "method", "err_est")

@@ -1,7 +1,7 @@
 """Independent numerical checks of the closed-form susceptibility kernel.
 
-Everything here recomputes physics from a more primitive formulation than
-the kernel module uses, on purpose:
+Everything here recomputes physics independently of the kernel module's
+numerics, all but the exact reference from a more primitive formulation:
 
   * chi_ratio_quadrature integrates the classical integral and the quantum
     part, the latter as one integrand Q whose terms do not cancel, with
@@ -13,6 +13,9 @@ the kernel module uses, on purpose:
     points are needed (at x = 0 the half v >= 0 of the arc suffices); the
     integrands are evaluated in fixed-width complex arithmetic on Python
     ints at the pass's precision;
+  * chi_ratio_exact evaluates the closed forms themselves in mpmath, at the
+    digits each point needs, measured from how far their summands cancel:
+    the kernel's algebra without its double-precision numerics or series;
   * chi_from_kinetic rebuilds the ratio from the kinetic-equation form, a
     velocity-shell occupation difference against a shifted resonance
     denominator, using the package's own adaptive Gauss-Kronrod engine;
@@ -33,11 +36,12 @@ from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp import dps_to_prec, mpf_cos_sin_pi, mpf_pi, mpf_shift, round_nearest
 
 from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
-from .errors import DomainError, ExtrapolationError
+from .errors import DomainError, ExtrapolationError, ValidationError
 from .quadrature import integrate_complex_adaptive
 
 __all__ = [
     "JIntegrals",
+    "chi_ratio_exact",
     "chi_ratio_quadrature",
     "chi_from_kinetic",
     "j_integrals_nascent_delta",
@@ -612,6 +616,162 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
             )
             step = int(mp.ceil(mp.log10(excess))) + 2 if mp.isfinite(excess) else dps
         dps = min(_MAX_DPS, dps + step)
+
+
+# ---------------------------------------------------------------------------
+# The closed form at measured digits (mpmath)
+# ---------------------------------------------------------------------------
+
+
+# The first working digits of chi_ratio_exact, and the digits a total must
+# keep beyond those its sum cancels before a second evaluation checks it.
+_EXACT_FIRST_DPS = 30
+_EXACT_MARGIN = 30
+# A total with fewer digits left than this may be all rounding noise, whose
+# measured loss says only that the true one is larger.
+_EXACT_NOISE = 10
+# The check passes when the total agrees with the evaluation at twice the
+# digits to this relative accuracy.
+_EXACT_AGREEMENT = 1e-20
+# A total below 2^_EXACT_FLOOR_MAG counts as that size: a double keeps
+# nothing below 2^-1074, so such a total needs no relative accuracy.
+_EXACT_FLOOR_MAG = -1100
+
+
+def _exact_integrals(x: float, y: float, q: float) -> tuple:
+    """((I1, I2, I3), (m1, m2, m3)): the three angular integrals from their
+    antiderivatives at the context's precision, mpc values, and per integral
+    an int m with each summand it sums below about 2^m in modulus (mpmath's
+    mag, a few bits above).
+
+        I1 = (-2 s + (1 - s^2) L(s)) / q
+        I2 = (4/3 - 2 s^2 + s (1 - s^2) L(s)) / q
+        I3 = (g(s + q/2) - g(s - q/2)) / q^3,
+        g(sigma) = 2 sigma^3 - (10/3) sigma + (1 - sigma^2)^2 L(sigma),
+
+    with s = z/q and L(sigma) = log(sigma - 1) - log(sigma + 1) in mpmath's
+    principal logarithms, whose log of a negative real is +i pi: on y = 0
+    that is the limit y -> 0+. For Im sigma >= 0 the two arguments' angles
+    differ by 0 to pi, so L(sigma) is the one principal logarithm of
+    (sigma - 1)/(sigma + 1), which is how it is evaluated. That quotient is
+    rounded to eps, so L errs by eps absolute however small it is: a log
+    term counts as two summands, |factor L| and |factor|, which is what the
+    cancellation of the two logarithms costs at large |sigma|. At sigma =
+    +-1 the log terms take their limit 0.
+    """
+    qm = mpf(q)
+    s = mpc(x, y) / qm
+
+    def branch_log(sigma) -> tuple:
+        # 1 - sigma^2 and L(sigma), or 0 for L where 1 - sigma^2 is 0
+        u = 1 - sigma * sigma
+        return u, mp.log((sigma - 1) / (sigma + 1)) if u else 0
+
+    def scaled(terms: list, log_terms: list, scale) -> tuple:
+        # (terms + each factor L of log_terms) / scale, and the mag of its
+        # largest summand
+        summands = terms + [factor * log for factor, log in log_terms]
+        mags = [mp.mag(term) for term in summands] + [mp.mag(f) for f, _ in log_terms]
+        return sum(summands) / scale, max(mags) - mp.mag(scale)
+
+    u, log = branch_log(s)
+    i1, m1 = scaled([-2 * s], [(u, log)], qm)
+    i2, m2 = scaled([mpf(4) / 3, -2 * s * s], [(s * u, log)], qm)
+    terms, log_terms = [], []  # g(s + q/2) and -g(s - q/2)
+    for sign, sigma in ((1, s + qm / 2), (-1, s - qm / 2)):
+        u, log = branch_log(sigma)
+        terms += [sign * 2 * sigma**3, sign * -10 * sigma / 3]
+        log_terms.append((sign * u * u, log))
+    i3, m3 = scaled(terms, log_terms, qm**3)
+    return (i1, i2, i3), (m1, m2, m3)
+
+
+def _exact_parts(x: float, y: float, q: float) -> tuple:
+    """((classic, quant), loss): the two parts at the context's precision,
+    mpc values, and the digits their sum cancels, log10 of its largest
+    summand over |total|, with |total| taken as at least 2^_EXACT_FLOOR_MAG.
+    A total below eps of that summand counts as having lost every digit."""
+    (i1, i2, i3), (m1, m2, m3) = _exact_integrals(x, y, q)
+    qm = mpf(q)
+    quant = 3 / qm * i2 + mpf(0.75) * i3
+    peak = max(mp.mag(3 / qm) + m2, m3)
+    if x == 0.0:
+        classic, quant = mpc(0), mpc(quant.real)
+    else:
+        weight = 3 * mpf(x) / qm**2
+        classic = -weight * i1
+        peak = max(peak, mp.mag(weight) + m1)
+    loss = peak - max(mp.mag(classic + quant), peak - mp.prec, _EXACT_FLOOR_MAG)
+    return (classic, quant), loss * math.log10(2.0)
+
+
+def chi_ratio_exact(point: DimensionlessPoint) -> ChiResult:
+    """Susceptibility ratio from the closed forms at the digits the point needs.
+
+    classic = -(3x/q^2) I1 and quant = (3/q) I2 + (3/4) I3, from the three
+    antiderivatives in mpmath (_exact_integrals); on y = 0 the limit y -> 0+,
+    poles inside [-1, 1] or on t = +-1 included, and at x = 0 classic is 0
+    and quant real.
+
+    The digits are measured, not set. An evaluation reports the digits its
+    total cancels: log10 of its largest summand (a log term counted with its
+    whole prefactor) over |total|, taken as at least 2^-1100, below which a
+    double holds nothing. From 30 digits the precision doubles until the
+    total keeps 10 digits beyond that loss, so that the loss is read off a
+    value and not off rounding noise. A candidate is then evaluated at the
+    loss plus 30 digits, and accepted only when an evaluation at twice its
+    digits agrees with its total to 1e-20 relative; else that evaluation is
+    the next candidate. The finer evaluation is returned, rounded to
+    doubles, with err_est the modulus of its difference from the candidate
+    in classic plus that in quant, plus half an ulp for each rounding to
+    double of the real and imaginary parts of classic, quant and their sum.
+    No argument sets a precision or a tolerance. A point far out needs
+    thousands of digits and up to about a second.
+
+    It shares none of the kernel's double-precision arithmetic, series or
+    code, only the closed-form algebra that the kernel's closed-form branch
+    also evaluates. It reports RegimeTag.QUADRATURE, as every oracle result
+    does, and raises DomainError where a part or the total leaves the double
+    range.
+    """
+    x, y, q = point.x, point.y, point.q
+    # the loss, from the first evaluation whose total kept _EXACT_NOISE digits
+    dps = _EXACT_FIRST_DPS
+    while True:
+        with mp.workdps(dps):
+            _, loss = _exact_parts(x, y, q)
+        if loss <= dps - _EXACT_NOISE:
+            break
+        dps *= 2
+    # a candidate at the loss plus _EXACT_MARGIN, checked at twice its digits
+    dps = math.ceil(loss) + _EXACT_MARGIN
+    with mp.workdps(dps):
+        candidate, _ = _exact_parts(x, y, q)
+    while True:
+        dps *= 2
+        with mp.workdps(dps):
+            (classic, quant), _ = _exact_parts(x, y, q)
+            coarse_c, coarse_q = candidate
+            total = classic + quant
+            scale = max(abs(total), mp.ldexp(1, _EXACT_FLOOR_MAG))
+            if abs(total - coarse_c - coarse_q) <= _EXACT_AGREEMENT * scale:
+                difference = abs(classic - coarse_c) + abs(quant - coarse_q)
+                break
+        candidate = classic, quant
+    try:
+        classic, quant = complex(classic), complex(quant)
+        rounding = sum(
+            mpf(math.ulp(part)) / 2
+            for value in (classic, quant, classic + quant)
+            for part in (value.real, value.imag)
+        )
+        return ChiResult.from_parts(
+            classic, quant, RegimeTag.QUADRATURE, float(difference + rounding)
+        )
+    except ValidationError as exc:
+        raise DomainError(
+            f"chi_ratio_exact: the result is beyond double-precision range ({exc})"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -20,3 +20,23 @@ def oracle_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(oracle, "_path_quad", counting)
     return digits
+
+
+@pytest.fixture
+def exact_digits(monkeypatch) -> list:
+    """The working digits of every closed-form evaluation of chi_ratio_exact
+    in the test, one entry per _exact_integrals call, in a list that fills as
+    they run; its last entry is the digits of the value returned."""
+    from mpmath import mp
+
+    from diamag import oracle
+
+    digits = []
+    exact_integrals = oracle._exact_integrals
+
+    def counting(*args, **kwargs):
+        digits.append(mp.dps)
+        return exact_integrals(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_exact_integrals", counting)
+    return digits

@@ -141,6 +141,16 @@ def test_eval_integrals_names_q_cubed_where_it_overflows():
     assert isinstance(info.value.__cause__, OverflowError)
 
 
+@pytest.mark.parametrize("z, q", [(1e200, 1.0), (1e110j, 1e5)])
+def test_eval_integrals_names_the_cube_that_overflows_far_out(z, q):
+    # the antiderivative's cube of s -+ q/2 leaves the double range above
+    # |s -+ q/2| of about 5.6e102, with q^3 still finite
+    text = r"\(s \+- q/2\)\^3 overflows above \|s \+- q/2\| of about 5\.6e\+102"
+    with pytest.raises(DomainError, match=text) as info:
+        eval_integrals(z, q)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
 def test_detailed_breakdown_is_the_raw_closed_form_where_it_is_finite():
     # a far-field Laurent point, where no cancellation guard runs: the
     # breakdown is eval_integrals' at the point

@@ -12,11 +12,11 @@ import random
 import sys
 
 import pytest
-from mpmath import mp, mpc, mpf
 
 from diamag import ConvergenceError, DomainError, kernel
 from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.kernel import _closed_form_parts, _laurent_parts, chi_ratio, eval_integrals
+from diamag.oracle import chi_ratio_exact
 
 OVERLAP_WINDOW = [
     # (q, chi(0, 1e-6, q)) frozen at 60 digits
@@ -206,33 +206,15 @@ def test_laurent_where_z_squared_overflows_keeps_its_digits():
     assert abs(result.total - ref) <= bound
 
 
-def _closed_form_mp(x: float, y: float, q: float):
-    """chi/chi_L from the closed forms in mpmath at the working precision."""
-    q = mpf(q)
-    s = mpc(x, y) / q
-
-    def branch_log(sigma):
-        return mp.log(sigma - 1) - mp.log(sigma + 1)
-
-    def antiderivative(sigma):
-        return 2 * sigma**3 - mpf(10) / 3 * sigma + (1 - sigma**2) ** 2 * branch_log(sigma)
-
-    Ls = branch_log(s)
-    I1 = (-2 * s + (1 - s * s) * Ls) / q
-    bracket = mpf(4) / 3 - 2 * s * s + s * (1 - s * s) * Ls
-    I3 = (antiderivative(s + q / 2) - antiderivative(s - q / 2)) / q**3
-    return -3 * mpf(x) / q**2 * I1 + 3 / q**2 * bracket + mpf(3) / 4 * I3
-
-
 def test_x_positive_laurent_where_q_squared_underflows_is_honest():
     # q in [1e-200, 1e-150], where q^2 is below the normal range (a subnormal
     # above about 1.5e-162, 0 below): the classical weight 3x/q^2 lost its
     # digits there, or divided by zero. x and y log-uniform over 1e+-300, a
     # tenth at y = 0, far field 3 <= |s| <= 1e200. Each served point is held
-    # to the closed form at 8 log10|s| + 4 log10(1/q) + 300 digits, enough
-    # for its cancellation (about 6 log10|s| + 2 log10(1/q) digits in the
-    # quantum part); every other point raises DomainError (the value or an
-    # intermediate leaves the double range)
+    # to chi_ratio_exact, the closed form at the digits its cancellation
+    # needs (about 6 log10|s| + 2 log10(1/q) digits in the quantum part);
+    # every other point raises DomainError (the value or an intermediate
+    # leaves the double range)
     rng = random.Random(29)
     served = 0
     for _ in range(100):
@@ -249,10 +231,9 @@ def test_x_positive_laurent_where_q_squared_underflows_is_honest():
         except DomainError:
             continue
         assert result.method is RegimeTag.LAURENT_SERIES
-        with mp.workdps(math.ceil(8 * math.log10(s_abs) + 4 * math.log10(1 / q) + 300)):
-            ref = _closed_form_mp(x, y, q)
-            bound = result.err_est + 4 * sys.float_info.epsilon * abs(ref)
-            assert abs(mpc(result.total) - ref) <= bound, (x, y, q)
+        ref = chi_ratio_exact(point).total
+        bound = result.err_est + 4 * sys.float_info.epsilon * abs(ref)
+        assert abs(result.total - ref) <= bound, (x, y, q)
         served += 1
     assert served >= 30
 
@@ -272,8 +253,7 @@ def test_x_positive_laurent_keeps_its_digits_where_an_unscaled_intermediate_leav
     # x, y and q log-uniform over 1e+-300, a tenth at y = 0, kept where the
     # point is in the far field and in the class, and its classical part,
     # 4x/(q^2 |z|) to leading order, lies within 1e+-300. Each of 5 points is
-    # held to the closed form at 8 log10|s| + 4 max(0, log10(1/q)) + 300
-    # digits, as the q^2 test above is
+    # held to chi_ratio_exact, as the q^2 test above is
     in_class = LAURENT_RANGE_CLASSES[kind]
     rng = random.Random(30)
     for _ in range(5):
@@ -289,12 +269,12 @@ def test_x_positive_laurent_keeps_its_digits_where_an_unscaled_intermediate_leav
                 and abs(log_classic) <= 300.0
             ):
                 break
-        result = chi_ratio(DimensionlessPoint(x, y, q))
+        point = DimensionlessPoint(x, y, q)
+        result = chi_ratio(point)
         assert result.method is RegimeTag.LAURENT_SERIES
-        with mp.workdps(math.ceil(8 * log_s + 4 * max(0.0, -math.log10(q)) + 300)):
-            ref = _closed_form_mp(x, y, q)
-            bound = result.err_est + 4 * sys.float_info.epsilon * abs(ref)
-            assert abs(mpc(result.total) - ref) <= bound, (x, y, q)
+        ref = chi_ratio_exact(point).total
+        bound = result.err_est + 4 * sys.float_info.epsilon * abs(ref)
+        assert abs(result.total - ref) <= bound, (x, y, q)
 
 
 def test_x_positive_laurent_where_the_classical_part_overflows_names_it():

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from mpmath import log, mp, mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from diamag import (
     DimensionlessPoint,
@@ -21,6 +21,7 @@ from diamag import (
     ExtrapolationError,
     chi_from_kinetic,
     chi_ratio,
+    chi_ratio_exact,
     chi_ratio_quadrature,
     j_integrals_nascent_delta,
 )
@@ -31,6 +32,11 @@ from diamag.verify import GRID_Q, GRID_X, GRID_Y
 
 def rel(a: complex, b: complex) -> float:
     return abs(a - b) / abs(b)
+
+
+def exact(x: float, y: float, q: float) -> complex:
+    """The total of chi_ratio_exact at (x, y, q)."""
+    return chi_ratio_exact(DimensionlessPoint(x, y, q)).total
 
 
 # A path for mp.quad that, like the oracle's arc, passes below every pole
@@ -87,37 +93,10 @@ def test_quadrature_at_precision_cap_reports_its_error(monkeypatch, oracle_passe
     chi_ratio_quadrature(DimensionlessPoint(x, y, q))
     assert len(oracle_passes) > 1, oracle_passes
     monkeypatch.setattr(oracle, "_MAX_DPS", oracle._FIRST_DPS)
-    ref = _closed_form_reference(x, y, q)
+    ref = exact(x, y, q)
     got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
     assert abs(got.total - ref) <= got.err_est
     assert got.err_est > 1e-16 * abs(ref)
-
-
-def _closed_form_integrals(x: float, y: float, q: float) -> tuple:
-    """I1, I2 and I3 from their exact antiderivatives at 400 digits, enough
-    to absorb every cancellation in the box sampled below; mpc values."""
-
-    def branch_log(sigma):
-        return log(1 - sigma) - log(-1 - sigma)
-
-    def shifted(sigma):
-        return 2 * sigma**3 - mpf(10) / 3 * sigma + (1 - sigma**2) ** 2 * branch_log(sigma)
-
-    with mp.workdps(400):
-        qm = mpf(q)
-        s = mpc(mpf(x), mpf(y)) / qm
-        i1 = (-2 * s + (1 - s**2) * branch_log(s)) / qm
-        i2 = (mpf(4) / 3 - 2 * s**2 + s * (1 - s**2) * branch_log(s)) / qm
-        i3 = (shifted(s + qm / 2) - shifted(s - qm / 2)) / qm**3
-        return i1, i2, i3
-
-
-def _closed_form_reference(x: float, y: float, q: float) -> complex:
-    """The ratio from the 400-digit integrals."""
-    i1, i2, i3 = _closed_form_integrals(x, y, q)
-    with mp.workdps(400):
-        qm = mpf(q)
-        return complex(-3 * mpf(x) / qm**2 * i1 + 3 / qm * i2 + mpf(3) / 4 * i3)
 
 
 def _box(seed: int, count: int) -> list:
@@ -131,12 +110,9 @@ def _box(seed: int, count: int) -> list:
 
 
 def test_quadrature_error_estimate_holds_over_whole_domain():
-    for x, y, q, ref in DEEP_CANCELLATION:
-        assert abs(_closed_form_reference(x, y, q) - ref) <= 1e-16 * ref
     for x, y, q in _box(7, 24):
         got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-        ref = _closed_form_reference(x, y, q)
-        assert abs(got.total - ref) <= got.err_est, (x, y, q)
+        assert abs(got.total - exact(x, y, q)) <= got.err_est, (x, y, q)
 
 
 # 60 points for each of the seeds 1-5
@@ -146,7 +122,7 @@ BOX_300 = [point for seed in range(1, 6) for point in _box(seed, 60)]
 def test_quadrature_error_estimate_holds_over_the_300_point_box(oracle_passes):
     for x, y, q in BOX_300:
         got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-        assert abs(got.total - _closed_form_reference(x, y, q)) <= got.err_est, (x, y, q)
+        assert abs(got.total - exact(x, y, q)) <= got.err_est, (x, y, q)
     # one pass each, as measured; a change to the passes moves this count
     assert len(oracle_passes) == 300, oracle_passes
 
@@ -184,19 +160,20 @@ HARD_POINTS = [
 @pytest.mark.parametrize("x, y, q", HARD_POINTS)
 def test_quadrature_error_estimate_holds_at_hard_points(x, y, q):
     got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-    ref = _closed_form_reference(x, y, q)
-    assert abs(got.total - ref) <= got.err_est
+    assert abs(got.total - exact(x, y, q)) <= got.err_est
 
 
 # Q is the kernel's quantum pair under one integral: (3/16) Q = (3/q) I2 +
 # (3/4) I3, checked with mpmath's own quadrature at 30 digits against the
-# 400-digit closed forms, with neither the kernel nor the oracle's engine.
-# Q's integrand is scaled by max(1, |s|)^4, its size at large |s|, so that
-# mp.quad's absolute stop acts as a relative one.
+# closed forms at the digits chi_ratio_exact measured for the point, with
+# neither the kernel nor the oracle's engine. Q's integrand is scaled by
+# max(1, |s|)^4, its size at large |s|, so that mp.quad's absolute stop acts
+# as a relative one.
 @pytest.mark.parametrize("x, y, q", HARD_POINTS + _box(13, 12))
-def test_q_is_the_quantum_pair_of_the_closed_form(x, y, q):
-    _, i2, i3 = _closed_form_integrals(x, y, q)
-    with mp.workdps(400):
+def test_q_is_the_quantum_pair_of_the_closed_form(x, y, q, exact_digits):
+    chi_ratio_exact(DimensionlessPoint(x, y, q))
+    with mp.workdps(exact_digits[-1]):
+        (_, i2, i3), _ = oracle._exact_integrals(x, y, q)
         want = mpf(16) / 3 * (3 / mpf(q) * i2 + mpf(3) / 4 * i3)
     with mp.workdps(30):
         qm = mpf(q)
@@ -289,7 +266,7 @@ def test_oracle_bits_on_the_verify_grid_are_pinned():
 @pytest.mark.parametrize("x, y, q", TWO_PASS_GRID_POINTS)
 def test_quadrature_error_estimate_holds_at_former_two_pass_points(x, y, q):
     got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-    assert abs(got.total - _closed_form_reference(x, y, q)) <= got.err_est
+    assert abs(got.total - exact(x, y, q)) <= got.err_est
     assert got.err_est <= 4e-16 * abs(got.total)
 
 
@@ -591,15 +568,17 @@ def test_level_loop_is_the_helpers_bit_for_bit(x, y, q, dps):
 
 
 @pytest.mark.parametrize("dps", [20, 40])
-def test_path_quad_agrees_with_mp_quad_and_the_closed_form(dps):
+def test_path_quad_agrees_with_mp_quad_and_the_closed_form(dps, exact_digits):
     # I1 at (0.3 + 1e-3 i, 0.7) from the oracle's pass, from mp.quad and from
-    # its 400-digit antiderivative: the oracle's value within the sum of its
-    # estimate (quadrature error and rounding allowance) and mp.quad's, and
-    # within its own of the closed form, whose error is 0 at these digits.
-    # mp.quad's estimate leaves out the rounding of its result to the working
-    # precision, at most eps of its modulus.
+    # its antiderivative at the digits chi_ratio_exact measured: the oracle's
+    # value within the sum of its estimate (quadrature error and rounding
+    # allowance) and mp.quad's, and within its own of the closed form, whose
+    # error is 0 at these digits. mp.quad's estimate leaves out the rounding
+    # of its result to the working precision, at most eps of its modulus.
     x, y, q = 0.3, 1e-3, 0.7
-    closed = _closed_form_integrals(x, y, q)[0]
+    chi_ratio_exact(DimensionlessPoint(x, y, q))
+    with mp.workdps(exact_digits[-1]):
+        (closed, _, _), _ = oracle._exact_integrals(x, y, q)
     with mp.workdps(dps):
         qm, zm = mpf(q), mpc(x, y)
         _, (value, err) = oracle._path_quad(oracle._contour_sums(x, y, q))
@@ -812,7 +791,7 @@ def test_quadrature_with_s_beyond_the_double_range(x, y, q):
 
 def _collisionless_reference(x: float, q: float) -> complex:
     """The limit y -> 0+ at x, conjugated for x < 0: chi(-x) = conj(chi(x))."""
-    ref = _closed_form_reference(abs(x), 1e-300, q)
+    ref = exact(abs(x), 0.0, q)
     return ref.conjugate() if x < 0.0 else ref
 
 
@@ -904,6 +883,78 @@ def test_reflected_quadrature_is_conjugate():
         mirrored = oracle._quadrature_raw(-x, y, q).total
         direct = chi_ratio(p).total
         assert abs(mirrored - direct.conjugate()) < 1e-10 * abs(direct)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms at measured digits
+# ---------------------------------------------------------------------------
+
+
+def test_exact_reference_holds_the_frozen_deep_cancellation_values():
+    for x, y, q, ref in DEEP_CANCELLATION:
+        assert abs(exact(x, y, q) - ref) <= 1e-16 * ref, (x, y, q)
+
+
+def test_exact_reference_on_the_collisionless_line_is_the_limit():
+    # y = 0 gives the limit y -> 0+, within err_est of the value at y =
+    # 1e-300: at the poles exactly on an end t = +-1, where the log terms take
+    # their limit 0 and the result stays finite, and at a seeded set
+    rng = random.Random(31)
+    points = [(x, q) for x, q in ENDPOINT_POLES if x >= 0.0]
+    points += [(10.0 ** rng.uniform(-3.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0)) for _ in range(20)]
+    for x, q in points:
+        limit = chi_ratio_exact(DimensionlessPoint(x, 0.0, q))
+        assert abs(limit.total - exact(x, 1e-300, q)) <= limit.err_est, (x, q)
+
+
+@pytest.mark.parametrize("y, q", [(0.0, 0.5), (0.0, 3.0), (1e-3, 0.5), (2700.0, 5.3e-7)])
+def test_exact_reference_at_x_zero_has_a_real_quantum_part_alone(y, q):
+    got = chi_ratio_exact(DimensionlessPoint(0.0, y, q))
+    assert got.classic == 0.0 and got.quant.imag == 0.0
+
+
+def test_exact_reference_check_refuses_a_candidate_short_of_its_loss(monkeypatch, exact_digits):
+    # 20 digits below its loss of about 99, the candidate is rounding noise:
+    # the evaluation at twice its digits disagrees and becomes the next
+    # candidate, which the one at four times its digits then confirms
+    monkeypatch.setattr(oracle, "_EXACT_MARGIN", -20)
+    x, y, q, ref = DEEP_CANCELLATION[0]
+    got = chi_ratio_exact(DimensionlessPoint(x, y, q))
+    assert abs(got.total - ref) <= 1e-16 * ref
+    candidate = exact_digits[-3]
+    assert exact_digits[-2:] == [2 * candidate, 4 * candidate], exact_digits
+
+
+@pytest.mark.parametrize("y", [0.0, 1.0])
+def test_exact_reference_counts_the_digits_its_logarithms_cancel(y):
+    # the pair s -+ q/2 sits at |sigma| = 5e149, where log(sigma - 1) and
+    # log(sigma + 1) agree to about 300 digits: below that L(sigma) is 0, and
+    # the total reads 0.375 at 60 and at 120 digits alike, while it is 4/q^2
+    got = chi_ratio_exact(DimensionlessPoint(0.0, y, 1e150))
+    assert abs(got.total - 4e-300) <= got.err_est
+
+
+@pytest.mark.slow
+def test_exact_reference_holds_its_error_over_the_whole_range(exact_digits):
+    # x and y each 0 with probability 1/4, else log-uniform over 1e+-300; q
+    # log-uniform over 1e+-300. Each result is held to the closed forms at its
+    # final digits + 200; every other point leaves the double range
+    rng = random.Random(31)
+    served = 0
+    for _ in range(50):
+        x, y = (0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-300.0, 300.0) for _ in "xy")
+        q = 10.0 ** rng.uniform(-300.0, 300.0)
+        try:
+            got = chi_ratio_exact(DimensionlessPoint(x, y, q))
+        except DomainError:
+            continue
+        with mp.workdps(exact_digits[-1] + 200):
+            (i1, i2, i3), _ = oracle._exact_integrals(x, y, q)
+            qm = mpf(q)
+            ref = -3 * mpf(x) / qm**2 * i1 + 3 / qm * i2 + mpf(0.75) * i3
+            assert abs(mpc(got.total) - (ref if x else ref.real)) <= got.err_est, (x, y, q)
+        served += 1
+    assert 10 <= served <= 45, served
 
 
 # ---------------------------------------------------------------------------

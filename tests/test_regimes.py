@@ -9,7 +9,7 @@ import pytest
 from diamag import kernel
 from diamag.core import DimensionlessPoint
 from diamag.kernel import RegimeTag, chi_ratio, regime_select
-from test_oracle import _closed_form_reference
+from diamag.oracle import chi_ratio_exact
 
 
 def test_static_pv_window():
@@ -148,10 +148,9 @@ def _seam_point(base, scale):
 
 
 def _honest(point) -> bool:
-    """Whether chi_ratio is within err_est + 4 eps |ref| of the 400-digit
-    closed form."""
+    """Whether chi_ratio is within err_est + 4 eps |ref| of chi_ratio_exact."""
     result = chi_ratio(point)
-    ref = _closed_form_reference(point.x, point.y, point.q)
+    ref = chi_ratio_exact(point).total
     return abs(result.total - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * abs(ref)
 
 
