@@ -928,8 +928,9 @@ def test_exact_reference_check_refuses_a_candidate_short_of_its_loss(monkeypatch
 @pytest.mark.parametrize("y", [0.0, 1.0])
 def test_exact_reference_counts_the_digits_its_logarithms_cancel(y):
     # the pair s -+ q/2 sits at |sigma| = 5e149, where log(sigma - 1) and
-    # log(sigma + 1) agree to about 300 digits: below that L(sigma) is 0, and
-    # the total reads 0.375 at 60 and at 120 digits alike, while it is 4/q^2
+    # log(sigma + 1) agree to about 150 digits: below that L(sigma) rounds to
+    # 0, and the total reads 0.375 at 60 and at 120 digits alike, while it is
+    # 4/q^2
     got = chi_ratio_exact(DimensionlessPoint(0.0, y, 1e150))
     assert abs(got.total - 4e-300) <= got.err_est
 
