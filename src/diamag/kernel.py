@@ -43,13 +43,13 @@ strategies that RegimeTag names cover that ground:
     only for |s| > 1 + q/2 and serves the far field, |s| >= 3 and
     |s| >= 2 (1 + q/2).
 
-Regime choice is deterministic in (x, y, q): the static point and the small-q
-static window first, then the far field, which the Laurent series serves
-whole. Nearer in, where the Taylor series converges, a measured-cancellation
-escalation (intermediate magnitude over the computed quantum part) at a
-fixed digit threshold chooses between the closed form and the Taylor series;
-every other point gets the closed form. The thresholds are module constants;
-every accuracy result of the package is measured at their values.
+Regime choice is deterministic in (x, y, q): the static point first, then
+the far field, which the Laurent series serves whole. Nearer in, where the
+Taylor series converges, a measured-cancellation escalation (intermediate
+magnitude over the quantum part, at every q) at a fixed digit threshold
+chooses between the closed form and the Taylor series; every other point
+gets the closed form. The thresholds are module constants; every accuracy
+result of the package is measured at their values.
 
 The hot path keeps each series' order of operations, and so its bits, with
 less work per point: exact float tables hold the recurrences' integer
@@ -100,18 +100,16 @@ _CANCEL_DIGITS = 6.0
 # the Taylor branch requires q <= _TAYLOR_SPAN * dist(s, +-1): its ratio
 # (q / (2 dist))^2 is then at most 1/16
 _TAYLOR_SPAN = 0.5
-# static-series window on x = 0: q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q,
-# where the closed form loses about 3 log10(1/q) > 9 digits
-_SMALLQ_Q_MAX = 1e-3
-_SMALLQ_BETA = 1e-3
 # term caps of the series, far above what any point they serve needs; a
 # series that reaches one raises ConvergenceError
 _TAYLOR_MAX_TERMS = 60
 _FIRST_SERIES_MAX_TERMS = 400
 _LAURENT_MAX_OUTER = 200
 _LAURENT_MAX_INNER = 400
-# the largest q whose q**3 is a finite double
+# q**3 overflows above _Q3_MAX, falls under 2^-1074 below _Q3_MIN; q**2 is subnormal below _Q2_MIN
 _Q3_MAX = 5.643803094122361e102
+_Q3_MIN = 1.7031839360032837e-108
+_Q2_MIN = 2.0**-511
 
 
 class TermBreakdown(FrozenRecord):
@@ -224,9 +222,10 @@ def eval_integrals(z: complex, q: float) -> TermBreakdown:
     if z.imag < 0:
         raise DomainError("Im(z) must be >= 0")
     try:
+        q3 = _cube(q)
         I1, bracket, g_plus, g_minus, _ = _closed_pieces(z, q)[0]
         I2 = bracket / q
-        I3 = (g_plus - g_minus) / q**3
+        I3 = (g_plus - g_minus) / q3
         terms = TermBreakdown(
             I1=I1,
             I2=I2,
@@ -253,26 +252,29 @@ def _first_integral_closed(s: complex, q: float) -> tuple:
 
 
 def _cube(q: float) -> float:
-    """q^3, raising an OverflowError that names q^3 and its limit above _Q3_MAX."""
+    """q^3, raising an ArithmeticError that names q^3 and its limit where it
+    overflows (an OverflowError, above _Q3_MAX) or underflows to 0."""
     try:
-        return q**3
+        q3 = q**3
     except OverflowError:
         raise OverflowError(f"q^3 overflows above q = {_Q3_MAX!r}") from None
+    if not q3:
+        raise ArithmeticError(f"q^3 underflows below q = {_Q3_MIN!r}")
+    return q3
 
 
 def _closed_pieces(z: complex, q: float) -> tuple:
     """Every closed-form piece at z and the digits their quantum sum cancels.
 
     Returns ((I1, bracket, g_plus, g_minus, L(s)), lost digits), with
-    g_-+ = g(s -+ q/2). The lost digits are log10 of the peak intermediate
-    size over the quantum sum. The peak scans every summand that feeds the
-    quantum sum, at all three assembly levels (the middle-integral bracket,
-    the two antiderivative values, and the summands inside each
-    antiderivative), all already scaled by their 1/q weights.
+    g_-+ = g(s -+ q/2). The lost digits are log10 of the peak summand over
+    the quantum sum, both times (4/3) q^3 so that neither forms 1/q^2 or q^3:
+    the peak scans 4q times the bracket's summands, the two antiderivatives
+    and the summands inside each, and the sum is 4q bracket + g_plus -
+    g_minus. A zero sum has lost every digit.
     """
     s = z / q
     a = 0.5 * q
-    q3 = _cube(q)
     I1, bracket, bracket_log, Ls = _first_integral_closed(s, q)
     try:
         g_plus, peak_plus = _antiderivative_with_peak(s + a)
@@ -283,11 +285,11 @@ def _closed_pieces(z: complex, q: float) -> tuple:
         limit = f"{_Q3_MAX:.2g}"
         raise OverflowError(f"(s +- q/2)^3 overflows above |s +- q/2| of about {limit}") from None
     peak = max(
-        3.0 / (q * q) * max(4.0 / 3.0, 2.0 * abs(s * s), abs(bracket_log)),
-        0.75 / q3 * max(peak_plus, peak_minus, abs(g_plus), abs(g_minus)),
+        4.0 * q * max(4.0 / 3.0, 2.0 * abs(s * s), abs(bracket_log)),
+        peak_plus, peak_minus, abs(g_plus), abs(g_minus),
     )
-    quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q3)
-    return (I1, bracket, g_plus, g_minus, Ls), math.log10(peak / max(abs(quant), _TINY))
+    scaled = abs(4.0 * q * bracket + (g_plus - g_minus))
+    return (I1, bracket, g_plus, g_minus, Ls), math.log10(peak / scaled) if scaled else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -569,25 +571,19 @@ def _classic_laurent(z: complex, q: float, x: float, w: complex, eq: int, ez: in
 def _classify(point: DimensionlessPoint) -> tuple:
     """Deterministic regime choice; returns (RegimeTag, closed pieces|None).
 
-    The x = y = 0 point is PV_STATIC at every q; _result serves it by the
-    Taylor series below q = 1/2, chi_static_pv's formula up to q = 2 and the
-    closed form above. The static series window x = 0, q < _SMALLQ_Q_MAX,
-    y < _SMALLQ_BETA * q is TAYLOR_SERIES. Every other point comes from three
-    decisions: the far field, |s| >= _FAR_MIN and |s| >= 2 (1 + q/2), is
-    LAURENT_SERIES; a point where the Taylor series does not converge,
-    q > _TAYLOR_SPAN * dist(s, +-1), is CLOSED_FORM; and the cancellation
-    guard, which runs only at the rest, escalates a closed form that loses
-    more than _CANCEL_DIGITS digits to TAYLOR_SERIES and keeps every other
-    one. The collisionless line y = 0 takes the same path as y > 0 and gets
-    the limit y -> 0+. The closed pieces are those the guard evaluated, for
-    the evaluators to reuse.
+    The x = y = 0 point is PV_STATIC at every q. Every other point comes from
+    three decisions: the far field, |s| >= _FAR_MIN and |s| >= 2 (1 + q/2),
+    is LAURENT_SERIES; a point where the Taylor series does not converge,
+    q > _TAYLOR_SPAN * dist(s, +-1), is CLOSED_FORM; and at the rest the
+    cancellation guard escalates a closed form that loses more than
+    _CANCEL_DIGITS digits to TAYLOR_SERIES, the Landau limit x = 0,
+    y << q << 1 included, and keeps every other one. y = 0 takes the same
+    path and gets the limit y -> 0+. The closed pieces are those the guard
+    evaluated, for the evaluators to reuse.
     """
     x, y, q = point.x, point.y, point.q
-    if x == 0.0:
-        if y == 0.0:
-            return _PV, None
-        if q < _SMALLQ_Q_MAX and y < _SMALLQ_BETA * q:
-            return _TAYLOR, None
+    if x == 0.0 and y == 0.0:
+        return _PV, None
     z = complex(x, y)
     s = z / q
     s_abs = abs(s)
@@ -629,6 +625,7 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
     z = complex(x, point.y)
     s = z / q
     I1, bracket, g_plus, g_minus, _ = closed or (None,) * 5
+    q3 = _cube(q)
     weight = 3.0 / (q * q)
     bracket_err = I1_err = 0.0
     if abs(s) >= _FAR_MIN:
@@ -642,7 +639,6 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
     elif closed is None:
         I1, bracket = _first_integral_closed(s, q)[:2]
     g_plus, err_plus = _antiderivative_piece(s + 0.5 * q, g_plus)
-    q3 = _cube(q)
     if x == 0.0:
         # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
         quant = weight * bracket.real + 1.5 * g_plus.real / q3
@@ -659,12 +655,14 @@ def _taylor_parts(point: DimensionlessPoint, closed) -> tuple:
 
     Exact in beta = y/q; on the static line it reduces to 1 - q^2/20 - ... .
     The classical part keeps its closed form, the guard's I1, which does not
-    cancel here; off x = 0 a point reaches this series only through the
-    guard, whose L(s) the series reuses. err_est carries the series'
-    truncation bound.
+    cancel here; off x = 0 it raises ArithmeticError below q = _Q2_MIN, where
+    its weight's q^2 is subnormal. The series reuses the guard's L(s), and
+    err_est is its truncation bound.
     """
     x, q = point.x, point.q
-    quant, err_est = _quant_taylor_shift(point.s, q, closed[4] if closed else None)
+    if x and q < _Q2_MIN:
+        raise ArithmeticError(f"q^2 is below the normal range under q = {_Q2_MIN!r}")
+    quant, err_est = _quant_taylor_shift(point.s, q, closed[4])
     return (-3.0 * x / (q * q) * closed[0] if x else 0j), quant, err_est
 
 
@@ -762,7 +760,8 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     inside [-1, 1] or on t = +-1 included. This is the kernel's one catch:
     where an intermediate overflows or divides by zero, or a part of the
     result is not finite, it raises DomainError, which happens only far
-    outside |x|, y, q in 1e+-100.
+    outside |x|, y, q in 1e+-100. Its text names q^3 or q^2 where one leaves
+    the range, and the Laurent classical part where it overflows.
     """
     try:
         tag, closed = _classify(point)

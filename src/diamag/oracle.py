@@ -545,9 +545,9 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     relative (or 150 digits are reached). err_est is each integral's own
     relative error estimate times its size, plus the predicted rounding
     bound, plus half an ulp for each rounding to double of the parts and
-    their sum. Serves every accepted point whose parts fit in a double
-    (elsewhere ChiResult raises ValidationError); _quadrature_raw also takes
-    x < 0. An oracle: slow, independent, trusted.
+    their sum. Serves every accepted point whose parts fit in a double, and
+    raises DomainError elsewhere, as chi_ratio and chi_ratio_exact do;
+    _quadrature_raw also takes x < 0. An oracle: slow, independent, trusted.
     """
     return _quadrature_raw(point.x, point.y, point.q)
 
@@ -601,16 +601,7 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
             totals = ((bound_c, classic), (bound_q, quant), (bound_c + bound_q, classic + quant))
             checks = [(bound, _TARGET_REL * abs(value)) for bound, value in totals]
             if dps == _MAX_DPS or all(bound <= limit for bound, limit in checks):
-                classic, quant = complex(classic), complex(quant)
-                # half an ulp for each double part and for their double sum
-                rounding = sum(
-                    math.ulp(part) / 2
-                    for value in (classic, quant, classic + quant)
-                    for part in (value.real, value.imag)
-                )
-                return ChiResult.from_parts(
-                    classic, quant, RegimeTag.QUADRATURE, float(bound_c + bound_q) + rounding
-                )
+                return _double_result("chi_ratio_quadrature", classic, quant, bound_c + bound_q)
             excess = max(
                 bound / limit if limit else mp.inf for bound, limit in checks if bound > limit
             )
@@ -758,20 +749,23 @@ def chi_ratio_exact(point: DimensionlessPoint) -> ChiResult:
                 difference = abs(classic - coarse_c) + abs(quant - coarse_q)
                 break
         candidate = classic, quant
+    return _double_result("chi_ratio_exact", classic, quant, difference)
+
+
+def _double_result(name: str, classic, quant, bound) -> ChiResult:
+    """The oracle's mpmath parts rounded to doubles, as a QUADRATURE
+    ChiResult with err_est the bound plus half an ulp for each rounding to
+    double of the real and imaginary parts of classic, quant and their sum.
+    Raises DomainError, naming the oracle, where a part or the total leaves
+    the double range."""
+    classic, quant = complex(classic), complex(quant)
+    # halved after the sum: half of 2^-1074, the ulp of 0, rounds to 0
+    parts = (part for value in (classic, quant, classic + quant) for part in (value.real, value.imag))
+    rounding = sum(map(math.ulp, parts)) / 2
     try:
-        classic, quant = complex(classic), complex(quant)
-        rounding = sum(
-            mpf(math.ulp(part)) / 2
-            for value in (classic, quant, classic + quant)
-            for part in (value.real, value.imag)
-        )
-        return ChiResult.from_parts(
-            classic, quant, RegimeTag.QUADRATURE, float(difference + rounding)
-        )
+        return ChiResult.from_parts(classic, quant, RegimeTag.QUADRATURE, float(bound) + rounding)
     except ValidationError as exc:
-        raise DomainError(
-            f"chi_ratio_exact: the result is beyond double-precision range ({exc})"
-        ) from exc
+        raise DomainError(f"{name}: the result is beyond double-precision range ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

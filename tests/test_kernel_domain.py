@@ -27,10 +27,12 @@ from diamag import (
     RegimeTag,
     ValidationError,
     chi_ratio,
+    chi_ratio_exact,
     chi_ratio_quadrature,
 )
 from diamag.kernel import (
     _CANCEL_DIGITS,
+    _Q3_MIN,
     _closed_pieces,
     branch_log_L,
     chi_ratio_detailed,
@@ -75,8 +77,9 @@ def test_every_point_of_the_box_gives_a_finite_result():
             assert chi_ratio_detailed(DimensionlessPoint(*coords))[1] is not None, coords
 
 
-# Points whose float intermediates overflow or divide by zero: q^-3 and
-# q^4/z^2 at the first two, sigma^3 in the guard at the third.
+# Points at the edge of the double range: q^3 overflows at the first; q^3
+# underflows at the second, which the Taylor series serves; the classical
+# part overflows at the third.
 BEYOND_DOUBLE_RANGE = [
     (1.1433118018573683e-09, 1.4430363836814327e-67, 6.17201645987063e102),
     (0.0, 1.8397995805043747e-112, 1.515947389935776e-110),
@@ -108,6 +111,64 @@ def test_whole_float_range_gives_a_finite_result_or_a_diamag_error():
         served += 1
     # most of the range is served, not refused
     assert served > 500
+
+
+def test_small_q_over_the_whole_range_is_honest_or_refused_by_name():
+    # the first 2000 points of the seed-5 whole-range sample. The guard's
+    # measure forms no 1/q^2 or q^3, so where q^3 underflows the Taylor
+    # series serves the near field; each such result, and the static
+    # point's, is held to the exact reference. Laurent results at these q
+    # need the reference at thousands of digits, up to a second each; the
+    # Laurent range tests hold them to it. No refusal reads "division by zero"
+    rng = random.Random(5)
+    taylor = 0
+    for coords in [_float_range_point(rng) for _ in range(2000)]:
+        point = DimensionlessPoint(*coords)
+        try:
+            eval_integrals(point.z, point.q)
+        except DomainError as exc:
+            assert "division by zero" not in str(exc), (coords, exc)
+        try:
+            result = chi_ratio(point)
+        except DomainError as exc:
+            assert "division by zero" not in str(exc), (coords, exc)
+            continue
+        if point.q >= _Q3_MIN or result.method is RegimeTag.LAURENT_SERIES:
+            continue
+        taylor += result.method is RegimeTag.TAYLOR_SERIES
+        ref = chi_ratio_exact(point).total
+        assert abs(result.total - ref) <= 1e-12 * abs(ref), coords
+    # the near field where q^3 underflows is served, not refused: 36 points
+    assert taylor >= 30, taylor
+
+
+def test_x_positive_point_where_q_cubed_underflows_is_served():
+    # q^3 = 1.2e-397 underflows, and the Taylor series serves the point, its
+    # classical part the closed form's -(3x/q^2) I1
+    result = chi_ratio(DimensionlessPoint(7.39e-293, 0.0, 4.89e-133))
+    want = 1.0 - 5.956470406716482e105j
+    assert result.method is RegimeTag.TAYLOR_SERIES
+    assert abs(result.total - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("coords", [(1e-300, 1e-170, 1e-160), (1e-170, 0.0, 1e-160)])
+def test_taylor_classical_weight_names_q_squared_below_the_normal_range(coords):
+    # below q = 2^-511, q^2 is subnormal and -(3x/q^2) I1 would lose digits
+    text = r"q\^2 is below the normal range under q = 1\.49"
+    with pytest.raises(DomainError, match=text) as info:
+        chi_ratio(DimensionlessPoint(*coords))
+    assert type(info.value.__cause__) is ArithmeticError
+
+
+def test_q_cubed_underflow_names_q_cubed():
+    # s = 1, where the Taylor series does not converge: the closed form's
+    # weight 1/q^3 leaves the double range below q = 1.7e-108
+    text = r"q\^3 underflows below q = 1\.70"
+    with pytest.raises(DomainError, match=text) as info:
+        chi_ratio(DimensionlessPoint(1e-120, 0.0, 1e-120))
+    assert type(info.value.__cause__) is ArithmeticError
+    with pytest.raises(DomainError, match=text):
+        eval_integrals(1e-120j, 1e-120)
 
 
 def test_overflowing_result_raises_domain_error():

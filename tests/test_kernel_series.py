@@ -334,11 +334,10 @@ def _pinned_points() -> list:
 KERNEL_BITS_SHA256 = "b6ef94d26ae4d7c8f6bccddde6199b119e3b9215f8869052d834d7845e0cf0cf"
 
 # every (tag, guard ran, x == 0) cell the kernel has: the static point, the
-# small-q window, the Laurent branch and the closed form outside Taylor's
-# convergence skip the guard
+# Laurent branch and the closed form outside Taylor's convergence skip the
+# guard, and every other Taylor point is the guard's escalation
 KERNEL_CELLS = {
     (RegimeTag.PV_STATIC, False, True),
-    (RegimeTag.TAYLOR_SERIES, False, True),
     (RegimeTag.TAYLOR_SERIES, True, True),
     (RegimeTag.TAYLOR_SERIES, True, False),
     (RegimeTag.LAURENT_SERIES, False, True),

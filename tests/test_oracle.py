@@ -789,6 +789,14 @@ def test_quadrature_with_s_beyond_the_double_range(x, y, q):
     assert abs(got.total - want) <= got.err_est <= 1e-15 * abs(want)
 
 
+def test_every_value_source_refuses_a_part_beyond_the_double_range():
+    # the classical part, about 2.8e320, is beyond the double range
+    point = DimensionlessPoint(1.0, 1.0, 1e-160)
+    for func in (chi_ratio, chi_ratio_exact, chi_ratio_quadrature):
+        with pytest.raises(DomainError, match="beyond double-precision range"):
+            func(point)
+
+
 def _collisionless_reference(x: float, q: float) -> complex:
     """The limit y -> 0+ at x, conjugated for x < 0: chi(-x) = conj(chi(x))."""
     ref = exact(abs(x), 0.0, q)

@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from diamag import kernel
 from diamag.core import DimensionlessPoint
 from diamag.kernel import RegimeTag, chi_ratio, regime_select
 from diamag.oracle import chi_ratio_exact
@@ -46,8 +45,8 @@ def test_pv_window_boundary_is_strict():
 
 
 def test_value_continuous_across_smallq_seam():
-    # crossing q = _SMALLQ_Q_MAX swaps the strategy, not the value
-    q_edge = kernel._SMALLQ_Q_MAX
+    # a step of 2e-12 relative across q = 1e-3 moves the value by less than 1e-12
+    q_edge = 1e-3
     below = chi_ratio(DimensionlessPoint(0.0, 1e-8, q_edge * (1.0 - 1e-12)))
     above = chi_ratio(DimensionlessPoint(0.0, 1e-8, q_edge * (1.0 + 1e-12)))
     assert abs(below.total - above.total) < 1e-12 * abs(above.total)
