@@ -13,6 +13,7 @@ failure (a failed verify check, or any error rows inside a sweep).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from typing import List, Optional, Sequence
@@ -39,7 +40,7 @@ from .sweep import (
 # load inside the commands that use them.
 from .verify import render_report, run_verification
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,5 +275,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry: main() on sys.argv, then gc.freeze().
+
+    The freeze moves every tracked object to the permanent generation, so the
+    interpreter's collections at exit no longer walk the objects the imports
+    made. atexit handlers, stream flushes and module teardown still run. It
+    lives here and not in main(), which tests, demos and perfbench/launcher.py
+    call in-process, where a freeze would outlast the call.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -106,10 +106,9 @@ _TAYLOR_MAX_TERMS = 60
 _FIRST_SERIES_MAX_TERMS = 400
 _LAURENT_MAX_OUTER = 200
 _LAURENT_MAX_INNER = 400
-# q**3 overflows above _Q3_MAX, falls under 2^-1074 below _Q3_MIN; q**2 is subnormal below _Q2_MIN
+# q**3 overflows above _Q3_MAX and falls under 2^-1074 below _Q3_MIN
 _Q3_MAX = 5.643803094122361e102
 _Q3_MIN = 1.7031839360032837e-108
-_Q2_MIN = 2.0**-511
 
 
 class TermBreakdown(FrozenRecord):
@@ -655,15 +654,23 @@ def _taylor_parts(point: DimensionlessPoint, closed) -> tuple:
 
     Exact in beta = y/q; on the static line it reduces to 1 - q^2/20 - ... .
     The classical part keeps its closed form, the guard's I1, which does not
-    cancel here; off x = 0 it raises ArithmeticError below q = _Q2_MIN, where
-    its weight's q^2 is subnormal. The series reuses the guard's L(s), and
-    err_est is its truncation bound.
+    cancel here. Below q = 2^-511, where q^2 is subnormal, its weight is
+    -3 mx/mq^2 for x = mx 2^ex and q = mq 2^eq, and ldexp applies
+    2^(ex - 2 eq) last, as in _classic_laurent. The series reuses the guard's
+    L(s), and err_est is its truncation bound.
     """
     x, q = point.x, point.q
-    if x and q < _Q2_MIN:
-        raise ArithmeticError(f"q^2 is below the normal range under q = {_Q2_MIN!r}")
+    classic = 0j
+    if x and q >= 2.0**-511:
+        classic = -3.0 * x / (q * q) * closed[0]
+    elif x:
+        (mx, ex), (mq, eq) = math.frexp(x), math.frexp(q)
+        try:
+            classic = _ldexp_complex(-3.0 * mx / (mq * mq) * closed[0], ex - 2 * eq)
+        except OverflowError:
+            raise OverflowError("the classical part overflows") from None
     quant, err_est = _quant_taylor_shift(point.s, q, closed[4])
-    return (-3.0 * x / (q * q) * closed[0] if x else 0j), quant, err_est
+    return classic, quant, err_est
 
 
 def _laurent_parts(point: DimensionlessPoint) -> tuple:

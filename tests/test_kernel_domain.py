@@ -151,13 +151,24 @@ def test_x_positive_point_where_q_cubed_underflows_is_served():
     assert abs(result.total - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("coords", [(1e-300, 1e-170, 1e-160), (1e-170, 0.0, 1e-160)])
-def test_taylor_classical_weight_names_q_squared_below_the_normal_range(coords):
-    # below q = 2^-511, q^2 is subnormal and -(3x/q^2) I1 would lose digits
-    text = r"q\^2 is below the normal range under q = 1\.49"
-    with pytest.raises(DomainError, match=text) as info:
-        chi_ratio(DimensionlessPoint(*coords))
-    assert type(info.value.__cause__) is ArithmeticError
+def test_taylor_classical_weight_is_served_where_q_squared_is_subnormal():
+    # q = 1e-160 is below 2^-511, where q^2 is subnormal: the weight comes
+    # from the mantissas of x and q, and the power of two goes on last
+    result = chi_ratio(DimensionlessPoint(1e-300, 1e-170, 1e-160))
+    want = 1.1999999998115046e41 - 9.42477795956938e180j  # chi_ratio_exact
+    assert result.method is RegimeTag.TAYLOR_SERIES
+    assert abs(result.total - want) <= 1e-13 * abs(want)
+
+
+def test_taylor_classical_part_beyond_the_double_range_is_refused_by_name():
+    # -(3x/q^2) I1 is about 1.2e301 - 9.4e310j here, past the largest double;
+    # chi_ratio_exact refuses the point too
+    point = DimensionlessPoint(1e-170, 0.0, 1e-160)
+    with pytest.raises(DomainError, match="the classical part overflows") as info:
+        chi_ratio(point)
+    assert type(info.value.__cause__) is OverflowError
+    with pytest.raises(DomainError, match="beyond double-precision range"):
+        chi_ratio_exact(point)
 
 
 def test_q_cubed_underflow_names_q_cubed():
