@@ -281,8 +281,8 @@ def run() -> int:
     The freeze moves every tracked object to the permanent generation, so the
     interpreter's collections at exit no longer walk the objects the imports
     made. atexit handlers, stream flushes and module teardown still run. It
-    lives here and not in main(), which tests, demos and perfbench/launcher.py
-    call in-process, where a freeze would outlast the call.
+    lives here and not in main(), which tests and perfbench/launcher.py call
+    in-process, where a freeze would outlast the call.
     """
     code = main()
     gc.freeze()

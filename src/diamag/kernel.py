@@ -767,8 +767,8 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     inside [-1, 1] or on t = +-1 included. This is the kernel's one catch:
     where an intermediate overflows or divides by zero, or a part of the
     result is not finite, it raises DomainError, which happens only far
-    outside |x|, y, q in 1e+-100. Its text names q^3 or q^2 where one leaves
-    the range, and the Laurent classical part where it overflows.
+    outside |x|, y, q in 1e+-100. Its text names q^3 where it leaves the
+    range, and the classical part where it overflows.
     """
     try:
         tag, closed = _classify(point)

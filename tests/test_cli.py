@@ -1,5 +1,7 @@
 """Command-line interface: output formats, file artifacts, exit codes."""
 
+import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,8 +9,9 @@ import sys
 import pytest
 
 from diamag import DimensionlessPoint, chi_ratio, cli, eval_integrals, kernel, landau_chi_physical
-from diamag.cli import main
+from diamag.cli import main, run
 from diamag.sweep import CSV_HEADER, SweepSpec, run_sweep
+from test_sweep_csv import FIGURE1_CSV_SHA256
 
 
 def test_eval_text_output(capsys):
@@ -352,3 +355,47 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert abs(payload["chi_total_re"] - 0.948045881200663) < 1e-12
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--x", "0.1", "--y", "0.1", "--q", "0.5"], 0),
+    (["eval", "--x", "0.1"], 1),
+    (["verify", "--tol", "1e-30"], 2),
+])
+def test_run_returns_mains_code_and_freezes_the_gc(argv, code, monkeypatch, capsys):
+    assert main(argv) == code
+    frozen = gc.get_freeze_count()
+    monkeypatch.setattr(sys, "argv", ["diamag", *argv])
+    try:
+        assert run() == code
+        assert gc.get_freeze_count() > frozen
+    finally:
+        # the rest of the suite collects as before
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_main_leaves_the_gc_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["eval", "--x", "0.1", "--y", "0.1", "--q", "0.5"]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+def test_output_written_before_the_frozen_exit_is_complete(tmp_path):
+    out = tmp_path / "f.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "diamag.cli", "figure1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE1_CSV_SHA256
+    proc = subprocess.run(
+        [sys.executable, "-m", "diamag.cli", "verify", "--tol", "1e-30"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith(("PASS ", "FAIL ")) for line in lines[:7])
+    assert lines[7].endswith("/7 checks passed")
