@@ -115,10 +115,9 @@ class TermBreakdown(FrozenRecord):
     """The three integrals and their weighted terms at one point.
 
     term1 = -(3x/q^2) I1 is the classical contribution (0 exactly at x = 0),
-    term2 = (3/q) I2 and term3 = (3/4) I3 sum to the quantum contribution.
-    On well-conditioned closed-form points term1 + term2 + term3 agrees with
-    chi_ratio's total to 1e-14 relative; inside cancellation regimes the raw
-    sum is exactly what the series strategies exist to replace.
+    term2 = (3/q) I2 and term3 = (3/4) I3 sum to the quantum contribution,
+    cancelling where it is small. chi_ratio_detailed builds it from the
+    strategy that produced the result.
     """
 
     _fields = ("I1", "I2", "I3", "term1", "term2", "term3")
@@ -204,42 +203,6 @@ def _antiderivative_piece(sigma: complex, closed) -> tuple:
     return (_antiderivative_with_peak(sigma)[0] if closed is None else closed), 0.0
 
 
-def eval_integrals(z: complex, q: float) -> TermBreakdown:
-    """Closed forms of the three angular integrals at z = x + iy, wave number q.
-
-    Valid for Im(z) >= 0; on the real axis the closed forms give the limit
-    y -> 0+, poles inside [-1, 1] or on t = +-1 included. This is the raw
-    closed form that chi_ratio's series strategies exist to replace, and the
-    breakdown that chi_ratio_detailed reports. Raises DomainError where the
-    closed forms leave double precision range, as at large |s|: an
-    intermediate overflows or divides by zero, or a complex product of
-    overflowed parts makes a term NaN or infinite without raising.
-    """
-    if q <= 0 or not math.isfinite(q):
-        raise DomainError("q must be finite and > 0")
-    z = require_finite_complex("z", complex(z) + 0j)  # Im(z) = -0.0 becomes +0.0
-    if z.imag < 0:
-        raise DomainError("Im(z) must be >= 0")
-    try:
-        q3 = _cube(q)
-        I1, bracket, g_plus, g_minus, _ = _closed_pieces(z, q)[0]
-        I2 = bracket / q
-        I3 = (g_plus - g_minus) / q3
-        terms = TermBreakdown(
-            I1=I1,
-            I2=I2,
-            I3=I3,
-            term1=complex(0.0) if z.real == 0.0 else -3.0 * z.real / (q * q) * I1,
-            term2=3.0 / q * I2,
-            term3=0.75 * I3,
-        )
-    except ArithmeticError as exc:
-        raise DomainError(f"eval_integrals: the point is beyond double-precision range ({exc})") from exc
-    if not all(map(cmath.isfinite, terms._values())):
-        raise DomainError("eval_integrals: a term is beyond double-precision range")
-    return terms
-
-
 def _first_integral_closed(s: complex, q: float) -> tuple:
     """(I1, bracket, bracket_log, L(s)) from the closed forms, where bracket =
     q I2 = 4/3 + z I1 and bracket_log = s (1 - s^2) L(s) is its log term.
@@ -248,6 +211,20 @@ def _first_integral_closed(s: complex, q: float) -> tuple:
     Ls = branch_log_L(s) if one_ms2 else 0j
     bracket_log = s * one_ms2 * Ls
     return (-2.0 * s + one_ms2 * Ls) / q, 4.0 / 3.0 - 2.0 * s * s + bracket_log, bracket_log, Ls
+
+
+def _first_integral(s: complex, z: complex, q: float) -> tuple:
+    """(I1, bracket, I1 bound, bracket bound), bracket = q I2 = 4/3 + z I1:
+    for |s| >= _FAR_MIN from _first_integral_series, summed from j >= 1 for
+    the bracket so that its 4/3 cancels symbolically, with their truncation
+    bounds; else from the closed forms, with bounds 0."""
+    if abs(s) >= _FAR_MIN:
+        w = (q / z) ** 2
+        tail, last = _first_integral_series(w, 0.0)
+        ratio = abs(w)
+        bracket_err = abs(last) * ratio / (1.0 - ratio)
+        return -(4.0 / 3.0 + tail) / z, -tail, bracket_err / abs(z), bracket_err
+    return (*_first_integral_closed(s, q)[:2], 0.0, 0.0)
 
 
 def _cube(q: float) -> float:
@@ -275,14 +252,8 @@ def _closed_pieces(z: complex, q: float) -> tuple:
     s = z / q
     a = 0.5 * q
     I1, bracket, bracket_log, Ls = _first_integral_closed(s, q)
-    try:
-        g_plus, peak_plus = _antiderivative_with_peak(s + a)
-        g_minus, peak_minus = _antiderivative_with_peak(s - a)
-    except OverflowError:
-        # sigma**3 raises. chi_ratio gives so far an s to the Laurent series,
-        # so only eval_integrals gets here
-        limit = f"{_Q3_MAX:.2g}"
-        raise OverflowError(f"(s +- q/2)^3 overflows above |s +- q/2| of about {limit}") from None
+    g_plus, peak_plus = _antiderivative_with_peak(s + a)
+    g_minus, peak_minus = _antiderivative_with_peak(s - a)
     peak = max(
         4.0 * q * max(4.0 / 3.0, 2.0 * abs(s * s), abs(bracket_log)),
         peak_plus, peak_minus, abs(g_plus), abs(g_minus),
@@ -614,8 +585,7 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
 
     with bracket = q I2 = 4/3 + z I1. A piece whose argument has modulus
     >= _FAR_MIN comes from its series: g from _antiderivative_far, I1 and the
-    bracket from _first_integral_series (summed from j >= 1 for the bracket,
-    so its 4/3 cancels symbolically). Every other piece comes from its closed
+    bracket from _first_integral. Every other piece comes from its closed
     form, taken from `closed` where the cancellation guard already evaluated
     it. err_est is the weighted sum of the series truncation bounds, 0 when
     every piece came from its closed form.
@@ -627,16 +597,8 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
     q3 = _cube(q)
     weight = 3.0 / (q * q)
     bracket_err = I1_err = 0.0
-    if abs(s) >= _FAR_MIN:
-        w = (q / z) ** 2
-        tail, last = _first_integral_series(w, 0.0)
-        ratio = abs(w)
-        bracket_err = abs(last) * ratio / (1.0 - ratio)
-        bracket = -tail
-        I1 = -(4.0 / 3.0 + tail) / z
-        I1_err = bracket_err / abs(z)
-    elif closed is None:
-        I1, bracket = _first_integral_closed(s, q)[:2]
+    if closed is None or abs(s) >= _FAR_MIN:
+        I1, bracket, I1_err, bracket_err = _first_integral(s, z, q)
     g_plus, err_plus = _antiderivative_piece(s + 0.5 * q, g_plus)
     if x == 0.0:
         # g(s - q/2) = -conj(g(s + q/2)) on the imaginary axis
@@ -778,11 +740,47 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
 
 
 def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
-    """(chi_ratio(point), eval_integrals at the point), with None as the
-    breakdown where eval_integrals raises DomainError. Raises as chi_ratio
-    does."""
+    """(chi_ratio(point), its TermBreakdown, or None where a field of that is
+    not finite), from the strategy that ran. Raises as chi_ratio does.
+
+    term1 is the result's classical part and I1, I2 = bracket/q are
+    _first_integral's. A closed-form result, and the static point above
+    q = 2, take I3 = (g(s + q/2) - g(s - q/2))/q^3 from _antiderivative_piece;
+    a series result takes term3 = quant - term2.
+    """
     result = chi_ratio(point)
-    try:
-        return result, eval_integrals(point.z, point.q)
-    except DomainError:
-        return result, None
+    z, q, s = point.z, point.q, point.s
+    I1, bracket = _first_integral(s, z, q)[:2]
+    if abs(s) >= _FAR_MIN and abs(bracket) < 2.0**-1022:
+        # q I2 = -(4/15) (q/z)^2 (1 + O(q/z)^2) has lost digits below the normal range
+        I2, term2 = -4.0 / 15.0 * (q / z) / z, -0.8 / z / z
+    else:
+        I2, term2 = bracket / q, 3.0 / q * (bracket / q)
+    if result.method is _CLOSED or result.method is _PV and q > 2.0:
+        g_plus, g_minus = (_antiderivative_piece(s + a, None)[0] for a in (0.5 * q, -0.5 * q))
+        I3 = (g_plus - g_minus) / _cube(q)
+        term3 = 0.75 * I3
+    else:
+        term3 = result.quant - term2
+        I3 = term3 / 0.75
+    values = (I1, I2, I3, result.classic, term2, term3)
+    return result, TermBreakdown(*values) if all(map(cmath.isfinite, values)) else None
+
+
+def eval_integrals(z: complex, q: float) -> TermBreakdown:
+    """chi_ratio_detailed's breakdown at z = x + iy, wave number q, Im(z) >= 0
+    (on the real axis the limit y -> 0+). Re(z) < 0 is served by the mirror
+    z -> -conj(z): I1 becomes -conj(I1), every other field its conjugate.
+    Raises DomainError where chi_ratio does and where the breakdown is None."""
+    if q <= 0 or not math.isfinite(q):
+        raise DomainError("q must be finite and > 0")
+    z = require_finite_complex("z", complex(z) + 0j)  # Im(z) = -0.0 becomes +0.0
+    if z.imag < 0:
+        raise DomainError("Im(z) must be >= 0")
+    if z.real < 0:
+        I1, *rest = eval_integrals(-z.conjugate(), q)._values()
+        return TermBreakdown(-I1.conjugate(), *(value.conjugate() for value in rest))
+    breakdown = chi_ratio_detailed(DimensionlessPoint(z.real, z.imag, q))[1]
+    if breakdown is None:
+        raise DomainError("eval_integrals: a term is beyond double-precision range")
+    return breakdown

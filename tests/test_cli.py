@@ -11,6 +11,7 @@ import pytest
 from diamag import DimensionlessPoint, chi_ratio, cli, eval_integrals, kernel, landau_chi_physical
 from diamag.cli import main, run
 from diamag.sweep import CSV_HEADER, SweepSpec, run_sweep
+from test_kernel_domain import exact_integrals
 from test_sweep_csv import FIGURE1_CSV_SHA256
 
 
@@ -57,8 +58,10 @@ def test_eval_json_payload(capsys):
 @pytest.mark.parametrize("x, y, q", [(0.1, 0.1, 0.5), (0.0, 80.0, 1.0)])
 def test_eval_chooses_the_regime_and_evaluates_the_closed_form_once(x, y, q, capsys, monkeypatch):
     # the first point is a closed-form point nearer in than the Taylor series
-    # converges, the second a far-field Laurent point: no guard runs at either,
-    # and the printed terms are eval_integrals' closed form
+    # converges, the second a far-field Laurent point: the regime is chosen
+    # once, no guard runs at either, and the printed terms, eval_integrals',
+    # come from the strategy that ran, with no second pass through the
+    # guard's closed pieces
     calls = {"_classify": 0, "_closed_pieces": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(kernel, name)):
@@ -67,7 +70,7 @@ def test_eval_chooses_the_regime_and_evaluates_the_closed_form_once(x, y, q, cap
         monkeypatch.setattr(kernel, name, counted)
     args = ["eval", "--x", str(x), "--y", str(y), "--q", str(q), "--json"]
     assert main(args) == 0
-    assert calls == {"_classify": 1, "_closed_pieces": 1}
+    assert calls == {"_classify": 1, "_closed_pieces": 0}
     payload = json.loads(capsys.readouterr().out)
     terms = eval_integrals(complex(x, y), q)
     assert payload["terms"] == {name: [v.real, v.imag] for name, v in vars(terms).items()}
@@ -135,18 +138,33 @@ def _reject_constant(name):
     [
         pytest.param("0", "1e200", "1", "laurent-series", id="0-1e200"),
         pytest.param("1e200", "1", "1", "laurent-series", id="1e200-1"),
-        # a complex product of overflowed parts makes I3 NaN without raising
+        # the raw closed forms give I3 = NaN here, from a complex product of
+        # overflowed parts
         pytest.param("0", "7.7e-33", "9.5e77", "closed-form", id="0-7.7e-33-9.5e77"),
         pytest.param("0", "2.755e75", "2.1e-4", "laurent-series", id="0-2.755e75-2.1e-4"),
     ],
 )
-def test_eval_beyond_double_range_shows_no_terms(x, y, q, regime, capsys):
-    # the kernel serves the point; the raw closed-form terms leave double range
+def test_eval_beyond_the_raw_closed_forms_range_shows_finite_terms(x, y, q, regime, capsys):
+    # the closed forms of I1, I2 and I3 leave the double range here; the
+    # printed terms come from the strategy that served the point
     code = main(["eval", "--x", x, "--y", y, "--q", q, "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-    assert payload["terms"] is None
     assert payload["regime"] == regime
+    for name, want in zip(("I1", "I2", "I3"), exact_integrals(float(x), float(y), float(q))):
+        got = complex(*payload["terms"][name])
+        assert abs(got - want) <= 1e-12 * abs(want), name
+
+
+def test_eval_json_terms_far_out_hold_the_exact_integrals(capsys):
+    # the closed forms of I1, I2 and I3 cancel here: evaluated raw, I3 reads
+    # -1.55e18 + 2.2e17j
+    assert main(["eval", "--x", "0", "--y", "1000", "--q", "1e-3", "--json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    real, imag = terms["I3"]
+    assert abs(real / -1.0666666666662095e-06 - 1.0) <= 1e-12 and imag == 0.0
+    for name, want in zip(("I1", "I2", "I3"), exact_integrals(0.0, 1000.0, 1e-3)):
+        assert abs(complex(*terms[name]) - want) <= 1e-12 * abs(want), name
 
 
 def test_eval_where_q_cubed_overflows_names_it(capsys):

@@ -15,7 +15,7 @@ import pytest
 
 from diamag import ConvergenceError, DomainError, kernel
 from diamag.core import DimensionlessPoint, RegimeTag
-from diamag.kernel import _closed_form_parts, _laurent_parts, chi_ratio, eval_integrals
+from diamag.kernel import _closed_form_parts, _closed_pieces, _laurent_parts, chi_ratio
 from diamag.oracle import chi_ratio_exact
 
 OVERLAP_WINDOW = [
@@ -38,8 +38,8 @@ def test_series_matches_true_value_in_overlap_window(q, expected):
 def test_raw_closed_form_agrees_within_its_conditioning(q, expected):
     # intermediates ~0.75 pi/q^3 against an O(1) result: ~9 digits cancel at
     # q = 1e-3, so the double-precision boundary sum holds ~1e-6 at worst
-    bd = eval_integrals(complex(0.0, 1e-6), q)
-    raw = (bd.term2 + bd.term3).real
+    (_, bracket, g_plus, g_minus, _), _ = _closed_pieces(complex(0.0, 1e-6), q)
+    raw = (3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q**3)).real
     assert math.isclose(raw, expected, rel_tol=1e-5)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.errors import DomainError
-from diamag.kernel import chi_ratio, chi_static_pv, eval_integrals
+from diamag.kernel import _closed_pieces, chi_ratio, chi_static_pv
 
 
 def test_reference_value_at_unit_wavenumber():
@@ -62,10 +62,10 @@ def test_pv_matches_boundary_closed_form():
     # the Sokhotski half-residue contributions cancel pairwise: the y = 0
     # boundary value of the closed forms must land on the PV result
     for q in (0.5, 1.0, 1.5, 1.99):
-        bd = eval_integrals(complex(0.0, 0.0), q)
-        boundary = (bd.term2 + bd.term3).real
-        assert math.isclose(boundary, chi_static_pv(q), rel_tol=1e-10)
-        assert abs((bd.term2 + bd.term3).imag) < 1e-13 * abs(boundary)
+        (_, bracket, g_plus, g_minus, _), _ = _closed_pieces(0j, q)
+        raw = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q**3)
+        assert math.isclose(raw.real, chi_static_pv(q), rel_tol=1e-10)
+        assert abs(raw.imag) < 1e-13 * abs(raw.real)
 
 
 def test_static_ratio_via_chi_ratio_dispatch():
@@ -77,9 +77,9 @@ def test_static_ratio_via_chi_ratio_dispatch():
 
 
 # x = y = 0 beyond q = 2, frozen from 4/q^2 + (3/(2 q^3)) g(q/2) at 60 digits
-# (mpmath). Assembled from eval_integrals(0, q), where g(+-q/2) cancels about
-# 4 log10(q/2) digits, the value was 2.3e-12, 8.6e-9 and 3.1e-6 relative off
-# here with err_est = 0.
+# (mpmath). Assembled from the raw closed form at (0, q), where g(+-q/2)
+# cancels about 4 log10(q/2) digits, the value was 2.3e-12, 8.6e-9 and
+# 3.1e-6 relative off here with err_est = 0.
 STATIC_LARGE_Q_REFERENCES = [
     (1e2, 0.0003999679981711847175662),
     (1e3, 0.000003999996799998171426133),
