@@ -86,18 +86,18 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(self.__dict__.values())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.__dict__ == other.__dict__
 
     def __hash__(self) -> int:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -111,7 +111,9 @@ _set_fields = FrozenRecord.__dict__["__dict__"].__set__
 class RegimeTag(enum.Enum):
     """The strategy that produced a ChiResult: one of the kernel's four
     regimes, one tag per point, or QUADRATURE, which every oracle result
-    carries, the exact closed-form reference's (chi_ratio_exact) included."""
+    carries, the exact closed-form reference's (chi_ratio_exact) included.
+    PV_STATIC is the static point x = y = 0: the Taylor series about s = 0
+    below the seam q = 1.4, the closed form from it up."""
 
     PV_STATIC = "pv-static"
     CLOSED_FORM = "closed-form"
@@ -210,13 +212,12 @@ class ChiResult(FrozenRecord):
     total   : classic + quant, exactly, by construction
     method  : the RegimeTag of the strategy that ran
     err_est : strategy error bound; a truncation bound for series (the
-              static point below q = 1/2 included), and for the closed form
-              the bounds of the pieces it summed as series (0 when every
-              piece came from its closed form, and for the static principal
-              value's own formula, q = 1/2 to 2); for the oracles, tagged
-              QUADRATURE, the quadrature estimate, or for chi_ratio_exact
-              the difference of its last two evaluations. The two mpmath
-              oracles add half an ulp per rounding to double to it.
+              static point's Taylor series below q = 1.4 included), and for
+              the closed form (the static point's from q = 1.4 up too) the
+              bounds of the pieces it summed as series, 0 if none; for the
+              oracles, tagged QUADRATURE, the quadrature estimate, or for
+              chi_ratio_exact the difference of its last two evaluations. The
+              two mpmath oracles add half an ulp per rounding to double to it.
     """
 
     _fields = ("classic", "quant", "total", "method", "err_est")

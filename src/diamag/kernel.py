@@ -33,8 +33,8 @@ strategies that RegimeTag names cover that ground:
   * the closed form, which takes each piece whose argument has modulus >= 3
     from its expansion in 1/sigma, where the cancelling orders drop out
     symbolically, and every other piece from its closed form,
-  * static principal value at x = y = 0: its own real formula from q = 1/2
-    to 2, the Taylor series below, and the closed form above,
+  * static principal value at x = y = 0: the Taylor series about s = 0
+    below q = _STATIC_SEAM, and the closed form from it up,
   * a shifted-difference Taylor series in q for moderate s (the two shifted
     antiderivative evaluations are expanded about s, and the leading order
     cancels the middle term exactly, term by term),
@@ -106,6 +106,9 @@ _TAYLOR_MAX_TERMS = 60
 _FIRST_SERIES_MAX_TERMS = 400
 _LAURENT_MAX_OUTER = 200
 _LAURENT_MAX_INNER = 400
+# the static point takes the Taylor series about s = 0 below this q (ratio
+# (q/2)^2 < 0.49, at most 41 terms), and the closed form, within 4 eps, above
+_STATIC_SEAM = 1.4
 # q**3 overflows above _Q3_MAX and falls under 2^-1074 below _Q3_MIN
 _Q3_MAX = 5.643803094122361e102
 _Q3_MIN = 1.7031839360032837e-108
@@ -272,37 +275,18 @@ def chi_static_pv(q: float) -> float:
 
     This is the omega -> 0 then nu -> 0 ordered limit: the integrand poles at
     t = -+ q/2 sit on the contour and the integral is taken as a symmetric
-    principal value. The two pole residues are equal and opposite, so the
-    result is purely real:
+    principal value, whose equal and opposite pole residues leave it real:
 
         chi/chi_L = 4/q^2 + (3/(4 q^2)) [ 2/3 + 2(a^2 - 2)
-                    + ((1 - a^2)^2 / a) ln((1-a)/(1+a)) ],   a = q/2.
+                    + ((1 - a^2)^2 / a) ln((1-a)/(1+a)) ],   a = q/2,
 
-    At q = 2 the logarithm's prefactor vanishes and the value is exactly 3/4.
-    For q > 2 the poles leave [-1, 1], no principal value is involved, and
-    chi_ratio's ordinary closed form applies; such q raise DomainError.
-
-    Below q = 1/2 the formula cancels its 1/q^2 orders, and the value comes
-    from the shifted-difference Taylor series about s = 0 instead, Landau's
-    1 - q^2/20 - q^4/560 - ... with ratio (q/2)^2; chi_ratio gives the same
-    value at x = y = 0.
+    exactly 3/4 at q = 2. It is chi_ratio's value at x = y = 0, the closed
+    form's y -> 0+ limit from q = _STATIC_SEAM up and the Taylor series about
+    s = 0 below. q > 2, where the poles leave [-1, 1], raises DomainError.
     """
-    if not (0.0 < q <= 2.0) or not math.isfinite(q):
+    if not 0.0 < q <= 2.0:
         raise DomainError("chi_static_pv serves 0 < q <= 2; use chi_ratio elsewhere")
-    return _static_parts(q)[1].real
-
-
-def _static_parts(q: float) -> tuple:
-    """(classic, quant, err_est) at x = y = 0, 0 < q <= 2: the Taylor series
-    about s = 0 with its truncation bound below q = 1/2, else chi_static_pv's
-    formula with err_est 0."""
-    if q < 0.5:
-        return (0j, *_quant_taylor_shift(0j, q))
-    a = 0.5 * q
-    if a == 1.0:
-        return 0j, 0.75, 0.0
-    log_term = (1.0 - a * a) ** 2 / a * math.log((1.0 - a) / (1.0 + a))
-    return 0j, 4.0 / (q * q) + 0.75 / (q * q) * (2.0 / 3.0 + 2.0 * (a * a - 2.0) + log_term), 0.0
+    return chi_ratio(DimensionlessPoint(0.0, 0.0, q)).total.real
 
 
 # ---------------------------------------------------------------------------
@@ -689,18 +673,19 @@ def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
     """The ChiResult of the strategy that `tag` names, built from its parts.
 
     Each strategy returns (classic, quant, err_est); at x = 0 the classical
-    part is exactly 0 and the quantum part real. A float product that
-    overflows gives inf without raising, and ChiResult then refuses the
-    non-finite part with ValidationError, which chi_ratio reports.
+    part is exactly 0 and the quantum part real; the static point takes the
+    Taylor series about s = 0 below q = _STATIC_SEAM, the closed form from it up.
+    A float product that overflows gives inf without raising, and ChiResult
+    then refuses the non-finite part with ValidationError, which chi_ratio
+    reports.
     """
     if tag is _LAURENT:
         classic, quant, err_est = _laurent_parts(point)
     elif tag is _TAYLOR:
         classic, quant, err_est = _taylor_parts(point, closed)
-    elif tag is _PV and point.q <= 2.0:
-        classic, quant, err_est = _static_parts(point.q)
+    elif tag is _PV and point.q < _STATIC_SEAM:
+        classic, quant, err_est = 0j, *_quant_taylor_shift(0j, point.q)
     else:
-        # the static point above q = 2 too: its poles have left [-1, 1]
         classic, quant, err_est = _closed_form_parts(point, closed)
     if point.x == 0.0:
         classic, quant = 0j, complex(quant.real, 0.0)
@@ -714,11 +699,10 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     exactly. method is the RegimeTag of the strategy that ran, and err_est
     its truncation bound: the bounds of the pieces the closed form summed as
     series (0 if none), and the series bounds for the series branches, the
-    static point below q = 1/2 included (0 from q = 1/2 to 2, where the
-    principal value is its own formula). It models no rounding: the far
-    field comes from the Laurent series, which cancels nothing, but nearer
-    in the closed form may lose up to _CANCEL_DIGITS digits that err_est
-    does not show. So a closed-form or taylor-series result can be further
+    static point's Taylor series below q = _STATIC_SEAM included. It models
+    no rounding: the far field comes from the Laurent series, which cancels
+    nothing, but nearer in the closed form may lose up to _CANCEL_DIGITS
+    digits that err_est does not show. So a closed-form or taylor-series result can be further
     off than its err_est: against chi_ratio_exact the worst point of the
     benchmark's pool is 3.3e-10 relative off at (4.98e-8, 1.69e-14, 0.0135),
     closed-form with err_est 0. Below 2^-1022 a Laurent result also carries
@@ -744,9 +728,9 @@ def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
     not finite), from the strategy that ran. Raises as chi_ratio does.
 
     term1 is the result's classical part and I1, I2 = bracket/q are
-    _first_integral's. A closed-form result, and the static point above
-    q = 2, take I3 = (g(s + q/2) - g(s - q/2))/q^3 from _antiderivative_piece;
-    a series result takes term3 = quant - term2.
+    _first_integral's. A closed-form result, and the static point from
+    q = _STATIC_SEAM up, take I3 = (g(s + q/2) - g(s - q/2))/q^3 from
+    _antiderivative_piece; a series result takes term3 = quant - term2.
     """
     result = chi_ratio(point)
     z, q, s = point.z, point.q, point.s
@@ -756,7 +740,7 @@ def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
         I2, term2 = -4.0 / 15.0 * (q / z) / z, -0.8 / z / z
     else:
         I2, term2 = bracket / q, 3.0 / q * (bracket / q)
-    if result.method is _CLOSED or result.method is _PV and q > 2.0:
+    if result.method is _CLOSED or result.method is _PV and q >= _STATIC_SEAM:
         g_plus, g_minus = (_antiderivative_piece(s + a, None)[0] for a in (0.5 * q, -0.5 * q))
         I3 = (g_plus - g_minus) / _cube(q)
         term3 = 0.75 * I3

@@ -627,6 +627,32 @@ _EXACT_AGREEMENT = 1e-20
 # A total below 2^_EXACT_FLOOR_MAG counts as that size: a double keeps
 # nothing below 2^-1074, so such a total needs no relative accuracy.
 _EXACT_FLOOR_MAG = -1100
+# L(sigma) comes from its series in 1/sigma where that needs at most this many
+# terms at the working precision, and from mp.log elsewhere
+_LOG_SERIES_TERMS = 32
+
+
+def _branch_log(sigma) -> tuple:
+    """(1 - sigma^2, L(sigma)) at the context's precision, Im sigma >= 0, with
+    L(sigma) = log((sigma - 1)/(sigma + 1)), or 0 where 1 - sigma^2 is 0.
+    For |sigma| >= 2^a, a = mag(sigma) - 2 >= 1, L = -2 sum_{k>=0}
+    sigma^-(2k+1)/(2k+1), whose terms fall by 2^-2a or more: its first n =
+    ceil((prec + 5)/(2a)) leave a tail below 2^-(prec + 4) of the value, and
+    serve where n <= _LOG_SERIES_TERMS; elsewhere L is mp.log of the quotient.
+    """
+    u = 1 - sigma * sigma
+    if not u:
+        return u, 0
+    a = mp.mag(sigma) - 2
+    n = -(-(mp.prec + 5) // (2 * a)) if a > 0 else _LOG_SERIES_TERMS + 1
+    if n > _LOG_SERIES_TERMS:
+        return u, mp.log((sigma - 1) / (sigma + 1))
+    v = 1 / sigma
+    v2 = v * v
+    total = mpf(1) / (2 * n - 1)
+    for k in range(n - 2, -1, -1):
+        total = total * v2 + mpf(1) / (2 * k + 1)
+    return u, -2 * v * total
 
 
 def _exact_integrals(x: float, y: float, q: float) -> tuple:
@@ -644,19 +670,14 @@ def _exact_integrals(x: float, y: float, q: float) -> tuple:
     principal logarithms, whose log of a negative real is +i pi: on y = 0
     that is the limit y -> 0+. For Im sigma >= 0 the two arguments' angles
     differ by 0 to pi, so L(sigma) is the one principal logarithm of
-    (sigma - 1)/(sigma + 1), which is how it is evaluated. That quotient is
-    rounded to eps, so L errs by eps absolute however small it is: a log
-    term counts as two summands, |factor L| and |factor|, which is what the
-    cancellation of the two logarithms costs at large |sigma|. At sigma =
-    +-1 the log terms take their limit 0.
+    (sigma - 1)/(sigma + 1), or far out its series (_branch_log). That
+    quotient is rounded to eps, so its log errs by eps absolute however
+    small it is: a log term counts as two summands, |factor L| and |factor|,
+    what the cancellation of the two logarithms costs at large |sigma|. At
+    sigma = +-1 the log terms take their limit 0.
     """
     qm = mpf(q)
     s = mpc(x, y) / qm
-
-    def branch_log(sigma) -> tuple:
-        # 1 - sigma^2 and L(sigma), or 0 for L where 1 - sigma^2 is 0
-        u = 1 - sigma * sigma
-        return u, mp.log((sigma - 1) / (sigma + 1)) if u else 0
 
     def scaled(terms: list, log_terms: list, scale) -> tuple:
         # (terms + each factor L of log_terms) / scale, and the mag of its
@@ -665,13 +686,14 @@ def _exact_integrals(x: float, y: float, q: float) -> tuple:
         mags = [mp.mag(term) for term in summands] + [mp.mag(f) for f, _ in log_terms]
         return sum(summands) / scale, max(mags) - mp.mag(scale)
 
-    u, log = branch_log(s)
+    u, log = _branch_log(s)
     i1, m1 = scaled([-2 * s], [(u, log)], qm)
     i2, m2 = scaled([mpf(4) / 3, -2 * s * s], [(s * u, log)], qm)
     terms, log_terms = [], []  # g(s + q/2) and -g(s - q/2)
     for sign, sigma in ((1, s + qm / 2), (-1, s - qm / 2)):
-        u, log = branch_log(sigma)
-        terms += [sign * 2 * sigma**3, sign * -10 * sigma / 3]
+        u, log = _branch_log(sigma)
+        # not sigma**3, which mpmath takes as exp(3 log sigma) at high precision
+        terms += [sign * 2 * sigma * sigma * sigma, sign * -10 * sigma / 3]
         log_terms.append((sign * u * u, log))
     i3, m3 = scaled(terms, log_terms, qm**3)
     return (i1, i2, i3), (m1, m2, m3)

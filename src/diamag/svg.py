@@ -105,11 +105,13 @@ def render_line_chart(
     y_lo -= pad
     y_hi += pad
 
+    if x_log:
+        log_lo = math.log10(x_lo)
+        log_span = math.log10(x_hi) - log_lo
+
     def sx(value: float) -> float:
         if x_log:
-            frac = (math.log10(value) - math.log10(x_lo)) / (
-                math.log10(x_hi) - math.log10(x_lo)
-            )
+            frac = (math.log10(value) - log_lo) / log_span
         else:
             frac = (value - x_lo) / (x_hi - x_lo)
         return MARGIN_LEFT + frac * plot_w

@@ -59,40 +59,30 @@ def _grid_points() -> List[DimensionlessPoint]:
     ]
 
 
+def _grid_check(name: str, oracle, by_oracle: bool, bound: float, detail: str) -> CheckResult:
+    """The largest |kernel total - oracle total| over the grid, each relative
+    to the oracle's total (by_oracle) or the kernel's, at least 1e-30."""
+    worst = 0.0
+    for point in _grid_points():
+        fast = chi_ratio(point).total
+        slow = oracle(point).total
+        scale = max(abs(slow if by_oracle else fast), 1e-30)
+        worst = max(worst, abs(fast - slow) / scale)
+    return CheckResult(name=name, passed=worst < bound, measured=worst, bound=bound, detail=detail)
+
+
 def _check_quadrature_grid(bound: float) -> CheckResult:
     from .oracle import chi_ratio_quadrature
 
-    worst = 0.0
-    for point in _grid_points():
-        fast = chi_ratio(point)
-        slow = chi_ratio_quadrature(point)
-        scale = max(abs(slow.total), 1e-30)
-        worst = max(worst, abs(fast.total - slow.total) / scale)
-    return CheckResult(
-        name="closed-form-vs-quadrature",
-        passed=worst < bound,
-        measured=worst,
-        bound=bound,
-        detail=f"max rel deviation over {len(GRID_X) * len(GRID_Y) * len(GRID_Q)} grid points",
-    )
+    detail = f"max rel deviation over {len(GRID_X) * len(GRID_Y) * len(GRID_Q)} grid points"
+    return _grid_check("closed-form-vs-quadrature", chi_ratio_quadrature, True, bound, detail)
 
 
 def _check_kinetic_grid(bound: float) -> CheckResult:
     from .oracle import chi_from_kinetic
 
-    worst = 0.0
-    for point in _grid_points():
-        fast = chi_ratio(point)
-        slow = chi_from_kinetic(point)
-        scale = max(abs(fast.total), 1e-30)
-        worst = max(worst, abs(fast.total - slow.total) / scale)
-    return CheckResult(
-        name="kinetic-integral-consistency",
-        passed=worst < bound,
-        measured=worst,
-        bound=bound,
-        detail="max rel deviation, velocity-moment form vs closed form",
-    )
+    detail = "max rel deviation, velocity-moment form vs closed form"
+    return _grid_check("kinetic-integral-consistency", chi_from_kinetic, False, bound, detail)
 
 
 def _check_j_integrals(bound: float) -> CheckResult:

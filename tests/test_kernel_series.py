@@ -331,7 +331,7 @@ def _pinned_points() -> list:
 # and err_est, and the method value, at the pinned points, one line per
 # point. It holds the kernel's bits while its hot path is rewritten; a
 # change to the kernel's numbers moves it openly, as figure1's pin moves.
-KERNEL_BITS_SHA256 = "b6ef94d26ae4d7c8f6bccddde6199b119e3b9215f8869052d834d7845e0cf0cf"
+KERNEL_BITS_SHA256 = "4fa695369e4e6e20138853821012b2cd7a9ca541c65b5e06e6b56a0550a64604"
 
 # every (tag, guard ran, x == 0) cell the kernel has: the static point, the
 # Laurent branch and the closed form outside Taylor's convergence skip the

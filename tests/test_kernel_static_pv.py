@@ -1,12 +1,18 @@
 """Static (x = y = 0) principal-value ratio and its limits."""
 
 import math
+import random
+import sys
 
 import pytest
 
+from diamag import kernel
 from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.errors import DomainError
 from diamag.kernel import _closed_pieces, chi_ratio, chi_static_pv
+from diamag.oracle import chi_ratio_exact
+
+EPS = sys.float_info.epsilon
 
 
 def test_reference_value_at_unit_wavenumber():
@@ -72,8 +78,13 @@ def test_static_ratio_via_chi_ratio_dispatch():
     result = chi_ratio(DimensionlessPoint(x=0.0, y=0.0, q=1.0))
     assert result.method is RegimeTag.PV_STATIC
     assert result.classic == 0j
-    assert result.err_est == 0.0
     assert math.isclose(result.total.real, 0.948045881436282447885, rel_tol=1e-14)
+    # from the seam up the closed form serves, every piece from its closed
+    # form, so with err_est 0; frozen at 60 digits
+    result = chi_ratio(DimensionlessPoint(x=0.0, y=0.0, q=1.9))
+    assert result.method is RegimeTag.PV_STATIC
+    assert result.err_est == 0.0
+    assert math.isclose(result.total.real, 0.782896180296285183405, rel_tol=1e-14)
 
 
 # x = y = 0 beyond q = 2, frozen from 4/q^2 + (3/(2 q^3)) g(q/2) at 60 digits
@@ -115,3 +126,32 @@ def test_static_point_below_half_is_the_taylor_series(q, ref):
     assert result.total.imag == 0.0
     assert abs(result.total.real - ref) <= 1e-16 * ref
     assert chi_static_pv(q) == result.total.real
+
+
+def test_static_points_from_half_to_two_hold_the_exact_reference():
+    # every static point is the Taylor series or the closed form, each within
+    # its err_est and the rounding of a few operations
+    rng = random.Random(35)
+    for _ in range(300):
+        q = rng.uniform(0.5, 2.0)
+        result = chi_ratio(DimensionlessPoint(0.0, 0.0, q))
+        exact = chi_ratio_exact(DimensionlessPoint(0.0, 0.0, q)).total.real
+        assert abs(result.total.real - exact) <= result.err_est + 4.0 * EPS * abs(exact), q
+
+
+def test_static_pv_is_chi_ratio_at_the_static_point():
+    rng = random.Random(36)
+    qs = [2.0, 0.5, kernel._STATIC_SEAM]
+    qs += [10.0 ** rng.uniform(-9.0, math.log10(2.0)) for _ in range(200)]
+    for q in qs:
+        assert chi_static_pv(q) == chi_ratio(DimensionlessPoint(0.0, 0.0, q)).total.real, q
+
+
+def test_static_value_is_continuous_across_the_seam():
+    # one ulp below the seam the Taylor series serves, one ulp above it the
+    # closed form
+    below = chi_ratio(DimensionlessPoint(0.0, 0.0, math.nextafter(kernel._STATIC_SEAM, 0.0)))
+    above = chi_ratio(DimensionlessPoint(0.0, 0.0, math.nextafter(kernel._STATIC_SEAM, 2.0)))
+    bound = below.err_est + above.err_est + 8.0 * EPS
+    assert below.err_est > 0.0 and above.err_est == 0.0
+    assert abs(below.total - above.total) <= bound

@@ -943,6 +943,31 @@ def test_exact_reference_counts_the_digits_its_logarithms_cancel(y):
     assert abs(got.total - 4e-300) <= got.err_est
 
 
+@pytest.mark.parametrize("dps", [30, 300, 3000])
+def test_branch_log_series_holds_the_logarithm(dps, monkeypatch):
+    # far out the exact reference sums L(sigma) from its series in 1/sigma;
+    # each such value must hold the principal logarithm, taken at the digits
+    # the quotient's rounding costs plus 20, to a few units of 2^-prec, over
+    # the closed upper half-plane, the real axis both ways included (real
+    # sigma < -1 is a positive quotient). |sigma| runs from 1.5 2^(least+1),
+    # where mag(sigma) - 2 >= least and the series needs at most
+    # _LOG_SERIES_TERMS terms, up 400 binades
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        least = -(-(mp.prec + 5) // (2 * oracle._LOG_SERIES_TERMS))
+        for angle in [0.0, 1.0, 0.5] + [rng.random() for _ in range(6)]:
+            for binades in (0, rng.randrange(1, 400)):
+                modulus = mp.ldexp(mpf(1.5), least + 1 + binades)
+                sigma = -modulus if angle == 1.0 else modulus * mp.expjpi(angle)
+                sigma = mpc(sigma)
+                with mp.workdps(dps + int(mp.log10(modulus)) + 20):
+                    ref = mp.log((sigma - 1) / (sigma + 1))
+                with monkeypatch.context() as patch:
+                    patch.setattr(mp, "log", None)  # the series alone serves
+                    got = oracle._branch_log(sigma)[1]
+                assert abs(got - ref) <= mp.ldexp(abs(ref), 4 - mp.prec), sigma
+
+
 @pytest.mark.slow
 def test_exact_reference_holds_its_error_over_the_whole_range(exact_digits):
     # x and y each 0 with probability 1/4, else log-uniform over 1e+-300; q
