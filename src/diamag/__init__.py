@@ -48,8 +48,9 @@ __version__ = "0.1.0"
 
 # Importing the package loads constants, errors, core and kernel: what one
 # chi_ratio call needs. Every other public name loads its module on first
-# access, so that a cold command pays only for the code it runs; the oracles
-# also bring in mpmath, which costs about as much as the rest of the package.
+# access, so that a cold command pays only for the code it runs. mpmath,
+# which costs about as much to import as the rest of the package, loads only
+# with the first call of chi_ratio_exact.
 _LAZY = {
     name: module
     for module, names in {

@@ -217,7 +217,8 @@ class ChiResult(FrozenRecord):
               bounds of the pieces it summed as series, 0 if none; for the
               oracles, tagged QUADRATURE, the quadrature estimate, or for
               chi_ratio_exact the difference of its last two evaluations. The
-              two mpmath oracles add half an ulp per rounding to double to it.
+              two high-precision oracles, chi_ratio_quadrature and
+              chi_ratio_exact, add half an ulp per rounding to double to it.
     """
 
     _fields = ("classic", "quant", "total", "method", "err_est")

@@ -6,16 +6,19 @@ numerics, all but the exact reference from a more primitive formulation:
   * chi_ratio_quadrature integrates the classical integral and the quantum
     part, the latter as one integrand Q whose terms do not cancel, with
     high-precision arithmetic, never touching the kernel's branch-logarithm
-    algebra: one tanh-sinh pass (mpmath's standard nodes, each integral
-    judged by its own relative error estimate) over shared nodes along the
-    lower unit semicircle from -1 through -i to 1, one smooth arc that
-    passes below every pole, so the integrands stay bounded and no split
-    points are needed (at x = 0 the half v >= 0 of the arc suffices); the
-    integrands are evaluated in fixed-width complex arithmetic on Python
-    ints at the pass's precision;
+    algebra: one tanh-sinh pass (mpmath's standard nodes, rebuilt here on
+    integers; each integral judged by its own relative error estimate) over
+    shared nodes along the lower unit semicircle from -1 through -i to 1,
+    one smooth arc that passes below every pole, so the integrands stay
+    bounded and no split points are needed (at x = 0 the half v >= 0 of the
+    arc suffices); the nodes, the integrands and the assembly of the parts
+    all run on Python ints at the pass's precision, without mpmath;
   * chi_ratio_exact evaluates the closed forms themselves in mpmath, at the
     digits each point needs, measured from how far their summands cancel:
-    the kernel's algebra without its double-precision numerics or series;
+    the kernel's algebra without its double-precision numerics or series.
+    It and its helpers are the only code here that uses mpmath, and import
+    it when they run, so that a process that never calls them never loads
+    it;
   * chi_from_kinetic rebuilds the ratio from the kinetic-equation form, a
     velocity-shell occupation difference against a shifted resonance
     denominator, using the package's own adaptive Gauss-Kronrod engine;
@@ -30,10 +33,6 @@ the CLI verify command) asserts.
 from __future__ import annotations
 
 import math
-
-from mpmath import mp, mpc, mpf
-from mpmath.calculus.quadrature import TanhSinh
-from mpmath.libmp import dps_to_prec, mpf_cos_sin_pi, mpf_pi, mpf_shift, round_nearest
 
 from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
 from .errors import DomainError, ExtrapolationError, ValidationError
@@ -50,8 +49,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Direct quadrature of the angular integrals (mpmath)
+# Direct quadrature of the angular integrals (Python integers)
 # ---------------------------------------------------------------------------
+
+
+def _dps_to_prec(dps: int) -> int:
+    """The bits of dps decimal digits, counted as mpmath's dps_to_prec does."""
+    return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
 
 
 # The contour in t: every pole has Im t = y/q >= 0, so the lower unit
@@ -61,7 +65,6 @@ __all__ = [
 # t = +-1, where the integrands' factor 1 - t^2 vanishes. Every pole lies at
 # least its _path_distance from it.
 _PATH_LENGTH = math.pi
-_TANH_SINH = TanhSinh(mp)
 # The error estimate compares the last level with the two before it. At
 # degree 3 the oldest of them is the coarse degree-1 sum, and mp.quad's
 # estimate there read 1e-23 against a true error of 5e-16 of |I2| at
@@ -78,31 +81,33 @@ _TARGET_REL = 1e-16
 # integrand's peak on the path times the path length (see _contour_sums); the
 # allowance for it is 2^_NOISE_BITS times that scale.
 _NOISE_BITS = 10
-# TanhSinh also drops the nodes v within tol = 2^-(prec+10) of an end v = +-1.
-# A pass's last level sums the weights w(v) = (pi/2) cosh(r)/cosh(g)^2, v =
-# tanh(g), g = (pi/2) sinh(r), over a grid in r of step h = 2^-degree, and
-# w <= pi cosh(r) (1 - v), since cosh(g)^-2 = (1 - v)(1 + v). The weight it
-# drops beyond an end is then at most h w(r_c) + (the integral of w beyond
-# r_c) <= (1 + h pi cosh(r_c)) tol, r_c the first dropped grid point, whose
-# neighbour r_c - h is kept, so that pi sinh(r_c - h) < ln(2/tol); that is
-# below (1 + h e^h (pi + ln(2/tol))) tol. From degree 4 (_FIRST_STOP_DEGREE)
-# on, this is 4.95 tol at 20 digits and 24.9 tol at 150 (_MAX_DPS); measured
-# over every such degree and precision, the dropped weight reaches 16.7 tol
-# (143 digits, degree 4), and 1.4 tol at 20 digits. |dt/dv| = pi/2, so the
-# two ends leave out at most 24.9 pi tol times the integrand's peak near an
-# end, below 2^-(prec+5) (_NODE_TAIL_BITS) of that peak times the path length
-# pi. "Near" means within _END_REACH: the dropped nodes lie within (pi/2) tol
-# of an end in t, tol is largest at the first pass, and _END_REACH is twice
-# that.
+# The node schedule (_tanh_sinh) drops the nodes v within tol = 2^-(prec+10)
+# of an end v = +-1. A pass's last level sums the weights w(v) = (pi/2)
+# cosh(r)/cosh(g)^2, v = tanh(g), g = (pi/2) sinh(r), over a grid in r of step
+# h = 2^-degree, and w <= pi cosh(r) (1 - v), since cosh(g)^-2 = (1 - v)(1 +
+# v). The weight it drops beyond an end is then at most h w(r_c) + (the
+# integral of w beyond r_c) <= (1 + h pi cosh(r_c)) tol, r_c the first dropped
+# grid point, whose neighbour r_c - h is kept, so that pi sinh(r_c - h) <
+# ln(2/tol); that is below (1 + h e^h (pi + ln(2/tol))) tol. From degree 4
+# (_FIRST_STOP_DEGREE) on, this is 4.95 tol at 20 digits and 24.9 tol at 150
+# (_MAX_DPS); measured over every such degree and precision, the dropped
+# weight reaches 16.7 tol (143 digits, degree 4), and 1.4 tol at 20 digits.
+# |dt/dv| = pi/2, so the two ends leave out at most 24.9 pi tol times the
+# integrand's peak near an end, below 2^-(prec+5) (_NODE_TAIL_BITS) of that
+# peak times the path length pi. "Near" means within _END_REACH: the dropped
+# nodes lie within (pi/2) tol of an end in t, tol is largest at the first
+# pass, and _END_REACH is twice that.
 _NODE_TAIL_BITS = 5
-_END_REACH = math.pi * 2.0 ** -(dps_to_prec(_FIRST_DPS) + 10)
+_END_REACH = math.pi * 2.0 ** -(_dps_to_prec(_FIRST_DPS) + 10)
 _GUARD_BITS = 20
 # Q's integrand is q^4 a^2/d, a = u/w, and quant = (3/16) times its integral.
 _QUANT_FACTOR = 3.0 / 16.0  # exact in binary
 
-# guess_degree(prec), the most tanh-sinh levels a pass at prec bits runs, per
-# prec: TanhSinh computes it with an mpmath log on every call.
-_DEGREES: dict = {}
+
+def _guess_degree(prec: int) -> int:
+    """The most tanh-sinh levels a pass at prec bits runs: mpmath's
+    TanhSinh.guess_degree, int(4 + max(0, log2(prec/30))) + 2, on integers."""
+    return 6 + max(0, (prec // 30).bit_length() - 1)
 
 
 def _path_distance(p: complex) -> float:
@@ -111,30 +116,26 @@ def _path_distance(p: complex) -> float:
     return min(abs(p - 1.0), abs(p + 1.0))
 
 
-def _path_quad(level_sums) -> list:
+def _path_quad(level_sums, prec: int) -> list:
     """Integrals of every component of an integrand along the arc, in one pass.
 
-    A tanh-sinh pass with mpmath's nodes (_TANH_SINH) in the arc's parameter
-    v, run on integers. level_sums(degree, prec) returns, per component, the
-    sum of weight * f(t) over the nodes of _fixed_nodes(degree, prec, ...),
-    as an exact value (re, im, exp) of the fixed-width arithmetic below.
-    Each level is the previous one halved plus 2^-degree times the level
-    sum, exact on the integers and rounded once (_rounded) at _GUARD_BITS
-    above the working precision. Every component is judged by its own
-    relative error estimate (_level_error); the pass stops at the first
-    degree from _FIRST_STOP_DEGREE on where each estimate is at most eps/8,
-    or at guess_degree(prec), which is computed once per prec (_DEGREES).
-    Returns [(value, error), ...] per component: the last level, an mpc at
-    the guard width, and its estimate times a bound on the levels' moduli,
-    an mpf.
+    A tanh-sinh pass at prec bits in the arc's parameter v, run on integers.
+    level_sums(degree, prec) returns, per component, the sum of weight *
+    f(t) over the nodes of _fixed_nodes(degree, prec, ...), as an exact value
+    (re, im, exp) of the fixed-width arithmetic below. Each level is the
+    previous one halved plus 2^-degree times the level sum, exact on the
+    integers and rounded once (_rounded) at _GUARD_BITS above the working
+    precision. Every component is judged by its own relative error estimate
+    (_level_error); the pass stops at the first degree from
+    _FIRST_STOP_DEGREE on where each estimate is at most eps/8, or at
+    _guess_degree(prec). Returns [(value, error), ...] per component: the
+    last level as a pair of reals (re, im), each part rounded to nearest at
+    the guard width (_nearest), and its estimate times a bound on the levels'
+    moduli, a real, (0, 0) where every level is 0.
     """
-    prec = mp.prec
     width = prec + _GUARD_BITS
-    last = _DEGREES.get(prec)
-    if last is None:
-        last = _DEGREES[prec] = _TANH_SINH.guess_degree(prec)
     levels = []  # per degree, the level of every component
-    for degree in range(1, last + 1):
+    for degree in range(1, _guess_degree(prec) + 1):
         sums = level_sums(degree, prec)
         previous = levels[-1] if levels else [(0, 0, 0)] * len(sums)
         levels.append(
@@ -147,11 +148,13 @@ def _path_quad(level_sums) -> list:
             errors = [_level_error(last_three, width) for last_three in zip(*levels[-3:])]
             if max(rel for rel, _ in errors) <= -(prec + 2):  # eps/8 = 2^-(prec+2)
                 break
-    with mp.extraprec(_GUARD_BITS):
-        return [
-            (_as_mpc(level), mp.zero if top is None else mp.ldexp(1, top + 1 + rel))
-            for level, (rel, top) in zip(levels[-1], errors)
-        ]
+    return [
+        (
+            (_nearest(re, exp, width), _nearest(im, exp, width)),
+            (0, 0) if top is None else (1, top + 1 + rel),
+        )
+        for (re, im, exp), (rel, top) in zip(levels[-1], errors)
+    ]
 
 
 def _top(value: tuple) -> int:
@@ -188,6 +191,243 @@ def _level_error(levels: tuple, width: int) -> tuple:
     if d2 >= 0:
         return 0, top
     return min(0, max(-(d1 * d1 // -d2), 2 * d1, -width)), top
+
+
+# ---------------------------------------------------------------------------
+# Real binary numbers, rounded as mpmath rounds them
+# ---------------------------------------------------------------------------
+# A real is (m, e), Python ints meaning m 2^e. Each operation below computes
+# its result exactly on the integers and rounds it once, to nearest with ties
+# to even, at `bits` bits: mpmath's arithmetic in its default rounding, bit
+# for bit. The pass's assembly (_quadrature_raw) and the node schedule
+# (_tanh_sinh) take every step that they took in mpmath numbers, at the same
+# precisions, so that their results are mpmath's.
+
+
+def _nearest(m: int, e: int, bits: int) -> tuple:
+    """m 2^e rounded to nearest at bits bits, ties to even."""
+    n = m.bit_length() - bits
+    if n <= 0:
+        return m, e
+    a = -m if m < 0 else m
+    r = a & ((1 << n) - 1)
+    a >>= n
+    half = 1 << (n - 1)
+    if r > half or (r == half and a & 1):
+        a += 1
+    return (-a if m < 0 else a), e + n
+
+
+def _mul(a: tuple, b: tuple, bits: int) -> tuple:
+    return _nearest(a[0] * b[0], a[1] + b[1], bits)
+
+
+def _div(a: tuple, b: tuple, bits: int) -> tuple:
+    """a/b, b nonzero: bits + 2 bits of the quotient of the magnitudes and a
+    sticky bit below them, which is nonzero for a remainder, rounded."""
+    (am, ae), (bm, be) = a, b
+    k = max(0, bits + 2 + bm.bit_length() - am.bit_length())
+    quotient, remainder = divmod(abs(am) << k, abs(bm))
+    quotient = quotient << 1 | (remainder != 0)
+    return _nearest(-quotient if (am < 0) != (bm < 0) else quotient, ae - be - k - 1, bits)
+
+
+def _add(a: tuple, b: tuple, bits: int) -> tuple:
+    (am, ae), (bm, be) = a, b
+    e = min(ae, be)
+    return _nearest((am << (ae - e)) + (bm << (be - e)), e, bits)
+
+
+def _le(a: tuple, b: tuple) -> bool:
+    (am, ae), (bm, be) = a, b
+    e = min(ae, be)
+    return am << (ae - e) <= bm << (be - e)
+
+
+def _modulus(re: tuple, im: tuple, bits: int) -> tuple:
+    """|re + i im| as mpmath's hypot takes it: a zero part leaves the other's
+    modulus rounded; else the exact sum of squares is truncated to bits + 4
+    bits and its square root rounded to nearest, from bits + 2 bits of it
+    and a sticky bit, which is nonzero where the root is inexact."""
+    if not im[0] or not re[0]:
+        m, e = im if not re[0] else re
+        return _nearest(abs(m), e, bits)
+    (a, ae), (b, be) = re, im
+    e = min(ae, be)
+    a, b = a << (ae - e), b << (be - e)
+    m, e = a * a + b * b, 2 * e
+    n = m.bit_length() - (bits + 4)
+    if n > 0:
+        m >>= n
+        e += n
+    if e & 1:
+        m <<= 1
+        e -= 1
+    shift = max(0, 2 * bits + 4 - m.bit_length())
+    shift += shift & 1
+    root = math.isqrt(m << shift)
+    return _nearest(root << 1 | (root * root != m << shift), (e - shift) // 2 - 1, bits)
+
+
+def _to_float(a: tuple) -> float:
+    """A real as a double, as mpmath's to_float rounds it: to 53 bits, ties to
+    even, then scaled, so that a subnormal result is rounded once more, and
+    +-inf beyond the double range."""
+    m, e = _nearest(*a, 53)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _ceil_log10(a: tuple) -> int:
+    """The least integer k >= 0 with 10^k >= a, for a real a >= 1: mpmath's
+    ceil(log10(a)), taken exactly. mpmath rounds the logarithm first, so the
+    two could differ only for an a a few units in its last place above a
+    power of ten."""
+    m, e = a
+    num, den = (m, 1 << -e) if e < 0 else (m << e, 1)
+    k = int((m.bit_length() + e - 1) * 0.30102999)  # 10^k <= 2^(bit length - 1) <= a
+    while 10**k * den < num:
+        k += 1
+    return k
+
+
+# ---------------------------------------------------------------------------
+# The tanh-sinh nodes on integers
+# ---------------------------------------------------------------------------
+# The node schedule is mpmath's TanhSinh.calc_nodes (Bailey, Jeyabalan and Li,
+# Exp. Math. 14, 2005), step by step at its precision prec + 40, and the
+# elementary functions it calls are computed here in fixed point with
+# _FUNCTION_GUARD bits more, each within a small fraction of a unit of the
+# nodes' last place of its value, and then rounded to nearest. mpmath's own
+# exp and cos/sin are not always correctly rounded, so a node here may differ
+# from mpmath's in its last place; the tables that _fixed_nodes builds from
+# them, rounded at prec + 20 bits, are mpmath's, bit for bit, at every degree
+# up to _guess_degree(prec) of every working precision from _FIRST_DPS to
+# _MAX_DPS digits (compared one by one).
+_FUNCTION_GUARD = 40
+
+# floor(pi 2^bits) and floor(ln(2) 2^bits), but for the last unit or two, per
+# bits: one entry per working precision, at its nodes' bits + _FUNCTION_GUARD
+# + 10.
+_CONSTANTS: dict = {}
+
+
+def _constants(bits: int) -> tuple:
+    """pi and ln 2 at bits fraction bits: Machin's 16 atan(1/5) - 4
+    atan(1/239) and 2 atanh(1/3), their series summed 20 bits further."""
+    found = _CONSTANTS.get(bits)
+    if found is None:
+        wide = bits + 20
+
+        def series(n: int, sign: int) -> int:
+            # atan(1/n) (sign -1) or atanh(1/n) (sign 1), at wide bits
+            total = term = (1 << wide) // n
+            k, n2, factor = 1, n * n, 1
+            while term:
+                term //= n2
+                k += 2
+                factor *= sign
+                total += factor * (term // k)
+            return total
+
+        pi = 16 * series(5, -1) - 4 * series(239, -1)
+        found = _CONSTANTS[bits] = pi >> 20, 2 * series(3, 1) >> 20
+    return found
+
+
+def _exp(x: tuple, bits: int) -> tuple:
+    """exp(x) of a real x >= 0 below 2^10, rounded to nearest at bits: x =
+    n ln 2 + r, |r| <= ln(2)/2, and exp(r) from its Taylor series at r/2^8,
+    squared eight times."""
+    m, e = x
+    f = bits + _FUNCTION_GUARD
+    ln2 = _constants(f + 10)[1]
+    scaled = m << (e + f + 10)  # x at f + 10 fraction bits, exact: x > 2^-40 has bits bits
+    n = (scaled + (ln2 >> 1)) // ln2
+    r = (scaled - n * ln2) >> 18  # r/2^8 at f bits
+    one = 1 << f
+    total = term = one
+    k = 1
+    while term:
+        term = (term * r >> f) // k
+        total += term
+        k += 1
+    for _ in range(8):
+        total = total * total >> f
+    return _nearest(total, n - f, bits)
+
+
+def _cos_sin_half_pi(v: tuple, bits: int) -> tuple:
+    """cos and sin of pi v/2 for a real 0 <= v < 1, each rounded to nearest
+    at bits. With r = v, or r = 1 - v from v = 1/2 on (cos and sin then
+    swap), theta = (pi/2) r <= pi/4; cos theta and sin(theta)/theta come from
+    their Taylor series in theta^2, and sin theta = r (pi/2) sin(theta)/theta
+    keeps its relative accuracy however small r is."""
+    m, e = v
+    swap = 2 * m >= 1 << -e
+    if swap:
+        m = (1 << -e) - m  # 1 - v, exact
+    if not m:
+        return (1, 0), (0, 0)
+    f = bits + _FUNCTION_GUARD
+    half_pi = _constants(f + 10)[0] >> 11  # pi/2 at f bits
+    theta = m * half_pi >> -e
+    theta2 = theta * theta >> f
+    one = 1 << f
+    cos = sinc = term = one  # sinc: sin(theta)/theta
+    k = 1
+    while term:
+        term = (term * theta2 >> f) // (2 * k * (2 * k - 1))
+        cos += -term if k & 1 else term
+        sinc += -(term // (2 * k + 1)) if k & 1 else term // (2 * k + 1)
+        k += 1
+    cos = _nearest(cos, -f, bits)
+    sin = _nearest(m * (half_pi * sinc >> f), e - f, bits)
+    return (sin, cos) if swap else (cos, sin)
+
+
+def _tanh_sinh(degree: int, prec: int) -> list:
+    """The standard tanh-sinh nodes v >= 0 on [-1, 1] of one degree and their
+    weights w, each a real: mpmath's TanhSinh.calc_nodes(degree, prec),
+    every step rounded to nearest at its precision prec + 40.
+
+    With t_k = t0 + k h, v_k = tanh(g_k) and w_k = (pi/2) cosh(t_k)/
+    cosh(g_k)^2, g_k = (pi/2) sinh(t_k). Degree 1 holds v = 0 with weight
+    pi/2 and t_k = 2^-1 (k + 1); degree d >= 2 the odd multiples of 2^-d,
+    t_k = 2^-d (2k + 1). exp(g_k) = exp(a_k - b_k), with a_k = (pi/4) e^t_k
+    and b_k = (pi/4) e^-t_k carried by multiplying by e^h and e^-h, gives
+    v_k and w_k. The nodes stop at the first k with 1 - v_k <= 2^-(prec+10).
+    The weight of v_k serves -v_k too.
+    """
+    bits = prec + 40
+    f = bits + _FUNCTION_GUARD + 10
+    pi = _nearest(_constants(f)[0], -f, bits)
+    pi4 = pi[0], pi[1] - 2
+    nodes = []
+    t0 = (1, -degree)
+    if degree == 1:
+        nodes.append(((0, 0), (pi[0], pi[1] - 1)))
+        h = t0
+    else:
+        h = (1, 1 - degree)
+    expt0 = _exp(t0, bits)
+    a, b = _mul(pi4, expt0, bits), _div(pi4, expt0, bits)
+    up = _exp(h, bits)
+    down = _div((1, 0), up, bits)
+    tol = -(prec + 10)
+    while True:
+        c = _exp(_add(a, (-b[0], b[1]), bits), bits)
+        d = _div((1, 0), c, bits)
+        co, si = _add(c, d, bits), _add(c, (-d[0], d[1]), bits)
+        co, si = (co[0], co[1] - 1), (si[0], si[1] - 1)  # halved, exactly
+        vm, ve = _div(si, co, bits)
+        # stop where 1 - v <= 2^tol, exactly; 0 < v <= 1, so ve <= 0
+        if _le(((1 << -ve) - vm, ve), (1, tol)):
+            return nodes
+        nodes.append(((vm, ve), _div(_add(a, b, bits), _mul(co, co, bits), bits)))
+        a, b = _mul(a, up, bits), _mul(b, down, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +468,19 @@ def _exact_sum(values) -> tuple:
     )
 
 
-def _parts(value) -> tuple:
-    """A float, an mpf or an mpf's raw form as an exact (mantissa, exponent)
-    pair of ints."""
-    if isinstance(value, float):
-        m, e = math.frexp(value)
-        return int(m * 2.0**53), e - 53
-    # mpmath's raw form: m is the modulus's mantissa
-    sign, m, e, _ = value if isinstance(value, tuple) else value._mpf_
-    return -int(m) if sign else int(m), int(e)
+def _parts(value: float) -> tuple:
+    """A float as an exact real (m, e)."""
+    m, e = math.frexp(value)
+    return int(m * 2.0**53), e - 53
 
 
-def _fixed(re, im) -> tuple:
-    """re + i im, each a float, an mpf or an mpf's raw form, as an exact
-    value."""
-    (mr, er), (mi, ei) = _parts(re), _parts(im)
+def _fixed(re: tuple, im: tuple) -> tuple:
+    """re + i im, each a real, as an exact value."""
+    (mr, er), (mi, ei) = re, im
     # a zero part takes the other's exponent, so that it cannot set the shared one
     er, ei = (er if mr else ei), (ei if mi else er)
     exp = min(er, ei)
     return mr << (er - exp), mi << (ei - exp), exp
-
-
-def _as_mpc(value: tuple):
-    """A value as an mpc at the context's precision, each part rounded to
-    nearest."""
-    re, im, exp = value
-    return mpc(mp.ldexp(re, exp), mp.ldexp(im, exp))
 
 
 # The exponent an empty running sum of _contour_sums starts at: above that of
@@ -270,42 +497,39 @@ def _fixed_nodes(degree: int, prec: int, fold: bool) -> list:
     """t, 1 - t^2 and the weight at width prec + 20, per node of the arc.
 
     The arc is t = -i e^(i pi v/2) = sin(pi v/2) - i cos(pi v/2) over the
-    standard nodes v, w on [-1, 1] that _TANH_SINH.get_nodes(-1, 1, degree,
-    prec) gives, and the weight of a node is w dt/dv = w (pi/2) i t. cos and
-    sin of pi v/2 are computed once per node v >= 0, at prec + 40 bits as
-    the standard nodes are; t is rounded from them, 1 - t^2 is exact from the
-    rounded t before it is rounded, and the weight is the exact product
-    w (pi/2) (cos + i sin) of those prec + 40 bit numbers, rounded. The node
-    at -v is the mirror of the node at v: t(-v) = -conj t(v), so 1 - t^2
-    and the weight conjugate, and its entries are those of v with signs
-    changed, exactly. With fold, the table holds the nodes v >= 0 alone, the
-    centre v = 0 (t = -i, its own mirror; degree 1 only) at half its weight,
-    so that twice the real part of its sum is the whole table's sum wherever
-    the integrand's value at -v is the conjugate of its value at v (at x = 0,
-    see _contour_sums).
-    Both tables are built in one loop over the standard nodes and kept, like
-    TanhSinh's own node cache; nothing about a point is stored.
+    standard nodes v, w on [-1, 1] of _tanh_sinh(degree, prec), and the
+    weight of a node is w dt/dv = w (pi/2) i t. cos and sin of pi v/2 are
+    computed once per node v >= 0, rounded at prec + 40 bits as the standard
+    nodes are (_cos_sin_half_pi); t is rounded from them, 1 - t^2 is exact
+    from the rounded t before it is rounded, and the weight is the exact
+    product w (pi/2) (cos + i sin) of those prec + 40 bit numbers, pi/2
+    rounded down, rounded. The node at -v is the mirror of the node at v:
+    t(-v) = -conj t(v), so 1 - t^2 and the weight conjugate, and its entries
+    are those of v with signs changed, exactly. With fold, the table holds
+    the nodes v >= 0 alone, the centre v = 0 (t = -i, its own mirror; degree
+    1 only) at half its weight, so that twice the real part of its sum is the
+    whole table's sum wherever the integrand's value at -v is the conjugate
+    of its value at v (at x = 0, see _contour_sums).
+    Both tables are built in one loop over the standard nodes and kept;
+    nothing about a point is stored.
     """
     tables = _FIXED_NODES.get((degree, prec))
     if tables is None:
         width = prec + _GUARD_BITS
         wide = prec + 40  # the standard nodes' precision
-        hm, he = _parts(mpf_pi(wide))  # pi/2 = hm 2^(he-1)
+        f = wide + _FUNCTION_GUARD + 10
+        hm, he = _constants(f)[0] >> (f - wide + 2), 1 - wide  # pi/2, rounded down
         whole, half = [], []
-        for v, w in _TANH_SINH.get_nodes(-1, 1, degree, prec):
-            sign, centre = v._mpf_[0], not v._mpf_[1]  # v < 0, v = 0
-            if sign:
-                continue  # the mirror of the node at -v, made below
+        for (vm, ve), (wm, we) in _tanh_sinh(degree, prec):
             # cos and sin of pi v/2, exact at one exponent, and t = sin - i cos
-            cr, ci, ce = _fixed(*mpf_cos_sin_pi(mpf_shift(v._mpf_, -1), wide, round_nearest))
+            cr, ci, ce = _fixed(*_cos_sin_half_pi((vm, ve), wide))
             tr, ti, te = _rounded(ci, -cr, ce, width)
             # |t| <= 1, so te <= 0 and 1 = 2^(-2 te) 2^(2 te)
             ur, ui, ue = _rounded((1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te, width)
             # the weight w (pi/2) (cos + i sin), exact and then rounded
-            wm, we = _parts(w)
-            cr, ci, ce = _rounded(wm * hm * cr, wm * hm * ci, we + he - 1 + ce, width)
+            cr, ci, ce = _rounded(wm * hm * cr, wm * hm * ci, we + he + ce, width)
             node = (tr, ti, te, ur, ui, ue, cr, ci, ce)
-            if centre:
+            if not vm:  # the centre
                 whole.append(node)
                 half.append((tr, ti, te, ur, ui, ue, cr, ci, ce - 1))
             else:
@@ -349,7 +573,7 @@ def _contour_sums(x: float, y: float, q: float):
     2^-(prec+10) of the peak times pi, is 2^10 times that scale.
     """
     qm, qe = _parts(q)
-    zr, zi, ze = _fixed(x, y)
+    zr, zi, ze = _fixed(_parts(x), _parts(y))
     km, ke = qm**4, 4 * qe - 2  # q^4/4
     zq = ze - qe
 
@@ -509,19 +733,32 @@ def _peak_log2(x: float, y: float, q: float) -> tuple:
     return tuple((whole, max(end)) for whole, *end in zip(bounds(near, 1.0), *ends))
 
 
-def _tail_noise(bounds: tuple):
-    """The rounding allowance of an integral at the working precision, an mpf,
-    from its bounds (peak, end) of _peak_log2: 2^-(prec+10) (_NOISE_BITS) of
-    the integrand's peak 2^peak on the path for the integer arithmetic, and
-    2^-(prec+5) (_NODE_TAIL_BITS) of its peak 2^end near an end for the node
-    tails that TanhSinh drops there, each times the path length pi."""
+def _tail_noise(bounds: tuple, prec: int):
+    """The rounding allowance of an integral at prec bits, a real, None
+    (infinite) for a pole on the path, from its bounds (peak, end) of
+    _peak_log2: 2^-(prec+10) (_NOISE_BITS) of the integrand's peak 2^peak on
+    the path for the integer arithmetic, and 2^-(prec+5) (_NODE_TAIL_BITS) of
+    its peak 2^end near an end for the node tails that the schedule drops
+    there, each times the path length pi, their sum rounded at prec bits."""
     peak, end = bounds
     if peak == math.inf:
-        return mp.inf
-    return sum(
-        mp.ldexp(_PATH_LENGTH * 2.0 ** (value - math.floor(value)), math.floor(value) - mp.prec - bits)
-        for value, bits in ((peak, _NOISE_BITS), (end, _NODE_TAIL_BITS))
-    )
+        return None
+
+    def scaled(value: float, bits: int) -> tuple:
+        # the double pi 2^(value - floor(value)), scaled exactly to 2^-(prec+bits) of pi 2^value
+        m, e = _parts(_PATH_LENGTH * 2.0 ** (value - math.floor(value)))
+        return m, e + math.floor(value) - prec - bits
+
+    return _add(scaled(peak, _NOISE_BITS), scaled(end, _NODE_TAIL_BITS), prec)
+
+
+def _part_bound(weight, error, noise, value, out_eps, width: int):
+    """weight (error + noise) + out_eps |value|, reals rounded at width bits
+    step by step; None (infinite) where the noise is."""
+    if noise is None:
+        return None
+    scaled = _mul(weight, _add(error, noise, width), width)
+    return _add(scaled, _mul(out_eps, _modulus(*value, width), width), width)
 
 
 def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
@@ -530,15 +767,15 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     Integrates
         I1 = Int (1-t^2)/(q t - z) dt
         Q  = Int (1-t^2)^2 / ((t - s)^2 ((t - s)^2 - q^2/4)) dt,   s = z/q,
-    from -1 to 1 with mpmath's tanh-sinh nodes and returns classic =
-    -(3x/q^2) I1 and quant = (3/16) Q. Q is the quantum part (3/q) I2 +
-    (3/4) I3 of the kernel's three angular integrals under one integral, in a
-    form whose terms do not cancel; at s = 0 it is 16/3, Landau's ratio 1.
-    Every pole lies at Im t = y/q >= 0, so the integrals run along the lower
-    unit semicircle from -1 through -i to 1, where the integrands stay
-    bounded, with no split points: one smooth arc, one tanh-sinh rule, and
-    both integrals from one pass over shared nodes. At y = 0 this gives the
-    limit y -> 0+, poles inside [-1, 1] or on t = +-1 included. The working
+    from -1 to 1 with tanh-sinh nodes and returns classic = -(3x/q^2) I1
+    and quant = (3/16) Q. Q is the quantum part (3/q) I2 + (3/4) I3 of the
+    kernel's three angular integrals under one integral, in a form whose
+    terms do not cancel; at s = 0 it is 16/3, Landau's ratio 1. Every pole
+    lies at Im t = y/q >= 0, so the integrals run along the lower unit
+    semicircle from -1 through -i to 1, where the integrands stay bounded,
+    with no split points: one smooth arc, one tanh-sinh rule, and both
+    integrals from one pass over shared nodes. At y = 0 this gives the limit
+    y -> 0+, poles inside [-1, 1] or on t = +-1 included. The working
     precision is chosen per point: a pass at 20 digits measures its own
     rounding noise and error, and passes at more digits follow until the
     classical part, the quantum part and their sum are each known to 1e-16
@@ -548,6 +785,7 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     their sum. Serves every accepted point whose parts fit in a double, and
     raises DomainError elsewhere, as chi_ratio and chi_ratio_exact do;
     _quadrature_raw also takes x < 0. An oracle: slow, independent, trusted.
+    Python integers carry all of it: it needs no mpmath.
     """
     return _quadrature_raw(point.x, point.y, point.q)
 
@@ -561,51 +799,66 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     real part, and Q's imaginary part is exactly 0. The integrands come from
     _contour_sums, in fixed-width integer complex arithmetic 20 bits above
     the working precision that rounds every result once, to nearest; the
-    pass's totals become mpmath numbers at that guard width, and classic,
-    quant and their bounds are assembled there. Each pass bounds its own
-    rounding noise: 10^-dps 2^-20 of each assembled part (about 12 units in
-    the last place at the guard width: the assembly's few roundings and a
-    margin); 2^-(prec+10) (about 10^-(dps+3)) of each integrand's peak on
-    the path times the path length pi for the sums inside the pass, 2^10
-    times the scale of the integer arithmetic's rounding; and 2^-(prec+5) of
-    each integrand's peak within _END_REACH of an end times pi for the node
-    tails that TanhSinh drops there (_NODE_TAIL_BITS). The peaks come from
-    _peak_log2, the allowance from _tail_noise. Noise plus each integral's error
-    estimate must stay within _TARGET_REL of |classic|, |quant| and |total|;
-    a pass that misses by a factor E is redone at dps + ceil(log10 E) + 2
-    digits (twice the digits when a part is exactly 0), up to _MAX_DPS,
+    pass's totals become reals at that guard width, and classic, quant and
+    their bounds are assembled there, every step rounded to nearest with
+    ties to even (_nearest and the operations after it), as the same steps
+    round in mpmath numbers: each returned double is the one that assembly
+    gives, and the tests hold the two to each other bit for bit. Each pass
+    bounds its own rounding noise: 10^-dps 2^-20 of each assembled part
+    (about 12 units in the last place at the guard width: the assembly's few
+    roundings and a margin); 2^-(prec+10) (about 10^-(dps+3)) of each
+    integrand's peak on the path times the path length pi for the sums
+    inside the pass, 2^10 times the scale of the integer arithmetic's
+    rounding; and 2^-(prec+5) of each integrand's peak within _END_REACH of
+    an end times pi for the node tails that the schedule drops there
+    (_NODE_TAIL_BITS). The peaks come from _peak_log2, the allowance from
+    _tail_noise. Noise plus each integral's error estimate must stay within
+    _TARGET_REL of |classic|, |quant| and |total|; a pass that misses by a
+    factor E is redone at dps + ceil(log10 E) + 2 digits (twice the digits
+    when a part is exactly 0 or a pole lies on the path), up to _MAX_DPS,
     where the value is returned with the whole bound as err_est. err_est
     also counts half an ulp for the rounding to double of each real and
     imaginary part of classic and quant and of their double sum.
     """
     level_sums = _contour_sums(x, y, q)
     peak_q, peak_1 = _peak_log2(x, y, q)
+    (xm, xe), (qm, qe) = _parts(x), _parts(q)
+    quant_factor, target = _parts(_QUANT_FACTOR), _parts(_TARGET_REL)
     dps = _FIRST_DPS
     while True:
-        with mp.workdps(dps):
-            results = _path_quad(level_sums)
-            noise_q, noise_1 = _tail_noise(peak_q), _tail_noise(peak_1)
-        with mp.workdps(dps), mp.extraprec(_GUARD_BITS):
-            out_eps = 10.0**-dps * 2.0**-_GUARD_BITS
-            (vq, eq), *classical = results
-            if x == 0.0:
-                classic = mpc(0)
-                bound_c = mp.zero
-            else:
-                ((v1, e1),) = classical
-                c1 = 3 * mpf(x) / mpf(q) ** 2
-                classic = -c1 * v1
-                bound_c = abs(c1) * (e1 + noise_1) + out_eps * abs(classic)
-            quant = _QUANT_FACTOR * vq
-            bound_q = _QUANT_FACTOR * (eq + noise_q) + out_eps * abs(quant)
-            totals = ((bound_c, classic), (bound_q, quant), (bound_c + bound_q, classic + quant))
-            checks = [(bound, _TARGET_REL * abs(value)) for bound, value in totals]
-            if dps == _MAX_DPS or all(bound <= limit for bound, limit in checks):
-                return _double_result("chi_ratio_quadrature", classic, quant, bound_c + bound_q)
-            excess = max(
-                bound / limit if limit else mp.inf for bound, limit in checks if bound > limit
+        prec = _dps_to_prec(dps)
+        width = prec + _GUARD_BITS
+        (vq, eq), *classical = _path_quad(level_sums, prec)
+        out_eps = _parts(10.0**-dps * 2.0**-_GUARD_BITS)
+        if x == 0.0:
+            classic, bound_c = ((0, 0), (0, 0)), (0, 0)
+        else:
+            ((v1, e1),) = classical
+            weight = _div((-3 * xm, xe), _mul((qm, qe), (qm, qe), width), width)  # -3x/q^2
+            classic = tuple(_mul(weight, part, width) for part in v1)
+            noise = _tail_noise(peak_1, prec)
+            bound_c = _part_bound((abs(weight[0]), weight[1]), e1, noise, classic, out_eps, width)
+        quant = tuple(_mul(quant_factor, part, width) for part in vq)
+        noise = _tail_noise(peak_q, prec)
+        bound_q = _part_bound(quant_factor, eq, noise, quant, out_eps, width)
+        whole = None if bound_c is None or bound_q is None else _add(bound_c, bound_q, width)
+        total = tuple(_add(c, u, width) for c, u in zip(classic, quant))
+        checks = [
+            (b, _mul(target, _modulus(*value, width), width))
+            for b, value in ((bound_c, classic), (bound_q, quant), (whole, total))
+        ]
+        misses = [(b, limit) for b, limit in checks if b is None or not _le(b, limit)]
+        if dps == _MAX_DPS or not misses:
+            return _double_result(
+                "chi_ratio_quadrature",
+                complex(*map(_to_float, classic)),
+                complex(*map(_to_float, quant)),
+                math.inf if whole is None else _to_float(whole),
             )
-            step = int(mp.ceil(mp.log10(excess))) + 2 if mp.isfinite(excess) else dps
+        if any(b is None or not limit[0] for b, limit in misses):
+            step = dps
+        else:
+            step = max(_ceil_log10(_div(b, limit, width)) for b, limit in misses) + 2
         dps = min(_MAX_DPS, dps + step)
 
 
@@ -640,6 +893,8 @@ def _branch_log(sigma) -> tuple:
     ceil((prec + 5)/(2a)) leave a tail below 2^-(prec + 4) of the value, and
     serve where n <= _LOG_SERIES_TERMS; elsewhere L is mp.log of the quotient.
     """
+    from mpmath import mp, mpf
+
     u = 1 - sigma * sigma
     if not u:
         return u, 0
@@ -676,6 +931,8 @@ def _exact_integrals(x: float, y: float, q: float) -> tuple:
     what the cancellation of the two logarithms costs at large |sigma|. At
     sigma = +-1 the log terms take their limit 0.
     """
+    from mpmath import mp, mpc, mpf
+
     qm = mpf(q)
     s = mpc(x, y) / qm
 
@@ -704,6 +961,8 @@ def _exact_parts(x: float, y: float, q: float) -> tuple:
     mpc values, and the digits their sum cancels, log10 of its largest
     summand over |total|, with |total| taken as at least 2^_EXACT_FLOOR_MAG.
     A total below eps of that summand counts as having lost every digit."""
+    from mpmath import mp, mpc, mpf
+
     (i1, i2, i3), (m1, m2, m3) = _exact_integrals(x, y, q)
     qm = mpf(q)
     quant = 3 / qm * i2 + mpf(0.75) * i3
@@ -747,6 +1006,8 @@ def chi_ratio_exact(point: DimensionlessPoint) -> ChiResult:
     does, and raises DomainError where a part or the total leaves the double
     range.
     """
+    from mpmath import mp
+
     x, y, q = point.x, point.y, point.q
     # the loss, from the first evaluation whose total kept _EXACT_NOISE digits
     dps = _EXACT_FIRST_DPS
@@ -771,21 +1032,20 @@ def chi_ratio_exact(point: DimensionlessPoint) -> ChiResult:
                 difference = abs(classic - coarse_c) + abs(quant - coarse_q)
                 break
         candidate = classic, quant
-    return _double_result("chi_ratio_exact", classic, quant, difference)
+    return _double_result("chi_ratio_exact", complex(classic), complex(quant), float(difference))
 
 
-def _double_result(name: str, classic, quant, bound) -> ChiResult:
-    """The oracle's mpmath parts rounded to doubles, as a QUADRATURE
-    ChiResult with err_est the bound plus half an ulp for each rounding to
-    double of the real and imaginary parts of classic, quant and their sum.
-    Raises DomainError, naming the oracle, where a part or the total leaves
-    the double range."""
-    classic, quant = complex(classic), complex(quant)
+def _double_result(name: str, classic: complex, quant: complex, bound: float) -> ChiResult:
+    """An oracle's parts, rounded to doubles, as a QUADRATURE ChiResult with
+    err_est the bound plus half an ulp for each rounding to double of the
+    real and imaginary parts of classic, quant and their sum. Raises
+    DomainError, naming the oracle, where a part or the total leaves the
+    double range."""
     # halved after the sum: half of 2^-1074, the ulp of 0, rounds to 0
     parts = (part for value in (classic, quant, classic + quant) for part in (value.real, value.imag))
     rounding = sum(map(math.ulp, parts)) / 2
     try:
-        return ChiResult.from_parts(classic, quant, RegimeTag.QUADRATURE, float(bound) + rounding)
+        return ChiResult.from_parts(classic, quant, RegimeTag.QUADRATURE, bound + rounding)
     except ValidationError as exc:
         raise DomainError(f"{name}: the result is beyond double-precision range ({exc})") from exc
 

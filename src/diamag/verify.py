@@ -10,8 +10,10 @@ The default bounds are the component acceptance thresholds. A caller-supplied
 tolerance replaces the bound of every discrepancy-type check; ordering and
 interval checks keep their structural pass conditions.
 
-The three oracle checks import ``diamag.oracle`` (and with it mpmath) when
-they run, so importing this module, and the CLI that imports it, does not.
+The three oracle checks import ``diamag.oracle`` when they run, so importing
+this module, and the CLI that imports it, does not. None of them loads
+mpmath: the contour oracle runs on Python integers, and only the exact
+reference, which no check calls, imports mpmath.
 """
 
 from __future__ import annotations

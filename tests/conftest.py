@@ -6,17 +6,18 @@ import pytest
 @pytest.fixture
 def oracle_passes(monkeypatch) -> list:
     """The working digits of every contour-oracle pass in the test, one entry
-    per _path_quad call, in a list that fills as the passes run."""
-    from mpmath import mp
+    per _path_quad call, in a list that fills as the passes run. A pass gets
+    its precision in bits, whose digits mpmath's prec_to_dps gives back."""
+    from mpmath.libmp import prec_to_dps
 
     from diamag import oracle
 
     digits = []
     path_quad = oracle._path_quad
 
-    def counting(*args, **kwargs):
-        digits.append(mp.dps)
-        return path_quad(*args, **kwargs)
+    def counting(level_sums, prec):
+        digits.append(prec_to_dps(prec))
+        return path_quad(level_sums, prec)
 
     monkeypatch.setattr(oracle, "_path_quad", counting)
     return digits

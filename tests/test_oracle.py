@@ -9,11 +9,14 @@ import cmath
 import hashlib
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.calculus.quadrature import TanhSinh
+from mpmath.libmp import dps_to_prec, mpf_cos_sin_pi, mpf_pi, mpf_shift, round_nearest
 
 from diamag import (
     DimensionlessPoint,
@@ -42,6 +45,28 @@ def exact(x: float, y: float, q: float) -> complex:
 # A path for mp.quad that, like the oracle's arc, passes below every pole
 # (Cauchy's theorem), but is not the oracle's: the polyline -1 -> -i -> 1.
 POLYLINE = [-1, -1j, 1]
+
+# mpmath's own tanh-sinh rule, the independent check of the oracle's node
+# schedule, which the oracle builds on integers without mpmath.
+TANH_SINH = TanhSinh(mp)
+
+
+def _real(value) -> tuple:
+    """An mpf as an exact real (m, e) of the oracle's arithmetic."""
+    sign, m, e, _ = value._mpf_
+    return (-int(m) if sign else int(m)), int(e)
+
+
+def _mp(real):
+    """A real (m, e) of the oracle's arithmetic as an exact mpf, None as +inf."""
+    return mp.inf if real is None else mp.ldexp(real[0], real[1])
+
+
+def as_mp(results: list, prec: int) -> list:
+    """oracle._path_quad's results at prec bits as mpmath numbers, exactly:
+    (value, error) per component, an mpc and an mpf."""
+    with mp.workprec(prec + oracle._GUARD_BITS):
+        return [(mpc(_mp(re), _mp(im)), _mp(error)) for (re, im), error in results]
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +269,10 @@ def test_verify_grid_takes_8667_node_evaluations(monkeypatch):
 
 
 # sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
-# at verify's 60 grid points, one line per point, with mpmath 1.3.0, whose
-# standard tanh-sinh nodes the oracle maps onto its arc. Every point takes one
-# pass, at 20 digits.
+# at verify's 60 grid points, one line per point, recorded when the oracle
+# mapped mpmath 1.3.0's standard tanh-sinh nodes onto its arc; it now builds
+# the same node tables on integers, with no mpmath, and gives the same bits.
+# Every point takes one pass, at 20 digits.
 # A change to the oracle's numbers moves this pin, and says so.
 VERIFY_GRID_ORACLE_SHA256 = "d335f802db0d405fb69ca881bf84e5f0e287d23e4de4818acafb6b82602ab5d3"
 
@@ -281,13 +307,12 @@ def object_sums(f):
         nodes = [
             (t, w * mp.pi / 2 * 1j * t)
             for t, w in (
-                (-1j * mp.expjpi(v / 2), w)
-                for v, w in oracle._TANH_SINH.get_nodes(-1, 1, degree, prec)
+                (-1j * mp.expjpi(v / 2), w) for v, w in TANH_SINH.get_nodes(-1, 1, degree, prec)
             )
         ]
         weights = [w for _, w in nodes]
         sums = (mp.fdot(weights, column) for column in zip(*(f(t) for t, _ in nodes)))
-        return [oracle._fixed(s.real, s.imag) for s in sums]
+        return [oracle._fixed(_real(s.real), _real(s.imag)) for s in sums]
 
     return level_sums
 
@@ -363,7 +388,7 @@ def reference_sums(x, y, q):
     whole node table at every x (no fold at x = 0), and each component's
     terms collected and summed exactly by oracle._exact_sum."""
     qm, qe = oracle._parts(q)
-    zr, zi, ze = oracle._fixed(x, y)
+    zr, zi, ze = oracle._fixed(oracle._parts(x), oracle._parts(y))
     km, ke = qm**4, 4 * qe - 2  # q^4/4
 
     def level_sums(degree, prec):
@@ -437,6 +462,96 @@ def test_fixed_width_operations_round_to_nearest():
     assert oracle._rounded(-1, 1, 0, 0) == (-1, 1, 1)
 
 
+def _same(a: tuple, b: tuple) -> bool:
+    """Two reals (m, e) of equal value."""
+    low = min(a[1], b[1])
+    return a[0] << (a[1] - low) == b[0] << (b[1] - low)
+
+
+def test_reals_round_as_mpmath_does():
+    # each operation on reals gives mpmath's result in its default rounding,
+    # to nearest with ties to even, over random operands of either sign, ties
+    # among them, and doubles at the edges of the double range
+    from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_hypot, mpf_mul, to_float
+
+    rng = random.Random(41)
+
+    def real():
+        m = max(1, rng.randrange(1, 2**300) >> rng.randrange(300))
+        if rng.random() < 0.2:
+            m = (m | 1) << 8 | 1 << 7  # a tie at 8 bits below its last place
+        return (-m if rng.random() < 0.5 else m), rng.randrange(-400, 400)
+
+    def raw(a):
+        return from_man_exp(a[0], a[1])
+
+    for _ in range(1000):
+        bits = rng.randrange(8, 200)
+        a, b = real(), real()
+        assert _same(oracle._nearest(*a, bits), _raw_real(from_man_exp(*a, bits, round_nearest)))
+        assert _same(oracle._mul(a, b, bits), _raw_real(mpf_mul(raw(a), raw(b), bits, round_nearest)))
+        assert _same(oracle._div(a, b, bits), _raw_real(mpf_div(raw(a), raw(b), bits, round_nearest)))
+        assert _same(oracle._add(a, b, bits), _raw_real(mpf_add(raw(a), raw(b), bits, round_nearest)))
+        assert oracle._le(a, b) == (mpf(raw(a)) <= mpf(raw(b)))
+        for re, im in ((a, b), (a, (0, 0)), ((0, 0), b)):
+            hypot = mpf_hypot(raw(re), raw(im), bits, round_nearest)
+            assert _same(oracle._modulus(re, im, bits), _raw_real(hypot))
+        # to doubles, subnormal and beyond the range included
+        c = a[0], rng.randrange(-1200, 1100) - a[0].bit_length()
+        assert oracle._to_float(c) == to_float(raw(c), rnd=round_nearest)
+        # the least k >= 0 with 10^k >= |a| 2^-e, for |a| 2^-e >= 1
+        m, e = abs(a[0]), -rng.randrange(abs(a[0]).bit_length())
+        k = oracle._ceil_log10((m, e))
+        assert 10**k << -e >= m and (k == 0 or 10 ** (k - 1) << -e < m)
+    assert oracle._to_float((2**53 - 1, 971)) == sys.float_info.max
+    assert oracle._to_float((-(2**53), 971)) == -math.inf
+    assert oracle._ceil_log10((10**20, 0)) == 20 and oracle._ceil_log10((1, 0)) == 0
+
+
+def test_exp_and_cos_sin_hold_their_last_place():
+    # within a small fraction of a unit beyond half of one of the exact
+    # values, taken at 80 more bits: exp over the schedule's arguments, cos
+    # and sin of pi v/2 over [0, 1), the centre, the middle and the ends
+    rng = random.Random(43)
+    slack = Fraction(1, 2) + Fraction(1, 2**20)
+
+    def holds(got, want, bits):
+        m, e = got
+        assert m.bit_length() <= bits + 1
+        mw, ew = _real(want)
+        assert abs(Fraction(m) * Fraction(2) ** e - Fraction(mw) * Fraction(2) ** ew) <= slack * Fraction(2) ** e
+
+    for _ in range(100):
+        bits = rng.randrange(60, 600)
+        m = rng.randrange(1 << (bits - 1), 1 << bits)
+        x = m, -bits + rng.randrange(-20, 8)  # below 2^8
+        with mp.workprec(bits + 80):
+            holds(oracle._exp(x, bits), mp.exp(_mp(x)), bits)
+        for v in ((m, -bits), ((1 << rng.randrange(bits)) - 1, -rng.randrange(bits)), (1, -1)):
+            if v[0] >= 1 << -v[1]:
+                continue
+            cos, sin = oracle._cos_sin_half_pi(v, bits)
+            with mp.workprec(bits + 80):
+                holds(cos, mp.cospi(_mp(v) / 2), bits)
+                holds(sin, mp.sinpi(_mp(v) / 2), bits)
+    assert oracle._cos_sin_half_pi((0, 0), 90) == ((1, 0), (0, 0))
+
+
+def test_tanh_sinh_nodes_are_mpmaths():
+    # every node v >= 0 and its weight equal mpmath's, bit for bit, at
+    # verify's precision and at 42 digits. mpmath's own exp is not always
+    # correctly rounded, so at some other precisions a node differs from
+    # mpmath's in its last place; the tables built from the nodes do not
+    # (test_fixed_nodes_are_mpmaths_nodes)
+    for prec in (dps_to_prec(20), 143):
+        for degree in range(1, TANH_SINH.guess_degree(prec) + 1):
+            ours = oracle._tanh_sinh(degree, prec)
+            theirs = [(v, w) for v, w in TANH_SINH.get_nodes(-1, 1, degree, prec) if v >= 0]
+            assert len(ours) == len(theirs)
+            for pair, want in zip(ours, theirs):
+                assert all(_same(real, _real(value)) for real, value in zip(pair, want))
+
+
 # Seeded points, the deep-cancellation points at 40 and 58 digits, the
 # vanishing collision rates and the hard points.
 KERNEL_CASES = (
@@ -451,7 +566,7 @@ def test_tail_noise_of_a_pole_on_the_path_is_infinite():
     # q/2 underflows to 0, so s and s -+ q/2 all sit on the end t = 1
     peak = oracle._peak_log2(5e-324, 0.0, 5e-324)[0]
     assert peak[0] == math.inf
-    assert oracle._tail_noise(peak) == mp.inf
+    assert oracle._tail_noise(peak, oracle._dps_to_prec(20)) is None
 
 
 @pytest.mark.parametrize("x, y, q, dps", KERNEL_CASES)
@@ -461,9 +576,10 @@ def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
     # rounding noise plus 10^-dps of its value, what _quadrature_raw allows
     peaks = oracle._peak_log2(x, y, q)
     with mp.workdps(dps):
-        kernel = oracle._path_quad(oracle._contour_sums(x, y, q))
-        reference = oracle._path_quad(object_sums(object_integrands(x, y, q)))
-        noise = [oracle._tail_noise(peak) for peak in peaks]
+        prec = mp.prec
+        kernel = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q), prec), prec)
+        reference = as_mp(oracle._path_quad(object_sums(object_integrands(x, y, q)), prec), prec)
+        noise = [_mp(oracle._tail_noise(peak, prec)) for peak in peaks]
         out_eps = mpf(10) ** -dps
     assert len(kernel) == len(reference) == (2 if x else 1)
     for (value, _), (want, _), allowance in zip(kernel, reference, noise):
@@ -506,11 +622,11 @@ def mpc_path_quad(level_sums):
             return 0, t
         return min(0, max(math.ceil(Fraction(d1 * d1, d2)), 2 * d1, -width)), t
 
-    degrees = range(1, oracle._TANH_SINH.guess_degree(prec) + 1)
+    degrees = range(1, TANH_SINH.guess_degree(prec) + 1)
     levels = []
     with mp.workprec(_EXACT_PREC):
         for degree in degrees:
-            sums = [oracle._as_mpc(s) for s in level_sums(degree, prec)]
+            sums = [mpc(mp.ldexp(re, exp), mp.ldexp(im, exp)) for re, im, exp in level_sums(degree, prec)]
             previous = levels[-1] if levels else [mpc(0)] * len(sums)
             half, h = mp.ldexp(1, -1), mp.ldexp(1, -degree)
             levels.append([rounded(half * p + h * s) for p, s in zip(previous, sums)])
@@ -532,7 +648,7 @@ def test_integer_levels_are_the_mpc_loops_bit_for_bit(x, y, q, dps):
     # does, so the totals and errors are equal at the guard width
     level_sums = oracle._contour_sums(x, y, q)
     with mp.workdps(dps):
-        got = oracle._path_quad(level_sums)
+        got = as_mp(oracle._path_quad(level_sums, mp.prec), mp.prec)
         want = mpc_path_quad(level_sums)
     assert got == want
 
@@ -560,7 +676,7 @@ def test_level_loop_is_the_helpers_bit_for_bit(x, y, q, dps):
     # at x = 0 the loop folds the table and the reference walks all of it:
     # equal values, each sum's imaginary part then exactly 0
     loop, reference = oracle._contour_sums(x, y, q), reference_sums(x, y, q)
-    for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
+    for degree in range(1, TANH_SINH.guess_degree(prec) + 1):
         got, want = loop(degree, prec), reference(degree, prec)
         assert [_value(v) for v in got] == [_value(v) for v in want], degree
         if not x:
@@ -581,8 +697,9 @@ def test_path_quad_agrees_with_mp_quad_and_the_closed_form(dps, exact_digits):
         (closed, _, _), _ = oracle._exact_integrals(x, y, q)
     with mp.workdps(dps):
         qm, zm = mpf(q), mpc(x, y)
-        _, (value, err) = oracle._path_quad(oracle._contour_sums(x, y, q))
-        err += oracle._tail_noise(oracle._peak_log2(x, y, q)[1])
+        prec = mp.prec
+        _, (value, err) = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q), prec), prec)
+        err += _mp(oracle._tail_noise(oracle._peak_log2(x, y, q)[1], prec))
         want, want_err = mp.quad(
             lambda t: (1 - t * t) / (qm * t - zm), POLYLINE, error=True
         )
@@ -597,49 +714,115 @@ def test_path_quad_shares_nodes_without_losing_accuracy(x, y, q):
     # within both estimates and mp.quad's rounding of its result
     with mp.workdps(20):
         f = object_integrands(x, y, q)
-        shared = oracle._path_quad(object_sums(f))
+        shared = as_mp(oracle._path_quad(object_sums(f), mp.prec), mp.prec)
         for i, (value, err) in enumerate(shared):
             alone, alone_err = mp.quad(lambda t: f(t)[i], POLYLINE, error=True)
             assert abs(value - alone) <= err + alone_err + mp.eps * abs(alone)
 
 
-def _exact(value) -> Fraction:
-    mantissa, exponent = oracle._parts(value)
-    return mantissa * Fraction(2) ** exponent
+def _within(n: int, exp: int, value, units: int = 1) -> bool:
+    """|n 2^exp - value| <= units 2^exp for an mpf value, on integers."""
+    m, e = _real(value)
+    low = min(exp, e)
+    return abs((n << (exp - low)) - (m << (e - low))) <= units << (exp - low)
 
 
-@pytest.mark.parametrize("prec", [86, 143])
+def _raw_real(raw) -> tuple:
+    """A raw mpf (sign, mantissa, exponent, bits) as an exact real (m, e)."""
+    sign, m, e, _ = raw
+    return (-int(m) if sign else int(m)), int(e)
+
+
+def mpmath_table(degree: int, prec: int) -> list:
+    """oracle._fixed_nodes's whole table built from mpmath's standard nodes
+    with mpmath's cos and sin of pi v/2 at prec + 40 bits and pi rounded
+    down there, as the oracle built it when it took its nodes from mpmath:
+    each node v >= 0, and its mirror at -v with the signs that conjugate t,
+    1 - t^2 and the weight."""
+    width = prec + oracle._GUARD_BITS
+    wide = prec + 40
+    hm, he = _raw_real(mpf_pi(wide))  # pi = hm 2^he, rounded down
+    table = []
+    for v, w in TANH_SINH.get_nodes(-1, 1, degree, prec):
+        if v < 0:
+            continue
+        cos_sin = mpf_cos_sin_pi(mpf_shift(v._mpf_, -1), wide, round_nearest)
+        cr, ci, ce = oracle._fixed(*map(_raw_real, cos_sin))
+        tr, ti, te = oracle._rounded(ci, -cr, ce, width)
+        ur, ui, ue = oracle._rounded((1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te, width)
+        wm, we = _real(w)
+        cr, ci, ce = oracle._rounded(wm * hm * cr, wm * hm * ci, we + he - 1 + ce, width)
+        table.append((tr, ti, te, ur, ui, ue, cr, ci, ce))
+        if v:
+            table.append((-tr, ti, te, ur, -ui, ue, cr, -ci, ce))
+    return table
+
+
+@pytest.mark.parametrize("prec", [dps_to_prec(20), 86, 143, dps_to_prec(150)])
 def test_fixed_nodes_are_mpmaths_nodes(prec):
-    # mpmath's standard nodes v, w carried onto the arc t = -i exp(i pi v/2):
-    # t within one unit of that point and on the unit circle within one
-    # rounding, 1 - t^2 exact from the rounded t and then rounded to nearest,
-    # and the weight within one unit of w dt/dv = w (pi/2) i t; both lists
-    # in the order of v, along the arc: Re t = sin(pi v/2) grows with v, and
-    # where the rounded Re t ties (near t = -+1), Im t = -cos(pi v/2) falls
-    # left of t = -i and rises right of it
-    def along(node):
-        tr, ti, te, *_ = node
-        return tr * Fraction(2) ** te, (-ti if tr < 0 else ti) * Fraction(2) ** te
+    # the table is the one built from mpmath's standard nodes, bit for bit,
+    # at verify's precision (20 digits), the most a pass takes (150) and two
+    # between; and so mpmath's standard nodes v, w carried onto the arc t =
+    # -i exp(i pi v/2): t within one unit of that point and on the unit
+    # circle within one rounding, 1 - t^2 exact from the rounded t and then
+    # rounded to nearest, and the weight within one unit of w dt/dv = w
+    # (pi/2) i t; both lists in the order of v, along the arc: Re t =
+    # sin(pi v/2) grows with v, and where the rounded Re t ties (near t =
+    # -+1), Im t = -cos(pi v/2) falls left of t = -i and rises right of it
+    for degree in range(1, TANH_SINH.guess_degree(prec) + 1):
+        table = oracle._fixed_nodes(degree, prec, False)
+        assert sorted(table) == sorted(mpmath_table(degree, prec)), degree
+        low = min(te for _, _, te, *_ in table)
 
-    for degree in range(1, oracle._TANH_SINH.guess_degree(prec) + 1):
-        nodes = sorted(oracle._fixed_nodes(degree, prec, False), key=along)
-        standard = oracle._TANH_SINH.get_nodes(-1, 1, degree, prec)
+        def along(node):
+            tr, ti, te, *_ = node
+            return tr << (te - low), (-ti if tr < 0 else ti) << (te - low)
+
+        nodes = sorted(table, key=along)
+        standard = TANH_SINH.get_nodes(-1, 1, degree, prec)
         assert len(nodes) == len(standard)
-        for (tr, ti, te, ur, ui, ue, cr, ci, ce), (v, w) in zip(nodes, sorted(standard)):
-            with mp.workprec(prec + 100):
-                t = -1j * mp.expjpi(v / 2)
-                weight = w * mp.pi / 2 * 1j * t
-            unit = Fraction(2) ** te
-            assert abs(tr * unit - _exact(t.real)) <= unit
-            assert abs(ti * unit - _exact(t.imag)) <= unit
-            assert abs((tr * tr + ti * ti) * unit * unit - 1) <= Fraction(3, 2) * unit
-            square = (tr * unit) ** 2 - (ti * unit) ** 2, 2 * tr * ti * unit * unit
-            half = Fraction(2) ** ue / 2
-            assert abs(ur * 2 * half - (1 - square[0])) <= half
-            assert abs(ui * 2 * half + square[1]) <= half
-            unit = Fraction(2) ** ce
-            assert abs(cr * unit - _exact(weight.real)) <= unit
-            assert abs(ci * unit - _exact(weight.imag)) <= unit
+        with mp.workprec(prec + 100):
+            # t and the weight at v >= 0; at -v t is -conj t, and the weight
+            # conjugates
+            arc = {}  # by |v|'s mantissa and exponent
+            for v, w in standard:
+                if v >= 0:
+                    t = -1j * mp.expjpi(v / 2)
+                    arc[v._mpf_[1:3]] = t, w * mp.pi / 2 * 1j * t
+        # in the order of v, compared exactly on integers
+        shift = 2 * prec + 100  # above the bits of every node
+
+        def by_v(node):
+            m, e = _real(node[0])
+            return m << (e + shift)
+
+        for (tr, ti, te, ur, ui, ue, cr, ci, ce), (v, w) in zip(nodes, sorted(standard, key=by_v)):
+            t, weight = arc[v._mpf_[1:3]]
+            if v < 0:
+                with mp.workprec(prec + 100):
+                    t, weight = -t.conjugate(), weight.conjugate()
+            # each bound in units of the entry's last place, on integers
+            assert _within(tr, te, t.real) and _within(ti, te, t.imag)
+            assert 2 * abs(tr * tr + ti * ti - (1 << -2 * te)) <= 3 << -te
+            k = ue - 2 * te  # 1 - t^2 in units of 2^(2 te): exact, then rounded
+            assert 2 * abs((ur << k) - ((1 << -2 * te) - tr * tr + ti * ti)) <= 1 << k
+            assert 2 * abs((ui << k) + 2 * tr * ti) <= 1 << k
+            assert _within(cr, ce, weight.real) and _within(ci, ce, weight.imag)
+
+
+def test_node_schedule_is_mpmaths_at_every_working_precision():
+    # at every precision a pass can take, 20 to 150 digits: the bits, the
+    # most degrees a pass runs and the count of mpmath's standard nodes, v >=
+    # 0 and their mirrors, at degree 1, which holds the centre v = 0, and
+    # degree 2, the first of the odd multiples of 2^-degree; every degree of
+    # four of these precisions is held to mpmath's above
+    for dps in range(oracle._FIRST_DPS, oracle._MAX_DPS + 1):
+        prec = dps_to_prec(dps)
+        assert oracle._dps_to_prec(dps) == prec
+        assert oracle._guess_degree(prec) == TANH_SINH.guess_degree(prec), dps
+        for degree in (1, 2):
+            count = 2 * len(oracle._tanh_sinh(degree, prec)) - (degree == 1)
+            assert count == len(TANH_SINH.get_nodes(-1, 1, degree, prec)), (dps, degree)
 
 
 def test_fixed_nodes_mirror_and_fold_exactly():
@@ -687,12 +870,12 @@ X_ZERO_CASES = (
 @pytest.mark.parametrize("y, q, dps", X_ZERO_CASES)
 def test_one_segment_at_x_zero_is_the_whole_path(y, q, dps):
     # the folded pass equals, bit for bit, the pass over the whole table
-    with mp.workdps(dps):
-        folded = oracle._path_quad(oracle._contour_sums(0.0, y, q))
-        whole = oracle._path_quad(reference_sums(0.0, y, q))
-        assert len(folded) == 1
-        assert folded == whole
-        assert folded[0][0].imag == 0
+    prec = dps_to_prec(dps)
+    folded = oracle._path_quad(oracle._contour_sums(0.0, y, q), prec)
+    whole = oracle._path_quad(reference_sums(0.0, y, q), prec)
+    assert len(folded) == 1
+    assert folded == whole
+    assert folded[0][0][1][0] == 0  # the imaginary part's mantissa
     assert oracle._quadrature_raw(0.0, y, q).quant.imag == 0.0
 
 
@@ -714,8 +897,7 @@ def test_error_is_estimated_only_where_it_can_stop(first_stop, monkeypatch):
         degrees.append(degree)
         return inner(degree, prec)
 
-    with mp.workdps(20):
-        oracle._path_quad(level_sums)
+    oracle._path_quad(level_sums, dps_to_prec(20))
     # the pass runs its degrees up from 1, and its estimates, one per
     # component (Q, I1) and each from three levels, from first_stop
     assert degrees == list(range(1, len(degrees) + 1))
@@ -891,6 +1073,83 @@ def test_reflected_quadrature_is_conjugate():
         mirrored = oracle._quadrature_raw(-x, y, q).total
         direct = chi_ratio(p).total
         assert abs(mirrored - direct.conjugate()) < 1e-10 * abs(direct)
+
+
+def mpmath_quadrature(x: float, y: float, q: float) -> tuple:
+    """oracle._quadrature_raw with every pass assembled in mpmath numbers, as
+    the oracle assembled its passes before it finished them on integers:
+    (classic, quant, bound) of the last pass, rounded to a complex, a
+    complex and a float as mpmath rounds them. The reference that the
+    oracle's assembly on reals is held to, bit for bit."""
+    level_sums = oracle._contour_sums(x, y, q)
+    peaks = oracle._peak_log2(x, y, q)
+
+    def noise(bounds):
+        peak, end = bounds
+        if peak == math.inf:
+            return mp.inf
+        return sum(
+            mp.ldexp(math.pi * 2.0 ** (v - math.floor(v)), math.floor(v) - mp.prec - bits)
+            for v, bits in ((peak, oracle._NOISE_BITS), (end, oracle._NODE_TAIL_BITS))
+        )
+
+    dps = oracle._FIRST_DPS
+    while True:
+        with mp.workdps(dps):
+            results = as_mp(oracle._path_quad(level_sums, mp.prec), mp.prec)
+            noise_q, noise_1 = (noise(bounds) for bounds in peaks)
+        with mp.workdps(dps), mp.extraprec(oracle._GUARD_BITS):
+            out_eps = 10.0**-dps * 2.0**-oracle._GUARD_BITS
+            (vq, eq), *classical = results
+            if x == 0.0:
+                classic, bound_c = mpc(0), mp.zero
+            else:
+                ((v1, e1),) = classical
+                c1 = 3 * mpf(x) / mpf(q) ** 2
+                classic = -c1 * v1
+                bound_c = abs(c1) * (e1 + noise_1) + out_eps * abs(classic)
+            quant = oracle._QUANT_FACTOR * vq
+            bound_q = oracle._QUANT_FACTOR * (eq + noise_q) + out_eps * abs(quant)
+            totals = ((bound_c, classic), (bound_q, quant), (bound_c + bound_q, classic + quant))
+            checks = [(bound, oracle._TARGET_REL * abs(value)) for bound, value in totals]
+            if dps == oracle._MAX_DPS or all(bound <= limit for bound, limit in checks):
+                return complex(classic), complex(quant), float(bound_c + bound_q)
+            excess = max(bound / limit if limit else mp.inf for bound, limit in checks if bound > limit)
+            step = int(mp.ceil(mp.log10(excess))) + 2 if mp.isfinite(excess) else dps
+        dps = min(oracle._MAX_DPS, dps + step)
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_assembly_is_the_mpmath_assembly_bit_for_bit(monkeypatch, oracle_passes):
+    # seeded points (x = 0 and x < 0 among them), the hard points, poles on
+    # the path ends, the deep cancellations, a point that takes a second pass
+    # and a classical part beyond the double range
+    points = (
+        _whole_domain_points(29, 16)
+        + HARD_POINTS
+        + [(x, 0.0, q) for x, q in ENDPOINT_POLES[:5]]
+        + [(x, y, q) for x, y, q, _ in DEEP_CANCELLATION]
+        + [ESCALATING_POINT, (1.0, 1.0, 1e-160)]
+    )
+    for x, y, q in points:
+        got = _outcome(oracle._quadrature_raw, x, y, q)
+        want = _outcome(oracle._double_result, "chi_ratio_quadrature", *mpmath_quadrature(x, y, q))
+        assert got == want, (x, y, q)
+    assert len(oracle_passes) > len(points)
+    # a pole on the path: the rounding allowance is infinite, so every pass
+    # doubles its digits up to the cap, here 40 digits, and the result
+    # leaves the double range
+    monkeypatch.setattr(oracle, "_MAX_DPS", 40)
+    oracle_passes.clear()
+    got = _outcome(oracle._quadrature_raw, 5e-324, 0.0, 5e-324)
+    assert got == _outcome(oracle._double_result, "chi_ratio_quadrature", *mpmath_quadrature(5e-324, 0.0, 5e-324))
+    assert oracle_passes == [20, 40, 20, 40]
 
 
 # ---------------------------------------------------------------------------
