@@ -1152,6 +1152,39 @@ def test_assembly_is_the_mpmath_assembly_bit_for_bit(monkeypatch, oracle_passes)
     assert oracle_passes == [20, 40, 20, 40]
 
 
+# Points past verify's first pass: a second pass (ESCALATING_POINT), poles
+# beside an end, deep cancellations at x = 0, poles on the path ends at y =
+# 0, a part beyond the double range and seeded points over the whole domain,
+# x < 0 among them (through _quadrature_raw).
+PAST_FIRST_PASS_POINTS = (
+    [ESCALATING_POINT]
+    + HARD_POINTS
+    + [(x, y, q) for x, y, q, _ in DEEP_CANCELLATION]
+    + [(x, 0.0, q) for x, q in ENDPOINT_POLES]
+    + [(1.0, 1.0, 1e-160)]
+    + _whole_domain_points(37, 40)
+)
+# sha256 of float.hex of classic, quant (real and imaginary parts) and
+# err_est, or of the DomainError text, one line per point, as the verify
+# grid's pin; recorded while the oracle assembled its passes in reals rounded
+# as mpmath rounds them. A change to the oracle's numbers moves this pin, and
+# says so.
+PAST_FIRST_PASS_SHA256 = "67d9cda5f726c3caf6a63aac4f410f8c8bff4434a520f46693682881ccd20b3e"
+
+
+def test_oracle_bits_past_the_first_pass_are_pinned():
+    lines = []
+    for x, y, q in PAST_FIRST_PASS_POINTS:
+        got = _outcome(oracle._quadrature_raw, x, y, q)
+        if isinstance(got, str):
+            lines.append(got)
+        else:
+            parts = (got.classic.real, got.classic.imag, got.quant.real, got.quant.imag)
+            lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PAST_FIRST_PASS_SHA256
+
+
 # ---------------------------------------------------------------------------
 # the closed forms at measured digits
 # ---------------------------------------------------------------------------
