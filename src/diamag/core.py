@@ -219,6 +219,8 @@ class ChiResult(FrozenRecord):
               chi_ratio_exact the difference of its last two evaluations. The
               two high-precision oracles, chi_ratio_quadrature and
               chi_ratio_exact, add half an ulp per rounding to double to it.
+              An oracle's err_est bounds the modulus of the error in total,
+              so a part far below |total| may be all rounding.
     """
 
     _fields = ("classic", "quant", "total", "method", "err_est")

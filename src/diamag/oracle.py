@@ -6,13 +6,14 @@ numerics, all but the exact reference from a more primitive formulation:
   * chi_ratio_quadrature integrates the classical integral and the quantum
     part, the latter as one integrand Q whose terms do not cancel, with
     high-precision arithmetic, never touching the kernel's branch-logarithm
-    algebra: one tanh-sinh pass (mpmath's standard nodes, rebuilt here on
-    integers; each integral judged by its own relative error estimate) over
-    shared nodes along the lower unit semicircle from -1 through -i to 1,
-    one smooth arc that passes below every pole, so the integrands stay
-    bounded and no split points are needed (at x = 0 the half v >= 0 of the
-    arc suffices); the nodes, the integrands and the assembly of the parts
-    all run on Python ints at the pass's precision, without mpmath;
+    algebra: one tanh-sinh pass (the standard nodes, from their closed form;
+    each integral judged by its own relative error estimate) over shared
+    nodes along the lower unit semicircle from -1 through -i to 1, one
+    smooth arc that passes below every pole, so the integrands stay bounded
+    and no split points are needed (at x = 0 the half v >= 0 of the arc
+    suffices); the nodes and the integrands run on Python ints at the
+    pass's precision, and the parts are assembled exactly in fractions,
+    without mpmath;
   * chi_ratio_exact evaluates the closed forms themselves in mpmath, at the
     digits each point needs, measured from how far their summands cancel:
     the kernel's algebra without its double-precision numerics or series.
@@ -33,6 +34,7 @@ the CLI verify command) asserts.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
 from .errors import DomainError, ExtrapolationError, ValidationError
@@ -129,9 +131,8 @@ def _path_quad(level_sums, prec: int) -> list:
     (_level_error); the pass stops at the first degree from
     _FIRST_STOP_DEGREE on where each estimate is at most eps/8, or at
     _guess_degree(prec). Returns [(value, error), ...] per component: the
-    last level as a pair of reals (re, im), each part rounded to nearest at
-    the guard width (_nearest), and its estimate times a bound on the levels'
-    moduli, a real, (0, 0) where every level is 0.
+    last level, exact, and its estimate times a bound on the levels' moduli,
+    a Fraction, 0 where every level is 0.
     """
     width = prec + _GUARD_BITS
     levels = []  # per degree, the level of every component
@@ -149,11 +150,8 @@ def _path_quad(level_sums, prec: int) -> list:
             if max(rel for rel, _ in errors) <= -(prec + 2):  # eps/8 = 2^-(prec+2)
                 break
     return [
-        (
-            (_nearest(re, exp, width), _nearest(im, exp, width)),
-            (0, 0) if top is None else (1, top + 1 + rel),
-        )
-        for (re, im, exp), (rel, top) in zip(levels[-1], errors)
+        (level, 0 if top is None else _dyadic(1, top + 1 + rel))
+        for level, (rel, top) in zip(levels[-1], errors)
     ]
 
 
@@ -194,14 +192,11 @@ def _level_error(levels: tuple, width: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Real binary numbers, rounded as mpmath rounds them
+# Rounding once
 # ---------------------------------------------------------------------------
-# A real is (m, e), Python ints meaning m 2^e. Each operation below computes
-# its result exactly on the integers and rounds it once, to nearest with ties
-# to even, at `bits` bits: mpmath's arithmetic in its default rounding, bit
-# for bit. The pass's assembly (_quadrature_raw) and the node schedule
-# (_tanh_sinh) take every step that they took in mpmath numbers, at the same
-# precisions, so that their results are mpmath's.
+# A real is (m, e), Python ints meaning m 2^e. Where a value is computed
+# exactly on the integers and then needs `bits` bits, it is rounded once, to
+# nearest with ties to even.
 
 
 def _nearest(m: int, e: int, bits: int) -> tuple:
@@ -218,99 +213,39 @@ def _nearest(m: int, e: int, bits: int) -> tuple:
     return (-a if m < 0 else a), e + n
 
 
-def _mul(a: tuple, b: tuple, bits: int) -> tuple:
-    return _nearest(a[0] * b[0], a[1] + b[1], bits)
+def _quotient(num: int, den: int, e: int, bits: int) -> tuple:
+    """num/den 2^e for positive ints, rounded to nearest at bits bits: bits + 2
+    bits of the quotient and a sticky bit below them, which is 1 for a
+    remainder, rounded by _nearest."""
+    k = max(0, bits + 2 + den.bit_length() - num.bit_length())
+    quotient, remainder = divmod(num << k, den)
+    return _nearest(quotient << 1 | (remainder != 0), e - k - 1, bits)
 
 
-def _div(a: tuple, b: tuple, bits: int) -> tuple:
-    """a/b, b nonzero: bits + 2 bits of the quotient of the magnitudes and a
-    sticky bit below them, which is nonzero for a remainder, rounded."""
-    (am, ae), (bm, be) = a, b
-    k = max(0, bits + 2 + bm.bit_length() - am.bit_length())
-    quotient, remainder = divmod(abs(am) << k, abs(bm))
-    quotient = quotient << 1 | (remainder != 0)
-    return _nearest(-quotient if (am < 0) != (bm < 0) else quotient, ae - be - k - 1, bits)
-
-
-def _add(a: tuple, b: tuple, bits: int) -> tuple:
-    (am, ae), (bm, be) = a, b
-    e = min(ae, be)
-    return _nearest((am << (ae - e)) + (bm << (be - e)), e, bits)
-
-
-def _le(a: tuple, b: tuple) -> bool:
-    (am, ae), (bm, be) = a, b
-    e = min(ae, be)
-    return am << (ae - e) <= bm << (be - e)
-
-
-def _modulus(re: tuple, im: tuple, bits: int) -> tuple:
-    """|re + i im| as mpmath's hypot takes it: a zero part leaves the other's
-    modulus rounded; else the exact sum of squares is truncated to bits + 4
-    bits and its square root rounded to nearest, from bits + 2 bits of it
-    and a sticky bit, which is nonzero where the root is inexact."""
-    if not im[0] or not re[0]:
-        m, e = im if not re[0] else re
-        return _nearest(abs(m), e, bits)
-    (a, ae), (b, be) = re, im
-    e = min(ae, be)
-    a, b = a << (ae - e), b << (be - e)
-    m, e = a * a + b * b, 2 * e
-    n = m.bit_length() - (bits + 4)
-    if n > 0:
-        m >>= n
-        e += n
-    if e & 1:
-        m <<= 1
-        e -= 1
-    shift = max(0, 2 * bits + 4 - m.bit_length())
-    shift += shift & 1
-    root = math.isqrt(m << shift)
-    return _nearest(root << 1 | (root * root != m << shift), (e - shift) // 2 - 1, bits)
-
-
-def _to_float(a: tuple) -> float:
-    """A real as a double, as mpmath's to_float rounds it: to 53 bits, ties to
-    even, then scaled, so that a subnormal result is rounded once more, and
-    +-inf beyond the double range."""
-    m, e = _nearest(*a, 53)
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return math.copysign(math.inf, m)
-
-
-def _ceil_log10(a: tuple) -> int:
-    """The least integer k >= 0 with 10^k >= a, for a real a >= 1: mpmath's
-    ceil(log10(a)), taken exactly. mpmath rounds the logarithm first, so the
-    two could differ only for an a a few units in its last place above a
-    power of ten."""
-    m, e = a
-    num, den = (m, 1 << -e) if e < 0 else (m << e, 1)
-    k = int((m.bit_length() + e - 1) * 0.30102999)  # 10^k <= 2^(bit length - 1) <= a
+def _ceil_log10(a: Fraction) -> int:
+    """The least integer k >= 0 with 10^k >= a, for a rational a > 0, exactly."""
+    num, den = a.numerator, a.denominator
+    # 10^k <= 2^(bit lengths' difference - 1) <= a
+    k = max(0, int((num.bit_length() - den.bit_length() - 1) * 0.30102999))
     while 10**k * den < num:
         k += 1
     return k
 
 
 # ---------------------------------------------------------------------------
-# The tanh-sinh nodes on integers
+# The tanh-sinh nodes from their closed form
 # ---------------------------------------------------------------------------
-# The node schedule is mpmath's TanhSinh.calc_nodes (Bailey, Jeyabalan and Li,
-# Exp. Math. 14, 2005), step by step at its precision prec + 40, and the
-# elementary functions it calls are computed here in fixed point with
-# _FUNCTION_GUARD bits more, each within a small fraction of a unit of the
-# nodes' last place of its value, and then rounded to nearest. mpmath's own
-# exp and cos/sin are not always correctly rounded, so a node here may differ
-# from mpmath's in its last place; the tables that _fixed_nodes builds from
-# them, rounded at prec + 20 bits, are mpmath's, bit for bit, at every degree
-# up to _guess_degree(prec) of every working precision from _FIRST_DPS to
-# _MAX_DPS digits (compared one by one).
+# The standard nodes (Bailey, Jeyabalan and Li, Exp. Math. 14, 2005), each
+# from its closed form, with no recurrence from the node before (_tanh_sinh).
+# exp and cos/sin are each computed _FUNCTION_GUARD bits beyond the precision
+# they are rounded to, pi and ln 2 10 bits beyond that. The grid, the stop
+# and the degrees are those of mpmath's TanhSinh.calc_nodes, and the node
+# counts are mpmath's at every degree of every working precision from
+# _FIRST_DPS to _MAX_DPS digits (compared one by one).
 _FUNCTION_GUARD = 40
 
 # floor(pi 2^bits) and floor(ln(2) 2^bits), but for the last unit or two, per
-# bits: one entry per working precision, at its nodes' bits + _FUNCTION_GUARD
-# + 10.
+# bits.
 _CONSTANTS: dict = {}
 
 
@@ -337,97 +272,85 @@ def _constants(bits: int) -> tuple:
     return found
 
 
-def _exp(x: tuple, bits: int) -> tuple:
-    """exp(x) of a real x >= 0 below 2^10, rounded to nearest at bits: x =
-    n ln 2 + r, |r| <= ln(2)/2, and exp(r) from its Taylor series at r/2^8,
-    squared eight times."""
-    m, e = x
-    f = bits + _FUNCTION_GUARD
-    ln2 = _constants(f + 10)[1]
-    scaled = m << (e + f + 10)  # x at f + 10 fraction bits, exact: x > 2^-40 has bits bits
+def _exp(x: int, f: int) -> tuple:
+    """exp(x 2^-f), 0 <= x 2^-f < 2^10, rounded to nearest at f bits: x 2^-f
+    = n ln 2 + r, |r| <= ln(2)/2, and exp(r) from its Taylor series at
+    r/2^8, squared eight times."""
+    g = f + _FUNCTION_GUARD
+    ln2 = _constants(g + 10)[1]
+    scaled = x << (_FUNCTION_GUARD + 10)  # at g + 10 fraction bits, exact
     n = (scaled + (ln2 >> 1)) // ln2
-    r = (scaled - n * ln2) >> 18  # r/2^8 at f bits
-    one = 1 << f
+    r = (scaled - n * ln2) >> 18  # r/2^8 at g bits
+    one = 1 << g
     total = term = one
     k = 1
     while term:
-        term = (term * r >> f) // k
+        term = (term * r >> g) // k
         total += term
         k += 1
     for _ in range(8):
-        total = total * total >> f
-    return _nearest(total, n - f, bits)
+        total = total * total >> g
+    return _nearest(total, n - g, f)
 
 
-def _cos_sin_half_pi(v: tuple, bits: int) -> tuple:
-    """cos and sin of pi v/2 for a real 0 <= v < 1, each rounded to nearest
-    at bits. With r = v, or r = 1 - v from v = 1/2 on (cos and sin then
-    swap), theta = (pi/2) r <= pi/4; cos theta and sin(theta)/theta come from
-    their Taylor series in theta^2, and sin theta = r (pi/2) sin(theta)/theta
+def _cos_sin_half_pi(r: int, f: int) -> tuple:
+    """cos and sin of (pi/2) r 2^-f, 0 <= r <= 2^f, each rounded to nearest at
+    f bits. From r = 2^(f-1) on they are sin and cos of (pi/2)(2^f - r)
+    2^-f, so theta <= pi/4; cos theta and sin(theta)/theta come from their
+    Taylor series in theta^2, and sin theta = r (pi/2) sin(theta)/theta
     keeps its relative accuracy however small r is."""
-    m, e = v
-    swap = 2 * m >= 1 << -e
+    swap = 2 * r >= 1 << f
     if swap:
-        m = (1 << -e) - m  # 1 - v, exact
-    if not m:
-        return (1, 0), (0, 0)
-    f = bits + _FUNCTION_GUARD
-    half_pi = _constants(f + 10)[0] >> 11  # pi/2 at f bits
-    theta = m * half_pi >> -e
-    theta2 = theta * theta >> f
-    one = 1 << f
+        r = (1 << f) - r
+    g = f + _FUNCTION_GUARD
+    half_pi = _constants(g + 10)[0] >> 11  # pi/2 at g bits
+    theta = r * half_pi >> f
+    theta2 = theta * theta >> g
+    one = 1 << g
     cos = sinc = term = one  # sinc: sin(theta)/theta
     k = 1
     while term:
-        term = (term * theta2 >> f) // (2 * k * (2 * k - 1))
+        term = (term * theta2 >> g) // (2 * k * (2 * k - 1))
         cos += -term if k & 1 else term
         sinc += -(term // (2 * k + 1)) if k & 1 else term // (2 * k + 1)
         k += 1
-    cos = _nearest(cos, -f, bits)
-    sin = _nearest(m * (half_pi * sinc >> f), e - f, bits)
+    cos = _nearest(cos, -g, f)
+    sin = _nearest(r * (half_pi * sinc >> g), -f - g, f)
     return (sin, cos) if swap else (cos, sin)
 
 
 def _tanh_sinh(degree: int, prec: int) -> list:
-    """The standard tanh-sinh nodes v >= 0 on [-1, 1] of one degree and their
-    weights w, each a real: mpmath's TanhSinh.calc_nodes(degree, prec),
-    every step rounded to nearest at its precision prec + 40.
+    """The standard tanh-sinh nodes v >= 0 on [-1, 1] of one degree, as
+    (1 - v, w), each a real rounded to nearest at prec + 40 bits.
 
-    With t_k = t0 + k h, v_k = tanh(g_k) and w_k = (pi/2) cosh(t_k)/
-    cosh(g_k)^2, g_k = (pi/2) sinh(t_k). Degree 1 holds v = 0 with weight
-    pi/2 and t_k = 2^-1 (k + 1); degree d >= 2 the odd multiples of 2^-d,
-    t_k = 2^-d (2k + 1). exp(g_k) = exp(a_k - b_k), with a_k = (pi/4) e^t_k
-    and b_k = (pi/4) e^-t_k carried by multiplying by e^h and e^-h, gives
-    v_k and w_k. The nodes stop at the first k with 1 - v_k <= 2^-(prec+10).
-    The weight of v_k serves -v_k too.
+    v = tanh(g), g = (pi/2) sinh(r), and w = (pi/2) cosh(r)/cosh(g)^2 over a
+    grid in r: degree 1 holds r = k/2, k >= 0, the centre r = v = 0 (w =
+    pi/2) among them, degree d >= 2 the odd multiples r = (2k + 1) 2^-d.
+    With E = e^(2g), 1 - v = 2/(E + 1) and w = pi (e^r + e^-r) E/(E + 1)^2
+    keep their relative accuracy where v nears 1. At f = prec + 80 fraction
+    bits, e^r gives 2g = (pi/2)(e^r - e^-r) and then E, and 1 - v and w are
+    each one quotient of integers, rounded once (_quotient): within a small
+    fraction of a unit beyond half of one of the exact values. The nodes
+    stop at the first r with 1 - v <= 2^-(prec+10), that is E + 1 >=
+    2^(prec+11). The weight of v serves -v too.
     """
     bits = prec + 40
-    f = bits + _FUNCTION_GUARD + 10
-    pi = _nearest(_constants(f)[0], -f, bits)
-    pi4 = pi[0], pi[1] - 2
+    f = bits + _FUNCTION_GUARD
+    pi = _constants(f + _FUNCTION_GUARD + 10)[0] >> (_FUNCTION_GUARD + 10)
+    one = 1 << f
+    k, step = (0, 1) if degree == 1 else (1, 2)
     nodes = []
-    t0 = (1, -degree)
-    if degree == 1:
-        nodes.append(((0, 0), (pi[0], pi[1] - 1)))
-        h = t0
-    else:
-        h = (1, 1 - degree)
-    expt0 = _exp(t0, bits)
-    a, b = _mul(pi4, expt0, bits), _div(pi4, expt0, bits)
-    up = _exp(h, bits)
-    down = _div((1, 0), up, bits)
-    tol = -(prec + 10)
     while True:
-        c = _exp(_add(a, (-b[0], b[1]), bits), bits)
-        d = _div((1, 0), c, bits)
-        co, si = _add(c, d, bits), _add(c, (-d[0], d[1]), bits)
-        co, si = (co[0], co[1] - 1), (si[0], si[1] - 1)  # halved, exactly
-        vm, ve = _div(si, co, bits)
-        # stop where 1 - v <= 2^tol, exactly; 0 < v <= 1, so ve <= 0
-        if _le(((1 << -ve) - vm, ve), (1, tol)):
+        m, e = _exp(k << (f - degree), f)
+        up = m << (e + f)  # e^r >= 1 at f fraction bits, exact
+        down = (one << f) // up  # e^-r
+        m, e = _exp(pi * (up - down) >> (f + 1), f)  # E = e^(2g)
+        big = (m << (e + f)) + one  # E + 1, exact
+        if big >> (f + prec + 11):
             return nodes
-        nodes.append(((vm, ve), _div(_add(a, b, bits), _mul(co, co, bits), bits)))
-        a, b = _mul(a, up, bits), _mul(b, down, bits)
+        weight = _quotient(pi * (up + down) * (big - one), big * big, -f, bits)
+        nodes.append((_quotient(2, big, f, bits), weight))
+        k += step
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +421,12 @@ def _fixed_nodes(degree: int, prec: int, fold: bool) -> list:
 
     The arc is t = -i e^(i pi v/2) = sin(pi v/2) - i cos(pi v/2) over the
     standard nodes v, w on [-1, 1] of _tanh_sinh(degree, prec), and the
-    weight of a node is w dt/dv = w (pi/2) i t. cos and sin of pi v/2 are
-    computed once per node v >= 0, rounded at prec + 40 bits as the standard
-    nodes are (_cos_sin_half_pi); t is rounded from them, 1 - t^2 is exact
-    from the rounded t before it is rounded, and the weight is the exact
-    product w (pi/2) (cos + i sin) of those prec + 40 bit numbers, pi/2
+    weight of a node is w dt/dv = w (pi/2) i t. sin and cos of pi v/2 are
+    computed once per node v >= 0, as cos and sin of pi (1 - v)/2, from 1 -
+    v at prec + 40 fraction bits, each rounded at prec + 40 bits as the
+    standard nodes are (_cos_sin_half_pi); t is rounded from them, 1 - t^2
+    is exact from the rounded t before it is rounded, and the weight is the
+    exact product w (pi/2) (cos + i sin) of those prec + 40 bit numbers, pi/2
     rounded down, rounded. The node at -v is the mirror of the node at v:
     t(-v) = -conj t(v), so 1 - t^2 and the weight conjugate, and its entries
     are those of v with signs changed, exactly. With fold, the table holds
@@ -520,16 +444,17 @@ def _fixed_nodes(degree: int, prec: int, fold: bool) -> list:
         f = wide + _FUNCTION_GUARD + 10
         hm, he = _constants(f)[0] >> (f - wide + 2), 1 - wide  # pi/2, rounded down
         whole, half = [], []
-        for (vm, ve), (wm, we) in _tanh_sinh(degree, prec):
-            # cos and sin of pi v/2, exact at one exponent, and t = sin - i cos
-            cr, ci, ce = _fixed(*_cos_sin_half_pi((vm, ve), wide))
-            tr, ti, te = _rounded(ci, -cr, ce, width)
+        for (rm, re), (wm, we) in _tanh_sinh(degree, prec):
+            # sin and cos of pi v/2 from 1 - v at wide fraction bits (re < 0,
+            # as 1 - v <= 1), exact at one exponent, and t = sin - i cos
+            sin, cos, e = _fixed(*_cos_sin_half_pi((rm << wide) >> -re, wide))
+            tr, ti, te = _rounded(sin, -cos, e, width)
             # |t| <= 1, so te <= 0 and 1 = 2^(-2 te) 2^(2 te)
             ur, ui, ue = _rounded((1 << -2 * te) - tr * tr + ti * ti, -2 * tr * ti, 2 * te, width)
             # the weight w (pi/2) (cos + i sin), exact and then rounded
-            cr, ci, ce = _rounded(wm * hm * cr, wm * hm * ci, we + he + ce, width)
+            cr, ci, ce = _rounded(wm * hm * cos, wm * hm * sin, we + he + e, width)
             node = (tr, ti, te, ur, ui, ue, cr, ci, ce)
-            if not vm:  # the centre
+            if not sin:  # the centre
                 whole.append(node)
                 half.append((tr, ti, te, ur, ui, ue, cr, ci, ce - 1))
             else:
@@ -734,31 +659,45 @@ def _peak_log2(x: float, y: float, q: float) -> tuple:
 
 
 def _tail_noise(bounds: tuple, prec: int):
-    """The rounding allowance of an integral at prec bits, a real, None
+    """The rounding allowance of an integral at prec bits, a Fraction, None
     (infinite) for a pole on the path, from its bounds (peak, end) of
     _peak_log2: 2^-(prec+10) (_NOISE_BITS) of the integrand's peak 2^peak on
     the path for the integer arithmetic, and 2^-(prec+5) (_NODE_TAIL_BITS) of
     its peak 2^end near an end for the node tails that the schedule drops
-    there, each times the path length pi, their sum rounded at prec bits."""
+    there, each times the path length pi."""
     peak, end = bounds
     if peak == math.inf:
         return None
 
-    def scaled(value: float, bits: int) -> tuple:
-        # the double pi 2^(value - floor(value)), scaled exactly to 2^-(prec+bits) of pi 2^value
-        m, e = _parts(_PATH_LENGTH * 2.0 ** (value - math.floor(value)))
-        return m, e + math.floor(value) - prec - bits
+    def scaled(value: float, bits: int) -> Fraction:
+        # the double pi 2^(value - floor(value)) = n/d, d a power of two,
+        # scaled exactly to 2^-(prec+bits) of pi 2^value
+        n, d = (_PATH_LENGTH * 2.0 ** (value - math.floor(value))).as_integer_ratio()
+        return _dyadic(n, math.floor(value) - prec - bits - d.bit_length() + 1)
 
-    return _add(scaled(peak, _NOISE_BITS), scaled(end, _NODE_TAIL_BITS), prec)
+    return scaled(peak, _NOISE_BITS) + scaled(end, _NODE_TAIL_BITS)
 
 
-def _part_bound(weight, error, noise, value, out_eps, width: int):
-    """weight (error + noise) + out_eps |value|, reals rounded at width bits
-    step by step; None (infinite) where the noise is."""
-    if noise is None:
-        return None
-    scaled = _mul(weight, _add(error, noise, width), width)
-    return _add(scaled, _mul(out_eps, _modulus(*value, width), width), width)
+def _dyadic(m: int, e: int) -> Fraction:
+    """m 2^e as a Fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _times(factor: Fraction, value: tuple) -> tuple:
+    """factor times an exact value (re, im, exp), as a pair of Fractions."""
+    re, im, exp = value
+    n, d = factor.numerator << max(exp, 0), factor.denominator << max(-exp, 0)
+    return Fraction(n * re, d), Fraction(n * im, d)
+
+
+def _modulus(value: tuple, bits: int) -> Fraction:
+    """|a/b + i c/d| of a pair of rationals, rounded once to at least bits
+    bits: sqrt((a d)^2 + (c b)^2)/(b d), its numerator the integer nearest to
+    sqrt((a d)^2 + (c b)^2) 2^k, with k the least that gives it bits bits."""
+    (a, b), (c, d) = ((part.numerator, part.denominator) for part in value)
+    n = (a * d) ** 2 + (c * b) ** 2
+    k = max(0, bits + 1 - n.bit_length() // 2)
+    return Fraction((math.isqrt(n << 2 * k + 2) + 1) >> 1, b * d << k)
 
 
 def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
@@ -782,10 +721,15 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     relative (or 150 digits are reached). err_est is each integral's own
     relative error estimate times its size, plus the predicted rounding
     bound, plus half an ulp for each rounding to double of the parts and
-    their sum. Serves every accepted point whose parts fit in a double, and
-    raises DomainError elsewhere, as chi_ratio and chi_ratio_exact do;
-    _quadrature_raw also takes x < 0. An oracle: slow, independent, trusted.
-    Python integers carry all of it: it needs no mpmath.
+    their sum. It bounds the modulus of the error in the total, so a part or
+    a real or imaginary part far below |total| may be all rounding: at
+    (1.3e204, 4.9e124, 1.5e-111) Im total reads 0 where the value's is
+    -6.70e142, within err_est 3.21e206, as w = q t - z keeps one exponent
+    for both its parts (_contour_sums). Serves every accepted point whose
+    parts fit in a double, and raises DomainError elsewhere, as chi_ratio
+    and chi_ratio_exact do; _quadrature_raw also takes x < 0. An oracle:
+    slow, independent, trusted. Python integers and fractions carry all of
+    it: it needs no mpmath.
     """
     return _quadrature_raw(point.x, point.y, point.q)
 
@@ -798,20 +742,19 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     conjugate under v -> -v, so _contour_sums folds each pair into twice its
     real part, and Q's imaginary part is exactly 0. The integrands come from
     _contour_sums, in fixed-width integer complex arithmetic 20 bits above
-    the working precision that rounds every result once, to nearest; the
-    pass's totals become reals at that guard width, and classic, quant and
-    their bounds are assembled there, every step rounded to nearest with
-    ties to even (_nearest and the operations after it), as the same steps
-    round in mpmath numbers: each returned double is the one that assembly
-    gives, and the tests hold the two to each other bit for bit. Each pass
-    bounds its own rounding noise: 10^-dps 2^-20 of each assembled part
-    (about 12 units in the last place at the guard width: the assembly's few
-    roundings and a margin); 2^-(prec+10) (about 10^-(dps+3)) of each
-    integrand's peak on the path times the path length pi for the sums
-    inside the pass, 2^10 times the scale of the integer arithmetic's
-    rounding; and 2^-(prec+5) of each integrand's peak within _END_REACH of
-    an end times pi for the node tails that the schedule drops there
-    (_NODE_TAIL_BITS). The peaks come from _peak_log2, the allowance from
+    the working precision that rounds every result once, to nearest. The
+    pass's last levels, its error estimates and the allowances are exact,
+    and classic, quant, their sum and their bounds are assembled from them
+    exactly, in Fractions; only the moduli in the bounds and the checks are
+    rounded, once, at the guard width or finer (_modulus), and each returned
+    double is rounded once (_double). Each pass bounds its own rounding
+    noise: 10^-dps 2^-20 of each assembled part (about 12 units in the last
+    place at the guard width: the rounding of the pass's last level and a
+    margin); 2^-(prec+10) (about 10^-(dps+3)) of each integrand's peak on
+    the path times the path length pi for the sums inside the pass, 2^10
+    times the scale of the integer arithmetic's rounding; and 2^-(prec+5) of
+    each integrand's peak within _END_REACH of an end times pi for the node
+    tails that the schedule drops there (_NODE_TAIL_BITS). The peaks come from _peak_log2, the allowance from
     _tail_noise. Noise plus each integral's error estimate must stay within
     _TARGET_REL of |classic|, |quant| and |total|; a pass that misses by a
     factor E is redone at dps + ceil(log10 E) + 2 digits (twice the digits
@@ -822,43 +765,43 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     """
     level_sums = _contour_sums(x, y, q)
     peak_q, peak_1 = _peak_log2(x, y, q)
-    (xm, xe), (qm, qe) = _parts(x), _parts(q)
-    quant_factor, target = _parts(_QUANT_FACTOR), _parts(_TARGET_REL)
+    weight = -3 * Fraction(x) / Fraction(q) ** 2  # the classical part's
+    quant_factor, target = Fraction(_QUANT_FACTOR), Fraction(_TARGET_REL)
     dps = _FIRST_DPS
     while True:
         prec = _dps_to_prec(dps)
         width = prec + _GUARD_BITS
         (vq, eq), *classical = _path_quad(level_sums, prec)
-        out_eps = _parts(10.0**-dps * 2.0**-_GUARD_BITS)
+        out_eps = Fraction(10.0**-dps * 2.0**-_GUARD_BITS)
+        # each part, its modulus and its bound, None (infinite) where the noise is
         if x == 0.0:
-            classic, bound_c = ((0, 0), (0, 0)), (0, 0)
+            classic, modulus_c, bound_c = (0, 0), 0, 0
         else:
             ((v1, e1),) = classical
-            weight = _div((-3 * xm, xe), _mul((qm, qe), (qm, qe), width), width)  # -3x/q^2
-            classic = tuple(_mul(weight, part, width) for part in v1)
+            classic = _times(weight, v1)
+            modulus_c = _modulus(classic, width)
             noise = _tail_noise(peak_1, prec)
-            bound_c = _part_bound((abs(weight[0]), weight[1]), e1, noise, classic, out_eps, width)
-        quant = tuple(_mul(quant_factor, part, width) for part in vq)
+            bound_c = None if noise is None else abs(weight) * (e1 + noise) + out_eps * modulus_c
+        quant = _times(quant_factor, vq)
+        modulus_q = _modulus(quant, width)
         noise = _tail_noise(peak_q, prec)
-        bound_q = _part_bound(quant_factor, eq, noise, quant, out_eps, width)
-        whole = None if bound_c is None or bound_q is None else _add(bound_c, bound_q, width)
-        total = tuple(_add(c, u, width) for c, u in zip(classic, quant))
-        checks = [
-            (b, _mul(target, _modulus(*value, width), width))
-            for b, value in ((bound_c, classic), (bound_q, quant), (whole, total))
-        ]
-        misses = [(b, limit) for b, limit in checks if b is None or not _le(b, limit)]
+        bound_q = None if noise is None else quant_factor * (eq + noise) + out_eps * modulus_q
+        whole = None if bound_c is None or bound_q is None else bound_c + bound_q
+        total = classic[0] + quant[0], classic[1] + quant[1]
+        moduli = modulus_c, modulus_q, _modulus(total, width)
+        checks = [(b, target * modulus) for b, modulus in zip((bound_c, bound_q, whole), moduli)]
+        misses = [(b, limit) for b, limit in checks if b is None or b > limit]
         if dps == _MAX_DPS or not misses:
             return _double_result(
                 "chi_ratio_quadrature",
-                complex(*map(_to_float, classic)),
-                complex(*map(_to_float, quant)),
-                math.inf if whole is None else _to_float(whole),
+                complex(_double(classic[0]), _double(classic[1])),
+                complex(_double(quant[0]), _double(quant[1])),
+                math.inf if whole is None else _double(whole),
             )
-        if any(b is None or not limit[0] for b, limit in misses):
+        if any(b is None or not limit for b, limit in misses):
             step = dps
         else:
-            step = max(_ceil_log10(_div(b, limit, width)) for b, limit in misses) + 2
+            step = max(_ceil_log10(b / limit) for b, limit in misses) + 2
         dps = min(_MAX_DPS, dps + step)
 
 
@@ -1033,6 +976,15 @@ def chi_ratio_exact(point: DimensionlessPoint) -> ChiResult:
                 break
         candidate = classic, quant
     return _double_result("chi_ratio_exact", complex(classic), complex(quant), float(difference))
+
+
+def _double(value) -> float:
+    """A rational rounded once to the nearest double, +-inf beyond the double
+    range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _double_result(name: str, classic: complex, quant: complex, bound: float) -> ChiResult:

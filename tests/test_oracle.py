@@ -9,7 +9,6 @@ import cmath
 import hashlib
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 
@@ -47,7 +46,8 @@ def exact(x: float, y: float, q: float) -> complex:
 POLYLINE = [-1, -1j, 1]
 
 # mpmath's own tanh-sinh rule, the independent check of the oracle's node
-# schedule, which the oracle builds on integers without mpmath.
+# schedule, whose nodes the oracle computes from their closed form without
+# mpmath.
 TANH_SINH = TanhSinh(mp)
 
 
@@ -58,15 +58,25 @@ def _real(value) -> tuple:
 
 
 def _mp(real):
-    """A real (m, e) of the oracle's arithmetic as an exact mpf, None as +inf."""
-    return mp.inf if real is None else mp.ldexp(real[0], real[1])
+    """A real (m, e) of the oracle's arithmetic as an exact mpf."""
+    return mp.ldexp(real[0], real[1])
+
+
+def _mp_fraction(value):
+    """A Fraction whose denominator is a power of two as an mpf, exactly where
+    its numerator fits the precision, None as +inf."""
+    return mp.inf if value is None else mpf(value.numerator) / value.denominator
 
 
 def as_mp(results: list, prec: int) -> list:
-    """oracle._path_quad's results at prec bits as mpmath numbers, exactly:
-    (value, error) per component, an mpc and an mpf."""
+    """oracle._path_quad's results at prec bits as mpmath numbers: (value,
+    error) per component, the exact last level rounded to nearest at the
+    guard width as an mpc, and the error as an mpf."""
     with mp.workprec(prec + oracle._GUARD_BITS):
-        return [(mpc(_mp(re), _mp(im)), _mp(error)) for (re, im), error in results]
+        return [
+            (mpc(mp.ldexp(re, exp), mp.ldexp(im, exp)), _mp_fraction(error))
+            for (re, im, exp), error in results
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +280,10 @@ def test_verify_grid_takes_8667_node_evaluations(monkeypatch):
 
 # sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
 # at verify's 60 grid points, one line per point, recorded when the oracle
-# mapped mpmath 1.3.0's standard tanh-sinh nodes onto its arc; it now builds
-# the same node tables on integers, with no mpmath, and gives the same bits.
-# Every point takes one pass, at 20 digits.
+# mapped mpmath 1.3.0's standard tanh-sinh nodes onto its arc and assembled
+# its passes in mpmath numbers; it now computes the nodes from their closed
+# form, with no mpmath, and assembles each pass exactly, and gives the same
+# bits. Every point takes one pass, at 20 digits.
 # A change to the oracle's numbers moves this pin, and says so.
 VERIFY_GRID_ORACLE_SHA256 = "d335f802db0d405fb69ca881bf84e5f0e287d23e4de4818acafb6b82602ab5d3"
 
@@ -468,50 +479,38 @@ def _same(a: tuple, b: tuple) -> bool:
     return a[0] << (a[1] - low) == b[0] << (b[1] - low)
 
 
-def test_reals_round_as_mpmath_does():
-    # each operation on reals gives mpmath's result in its default rounding,
-    # to nearest with ties to even, over random operands of either sign, ties
-    # among them, and doubles at the edges of the double range
-    from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_hypot, mpf_mul, to_float
-
+def test_quotient_rounds_once_and_the_digit_step_is_exact():
+    # a quotient of positive ints rounded to nearest with ties to even, exact
+    # ties among the operands; and the least k >= 0 with 10^k >= a, exactly,
+    # at powers of ten and their neighbours too
     rng = random.Random(41)
-
-    def real():
-        m = max(1, rng.randrange(1, 2**300) >> rng.randrange(300))
-        if rng.random() < 0.2:
-            m = (m | 1) << 8 | 1 << 7  # a tie at 8 bits below its last place
-        return (-m if rng.random() < 0.5 else m), rng.randrange(-400, 400)
-
-    def raw(a):
-        return from_man_exp(a[0], a[1])
-
     for _ in range(1000):
         bits = rng.randrange(8, 200)
-        a, b = real(), real()
-        assert _same(oracle._nearest(*a, bits), _raw_real(from_man_exp(*a, bits, round_nearest)))
-        assert _same(oracle._mul(a, b, bits), _raw_real(mpf_mul(raw(a), raw(b), bits, round_nearest)))
-        assert _same(oracle._div(a, b, bits), _raw_real(mpf_div(raw(a), raw(b), bits, round_nearest)))
-        assert _same(oracle._add(a, b, bits), _raw_real(mpf_add(raw(a), raw(b), bits, round_nearest)))
-        assert oracle._le(a, b) == (mpf(raw(a)) <= mpf(raw(b)))
-        for re, im in ((a, b), (a, (0, 0)), ((0, 0), b)):
-            hypot = mpf_hypot(raw(re), raw(im), bits, round_nearest)
-            assert _same(oracle._modulus(re, im, bits), _raw_real(hypot))
-        # to doubles, subnormal and beyond the range included
-        c = a[0], rng.randrange(-1200, 1100) - a[0].bit_length()
-        assert oracle._to_float(c) == to_float(raw(c), rnd=round_nearest)
-        # the least k >= 0 with 10^k >= |a| 2^-e, for |a| 2^-e >= 1
-        m, e = abs(a[0]), -rng.randrange(abs(a[0]).bit_length())
-        k = oracle._ceil_log10((m, e))
-        assert 10**k << -e >= m and (k == 0 or 10 ** (k - 1) << -e < m)
-    assert oracle._to_float((2**53 - 1, 971)) == sys.float_info.max
-    assert oracle._to_float((-(2**53), 971)) == -math.inf
-    assert oracle._ceil_log10((10**20, 0)) == 20 and oracle._ceil_log10((1, 0)) == 0
+        num = max(1, rng.randrange(1, 2**300) >> rng.randrange(300))
+        den = max(1, rng.randrange(1, 2**300) >> rng.randrange(300))
+        if rng.random() < 0.2:  # a bits-bit integer and a half
+            num, den = 2 * rng.randrange(1 << (bits - 1), 1 << bits) + 1, 2
+        e = rng.randrange(-400, 400)
+        m, me = oracle._quotient(num, den, e, bits)
+        exact = Fraction(num, den) * Fraction(2) ** e
+        unit = Fraction(2) ** me
+        # bits bits, or bits + 1 where rounding carried into a power of two
+        assert bits <= m.bit_length() <= bits + 1
+        off = abs(m * unit - exact)
+        assert off < unit / 2 or (off == unit / 2 and m % 2 == 0)
+        a = Fraction(num, den) + 1
+        k = oracle._ceil_log10(a)
+        assert 10**k >= a and (k == 0 or 10 ** (k - 1) < a)
+    for k in (1, 20, 300):
+        assert [oracle._ceil_log10(Fraction(10**k + d)) for d in (-1, 0, 1)] == [k, k, k + 1]
+    assert oracle._ceil_log10(Fraction(1, 2)) == oracle._ceil_log10(Fraction(1)) == 0
 
 
 def test_exp_and_cos_sin_hold_their_last_place():
     # within a small fraction of a unit beyond half of one of the exact
-    # values, taken at 80 more bits: exp over the schedule's arguments, cos
-    # and sin of pi v/2 over [0, 1), the centre, the middle and the ends
+    # values, taken at 80 more bits, for fixed-point arguments at bits
+    # fraction bits: exp over the schedule's arguments, 0 to 2^9, and cos and
+    # sin of (pi/2) r over [0, 1], the centre, the middle and the ends
     rng = random.Random(43)
     slack = Fraction(1, 2) + Fraction(1, 2**20)
 
@@ -523,33 +522,40 @@ def test_exp_and_cos_sin_hold_their_last_place():
 
     for _ in range(100):
         bits = rng.randrange(60, 600)
-        m = rng.randrange(1 << (bits - 1), 1 << bits)
-        x = m, -bits + rng.randrange(-20, 8)  # below 2^8
-        with mp.workprec(bits + 80):
-            holds(oracle._exp(x, bits), mp.exp(_mp(x)), bits)
-        for v in ((m, -bits), ((1 << rng.randrange(bits)) - 1, -rng.randrange(bits)), (1, -1)):
-            if v[0] >= 1 << -v[1]:
-                continue
-            cos, sin = oracle._cos_sin_half_pi(v, bits)
+        for x in (rng.randrange(1 << (bits + rng.randrange(-20, 9))), 0):
             with mp.workprec(bits + 80):
-                holds(cos, mp.cospi(_mp(v) / 2), bits)
-                holds(sin, mp.sinpi(_mp(v) / 2), bits)
-    assert oracle._cos_sin_half_pi((0, 0), 90) == ((1, 0), (0, 0))
+                holds(oracle._exp(x, bits), mp.exp(mp.ldexp(x, -bits)), bits)
+        m = rng.randrange(1 << (bits - 1), 1 << bits)
+        for r in (m, (1 << rng.randrange(bits)) - 1, 1 << (bits - 1), 0, 1 << bits):
+            cos, sin = oracle._cos_sin_half_pi(r, bits)
+            with mp.workprec(bits + 80):
+                holds(cos, mp.cospi(mp.ldexp(r, -bits - 1)), bits)
+                holds(sin, mp.sinpi(mp.ldexp(r, -bits - 1)), bits)
+    for r, want in ((0, [1, 0]), (1 << 90, [0, 1])):
+        assert [Fraction(m) * Fraction(2) ** e for m, e in oracle._cos_sin_half_pi(r, 90)] == want
 
 
-def test_tanh_sinh_nodes_are_mpmaths():
-    # every node v >= 0 and its weight equal mpmath's, bit for bit, at
-    # verify's precision and at 42 digits. mpmath's own exp is not always
-    # correctly rounded, so at some other precisions a node differs from
-    # mpmath's in its last place; the tables built from the nodes do not
-    # (test_fixed_nodes_are_mpmaths_nodes)
+def test_tanh_sinh_nodes_hold_their_last_place():
+    # 1 - v and w within one unit in their last place at prec + 40 bits of
+    # the exact values, taken at 100 bits more, and v = 1 - (1 - v) within
+    # 2^-(prec+40), at verify's precision and at 42 digits; and as many nodes
+    # as mpmath's standard rule has, at every degree
     for prec in (dps_to_prec(20), 143):
+        bits = prec + 40
         for degree in range(1, TANH_SINH.guess_degree(prec) + 1):
             ours = oracle._tanh_sinh(degree, prec)
-            theirs = [(v, w) for v, w in TANH_SINH.get_nodes(-1, 1, degree, prec) if v >= 0]
-            assert len(ours) == len(theirs)
-            for pair, want in zip(ours, theirs):
-                assert all(_same(real, _real(value)) for real, value in zip(pair, want))
+            theirs = [v for v, _ in TANH_SINH.get_nodes(-1, 1, degree, prec) if v >= 0]
+            assert len(ours) == len(theirs), (prec, degree)
+            with mp.workprec(bits + 100):
+                for k, (rest, w) in enumerate(ours):
+                    r = mpf(k) / 2 if degree == 1 else mp.ldexp(2 * k + 1, -degree)
+                    g = mp.pi / 2 * mp.sinh(r)
+                    want = [2 / (mp.exp(2 * g) + 1), mp.pi / 2 * mp.cosh(r) / mp.cosh(g) ** 2]
+                    for (m, e), value in zip((rest, w), want):
+                        assert m.bit_length() <= bits + 1
+                        assert abs(mp.ldexp(m, e) - value) <= mp.ldexp(1, e), (prec, degree, k)
+                    m, e = rest
+                    assert abs(1 - mp.ldexp(m, e) - mp.tanh(g)) <= mp.ldexp(1, -bits)
 
 
 # Seeded points, the deep-cancellation points at 40 and 58 digits, the
@@ -579,7 +585,7 @@ def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
         prec = mp.prec
         kernel = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q), prec), prec)
         reference = as_mp(oracle._path_quad(object_sums(object_integrands(x, y, q)), prec), prec)
-        noise = [_mp(oracle._tail_noise(peak, prec)) for peak in peaks]
+        noise = [_mp_fraction(oracle._tail_noise(peak, prec)) for peak in peaks]
         out_eps = mpf(10) ** -dps
     assert len(kernel) == len(reference) == (2 if x else 1)
     for (value, _), (want, _), allowance in zip(kernel, reference, noise):
@@ -699,7 +705,7 @@ def test_path_quad_agrees_with_mp_quad_and_the_closed_form(dps, exact_digits):
         qm, zm = mpf(q), mpc(x, y)
         prec = mp.prec
         _, (value, err) = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q), prec), prec)
-        err += _mp(oracle._tail_noise(oracle._peak_log2(x, y, q)[1], prec))
+        err += _mp_fraction(oracle._tail_noise(oracle._peak_log2(x, y, q)[1], prec))
         want, want_err = mp.quad(
             lambda t: (1 - t * t) / (qm * t - zm), POLYLINE, error=True
         )
@@ -758,20 +764,32 @@ def mpmath_table(degree: int, prec: int) -> list:
     return table
 
 
+def _node_values(node: tuple) -> tuple:
+    """A node table entry's t, 1 - t^2 and weight as Fractions, so that
+    equal values compare equal whatever their exponents."""
+    return tuple(part for i in (0, 3, 6) for part in _value(node[i : i + 3]))
+
+
 @pytest.mark.parametrize("prec", [dps_to_prec(20), 86, 143, dps_to_prec(150)])
 def test_fixed_nodes_are_mpmaths_nodes(prec):
-    # the table is the one built from mpmath's standard nodes, bit for bit,
-    # at verify's precision (20 digits), the most a pass takes (150) and two
-    # between; and so mpmath's standard nodes v, w carried onto the arc t =
-    # -i exp(i pi v/2): t within one unit of that point and on the unit
-    # circle within one rounding, 1 - t^2 exact from the rounded t and then
-    # rounded to nearest, and the weight within one unit of w dt/dv = w
-    # (pi/2) i t; both lists in the order of v, along the arc: Re t =
-    # sin(pi v/2) grows with v, and where the rounded Re t ties (near t =
-    # -+1), Im t = -cos(pi v/2) falls left of t = -i and rises right of it
+    # at verify's precision (20 digits) and at 86 bits the table is the one
+    # built from mpmath's standard nodes, bit for bit; at 143 bits and at the
+    # most a pass takes (150 digits) mpmath's weights drift from its
+    # recurrence by up to about 200 units at prec + 40 bits, and some
+    # entries differ in their last place. At all four: mpmath's standard
+    # nodes v, w carried onto the arc t = -i exp(i pi v/2): t within one unit
+    # of that point and on the unit circle within one rounding, 1 - t^2 exact
+    # from the rounded t and then rounded to nearest, and the weight within
+    # one unit of w dt/dv = w (pi/2) i t; both lists in the order of v, along
+    # the arc: Re t = sin(pi v/2) grows with v, and where the rounded Re t
+    # ties (near t = -+1), Im t = -cos(pi v/2) falls left of t = -i and rises
+    # right of it
     for degree in range(1, TANH_SINH.guess_degree(prec) + 1):
         table = oracle._fixed_nodes(degree, prec, False)
-        assert sorted(table) == sorted(mpmath_table(degree, prec)), degree
+        if prec in (dps_to_prec(20), 86):
+            assert sorted(map(_node_values, table)) == sorted(
+                map(_node_values, mpmath_table(degree, prec))
+            ), degree
         low = min(te for _, _, te, *_ in table)
 
         def along(node):
@@ -875,7 +893,7 @@ def test_one_segment_at_x_zero_is_the_whole_path(y, q, dps):
     whole = oracle._path_quad(reference_sums(0.0, y, q), prec)
     assert len(folded) == 1
     assert folded == whole
-    assert folded[0][0][1][0] == 0  # the imaginary part's mantissa
+    assert folded[0][0][1] == 0  # the imaginary part
     assert oracle._quadrature_raw(0.0, y, q).quant.imag == 0.0
 
 
@@ -969,6 +987,19 @@ def test_quadrature_with_s_beyond_the_double_range(x, y, q):
     with mp.workdps(30):
         want = complex(4 * mpf(x) / (mpf(q) ** 2 * mpc(x, y)))
     assert abs(got.total - want) <= got.err_est <= 1e-15 * abs(want)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the oracle's err_est bounds the modulus of its error: w = qt - z keeps one "
+    "exponent for both parts, so an imaginary part 3.8e-80 of the real one is lost "
+    "at the first pass, and Im total reads 0 where the value's is -6.70e142, within "
+    "err_est 3.21e206",
+)
+def test_quadrature_holds_a_part_far_below_the_total():
+    point = DimensionlessPoint(1.3e204, 4.9e124, 1.5e-111)
+    want = chi_ratio_exact(point).total.imag
+    assert abs(chi_ratio_quadrature(point).total.imag - want) <= 1e-12 * abs(want)
 
 
 def test_every_value_source_refuses_a_part_beyond_the_double_range():
@@ -1077,10 +1108,10 @@ def test_reflected_quadrature_is_conjugate():
 
 def mpmath_quadrature(x: float, y: float, q: float) -> tuple:
     """oracle._quadrature_raw with every pass assembled in mpmath numbers, as
-    the oracle assembled its passes before it finished them on integers:
+    the oracle assembled its passes before it assembled them exactly:
     (classic, quant, bound) of the last pass, rounded to a complex, a
     complex and a float as mpmath rounds them. The reference that the
-    oracle's assembly on reals is held to, bit for bit."""
+    oracle's exact assembly is held to, bit for bit."""
     level_sums = oracle._contour_sums(x, y, q)
     peaks = oracle._peak_log2(x, y, q)
 
@@ -1166,9 +1197,10 @@ PAST_FIRST_PASS_POINTS = (
 )
 # sha256 of float.hex of classic, quant (real and imaginary parts) and
 # err_est, or of the DomainError text, one line per point, as the verify
-# grid's pin; recorded while the oracle assembled its passes in reals rounded
-# as mpmath rounds them. A change to the oracle's numbers moves this pin, and
-# says so.
+# grid's pin; recorded while the oracle replayed mpmath's node recurrence and
+# assembled its passes in reals rounded as mpmath rounds them, and held since
+# it computes the nodes from their closed form and assembles each pass
+# exactly. A change to the oracle's numbers moves this pin, and says so.
 PAST_FIRST_PASS_SHA256 = "67d9cda5f726c3caf6a63aac4f410f8c8bff4434a520f46693682881ccd20b3e"
 
 
