@@ -57,11 +57,6 @@ def _real(value) -> tuple:
     return (-int(m) if sign else int(m)), int(e)
 
 
-def _mp(real):
-    """A real (m, e) of the oracle's arithmetic as an exact mpf."""
-    return mp.ldexp(real[0], real[1])
-
-
 def _mp_fraction(value):
     """A Fraction whose denominator is a power of two as an mpf, exactly where
     its numerator fits the precision, None as +inf."""
@@ -473,12 +468,6 @@ def test_fixed_width_operations_round_to_nearest():
     assert oracle._rounded(-1, 1, 0, 0) == (-1, 1, 1)
 
 
-def _same(a: tuple, b: tuple) -> bool:
-    """Two reals (m, e) of equal value."""
-    low = min(a[1], b[1])
-    return a[0] << (a[1] - low) == b[0] << (b[1] - low)
-
-
 def test_quotient_rounds_once_and_the_digit_step_is_exact():
     # a quotient of positive ints rounded to nearest with ties to even, exact
     # ties among the operands; and the least k >= 0 with 10^k >= a, exactly,
@@ -773,10 +762,10 @@ def _node_values(node: tuple) -> tuple:
 @pytest.mark.parametrize("prec", [dps_to_prec(20), 86, 143, dps_to_prec(150)])
 def test_fixed_nodes_are_mpmaths_nodes(prec):
     # at verify's precision (20 digits) and at 86 bits the table is the one
-    # built from mpmath's standard nodes, bit for bit; at 143 bits and at the
-    # most a pass takes (150 digits) mpmath's weights drift from its
-    # recurrence by up to about 200 units at prec + 40 bits, and some
-    # entries differ in their last place. At all four: mpmath's standard
+    # built from mpmath's standard nodes, value for value; at 143 bits and at
+    # the most a pass takes (150 digits) mpmath's weights drift from its
+    # recurrence by up to about 200 units at prec + 40 bits, and some entries
+    # differ from it. At all four: mpmath's standard
     # nodes v, w carried onto the arc t = -i exp(i pi v/2): t within one unit
     # of that point and on the unit circle within one rounding, 1 - t^2 exact
     # from the rounded t and then rounded to nearest, and the weight within
