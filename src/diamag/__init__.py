@@ -33,14 +33,11 @@ from .errors import (
     DiamagError,
     DomainError,
     ExtrapolationError,
-    PoleError,
     ValidationError,
 )
 from .kernel import (
-    branch_log_L,
     chi_ratio,
     chi_static_pv,
-    eval_integrals,
     regime_select,
 )
 
@@ -82,15 +79,12 @@ __all__ = sorted([
     "FermiParameters",
     "HBAR",
     "PhysicalState",
-    "PoleError",
     "RegimeTag",
     "SPEED_OF_LIGHT",
     "ValidationError",
-    "branch_log_L",
     "chi_ratio",
     "chi_ratio_to_absolute",
     "chi_static_pv",
-    "eval_integrals",
     "fermi_parameters_from_density",
     "from_dimensionless",
     "landau_chi_magneton_form",

@@ -165,9 +165,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _sweep_curves(rows: Sequence[OutputRow], axis: str) -> List:
     data = [row for row in rows if row.method != "error"]
-    axis_of = {"q": lambda r: r.q, "x": lambda r: r.x, "y": lambda r: r.y}[axis]
-    mag = [(axis_of(r), abs(complex(r.chi_total_re, r.chi_total_im))) for r in data]
-    real = [(axis_of(r), r.chi_total_re) for r in data]
+    mag = [(getattr(r, axis), abs(complex(r.chi_total_re, r.chi_total_im))) for r in data]
+    real = [(getattr(r, axis), r.chi_total_re) for r in data]
     return [("|chi_total|", mag), ("Re chi_total", real)]
 
 

@@ -3,6 +3,8 @@
 Every error raised by the public API derives from DiamagError so callers can
 catch one base type. Validation-style failures double as ValueError and
 numerical failures as RuntimeError to stay friendly to generic handling.
+No error names a pole: the kernel serves the poles sigma = +-1 of its branch
+logarithm from the limits of the log terms there.
 """
 
 from __future__ import annotations
@@ -16,14 +18,6 @@ class ValidationError(DiamagError, ValueError):
     """An input field is missing, non-finite, or out of its allowed range.
 
     The message names the offending field.
-    """
-
-
-class PoleError(DiamagError, ValueError):
-    """The branch logarithm L(sigma) was asked for its value at a pole.
-
-    Only branch_log_L raises it, at sigma = +-1. The kernel's entries serve
-    those points from the limit (1 - sigma^2) L(sigma) -> 0 instead.
     """
 
 

@@ -13,8 +13,10 @@ turns each into a rational expression plus the branch logarithm
 
     L(sigma) = log(sigma - 1) - log(sigma + 1),
 
-and the shifted quadratic denominator of I3 splits into two pole pairs at
-sigma = s -+ q/2 handled by the antiderivative
+which _branch_log returns with its factor 1 - sigma^2, and as 0 where that
+factor is 0: the one pole check, since every log term takes its limit 0 at
+sigma = +-1. The shifted quadratic denominator of I3 splits into two pole
+pairs at sigma = s -+ q/2 handled by the antiderivative
 
     g(sigma) = 2 sigma^3 - (10/3) sigma + (1 - sigma^2)^2 L(sigma).
 
@@ -69,15 +71,12 @@ from .core import (
     DimensionlessPoint,
     FrozenRecord,
     RegimeTag,
-    require_finite_complex,
 )
-from .errors import ConvergenceError, DomainError, PoleError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 
 __all__ = [
     "RegimeTag",
     "TermBreakdown",
-    "branch_log_L",
-    "eval_integrals",
     "chi_ratio",
     "chi_ratio_detailed",
     "chi_static_pv",
@@ -131,24 +130,13 @@ class TermBreakdown(FrozenRecord):
 # ---------------------------------------------------------------------------
 
 
-def branch_log_L(sigma: complex) -> complex:
-    """The branch logarithm L(sigma) = log(sigma - 1) - log(sigma + 1).
-
-    Computed as a difference of principal logarithms, which is single-valued
-    and analytic on the closed upper half-plane minus the points +-1. On the
-    real segment |sigma| < 1 (reached as the y -> 0+ boundary) this yields
-    ln((1-sigma)/(1+sigma)) + i pi, the upper-side boundary value, also where
-    Im(sigma) is -0.0.
-
-    Raises PoleError at sigma = +-1 and DomainError for Im(sigma) < 0 (no
-    caller needs the lower half-plane; the conjugation symmetry covers it).
-    """
-    sigma = complex(sigma) + 0j  # Im(sigma) = -0.0 becomes +0.0
-    if sigma.imag < 0.0:
-        raise DomainError("branch_log_L requires Im(sigma) >= 0")
-    if sigma == 1.0 or sigma == -1.0:
-        raise PoleError("branch_log_L pole at sigma = +-1")
-    return cmath.log(sigma - 1.0) - cmath.log(sigma + 1.0)
+def _branch_log(sigma: complex) -> tuple:
+    """(1 - sigma^2, L(sigma)), and L = 0 where 1 - sigma^2 is 0. For Im sigma
+    >= 0, +0.0 on the real axis as every caller gives it, the difference of
+    principal logarithms is analytic off +-1, and on the real segment
+    |sigma| < 1 it is ln((1-sigma)/(1+sigma)) + i pi, the y -> 0+ value."""
+    one_ms2 = 1.0 - sigma * sigma
+    return one_ms2, cmath.log(sigma - 1.0) - cmath.log(sigma + 1.0) if one_ms2 else 0j
 
 
 def _antiderivative_with_peak(sigma: complex) -> tuple:
@@ -159,10 +147,10 @@ def _antiderivative_with_peak(sigma: complex) -> tuple:
     what lets the regime choice measure that loss instead of guessing it.
     At sigma = +-1 the log term takes its limit 0.
     """
-    one_ms2 = 1.0 - sigma * sigma
+    one_ms2, L = _branch_log(sigma)
     cubic = 2.0 * sigma**3
     linear = -(10.0 / 3.0) * sigma
-    logpart = one_ms2 * one_ms2 * branch_log_L(sigma) if one_ms2 else 0j
+    logpart = one_ms2 * one_ms2 * L
     return cubic + linear + logpart, max(abs(cubic), abs(linear), abs(logpart))
 
 
@@ -210,8 +198,7 @@ def _first_integral_closed(s: complex, q: float) -> tuple:
     """(I1, bracket, bracket_log, L(s)) from the closed forms, where bracket =
     q I2 = 4/3 + z I1 and bracket_log = s (1 - s^2) L(s) is its log term.
     At s = +-1 every log term takes its limit 0 (L(s) is then 0)."""
-    one_ms2 = 1.0 - s * s
-    Ls = branch_log_L(s) if one_ms2 else 0j
+    one_ms2, Ls = _branch_log(s)
     bracket_log = s * one_ms2 * Ls
     return (-2.0 * s + one_ms2 * Ls) / q, 4.0 / 3.0 - 2.0 * s * s + bracket_log, bracket_log, Ls
 
@@ -311,7 +298,7 @@ _TAYLOR_ROWS = tuple(
 )
 
 
-def _quant_taylor_shift(s: complex, q: float, Ls=None) -> tuple:
+def _quant_taylor_shift(s: complex, q: float, Ls: complex) -> tuple:
     """Quantum part via the shifted-difference Taylor series about s.
 
     Expanding the two antiderivative evaluations at s -+ q/2 about s, the
@@ -323,7 +310,7 @@ def _quant_taylor_shift(s: complex, q: float, Ls=None) -> tuple:
     which converges geometrically with ratio (q / (2 dist(s, +-1)))^2.
     Derivatives of L satisfy the two-term ladder
         (1 - s^2) L^(n+1) = 2 n s L^(n) + n (n-1) L^(n-1)
-    seeded by L = Ls (computed here when None) and L' = -2/(1 - s^2); the
+    seeded by L = Ls, the caller's L(s), and L' = -2/(1 - s^2); the
     polynomial and (1 - s^2)^2 L parts of g then combine by the Leibniz rule
     (the quartic prefactor has only five nonzero derivatives). Each term
     climbs two rungs, so the series builds no derivative past the term where
@@ -334,7 +321,7 @@ def _quant_taylor_shift(s: complex, q: float, Ls=None) -> tuple:
     one_ms2 = 1.0 - s * s
     u0, u1, u2, u3 = one_ms2 * one_ms2, -4.0 * s + 4.0 * s**3, -4.0 + 12.0 * s * s, 24.0 * s
     # L^(n-2), L^(n-3), L^(n-4) for n = 3; L^(-1) enters only times C(3, 4) = 0
-    lb, lc, ld = -2.0 / one_ms2, branch_log_L(s) if Ls is None else Ls, 0j
+    lb, lc, ld = -2.0 / one_ms2, Ls, 0j
     total = complex(0.0)
     total_abs = 0.0
     comp = complex(0.0)
@@ -684,7 +671,7 @@ def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
     elif tag is _TAYLOR:
         classic, quant, err_est = _taylor_parts(point, closed)
     elif tag is _PV and point.q < _STATIC_SEAM:
-        classic, quant, err_est = 0j, *_quant_taylor_shift(0j, point.q)
+        classic, quant, err_est = 0j, *_quant_taylor_shift(0j, point.q, _branch_log(0j)[1])
     else:
         classic, quant, err_est = _closed_form_parts(point, closed)
     if point.x == 0.0:
@@ -750,21 +737,3 @@ def chi_ratio_detailed(point: DimensionlessPoint) -> tuple:
     values = (I1, I2, I3, result.classic, term2, term3)
     return result, TermBreakdown(*values) if all(map(cmath.isfinite, values)) else None
 
-
-def eval_integrals(z: complex, q: float) -> TermBreakdown:
-    """chi_ratio_detailed's breakdown at z = x + iy, wave number q, Im(z) >= 0
-    (on the real axis the limit y -> 0+). Re(z) < 0 is served by the mirror
-    z -> -conj(z): I1 becomes -conj(I1), every other field its conjugate.
-    Raises DomainError where chi_ratio does and where the breakdown is None."""
-    if q <= 0 or not math.isfinite(q):
-        raise DomainError("q must be finite and > 0")
-    z = require_finite_complex("z", complex(z) + 0j)  # Im(z) = -0.0 becomes +0.0
-    if z.imag < 0:
-        raise DomainError("Im(z) must be >= 0")
-    if z.real < 0:
-        I1, *rest = eval_integrals(-z.conjugate(), q)._values()
-        return TermBreakdown(-I1.conjugate(), *(value.conjugate() for value in rest))
-    breakdown = chi_ratio_detailed(DimensionlessPoint(z.real, z.imag, q))[1]
-    if breakdown is None:
-        raise DomainError("eval_integrals: a term is beyond double-precision range")
-    return breakdown

@@ -183,6 +183,10 @@ def _check_suppression_halfcross() -> CheckResult:
     )
 
 
+# the default bounds of the five discrepancy-type checks, in the order they run
+_DEFAULT_BOUNDS = (1e-8, 1e-6, 1e-4, 1e-6, 1e-6)
+
+
 def run_verification(tol: Optional[float] = None) -> List[CheckResult]:
     """Run every check. tol, when given, replaces all discrepancy bounds.
 
@@ -191,17 +195,13 @@ def run_verification(tol: Optional[float] = None) -> List[CheckResult]:
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be a finite number > 0, got {tol!r}")
-    grid_bound = tol if tol is not None else 1e-8
-    kinetic_bound = tol if tol is not None else 1e-6
-    j_bound = tol if tol is not None else 1e-4
-    landau_bound = tol if tol is not None else 1e-6
-    smallq_bound = tol if tol is not None else 1e-6
+    grid, kinetic, j, landau, smallq = _DEFAULT_BOUNDS if tol is None else (tol,) * 5
     return [
-        _check_quadrature_grid(grid_bound),
-        _check_kinetic_grid(kinetic_bound),
-        _check_j_integrals(j_bound),
-        _check_landau_limit(landau_bound),
-        _check_suppression_smallq(smallq_bound),
+        _check_quadrature_grid(grid),
+        _check_kinetic_grid(kinetic),
+        _check_j_integrals(j),
+        _check_landau_limit(landau),
+        _check_suppression_smallq(smallq),
         _check_suppression_plateau(),
         _check_suppression_halfcross(),
     ]

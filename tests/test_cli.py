@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from diamag import DimensionlessPoint, chi_ratio, cli, eval_integrals, kernel, landau_chi_physical
+from diamag import DimensionlessPoint, chi_ratio, cli, kernel, landau_chi_physical
 from diamag.cli import main, run
 from diamag.sweep import CSV_HEADER, SweepSpec, run_sweep
 from test_kernel_domain import exact_integrals
@@ -59,7 +59,7 @@ def test_eval_json_payload(capsys):
 def test_eval_chooses_the_regime_and_evaluates_the_closed_form_once(x, y, q, capsys, monkeypatch):
     # the first point is a closed-form point nearer in than the Taylor series
     # converges, the second a far-field Laurent point: the regime is chosen
-    # once, no guard runs at either, and the printed terms, eval_integrals',
+    # once, no guard runs at either, and the printed terms, chi_ratio_detailed's,
     # come from the strategy that ran, with no second pass through the
     # guard's closed pieces
     calls = {"_classify": 0, "_closed_pieces": 0}
@@ -72,7 +72,7 @@ def test_eval_chooses_the_regime_and_evaluates_the_closed_form_once(x, y, q, cap
     assert main(args) == 0
     assert calls == {"_classify": 1, "_closed_pieces": 0}
     payload = json.loads(capsys.readouterr().out)
-    terms = eval_integrals(complex(x, y), q)
+    terms = kernel.chi_ratio_detailed(DimensionlessPoint(x, y, q))[1]
     assert payload["terms"] == {name: [v.real, v.imag] for name, v in vars(terms).items()}
 
 
@@ -108,7 +108,7 @@ def test_eval_json_absolute_block(capsys):
     "x, y, q, regime", [("0", "0", "1", "pv-static"), ("0.5", "0", "0.5", "closed-form")]
 )
 def test_eval_collisionless_point_shows_terms(x, y, q, regime, capsys):
-    # eval_integrals serves every y = 0 point: the static point, and the
+    # chi_ratio_detailed serves every y = 0 point: the static point, and the
     # exact hit s = z/q = 1
     code = main(["eval", "--x", x, "--y", y, "--q", q, "--json"])
     assert code == 0

@@ -10,7 +10,7 @@ import pytest
 
 from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.oracle import chi_ratio_quadrature
-from diamag.kernel import chi_ratio, eval_integrals
+from diamag.kernel import chi_ratio, chi_ratio_detailed
 
 FROZEN_STATIC_LINE = [
     # (y, q, chi/chi_L)
@@ -48,7 +48,7 @@ def test_term_breakdown_matches_total_in_direct_regime():
         point = DimensionlessPoint(x=x, y=y, q=q)
         result = chi_ratio(point)
         assert result.method is RegimeTag.CLOSED_FORM
-        bd = eval_integrals(point.z, point.q)
+        bd = chi_ratio_detailed(point)[1]
         raw = bd.term1 + bd.term2 + bd.term3
         assert abs(raw - result.total) <= 1e-14 * abs(result.total)
 

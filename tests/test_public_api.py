@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import diamag
+import diamag.kernel
 
 PACKAGE_DIR = Path(diamag.__file__).parent
 MODULES = ["diamag"] + [
@@ -30,6 +31,31 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, missing
+
+
+# The public surface, pinned: adding or retiring a name is a deliberate edit here
+PACKAGE_ALL = [
+    "CSV_HEADER", "CheckResult", "ChiResult", "ConvergenceError", "DiamagError",
+    "DimensionlessPoint", "DomainError", "ELECTRON_MASS", "ELEMENTARY_CHARGE",
+    "ExtrapolationError", "FIGURE1_POINTS_PER_CURVE", "FIGURE1_Q_RANGE", "FIGURE1_Y_VALUES",
+    "FermiParameters", "HBAR", "OutputRow", "PhysicalState", "RegimeTag", "SPEED_OF_LIGHT",
+    "SweepSpec", "ValidationError", "chi_from_kinetic", "chi_ratio", "chi_ratio_exact",
+    "chi_ratio_quadrature", "chi_ratio_to_absolute", "chi_static_pv",
+    "fermi_parameters_from_density", "figure1_rows", "format_float", "from_dimensionless",
+    "integrate_complex_adaptive", "j_integrals_nascent_delta", "landau_chi_magneton_form",
+    "landau_chi_physical", "regime_select", "render_line_chart", "render_report",
+    "rows_to_csv", "run_sweep", "run_verification", "to_dimensionless", "write_csv",
+    "write_svg",
+]
+KERNEL_ALL = [
+    "RegimeTag", "TermBreakdown", "chi_ratio", "chi_ratio_detailed", "chi_static_pv",
+    "regime_select",
+]
+
+
+def test_the_public_surface_is_pinned():
+    assert sorted(diamag.__all__) == PACKAGE_ALL
+    assert diamag.kernel.__all__ == KERNEL_ALL
 
 
 def _subprocess_env():
