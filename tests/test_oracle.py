@@ -1348,6 +1348,20 @@ def test_kinetic_bits_on_the_verify_grid_are_pinned():
     assert digest == VERIFY_GRID_KINETIC_SHA256
 
 
+# sha256 of float.hex of j1, j2, j1_err_est and j2_err_est of
+# j_integrals_nascent_delta, on one line. With the kinetic pin above it holds
+# every adaptive Gauss-Kronrod run that verify makes, bit for bit, where
+# tests/test_quadrature.py compares single panels. A change to the
+# quadrature engine's numbers moves this pin, and says so.
+VELOCITY_MOMENTS_SHA256 = "d32029150f7b237e602a7581e91924a57786797dfe25895aae6a3af1d62eb5a2"
+
+
+def test_velocity_moment_bits_are_pinned():
+    out = j_integrals_nascent_delta()
+    line = " ".join(v.hex() for v in (out.j1, out.j2, out.j1_err_est, out.j2_err_est))
+    assert hashlib.sha256(line.encode()).hexdigest() == VELOCITY_MOMENTS_SHA256
+
+
 def test_occupation_difference_shape():
     # through the occupation integrand W(u)/(q u - z) at x = 0, where the
     # denominator's value at -u is the conjugate of its value at u: an odd W
