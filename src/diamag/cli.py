@@ -16,7 +16,7 @@ import argparse
 import gc
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .core import (
     ChiResult,
@@ -25,20 +25,15 @@ from .core import (
 )
 from .errors import DiamagError
 from .kernel import TermBreakdown, chi_ratio_detailed
-from .sweep import (
-    FIGURE1_Y_VALUES,
-    OutputRow,
-    SweepSpec,
-    figure1_rows,
-    format_float,
-    run_sweep,
-    write_csv,
-)
 # verify loads no oracle until a check runs, so importing it here is cheap;
 # perfbench/launcher.py wraps its checks straight after importing this module
-# and finds verify in sys.modules only because of this import. svg and json
-# load inside the commands that use them.
+# and finds verify in sys.modules only because of this import. sweep, svg and
+# json load inside the commands that use them, so that verify compiles none
+# of them.
 from .verify import render_report, run_verification
+
+if TYPE_CHECKING:
+    from .sweep import OutputRow
 
 __all__ = ["main", "run"]
 
@@ -107,6 +102,8 @@ def _build_parser() -> _Parser:
 
 
 def _fmt_complex(value: complex) -> str:
+    from .sweep import format_float
+
     sign = "+" if value.imag >= 0 else "-"
     return f"{format_float(value.real)} {sign} {format_float(abs(value.imag))}j"
 
@@ -134,6 +131,8 @@ def _eval_payload(
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .sweep import OutputRow, format_float
+
     point = DimensionlessPoint(x=args.x, y=args.y, q=args.q)
     # validates v_F before anything is printed
     chi_l = None if args.vf is None else landau_chi_physical(args.vf)
@@ -177,6 +176,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    from .sweep import SweepSpec, run_sweep
+
     # coordinates left unset keep SweepSpec's defaults
     fixed = {
         f"fixed_{name}": getattr(args, name)
@@ -205,6 +206,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    from .sweep import FIGURE1_Y_VALUES, figure1_rows
+
     rows, errors = figure1_rows()
     curves = []
     for y in FIGURE1_Y_VALUES:
@@ -231,6 +234,8 @@ def _write_outputs(
 ) -> int:
     """Write the CSV to --out and the chart of `curves` to --svg if given, name
     each failed row on stderr, and return the exit code: 2 if any row failed."""
+    from .sweep import write_csv
+
     prefix = f"diamag {args.command}:"
     write_csv(rows, args.out)
     if args.svg is not None and len(errors) == len(rows):

@@ -12,8 +12,8 @@ numerics, all but the exact reference from a more primitive formulation:
     smooth arc that passes below every pole, so the integrands stay bounded
     and no split points are needed (at x = 0 the half v >= 0 of the arc
     suffices); the nodes and the integrands run on Python ints at the
-    pass's precision, and the parts are assembled exactly in fractions,
-    without mpmath;
+    pass's precision, and the parts are assembled exactly on them too,
+    without mpmath or fractions;
   * chi_ratio_exact evaluates the closed forms themselves in mpmath, at the
     digits each point needs, measured from how far their summands cancel:
     the kernel's algebra without its double-precision numerics or series.
@@ -34,7 +34,6 @@ the CLI verify command) asserts.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
 from .errors import DomainError, ExtrapolationError, ValidationError
@@ -132,7 +131,7 @@ def _path_quad(level_sums, prec: int) -> list:
     _FIRST_STOP_DEGREE on where each estimate is at most eps/8, or at
     _guess_degree(prec). Returns [(value, error), ...] per component: the
     last level, exact, and its estimate times a bound on the levels' moduli,
-    a Fraction, 0 where every level is 0.
+    a power of two as a real (m, e), (0, 0) where every level is 0.
     """
     width = prec + _GUARD_BITS
     levels = []  # per degree, the level of every component
@@ -150,7 +149,7 @@ def _path_quad(level_sums, prec: int) -> list:
             if max(rel for rel, _ in errors) <= -(prec + 2):  # eps/8 = 2^-(prec+2)
                 break
     return [
-        (level, 0 if top is None else _dyadic(1, top + 1 + rel))
+        (level, (0, 0) if top is None else (1, top + 1 + rel))
         for level, (rel, top) in zip(levels[-1], errors)
     ]
 
@@ -196,7 +195,9 @@ def _level_error(levels: tuple, width: int) -> tuple:
 # ---------------------------------------------------------------------------
 # A real is (m, e), Python ints meaning m 2^e. Where a value is computed
 # exactly on the integers and then needs `bits` bits, it is rounded once, to
-# nearest with ties to even.
+# nearest with ties to even. Sums and comparisons of reals are exact (_sum,
+# _exceeds), and a quotient becomes a double in one int true division
+# (_double).
 
 
 def _nearest(m: int, e: int, bits: int) -> tuple:
@@ -222,14 +223,36 @@ def _quotient(num: int, den: int, e: int, bits: int) -> tuple:
     return _nearest(quotient << 1 | (remainder != 0), e - k - 1, bits)
 
 
-def _ceil_log10(a: Fraction) -> int:
-    """The least integer k >= 0 with 10^k >= a, for a rational a > 0, exactly."""
-    num, den = a.numerator, a.denominator
-    # 10^k <= 2^(bit lengths' difference - 1) <= a
+def _ceil_log10(num: int, den: int) -> int:
+    """The least integer k >= 0 with 10^k den >= num, for positive ints:
+    ceil(log10(num/den)), but 0 below 1, exactly."""
+    # 10^k <= 2^(bit lengths' difference - 1) <= num/den
     k = max(0, int((num.bit_length() - den.bit_length() - 1) * 0.30102999))
     while 10**k * den < num:
         k += 1
     return k
+
+
+def _sum(*reals) -> tuple:
+    """The exact sum of reals (m, e), at the smallest exponent among them."""
+    exp = min(e for _, e in reals)
+    return sum(m << (e - exp) for m, e in reals), exp
+
+
+def _exceeds(a: tuple, b: tuple) -> bool:
+    """a > b for reals (m, e), exactly."""
+    (am, ae), (bm, be) = a, b
+    exp = min(ae, be)
+    return am << (ae - exp) > bm << (be - exp)
+
+
+def _double(m: int, e: int, d: int = 1) -> float:
+    """m 2^e / d, d > 0, rounded once to the nearest double (Python's int
+    true division), +-inf beyond the double range."""
+    try:
+        return (m << e) / d if e >= 0 else m / (d << -e)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +682,7 @@ def _peak_log2(x: float, y: float, q: float) -> tuple:
 
 
 def _tail_noise(bounds: tuple, prec: int):
-    """The rounding allowance of an integral at prec bits, a Fraction, None
+    """The rounding allowance of an integral at prec bits, a real (m, e), None
     (infinite) for a pole on the path, from its bounds (peak, end) of
     _peak_log2: 2^-(prec+10) (_NOISE_BITS) of the integrand's peak 2^peak on
     the path for the integer arithmetic, and 2^-(prec+5) (_NODE_TAIL_BITS) of
@@ -669,35 +692,38 @@ def _tail_noise(bounds: tuple, prec: int):
     if peak == math.inf:
         return None
 
-    def scaled(value: float, bits: int) -> Fraction:
+    def scaled(value: float, bits: int) -> tuple:
         # the double pi 2^(value - floor(value)) = n/d, d a power of two,
         # scaled exactly to 2^-(prec+bits) of pi 2^value
         n, d = (_PATH_LENGTH * 2.0 ** (value - math.floor(value))).as_integer_ratio()
-        return _dyadic(n, math.floor(value) - prec - bits - d.bit_length() + 1)
+        return n, math.floor(value) - prec - bits - d.bit_length() + 1
 
-    return scaled(peak, _NOISE_BITS) + scaled(end, _NODE_TAIL_BITS)
-
-
-def _dyadic(m: int, e: int) -> Fraction:
-    """m 2^e as a Fraction."""
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+    return _sum(scaled(peak, _NOISE_BITS), scaled(end, _NODE_TAIL_BITS))
 
 
-def _times(factor: Fraction, value: tuple) -> tuple:
-    """factor times an exact value (re, im, exp), as a pair of Fractions."""
+def _modulus(value: tuple, bits: int) -> tuple:
+    """|re + i im| 2^exp of an exact value, a real rounded once to at least
+    bits bits: the integer nearest to sqrt(re^2 + im^2) 2^k, with k the least
+    that gives it bits bits, times 2^(exp-k)."""
     re, im, exp = value
-    n, d = factor.numerator << max(exp, 0), factor.denominator << max(-exp, 0)
-    return Fraction(n * re, d), Fraction(n * im, d)
-
-
-def _modulus(value: tuple, bits: int) -> Fraction:
-    """|a/b + i c/d| of a pair of rationals, rounded once to at least bits
-    bits: sqrt((a d)^2 + (c b)^2)/(b d), its numerator the integer nearest to
-    sqrt((a d)^2 + (c b)^2) 2^k, with k the least that gives it bits bits."""
-    (a, b), (c, d) = ((part.numerator, part.denominator) for part in value)
-    n = (a * d) ** 2 + (c * b) ** 2
+    n = re * re + im * im
     k = max(0, bits + 1 - n.bit_length() // 2)
-    return Fraction((math.isqrt(n << 2 * k + 2) + 1) >> 1, b * d << k)
+    return (math.isqrt(n << 2 * k + 2) + 1) >> 1, exp - k
+
+
+def _product(factor: tuple, value: tuple) -> tuple:
+    """A real (m, e) times an exact value (re, im, exp), exactly."""
+    (m, e), (re, im, exp) = factor, value
+    return m * re, m * im, e + exp
+
+
+def _bound(factor: tuple, error: tuple, noise, modulus: tuple, out_eps: tuple):
+    """factor (error + noise) + out_eps modulus of reals, exactly: a part's
+    error bound; None (infinite) where the noise is."""
+    if noise is None:
+        return None
+    (fm, fe), (sm, se) = factor, _sum(error, noise)
+    return _sum((fm * sm, fe + se), (out_eps[0] * modulus[0], out_eps[1] + modulus[1]))
 
 
 def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
@@ -728,8 +754,8 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     for both its parts (_contour_sums). Serves every accepted point whose
     parts fit in a double, and raises DomainError elsewhere, as chi_ratio
     and chi_ratio_exact do; _quadrature_raw also takes x < 0. An oracle:
-    slow, independent, trusted. Python integers and fractions carry all of
-    it: it needs no mpmath.
+    slow, independent, trusted. Python integers carry all of it: it needs
+    no mpmath and no fractions.
     """
     return _quadrature_raw(point.x, point.y, point.q)
 
@@ -743,65 +769,79 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     real part, and Q's imaginary part is exactly 0. The integrands come from
     _contour_sums, in fixed-width integer complex arithmetic 20 bits above
     the working precision that rounds every result once, to nearest. The
-    pass's last levels, its error estimates and the allowances are exact,
-    and classic, quant, their sum and their bounds are assembled from them
-    exactly, in Fractions; only the moduli in the bounds and the checks are
-    rounded, once, at the guard width or finer (_modulus), and each returned
-    double is rounded once (_double). Each pass bounds its own rounding
-    noise: 10^-dps 2^-20 of each assembled part (about 12 units in the last
-    place at the guard width: the rounding of the pass's last level and a
-    margin); 2^-(prec+10) (about 10^-(dps+3)) of each integrand's peak on
-    the path times the path length pi for the sums inside the pass, 2^10
-    times the scale of the integer arithmetic's rounding; and 2^-(prec+5) of
-    each integrand's peak within _END_REACH of an end times pi for the node
-    tails that the schedule drops there (_NODE_TAIL_BITS). The peaks come from _peak_log2, the allowance from
-    _tail_noise. Noise plus each integral's error estimate must stay within
-    _TARGET_REL of |classic|, |quant| and |total|; a pass that misses by a
-    factor E is redone at dps + ceil(log10 E) + 2 digits (twice the digits
-    when a part is exactly 0 or a pole lies on the path), up to _MAX_DPS,
-    where the value is returned with the whole bound as err_est. err_est
-    also counts half an ulp for the rounding to double of each real and
-    imaginary part of classic and quant and of their double sum.
+    pass's last levels, its error estimates and the allowances are exact
+    dyadic values, and classic, quant, their sum and their bounds are
+    assembled from them exactly, on the same integers, each carried times
+    q^2: classic q^2 = -3x I1 is dyadic, as q^2 is, q being a double, where
+    classic is not. Only the moduli in the bounds and the checks are
+    rounded, once, at the guard width or finer (_modulus); the checks and
+    the digit step compare integers (_exceeds, _ceil_log10), and each
+    returned double is its value over q^2, rounded once by one int true
+    division (_double). Each pass bounds its own rounding noise: 10^-dps
+    2^-20 of each assembled part (about 12 units in the last place at the
+    guard width: the rounding of the pass's last level and a margin);
+    2^-(prec+10) (about 10^-(dps+3)) of each integrand's peak on the path
+    times the path length pi for the sums inside the pass, 2^10 times the
+    scale of the integer arithmetic's rounding; and 2^-(prec+5) of each
+    integrand's peak within _END_REACH of an end times pi for the node tails
+    that the schedule drops there (_NODE_TAIL_BITS). The peaks come from
+    _peak_log2, the allowance from _tail_noise. Noise plus each integral's
+    error estimate must stay within _TARGET_REL of |classic|, |quant| and
+    |total|; a pass that misses by a factor E is redone at dps + ceil(log10
+    E) + 2 digits (twice the digits when a part is exactly 0 or a pole lies
+    on the path), up to _MAX_DPS, where the value is returned with the whole
+    bound as err_est. err_est also counts half an ulp for the rounding to
+    double of each real and imaginary part of classic and quant and of their
+    double sum.
     """
     level_sums = _contour_sums(x, y, q)
     peak_q, peak_1 = _peak_log2(x, y, q)
-    weight = -3 * Fraction(x) / Fraction(q) ** 2  # the classical part's
-    quant_factor, target = Fraction(_QUANT_FACTOR), Fraction(_TARGET_REL)
+    xm, xe = _parts(x)
+    qm, qe = _parts(q)
+    q2, e2 = qm * qm, 2 * qe  # q^2 = q2 2^e2
+    # the reals that take I1 and Q to the parts times q^2: -3x and (3/16) q^2;
+    # the classical bound takes |-3x|
+    fm, fe = _parts(_QUANT_FACTOR)
+    factor_c, factor_q = (-3 * xm, xe), (fm * q2, fe + e2)
+    tm, te = _parts(_TARGET_REL)
     dps = _FIRST_DPS
     while True:
         prec = _dps_to_prec(dps)
         width = prec + _GUARD_BITS
         (vq, eq), *classical = _path_quad(level_sums, prec)
-        out_eps = Fraction(10.0**-dps * 2.0**-_GUARD_BITS)
-        # each part, its modulus and its bound, None (infinite) where the noise is
+        out_eps = _parts(10.0**-dps * 2.0**-_GUARD_BITS)
+        # each part times q^2, its modulus and its bound, None (infinite)
+        # where the noise is
         if x == 0.0:
-            classic, modulus_c, bound_c = (0, 0), 0, 0
+            classic, modulus_c, bound_c = (0, 0, 0), (0, 0), (0, 0)
         else:
             ((v1, e1),) = classical
-            classic = _times(weight, v1)
+            classic = _product(factor_c, v1)
             modulus_c = _modulus(classic, width)
             noise = _tail_noise(peak_1, prec)
-            bound_c = None if noise is None else abs(weight) * (e1 + noise) + out_eps * modulus_c
-        quant = _times(quant_factor, vq)
+            bound_c = _bound((3 * abs(xm), xe), e1, noise, modulus_c, out_eps)
+        quant = _product(factor_q, vq)
         modulus_q = _modulus(quant, width)
-        noise = _tail_noise(peak_q, prec)
-        bound_q = None if noise is None else quant_factor * (eq + noise) + out_eps * modulus_q
-        whole = None if bound_c is None or bound_q is None else bound_c + bound_q
-        total = classic[0] + quant[0], classic[1] + quant[1]
-        moduli = modulus_c, modulus_q, _modulus(total, width)
-        checks = [(b, target * modulus) for b, modulus in zip((bound_c, bound_q, whole), moduli)]
-        misses = [(b, limit) for b, limit in checks if b is None or b > limit]
+        bound_q = _bound(factor_q, eq, _tail_noise(peak_q, prec), modulus_q, out_eps)
+        whole = None if bound_c is None or bound_q is None else _sum(bound_c, bound_q)
+        moduli = modulus_c, modulus_q, _modulus(_exact_sum([classic, quant]), width)
+        checks = [(b, (tm * m, te + e)) for b, (m, e) in zip((bound_c, bound_q, whole), moduli)]
+        misses = [(b, limit) for b, limit in checks if b is None or _exceeds(b, limit)]
         if dps == _MAX_DPS or not misses:
+            (cr, ci, ce), (ur, ui, ue) = classic, quant
             return _double_result(
                 "chi_ratio_quadrature",
-                complex(_double(classic[0]), _double(classic[1])),
-                complex(_double(quant[0]), _double(quant[1])),
-                math.inf if whole is None else _double(whole),
+                complex(_double(cr, ce - e2, q2), _double(ci, ce - e2, q2)),
+                complex(_double(ur, ue - e2, q2), _double(ui, ue - e2, q2)),
+                math.inf if whole is None else _double(whole[0], whole[1] - e2, q2),
             )
-        if any(b is None or not limit for b, limit in misses):
+        if any(b is None or not limit[0] for b, limit in misses):
             step = dps
         else:
-            step = max(_ceil_log10(b / limit) for b, limit in misses) + 2
+            step = 2 + max(
+                _ceil_log10(bm << max(0, be - le), lm << max(0, le - be))
+                for (bm, be), (lm, le) in misses
+            )
         dps = min(_MAX_DPS, dps + step)
 
 
@@ -976,15 +1016,6 @@ def chi_ratio_exact(point: DimensionlessPoint) -> ChiResult:
                 break
         candidate = classic, quant
     return _double_result("chi_ratio_exact", complex(classic), complex(quant), float(difference))
-
-
-def _double(value) -> float:
-    """A rational rounded once to the nearest double, +-inf beyond the double
-    range."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _double_result(name: str, classic: complex, quant: complex, bound: float) -> ChiResult:

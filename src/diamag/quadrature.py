@@ -24,42 +24,56 @@ __all__ = ["integrate_complex_adaptive"]
 # hard budget of panel bisections per integral
 _MAX_SUBDIVISIONS = 2000
 
-# 15-point Kronrod nodes on [-1, 1]: the seven symmetric pairs +-node and
-# the centre, with their weights; pairs with a gauss weight and the centre
-# also belong to the embedded 7-point rule.
-_KRONROD_PAIRS = (
-    # (node, kronrod weight, gauss weight or None)
-    (0.991455371120813, 0.022935322010529, None),
-    (0.949107912342759, 0.063092092629979, 0.129484966168870),
-    (0.864864423359769, 0.104790010322250, None),
-    (0.741531185599394, 0.140653259715525, 0.279705391489277),
-    (0.586087235467691, 0.169004726639267, None),
-    (0.405845151377397, 0.190350578064785, 0.381830050505119),
-    (0.207784955007898, 0.204432940075298, None),
+# 15-point Kronrod nodes on [-1, 1]: the seven symmetric pairs +-node,
+# outermost first, and the centre 0.
+_NODES = (
+    0.991455371120813,
+    0.949107912342759,
+    0.864864423359769,
+    0.741531185599394,
+    0.586087235467691,
+    0.405845151377397,
+    0.207784955007898,
 )
-# the centre node 0's kronrod and gauss weights
-_KRONROD_CENTRE = (0.209482141084728, 0.417959183673469)
+# The Kronrod weights of the pairs, in the same order, and the centre's last.
+_KRONROD_WEIGHTS = (
+    0.022935322010529,
+    0.063092092629979,
+    0.104790010322250,
+    0.140653259715525,
+    0.169004726639267,
+    0.190350578064785,
+    0.204432940075298,
+    0.209482141084728,
+)
+# The embedded 7-point Gauss rule's weights: those of the second, fourth and
+# sixth pair, and the centre's last.
+_GAUSS_WEIGHTS = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
 
 
 def _panel(f: Callable[[float], complex], lo: float, hi: float) -> tuple:
     """One Gauss-Kronrod pass over [lo, hi]: (value, error gauge).
 
-    The pairs are summed outward-in and the centre last, in both rules.
+    The pairs are summed outward-in and the centre last, in both rules, each
+    sum from complex 0.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    kron = gauss = complex(0.0)
-    for node, wk, wg in _KRONROD_PAIRS:
-        pair = f(mid + half * node) + f(mid - half * node)
-        kron += wk * pair
-        if wg is not None:
-            gauss += wg * pair
-    wk, wg = _KRONROD_CENTRE
+    n0, n1, n2, n3, n4, n5, n6 = _NODES
+    k0, k1, k2, k3, k4, k5, k6, kc = _KRONROD_WEIGHTS
+    g1, g3, g5, gc = _GAUSS_WEIGHTS
+    p0 = f(mid + half * n0) + f(mid - half * n0)
+    p1 = f(mid + half * n1) + f(mid - half * n1)
+    p2 = f(mid + half * n2) + f(mid - half * n2)
+    p3 = f(mid + half * n3) + f(mid - half * n3)
+    p4 = f(mid + half * n4) + f(mid - half * n4)
+    p5 = f(mid + half * n5) + f(mid - half * n5)
+    p6 = f(mid + half * n6) + f(mid - half * n6)
     centre = f(mid)
-    kron += wk * centre
-    gauss += wg * centre
-    kron *= half
-    gauss *= half
+    kron = (
+        0j + k0 * p0 + k1 * p1 + k2 * p2 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + kc * centre
+    ) * half
+    gauss = (0j + g1 * p1 + g3 * p3 + g5 * p5 + gc * centre) * half
     return kron, abs(kron - gauss)
 
 

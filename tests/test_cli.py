@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from diamag import DimensionlessPoint, chi_ratio, cli, kernel, landau_chi_physical
+from diamag import DimensionlessPoint, chi_ratio, kernel, landau_chi_physical, sweep
 from diamag.cli import main, run
 from diamag.sweep import CSV_HEADER, SweepSpec, run_sweep
 from test_kernel_domain import exact_integrals
@@ -314,10 +314,11 @@ def test_figure1_svg(tmp_path):
 
 
 def test_figure1_with_failed_rows_names_them_and_draws_nothing(tmp_path, capsys, monkeypatch):
-    # figure1 reports failed rows as sweep does, through the same writer
+    # figure1 reports failed rows as sweep does, through the same writer; the
+    # CLI imports figure1_rows from the sweep module when the command runs
     failed = run_sweep(SweepSpec(axis="q", lo=1e103, hi=1e104, points=2, fixed_x=1e-9,
                                  fixed_y=1e-67))
-    monkeypatch.setattr(cli, "figure1_rows", lambda: failed)
+    monkeypatch.setattr(sweep, "figure1_rows", lambda: failed)
     svg_path = tmp_path / "fig.svg"
     code = main(["figure1", "--out", str(tmp_path / "fig.csv"), "--svg", str(svg_path)])
     assert code == 2

@@ -57,10 +57,10 @@ def _real(value) -> tuple:
     return (-int(m) if sign else int(m)), int(e)
 
 
-def _mp_fraction(value):
-    """A Fraction whose denominator is a power of two as an mpf, exactly where
-    its numerator fits the precision, None as +inf."""
-    return mp.inf if value is None else mpf(value.numerator) / value.denominator
+def _mp_real(value):
+    """A real (m, e) of the oracle's arithmetic as an mpf, exactly where m
+    fits the precision, None as +inf."""
+    return mp.inf if value is None else mp.ldexp(*value)
 
 
 def as_mp(results: list, prec: int) -> list:
@@ -69,7 +69,7 @@ def as_mp(results: list, prec: int) -> list:
     guard width as an mpc, and the error as an mpf."""
     with mp.workprec(prec + oracle._GUARD_BITS):
         return [
-            (mpc(mp.ldexp(re, exp), mp.ldexp(im, exp)), _mp_fraction(error))
+            (mpc(mp.ldexp(re, exp), mp.ldexp(im, exp)), _mp_real(error))
             for (re, im, exp), error in results
         ]
 
@@ -488,11 +488,11 @@ def test_quotient_rounds_once_and_the_digit_step_is_exact():
         off = abs(m * unit - exact)
         assert off < unit / 2 or (off == unit / 2 and m % 2 == 0)
         a = Fraction(num, den) + 1
-        k = oracle._ceil_log10(a)
+        k = oracle._ceil_log10(num + den, den)
         assert 10**k >= a and (k == 0 or 10 ** (k - 1) < a)
     for k in (1, 20, 300):
-        assert [oracle._ceil_log10(Fraction(10**k + d)) for d in (-1, 0, 1)] == [k, k, k + 1]
-    assert oracle._ceil_log10(Fraction(1, 2)) == oracle._ceil_log10(Fraction(1)) == 0
+        assert [oracle._ceil_log10(10**k + d, 1) for d in (-1, 0, 1)] == [k, k, k + 1]
+    assert oracle._ceil_log10(1, 2) == oracle._ceil_log10(1, 1) == oracle._ceil_log10(6, 6) == 0
 
 
 def test_exp_and_cos_sin_hold_their_last_place():
@@ -574,7 +574,7 @@ def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
         prec = mp.prec
         kernel = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q), prec), prec)
         reference = as_mp(oracle._path_quad(object_sums(object_integrands(x, y, q)), prec), prec)
-        noise = [_mp_fraction(oracle._tail_noise(peak, prec)) for peak in peaks]
+        noise = [_mp_real(oracle._tail_noise(peak, prec)) for peak in peaks]
         out_eps = mpf(10) ** -dps
     assert len(kernel) == len(reference) == (2 if x else 1)
     for (value, _), (want, _), allowance in zip(kernel, reference, noise):
@@ -694,7 +694,7 @@ def test_path_quad_agrees_with_mp_quad_and_the_closed_form(dps, exact_digits):
         qm, zm = mpf(q), mpc(x, y)
         prec = mp.prec
         _, (value, err) = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q), prec), prec)
-        err += _mp_fraction(oracle._tail_noise(oracle._peak_log2(x, y, q)[1], prec))
+        err += _mp_real(oracle._tail_noise(oracle._peak_log2(x, y, q)[1], prec))
         want, want_err = mp.quad(
             lambda t: (1 - t * t) / (qm * t - zm), POLYLINE, error=True
         )
@@ -1204,6 +1204,88 @@ def test_oracle_bits_past_the_first_pass_are_pinned():
             lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PAST_FIRST_PASS_SHA256
+
+
+def fraction_passes(x: float, y: float, q: float) -> list:
+    """The working digits of each pass of _quadrature_raw at (x, y, q), from
+    the same passes with classic, quant, their bounds, the 1e-16 checks and
+    the digit step taken in fractions.Fraction, each modulus rounded from
+    the parts' lowest terms: the assembly that the one on integers replaced,
+    kept as the reference for its steps."""
+    def fraction(real):
+        m, e = real
+        return Fraction(m) * Fraction(2) ** e
+
+    def times(factor, value):
+        re, im, exp = value
+        return factor * fraction((re, exp)), factor * fraction((im, exp))
+
+    def modulus(value, bits):
+        (a, b), (c, d) = ((part.numerator, part.denominator) for part in value)
+        n = (a * d) ** 2 + (c * b) ** 2
+        k = max(0, bits + 1 - n.bit_length() // 2)
+        return Fraction((math.isqrt(n << 2 * k + 2) + 1) >> 1, b * d << k)
+
+    def noise(bounds, prec):
+        real = oracle._tail_noise(bounds, prec)
+        return None if real is None else fraction(real)
+
+    def ceil_log10(a):
+        # the least k >= 0 with 10^k >= a
+        k = 0
+        while 10**k < a:
+            k += 1
+        return k
+
+    level_sums = oracle._contour_sums(x, y, q)
+    peak_q, peak_1 = oracle._peak_log2(x, y, q)
+    weight = -3 * Fraction(x) / Fraction(q) ** 2
+    quant_factor, target = Fraction(oracle._QUANT_FACTOR), Fraction(oracle._TARGET_REL)
+    passes, dps = [], oracle._FIRST_DPS
+    while True:
+        passes.append(dps)
+        prec = oracle._dps_to_prec(dps)
+        width = prec + oracle._GUARD_BITS
+        (vq, eq), *classical = oracle._path_quad(level_sums, prec)
+        out_eps = Fraction(10.0**-dps * 2.0**-oracle._GUARD_BITS)
+        if x == 0.0:
+            classic, modulus_c, bound_c = (0, 0), 0, 0
+        else:
+            ((v1, e1),) = classical
+            classic = times(weight, v1)
+            modulus_c = modulus(classic, width)
+            n1 = noise(peak_1, prec)
+            bound_c = None if n1 is None else abs(weight) * (fraction(e1) + n1) + out_eps * modulus_c
+        quant = times(quant_factor, vq)
+        modulus_q = modulus(quant, width)
+        nq = noise(peak_q, prec)
+        bound_q = None if nq is None else quant_factor * (fraction(eq) + nq) + out_eps * modulus_q
+        whole = None if bound_c is None or bound_q is None else bound_c + bound_q
+        total = classic[0] + quant[0], classic[1] + quant[1]
+        moduli = modulus_c, modulus_q, modulus(total, width)
+        checks = [(b, target * m) for b, m in zip((bound_c, bound_q, whole), moduli)]
+        misses = [(b, limit) for b, limit in checks if b is None or b > limit]
+        if dps == oracle._MAX_DPS or not misses:
+            return passes
+        if any(b is None or not limit for b, limit in misses):
+            step = dps
+        else:
+            step = max(ceil_log10(b / limit) for b, limit in misses) + 2
+        dps = min(oracle._MAX_DPS, dps + step)
+
+
+def test_digit_steps_are_the_fraction_computations(oracle_passes):
+    # each point past verify's first pass takes the passes, at the digits,
+    # that the assembly in fractions takes; two of them escalate by the
+    # digit step, from 20 to 23 and to 25 digits
+    escalating = 0
+    for x, y, q in PAST_FIRST_PASS_POINTS:
+        want = fraction_passes(x, y, q)
+        oracle_passes.clear()
+        _outcome(oracle._quadrature_raw, x, y, q)
+        assert oracle_passes == want, (x, y, q)
+        escalating += len(want) > 1
+    assert escalating == 2, escalating
 
 
 # ---------------------------------------------------------------------------

@@ -77,16 +77,19 @@ def test_the_oracle_imports_nothing_from_the_kernel():
             imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
     assert "diamag.core" in imported and "mpmath" in imported, imported
     assert not [name for name in imported if (name + ".").startswith("diamag.kernel.")]
-    # mpmath is imported inside the exact reference's functions alone
+    # mpmath is imported inside the exact reference's functions alone, and
+    # the contour oracle's assembly runs on integers, not in fractions
     top = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not [node for node in top if "mpmath" in ast.unparse(node)]
+    assert "fractions" not in imported
 
 
 def test_import_leaves_the_oracle_unloaded():
-    # the package loads what one chi_ratio call needs, the CLI adds sweep and
-    # verify; every other module loads on first access to one of its names.
-    # The contour oracle runs on integers: neither its name nor a call to it
-    # loads mpmath, which the exact reference imports on its first call
+    # the package loads what one chi_ratio call needs, the CLI adds verify;
+    # every other module loads on first access to one of its names, or, for
+    # sweep, when a CLI command that uses it runs. The contour oracle runs on
+    # integers: neither its name nor a call to it loads mpmath, which the
+    # exact reference imports on its first call, or fractions
     script = (
         "import sys\n"
         "def loaded(names):\n"
@@ -95,8 +98,8 @@ def test_import_leaves_the_oracle_unloaded():
         "loaded(('dataclasses', 'json', 'mpmath', 'diamag.sweep', 'diamag.svg',"
         " 'diamag.verify', 'diamag.quadrature', 'diamag.oracle'))\n"
         "import diamag.cli\n"
-        "lazy = ('dataclasses', 'json', 'diamag.svg', 'diamag.quadrature',"
-        " 'diamag.oracle', 'mpmath')\n"
+        "lazy = ('dataclasses', 'json', 'fractions', 'diamag.sweep', 'diamag.svg',"
+        " 'diamag.quadrature', 'diamag.oracle', 'mpmath')\n"
         "loaded(lazy)\n"
         "diamag.render_line_chart\n"
         "loaded(lazy)\n"
@@ -124,7 +127,8 @@ def test_import_leaves_the_oracle_unloaded():
 def test_cold_verify_never_loads_mpmath():
     # every module a process imports, at exit included, is listed by
     # -X importtime: a cold `diamag verify` runs all seven checks, the
-    # contour oracle's among them, without mpmath
+    # contour oracle's among them, without mpmath, without fractions and the
+    # modules it loads (decimal, numbers), and without the CLI's sweep
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "diamag.cli", "verify"],
         env=_subprocess_env(), capture_output=True, text=True, timeout=120,
@@ -134,6 +138,8 @@ def test_cold_verify_never_loads_mpmath():
     imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
     assert "diamag.oracle" in imported
     assert not [name for name in imported if name.split(".")[0] == "mpmath"], imported
+    unneeded = ("fractions", "decimal", "_decimal", "numbers", "diamag.sweep")
+    assert not [name for name in imported if name in unneeded], imported
 
 
 def test_unknown_package_attribute_raises():
