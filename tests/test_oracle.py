@@ -468,10 +468,81 @@ def test_fixed_width_operations_round_to_nearest():
     assert oracle._rounded(-1, 1, 0, 0) == (-1, 1, 1)
 
 
-def test_quotient_rounds_once_and_the_digit_step_is_exact():
+def fraction_passes(x: float, y: float, q: float) -> list:
+    """The working digits of each pass of _quadrature_raw at (x, y, q), from
+    the same passes with classic, quant, their bounds, the 1e-16 checks and
+    the digit step taken in fractions.Fraction, each modulus rounded from
+    the parts' lowest terms: the assembly that the one on integers replaced,
+    kept as the reference for its steps."""
+    def fraction(real):
+        m, e = real
+        return Fraction(m) * Fraction(2) ** e
+
+    def times(factor, value):
+        re, im, exp = value
+        return factor * fraction((re, exp)), factor * fraction((im, exp))
+
+    def modulus(value, bits):
+        (a, b), (c, d) = ((part.numerator, part.denominator) for part in value)
+        n = (a * d) ** 2 + (c * b) ** 2
+        k = max(0, bits + 1 - n.bit_length() // 2)
+        return Fraction((math.isqrt(n << 2 * k + 2) + 1) >> 1, b * d << k)
+
+    def noise(bounds, prec):
+        real = oracle._tail_noise(bounds, prec)
+        return None if real is None else fraction(real)
+
+    def ceil_log10(a):
+        # the least k >= 0 with 10^k >= a
+        k = 0
+        while 10**k < a:
+            k += 1
+        return k
+
+    level_sums = oracle._contour_sums(x, y, q)
+    peak_q, peak_1 = oracle._peak_log2(x, y, q)
+    weight = -3 * Fraction(x) / Fraction(q) ** 2
+    quant_factor, target = Fraction(oracle._QUANT_FACTOR), Fraction(oracle._TARGET_REL)
+    passes, dps = [], oracle._FIRST_DPS
+    while True:
+        passes.append(dps)
+        prec = oracle._dps_to_prec(dps)
+        width = prec + oracle._GUARD_BITS
+        (vq, eq), *classical = oracle._path_quad(level_sums, prec)
+        out_eps = Fraction(10.0**-dps * 2.0**-oracle._GUARD_BITS)
+        if x == 0.0:
+            classic, modulus_c, bound_c = (0, 0), 0, 0
+        else:
+            ((v1, e1),) = classical
+            classic = times(weight, v1)
+            modulus_c = modulus(classic, width)
+            n1 = noise(peak_1, prec)
+            bound_c = None if n1 is None else abs(weight) * (fraction(e1) + n1) + out_eps * modulus_c
+        quant = times(quant_factor, vq)
+        modulus_q = modulus(quant, width)
+        nq = noise(peak_q, prec)
+        bound_q = None if nq is None else quant_factor * (fraction(eq) + nq) + out_eps * modulus_q
+        whole = None if bound_c is None or bound_q is None else bound_c + bound_q
+        total = classic[0] + quant[0], classic[1] + quant[1]
+        moduli = modulus_c, modulus_q, modulus(total, width)
+        checks = [(b, target * m) for b, m in zip((bound_c, bound_q, whole), moduli)]
+        misses = [(b, limit) for b, limit in checks if b is None or b > limit]
+        if dps == oracle._MAX_DPS or not misses:
+            return passes
+        if any(b is None or not limit for b, limit in misses):
+            step = dps
+        else:
+            step = max(ceil_log10(b / limit) for b, limit in misses) + 2
+        dps = min(oracle._MAX_DPS, dps + step)
+
+
+def test_quotient_rounds_once_and_the_digit_step_is_exact(oracle_passes):
     # a quotient of positive ints rounded to nearest with ties to even, exact
-    # ties among the operands; and the least k >= 0 with 10^k >= a, exactly,
-    # at powers of ten and their neighbours too
+    # ties among the operands; the least k >= 0 with 10^k >= a, exactly, at
+    # powers of ten and their neighbours too; and each point past verify's
+    # first pass takes the passes, at the digits, that the assembly in
+    # fractions takes: two of them escalate by the digit step, from 20 to 23
+    # and to 25 digits
     rng = random.Random(41)
     for _ in range(1000):
         bits = rng.randrange(8, 200)
@@ -493,6 +564,14 @@ def test_quotient_rounds_once_and_the_digit_step_is_exact():
     for k in (1, 20, 300):
         assert [oracle._ceil_log10(10**k + d, 1) for d in (-1, 0, 1)] == [k, k, k + 1]
     assert oracle._ceil_log10(1, 2) == oracle._ceil_log10(1, 1) == oracle._ceil_log10(6, 6) == 0
+    escalating = 0
+    for x, y, q in PAST_FIRST_PASS_POINTS:
+        want = fraction_passes(x, y, q)
+        oracle_passes.clear()
+        _outcome(oracle._quadrature_raw, x, y, q)
+        assert oracle_passes == want, (x, y, q)
+        escalating += len(want) > 1
+    assert escalating == 2, escalating
 
 
 def test_exp_and_cos_sin_hold_their_last_place():
@@ -1204,88 +1283,6 @@ def test_oracle_bits_past_the_first_pass_are_pinned():
             lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PAST_FIRST_PASS_SHA256
-
-
-def fraction_passes(x: float, y: float, q: float) -> list:
-    """The working digits of each pass of _quadrature_raw at (x, y, q), from
-    the same passes with classic, quant, their bounds, the 1e-16 checks and
-    the digit step taken in fractions.Fraction, each modulus rounded from
-    the parts' lowest terms: the assembly that the one on integers replaced,
-    kept as the reference for its steps."""
-    def fraction(real):
-        m, e = real
-        return Fraction(m) * Fraction(2) ** e
-
-    def times(factor, value):
-        re, im, exp = value
-        return factor * fraction((re, exp)), factor * fraction((im, exp))
-
-    def modulus(value, bits):
-        (a, b), (c, d) = ((part.numerator, part.denominator) for part in value)
-        n = (a * d) ** 2 + (c * b) ** 2
-        k = max(0, bits + 1 - n.bit_length() // 2)
-        return Fraction((math.isqrt(n << 2 * k + 2) + 1) >> 1, b * d << k)
-
-    def noise(bounds, prec):
-        real = oracle._tail_noise(bounds, prec)
-        return None if real is None else fraction(real)
-
-    def ceil_log10(a):
-        # the least k >= 0 with 10^k >= a
-        k = 0
-        while 10**k < a:
-            k += 1
-        return k
-
-    level_sums = oracle._contour_sums(x, y, q)
-    peak_q, peak_1 = oracle._peak_log2(x, y, q)
-    weight = -3 * Fraction(x) / Fraction(q) ** 2
-    quant_factor, target = Fraction(oracle._QUANT_FACTOR), Fraction(oracle._TARGET_REL)
-    passes, dps = [], oracle._FIRST_DPS
-    while True:
-        passes.append(dps)
-        prec = oracle._dps_to_prec(dps)
-        width = prec + oracle._GUARD_BITS
-        (vq, eq), *classical = oracle._path_quad(level_sums, prec)
-        out_eps = Fraction(10.0**-dps * 2.0**-oracle._GUARD_BITS)
-        if x == 0.0:
-            classic, modulus_c, bound_c = (0, 0), 0, 0
-        else:
-            ((v1, e1),) = classical
-            classic = times(weight, v1)
-            modulus_c = modulus(classic, width)
-            n1 = noise(peak_1, prec)
-            bound_c = None if n1 is None else abs(weight) * (fraction(e1) + n1) + out_eps * modulus_c
-        quant = times(quant_factor, vq)
-        modulus_q = modulus(quant, width)
-        nq = noise(peak_q, prec)
-        bound_q = None if nq is None else quant_factor * (fraction(eq) + nq) + out_eps * modulus_q
-        whole = None if bound_c is None or bound_q is None else bound_c + bound_q
-        total = classic[0] + quant[0], classic[1] + quant[1]
-        moduli = modulus_c, modulus_q, modulus(total, width)
-        checks = [(b, target * m) for b, m in zip((bound_c, bound_q, whole), moduli)]
-        misses = [(b, limit) for b, limit in checks if b is None or b > limit]
-        if dps == oracle._MAX_DPS or not misses:
-            return passes
-        if any(b is None or not limit for b, limit in misses):
-            step = dps
-        else:
-            step = max(ceil_log10(b / limit) for b, limit in misses) + 2
-        dps = min(oracle._MAX_DPS, dps + step)
-
-
-def test_digit_steps_are_the_fraction_computations(oracle_passes):
-    # each point past verify's first pass takes the passes, at the digits,
-    # that the assembly in fractions takes; two of them escalate by the
-    # digit step, from 20 to 23 and to 25 digits
-    escalating = 0
-    for x, y, q in PAST_FIRST_PASS_POINTS:
-        want = fraction_passes(x, y, q)
-        oracle_passes.clear()
-        _outcome(oracle._quadrature_raw, x, y, q)
-        assert oracle_passes == want, (x, y, q)
-        escalating += len(want) > 1
-    assert escalating == 2, escalating
 
 
 # ---------------------------------------------------------------------------
