@@ -55,7 +55,7 @@ def _panel(f: Callable[[float], complex], lo: float, hi: float) -> tuple:
     """One Gauss-Kronrod pass over [lo, hi]: (value, error gauge).
 
     The pairs are summed outward-in and the centre last, in both rules, each
-    sum from complex 0.
+    sum starting from complex 0, which sets the signs of its zero parts.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
