@@ -34,6 +34,7 @@ the CLI verify command) asserts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .core import ChiResult, DimensionlessPoint, FrozenRecord, RegimeTag
 from .errors import DomainError, ExtrapolationError, ValidationError
@@ -82,24 +83,28 @@ _TARGET_REL = 1e-16
 # integrand's peak on the path times the path length (see _contour_sums); the
 # allowance for it is 2^_NOISE_BITS times that scale.
 _NOISE_BITS = 10
-# The node schedule (_tanh_sinh) drops the nodes v within tol = 2^-(prec+10)
-# of an end v = +-1. A pass's last level sums the weights w(v) = (pi/2)
-# cosh(r)/cosh(g)^2, v = tanh(g), g = (pi/2) sinh(r), over a grid in r of step
-# h = 2^-degree, and w <= pi cosh(r) (1 - v), since cosh(g)^-2 = (1 - v)(1 +
-# v). The weight it drops beyond an end is then at most h w(r_c) + (the
-# integral of w beyond r_c) <= (1 + h pi cosh(r_c)) tol, r_c the first dropped
-# grid point, whose neighbour r_c - h is kept, so that pi sinh(r_c - h) <
-# ln(2/tol); that is below (1 + h e^h (pi + ln(2/tol))) tol. From degree 4
-# (_FIRST_STOP_DEGREE) on, this is 4.95 tol at 20 digits and 24.9 tol at 150
-# (_MAX_DPS); measured over every such degree and precision, the dropped
-# weight reaches 16.7 tol (143 digits, degree 4), and 1.4 tol at 20 digits.
-# |dt/dv| = pi/2, so the two ends leave out at most 24.9 pi tol times the
-# integrand's peak near an end, below 2^-(prec+5) (_NODE_TAIL_BITS) of that
-# peak times the path length pi. "Near" means within _END_REACH: the dropped
-# nodes lie within (pi/2) tol of an end in t, tol is largest at the first
-# pass, and _END_REACH is twice that.
-_NODE_TAIL_BITS = 5
-_END_REACH = math.pi * 2.0 ** -(_dps_to_prec(_FIRST_DPS) + 10)
+# The node schedule (_tanh_sinh) drops the nodes v within 2^-(prec+10) of an
+# end v = +-1, a depth set for a pole on an end t = +-1. Each pass cuts each
+# integral's nodes further, at 1 - v <= c for a power of two c >= 2^-(prec+10)
+# of its own (_end_cuts), where the weight it drops there, times the
+# integrand's bound near the ends, stays within the rounding allowance. A
+# pass's last level sums the weights w(v) = (pi/2) cosh(r)/cosh(g)^2, v =
+# tanh(g), g = (pi/2) sinh(r), over a grid in r of step h = 2^-degree, and w
+# <= pi cosh(r) (1 - v), since cosh(g)^-2 = (1 - v)(1 + v). The weight it
+# drops beyond an end is then at most h w(r_c) + (the integral of w beyond
+# r_c) <= (1 + h pi cosh(r_c)) c, r_c the first dropped grid point, whose
+# neighbour r_c - h is kept (c < 1 keeps the centre r = 0), so that pi
+# sinh(r_c - h) < ln(2/c); that is below (1 + h e^h (pi + ln(2/c))) c. From
+# degree 4 (_FIRST_STOP_DEGREE) on, this is at most 24.9 c up to 150 digits
+# (_MAX_DPS) and 4.95 c at 20; measured at every depth of 20, 42 and 150
+# digits and every such degree, the dropped weight stays within 0.87 of it.
+# The rounding of 1 - v, at prec + 40 bits, moves c by far less than that
+# slack. |dt/dv| = pi/2, so the two ends leave out at most that weight times
+# pi times the integrand's bound within pi c of an end (_peak_log2): the
+# dropped nodes lie within (pi/2) c of an end in t. That tail stays within
+# 2^-_TAIL_BITS of the allowance for the integer arithmetic, so that it adds
+# at most a quarter to it.
+_TAIL_BITS = 2
 _GUARD_BITS = 20
 # Q's integrand is q^4 a^2/d, a = u/w, and quant = (3/16) times its integral.
 _QUANT_FACTOR = 3.0 / 16.0  # exact in binary
@@ -435,12 +440,13 @@ def _fixed(re: tuple, im: tuple) -> tuple:
 _NO_TERMS = 1 << 20
 
 # The point-independent pieces of the pass's nodes, per (degree, prec): the
-# whole table and the folded one.
+# whole table and the folded one, each with its depths.
 _FIXED_NODES: dict = {}
 
 
-def _fixed_nodes(degree: int, prec: int, fold: bool) -> list:
-    """t, 1 - t^2 and the weight at width prec + 20, per node of the arc.
+def _fixed_nodes(degree: int, prec: int, fold: bool) -> tuple:
+    """(nodes, depths): t, 1 - t^2 and the weight at width prec + 20, per
+    node of the arc, and per node the depth -ceil(log2(1 - v)).
 
     The arc is t = -i e^(i pi v/2) = sin(pi v/2) - i cos(pi v/2) over the
     standard nodes v, w on [-1, 1] of _tanh_sinh(degree, prec), and the
@@ -458,7 +464,12 @@ def _fixed_nodes(degree: int, prec: int, fold: bool) -> list:
     whole table's sum wherever the integrand's value at -v is the conjugate
     of its value at v (at x = 0, see _contour_sums).
     Both tables are built in one loop over the standard nodes and kept;
-    nothing about a point is stored.
+    nothing about a point is stored. The nodes run from the centre out, so
+    the depths never fall, and a cut at 1 - v <= 2^-j keeps the prefix of
+    the nodes of depth below j (bisect_left(depths, j)). Every node the
+    schedule keeps has 1 - v > 2^-(prec+10), so no depth exceeds prec + 9,
+    whatever the rounding of 1 - v, and the cut at the schedule's own stop
+    keeps every node.
     """
     tables = _FIXED_NODES.get((degree, prec))
     if tables is None:
@@ -466,8 +477,9 @@ def _fixed_nodes(degree: int, prec: int, fold: bool) -> list:
         wide = prec + 40  # the standard nodes' precision
         f = wide + _FUNCTION_GUARD + 10
         hm, he = _constants(f)[0] >> (f - wide + 2), 1 - wide  # pi/2, rounded down
-        whole, half = [], []
+        whole, half, whole_depths, half_depths = [], [], [], []
         for (rm, re), (wm, we) in _tanh_sinh(degree, prec):
+            depth = min(prec + 9, -((rm - 1).bit_length() + re))
             # sin and cos of pi v/2 from 1 - v at wide fraction bits (re < 0,
             # as 1 - v <= 1), exact at one exponent, and t = sin - i cos
             sin, cos, e = _fixed(*_cos_sin_half_pi((rm << wide) >> -re, wide))
@@ -480,14 +492,17 @@ def _fixed_nodes(degree: int, prec: int, fold: bool) -> list:
             if not sin:  # the centre
                 whole.append(node)
                 half.append((tr, ti, te, ur, ui, ue, cr, ci, ce - 1))
+                whole_depths.append(depth)
             else:
                 whole += [node, (-tr, ti, te, ur, -ui, ue, cr, -ci, ce)]
                 half.append(node)
-        tables = _FIXED_NODES[degree, prec] = whole, half
+                whole_depths += [depth, depth]
+            half_depths.append(depth)
+        tables = _FIXED_NODES[degree, prec] = (whole, whole_depths), (half, half_depths)
     return tables[1] if fold else tables[0]
 
 
-def _contour_sums(x: float, y: float, q: float):
+def _contour_sums(x: float, y: float, q: float, cuts=None):
     """Level sums of Q's integrand and, for x != 0, I1's, for _path_quad.
 
     Q's integrand, (1 - t^2)^2/((t - s)^2 ((t - s)^2 - q^2/4)) with s = z/q,
@@ -502,6 +517,12 @@ def _contour_sums(x: float, y: float, q: float):
     runs along as (re, im, exp), shifted down to each new term's exponent
     where that is smaller, so it ends at the smallest one. Each level sum,
     Q's times q^4, is returned exact, for _path_quad to round once.
+
+    cuts holds the depths j of Q's and I1's end cuts (_end_cuts), 0 for I1
+    at x = 0, which has none; None means the schedule's own stop, prec + 10.
+    Each component sums the prefix of the nodes with 1 - v > 2^-j
+    (_fixed_nodes), and the loop walks the longer prefix once: past Q's
+    cut it computes a for I1 alone, with no d, a^2 or a^2/d.
 
     At x = 0 the loop walks the folded table: z = i y, so Q's integrand at
     -conj t is the conjugate of its value at t, and so is the weight, while
@@ -527,12 +548,17 @@ def _contour_sums(x: float, y: float, q: float):
 
     def level_sums(degree: int, prec: int) -> list:
         width = prec + _GUARD_BITS
+        nodes, depths = _fixed_nodes(degree, prec, not x)
+        stop_q, stop_1 = (
+            bisect_left(depths, depth) for depth in cuts or (prec + 10,) * 2
+        )
         # the running exact sums of Q and I1, each at the smallest exponent
         # of its terms so far; a zero sum starts above every term
         sqr = sqi = s1r = s1i = 0
         sqe = s1e = _NO_TERMS
         # per node: c the weight, w = q t - z, a = u/w, d = w^2 - q^4/4, f = a^2/d
-        for tr, ti, te, ur, ui, ue, cr, ci, ce in _fixed_nodes(degree, prec, not x):
+        for index in range(max(stop_q, stop_1)):
+            tr, ti, te, ur, ui, ue, cr, ci, ce = nodes[index]
             # w = q t - z, exact at the smaller exponent, then rounded
             k = te - zq
             if k >= 0:
@@ -561,6 +587,18 @@ def _contour_sums(x: float, y: float, q: float):
             ar = (2 * nr + den) // h if nr >= 0 else -((den - 2 * nr) // h)
             ai = (2 * ni + den) // h if ni >= 0 else -((den - 2 * ni) // h)
             ae = ue - we - k
+            # add c a to I1's sum, exactly, within I1's cut
+            if index < stop_1:
+                k = ce + ae - s1e
+                if k < 0:
+                    s1r <<= -k
+                    s1i <<= -k
+                    s1e += k
+                    k = 0
+                s1r += cr * ar - ci * ai << k
+                s1i += cr * ai + ci * ar << k
+            if index >= stop_q:  # past Q's cut
+                continue
             # d = w^2 - q^4/4, exact at the smaller exponent, then rounded
             k = 2 * we - ke
             if k >= 0:
@@ -597,8 +635,7 @@ def _contour_sums(x: float, y: float, q: float):
             fr = (2 * nr + den) // h if nr >= 0 else -((den - 2 * nr) // h)
             fi = (2 * ni + den) // h if ni >= 0 else -((den - 2 * ni) // h)
             fe = be - de - k
-            # add c f and, for x != 0, c a to the sums, exactly (at x = 0
-            # only Q's real part)
+            # add c f to Q's sum, exactly (at x = 0 only its real part)
             k = ce + fe - sqe
             if k < 0:
                 sqr <<= -k
@@ -608,14 +645,6 @@ def _contour_sums(x: float, y: float, q: float):
             sqr += cr * fr - ci * fi << k
             if x:
                 sqi += cr * fi + ci * fr << k
-                k = ce + ae - s1e
-                if k < 0:
-                    s1r <<= -k
-                    s1i <<= -k
-                    s1e += k
-                    k = 0
-                s1r += cr * ar - ci * ai << k
-                s1i += cr * ai + ci * ar << k
         if not x:  # twice the folded sum's real part, times q^4
             return [(sqr * km, 0, sqe + ke + 3)]
         return [(sqr * km, sqi * km, sqe + ke + 2), (s1r, s1i, s1e)]  # Q's times q^4
@@ -627,9 +656,9 @@ def _log2(value: float) -> float:
     return math.log2(value) if value else -math.inf
 
 
-def _peak_log2(x: float, y: float, q: float) -> tuple:
+def _peak_log2(x: float, y: float, q: float, reach: float) -> tuple:
     """log2 of bounds on |Q's integrand| and on |I1's|, each as (on the whole
-    path, within _END_REACH of an end).
+    path, within reach of an end).
 
     With s = z/q, h = q/2 and u = 1 - t^2, Q's integrand is
     u^2/((t - s)^2 (t - s - h)(t - s + h)) and I1's is u/(t - s) over q.
@@ -645,11 +674,11 @@ def _peak_log2(x: float, y: float, q: float) -> tuple:
     With |u| <= U, Q's bound is the least of: U^2/(ds^2 D), R(s)^2/D,
     (R(s+h) + R(s-h))/(h ds^2), and R(s) (R(s) + (R(s+h) + R(s-h))/2)/h^2,
     which stays finite with any pole on an end t = +-1; I1's is the lesser of
-    U/ds and R(s), over q. On the whole path U = 2. Within r = _END_REACH of
-    an end e, U = 2r, as |u| <= 2 |t - e|, and each d_p is also at least
-    |p - e| - r. Each bound is summed in logarithms of doubles, so no product
-    leaves the double range; a bound on a pole on the path is +inf in
-    logarithms.
+    U/ds and R(s), over q. On the whole path U = 2. Within r = reach of an
+    end e, U = 2r, as |u| <= 2 |t - e|, and each d_p is also at least
+    |p - e| - r; _end_cuts asks for the reach pi c of each cut c it weighs.
+    Each bound is summed in logarithms of doubles, so no product leaves the
+    double range; a bound on a pole on the path is +inf in logarithms.
     """
     s, h = complex(x / q, y / q), 0.5 * q
     lq = math.log2(q)
@@ -667,38 +696,89 @@ def _peak_log2(x: float, y: float, q: float) -> tuple:
 
     def bounds(distances, lu: float) -> tuple:
         # (Q's, I1's) from the poles' distances and log2 U
-        ds, dp, dm = (_log2(d) for d in distances)
+        ds, dp, dm = map(_log2, distances)
         pair = max(dp + dm, lh + min(dp, dm))  # log2 D
         peak_q = min(2.0 * lu - 2.0 * ds - pair, 2.0 * rs - pair, r_pair - lh - 2.0 * ds, partial)
         return peak_q, min(lu - ds, rs) - lq
 
     near = [_path_distance(p) for p in poles]
-    lu = math.log2(2.0 * _END_REACH)
+    lu = math.log2(2.0 * reach)
     ends = [
-        bounds([max(d, abs(p - e) - _END_REACH) for p, d in zip(poles, near)], lu)
+        bounds([max(d, abs(p - e) - reach) for p, d in zip(poles, near)], lu)
         for e in (1.0, -1.0)
     ]
     return tuple((whole, max(end)) for whole, *end in zip(bounds(near, 1.0), *ends))
 
 
+def _end_cuts(x: float, y: float, q: float, prec: int) -> tuple:
+    """(cuts, bounds) of a pass at prec bits: the depth j of Q's and I1's end
+    cut 1 - v <= 2^-j (I1's 0 at x = 0, which has none), and per integral
+    its bounds (peak, tail) for _tail_noise, Q's first.
+
+    peak is log2 of the integrand's bound on the path (_peak_log2), and the
+    dropped tail, the weight beyond c, at most (1 + h e^h (pi + ln(2/c))) c
+    with h = 2^-_FIRST_STOP_DEGREE (see the comment above _TAIL_BITS), times
+    pi times the integrand's bound within pi c of an end, is 2^-(prec+10) pi
+    2^tail. Each cut is the largest power of two c >= 2^-(prec+10),
+    the schedule's own stop, with tail <= peak - _TAIL_BITS, that is with
+    the tail within a quarter of the allowance for the integer arithmetic,
+    found as follows: the bounds at the schedule's stop, then the depth
+    where the tail would meet that budget if the end bound grew as r^2 for Q
+    and as r for I1 (r the reach, as |u|^2 and |u| do), and one check of the
+    bound at that reach, which keeps the schedule's stop where it fails; at
+    most three _peak_log2 calls. A pole on the path (peak +inf) keeps the
+    schedule's stop. The tail is charged at the cut taken, so at the
+    schedule's stop it may exceed the budget.
+    """
+    deepest = prec + 10
+    h = 2.0**-_FIRST_STOP_DEGREE
+    found = {}
+
+    def ends(depth: int) -> tuple:
+        # the bounds within reach pi 2^-depth of an end, one call per depth
+        if depth not in found:
+            found[depth] = _peak_log2(x, y, q, math.pi * 2.0**-depth)
+        return found[depth]
+
+    def tail(end: float, depth: int) -> float:
+        weight = 1.0 + h * math.exp(h) * (math.pi + (depth + 1) * math.log(2.0))
+        return end + math.log2(weight) + deepest - depth
+
+    cuts, bounds = [0, 0], []
+    for i in range(2 if x else 1):
+        peak, end = ends(deepest)[i]
+        depth = deepest
+        if peak < math.inf:
+            budget = peak - _TAIL_BITS
+            # where the tail would meet the budget if Q's end bound grew as
+            # r^2 and I1's as r; c < 1, so that the cut keeps the centre v = 0
+            guess = max(1, deepest - math.floor((budget - tail(end, deepest)) / (3 - i)))
+            if guess < deepest:
+                guessed = ends(guess)[i][1]
+                if tail(guessed, guess) <= budget:
+                    depth, end = guess, guessed
+        cuts[i] = depth
+        bounds.append((peak, tail(end, depth)))
+    return cuts, bounds
+
+
+def _allowance(value: float, prec: int) -> tuple:
+    """2^-(prec+10) (_NOISE_BITS) of pi 2^value, exactly, a real (m, e): the
+    double pi 2^(value - floor(value)) = n/d, d a power of two, scaled."""
+    n, d = (_PATH_LENGTH * 2.0 ** (value - math.floor(value))).as_integer_ratio()
+    return n, math.floor(value) - prec - _NOISE_BITS - d.bit_length() + 1
+
+
 def _tail_noise(bounds: tuple, prec: int):
     """The rounding allowance of an integral at prec bits, a real (m, e), None
-    (infinite) for a pole on the path, from its bounds (peak, end) of
-    _peak_log2: 2^-(prec+10) (_NOISE_BITS) of the integrand's peak 2^peak on
-    the path for the integer arithmetic, and 2^-(prec+5) (_NODE_TAIL_BITS) of
-    its peak 2^end near an end for the node tails that the schedule drops
-    there, each times the path length pi."""
-    peak, end = bounds
+    (infinite) for a pole on the path, from its bounds (peak, tail) of
+    _end_cuts: 2^-(prec+10) (_NOISE_BITS) of pi 2^peak, the integrand's peak
+    on the path times the path length, for the integer arithmetic, and as
+    much of pi 2^tail for the nodes that the pass's end cut drops."""
+    peak, tail = bounds
     if peak == math.inf:
         return None
-
-    def scaled(value: float, bits: int) -> tuple:
-        # the double pi 2^(value - floor(value)) = n/d, d a power of two,
-        # scaled exactly to 2^-(prec+bits) of pi 2^value
-        n, d = (_PATH_LENGTH * 2.0 ** (value - math.floor(value))).as_integer_ratio()
-        return n, math.floor(value) - prec - bits - d.bit_length() + 1
-
-    return _sum(scaled(peak, _NOISE_BITS), scaled(end, _NODE_TAIL_BITS))
+    return _sum(_allowance(peak, prec), _allowance(tail, prec))
 
 
 def _modulus(value: tuple, bits: int) -> tuple:
@@ -744,18 +824,20 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
     precision is chosen per point: a pass at 20 digits measures its own
     rounding noise and error, and passes at more digits follow until the
     classical part, the quantum part and their sum are each known to 1e-16
-    relative (or 150 digits are reached). err_est is each integral's own
-    relative error estimate times its size, plus the predicted rounding
-    bound, plus half an ulp for each rounding to double of the parts and
-    their sum. It bounds the modulus of the error in the total, so a part or
-    a real or imaginary part far below |total| may be all rounding: at
-    (1.3e204, 4.9e124, 1.5e-111) Im total reads 0 where the value's is
-    -6.70e142, within err_est 3.21e206, as w = q t - z keeps one exponent
-    for both its parts (_contour_sums). Serves every accepted point whose
-    parts fit in a double, and raises DomainError elsewhere, as chi_ratio
-    and chi_ratio_exact do; _quadrature_raw also takes x < 0. An oracle:
-    slow, independent, trusted. Python integers carry all of it: it needs
-    no mpmath and no fractions.
+    relative (or 150 digits are reached). Each pass ends each integral's
+    nodes short of t = +-1 where its own bound says the rest cannot count
+    beside the rounding allowance. err_est is each integral's own relative
+    error estimate times its size, plus the predicted rounding bound and the
+    bound on the nodes left out, plus half an ulp for each rounding to
+    double of the parts and their sum. It bounds the modulus of the error
+    in the total, so a part or a real or imaginary part far below |total|
+    may be all rounding: at (1.3e204, 4.9e124, 1.5e-111) Im total reads 0
+    where the value's is -6.70e142, within err_est 3.21e206, as w = q t - z
+    keeps one exponent for both its parts (_contour_sums). Serves every
+    accepted point whose parts fit in a double, and raises DomainError
+    elsewhere, as chi_ratio and chi_ratio_exact do; _quadrature_raw also
+    takes x < 0. An oracle: slow, independent, trusted. Python integers
+    carry all of it: it needs no mpmath and no fractions.
     """
     return _quadrature_raw(point.x, point.y, point.q)
 
@@ -763,7 +845,8 @@ def chi_ratio_quadrature(point: DimensionlessPoint) -> ChiResult:
 def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     """Quadrature along the arc at the fewest working digits the point needs.
 
-    One _path_quad pass per working precision yields Q and, for x != 0, I1.
+    One _path_quad pass per working precision yields Q and, for x != 0, I1,
+    each over the nodes short of its end cut (_end_cuts, _contour_sums).
     At x = 0 the pass walks half the nodes: Q's integrand and the weights
     conjugate under v -> -v, so _contour_sums folds each pair into twice its
     real part, and Q's imaginary part is exactly 0. The integrands come from
@@ -782,20 +865,19 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     guard width: the rounding of the pass's last level and a margin);
     2^-(prec+10) (about 10^-(dps+3)) of each integrand's peak on the path
     times the path length pi for the sums inside the pass, 2^10 times the
-    scale of the integer arithmetic's rounding; and 2^-(prec+5) of each
-    integrand's peak within _END_REACH of an end times pi for the node tails
-    that the schedule drops there (_NODE_TAIL_BITS). The peaks come from
-    _peak_log2, the allowance from _tail_noise. Noise plus each integral's
-    error estimate must stay within _TARGET_REL of |classic|, |quant| and
-    |total|; a pass that misses by a factor E is redone at dps + ceil(log10
-    E) + 2 digits (twice the digits when a part is exactly 0 or a pole lies
-    on the path), up to _MAX_DPS, where the value is returned with the whole
-    bound as err_est. err_est also counts half an ulp for the rounding to
+    scale of the integer arithmetic's rounding; and the bound on the nodes
+    that each integral's end cut drops, its weight beyond the cut times pi
+    times the integrand's bound near the ends, which the cut keeps within a
+    quarter of the former. The bounds and the cuts come from _end_cuts, the
+    allowance from _tail_noise. Noise plus each integral's error estimate
+    must stay within _TARGET_REL of |classic|, |quant| and |total|; a pass
+    that misses by a factor E is redone at dps + ceil(log10 E) + 2 digits
+    (twice the digits when a part is exactly 0 or a pole lies on the path),
+    up to _MAX_DPS, where the value is returned with the whole bound as
+    err_est. err_est also counts half an ulp for the rounding to
     double of each real and imaginary part of classic and quant and of their
     double sum.
     """
-    level_sums = _contour_sums(x, y, q)
-    peak_q, peak_1 = _peak_log2(x, y, q)
     xm, xe = _parts(x)
     qm, qe = _parts(q)
     q2, e2 = qm * qm, 2 * qe  # q^2 = q2 2^e2
@@ -808,7 +890,8 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
     while True:
         prec = _dps_to_prec(dps)
         width = prec + _GUARD_BITS
-        (vq, eq), *classical = _path_quad(level_sums, prec)
+        cuts, bounds = _end_cuts(x, y, q, prec)
+        (vq, eq), *classical = _path_quad(_contour_sums(x, y, q, cuts), prec)
         out_eps = _parts(10.0**-dps * 2.0**-_GUARD_BITS)
         # each part times q^2, its modulus and its bound, None (infinite)
         # where the noise is
@@ -818,11 +901,11 @@ def _quadrature_raw(x: float, y: float, q: float) -> ChiResult:
             ((v1, e1),) = classical
             classic = _product(factor_c, v1)
             modulus_c = _modulus(classic, width)
-            noise = _tail_noise(peak_1, prec)
+            noise = _tail_noise(bounds[1], prec)
             bound_c = _bound((3 * abs(xm), xe), e1, noise, modulus_c, out_eps)
         quant = _product(factor_q, vq)
         modulus_q = _modulus(quant, width)
-        bound_q = _bound(factor_q, eq, _tail_noise(peak_q, prec), modulus_q, out_eps)
+        bound_q = _bound(factor_q, eq, _tail_noise(bounds[0], prec), modulus_q, out_eps)
         whole = None if bound_c is None or bound_q is None else _sum(bound_c, bound_q)
         moduli = modulus_c, modulus_q, _modulus(_exact_sum([classic, quant]), width)
         checks = [(b, (tm * m, te + e)) for b, (m, e) in zip((bound_c, bound_q, whole), moduli)]

@@ -252,35 +252,47 @@ def test_verify_grid_takes_one_pass_per_point(oracle_passes):
     assert oracle_passes == [oracle._FIRST_DPS] * 60, oracle_passes
 
 
-def test_verify_grid_takes_8667_node_evaluations(monkeypatch):
-    # the node evaluations over verify's grid: the lengths of the node tables
-    # that the level sums walk, the x = 0 points walking the folded half. As
-    # measured; a change to the nodes, the degrees or the passes moves this
-    # count
-    fixed_nodes = oracle._fixed_nodes
-    walked = []
+def prefix(depths: list, depth: int) -> int:
+    """The nodes a cut at 1 - v <= 2^-depth keeps: those of depth below it."""
+    return sum(1 for d in depths if d < depth)
 
-    def counting(degree, prec, fold):
-        table = fixed_nodes(degree, prec, fold)
-        walked.append(len(table))
-        return table
 
-    monkeypatch.setattr(oracle, "_fixed_nodes", counting)
+def test_verify_grid_walks_7057_nodes_and_evaluates_q_at_6337(monkeypatch):
+    # over verify's grid, the nodes the level loop walks, the longer of Q's
+    # and I1's prefixes (the x = 0 points walking the folded half and Q's
+    # alone), and Q's integrand evaluations, its own prefix; the whole tables
+    # hold 8667 nodes. As measured; a change to the nodes, the degrees, the
+    # passes or the cuts moves these counts
+    contour_sums = oracle._contour_sums
+    walked, evaluated = [], []
+
+    def counting(x, y, q, cuts=None):
+        level_sums = contour_sums(x, y, q, cuts)
+
+        def counted(degree, prec):
+            _, depths = oracle._fixed_nodes(degree, prec, not x)
+            stop_q, stop_1 = (prefix(depths, depth) for depth in cuts)
+            walked.append(max(stop_q, stop_1))
+            evaluated.append(stop_q)
+            return level_sums(degree, prec)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_contour_sums", counting)
     for x in GRID_X:
         for y in GRID_Y:
             for q in GRID_Q:
                 chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-    assert sum(walked) == 8667, sum(walked)
+    assert (sum(walked), sum(evaluated)) == (7057, 6337)
 
 
 # sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
-# at verify's 60 grid points, one line per point, recorded when the oracle
-# mapped mpmath 1.3.0's standard tanh-sinh nodes onto its arc and assembled
-# its passes in mpmath numbers; it now computes the nodes from their closed
-# form, with no mpmath, and assembles each pass exactly, and gives the same
-# bits. Every point takes one pass, at 20 digits.
+# at verify's 60 grid points, one line per point, recorded when each pass
+# took its end cuts (_end_cuts): the parts kept their bits, and err_est,
+# which charges each cut's tail, moved by at most 1.1e-8 of itself. Every
+# point takes one pass, at 20 digits.
 # A change to the oracle's numbers moves this pin, and says so.
-VERIFY_GRID_ORACLE_SHA256 = "d335f802db0d405fb69ca881bf84e5f0e287d23e4de4818acafb6b82602ab5d3"
+VERIFY_GRID_ORACLE_SHA256 = "d8a770412e5511b0fac169ba4f2d2dd6010bc934c4b38db40ff964dd17c6c231"
 
 
 def test_oracle_bits_on_the_verify_grid_are_pinned():
@@ -388,27 +400,33 @@ def _product(ar, ai, ae, br, bi, be):
     return ar * br - ai * bi, ar * bi + ai * br, ae + be
 
 
-def reference_sums(x, y, q):
+def reference_sums(x, y, q, cuts=None):
     """oracle._contour_sums composed from the helpers above: per node the same
     operations in the same order, each a call returning a tuple, over the
-    whole node table at every x (no fold at x = 0), and each component's
-    terms collected and summed exactly by oracle._exact_sum."""
+    whole node table at every x (no fold at x = 0), each component's terms
+    collected from the nodes its cut keeps, every node where cuts is None,
+    and summed exactly by oracle._exact_sum."""
     qm, qe = oracle._parts(q)
     zr, zi, ze = oracle._fixed(oracle._parts(x), oracle._parts(y))
     km, ke = qm**4, 4 * qe - 2  # q^4/4
 
     def level_sums(degree, prec):
         width = prec + oracle._GUARD_BITS
-        quantum, classical = [], []
-        for tr, ti, te, ur, ui, ue, *c in oracle._fixed_nodes(degree, prec, False):
+        cut_q, cut_1 = cuts or (prec + 10, prec + 10)
+        # each starts from the loop's zero sum, above every term
+        quantum, classical = [(0, 0, oracle._NO_TERMS)], [(0, 0, oracle._NO_TERMS)]
+        nodes, depths = oracle._fixed_nodes(degree, prec, False)
+        for (tr, ti, te, ur, ui, ue, *c), depth in zip(nodes, depths):
             wr, wi, we = _difference(qm * tr, qm * ti, qe + te, zr, zi, ze, width)
             a = _quotient(ur, ui, ue, wr, wi, we, width)
             ar, ai, ae = a
             dr, di, de = _difference(wr * wr - wi * wi, 2 * wr * wi, 2 * we, km, 0, ke, width)
             br, bi, be = oracle._rounded(ar * ar - ai * ai, 2 * ar * ai, 2 * ae, width)
             f = _quotient(br, bi, be, dr, di, de, width)
-            quantum.append(_product(*c, *f))
-            classical.append(_product(*c, *a))
+            if depth < cut_q:
+                quantum.append(_product(*c, *f))
+            if depth < cut_1:
+                classical.append(_product(*c, *a))
         vr, vi, ve = oracle._exact_sum(quantum)
         sums = [(vr * km, vi * km, ve + ke + 2)]  # times q^4
         if x:
@@ -499,8 +517,6 @@ def fraction_passes(x: float, y: float, q: float) -> list:
             k += 1
         return k
 
-    level_sums = oracle._contour_sums(x, y, q)
-    peak_q, peak_1 = oracle._peak_log2(x, y, q)
     weight = -3 * Fraction(x) / Fraction(q) ** 2
     quant_factor, target = Fraction(oracle._QUANT_FACTOR), Fraction(oracle._TARGET_REL)
     passes, dps = [], oracle._FIRST_DPS
@@ -508,7 +524,8 @@ def fraction_passes(x: float, y: float, q: float) -> list:
         passes.append(dps)
         prec = oracle._dps_to_prec(dps)
         width = prec + oracle._GUARD_BITS
-        (vq, eq), *classical = oracle._path_quad(level_sums, prec)
+        cuts, bounds = oracle._end_cuts(x, y, q, prec)
+        (vq, eq), *classical = oracle._path_quad(oracle._contour_sums(x, y, q, cuts), prec)
         out_eps = Fraction(10.0**-dps * 2.0**-oracle._GUARD_BITS)
         if x == 0.0:
             classic, modulus_c, bound_c = (0, 0), 0, 0
@@ -516,11 +533,11 @@ def fraction_passes(x: float, y: float, q: float) -> list:
             ((v1, e1),) = classical
             classic = times(weight, v1)
             modulus_c = modulus(classic, width)
-            n1 = noise(peak_1, prec)
+            n1 = noise(bounds[1], prec)
             bound_c = None if n1 is None else abs(weight) * (fraction(e1) + n1) + out_eps * modulus_c
         quant = times(quant_factor, vq)
         modulus_q = modulus(quant, width)
-        nq = noise(peak_q, prec)
+        nq = noise(bounds[0], prec)
         bound_q = None if nq is None else quant_factor * (fraction(eq) + nq) + out_eps * modulus_q
         whole = None if bound_c is None or bound_q is None else bound_c + bound_q
         total = classic[0] + quant[0], classic[1] + quant[1]
@@ -637,23 +654,31 @@ KERNEL_CASES = (
 
 
 def test_tail_noise_of_a_pole_on_the_path_is_infinite():
-    # q/2 underflows to 0, so s and s -+ q/2 all sit on the end t = 1
-    peak = oracle._peak_log2(5e-324, 0.0, 5e-324)[0]
-    assert peak[0] == math.inf
-    assert oracle._tail_noise(peak, oracle._dps_to_prec(20)) is None
+    # q/2 underflows to 0, so s and s -+ q/2 all sit on the end t = 1: Q's
+    # peak is infinite, its allowance too, and its cut stays at the
+    # schedule's own stop, while I1's allowance, through the zero of 1 - t^2
+    # at the end, is finite
+    prec = oracle._dps_to_prec(20)
+    (cut_q, cut_1), (bounds_q, bounds_1) = oracle._end_cuts(5e-324, 0.0, 5e-324, prec)
+    assert bounds_q[0] == math.inf
+    assert oracle._tail_noise(bounds_q, prec) is None
+    assert cut_q == prec + 10
+    assert oracle._tail_noise(bounds_1, prec) is not None
 
 
 @pytest.mark.parametrize("x, y, q, dps", KERNEL_CASES)
 def test_contour_kernel_matches_object_arithmetic(x, y, q, dps):
-    # the same pass, once in the kernel's integer arithmetic and once in
-    # mpmath numbers, differs only by rounding: within each integral's
-    # rounding noise plus 10^-dps of its value, what _quadrature_raw allows
-    peaks = oracle._peak_log2(x, y, q)
+    # the same pass, once in the kernel's integer arithmetic over the nodes
+    # its end cuts keep and once in mpmath numbers over the whole table,
+    # differs only by rounding and the dropped nodes: within each integral's
+    # rounding noise and tail plus 10^-dps of its value, what
+    # _quadrature_raw allows
     with mp.workdps(dps):
         prec = mp.prec
-        kernel = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q), prec), prec)
+        cuts, bounds = oracle._end_cuts(x, y, q, prec)
+        kernel = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q, cuts), prec), prec)
         reference = as_mp(oracle._path_quad(object_sums(object_integrands(x, y, q)), prec), prec)
-        noise = [_mp_real(oracle._tail_noise(peak, prec)) for peak in peaks]
+        noise = [_mp_real(oracle._tail_noise(b, prec)) for b in bounds]
         out_eps = mpf(10) ** -dps
     assert len(kernel) == len(reference) == (2 if x else 1)
     for (value, _), (want, _), allowance in zip(kernel, reference, noise):
@@ -748,13 +773,15 @@ def test_level_loop_is_the_helpers_bit_for_bit(x, y, q, dps):
     with mp.workdps(dps):
         prec = mp.prec
     # at x = 0 the loop folds the table and the reference walks all of it:
-    # equal values, each sum's imaginary part then exactly 0
-    loop, reference = oracle._contour_sums(x, y, q), reference_sums(x, y, q)
-    for degree in range(1, TANH_SINH.guess_degree(prec) + 1):
-        got, want = loop(degree, prec), reference(degree, prec)
-        assert [_value(v) for v in got] == [_value(v) for v in want], degree
-        if not x:
-            assert got[0][1] == 0
+    # equal values, each sum's imaginary part then exactly 0; over the whole
+    # tables and over the prefixes that the pass's end cuts keep
+    for cuts in (None, oracle._end_cuts(x, y, q, prec)[0]):
+        loop, reference = oracle._contour_sums(x, y, q, cuts), reference_sums(x, y, q, cuts)
+        for degree in range(1, TANH_SINH.guess_degree(prec) + 1):
+            got, want = loop(degree, prec), reference(degree, prec)
+            assert [_value(v) for v in got] == [_value(v) for v in want], (cuts, degree)
+            if not x:
+                assert got[0][1] == 0
 
 
 @pytest.mark.parametrize("dps", [20, 40])
@@ -772,8 +799,9 @@ def test_path_quad_agrees_with_mp_quad_and_the_closed_form(dps, exact_digits):
     with mp.workdps(dps):
         qm, zm = mpf(q), mpc(x, y)
         prec = mp.prec
-        _, (value, err) = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q), prec), prec)
-        err += _mp_real(oracle._tail_noise(oracle._peak_log2(x, y, q)[1], prec))
+        cuts, bounds = oracle._end_cuts(x, y, q, prec)
+        _, (value, err) = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q, cuts), prec), prec)
+        err += _mp_real(oracle._tail_noise(bounds[1], prec))
         want, want_err = mp.quad(
             lambda t: (1 - t * t) / (qm * t - zm), POLYLINE, error=True
         )
@@ -853,7 +881,7 @@ def test_fixed_nodes_are_mpmaths_nodes(prec):
     # ties (near t = -+1), Im t = -cos(pi v/2) falls left of t = -i and rises
     # right of it
     for degree in range(1, TANH_SINH.guess_degree(prec) + 1):
-        table = oracle._fixed_nodes(degree, prec, False)
+        table, _ = oracle._fixed_nodes(degree, prec, False)
         if prec in (dps_to_prec(20), 86):
             assert sorted(map(_node_values, table)) == sorted(
                 map(_node_values, mpmath_table(degree, prec))
@@ -914,20 +942,30 @@ def test_node_schedule_is_mpmaths_at_every_working_precision():
 def test_fixed_nodes_mirror_and_fold_exactly():
     # t -> -conj(t) maps the nodes v > 0 onto the nodes -v of the whole
     # table, weights and 1 - t^2 conjugated, and the folded table is the
-    # nodes v >= 0 with the centre t = -i at half its weight
+    # nodes v >= 0 with the centre t = -i at half its weight; each node's
+    # depth j has 2^-(j+1) < 1 - v <= 2^-j, the depths never fall along
+    # either table, and a node and its mirror share theirs
     for prec in (70, 86):
         for degree in range(1, 8):
-            whole = oracle._fixed_nodes(degree, prec, False)
-            folded = oracle._fixed_nodes(degree, prec, True)
-            rebuilt = []
-            for tr, ti, te, ur, ui, ue, cr, ci, ce in folded:
+            whole, whole_depths = oracle._fixed_nodes(degree, prec, False)
+            folded, depths = oracle._fixed_nodes(degree, prec, True)
+            rebuilt, rebuilt_depths = [], []
+            for (tr, ti, te, ur, ui, ue, cr, ci, ce), depth in zip(folded, depths):
                 if tr:
                     rebuilt.append((tr, ti, te, ur, ui, ue, cr, ci, ce))
                     rebuilt.append((-tr, ti, te, ur, -ui, ue, cr, -ci, ce))
+                    rebuilt_depths += [depth, depth]
                 else:
                     rebuilt.append((tr, ti, te, ur, ui, ue, cr, ci, ce + 1))
+                    rebuilt_depths.append(depth)
             assert sorted(rebuilt) == sorted(whole)
             assert sum(1 for tr, *_ in folded if tr == 0) == (degree == 1)
+            assert rebuilt_depths == whole_depths
+            for table in (depths, whole_depths):
+                assert table == sorted(table)
+            for (m, e), depth in zip((rest for rest, _ in oracle._tanh_sinh(degree, prec)), depths):
+                rest = Fraction(m) * Fraction(2) ** e
+                assert Fraction(1, 2 ** (depth + 1)) < rest <= Fraction(1, 2**depth)
 
 
 def test_path_distance_is_the_nearest_point_of_the_arc():
@@ -955,10 +993,12 @@ X_ZERO_CASES = (
 
 @pytest.mark.parametrize("y, q, dps", X_ZERO_CASES)
 def test_one_segment_at_x_zero_is_the_whole_path(y, q, dps):
-    # the folded pass equals, bit for bit, the pass over the whole table
+    # the folded pass equals, bit for bit, the pass over the whole table,
+    # each over the nodes that the pass's end cut keeps
     prec = dps_to_prec(dps)
-    folded = oracle._path_quad(oracle._contour_sums(0.0, y, q), prec)
-    whole = oracle._path_quad(reference_sums(0.0, y, q), prec)
+    cuts, _ = oracle._end_cuts(0.0, y, q, prec)
+    folded = oracle._path_quad(oracle._contour_sums(0.0, y, q, cuts), prec)
+    whole = oracle._path_quad(reference_sums(0.0, y, q, cuts), prec)
     assert len(folded) == 1
     assert folded == whole
     assert folded[0][0][1] == 0  # the imaginary part
@@ -1128,12 +1168,16 @@ def test_hard_points_and_endpoint_poles_take_one_pass_each(oracle_passes):
 
 # The peak bounds behind the rounding allowance: |Q's| and |I1's integrands|,
 # sampled on the arc uniformly in v and geometrically towards each end, stay
-# below 2^peak, and within _END_REACH of an end below 2^end.
+# below 2^peak, and within the reach of an end below 2^end. The reaches: pi
+# 2^-80, that of the schedule's own stop at 20 digits, and pi c for each cut
+# c that a 20-digit pass takes at the point.
 @pytest.mark.parametrize(
     "x, y, q", HARD_POINTS + [(x, 0.0, q) for x, q in ENDPOINT_POLES] + _whole_domain_points(19, 12)
 )
 def test_peak_bounds_hold_on_the_arc(x, y, q):
-    (peak_q, end_q), (peak_1, end_1) = oracle._peak_log2(x, y, q)
+    depths = {80} | set(oracle._end_cuts(x, y, q, dps_to_prec(20))[0]) - {0}
+    reaches = [math.pi * 2.0**-depth for depth in sorted(depths)]
+    bounds = [oracle._peak_log2(x, y, q, reach) for reach in reaches]
     with mp.workprec(200):
         s, h = mpc(x, y) / q, mpf(q) / 2
         ends = [1 - mp.ldexp(1, -k) for k in range(1, 91)]
@@ -1144,9 +1188,52 @@ def test_peak_bounds_hold_on_the_arc(x, y, q):
                 float(mp.log(abs(u * u / ((t - s) ** 2 * ((t - s) ** 2 - h * h))), 2)),
                 float(mp.log(abs(u / (t - s) / q), 2)),
             )
-            near = mp.pi / 2 * (1 - abs(v)) <= oracle._END_REACH
-            for got, peak, end in zip(logs, (peak_q, peak_1), (end_q, end_1)):
-                assert got <= (end if near else peak) + 1e-9, (v, got, peak, end)
+            for reach, ((peak_q, end_q), (peak_1, end_1)) in zip(reaches, bounds):
+                near = mp.pi / 2 * (1 - abs(v)) <= reach
+                for got, peak, end in zip(logs, (peak_q, peak_1), (end_q, end_1)):
+                    assert got <= (end if near else peak) + 1e-9, (reach, v, got, peak, end)
+
+
+# The end cuts against the nodes they drop: seeded points (x = 0, folded, and
+# x < 0 among them), poles on the path ends at y = 0, where Q keeps the
+# schedule's own stop, and the escalating point and s = 1 at q = 6.2e-9 at the
+# digits of both their passes.
+TAIL_CASES = (
+    [(x, y, q, 20) for x, y, q in _whole_domain_points(47, 8)]
+    + [(x, 0.0, q, 20) for x, q in ENDPOINT_POLES]
+    + [ESCALATING_POINT + (dps,) for dps in (20, 23)]
+    + [(6.2e-9, 0.0, 6.2e-9, dps) for dps in (20, 25)]
+)
+
+
+@pytest.mark.parametrize("x, y, q, dps", TAIL_CASES)
+def test_end_cuts_drop_less_than_their_tail_term(x, y, q, dps):
+    # per component and degree from _FIRST_STOP_DEGREE on, the level over the
+    # whole table less the level over the nodes the cut keeps, exact, is
+    # within what _tail_noise charges beyond its peak term; a cut above the
+    # schedule's stop drops something, so that term cannot be left out
+    prec = dps_to_prec(dps)
+    cuts, bounds = oracle._end_cuts(x, y, q, prec)
+    if (x, q) in ENDPOINT_POLES and y == 0.0:
+        assert cuts[0] == prec + 10
+    whole, cut = oracle._contour_sums(x, y, q), oracle._contour_sums(x, y, q, cuts)
+    dropped = [(0, 0)] * len(bounds)
+    for degree in range(1, oracle._guess_degree(prec) + 1):
+        # the level is 2^-degree times the sum of every level sum so far
+        dropped = [
+            (re + a[0] - b[0], im + a[1] - b[1])
+            for (re, im), a, b in zip(
+                dropped, map(_value, whole(degree, prec)), map(_value, cut(degree, prec))
+            )
+        ]
+        if degree < oracle._FIRST_STOP_DEGREE:
+            continue
+        for (re, im), (peak, tail), depth in zip(dropped, bounds, cuts):
+            m, e = oracle._allowance(peak, prec)
+            m, e = oracle._sum(oracle._tail_noise((peak, tail), prec), (-m, e))
+            charged = Fraction(m) * Fraction(2) ** (e + degree)
+            assert re * re + im * im <= charged * charged, (degree, depth)
+            assert bool(re or im) == (depth < prec + 10), (degree, depth)
 
 
 def test_quadrature_on_the_collisionless_line():
@@ -1180,23 +1267,21 @@ def mpmath_quadrature(x: float, y: float, q: float) -> tuple:
     (classic, quant, bound) of the last pass, rounded to a complex, a
     complex and a float as mpmath rounds them. The reference that the
     oracle's exact assembly is held to, bit for bit."""
-    level_sums = oracle._contour_sums(x, y, q)
-    peaks = oracle._peak_log2(x, y, q)
-
     def noise(bounds):
-        peak, end = bounds
+        peak, tail = bounds
         if peak == math.inf:
             return mp.inf
         return sum(
-            mp.ldexp(math.pi * 2.0 ** (v - math.floor(v)), math.floor(v) - mp.prec - bits)
-            for v, bits in ((peak, oracle._NOISE_BITS), (end, oracle._NODE_TAIL_BITS))
+            mp.ldexp(math.pi * 2.0 ** (v - math.floor(v)), math.floor(v) - mp.prec - oracle._NOISE_BITS)
+            for v in (peak, tail)
         )
 
     dps = oracle._FIRST_DPS
     while True:
         with mp.workdps(dps):
-            results = as_mp(oracle._path_quad(level_sums, mp.prec), mp.prec)
-            noise_q, noise_1 = (noise(bounds) for bounds in peaks)
+            cuts, bounds = oracle._end_cuts(x, y, q, mp.prec)
+            results = as_mp(oracle._path_quad(oracle._contour_sums(x, y, q, cuts), mp.prec), mp.prec)
+            noises = [noise(b) for b in bounds]  # Q's and, for x != 0, I1's
         with mp.workdps(dps), mp.extraprec(oracle._GUARD_BITS):
             out_eps = 10.0**-dps * 2.0**-oracle._GUARD_BITS
             (vq, eq), *classical = results
@@ -1206,9 +1291,9 @@ def mpmath_quadrature(x: float, y: float, q: float) -> tuple:
                 ((v1, e1),) = classical
                 c1 = 3 * mpf(x) / mpf(q) ** 2
                 classic = -c1 * v1
-                bound_c = abs(c1) * (e1 + noise_1) + out_eps * abs(classic)
+                bound_c = abs(c1) * (e1 + noises[1]) + out_eps * abs(classic)
             quant = oracle._QUANT_FACTOR * vq
-            bound_q = oracle._QUANT_FACTOR * (eq + noise_q) + out_eps * abs(quant)
+            bound_q = oracle._QUANT_FACTOR * (eq + noises[0]) + out_eps * abs(quant)
             totals = ((bound_c, classic), (bound_q, quant), (bound_c + bound_q, classic + quant))
             checks = [(bound, oracle._TARGET_REL * abs(value)) for bound, value in totals]
             if dps == oracle._MAX_DPS or all(bound <= limit for bound, limit in checks):
@@ -1265,11 +1350,9 @@ PAST_FIRST_PASS_POINTS = (
 )
 # sha256 of float.hex of classic, quant (real and imaginary parts) and
 # err_est, or of the DomainError text, one line per point, as the verify
-# grid's pin; recorded while the oracle replayed mpmath's node recurrence and
-# assembled its passes in reals rounded as mpmath rounds them, and held since
-# it computes the nodes from their closed form and assembles each pass
-# exactly. A change to the oracle's numbers moves this pin, and says so.
-PAST_FIRST_PASS_SHA256 = "67d9cda5f726c3caf6a63aac4f410f8c8bff4434a520f46693682881ccd20b3e"
+# grid's pin; recorded when each pass took its end cuts. A change to the
+# oracle's numbers moves this pin, and says so.
+PAST_FIRST_PASS_SHA256 = "01d29f36fa249be1a7e308e0fdc8e5c01cbffb891eeef419702452188237c937"
 
 
 def test_oracle_bits_past_the_first_pass_are_pinned():
