@@ -719,16 +719,15 @@ def _end_cuts(x: float, y: float, q: float, prec: int) -> tuple:
     dropped tail, the weight beyond c, at most (1 + h e^h (pi + ln(2/c))) c
     with h = 2^-_FIRST_STOP_DEGREE (see the comment above _TAIL_BITS), times
     pi times the integrand's bound within pi c of an end, is 2^-(prec+10) pi
-    2^tail. Each cut is the largest power of two c >= 2^-(prec+10),
-    the schedule's own stop, with tail <= peak - _TAIL_BITS, that is with
-    the tail within a quarter of the allowance for the integer arithmetic,
-    found as follows: the bounds at the schedule's stop, then the depth
-    where the tail would meet that budget if the end bound grew as r^2 for Q
-    and as r for I1 (r the reach, as |u|^2 and |u| do), and one check of the
-    bound at that reach, which keeps the schedule's stop where it fails; at
-    most three _peak_log2 calls. A pole on the path (peak +inf) keeps the
-    schedule's stop. The tail is charged at the cut taken, so at the
-    schedule's stop it may exceed the budget.
+    2^tail. Each cut is a power of two c >= 2^-(prec+10), the schedule's
+    own stop, with tail <= peak - _TAIL_BITS, the tail within a quarter of
+    the allowance for the integer arithmetic: the largest such c if, from
+    the schedule's stop on, Q's end bound grew as r^2 and I1's as r (r the
+    reach, as |u|^2 and |u| do), kept after one check of the bound at its
+    reach, or else the schedule's stop; at most three _peak_log2 calls. A
+    pole on the path (peak +inf) keeps the schedule's stop. The tail is
+    charged at the cut taken, so at the schedule's stop it may exceed the
+    budget.
     """
     deepest = prec + 10
     h = 2.0**-_FIRST_STOP_DEGREE
@@ -750,8 +749,9 @@ def _end_cuts(x: float, y: float, q: float, prec: int) -> tuple:
         depth = deepest
         if peak < math.inf:
             budget = peak - _TAIL_BITS
-            # where the tail would meet the budget if Q's end bound grew as
-            # r^2 and I1's as r; c < 1, so that the cut keeps the centre v = 0
+            # the depth where the tail would meet the budget if it grew as
+            # c^3 for Q and c^2 for I1 (the weight as c, the end bound as r^2
+            # or r); c < 1, so that the cut keeps the centre v = 0
             guess = max(1, deepest - math.floor((budget - tail(end, deepest)) / (3 - i)))
             if guess < deepest:
                 guessed = ends(guess)[i][1]

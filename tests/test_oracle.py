@@ -252,11 +252,6 @@ def test_verify_grid_takes_one_pass_per_point(oracle_passes):
     assert oracle_passes == [oracle._FIRST_DPS] * 60, oracle_passes
 
 
-def prefix(depths: list, depth: int) -> int:
-    """The nodes a cut at 1 - v <= 2^-depth keeps: those of depth below it."""
-    return sum(1 for d in depths if d < depth)
-
-
 def test_verify_grid_walks_7057_nodes_and_evaluates_q_at_6337(monkeypatch):
     # over verify's grid, the nodes the level loop walks, the longer of Q's
     # and I1's prefixes (the x = 0 points walking the folded half and Q's
@@ -270,8 +265,9 @@ def test_verify_grid_walks_7057_nodes_and_evaluates_q_at_6337(monkeypatch):
         level_sums = contour_sums(x, y, q, cuts)
 
         def counted(degree, prec):
+            # a cut at 1 - v <= 2^-j keeps the nodes of depth below j
             _, depths = oracle._fixed_nodes(degree, prec, not x)
-            stop_q, stop_1 = (prefix(depths, depth) for depth in cuts)
+            stop_q, stop_1 = (sum(1 for d in depths if d < j) for j in cuts)
             walked.append(max(stop_q, stop_1))
             evaluated.append(stop_q)
             return level_sums(degree, prec)
@@ -1219,7 +1215,8 @@ def test_end_cuts_drop_less_than_their_tail_term(x, y, q, dps):
     whole, cut = oracle._contour_sums(x, y, q), oracle._contour_sums(x, y, q, cuts)
     dropped = [(0, 0)] * len(bounds)
     for degree in range(1, oracle._guess_degree(prec) + 1):
-        # the level is 2^-degree times the sum of every level sum so far
+        # the level is 2^-degree times the sum of every level sum so far, so
+        # the dropped sum is held to the charge times 2^degree
         dropped = [
             (re + a[0] - b[0], im + a[1] - b[1])
             for (re, im), a, b in zip(
