@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from .core import (
     ChiResult,
     DimensionlessPoint,
+    chi_ratio_to_absolute,
     landau_chi_physical,
 )
 from .errors import DiamagError
@@ -114,6 +115,7 @@ def _eval_payload(
     breakdown: Optional[TermBreakdown],
     vf: Optional[float],
     chi_l: Optional[float],
+    absolute: Optional[complex],
 ) -> dict:
     payload = dict(vars(row))
     payload["regime"] = result.method.value
@@ -124,8 +126,8 @@ def _eval_payload(
         payload["absolute"] = {
             "v_fermi_cm_s": vf,
             "chi_landau_cgs": chi_l,
-            "chi_total_cgs_re": result.total.real * chi_l,
-            "chi_total_cgs_im": result.total.imag * chi_l,
+            "chi_total_cgs_re": absolute.real,
+            "chi_total_cgs_im": absolute.imag,
         }
     return payload
 
@@ -134,14 +136,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     from .sweep import OutputRow, format_float
 
     point = DimensionlessPoint(x=args.x, y=args.y, q=args.q)
-    # validates v_F before anything is printed
+    # validates v_F before the kernel runs
     chi_l = None if args.vf is None else landau_chi_physical(args.vf)
     result, breakdown = chi_ratio_detailed(point)
+    # raises before anything is printed where chi leaves the double range
+    absolute = None if args.vf is None else chi_ratio_to_absolute(result.total, args.vf)
     row = OutputRow.from_result(point, result)
     if args.json:
         import json
 
-        payload = _eval_payload(row, result, breakdown, args.vf, chi_l)
+        payload = _eval_payload(row, result, breakdown, args.vf, chi_l, absolute)
         print(json.dumps(payload, indent=2))
         return 0
     print(f"point        x = {format_float(point.x)}  y = {format_float(point.y)}"
@@ -156,7 +160,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for name, value in vars(breakdown).items():
             print(f"{name:<13}{_fmt_complex(value)}")
     if args.vf is not None:
-        absolute = complex(result.total.real * chi_l, result.total.imag * chi_l)
         print(f"chi_L        {format_float(chi_l)}  (v_F = {format_float(args.vf)} cm/s)")
         print(f"chi_cgs      {_fmt_complex(absolute)}")
     return 0

@@ -10,7 +10,8 @@ laboratory CGS parameters, and the Landau susceptibility
 
 which normalizes every ratio the kernel produces. Complex quantities are plain
 Python ``complex``; finiteness is enforced at the type boundaries so no NaN or
-infinity escapes a public operation.
+infinity escapes a public operation: a conversion that would leave the double
+range raises DomainError instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import enum
 import math
 
 from .constants import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "DimensionlessPoint",
@@ -259,6 +260,8 @@ def to_dimensionless(state: PhysicalState) -> DimensionlessPoint:
     """
     k_F = state.k_F
     scale = k_F * state.v_F
+    if scale == 0.0:
+        raise DomainError(f"k_F v_F underflows to 0 at v_F = {state.v_F!r}")
     return DimensionlessPoint(
         x=state.omega / scale, y=state.nu / scale, q=state.k / k_F
     )
@@ -284,6 +287,8 @@ def fermi_parameters_from_density(n_e: float) -> FermiParameters:
     if not math.isfinite(n_e) or n_e <= 0:
         raise ValidationError("n_e must be finite and > 0")
     k_F = (3.0 * math.pi**2 * n_e) ** (1.0 / 3.0)
+    if k_F == math.inf:
+        raise DomainError(f"k_F = (3 pi^2 n_e)^(1/3) overflows at n_e = {n_e!r}")
     v_F = HBAR * k_F / ELECTRON_MASS
     p_F = ELECTRON_MASS * v_F
     E_F = 0.5 * ELECTRON_MASS * v_F**2
@@ -319,5 +324,11 @@ def landau_chi_magneton_form(v_F: float) -> float:
 
 
 def chi_ratio_to_absolute(ratio: complex, v_F: float) -> complex:
-    """Convert a chi/chi_L ratio to an absolute CGS susceptibility."""
-    return require_finite_complex("ratio", ratio) * landau_chi_physical(v_F)
+    """Convert a chi/chi_L ratio to an absolute CGS susceptibility, each part
+    times chi_L; DomainError where the product leaves the double range."""
+    chi_l = landau_chi_physical(v_F)
+    absolute = complex(ratio.real * chi_l, ratio.imag * chi_l)
+    if not cmath.isfinite(absolute):
+        require_finite_complex("ratio", ratio)
+        raise DomainError(f"the absolute susceptibility chi overflows at v_F = {v_F!r}")
+    return absolute

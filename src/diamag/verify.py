@@ -14,14 +14,17 @@ The three oracle checks import ``diamag.oracle`` when they run, so importing
 this module, and the CLI that imports it, does not. None of them loads
 mpmath: the contour oracle runs on Python integers, and only the exact
 reference, which no check calls, imports mpmath.
+
+The tests' one honesty measurement, ``_honesty_ratio``, lives here too.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .core import (
+    ChiResult,
     DimensionlessPoint,
     FrozenRecord,
     landau_chi_magneton_form,
@@ -181,6 +184,25 @@ def _check_suppression_halfcross() -> CheckResult:
             + ", ".join(f"{c:.3e}" for c in crossings)
         ),
     )
+
+
+def _honesty_ratio(result: ChiResult, exact: complex) -> float:
+    """|result.total - exact| / (result.err_est + 4 eps |exact|): at most 1
+    where result is honest, 0 where both sides are 0, inf where only the
+    error is not. For two positive doubles a/b rounds to at most 1 exactly
+    when a <= b, so ratio <= 1 is the bound written out by hand."""
+    error = abs(result.total - exact)
+    allowed = result.err_est + 4.0 * 2.0**-52 * abs(exact)
+    if allowed == 0.0:
+        return 0.0 if error == 0.0 else math.inf
+    return error / allowed
+
+
+def _honesty(points: Sequence[DimensionlessPoint]) -> List[float]:
+    """_honesty_ratio of chi_ratio against chi_ratio_exact at each point."""
+    from .oracle import chi_ratio_exact
+
+    return [_honesty_ratio(chi_ratio(p), chi_ratio_exact(p).total) for p in points]
 
 
 # the default bounds of the five discrepancy-type checks, in the order they run

@@ -1,10 +1,12 @@
 """Acceptance gate: one test per shipping criterion, one PASS/FAIL line each.
 
 Every criterion is evaluated at its stated tolerance and prints a single
-summary line (visible with -s or -rA, and in failure output). Criterion 6's
-curve-shape subcheck is expected to fail and is marked as such: the
-suppression curves are not monotone in wave number, they rise to a summit
-near q = (24 y)^(1/3) and then descend toward the static value 3/4 at q = 2.
+summary line (visible with -s or -rA, and in failure output). Criteria 3, 4,
+6a, 6c and 8 are what `diamag verify` checks, so they run verify's own checks
+and report their lines. Criterion 6's curve-shape subcheck is expected to
+fail and is marked as such: the suppression curves are not monotone in wave
+number, they rise to a summit near q = (24 y)^(1/3) and then descend toward
+the static value 3/4 at q = 2.
 """
 
 import math
@@ -15,29 +17,14 @@ import pytest
 
 from diamag import (
     DimensionlessPoint,
-    chi_from_kinetic,
     chi_ratio,
-    chi_ratio_quadrature,
     chi_static_pv,
-    j_integrals_nascent_delta,
     landau_chi_magneton_form,
     landau_chi_physical,
 )
 from diamag.cli import main
-from diamag import oracle
-
-GRID_X = (0.0, 0.1, 0.5)
-GRID_Y = (1e-3, 1e-2, 0.1, 1.0)
-GRID_Q = (0.05, 0.1, 0.5, 1.0, 1.9)
-
-
-def _grid():
-    return [
-        DimensionlessPoint(x, y, q)
-        for x in GRID_X
-        for y in GRID_Y
-        for q in GRID_Q
-    ]
+from diamag import oracle, verify
+from diamag.verify import GRID_Q, GRID_Y
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -85,38 +72,29 @@ def test_criterion_02_landau_value_two_forms():
     )
 
 
-def test_criterion_03_closed_form_vs_quadrature_grid():
+def _lines(*results) -> str:
+    """The report lines of verify's checks, without their PASS/FAIL word."""
+    return "; ".join(result.line().partition(" ")[2] for result in results)
+
+
+def _timed(name: str, check, bound: float, limit: float) -> None:
+    """Report verify's check at bound, and hold it to limit seconds too."""
     t0 = time.perf_counter()
-    worst = 0.0
-    for p in _grid():
-        got = chi_ratio(p).total
-        want = chi_ratio_quadrature(p).total
-        worst = max(worst, abs(got - want) / abs(want))
+    result = check(bound)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-8 and elapsed < 10.0
     _report(
-        "criterion-3 closed form vs quadrature",
-        ok,
-        f"max rel dev = {worst:.3e} over 60 points (bound 1e-8), "
-        f"elapsed = {elapsed:.2f} s (bound 10 s)",
+        name,
+        result.passed and elapsed < limit,
+        f"{_lines(result)}; elapsed = {elapsed:.2f} s (bound {limit:g} s)",
     )
+
+
+def test_criterion_03_closed_form_vs_quadrature_grid():
+    _timed("criterion-3 closed form vs quadrature", verify._check_quadrature_grid, 1e-8, 10.0)
 
 
 def test_criterion_04_kinetic_reconstruction_grid():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for p in _grid():
-        got = chi_from_kinetic(p).total
-        want = chi_ratio(p).total
-        worst = max(worst, abs(got - want) / abs(want))
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and elapsed < 30.0
-    _report(
-        "criterion-4 kinetic reconstruction",
-        ok,
-        f"max rel dev = {worst:.3e} over 60 points (bound 1e-6), "
-        f"elapsed = {elapsed:.2f} s (bound 30 s)",
-    )
+    _timed("criterion-4 kinetic reconstruction", verify._check_kinetic_grid, 1e-6, 30.0)
 
 
 def test_criterion_05_classical_part_vanishes_at_zero_frequency():
@@ -133,15 +111,12 @@ def test_criterion_05_classical_part_vanishes_at_zero_frequency():
 
 
 def test_criterion_06_suppression_endpoints_and_plateau():
-    y = 1e-3
-    tiny = abs(chi_ratio(DimensionlessPoint(0.0, y, 1e-6)).total)
-    plateau = abs(chi_ratio(DimensionlessPoint(0.0, y, 0.5)).total)
-    ok = tiny < 1e-6 and 0.90 <= plateau <= 0.99
+    tiny = verify._check_suppression_smallq(1e-6)
+    plateau = verify._check_suppression_plateau()
     _report(
         "criterion-6a suppression endpoints",
-        ok,
-        f"|ratio|(q=1e-6) = {tiny:.3e} (bound 1e-6), "
-        f"|ratio|(q=0.5) = {plateau:.4f} (window [0.90, 0.99])",
+        tiny.passed and plateau.passed,
+        _lines(tiny, plateau),
     )
 
 
@@ -168,24 +143,8 @@ def test_criterion_06b_curves_monotone_nondecreasing_in_q():
 
 
 def test_criterion_06c_half_crossing_moves_with_collision_rate():
-    def half_crossing(y: float) -> float:
-        lo, hi = 1e-7, 0.1
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if abs(chi_ratio(DimensionlessPoint(0.0, y, mid)).total) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-        return math.sqrt(lo * hi)
-
-    crossings = [half_crossing(y) for y in (1e-6, 1e-5, 1e-4, 1e-3)]
-    ordered = all(a < b for a, b in zip(crossings, crossings[1:]))
-    _report(
-        "criterion-6c half-crossing ordering",
-        ordered,
-        "q at |ratio| = 1/2 for y = 1e-6..1e-3: "
-        + ", ".join(f"{c:.3e}" for c in crossings),
-    )
+    crossing = verify._check_suppression_halfcross()
+    _report("criterion-6c half-crossing ordering", crossing.passed, _lines(crossing))
 
 
 def test_criterion_07_static_limit_continuity():
@@ -204,20 +163,9 @@ def test_criterion_07_static_limit_continuity():
 
 
 def test_criterion_08_velocity_moment_limits():
-    t0 = time.perf_counter()
-    out = j_integrals_nascent_delta()
-    elapsed = time.perf_counter() - t0
-    four_pi = 4.0 * math.pi
-    dev1 = abs(out.j1 - four_pi) / four_pi
-    dev2 = abs(out.j2 - four_pi) / four_pi
-    combo = abs(out.landau_combination + 2.0 * four_pi) / (2.0 * four_pi)
-    ok = dev1 < 1e-4 and dev2 < 1e-4 and combo < 1e-4 and elapsed < 5.0
-    _report(
-        "criterion-8 velocity moments",
-        ok,
-        f"j1 dev = {dev1:.3e}, j2 dev = {dev2:.3e}, combination dev = "
-        f"{combo:.3e} (bounds 1e-4), elapsed = {elapsed:.2f} s (bound 5 s)",
-    )
+    # verify's bound is absolute: 1e-4 of 4 pi and 8 pi is stricter than
+    # the criterion's relative 1e-4
+    _timed("criterion-8 velocity moments", verify._check_j_integrals, 1e-4, 5.0)
 
 
 def test_criterion_09_reality_and_conjugation():

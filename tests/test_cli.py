@@ -365,6 +365,16 @@ def test_eval_rejects_bad_fermi_velocity_before_printing(vf, fmt, capsys):
     assert "v_F" in captured.err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_eval_refuses_an_absolute_value_beyond_the_double_range(flags, capsys):
+    # the ratio is about -9.4e180j and chi_L about -2.1e285: nothing prints
+    argv = ["eval", "--x", "1e-300", "--y", "1e-170", "--q", "1e-160", "--vf", "1e300"]
+    assert main(argv + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "absolute susceptibility chi overflows" in captured.err
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "diamag.cli",

@@ -19,7 +19,7 @@ from diamag.core import (
     landau_chi_physical,
     to_dimensionless,
 )
-from diamag.errors import ValidationError
+from diamag.errors import DomainError, ValidationError
 from diamag.kernel import TermBreakdown
 from diamag.sweep import OutputRow, SweepSpec
 from diamag.verify import CheckResult
@@ -83,6 +83,12 @@ class TestConversions:
             assert math.isclose(back.k, state.k, rel_tol=1e-14)
             assert back.v_F == state.v_F
 
+    @pytest.mark.parametrize("state", [(1e-300, 1e300, 1e300, 1e300), (5e-324, 1.0, 1.0, 1.0)])
+    def test_an_underflowing_scale_is_refused_by_name(self, state):
+        # k_F v_F underflows to 0, which the divisions would meet
+        with pytest.raises(DomainError, match=r"^k_F v_F underflows to 0"):
+            to_dimensionless(PhysicalState(*state))
+
     def test_state_validation(self):
         with pytest.raises(ValidationError, match="v_F"):
             PhysicalState(v_F=0.0, nu=0.0, omega=0.0, k=1.0)
@@ -112,6 +118,13 @@ class TestFermiParameters:
         base = fermi_parameters_from_density(1e22)
         doubled = fermi_parameters_from_density(2e22)
         assert math.isclose(doubled.k_F / base.k_F, 2.0 ** (1.0 / 3.0), rel_tol=1e-14)
+
+    def test_an_overflowing_density_is_refused_by_name(self):
+        with pytest.raises(DomainError, match=r"^k_F = \(3 pi\^2 n_e\)\^\(1/3\) overflows"):
+            fermi_parameters_from_density(1e308)
+        # just below, every field is finite
+        fp = fermi_parameters_from_density(6e306)
+        assert all(math.isfinite(value) for value in fp._values())
 
     def test_rejects_nonpositive_density(self):
         with pytest.raises(ValidationError):
@@ -160,6 +173,10 @@ class TestAbsoluteConversion:
 
     def test_zero_ratio(self):
         assert chi_ratio_to_absolute(complex(0.0), 1e8) == 0.0
+
+    def test_an_overflowing_product_is_refused_by_name(self):
+        with pytest.raises(DomainError, match="absolute susceptibility chi overflows"):
+            chi_ratio_to_absolute(1e300 + 0j, 1e300)
 
     def test_plateau_magnitude(self):
         value = chi_ratio_to_absolute(complex(0.948), 1.57e8)

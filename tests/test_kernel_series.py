@@ -10,14 +10,13 @@ import cmath
 import hashlib
 import math
 import random
-import sys
 
 import pytest
 
 from diamag import ConvergenceError, DomainError, kernel
 from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.kernel import _closed_form_parts, _closed_pieces, _laurent_parts, chi_ratio
-from diamag.oracle import chi_ratio_exact
+from diamag.verify import _honesty, _honesty_ratio
 
 OVERLAP_WINDOW = [
     # (q, chi(0, 1e-6, q)) frozen at 60 digits
@@ -122,7 +121,7 @@ TINY_RATIO_REFERENCES = [
 def test_laurent_keeps_its_digits_where_its_ratio_underflows(coords, ref):
     result = chi_ratio(DimensionlessPoint(*coords))
     assert result.method is RegimeTag.LAURENT_SERIES
-    assert abs(result.total.real - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * ref
+    assert _honesty_ratio(result, ref) <= 1.0
 
 
 def _laurent_exponents(m: float, q: float) -> tuple:
@@ -194,7 +193,7 @@ Y_SQUARED_UNDERFLOW_REFERENCES = [
 def test_x0_laurent_where_y_squared_underflows_keeps_its_digits(coords, ref):
     result = chi_ratio(DimensionlessPoint(*coords))
     assert result.method is RegimeTag.LAURENT_SERIES
-    assert abs(result.total.real - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * ref
+    assert _honesty_ratio(result, ref) <= 1.0
 
 
 def test_laurent_where_z_squared_overflows_keeps_its_digits():
@@ -203,8 +202,7 @@ def test_laurent_where_z_squared_overflows_keeps_its_digits():
     result = chi_ratio(DimensionlessPoint(1.37e292, 1.96e126, 9.2e-44))
     assert result.method is RegimeTag.LAURENT_SERIES
     ref = complex(4.725897920604915e86, -6.7611386309384191e-80)
-    bound = result.err_est + 4.0 * sys.float_info.epsilon * abs(ref)
-    assert abs(result.total - ref) <= bound
+    assert _honesty_ratio(result, ref) <= 1.0
 
 
 def test_x_positive_laurent_where_q_squared_underflows_is_honest():
@@ -217,7 +215,7 @@ def test_x_positive_laurent_where_q_squared_underflows_is_honest():
     # every other point raises DomainError (the value or an intermediate
     # leaves the double range)
     rng = random.Random(29)
-    served = 0
+    served = []
     for _ in range(100):
         while True:
             q = _loguniform(rng, 1e-200, 1e-150)
@@ -232,11 +230,10 @@ def test_x_positive_laurent_where_q_squared_underflows_is_honest():
         except DomainError:
             continue
         assert result.method is RegimeTag.LAURENT_SERIES
-        ref = chi_ratio_exact(point).total
-        bound = result.err_est + 4 * sys.float_info.epsilon * abs(ref)
-        assert abs(result.total - ref) <= bound, (x, y, q)
-        served += 1
-    assert served >= 30
+        served.append(point)
+    assert len(served) >= 30
+    for point, ratio in zip(served, _honesty(served)):
+        assert ratio <= 1.0, point
 
 
 # x > 0 range classes where an unscaled Laurent intermediate leaves the double
@@ -257,6 +254,7 @@ def test_x_positive_laurent_keeps_its_digits_where_an_unscaled_intermediate_leav
     # held to chi_ratio_exact, as the q^2 test above is
     in_class = LAURENT_RANGE_CLASSES[kind]
     rng = random.Random(30)
+    points = []
     for _ in range(5):
         while True:
             x, q = _loguniform(rng, 1e-300, 1e300), _loguniform(rng, 1e-300, 1e300)
@@ -270,12 +268,10 @@ def test_x_positive_laurent_keeps_its_digits_where_an_unscaled_intermediate_leav
                 and abs(log_classic) <= 300.0
             ):
                 break
-        point = DimensionlessPoint(x, y, q)
-        result = chi_ratio(point)
-        assert result.method is RegimeTag.LAURENT_SERIES
-        ref = chi_ratio_exact(point).total
-        bound = result.err_est + 4 * sys.float_info.epsilon * abs(ref)
-        assert abs(result.total - ref) <= bound, (x, y, q)
+        points.append(DimensionlessPoint(x, y, q))
+        assert chi_ratio(points[-1]).method is RegimeTag.LAURENT_SERIES
+    for point, ratio in zip(points, _honesty(points)):
+        assert ratio <= 1.0, point
 
 
 def test_x_positive_laurent_where_the_classical_part_overflows_names_it():

@@ -10,7 +10,7 @@ from diamag import kernel
 from diamag.core import DimensionlessPoint, RegimeTag
 from diamag.errors import DomainError
 from diamag.kernel import _closed_pieces, chi_ratio, chi_static_pv
-from diamag.oracle import chi_ratio_exact
+from diamag.verify import _honesty
 
 EPS = sys.float_info.epsilon
 
@@ -132,11 +132,9 @@ def test_static_points_from_half_to_two_hold_the_exact_reference():
     # every static point is the Taylor series or the closed form, each within
     # its err_est and the rounding of a few operations
     rng = random.Random(35)
-    for _ in range(300):
-        q = rng.uniform(0.5, 2.0)
-        result = chi_ratio(DimensionlessPoint(0.0, 0.0, q))
-        exact = chi_ratio_exact(DimensionlessPoint(0.0, 0.0, q)).total.real
-        assert abs(result.total.real - exact) <= result.err_est + 4.0 * EPS * abs(exact), q
+    points = [DimensionlessPoint(0.0, 0.0, rng.uniform(0.5, 2.0)) for _ in range(300)]
+    for point, ratio in zip(points, _honesty(points)):
+        assert ratio <= 1.0, point
 
 
 def test_static_pv_is_chi_ratio_at_the_static_point():

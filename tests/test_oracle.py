@@ -29,7 +29,7 @@ from diamag import (
 )
 from diamag import oracle
 from diamag.oracle import _kinetic_integrands, _nascent_delta, richardson_extrapolate
-from diamag.verify import GRID_Q, GRID_X, GRID_Y
+from diamag.verify import _grid_points
 
 
 def rel(a: complex, b: complex) -> float:
@@ -244,10 +244,8 @@ TWO_PASS_GRID_POINTS = [
 
 
 def test_verify_grid_takes_one_pass_per_point(oracle_passes):
-    for x in GRID_X:
-        for y in GRID_Y:
-            for q in GRID_Q:
-                chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    for point in _grid_points():
+        chi_ratio_quadrature(point)
     # 60 first passes, none at more than 20 digits
     assert oracle_passes == [oracle._FIRST_DPS] * 60, oracle_passes
 
@@ -275,32 +273,34 @@ def test_verify_grid_walks_7057_nodes_and_evaluates_q_at_6337(monkeypatch):
         return counted
 
     monkeypatch.setattr(oracle, "_contour_sums", counting)
-    for x in GRID_X:
-        for y in GRID_Y:
-            for q in GRID_Q:
-                chi_ratio_quadrature(DimensionlessPoint(x, y, q))
+    for point in _grid_points():
+        chi_ratio_quadrature(point)
     assert (sum(walked), sum(evaluated)) == (7057, 6337)
 
 
-# sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
-# at verify's 60 grid points, one line per point, recorded when each pass
-# took its end cuts (_end_cuts): the parts kept their bits, and err_est,
-# which charges each cut's tail, moved by at most 1.1e-8 of itself. Every
-# point takes one pass, at 20 digits.
+def _bits_digest(outcomes) -> str:
+    """sha256 of one line per outcome: float.hex of classic, quant (real and
+    imaginary parts) and err_est of a result, or the text of an error."""
+    lines = []
+    for got in outcomes:
+        if isinstance(got, str):
+            lines.append(got)
+        else:
+            parts = (got.classic.real, got.classic.imag, got.quant.real, got.quant.imag)
+            lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# _bits_digest of chi_ratio_quadrature at verify's 60 grid points, recorded
+# when each pass took its end cuts (_end_cuts): the parts kept their bits,
+# and err_est, which charges each cut's tail, moved by at most 1.1e-8 of
+# itself. Every point takes one pass, at 20 digits.
 # A change to the oracle's numbers moves this pin, and says so.
 VERIFY_GRID_ORACLE_SHA256 = "d8a770412e5511b0fac169ba4f2d2dd6010bc934c4b38db40ff964dd17c6c231"
 
 
 def test_oracle_bits_on_the_verify_grid_are_pinned():
-    lines = []
-    for x in GRID_X:
-        for y in GRID_Y:
-            for q in GRID_Q:
-                got = chi_ratio_quadrature(DimensionlessPoint(x, y, q))
-                parts = (got.classic.real, got.classic.imag, got.quant.real, got.quant.imag)
-                lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == VERIFY_GRID_ORACLE_SHA256
+    assert _bits_digest(map(chi_ratio_quadrature, _grid_points())) == VERIFY_GRID_ORACLE_SHA256
 
 
 @pytest.mark.parametrize("x, y, q", TWO_PASS_GRID_POINTS)
@@ -1345,24 +1345,15 @@ PAST_FIRST_PASS_POINTS = (
     + [(1.0, 1.0, 1e-160)]
     + _whole_domain_points(37, 40)
 )
-# sha256 of float.hex of classic, quant (real and imaginary parts) and
-# err_est, or of the DomainError text, one line per point, as the verify
-# grid's pin; recorded when each pass took its end cuts. A change to the
+# _bits_digest of the oracle at these points, a DomainError's text where it
+# refuses one; recorded when each pass took its end cuts. A change to the
 # oracle's numbers moves this pin, and says so.
 PAST_FIRST_PASS_SHA256 = "01d29f36fa249be1a7e308e0fdc8e5c01cbffb891eeef419702452188237c937"
 
 
 def test_oracle_bits_past_the_first_pass_are_pinned():
-    lines = []
-    for x, y, q in PAST_FIRST_PASS_POINTS:
-        got = _outcome(oracle._quadrature_raw, x, y, q)
-        if isinstance(got, str):
-            lines.append(got)
-        else:
-            parts = (got.classic.real, got.classic.imag, got.quant.real, got.quant.imag)
-            lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == PAST_FIRST_PASS_SHA256
+    outcomes = (_outcome(oracle._quadrature_raw, *point) for point in PAST_FIRST_PASS_POINTS)
+    assert _bits_digest(outcomes) == PAST_FIRST_PASS_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -1488,23 +1479,14 @@ def test_kinetic_rejects_static_line():
         chi_from_kinetic(DimensionlessPoint(0.0, 0.0, 1.0))
 
 
-# sha256 of float.hex of classic, quant (real and imaginary parts) and err_est
-# of chi_from_kinetic at verify's 60 grid points, one line per point, as the
+# _bits_digest of chi_from_kinetic at verify's 60 grid points, as the
 # oracle pin above. A change to the kinetic oracle's numbers moves this pin,
 # and says so.
 VERIFY_GRID_KINETIC_SHA256 = "15304d3588525a5040e2a78f4f87641c0243632e02f7f9fb01a4d4f6981b0906"
 
 
 def test_kinetic_bits_on_the_verify_grid_are_pinned():
-    lines = []
-    for x in GRID_X:
-        for y in GRID_Y:
-            for q in GRID_Q:
-                got = chi_from_kinetic(DimensionlessPoint(x, y, q))
-                parts = (got.classic.real, got.classic.imag, got.quant.real, got.quant.imag)
-                lines.append(" ".join(v.hex() for v in parts + (got.err_est,)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == VERIFY_GRID_KINETIC_SHA256
+    assert _bits_digest(map(chi_from_kinetic, _grid_points())) == VERIFY_GRID_KINETIC_SHA256
 
 
 # sha256 of float.hex of j1, j2, j1_err_est and j2_err_est of

@@ -2,13 +2,13 @@
 escalation."""
 
 import math
-import sys
+import random
 
 import pytest
 
 from diamag.core import DimensionlessPoint
 from diamag.kernel import RegimeTag, chi_ratio, regime_select
-from diamag.oracle import chi_ratio_exact
+from diamag.verify import _honesty
 
 
 def test_static_pv_window():
@@ -146,18 +146,11 @@ def _seam_point(base, scale):
     return DimensionlessPoint(x * scale, y * scale, q)
 
 
-def _honest(point) -> bool:
-    """Whether chi_ratio is within err_est + 4 eps |ref| of chi_ratio_exact."""
-    result = chi_ratio(point)
-    ref = chi_ratio_exact(point).total
-    return abs(result.total - ref) <= result.err_est + 4.0 * sys.float_info.epsilon * abs(ref)
-
-
 @pytest.mark.parametrize("base", SEAM_BASES)
 def test_far_field_side_of_the_seam_is_laurent_and_honest(base):
     point = _seam_point(base, 1.0 + 2.0**-51)
     assert regime_select(point) is RegimeTag.LAURENT_SERIES
-    assert _honest(point)
+    assert _honesty([point])[0] <= 1.0
     assert regime_select(_seam_point(base, 1.0 - 2.0**-51)) is not RegimeTag.LAURENT_SERIES
 
 
@@ -171,4 +164,34 @@ def test_near_field_side_of_the_seam_is_honest():
     points = [_seam_point(base, 1.0 - 2.0**-51) for base in SEAM_BASES]
     # a closed-form point 3.6e-13 off, outside both series' convergence
     points.append(DimensionlessPoint(0.0, 5.51, 1.9))
-    assert all(_honest(point) for point in points)
+    assert max(_honesty(points)) <= 1.0
+
+
+def _seam_pairs() -> list:
+    """300 (inner, outer) pairs 8 ulps either side of |s| = max(3, 2 + q),
+    q log-uniform over [1e-3, 1e2], a quarter of them at x = 0 and the rest
+    at an angle uniform over [0, pi/2)."""
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(300):
+        q = 10.0 ** rng.uniform(-3.0, 2.0)
+        r = max(3.0, 2.0 + q) * q
+        if rng.random() < 0.25:
+            base = (0.0, r, q)
+        else:
+            angle = rng.uniform(0.0, 0.5 * math.pi)
+            base = (r * math.cos(angle), r * math.sin(angle), q)
+        pairs.append(tuple(_seam_point(base, 1.0 + k * 2.0**-52) for k in (-8, 8)))
+    return pairs
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: across the far-field bound the near-field strategies and the "
+    "Laurent series differ by more than the sum of their err_est at 293 of the 300 pairs, "
+    "at worst 2.7e-11 relative",
+)
+def test_results_across_the_seam_differ_by_at_most_their_err_est():
+    for inner, outer in _seam_pairs():
+        a, b = chi_ratio(inner), chi_ratio(outer)
+        assert abs(a.total - b.total) <= a.err_est + b.err_est, (inner, outer)

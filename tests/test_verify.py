@@ -1,49 +1,18 @@
 """The built-in verification checklist used by the verify subcommand."""
 
 import math
+import random
 
 import pytest
 
-from diamag import CheckResult, ValidationError, render_report, run_verification
+from diamag import CheckResult, RegimeTag, ValidationError, render_report, run_verification
 from diamag import verify
+from diamag.core import ChiResult
 
 
-@pytest.fixture(scope="module")
-def results():
-    return run_verification()
-
-
-def test_all_checks_pass_with_defaults(results):
-    assert len(results) == 7
-    assert all(r.passed for r in results)
-    names = [r.name for r in results]
-    assert len(set(names)) == len(names)
-    for r in results:
-        assert math.isfinite(r.measured)
-
-
-def test_grid_check_meets_its_bound(results):
-    grid = {r.name: r for r in results}["closed-form-vs-quadrature"]
-    assert grid.measured < 1e-8
-    assert grid.bound == 1e-8
-
-
-def test_velocity_moment_check_states_target(results):
-    j = {r.name: r for r in results}["velocity-moment-integrals"]
-    assert "12.566370614359172" in j.detail
-
-
-def test_report_format(results):
-    report = render_report(results)
-    lines = report.splitlines()
-    assert all(line.startswith("PASS ") for line in lines[:-1])
-    assert lines[-1] == f"all {len(results)} checks passed"
-    # one line per check, measured and bound rendered in scientific notation
-    assert "measured" in lines[0] and "bound" in lines[0]
-
-
-# What `diamag verify` prints, byte for byte. The oracle's arithmetic may
-# change how fast these numbers come, never the numbers.
+# What `diamag verify` prints, byte for byte: each check's name, verdict,
+# measured value, bound and detail, and the count. The oracle's arithmetic
+# may change how fast these numbers come, never the numbers.
 DEFAULT_REPORT = """\
 PASS closed-form-vs-quadrature: measured 5.091e-12 (bound 1.000e-08) max rel deviation over 60 grid points
 PASS kinetic-integral-consistency: measured 6.079e-10 (bound 1.000e-06) max rel deviation, velocity-moment form vs closed form
@@ -55,8 +24,8 @@ PASS suppression-half-crossing: measured 1.000e+01 (bound 1.000e+00) half-height
 all 7 checks passed"""
 
 
-def test_default_report_is_frozen(results):
-    assert render_report(results) == DEFAULT_REPORT
+def test_default_report_is_frozen():
+    assert render_report(run_verification()) == DEFAULT_REPORT
 
 
 def test_impossible_tolerance_fails_and_reports_counts():
@@ -111,3 +80,18 @@ def test_half_crossing_stops_when_the_bisection_stops_moving(monkeypatch):
         crossing = verify._half_crossing(y)
         assert crossing == plain_bisection(y)
         assert len(calls) < 80
+
+
+def test_honesty_ratio_is_at_most_one_exactly_where_the_bound_holds():
+    # with exact = 0 the error is |total| and the allowance err_est: the
+    # ratio is at most 1 for the totals up to err_est and above 1 from the
+    # next double on, normal, subnormal and zero allowances alike
+    rng = random.Random(20)
+    allowances = [0.0, 5e-324, 2.0**-1022, 1.0, math.nextafter(2.0, 0.0)]
+    allowances += [10.0 ** rng.uniform(-320.0, 300.0) for _ in range(1000)]
+    for allowed in allowances:
+        below, above = math.nextafter(allowed, 0.0), math.nextafter(allowed, math.inf)
+        for total, honest in ((below, True), (allowed, True), (above, False)):
+            result = ChiResult.from_parts(0j, complex(total), RegimeTag.CLOSED_FORM, allowed)
+            assert (verify._honesty_ratio(result, 0.0) <= 1.0) is honest, (total, allowed)
+
