@@ -253,28 +253,47 @@ class ChiResult(FrozenRecord):
 # ---------------------------------------------------------------------------
 
 
+def _derived(name: str, value: float, source: float, v_F: float) -> float:
+    """value, the quantity `name` derived from the field `source`; DomainError,
+    naming it, where it overflows or underflows to 0 from a nonzero source."""
+    if value == math.inf or (value == 0.0 and source != 0.0):
+        direction = "overflows" if value else "underflows to 0"
+        raise DomainError(f"{name} {direction} at v_F = {v_F!r}")
+    return value
+
+
 def to_dimensionless(state: PhysicalState) -> DimensionlessPoint:
     """Map laboratory CGS parameters to (x, y, q).
 
     x = omega/(k_F v_F), y = nu/(k_F v_F), q = k/k_F with k_F = m v_F/hbar.
+    Where k_F v_F or a coordinate overflows, or underflows to 0 from a
+    nonzero field, it raises DomainError naming that quantity.
     """
+    v_F, omega, nu, k = state.v_F, state.omega, state.nu, state.k
     k_F = state.k_F
-    scale = k_F * state.v_F
-    if scale == 0.0:
-        raise DomainError(f"k_F v_F underflows to 0 at v_F = {state.v_F!r}")
+    scale = _derived("k_F v_F", k_F * v_F, v_F, v_F)
     return DimensionlessPoint(
-        x=state.omega / scale, y=state.nu / scale, q=state.k / k_F
+        x=_derived("x = omega/(k_F v_F)", omega / scale, omega, v_F),
+        y=_derived("y = nu/(k_F v_F)", nu / scale, nu, v_F),
+        q=_derived("q = k/k_F", k / k_F, k, v_F),
     )
 
 
 def from_dimensionless(point: DimensionlessPoint, v_F: float) -> PhysicalState:
-    """Inverse of :func:`to_dimensionless` for a given Fermi velocity."""
+    """Inverse of :func:`to_dimensionless` for a given Fermi velocity.
+
+    Where k_F v_F or a field overflows, or underflows to 0 from a nonzero
+    coordinate, it raises DomainError naming that quantity.
+    """
     if v_F <= 0 or not math.isfinite(v_F):
         raise ValidationError("v_F must be finite and > 0")
     k_F = ELECTRON_MASS * v_F / HBAR
-    scale = k_F * v_F
+    scale = _derived("k_F v_F", k_F * v_F, v_F, v_F)
     return PhysicalState(
-        v_F=v_F, nu=point.y * scale, omega=point.x * scale, k=point.q * k_F
+        v_F=v_F,
+        nu=_derived("nu = y k_F v_F", point.y * scale, point.y, v_F),
+        omega=_derived("omega = x k_F v_F", point.x * scale, point.x, v_F),
+        k=_derived("k = q k_F", point.q * k_F, point.q, v_F),
     )
 
 
@@ -300,27 +319,46 @@ def fermi_parameters_from_density(n_e: float) -> FermiParameters:
 # ---------------------------------------------------------------------------
 
 
+def _landau_numerator(v_F: float, numerator: float, name: str) -> float:
+    """numerator, the product that chi_L divides by a constant below 1, and
+    so its smallest factor; DomainError, naming chi_L, where it falls below
+    the normal range 2^-1022, where chi_L has lost digits or is 0."""
+    if -numerator < 2.0**-1022:
+        raise DomainError(
+            f"chi_L underflows at v_F = {v_F!r}: {name} falls below the normal range 2^-1022"
+        )
+    return numerator
+
+
 def landau_chi_physical(v_F: float) -> float:
     """Landau diamagnetic susceptibility chi_L = -e^2 v_F/(12 pi^2 hbar c^2).
 
-    Strictly negative and linear in v_F; CGS volume susceptibility.
+    Strictly negative and linear in v_F; CGS volume susceptibility. Below
+    v_F = 9.7e-290, where e^2 v_F falls below the normal range and chi_L
+    loses digits, it raises DomainError.
     """
     if not math.isfinite(v_F) or v_F <= 0:
         raise ValidationError("v_F must be finite and > 0")
-    return -(ELEMENTARY_CHARGE**2) * v_F / (12.0 * math.pi**2 * HBAR * SPEED_OF_LIGHT**2)
+    numerator = _landau_numerator(v_F, -(ELEMENTARY_CHARGE**2) * v_F, "e^2 v_F")
+    return numerator / (12.0 * math.pi**2 * HBAR * SPEED_OF_LIGHT**2)
 
 
 def landau_chi_magneton_form(v_F: float) -> float:
     """chi_L written through the magneton: -(1/3) (e hbar/2mc)^2 p_F m/(pi^2 hbar^3).
 
     Algebraically identical to :func:`landau_chi_physical` since p_F = m v_F;
-    kept as an independent expression for the identity check.
+    kept as an independent expression for the identity check. Its numerator
+    (e hbar/2mc)^2 p_F m falls below the normal range sooner, below
+    v_F = 3.1e-214, and it raises DomainError there.
     """
     if not math.isfinite(v_F) or v_F <= 0:
         raise ValidationError("v_F must be finite and > 0")
     magneton = ELEMENTARY_CHARGE * HBAR / (2.0 * ELECTRON_MASS * SPEED_OF_LIGHT)
     p_F = ELECTRON_MASS * v_F
-    return -(magneton**2) * p_F * ELECTRON_MASS / (3.0 * math.pi**2 * HBAR**3)
+    numerator = _landau_numerator(
+        v_F, -(magneton**2) * p_F * ELECTRON_MASS, "(e hbar/2mc)^2 p_F m"
+    )
+    return numerator / (3.0 * math.pi**2 * HBAR**3)
 
 
 def chi_ratio_to_absolute(ratio: complex, v_F: float) -> complex:

@@ -45,8 +45,9 @@ strategies that RegimeTag names cover that ground:
     only for |s| > 1 + q/2 and serves the far field, |s| >= 3 and
     |s| >= 2 (1 + q/2).
 
-Regime choice is deterministic in (x, y, q): the static point first, then
-the far field, which the Laurent series serves whole. Nearer in, where the
+Regime choice is deterministic in (x, y, q), and _classify makes it once,
+returning the evaluator it picks: the static point first, then the far
+field, which the Laurent series serves whole. Nearer in, where the
 Taylor series converges, a measured-cancellation escalation (intermediate
 magnitude over the quantum part, at every q) at a fixed digit threshold
 chooses between the closed form and the Taylor series; every other point
@@ -510,40 +511,46 @@ def _classic_laurent(z: complex, q: float, x: float, w: complex, eq: int, ez: in
 
 
 def _classify(point: DimensionlessPoint) -> tuple:
-    """Deterministic regime choice; returns (RegimeTag, closed pieces|None).
+    """Deterministic regime choice, made once: (RegimeTag, evaluator, closed
+    pieces|None), and chi_ratio runs evaluator(point, pieces).
 
-    The x = y = 0 point is PV_STATIC at every q. Every other point comes from
-    three decisions: the far field, |s| >= _FAR_MIN and |s| >= 2 (1 + q/2),
-    is LAURENT_SERIES; a point where the Taylor series does not converge,
-    q > _TAYLOR_SPAN * dist(s, +-1), is CLOSED_FORM; and at the rest the
-    cancellation guard escalates a closed form that loses more than
+    The x = y = 0 point is PV_STATIC at every q: below q = _STATIC_SEAM the
+    Taylor series about s = 0, _taylor_parts, whose one piece is L(0), and
+    from the seam up _closed_form_parts. Every other point comes from three
+    decisions: the far field, |s| >= _FAR_MIN and |s| >= 2 (1 + q/2), is
+    LAURENT_SERIES, _laurent_parts; a point where the Taylor series does not
+    converge, q > _TAYLOR_SPAN * dist(s, +-1), is CLOSED_FORM; and at the rest
+    the cancellation guard escalates a closed form that loses more than
     _CANCEL_DIGITS digits to TAYLOR_SERIES, the Landau limit x = 0,
     y << q << 1 included, and keeps every other one. y = 0 takes the same
     path and gets the limit y -> 0+. The closed pieces are those the guard
-    evaluated, for the evaluators to reuse.
+    evaluated, for the evaluator to reuse.
     """
     x, y, q = point.x, point.y, point.q
     if x == 0.0 and y == 0.0:
-        return _PV, None
+        if q < _STATIC_SEAM:
+            return _PV, _taylor_parts, (None, None, None, None, _branch_log(0j)[1])
+        return _PV, _closed_form_parts, None
     z = complex(x, y)
     s = z / q
     s_abs = abs(s)
     # the Laurent series converges for |s| > 1 + q/2; the margin keeps its outer
     # ratio <= 1/4, and _FAR_MIN its inner ratio |q/z|^2 <= 1/9, as in the closed form
     if s_abs >= _FAR_MIN and s_abs >= 2.0 * (1.0 + 0.5 * q):
-        return _LAURENT, None
+        return _LAURENT, _laurent_parts, None
     if not q <= _TAYLOR_SPAN * min(abs(s - 1.0), abs(s + 1.0)):
-        return _CLOSED, None
+        return _CLOSED, _closed_form_parts, None
     closed, lost_digits = _closed_pieces(z, q)
-    tag = _TAYLOR if lost_digits > _CANCEL_DIGITS else _CLOSED
-    return tag, closed
+    if lost_digits > _CANCEL_DIGITS:
+        return _TAYLOR, _taylor_parts, closed
+    return _CLOSED, _closed_form_parts, closed
 
 
 def regime_select(point: DimensionlessPoint) -> RegimeTag:
     """The RegimeTag of the strategy that chi_ratio runs at the point.
 
     This is chi_ratio(point).method, so it evaluates the point and raises
-    what chi_ratio raises; _classify documents the choice.
+    what chi_ratio raises; _classify makes the choice, with the evaluator.
     """
     return chi_ratio(point).method
 
@@ -590,7 +597,8 @@ def _taylor_parts(point: DimensionlessPoint, closed) -> tuple:
     cancel here. Below q = 2^-511, where q^2 is subnormal, its weight is
     -3 mx/mq^2 for x = mx 2^ex and q = mq 2^eq, and ldexp applies
     2^(ex - 2 eq) last, as in _classic_laurent. The series reuses the guard's
-    L(s), and err_est is its truncation bound.
+    L(s), or at the static point its one piece L(0), and err_est is its
+    truncation bound.
     """
     x, q = point.x, point.q
     classic = 0j
@@ -606,8 +614,9 @@ def _taylor_parts(point: DimensionlessPoint, closed) -> tuple:
     return classic, quant, err_est
 
 
-def _laurent_parts(point: DimensionlessPoint) -> tuple:
-    """The Laurent expansion in q/z for both parts.
+def _laurent_parts(point: DimensionlessPoint, pieces) -> tuple:
+    """The Laurent expansion in q/z for both parts; pieces is None, as
+    _classify gives it.
 
     The 1/z^2 and q^2/z^4 orders of the two quantum terms cancel
     symbolically, so the quantum value is the true leading residual
@@ -656,35 +665,15 @@ def _laurent_parts(point: DimensionlessPoint) -> tuple:
     return classic, quant, quant_err + classic_err
 
 
-def _result(point: DimensionlessPoint, tag: RegimeTag, closed) -> ChiResult:
-    """The ChiResult of the strategy that `tag` names, built from its parts.
-
-    Each strategy returns (classic, quant, err_est); at x = 0 the classical
-    part is exactly 0 and the quantum part real; the static point takes the
-    Taylor series about s = 0 below q = _STATIC_SEAM, the closed form from it up.
-    A float product that overflows gives inf without raising, and ChiResult
-    then refuses the non-finite part with ValidationError, which chi_ratio
-    reports.
-    """
-    if tag is _LAURENT:
-        classic, quant, err_est = _laurent_parts(point)
-    elif tag is _TAYLOR:
-        classic, quant, err_est = _taylor_parts(point, closed)
-    elif tag is _PV and point.q < _STATIC_SEAM:
-        classic, quant, err_est = 0j, *_quant_taylor_shift(0j, point.q, _branch_log(0j)[1])
-    else:
-        classic, quant, err_est = _closed_form_parts(point, closed)
-    if point.x == 0.0:
-        classic, quant = 0j, complex(quant.real, 0.0)
-    return ChiResult(classic, quant, classic + quant, tag, err_est)
-
-
 def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     """Susceptibility ratio chi/chi_L with automatic regime handling.
 
-    classic and quant are the two physical contributions; total is their sum
-    exactly. method is the RegimeTag of the strategy that ran, and err_est
-    its truncation bound: the bounds of the pieces the closed form summed as
+    _classify picks the tag and the evaluator once, and the evaluator's
+    (classic, quant, err_est) build the result; at x = 0 the classical part
+    is exactly 0 and the quantum part real. classic and quant are the two
+    physical contributions; total is their sum exactly. method is the
+    RegimeTag of the strategy that ran, and err_est its truncation bound:
+    the bounds of the pieces the closed form summed as
     series (0 if none), and the series bounds for the series branches, the
     static point's Taylor series below q = _STATIC_SEAM included. It models
     no rounding: the far field comes from the Laurent series, which cancels
@@ -699,13 +688,17 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     On the collisionless line y = 0 it returns the limit y -> 0+, poles
     inside [-1, 1] or on t = +-1 included. This is the kernel's one catch:
     where an intermediate overflows or divides by zero, or a part of the
-    result is not finite, it raises DomainError, which happens only far
+    result is not finite (a float product that overflows gives inf, which
+    ChiResult refuses), it raises DomainError, which happens only far
     outside |x|, y, q in 1e+-100. Its text names q^3 where it leaves the
     range, and the classical part where it overflows.
     """
     try:
-        tag, closed = _classify(point)
-        return _result(point, tag, closed)
+        tag, evaluate, pieces = _classify(point)
+        classic, quant, err_est = evaluate(point, pieces)
+        if point.x == 0.0:
+            classic, quant = 0j, complex(quant.real, 0.0)
+        return ChiResult(classic, quant, classic + quant, tag, err_est)
     except (ArithmeticError, ValidationError) as exc:
         raise DomainError(f"chi_ratio: the point is beyond double-precision range ({exc})") from exc
 

@@ -375,6 +375,16 @@ def test_eval_refuses_an_absolute_value_beyond_the_double_range(flags, capsys):
     assert "absolute susceptibility chi overflows" in captured.err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_eval_refuses_a_chi_l_below_the_normal_range(flags, capsys):
+    # chi_L was -0.0 here, and the absolute values (-0-0j)
+    argv = ["eval", "--x", "0.1", "--y", "0.1", "--q", "0.5", "--vf", "1e-310"]
+    assert main(argv + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "chi_L underflows" in captured.err
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "diamag.cli",

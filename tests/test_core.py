@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -89,6 +90,26 @@ class TestConversions:
         with pytest.raises(DomainError, match=r"^k_F v_F underflows to 0"):
             to_dimensionless(PhysicalState(*state))
 
+    @pytest.mark.parametrize("convert, name", [
+        # y = nu/(k_F v_F) = 1.2e300 / 1e-150 overflows
+        (lambda: to_dimensionless(PhysicalState(1e-150, 1e300, 0, 1)),
+         "y = nu/(k_F v_F) overflows"),
+        # k_F v_F = 8.6e319: omega = 0.1 k_F v_F overflows, and nu = 0 k_F v_F was a NaN
+        (lambda: from_dimensionless(DimensionlessPoint(0.1, 0, 1), 1e160), "k_F v_F overflows"),
+        # k_F v_F = 8.6e-601 and k = q k_F = 8.6e-331 underflow to 0
+        (lambda: from_dimensionless(DimensionlessPoint(0.1, 0.1, 1e-30), 1e-300),
+         "k_F v_F underflows to 0"),
+        (lambda: from_dimensionless(DimensionlessPoint(0.1, 0.1, 1e-300), 1e-100),
+         "k = q k_F underflows to 0"),
+        (lambda: to_dimensionless(PhysicalState(1e8, 5e-324, 0, 1)),
+         "y = nu/(k_F v_F) underflows to 0"),
+        (lambda: to_dimensionless(PhysicalState(1e-150, 1, 0, 1e300)), "q = k/k_F overflows"),
+    ])
+    def test_a_derived_quantity_out_of_range_is_refused_by_name(self, convert, name):
+        # not a ValidationError about a field the caller never passed
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)} at v_F = "):
+            convert()
+
     def test_state_validation(self):
         with pytest.raises(ValidationError, match="v_F"):
             PhysicalState(v_F=0.0, nu=0.0, omega=0.0, k=1.0)
@@ -154,6 +175,25 @@ class TestLandauConstant:
         with pytest.raises(ValidationError):
             landau_chi_physical(0.0)
 
+    @pytest.mark.parametrize("form, v_F", [
+        (landau_chi_physical, 1e-310),
+        (landau_chi_physical, 5e-324),
+        # e^2 v_F is subnormal just below 9.64e-290, and chi_L loses digits
+        (landau_chi_physical, 9.6e-290),
+        (landau_chi_magneton_form, 1e-310),
+        # the magneton form's numerator is subnormal below 3.12e-214
+        (landau_chi_magneton_form, 3.1e-214),
+    ])
+    def test_chi_l_below_the_normal_range_is_refused_by_name(self, form, v_F):
+        # it was -0.0, or a normal value with lost digits
+        with pytest.raises(DomainError, match=r"^chi_L underflows at v_F = "):
+            form(v_F)
+
+    @pytest.mark.parametrize("form, v_F", [(landau_chi_physical, 9.7e-290),
+                                           (landau_chi_magneton_form, 3.2e-214)])
+    def test_chi_l_just_above_its_refusal_is_negative_and_linear(self, form, v_F):
+        assert math.isclose(form(v_F) / v_F, form(1e8) / 1e8, rel_tol=1e-15)
+
     @pytest.mark.parametrize("v_F", [0.0, -1e8, math.inf, math.nan])
     def test_every_velocity_entry_rejects_a_bad_velocity(self, v_F):
         # PhysicalState would reject these velocities too, with other
@@ -177,6 +217,11 @@ class TestAbsoluteConversion:
     def test_an_overflowing_product_is_refused_by_name(self):
         with pytest.raises(DomainError, match="absolute susceptibility chi overflows"):
             chi_ratio_to_absolute(1e300 + 0j, 1e300)
+
+    def test_chi_l_below_the_normal_range_is_refused(self):
+        # the product was (-0-0j)
+        with pytest.raises(DomainError, match=r"^chi_L underflows"):
+            chi_ratio_to_absolute(0.9 + 0j, 5e-324)
 
     def test_plateau_magnitude(self):
         value = chi_ratio_to_absolute(complex(0.948), 1.57e8)

@@ -83,7 +83,7 @@ def test_asymptotic_and_direct_agree_in_overlap():
     point = DimensionlessPoint(x=0.0, y=4.0, q=1.2)
     assert chi_ratio(point).method is RegimeTag.LAURENT_SERIES
     direct = sum(_closed_form_parts(point, None)[:2])
-    classic, quant, _ = _laurent_parts(point)
+    classic, quant, _ = _laurent_parts(point, None)
     assert abs(direct - (classic + quant)) <= 1e-11 * abs(direct)
 
 
@@ -166,7 +166,7 @@ def test_x0_laurent_in_real_arithmetic_keeps_the_complex_bits():
         tag = _outcome(kernel._classify, point)
         if isinstance(tag, type) or tag[0] is not RegimeTag.LAURENT_SERIES:
             continue
-        got = _outcome(_laurent_parts, point)
+        got = _outcome(_laurent_parts, point, None)
         want = _outcome(_complex_laurent_quant, y, q)
         if isinstance(want, type):
             assert got is want, (y, q)
@@ -194,6 +194,25 @@ def test_x0_laurent_where_y_squared_underflows_keeps_its_digits(coords, ref):
     result = chi_ratio(DimensionlessPoint(*coords))
     assert result.method is RegimeTag.LAURENT_SERIES
     assert _honesty_ratio(result, ref) <= 1.0
+
+
+# The two kernel points that the workflow's console-script step evaluates,
+# with chi_ratio_exact's totals: q^2 is below the normal range at the first,
+# where the Laurent classical weight applies its power of two last, and q^3
+# underflows at the second, where the guard forms no q^3 and the Taylor
+# series serves the point
+CONSOLE_SCRIPT_REFERENCES = [
+    ((1.016062299060377e-152, 1.084223993054479e-05, 4.93576086492001e-162),
+     RegimeTag.LAURENT_SERIES, complex(1.4419640002109432e29, -1.5386969554871917e176)),
+    ((0.0, 1e-200, 1e-200), RegimeTag.TAYLOR_SERIES, complex(0.07190275490382754)),
+]
+
+
+@pytest.mark.parametrize("coords, tag, exact", CONSOLE_SCRIPT_REFERENCES)
+def test_console_script_points_hold_their_exact_values(coords, tag, exact):
+    result = chi_ratio(DimensionlessPoint(*coords))
+    assert result.method is tag
+    assert _honesty_ratio(result, exact) <= 1.0
 
 
 def test_laurent_where_z_squared_overflows_keeps_its_digits():
@@ -330,19 +349,22 @@ def _pinned_points() -> list:
 # change to the kernel's numbers moves it openly, as figure1's pin moves.
 KERNEL_BITS_SHA256 = "4fa695369e4e6e20138853821012b2cd7a9ca541c65b5e06e6b56a0550a64604"
 
-# every (tag, guard ran, x == 0) cell the kernel has: the static point, the
-# Laurent branch and the closed form outside Taylor's convergence skip the
-# guard, and every other Taylor point is the guard's escalation
+# every (tag, evaluator, pieces given, x == 0) cell the kernel has: the static
+# point takes the Taylor series with its one piece L(0) below the seam and the
+# closed form without pieces from it up; the Laurent branch and the closed form
+# outside Taylor's convergence skip the guard, and every other Taylor point is
+# the guard's escalation
 KERNEL_CELLS = {
-    (RegimeTag.PV_STATIC, False, True),
-    (RegimeTag.TAYLOR_SERIES, True, True),
-    (RegimeTag.TAYLOR_SERIES, True, False),
-    (RegimeTag.LAURENT_SERIES, False, True),
-    (RegimeTag.LAURENT_SERIES, False, False),
-    (RegimeTag.CLOSED_FORM, True, True),
-    (RegimeTag.CLOSED_FORM, True, False),
-    (RegimeTag.CLOSED_FORM, False, True),
-    (RegimeTag.CLOSED_FORM, False, False),
+    (RegimeTag.PV_STATIC, kernel._taylor_parts, True, True),
+    (RegimeTag.PV_STATIC, kernel._closed_form_parts, False, True),
+    (RegimeTag.TAYLOR_SERIES, kernel._taylor_parts, True, True),
+    (RegimeTag.TAYLOR_SERIES, kernel._taylor_parts, True, False),
+    (RegimeTag.LAURENT_SERIES, kernel._laurent_parts, False, True),
+    (RegimeTag.LAURENT_SERIES, kernel._laurent_parts, False, False),
+    (RegimeTag.CLOSED_FORM, kernel._closed_form_parts, True, True),
+    (RegimeTag.CLOSED_FORM, kernel._closed_form_parts, True, False),
+    (RegimeTag.CLOSED_FORM, kernel._closed_form_parts, False, True),
+    (RegimeTag.CLOSED_FORM, kernel._closed_form_parts, False, False),
 }
 
 
@@ -355,8 +377,8 @@ def test_kernel_bits_are_pinned():
         parts = (result.classic, result.quant, result.total)
         values = [v for c in parts for v in (c.real, c.imag)] + [result.err_est]
         lines.append(" ".join(v.hex() for v in values) + " " + result.method.value)
-        tag, closed = kernel._classify(point)
-        cells.add((tag, closed is not None, point.x == 0.0))
+        tag, evaluate, pieces = kernel._classify(point)
+        cells.add((tag, evaluate, pieces is not None, point.x == 0.0))
     assert cells == KERNEL_CELLS
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == KERNEL_BITS_SHA256
