@@ -363,10 +363,19 @@ def landau_chi_magneton_form(v_F: float) -> float:
 
 def chi_ratio_to_absolute(ratio: complex, v_F: float) -> complex:
     """Convert a chi/chi_L ratio to an absolute CGS susceptibility, each part
-    times chi_L; DomainError where the product leaves the double range."""
+    times chi_L; DomainError where the product leaves the double range: where
+    it overflows, or where a nonzero part gives a product below the normal
+    range 2^-1022, subnormal or 0, as chi_L itself is refused. A zero part
+    stays 0."""
     chi_l = landau_chi_physical(v_F)
     absolute = complex(ratio.real * chi_l, ratio.imag * chi_l)
     if not cmath.isfinite(absolute):
         require_finite_complex("ratio", ratio)
         raise DomainError(f"the absolute susceptibility chi overflows at v_F = {v_F!r}")
+    for part, product in ((ratio.real, absolute.real), (ratio.imag, absolute.imag)):
+        if part and abs(product) < 2.0**-1022:
+            raise DomainError(
+                f"the absolute susceptibility chi underflows at v_F = {v_F!r}:"
+                " a nonzero part of the ratio times chi_L falls below the normal range 2^-1022"
+            )
     return absolute

@@ -54,11 +54,12 @@ chooses between the closed form and the Taylor series; every other point
 gets the closed form. The thresholds are module constants; every accuracy
 result of the package is measured at their values.
 
-The hot path keeps each series' order of operations, and so its bits, with
-less work per point: exact float tables hold the recurrences' integer
-factors, the Taylor series climbs its ladder inline from the guard's L(s),
-and the Laurent sums run in real arithmetic at x = 0, where all their
-imaginary parts are exact zeros.
+Every strategy forms the classical term through _classical_part, the one
+home of its weight's range rule. The hot path keeps each series' order of
+operations, and so its bits, with less work per point: exact float tables
+hold the recurrences' integer factors, the Taylor series climbs its ladder
+inline from the guard's L(s), and the Laurent sums run in real arithmetic
+at x = 0, where all their imaginary parts are exact zeros.
 """
 
 from __future__ import annotations
@@ -483,26 +484,23 @@ def _first_integral_series(w: complex, head: complex) -> tuple:
     return total + comp, term
 
 
-def _classic_laurent(z: complex, q: float, x: float, w: complex, eq: int, ez: int) -> tuple:
-    """Classical term via the Laurent series of the first integral.
-
-    I1 = -(1/z) sum_{j>=0} (4 / ((2j+1)(2j+3))) w^j, w = (q/z)^2; the weighted
-    term is -(3x/q^2) I1. Converges for |s| > 1. z and q come scaled, as
-    z 2^-ez and q 2^-eq; where an exponent is nonzero, the weight is
-    -3 mx/q^2 for x = mx 2^ex, and ldexp applies 2^(ex - 2 eq - ez) last.
-    Returns (value, abs bound).
-    """
-    total, term = _first_integral_series(w, 4.0 / 3.0)
-    # unscaled, the weight keeps the bits of -3x/q^2, a subnormal one too
-    mx, ex = math.frexp(x) if eq or ez else (x, 0)
-    weight, k = -3.0 * mx / (q * q), ex - 2 * eq - ez
-    classic, bound = weight * (-total / z), 4.0 * abs(weight * term / z)
-    if k:
-        try:
-            classic, bound = _ldexp_complex(classic, k), math.ldexp(bound, k)
-        except OverflowError:
-            raise OverflowError("the classical part overflows") from None
-    return classic, bound
+def _classical_part(x: float, q: float, I1: complex, k: int | None = None) -> complex:
+    """-(3x/q^2) I1 for x > 0, and the one range rule of its weight: the
+    plain product where the caller scaled nothing (k None) and q >= 2^-511;
+    elsewhere -3 mx/q^2 for x = mx 2^ex, with q's mantissa for q = mq 2^eq
+    below 2^-511, and one ldexp applies 2^(k + ex - 2 eq) last, where k
+    undoes the caller's scaling of q and I1."""
+    if k is None and q >= 2.0**-511:
+        return -3.0 * x / (q * q) * I1
+    mx, ex = math.frexp(x)
+    k = (k or 0) + ex
+    if q < 2.0**-511:
+        q, eq = math.frexp(q)
+        k -= 2 * eq
+    try:
+        return _ldexp_complex(-3.0 * mx / (q * q) * I1, k)
+    except OverflowError:
+        raise OverflowError("the classical part overflows") from None
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +581,7 @@ def _closed_form_parts(point: DimensionlessPoint, closed) -> tuple:
         quant = weight * bracket.real + 1.5 * g_plus.real / q3
         return 0j, quant, weight * bracket_err + 1.5 * err_plus / q3
     g_minus, err_minus = _antiderivative_piece(s - 0.5 * q, g_minus)
-    classic = -3.0 * x / (q * q) * I1
+    classic = _classical_part(x, q, I1)
     quant = 3.0 / q * (bracket / q) + 0.75 * ((g_plus - g_minus) / q3)
     err_est = x * weight * I1_err + weight * bracket_err + 0.75 / q3 * (err_plus + err_minus)
     return classic, quant, err_est
@@ -594,22 +592,12 @@ def _taylor_parts(point: DimensionlessPoint, closed) -> tuple:
 
     Exact in beta = y/q; on the static line it reduces to 1 - q^2/20 - ... .
     The classical part keeps its closed form, the guard's I1, which does not
-    cancel here. Below q = 2^-511, where q^2 is subnormal, its weight is
-    -3 mx/mq^2 for x = mx 2^ex and q = mq 2^eq, and ldexp applies
-    2^(ex - 2 eq) last, as in _classic_laurent. The series reuses the guard's
-    L(s), or at the static point its one piece L(0), and err_est is its
-    truncation bound.
+    cancel here, weighted by _classical_part, whose range rule serves q below
+    2^-511, where q^2 is subnormal. The series reuses the guard's L(s), or at
+    the static point its one piece L(0), and err_est is its truncation bound.
     """
     x, q = point.x, point.q
-    classic = 0j
-    if x and q >= 2.0**-511:
-        classic = -3.0 * x / (q * q) * closed[0]
-    elif x:
-        (mx, ex), (mq, eq) = math.frexp(x), math.frexp(q)
-        try:
-            classic = _ldexp_complex(-3.0 * mx / (mq * mq) * closed[0], ex - 2 * eq)
-        except OverflowError:
-            raise OverflowError("the classical part overflows") from None
+    classic = _classical_part(x, q, closed[0]) if x else 0j
     quant, err_est = _quant_taylor_shift(point.s, q, closed[4])
     return classic, quant, err_est
 
@@ -627,7 +615,9 @@ def _laurent_parts(point: DimensionlessPoint, pieces) -> tuple:
     z 2^-ez, and ldexp applies the powers of two last. eq is nonzero only
     for q outside [2^-251, 2^255] and ez only for max(x, y) outside
     [2^-510, 2^510], and each then moves its value just inside that window,
-    where q^4, 4 z^2 and 12/z^2 are finite and normal. Where eq = ez = 0
+    where q^4, 4 z^2 and 12/z^2 are finite and normal. The classical part
+    is _classical_part's on the scaled q and z, given the exponent that
+    undoes their scaling wherever eq or ez is nonzero. Where eq = ez = 0
     this is the plain arithmetic bit for bit.
     """
     x, y, q = point.x, point.y, point.q
@@ -660,8 +650,13 @@ def _laurent_parts(point: DimensionlessPoint, pieces) -> tuple:
     )
     if x == 0.0:
         return 0j, quant.real + 0.0, quant_err
-    # x itself, not its scaled copy, which may flush to 0
-    classic, classic_err = _classic_laurent(z, q_scaled, x, w, eq, ez)
+    # I1 = -(1/z) sum_{j>=0} (4 / ((2j+1)(2j+3))) w^j on the scaled z, with
+    # the truncation bound 4 |term/z| from the last term summed; x itself,
+    # not its scaled copy, which may flush to 0
+    total, term = _first_integral_series(w, 4.0 / 3.0)
+    k = -2 * eq - ez if eq or ez else None
+    classic = _classical_part(x, q_scaled, -total / z, k)
+    classic_err = 4.0 * abs(_classical_part(x, q_scaled, term, k) / z)
     return classic, quant, quant_err + classic_err
 
 
@@ -691,7 +686,8 @@ def chi_ratio(point: DimensionlessPoint) -> ChiResult:
     result is not finite (a float product that overflows gives inf, which
     ChiResult refuses), it raises DomainError, which happens only far
     outside |x|, y, q in 1e+-100. Its text names q^3 where it leaves the
-    range, and the classical part where it overflows.
+    range, and the classical part where _classical_part, which forms it for
+    every strategy, overflows.
     """
     try:
         tag, evaluate, pieces = _classify(point)

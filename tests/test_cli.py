@@ -385,6 +385,16 @@ def test_eval_refuses_a_chi_l_below_the_normal_range(flags, capsys):
     assert "chi_L underflows" in captured.err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_eval_refuses_a_chi_below_the_normal_range(flags, capsys):
+    # the ratio is 2.0e-321 here, and chi_cgs was printed as -0 + 0j
+    argv = ["eval", "--x", "0", "--y", "1", "--q", "1e-80", "--vf", "1e8"]
+    assert main(argv + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "absolute susceptibility chi underflows" in captured.err
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "diamag.cli",

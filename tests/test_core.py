@@ -223,6 +223,18 @@ class TestAbsoluteConversion:
         with pytest.raises(DomainError, match=r"^chi_L underflows"):
             chi_ratio_to_absolute(0.9 + 0j, 5e-324)
 
+    # chi_L is -2.06e-7 at v_F = 1e8; 2e-321 is the ratio at (0, 1, 1e-80),
+    # where the product was (-0+0j)
+    @pytest.mark.parametrize("ratio", [2e-321 + 0j, 1e-302 + 0j, 1.0 + 1e-302j])
+    def test_a_nonzero_part_below_the_normal_range_is_refused(self, ratio):
+        with pytest.raises(DomainError, match=r"^the absolute susceptibility chi underflows"):
+            chi_ratio_to_absolute(ratio, 1e8)
+
+    def test_a_normal_product_and_a_zero_part_are_served(self):
+        value = chi_ratio_to_absolute(1e-300 + 0j, 1e8)
+        assert value.real == 1e-300 * landau_chi_physical(1e8) <= -(2.0**-1022)
+        assert value.imag == 0.0
+
     def test_plateau_magnitude(self):
         value = chi_ratio_to_absolute(complex(0.948), 1.57e8)
         assert math.isclose(value.real, -3.05894469400928e-07, rel_tol=1e-9)

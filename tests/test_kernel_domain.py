@@ -13,6 +13,7 @@ never a bare exception.
 """
 
 import cmath
+import hashlib
 import math
 import random
 
@@ -128,6 +129,30 @@ def test_whole_float_range_gives_a_finite_result_or_a_diamag_error():
         served += 1
     # most of the range is served, not refused
     assert served > 500
+
+
+# sha256 of one line per point of the seed-23 whole-range sample above: for a
+# served point float.hex of classic, quant and total (real and imaginary
+# parts) and err_est, and the method value; for a refused one the exception's
+# type and text. KERNEL_BITS_SHA256 holds the box; this holds the range rules
+# that serve and refuse points beyond it, subnormal results included.
+WHOLE_RANGE_BITS_SHA256 = "f4c8edc376adac60f19fdfd85ff9c9c5b4563d95f82b456bba93658af254a9ad"
+
+
+def test_whole_float_range_bits_are_pinned():
+    rng = random.Random(23)
+    lines = []
+    for coords in BEYOND_DOUBLE_RANGE + [_float_range_point(rng) for _ in range(2000)]:
+        try:
+            result = chi_ratio(DimensionlessPoint(*coords))
+        except DiamagError as exc:
+            lines.append(f"{type(exc).__name__} {exc}")
+            continue
+        parts = (result.classic, result.quant, result.total)
+        values = [v for c in parts for v in (c.real, c.imag)] + [result.err_est]
+        lines.append(" ".join(v.hex() for v in values) + " " + result.method.value)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == WHOLE_RANGE_BITS_SHA256
 
 
 def test_small_q_over_the_whole_range_is_honest_or_refused_by_name():
